@@ -7,7 +7,6 @@ from .errors import (
     ConstructionFailed,
     DeltaTooSmall,
     MonomialOverflow,
-    NegativeStoichiometry,
     NoCrossing,
     NonPositiveDelta,
     NotASubfan,
@@ -56,11 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousClassification", "ArcsDontMeet", "ConeRHS", "Cone2",
     "ConstructionFailed", "DeltaTooSmall", "Fan", "IntersectionPoint",
-    "LineGenerator", "LogPoint", "MonomialOverflow", "NegativeStoichiometry",
-    "NoCrossing", "NonPositiveDelta", "NotASubfan", "OutOfBand",
-    "ParallelGenerators", "PosPoint", "RegionBoundary", "SlopeClasses",
-    "StepCollapse", "ToricRegionsError", "UncertaintyRegion", "UnsupportedFan",
-    "WitnessFailed", "ZeroGenerator", "attracting_direction",
+    "LineGenerator", "LogPoint", "MonomialOverflow", "NoCrossing",
+    "NonPositiveDelta", "NotASubfan", "OutOfBand", "ParallelGenerators",
+    "PosPoint", "RegionBoundary", "SlopeClasses", "StepCollapse",
+    "ToricRegionsError", "UncertaintyRegion", "UnsupportedFan", "WitnessFailed",
+    "ZeroGenerator", "attracting_direction",
     "choose_start_points", "compute_slope_classes", "construct_region",
     "conv_hull", "delta_i", "dist_to_cone", "fan_2d_cones", "hull_contains",
     "intersection_points", "normalize_generator", "phi_level", "polar",

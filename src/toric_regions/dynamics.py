@@ -21,6 +21,7 @@ from .errors import (
 from .fan_geometry import (
     Fan,
     LogPoint,
+    _flanking_arms,
     along_coordinate,
     as_log,
     r_count,
@@ -30,8 +31,8 @@ from .region_construction import (
     IntersectionPoint,
     RegionBoundary,
     Segment,
-    _curve_cross_on_line,
     _sign,
+    _strip_point,
     region_contains,
 )
 from .tdi_rhs import ConeRHS, rhs_bruteforce, rhs_classified
@@ -352,7 +353,7 @@ class Trajectory:
 def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
               dt: float = 1e-2, max_log_step: float = 0.25,
               validate: bool = True, tol: float = 1e-9,
-              stop_when=None, record_every: int = 1) -> Trajectory:
+              stop_when=None) -> Trajectory:
     """Explicit 4th-order stepping of the selection in log coordinates.
 
     The step is capped so no single update moves more than max_log_step in
@@ -422,19 +423,18 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     )
         pt = LogPoint(pt.X + dX, pt.Y + dY)
         t += h
-        if steps % record_every == 0 or t >= t_end:
-            times.append(t)
-            points.append(pt)
-            velocities.append(v0)
-            tags.append(tag)
+        times.append(t)
+        points.append(pt)
+        velocities.append(v0)
+        tags.append(tag)
         if stop_when is not None and stop_when(pt, t):
             termination = "stopped"
             break
     if steps >= max_steps and termination == "t_end" and t < t_end:
         termination = "max_steps"
-    while len(velocities) < len(times):
-        velocities.append((0.0, 0.0))
-        tags.append("")
+    # The last sample starts no step.
+    velocities.append((0.0, 0.0))
+    tags.append("")
     return Trajectory(times, points, velocities, tags, getattr(strategy, "name", "custom"),
                       termination, worst)
 
@@ -558,23 +558,6 @@ def _segment_direction(seg: Segment, fan: Fan) -> tuple[float, float]:
     return d
 
 
-def _walk_chain(boundary: RegionBoundary, chain: str) -> list[Segment]:
-    """Boundary segments walkable in construction order from a start anchor."""
-    return [s for s in boundary.polylines[chain]]
-
-
-def _sigma_match_point(seg: Segment, fan: Fan, delta: float, sigma: float) -> LogPoint:
-    """Point on a crossing segment where the crossed strip coordinate is sigma."""
-    g = fan.generators[seg.region_index]
-    if seg.slope is None:
-        return LogPoint(seg.start.X, (g.p * seg.start.X + sigma) / g.q)
-    if g.q == 0:
-        return LogPoint(-sigma / g.p, seg.start.Y)
-    s0 = g.q * seg.start.Y - g.p * seg.start.X
-    dx = _sign(s0 - sigma) * _sign(g.p) if g.p != 0 else 1
-    return _curve_cross_on_line(seg.start, float(seg.slope), g, sigma, dx)
-
-
 def reach_witness(from_point, to_point, fan: Fan, delta: float,
                   region: RegionBoundary, tol: float = 1e-9,
                   arrive_tol: float = 1e-6, t_flow: float = 400.0) -> Trajectory:
@@ -682,8 +665,8 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
             legs.append(leg)
             cur = leg.points[-1]
         seg = region.polylines[chain][k]
-        sigma_t = strip_coordinate(dst, target_region)
-        match = _sigma_match_point(seg, fan, delta, sigma_t)
+        match = _strip_point(seg.start, target_region.gen,
+                             strip_coordinate(dst, target_region))
         leg = _xline_leg(cur, _segment_direction(seg, fan), match,
                          "walk into the strip")
         legs.append(leg)
@@ -693,17 +676,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
         return legs, dst
 
     # r = 0: gap target; find the flanking sector by position angle.
-    from .fan_geometry import _arm_table, _wrap
-
-    arms = _arm_table(fan)
-    phi = _wrap(math.atan2(dst.Y, dst.X))
-    k = len(arms) - 1
-    for i, (a, _, _) in enumerate(arms):
-        if phi >= a:
-            k = i
-        else:
-            break
-    flank = (arms[k], arms[(k + 1) % len(arms)])
+    flank = _flanking_arms(dst, fan)
     rays = rhs_bruteforce(dst, fan, delta).extreme_rays()
     if len(rays) != 2:
         raise WitnessFailed("route", "gap target has no proper cone")
@@ -734,7 +707,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
                 seg = region.polylines[chain][k2]
                 corner = seg.start
                 leg = _xline_leg(c, _segment_direction(seg, fan), corner,
-                                 "walk to the gap corner") if k2 >= 0 else None
+                                 "walk to the gap corner")
                 # corner equals the previous segment's end; only walk if needed
                 if max(abs(c.X - corner.X), abs(c.Y - corner.Y)) > 1e-12:
                     legs_try.append(leg)

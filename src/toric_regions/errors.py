@@ -63,10 +63,6 @@ class MonomialOverflow(ToricRegionsError):
     """A monomial exponent exceeded the configured log-magnitude cap."""
 
 
-class NegativeStoichiometry(ToricRegionsError):
-    """Reaction vertex encoding rejected for a negative-exponent complex."""
-
-
 class StepCollapse(ToricRegionsError):
     """Integrator step fell below the minimum without passing validation."""
 

@@ -89,21 +89,6 @@ class LineGenerator:
             return None
         return Fraction(-self.q, self.p)
 
-    @property
-    def theta(self) -> float:
-        """Angle of the line in (0, pi]; a horizontal generator maps to pi."""
-        if self.p == 0:
-            return math.pi
-        raw = math.atan2(self.p, self.q)
-        return raw if raw > 0.0 else raw + math.pi
-
-    def direction(self) -> tuple[float, float]:
-        """Unit vector along the line at angle theta (upper half plane)."""
-        if self.p == 0:
-            return (-1.0, 0.0)
-        s = 1.0 if self.p > 0 else -1.0
-        return _unit((s * self.q, s * self.p))
-
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
 
@@ -192,9 +177,6 @@ class LogPoint:
 
     def exp(self) -> PosPoint:
         return PosPoint(math.exp(self.X), math.exp(self.Y))
-
-    def coords(self) -> tuple[float, float]:
-        return (self.X, self.Y)
 
 
 def as_log(point) -> LogPoint:
@@ -388,6 +370,23 @@ def _arm_table(fan: Fan) -> tuple[tuple[float, int, int], ...]:
         arms.append((_wrap(a + math.pi), i, -1))
     arms.sort()
     return tuple(arms)
+
+
+def _flanking_arms(pt: LogPoint, fan: Fan) -> tuple[tuple[float, int, int], tuple[float, int, int]]:
+    """The two consecutive arm rays of the sector containing the point.
+
+    The sector runs counter-clockwise from the first arm (inclusive) to the
+    second; entries are rows of the arm table.
+    """
+    arms = _arm_table(fan)
+    phi = _wrap(math.atan2(pt.Y, pt.X))
+    k = len(arms) - 1
+    for i, (a, _, _) in enumerate(arms):
+        if phi >= a:
+            k = i
+        else:
+            break
+    return arms[k], arms[(k + 1) % len(arms)]
 
 
 @lru_cache(maxsize=256)

@@ -8,7 +8,7 @@ the large-delta asymptotics.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -35,8 +35,6 @@ from .fan_geometry import (
     strip_coordinate,
 )
 from .tdi_rhs import rhs_bruteforce
-
-TWO_PI = 2.0 * math.pi
 
 
 def _sign(x: float) -> int:
@@ -292,33 +290,24 @@ def _line_x_log(anchor: LogPoint, s: float, Y: float) -> float:
 # Segment / curve crossings
 
 
-def _axis_search(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
-                 axis: str, d: int, max_span: float) -> tuple[float, float, float]:
-    """Bracket the sign change of g = q*Y - p*X - log_h along one log axis
-    of the x-space line through anchor with slope s.
+def _line_root(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
+               d: int, max_span: float) -> LogPoint:
+    """Root of g = q*Y - p*X - log_h on the x-space line through anchor with
+    slope s, stepping along log x in direction d from the anchor.
 
-    Returns (t_lo, t_hi, g(t_lo)); raises NoCrossing if the ray exits the
-    positive quadrant or exceeds max_span first.
+    Brackets the first sign change with doubling steps, then bisects it.
+    Raises NoCrossing if the ray exits the positive quadrant or exceeds
+    max_span first.
     """
-    if axis == "X":
-        t0 = anchor.X
-        limit = None
-        if s != 0.0:
-            z = -math.exp(anchor.Y - anchor.X) / s  # expm1(X - X0) where y = 0
-            if (d > 0 and s < 0.0) or (d < 0 and s > 0.0 and z > -1.0):
-                limit = anchor.X + math.log1p(z)
-
-        def g(t: float) -> float:
-            return q * _line_y_log(anchor, s, t) - p * t - log_h
-    else:
-        t0 = anchor.Y
-        z = -s * math.exp(anchor.X - anchor.Y)  # expm1(Y - Y0) where x = 0
-        limit = None
+    t0 = anchor.X
+    limit = None
+    if s != 0.0:
+        z = -math.exp(anchor.Y - anchor.X) / s  # expm1(X - X0) where y = 0
         if (d > 0 and s < 0.0) or (d < 0 and s > 0.0 and z > -1.0):
-            limit = anchor.Y + math.log1p(z)
+            limit = anchor.X + math.log1p(z)
 
-        def g(t: float) -> float:
-            return q * t - p * _line_x_log(anchor, s, t) - log_h
+    def g(t: float) -> float:
+        return q * _line_y_log(anchor, s, t) - p * t - log_h
 
     lo, glo = t0, g(t0)
     if glo == 0.0:
@@ -338,39 +327,33 @@ def _axis_search(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
         if limit is not None:
             if abs(limit - lo) <= 1e-14 * (1.0 + abs(limit)):
                 raise NoCrossing("ray exits the positive quadrant before the curve")
-            t = lo + d * min(step, 0.5 * abs(limit - lo))
+            hi = lo + d * min(step, 0.5 * abs(limit - lo))
         else:
-            t = lo + d * step
-        if abs(t - t0) > max_span:
+            hi = lo + d * step
+        if abs(hi - t0) > max_span:
             raise NoCrossing(f"no crossing within {max_span} log units")
-        gt = g(t)
-        if gt == 0.0 or (glo > 0.0) != (gt > 0.0):
-            return lo, t, glo
-        lo, glo = t, gt
+        ghi = g(hi)
+        if ghi == 0.0 or (glo > 0.0) != (ghi > 0.0):
+            break
+        lo, glo = hi, ghi
         step *= 2.0
-    raise NoCrossing("no sign change found while bracketing")
-
-
-def _axis_bisect(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
-                 axis: str, lo: float, hi: float, glo: float) -> float:
-    if axis == "X":
-        def g(t: float) -> float:
-            return q * _line_y_log(anchor, s, t) - p * t - log_h
     else:
-        def g(t: float) -> float:
-            return q * t - p * _line_x_log(anchor, s, t) - log_h
+        raise NoCrossing("no sign change found while bracketing")
+
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if gm == 0.0:
-            return mid
+            lo = hi = mid
+            break
         if (gm > 0.0) == (glo > 0.0):
             lo, glo = mid, gm
         else:
             hi = mid
         if abs(hi - lo) <= 1e-14 * (1.0 + abs(mid)):
             break
-    return 0.5 * (lo + hi)
+    t = 0.5 * (lo + hi)
+    return LogPoint(t, _line_y_log(anchor, s, t))
 
 
 def _curve_cross_on_line(anchor: LogPoint, s: float, gen: LineGenerator,
@@ -378,29 +361,31 @@ def _curve_cross_on_line(anchor: LogPoint, s: float, gen: LineGenerator,
     """Crossing of the x-space line through anchor (slope s) with the curve
     q*Y - p*X = log_h, searching in x direction dx.
 
-    The search runs parametrized by log x and falls back to log y (the ray
-    is monotone in both), because near the quadrant corners one of the two
-    parametrizations degenerates; the final answer is polished on whichever
-    axis leaves the smaller residual.
+    The search runs along log x first.  Near the quadrant corners that
+    parametrization degenerates, so when it finds no crossing or leaves a
+    residual above 1e-11*(1 + |log_h|), the search is repeated along log y.
+    That second search is the first one applied to the mirrored problem:
+    swapping x and y turns the anchor (X0, Y0) into (Y0, X0), the slope s
+    into 1/s, the search direction dx into dx*sign(s), and the curve
+    q*Y - p*X = log_h into (-p)*Y' - (-q)*X' = log_h.  Its root is swapped
+    back, and the answer with the smaller residual wins.
     """
     p, q = gen.p, gen.q
-    axes = [("X", dx)]
+    # (anchor, slope, q, p, direction) of the problem, then of its mirror.
+    problems = [(anchor, s, q, p, dx)]
     if s != 0.0:
-        axes.append(("Y", dx * _sign(s)))
+        problems.append((LogPoint(anchor.Y, anchor.X), 1.0 / s, -p, -q, dx * _sign(s)))
     err: Exception | None = None
     best: LogPoint | None = None
     best_res = math.inf
-    for axis, d in axes:
+    for mirrored, (a, slope, qk, pk, d) in enumerate(problems):
         try:
-            lo, hi, glo = _axis_search(anchor, s, q, p, log_h, axis, d, max_span)
+            pt = _line_root(a, slope, qk, pk, log_h, d, max_span)
         except NoCrossing as exc:
             err = exc
             continue
-        t = _axis_bisect(anchor, s, q, p, log_h, axis, lo, hi, glo)
-        if axis == "X":
-            pt = LogPoint(t, _line_y_log(anchor, s, t))
-        else:
-            pt = LogPoint(_line_x_log(anchor, s, t), t)
+        if mirrored:
+            pt = LogPoint(pt.Y, pt.X)
         res = abs(q * pt.Y - p * pt.X - log_h)
         if res < best_res:
             best, best_res = pt, res
@@ -438,29 +423,33 @@ def segment_curve_intersection(start, slope: float, generator: LineGenerator,
     raise last if last is not None else NoCrossing("no crossing found")
 
 
+def _strip_point(anchor: LogPoint, gen: LineGenerator, sigma: float) -> LogPoint:
+    """Point where the x-space line through anchor along gen's attracting
+    slope reaches the strip coordinate q*Y - p*X = sigma."""
+    p, q = gen.p, gen.q
+    if p == 0:
+        # Horizontal generator: vertical line, q*Y = sigma directly.
+        return LogPoint(anchor.X, sigma / q)
+    if q == 0:
+        # Vertical generator: horizontal line, -p*X = sigma.
+        return LogPoint(-sigma / p, anchor.Y)
+    # Along +x on this line the strip coordinate moves with sign -sign(p).
+    dx = _sign(q * anchor.Y - p * anchor.X - sigma) * _sign(p)
+    return _curve_cross_on_line(anchor, float(gen.attracting_slope()), gen, sigma, dx)
+
+
 def _crossing_segment(cur: LogPoint, region: UncertaintyRegion,
                       arm_sign: int) -> Segment:
     """Segment from cur across the strip, ending on its far boundary curve."""
-    g = region.gen
     sigma0 = strip_coordinate(cur, region)
     if abs(sigma0) < region.delta_i - STRIP_TOL:
         raise ConstructionFailed(
             "crossing", f"start point lies inside strip {region.index}"
         )
     target = -_sign(sigma0)
-    log_h = target * region.delta_i
-    slope = g.attracting_slope()
-    if slope is None:
-        # Horizontal generator: vertical segment, q*Y = log_h directly.
-        end = LogPoint(cur.X, (g.p * cur.X + log_h) / g.q)
-        return Segment(cur, end, None, region.index, arm_sign, target)
-    if g.q == 0:
-        # Vertical generator: horizontal segment, -p*X = log_h.
-        end = LogPoint(-log_h / g.p, cur.Y)
-        return Segment(cur, end, slope, region.index, arm_sign, target)
-    dx = _sign(sigma0) * _sign(g.p)
-    end = _curve_cross_on_line(cur, float(slope), g, log_h, dx)
-    return Segment(cur, end, slope, region.index, arm_sign, target)
+    end = _strip_point(cur, region.gen, target * region.delta_i)
+    return Segment(cur, end, region.gen.attracting_slope(), region.index,
+                   arm_sign, target)
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +494,13 @@ def build_polyline(start: LogPoint, phi: float, ccw: bool, stop_index: int,
 
 def connect_arcs(term_a: LogPoint, ia: int, sa: int,
                  term_b: LogPoint, ib: int, sb: int,
-                 fan: Fan, delta: float, points) -> tuple[list[Arc], IntersectionPoint]:
+                 meet: LogPoint, fan: Fan) -> list[Arc]:
     """Connect two polyline terminals along their outer boundary curves.
 
-    The arcs meet at the closed-form intersection of the two curves; if that
-    point does not lie between the terminals along both curves, delta is too
-    small for this fan.
+    The arcs meet at meet, the closed-form intersection of the two curves;
+    if that point does not lie between the terminals along both curves,
+    delta is too small for this fan.
     """
-    ip = _lookup_point(points, ia, sa, ib, sb)
-    meet = ip.log
     for term, gi in ((term_a, ia), (term_b, ib)):
         g = fan.generators[gi]
         ta = along_coordinate(term, g)
@@ -522,11 +509,7 @@ def connect_arcs(term_a: LogPoint, ia: int, sa: int,
             raise ArcsDontMeet(
                 f"curve intersection not between terminals on strip {gi}"
             )
-    regions = fan.regions(delta)
-    return (
-        [Arc(ia, sa, term_a, meet), Arc(ib, sb, meet, term_b)],
-        ip,
-    )
+    return [Arc(ia, sa, term_a, meet), Arc(ib, sb, meet, term_b)]
 
 
 def _extend_segment(seg: Segment, fan: Fan, coord: str, value: float) -> Segment:
@@ -560,8 +543,7 @@ def _close_side(term_a: LogPoint, ia: int, sa: int, seg_a: Segment,
         if r.gen.is_axis and abs(strip_coordinate(meet, r)) < r.delta_i - STRIP_TOL
     ]
     if not axis_hits:
-        arcs, ip = connect_arcs(term_a, ia, sa, term_b, ib, sb, fan, delta, points)
-        return list(arcs), ip, None
+        return connect_arcs(term_a, ia, sa, term_b, ib, sb, meet, fan), ip, None
     if len(axis_hits) > 1:
         raise UnsupportedFan("closure point inside two axis strips")
     axisr = axis_hits[0]
@@ -623,24 +605,8 @@ class RegionBoundary:
     report: dict | None = None
 
     @property
-    def segments(self) -> list[Segment]:
-        return [p for p in self.pieces if p.kind == "segment"]
-
-    @property
     def arcs(self) -> list[Arc]:
         return [p for p in self.pieces if p.kind == "arc"]
-
-    def crossing_segment(self, gen_index: int, arm_sign: int) -> Segment | None:
-        for name in ("I1", "I2", "I3", "I4"):
-            for seg in self.polylines[name]:
-                if seg.crossing and seg.region_index == gen_index and seg.arm_sign == arm_sign:
-                    return seg
-        # Axis-parallel closure joins also cross their strip.
-        for piece in self.pieces:
-            if piece.kind == "segment" and piece.region_index == gen_index \
-                    and piece.arm_sign == arm_sign:
-                return piece
-        return None
 
     def chords(self) -> dict[str, tuple[LogPoint, LogPoint]]:
         """The four chords l1..l4 from the start points to the terminals."""
@@ -653,17 +619,11 @@ class RegionBoundary:
             "l4": (nm, self.anchors["Bu"]),
         }
 
-    def contains(self, point) -> str:
-        return region_contains(self, point)
 
-
-def construct_region(fan: Fan, delta: float, validate: bool = True,
-                     validation_samples: int = 512) -> RegionBoundary:
+def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBoundary:
     """Run the full construction, optionally followed by the single-delta
     validation battery (failures raise DeltaTooSmall naming the check)."""
     classes = compute_slope_classes(fan)
-    if fan.b < 2:
-        raise UnsupportedFan("construction needs at least two generators")
     points = intersection_points(fan, delta)
     start_max, start_min = choose_start_points(points, classes.mode)
     if start_max is start_min:
@@ -728,7 +688,7 @@ def construct_region(fan: Fan, delta: float, validate: bool = True,
         axis_joins=tuple(j for j in (join1, join2) if j is not None),
     )
     if validate:
-        report = validate_region(boundary, samples=validation_samples)
+        report = validate_region(boundary)
         boundary.report = report
         bad = [name for name, res in report.items() if not res["passed"]]
         if bad:
@@ -842,14 +802,16 @@ def region_contains(boundary: RegionBoundary, point,
     return "inside" if crossings % 2 == 1 else "outside"
 
 
-def sample_boundary(boundary: RegionBoundary, total: int,
-                    min_per_piece: int = 4) -> list[tuple[LogPoint, object]]:
+_MIN_PIECE_SAMPLES = 4  # boundary samples on even the shortest piece
+
+
+def sample_boundary(boundary: RegionBoundary, total: int) -> list[tuple[LogPoint, object]]:
     """Deterministic interior samples of every piece, count ~ log length."""
     lengths = [max(p.log_length(), 1e-12) for p in boundary.pieces]
     whole = sum(lengths)
     out = []
     for piece, ln in zip(boundary.pieces, lengths):
-        n = max(min_per_piece, int(round(total * ln / whole)))
+        n = max(_MIN_PIECE_SAMPLES, int(round(total * ln / whole)))
         for k in range(n):
             u = (k + 0.5) / n
             out.append((piece.point_at(u), piece))
@@ -882,19 +844,26 @@ def _monotone_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]
     return lower[:-1] + upper[:-1]
 
 
-def conv_hull(boundary: RegionBoundary, arc_samples: int = 256) -> list[tuple[float, float]]:
+_HULL_ARC_SAMPLES = 256  # interior samples per arc in conv_hull
+
+
+def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
     """Convex hull of the boundary in x-space (CCW vertex list).
 
-    Segments are straight in x-space so only their endpoints matter; arcs
-    bulge toward the region but are sampled anyway for good measure.
+    Segments are straight in x-space so only their endpoints matter.  Arcs
+    are curved in x-space and can bulge outward past the chord between
+    their endpoints, extending the hull, so each arc is sampled at
+    _HULL_ARC_SAMPLES interior points.  (For the fan {(-1,1),(1,2),(2,1),
+    (1,3)} at delta = 1 the hull has 50 vertices; the endpoints alone give
+    10.)
     """
     pts = []
     for piece in boundary.pieces:
         for anchor in (piece.start, piece.end):
             pts.append((math.exp(anchor.X), math.exp(anchor.Y)))
         if piece.kind == "arc":
-            for k in range(1, arc_samples):
-                lp = piece.point_at(k / arc_samples)
+            for k in range(1, _HULL_ARC_SAMPLES):
+                lp = piece.point_at(k / _HULL_ARC_SAMPLES)
                 pts.append((math.exp(lp.X), math.exp(lp.Y)))
     return _monotone_chain(pts)
 
@@ -921,40 +890,33 @@ def hull_contains(hull: list[tuple[float, float]], point,
     return True
 
 
-class _HullCache:
-    """Memoized hulls per (fan, delta), shared by level-set bisections."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def get(self, fan: Fan, delta: float):
-        key = (fan, delta)
-        if key not in self._store:
-            boundary = construct_region(fan, delta, validate=False)
-            self._store[key] = conv_hull(boundary)
-        return self._store[key]
+# Hulls per (fan, delta), shared by the level-set bisections; unbounded.
+_shared_hulls: dict = {}
 
 
-_shared_hulls = _HullCache()
+def _hull(fan: Fan, delta: float) -> list[tuple[float, float]]:
+    key = (fan, delta)
+    if key not in _shared_hulls:
+        _shared_hulls[key] = conv_hull(construct_region(fan, delta, validate=False))
+    return _shared_hulls[key]
 
 
 def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float,
-              tol: float = 1e-9, cache: _HullCache | None = None) -> float:
+              tol: float = 1e-9) -> float:
     """The delta in [delta_lo, delta_hi] whose convex boundary carries the point.
 
     Monotone bisection on hull membership; OutOfBand if the point is outside
     the outer hull or strictly interior to the inner one.
     """
-    cache = cache or _shared_hulls
     pt = as_log(point)
-    if not hull_contains(cache.get(fan, delta_hi), pt):
+    if not hull_contains(_hull(fan, delta_hi), pt):
         raise OutOfBand(f"point outside conv(P({delta_hi}))")
-    if hull_contains(cache.get(fan, delta_lo), pt, rel_tol=-1e-9):
+    if hull_contains(_hull(fan, delta_lo), pt, rel_tol=-1e-9):
         raise OutOfBand(f"point strictly inside conv(P({delta_lo}))")
     lo, hi = delta_lo, delta_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if hull_contains(cache.get(fan, mid), pt):
+        if hull_contains(_hull(fan, mid), pt):
             hi = mid
         else:
             lo = mid
@@ -1016,10 +978,6 @@ def _seg_intersect(p1, p2, p3, p4, eps) -> bool:
     t = ((p3.X - p1.X) * d2y - (p3.Y - p1.Y) * d2x) / den
     u = ((p3.X - p1.X) * d1y - (p3.Y - p1.Y) * d1x) / den
     return eps < t < 1.0 - eps and eps < u < 1.0 - eps
-
-
-def _slope_key(seg: Segment) -> Fraction:
-    return seg.slope  # None never reaches the chain checks
 
 
 def _chain_strictly_increasing(slopes: list[Fraction]) -> bool:
@@ -1161,14 +1119,17 @@ def _arc_monotonicity_check(boundary: RegionBoundary, n: int = 64) -> dict:
             "detail": f"non-monotone arcs: {bad}" if bad else "tangent slopes monotone"}
 
 
-def validate_region(boundary: RegionBoundary, samples: int = 512) -> dict:
+_VALIDATION_SAMPLES = 512  # boundary samples for the r <= 1 and Nagumo checks
+
+
+def validate_region(boundary: RegionBoundary) -> dict:
     """Single-delta validation battery; returns {check: result} dicts."""
     report = {}
     closed, simple = _loop_checks(boundary)
     report["closed_loop"] = closed
     report["simple_loop"] = simple
     report["suc_in_region"] = _suc_check(boundary)
-    pts = sample_boundary(boundary, samples)
+    pts = sample_boundary(boundary, _VALIDATION_SAMPLES)
     report["r_le_1"] = _r_le_1_check(boundary, pts)
     report["slope_chains"] = _slope_chain_check(boundary)
     report["nagumo"] = _nagumo_check(boundary, pts)

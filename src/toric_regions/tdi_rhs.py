@@ -18,12 +18,12 @@ from .fan_geometry import (
     Cone2,
     Fan,
     _arm_table,
+    _flanking_arms,
     _from_angle,
     _wrap,
     as_log,
     dist_to_cone,
     fan_2d_cones,
-    r_count,
     strip_coordinate,
 )
 
@@ -228,17 +228,8 @@ def rhs_classified(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
         return ConeRHS.half_plane(_near_arm(pt, active.gen))
     # r = 0: the containing sector's polar, computed exactly like the brute
     # force so ray directions agree bit for bit.
-    arms = _arm_table(fan)
-    phi = _wrap(math.atan2(pt.Y, pt.X))
-    k = len(arms) - 1
-    for i, (a, _, _) in enumerate(arms):
-        if phi >= a:
-            k = i
-        else:
-            break
-    lo = arms[k][0]
-    hi = arms[(k + 1) % len(arms)][0]
-    return _polar_of_arc(("arc", lo, _wrap(hi - lo) if len(arms) > 2 else math.pi))
+    (lo, _, _), (hi, _, _) = _flanking_arms(pt, fan)
+    return _polar_of_arc(("arc", lo, _wrap(hi - lo) if fan.b > 1 else math.pi))
 
 
 def rhs_equal(a: ConeRHS, b: ConeRHS, tol: float = 1e-9) -> bool:

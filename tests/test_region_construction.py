@@ -5,12 +5,15 @@ import pytest
 from toric_regions.errors import DeltaTooSmall, NoCrossing, OutOfBand, UnsupportedFan
 from toric_regions.fan_geometry import (
     Fan,
+    LineGenerator,
     LogPoint,
     PosPoint,
     normalize_generator,
     strip_coordinate,
 )
 from toric_regions.region_construction import (
+    _curve_cross_on_line,
+    _strip_point,
     choose_start_points,
     compute_slope_classes,
     construct_region,
@@ -158,6 +161,36 @@ class TestSegmentCurveIntersection:
         pt = segment_curve_intersection(start, -1.0, gen, math.exp(3.0))
         res = math.log(pt.y) - math.log(pt.x) - 3.0
         assert abs(res) < 1e-9
+
+
+def _on_xline(pt: LogPoint, anchor: LogPoint, s: float) -> bool:
+    """Does pt lie on the x-space line through anchor with slope s?"""
+    x, y, x0, y0 = (math.exp(v) for v in (pt.X, pt.Y, anchor.X, anchor.Y))
+    return abs((y - y0) - s * (x - x0)) <= 1e-12 * max(x, y, x0, y0)
+
+
+class TestCrossingSolver:
+    def test_log_y_branch(self):
+        # From the worked fan at delta = 3: the crossing sits near the x-axis,
+        # where the search along log x stalls at a residual of ~1e-6 and only
+        # the mirrored search along log y meets the tolerance.
+        anchor = LogPoint(7.113170628689126, 0.20248334812051194)
+        gen = LineGenerator(-1, 1)
+        log_h = -3.0 * SQRT2
+        pt = _curve_cross_on_line(anchor, 1.0, gen, log_h, -1)
+        assert abs(gen.q * pt.Y - gen.p * pt.X - log_h) <= 1e-11 * (1.0 + abs(log_h))
+        assert _on_xline(pt, anchor, 1.0)
+        assert pt.X < anchor.X
+
+    def test_strip_point_horizontal_generator(self):
+        # Strip coordinate Y; the attracting line is vertical.
+        pt = _strip_point(LogPoint(2.0, 5.0), LineGenerator(0, 1), -3.0)
+        assert pt == LogPoint(2.0, -3.0)
+
+    def test_strip_point_vertical_generator(self):
+        # Strip coordinate -X; the attracting line is horizontal.
+        pt = _strip_point(LogPoint(2.0, 5.0), LineGenerator(1, 0), 3.0)
+        assert pt == LogPoint(-3.0, 5.0)
 
 
 class TestWorkedConstruction:
