@@ -19,7 +19,7 @@ from .errors import (
     ZeroGenerator,
 )
 from .fan_geometry import (
-    Cone2,
+    Cone,
     Fan,
     LineGenerator,
     LogPoint,
@@ -30,7 +30,6 @@ from .fan_geometry import (
     dist_to_cone,
     fan_2d_cones,
     normalize_generator,
-    polar,
     r_count,
     strip_coordinate,
 )
@@ -48,12 +47,12 @@ from .region_construction import (
     region_contains,
     segment_curve_intersection,
 )
-from .tdi_rhs import ConeRHS, rhs_bruteforce, rhs_classified, rhs_equal, rhs_subfan_subset
+from .tdi_rhs import rhs_bruteforce, rhs_classified, rhs_equal, rhs_subfan_subset
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousClassification", "ArcsDontMeet", "ConeRHS", "Cone2",
+    "AmbiguousClassification", "ArcsDontMeet", "Cone",
     "ConstructionFailed", "DeltaTooSmall", "Fan", "IntersectionPoint",
     "LineGenerator", "LogPoint", "MonomialOverflow", "NoCrossing",
     "NonPositiveDelta", "NotASubfan", "OutOfBand", "ParallelGenerators",
@@ -62,7 +61,7 @@ __all__ = [
     "ZeroGenerator", "attracting_direction",
     "choose_start_points", "compute_slope_classes", "construct_region",
     "conv_hull", "delta_i", "dist_to_cone", "fan_2d_cones", "hull_contains",
-    "intersection_points", "normalize_generator", "phi_level", "polar",
+    "intersection_points", "normalize_generator", "phi_level",
     "r_count", "region_contains", "rhs_bruteforce", "rhs_classified",
     "rhs_equal", "rhs_subfan_subset", "segment_curve_intersection",
     "strip_coordinate",

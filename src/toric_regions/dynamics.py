@@ -19,6 +19,9 @@ from .errors import (
     WitnessFailed,
 )
 from .fan_geometry import (
+    LINE_WIDTH,
+    TWO_PI,
+    Cone,
     Fan,
     LogPoint,
     _flanking_arms,
@@ -35,10 +38,10 @@ from .region_construction import (
     _strip_point,
     region_contains,
 )
-from .tdi_rhs import ConeRHS, rhs_bruteforce, rhs_classified
+from .tdi_rhs import rhs_bruteforce, rhs_classified
 
 
-def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> ConeRHS:
+def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> Cone:
     try:
         return rhs_classified(point, fan, delta)
     except AmbiguousClassification:
@@ -200,7 +203,7 @@ class FieldStrategy:
         self.system = system
         self.name = system.label or "field"
 
-    def __call__(self, point: LogPoint, rhs: ConeRHS, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
         return mass_action_field(self.system, point, t)
 
     def stability_scale(self, point: LogPoint, t: float) -> float:
@@ -222,7 +225,7 @@ class TimeRescaledField:
     def _speed(self, point: LogPoint, v) -> float:
         return math.hypot(v[0] * math.exp(-point.X), v[1] * math.exp(-point.Y))
 
-    def __call__(self, point: LogPoint, rhs: ConeRHS, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
         v = mass_action_field(self.system, point, t)
         c = 1.0 / (1.0 + self._speed(point, v))
         return (v[0] * c, v[1] * c)
@@ -247,13 +250,13 @@ class ExtremeRayStrategy:
         a = fallback_angle if fallback_angle is not None else (2.5 if side == "left" else -2.5)
         self._fallback = (math.cos(a), math.sin(a))
 
-    def pick(self, rhs: ConeRHS) -> tuple[float, float]:
+    def pick(self, rhs: Cone) -> tuple[float, float]:
         rays = rhs.extreme_rays()
         if not rays:
             return self._fallback
         return rays[-1 if self.side == "left" else 0]
 
-    def __call__(self, point: LogPoint, rhs: ConeRHS, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
         return _log_unit(point, self.pick(rhs))
 
 
@@ -266,7 +269,7 @@ class AlternatingStrategy:
         self._left = ExtremeRayStrategy("left")
         self._right = ExtremeRayStrategy("right")
 
-    def __call__(self, point: LogPoint, rhs: ConeRHS, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
         pick = self._left if int(t / self.period) % 2 == 0 else self._right
         return pick(point, rhs, t)
 
@@ -278,23 +281,14 @@ class RandomInConeStrategy:
         self.rng = np.random.default_rng(seed)
         self.name = f"random_in_cone_{seed}"
 
-    def __call__(self, point: LogPoint, rhs: ConeRHS, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
         u = float(self.rng.uniform(0.05, 0.95))
-        if rhs.kind == "full_plane":
+        if rhs.width == TWO_PI:
             a = float(self.rng.uniform(0.0, 2.0 * math.pi))
-        elif rhs.kind == "half_plane":
-            base = math.atan2(rhs.normal[1], rhs.normal[0])
-            a = base + math.pi / 2.0 + u * math.pi
-        elif rhs.kind == "line":
-            d = rhs.direction
-            a = math.atan2(d[1], d[0]) + (0.0 if u < 0.5 else math.pi)
+        elif rhs.width == LINE_WIDTH:
+            a = rhs.lo + (0.0 if u < 0.5 else math.pi)
         else:
-            angles = [math.atan2(r[1], r[0]) for r in rhs.cone.rays]
-            if len(angles) == 1:
-                a = angles[0]
-            else:
-                width = (angles[1] - angles[0]) % (2.0 * math.pi)
-                a = angles[0] + u * width
+            a = rhs.lo + u * rhs.width
         return _log_unit(point, (math.cos(a), math.sin(a)))
 
 
@@ -306,9 +300,9 @@ class StrictStrategy:
         self.rho = rho
         self.name = f"strict_{inner.name}"
 
-    def __call__(self, point: LogPoint, rhs: ConeRHS, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
         v = self.inner(point, rhs, t)
-        if rhs.kind == "full_plane":
+        if rhs.width == TWO_PI:
             return v
         n = math.hypot(v[0], v[1])
         if 0.0 < n < self.rho:
@@ -373,7 +367,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     def log_vel(p: LogPoint, tt: float) -> tuple[tuple[float, float], tuple[float, float], str]:
         rhs = _rhs_fast(p, fan, delta)
         v = strategy(p, rhs, tt)
-        return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y)), v, rhs.tag
+        return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y)), v, rhs.kind
 
     steps = 0
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
@@ -543,13 +537,8 @@ def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
 def _segment_direction(seg: Segment, fan: Fan) -> tuple[float, float]:
     """Unit x-space direction of a boundary segment, oriented start -> end."""
     g = fan.generators[seg.region_index]
-    if seg.slope is None:
-        d = (0.0, 1.0)
-    else:
-        n = math.hypot(g.p, g.q)
-        d = (g.p / n, -g.q / n) if g.p != 0 or g.q != 0 else (1.0, 0.0)
-        if seg.slope == 0 and g.q == 0:
-            d = (1.0, 0.0)
+    n = math.hypot(g.p, g.q)
+    d = (g.p / n, -g.q / n)
     # Orient toward the segment end (compare x-space displacement sign).
     to_end = (math.exp(seg.end.X) - math.exp(seg.start.X),
               math.exp(seg.end.Y) - math.exp(seg.start.Y))

@@ -1,4 +1,4 @@
-"""Integer-exact line generators, uncertainty strips, and planar cone primitives.
+"""Integer-exact line generators, uncertainty strips, and the planar cone type.
 
 All combinatorial decisions (angular order, slope classes, pairwise
 determinants) use integer arithmetic; point geometry lives in log space so
@@ -25,15 +25,6 @@ def _wrap(angle: float) -> float:
     """Wrap an angle into [0, 2*pi)."""
     a = math.fmod(angle, TWO_PI)
     return a + TWO_PI if a < 0.0 else a
-
-
-def _unit(v: tuple[float, float]) -> tuple[float, float]:
-    n = math.hypot(v[0], v[1])
-    return (v[0] / n, v[1] / n)
-
-
-def _from_angle(angle: float) -> tuple[float, float]:
-    return (math.cos(angle), math.sin(angle))
 
 
 @dataclass(frozen=True, order=False)
@@ -229,8 +220,8 @@ def r_count(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> int:
     """
     pt = as_log(point)
     count = 0
-    for region in fan.regions(delta):
-        if abs(strip_coordinate(pt, region)) < region.delta_i - tol:
+    for g in fan.generators:
+        if abs(g.q * pt.Y - g.p * pt.X) < delta_i(g, delta) - tol:
             count += 1
     return count
 
@@ -251,109 +242,133 @@ def attracting_direction(region: UncertaintyRegion, side: int) -> tuple[float, f
 # ---------------------------------------------------------------------------
 # Cones
 
+# Marker widths of the two cones that are not angular intervals.
+ZERO_WIDTH = -1.0  # the zero cone {0}
+LINE_WIDTH = -2.0  # the line through direction lo; only one-generator fans give it
+
+_KINDS = {ZERO_WIDTH: "zero", LINE_WIDTH: "line", 0.0: "ray", math.pi: "halfplane",
+          TWO_PI: "full"}
+
 
 @dataclass(frozen=True)
-class Cone2:
-    """Closed convex cone in R^2.
+class Cone:
+    """Closed convex cone in R^2: the directions of the counter-clockwise
+    angular interval [lo, lo + width].
 
-    kind is one of 'zero', 'ray', 'sector', 'halfplane', 'full', 'line'.
-    A sector stores its two extreme rays counter-clockwise with opening in
-    (0, pi); a half plane stores (u, -u) meaning the CCW sweep from u; a
-    line stores (u, -u) meaning the one-dimensional subspace through u.
+    width 0 is a ray, (0, pi) a sector, pi a half plane and 2*pi the full
+    plane.  The zero cone and the line through direction lo are not
+    intervals and carry ZERO_WIDTH and LINE_WIDTH instead.  Construction
+    wraps lo into [0, 2*pi) (0 for the zero cone and the full plane) and
+    snaps widths within ANGLE_TOL of 0 or pi onto them.
     """
 
-    kind: str
-    rays: tuple[tuple[float, float], ...] = ()
+    lo: float
+    width: float
 
-    @staticmethod
-    def zero() -> "Cone2":
-        return Cone2("zero")
+    def __post_init__(self):
+        w = self.width
+        if abs(w) <= ANGLE_TOL:
+            w = 0.0
+        elif abs(w - math.pi) <= ANGLE_TOL:
+            w = math.pi
+        elif not (0.0 < w < math.pi or w in (ZERO_WIDTH, LINE_WIDTH, TWO_PI)):
+            raise ValueError(f"cone width {w} is not in [0, pi], 2*pi or a marker width")
+        object.__setattr__(self, "lo", 0.0 if w in (ZERO_WIDTH, TWO_PI) else _wrap(self.lo))
+        object.__setattr__(self, "width", w)
 
-    @staticmethod
-    def full() -> "Cone2":
-        return Cone2("full")
+    @property
+    def kind(self) -> str:
+        """'zero', 'ray', 'sector', 'halfplane', 'full' or 'line', read off the width."""
+        return _KINDS.get(self.width, "sector")
 
-    @staticmethod
-    def ray(u) -> "Cone2":
-        return Cone2("ray", (_unit(u),))
+    @functools.cached_property
+    def _rays(self) -> tuple[tuple[float, float], ...]:
+        w = self.width
+        if w in (ZERO_WIDTH, TWO_PI):
+            return ()
+        u = (math.cos(self.lo), math.sin(self.lo))
+        if w == 0.0:
+            return (u,)
+        if w == LINE_WIDTH:
+            return (u, (-u[0], -u[1]))
+        if w == math.pi:
+            return (u, (-u[0], -u[1]), (-u[1], u[0]))
+        end = self.lo + w
+        return (u, (math.cos(end), math.sin(end)))
 
-    @staticmethod
-    def sector(u1, u2) -> "Cone2":
-        u1, u2 = _unit(u1), _unit(u2)
-        opening = _wrap(math.atan2(u2[1], u2[0]) - math.atan2(u1[1], u1[0]))
-        if opening <= ANGLE_TOL:
-            return Cone2.ray(u1)
-        if abs(opening - math.pi) <= ANGLE_TOL:
-            return Cone2("halfplane", (u1, (-u1[0], -u1[1])))
-        if opening >= math.pi:
-            raise ValueError("sector opening must be at most pi")
-        return Cone2("sector", (u1, u2))
+    def extreme_rays(self) -> tuple[tuple[float, float], ...]:
+        """Unit extreme directions, counter-clockwise from lo.
 
-    @staticmethod
-    def halfplane(start) -> "Cone2":
-        u = _unit(start)
-        return Cone2("halfplane", (u, (-u[0], -u[1])))
+        A sector gives (start, end); a half plane (start, end, inward
+        normal); the line (u, -u); the zero cone and the full plane none.
+        """
+        return self._rays
 
-    @staticmethod
-    def line(u) -> "Cone2":
-        u = _unit(u)
-        return Cone2("line", (u, (-u[0], -u[1])))
+    def _excess(self, vx: float, vy: float) -> float:
+        """Worst constraint excess of (vx, vy), not normalized (0 if inside)."""
+        w = self.width
+        rays = self._rays
+        if not rays:
+            return 0.0 if w == TWO_PI else math.hypot(vx, vy)
+        u = rays[0]
+        ccw = u[0] * vy - u[1] * vx  # >= 0 when v is CCW of the start ray
+        if w == LINE_WIDTH:
+            return abs(ccw)
+        e = rays[1] if len(rays) > 1 else u
+        cw = e[0] * vy - e[1] * vx  # <= 0 when v is CW of the end ray
+        worst = max(0.0, -ccw, cw)
+        if w == 0.0:
+            # The opposite ray meets both side constraints too.
+            worst = max(worst, -(u[0] * vx + u[1] * vy))
+        return worst
 
-    def angles(self) -> tuple[float, ...]:
-        return tuple(_wrap(math.atan2(u[1], u[0])) for u in self.rays)
+    def violation(self, v) -> float:
+        """Worst constraint excess of v, normalized by |v| (0 if inside)."""
+        worst = self._excess(v[0], v[1])
+        return worst / math.hypot(v[0], v[1]) if worst > 0.0 else 0.0
 
-    def opening(self) -> float:
-        """Opening angle; 0 for rays/zero, 2*pi for the full plane."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "full":
-            return TWO_PI
-        if self.kind == "ray":
-            return 0.0
-        if self.kind == "line":
-            return math.pi  # conventional; the line is not solid
-        a1, a2 = self.angles()
-        return _wrap(a2 - a1) if self.kind == "sector" else math.pi
+    def contains(self, v, tol: float = 1e-9) -> bool:
+        """Membership, tolerant at the boundary relative to |v|."""
+        return self.violation(v) <= tol
 
-    def contains(self, v, tol: float = 1e-12) -> bool:
-        """Membership test, tolerant at the boundary (relative to |v|)."""
-        vx, vy = v
-        nv = math.hypot(vx, vy)
-        if nv == 0.0:
-            return True
-        band = tol * nv
-        if self.kind == "full":
-            return True
-        if self.kind == "zero":
-            return nv <= band
-        if self.kind == "ray":
-            u = self.rays[0]
-            return abs(vx * u[1] - vy * u[0]) <= band and vx * u[0] + vy * u[1] >= -band
-        if self.kind == "line":
-            u = self.rays[0]
-            return abs(vx * u[1] - vy * u[0]) <= band
-        u1, u2 = self.rays
-        # CCW of u1 and CW of u2.
-        return (u1[0] * vy - u1[1] * vx) >= -band and (u2[0] * vy - u2[1] * vx) <= band
+    def polar(self) -> "Cone":
+        """Polar cone {w : w.v <= 0 for all v in the cone}."""
+        w = self.width
+        if w == TWO_PI:
+            return Cone(0.0, ZERO_WIDTH)
+        if w == ZERO_WIDTH:
+            return Cone(0.0, TWO_PI)
+        if w == LINE_WIDTH:
+            return Cone(self.lo + math.pi / 2.0, LINE_WIDTH)
+        return Cone(self.lo + w + math.pi / 2.0, math.pi - w)
 
+    def intersect(self, other: "Cone") -> "Cone":
+        """Intersection with another cone.
 
-def polar(cone: Cone2) -> Cone2:
-    """Polar cone {w : w.x <= 0 for all x in the cone}."""
-    if cone.kind == "full":
-        return Cone2.zero()
-    if cone.kind == "zero":
-        return Cone2.full()
-    if cone.kind == "ray":
-        a = cone.angles()[0]
-        return Cone2.halfplane(_from_angle(a + math.pi / 2.0))
-    if cone.kind == "line":
-        a = cone.angles()[0]
-        return Cone2.line(_from_angle(a + math.pi / 2.0))
-    if cone.kind == "halfplane":
-        a = cone.angles()[0]
-        return Cone2.ray(_from_angle(a - math.pi / 2.0))
-    a1, a2 = cone.angles()
-    return Cone2.sector(_from_angle(a2 + math.pi / 2.0), _from_angle(a1 + 3.0 * math.pi / 2.0))
+        Two half planes meeting only in their boundary give the line; a
+        line itself cannot be intersected further.
+        """
+        if self.width == ZERO_WIDTH or other.width == TWO_PI:
+            return self
+        if other.width == ZERO_WIDTH or self.width == TWO_PI:
+            return other
+        if LINE_WIDTH in (self.width, other.width):
+            raise ValueError("a line cannot be intersected further")
+        d = _wrap(other.lo - self.lo)
+        parts = []
+        for dd in (d, d - TWO_PI):
+            s, e = max(0.0, dd), min(self.width, dd + other.width)
+            if e >= s - ANGLE_TOL:
+                parts.append((_wrap(self.lo + s), max(0.0, e - s)))
+        if not parts:
+            return Cone(0.0, ZERO_WIDTH)
+        if len(parts) == 1:
+            return Cone(*parts[0])
+        (a1, w1), (a2, w2) = parts
+        if _wrap(a1 - a2) <= ANGLE_TOL or _wrap(a2 - a1) <= ANGLE_TOL:
+            return Cone(a1, max(w1, w2))
+        # Two antipodal rays: the line through them.
+        return Cone(a1, LINE_WIDTH)
 
 
 @lru_cache(maxsize=256)
@@ -390,18 +405,14 @@ def _flanking_arms(pt: LogPoint, fan: Fan) -> tuple[tuple[float, int, int], tupl
 
 
 @lru_cache(maxsize=256)
-def fan_2d_cones(fan: Fan) -> tuple[Cone2, ...]:
-    """The 2b full-dimensional sectors delimited by consecutive arm rays."""
+def fan_2d_cones(fan: Fan) -> tuple[Cone, ...]:
+    """The 2b full-dimensional sectors from each arm ray to the next.
+
+    A single generator gives two half planes.
+    """
     arms = _arm_table(fan)
-    sectors = []
-    for k, (a, _, _) in enumerate(arms):
-        nxt = arms[(k + 1) % len(arms)][0]
-        if len(arms) == 2:
-            # Single generator: two half-plane sectors.
-            sectors.append(Cone2.halfplane(_from_angle(a)))
-        else:
-            sectors.append(Cone2.sector(_from_angle(a), _from_angle(nxt)))
-    return tuple(sectors)
+    return tuple(Cone(a, _wrap(arms[(k + 1) % len(arms)][0] - a))
+                 for k, (a, _, _) in enumerate(arms))
 
 
 def _ray_distance(pt: LogPoint, u: tuple[float, float]) -> float:
@@ -412,16 +423,13 @@ def _ray_distance(pt: LogPoint, u: tuple[float, float]) -> float:
     return math.hypot(pt.X - t * u[0], pt.Y - t * u[1])
 
 
-def dist_to_cone(point, cone: Cone2) -> float:
-    """Euclidean distance from a log point to a full-dimensional sector."""
+def dist_to_cone(point, cone: Cone) -> float:
+    """Euclidean distance from a log point to a cone."""
     pt = as_log(point)
-    if cone.kind == "full":
+    if cone._excess(pt.X, pt.Y) == 0.0:
         return 0.0
-    if cone.kind == "zero":
+    rays = cone._rays
+    if not rays:  # the zero cone
         return math.hypot(pt.X, pt.Y)
-    if cone.kind in ("ray", "line"):
-        d = min(_ray_distance(pt, u) for u in cone.rays)
-        return d
-    if cone.contains((pt.X, pt.Y), tol=0.0):
-        return 0.0
-    return min(_ray_distance(pt, u) for u in cone.rays)
+    # Outside the cone the nearest point lies on an extreme ray.
+    return min([_ray_distance(pt, u) for u in rays])

@@ -512,7 +512,7 @@ def connect_arcs(term_a: LogPoint, ia: int, sa: int,
     return [Arc(ia, sa, term_a, meet), Arc(ib, sb, meet, term_b)]
 
 
-def _extend_segment(seg: Segment, fan: Fan, coord: str, value: float) -> Segment:
+def _extend_segment(seg: Segment, coord: str, value: float) -> Segment:
     """Continue a crossing segment's x-space line until X (or Y) hits value."""
     s = float(seg.slope) if seg.slope is not None else None
     if coord == "X":
@@ -557,13 +557,13 @@ def _close_side(term_a: LogPoint, ia: int, sa: int, seg_a: Segment,
     extreme = min(ca, cb) if arm < 0 else max(ca, cb)
     coord = "X" if horizontal else "Y"
     if (arm < 0 and ca > extreme + 1e-12) or (arm > 0 and ca < extreme - 1e-12):
-        ext = _extend_segment(seg_a, fan, coord, extreme)
+        ext = _extend_segment(seg_a, coord, extreme)
         join_start = ext.end
         pieces.append(ext)
         join_end = term_b
         tail = None
     elif (arm < 0 and cb > extreme + 1e-12) or (arm > 0 and cb < extreme - 1e-12):
-        ext = _extend_segment(seg_b, fan, coord, extreme)
+        ext = _extend_segment(seg_b, coord, extreme)
         join_start = term_a
         join_end = ext.end
         tail = ext.reversed()
@@ -727,7 +727,7 @@ def _segment_band_distance(seg: Segment, pt: LogPoint) -> float:
     return abs(r) / grad if grad > 0.0 else 0.0
 
 
-def _arc_band_distance(arc: Arc, fan: Fan, pt: LogPoint) -> float:
+def _arc_band_distance(arc: Arc, pt: LogPoint) -> float:
     """Exact log-space distance to an arc piece (a log-space segment)."""
     ax, ay = arc.start.X, arc.start.Y
     bx, by = arc.end.X, arc.end.Y
@@ -740,10 +740,10 @@ def _arc_band_distance(arc: Arc, fan: Fan, pt: LogPoint) -> float:
     return math.hypot(pt.X - (ax + t * dx), pt.Y - (ay + t * dy))
 
 
-def _piece_band_distance(piece, fan: Fan, pt: LogPoint) -> float:
+def _piece_band_distance(piece, pt: LogPoint) -> float:
     if piece.kind == "segment":
         return _segment_band_distance(piece, pt)
-    return _arc_band_distance(piece, fan, pt)
+    return _arc_band_distance(piece, pt)
 
 
 def _segment_ray_hit(seg: Segment, pt: LogPoint) -> bool:
@@ -789,7 +789,7 @@ def region_contains(boundary: RegionBoundary, point,
     """
     pt = as_log(point)
     for piece in boundary.pieces:
-        if _piece_band_distance(piece, boundary.fan, pt) <= band:
+        if _piece_band_distance(piece, pt) <= band:
             return "boundary"
     crossings = 0
     for piece in boundary.pieces:

@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from toric_regions.errors import NonPositiveDelta, ParallelGenerators, ZeroGenerator
 from toric_regions.fan_geometry import (
-    Cone2,
+    LINE_WIDTH,
+    TWO_PI,
+    ZERO_WIDTH,
+    Cone,
     Fan,
     LogPoint,
     PosPoint,
@@ -15,10 +18,10 @@ from toric_regions.fan_geometry import (
     dist_to_cone,
     fan_2d_cones,
     normalize_generator,
-    polar,
     r_count,
     strip_coordinate,
 )
+from toric_regions.tdi_rhs import rhs_equal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,50 +134,62 @@ class TestAttractingDirection:
         assert abs(strip_coordinate(moved, r)) < abs(s0)
 
 
-def same_cone(a: Cone2, b: Cone2, tol=1e-12) -> bool:
-    if a.kind != b.kind:
-        return False
-    if a.kind in ("zero", "full"):
-        return True
-    if a.kind == "line":
-        aa, bb = a.angles()[0] % math.pi, b.angles()[0] % math.pi
-        return min(abs(aa - bb), math.pi - abs(aa - bb)) <= tol
-    if len(a.rays) != len(b.rays):
-        return False
-    return all(
-        math.hypot(ua[0] - ub[0], ua[1] - ub[1]) <= tol for ua, ub in zip(a.rays, b.rays)
-    )
-
-
 class TestPolar:
     def test_ray_gives_halfplane(self):
-        c = polar(Cone2.ray((1.0, 0.0)))
+        c = Cone(0.0, 0.0).polar()
         assert c.kind == "halfplane"
         assert c.contains((-1.0, 0.5)) and c.contains((-1.0, -0.5))
         assert not c.contains((1.0, 0.0))
 
     def test_full_plane_gives_origin(self):
-        assert polar(Cone2.full()).kind == "zero"
+        assert Cone(0.0, TWO_PI).polar().kind == "zero"
 
     def test_first_quadrant(self):
-        c = polar(Cone2.sector((1.0, 0.0), (0.0, 1.0)))
+        c = Cone(0.0, math.pi / 2).polar()
         assert c.kind == "sector"
-        a1, a2 = c.angles()
-        assert a1 == pytest.approx(math.pi)
-        assert a2 == pytest.approx(3 * math.pi / 2)
+        assert c.lo == pytest.approx(math.pi)
+        assert c.lo + c.width == pytest.approx(3 * math.pi / 2)
 
-    @given(st.floats(0.0, 2 * math.pi - 1e-6), st.floats(0.05, math.pi - 0.05))
+    @given(st.floats(0.0, 2 * math.pi - 1e-6), st.floats(0.0, math.pi))
     def test_polar_involution_sectors(self, start, opening):
-        u1 = (math.cos(start), math.sin(start))
-        u2 = (math.cos(start + opening), math.sin(start + opening))
-        c = Cone2.sector(u1, u2)
-        assert same_cone(polar(polar(c)), c, tol=1e-9)
+        c = Cone(start, opening)
+        assert rhs_equal(c.polar().polar(), c, tol=1e-9)
 
     @given(st.floats(0.0, 2 * math.pi - 1e-6))
     def test_polar_involution_rays_and_halfplanes(self, start):
-        u = (math.cos(start), math.sin(start))
-        for c in (Cone2.ray(u), Cone2.halfplane(u), Cone2.line(u)):
-            assert same_cone(polar(polar(c)), c, tol=1e-9)
+        for width in (0.0, math.pi, LINE_WIDTH, TWO_PI, ZERO_WIDTH):
+            c = Cone(start, width)
+            assert rhs_equal(c.polar().polar(), c, tol=1e-9)
+
+
+def _arc():
+    """Arcs of width 0 to pi, the end points drawn on purpose."""
+    width = st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi))
+    return st.builds(Cone, st.floats(0.0, 2 * math.pi - 1e-6), width)
+
+
+def _near_boundary(theta, cones, band=1e-9):
+    for c in cones:
+        for edge in (c.lo, c.lo + c.width):
+            gap = (theta - edge) % TWO_PI
+            if min(gap, TWO_PI - gap) <= band:
+                return True
+    return False
+
+
+class TestConeAlgebra:
+    @given(_arc(), _arc(), st.floats(0.0, 2 * math.pi))
+    def test_intersection_is_conjunction(self, a, b, theta):
+        if _near_boundary(theta, (a, b)):
+            return
+        v = _dir(theta)
+        both = a.contains(v, tol=0.0) and b.contains(v, tol=0.0)
+        assert a.intersect(b).contains(v, tol=0.0) == both
+
+    @given(_arc(), st.floats(0.0, 2 * math.pi), st.floats(0.0, 1e-6))
+    def test_contains_is_violation_below_tol(self, c, theta, tol):
+        v = _dir(theta)
+        assert c.contains(v, tol) == (c.violation(v) <= tol)
 
 
 class TestFanSectors:
@@ -198,12 +213,12 @@ class TestFanSectors:
         fan = Fan(gens)
         sectors = fan_2d_cones(fan)
         assert len(sectors) == 2 * fan.b
-        total = sum(s.opening() for s in sectors)
+        total = sum(s.width for s in sectors)
         assert total == pytest.approx(2 * math.pi, abs=1e-12)
         for k, s in enumerate(sectors):
             nxt = sectors[(k + 1) % len(sectors)]
-            a_end = s.angles()[1]
-            b_start = nxt.angles()[0]
+            a_end = s.lo + s.width
+            b_start = nxt.lo
             assert math.isclose(math.cos(a_end), math.cos(b_start), abs_tol=1e-12)
             assert math.isclose(math.sin(a_end), math.sin(b_start), abs_tol=1e-12)
 
@@ -219,21 +234,21 @@ class TestFanSectors:
 
 class TestDistToCone:
     def test_interior_point(self):
-        c = Cone2.sector((1.0, 0.0), (0.0, 1.0))
+        c = Cone(0.0, math.pi / 2)
         assert dist_to_cone(LogPoint(1.0, 1.0), c) == 0.0
 
     def test_nearest_point_on_ray(self):
-        c = Cone2.sector((1.0, 0.0), (0.0, 1.0))
+        c = Cone(0.0, math.pi / 2)
         assert dist_to_cone(LogPoint(-3.0, 4.0), c) == pytest.approx(3.0)
 
     def test_nearest_point_is_origin(self):
-        c = Cone2.sector((1.0, 0.0), (0.0, 1.0))
+        c = Cone(0.0, math.pi / 2)
         assert dist_to_cone(LogPoint(-1.0, -1.0), c) == pytest.approx(SQRT2)
 
     @given(st.floats(0.0, 2 * math.pi), st.floats(0.1, math.pi - 0.1),
            st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
     def test_zero_iff_member(self, start, opening, x, y):
-        c = Cone2.sector(_dir(start), _dir(start + opening))
+        c = Cone(start, opening)
         pt = LogPoint(x, y)
         d = dist_to_cone(pt, c)
         if c.contains((x, y), tol=1e-12):

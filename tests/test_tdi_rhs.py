@@ -6,7 +6,6 @@ import pytest
 from toric_regions.errors import AmbiguousClassification, NotASubfan
 from toric_regions.fan_geometry import Fan, LogPoint, PosPoint, r_count
 from toric_regions.tdi_rhs import (
-    ConeRHS,
     rhs_bruteforce,
     rhs_classified,
     rhs_equal,
@@ -21,21 +20,22 @@ WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
 
 class TestBruteforce:
     def test_origin_is_full_plane(self):
-        assert rhs_bruteforce(PosPoint(1.0, 1.0), CROSS_FAN, 1.0).kind == "full_plane"
-        assert rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0).kind == "full_plane"
+        assert rhs_bruteforce(PosPoint(1.0, 1.0), CROSS_FAN, 1.0).kind == "full"
+        assert rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0).kind == "full"
 
     def test_far_diagonal_is_halfplane(self):
         rhs = rhs_bruteforce(LogPoint(10.0, 10.0), CROSS_FAN, 1.0)
-        assert rhs.kind == "half_plane"
-        assert rhs.normal == pytest.approx((1 / SQRT2, 1 / SQRT2), abs=1e-12)
+        assert rhs.kind == "halfplane"
+        # The outward normal spans the polar ray.
+        assert rhs.polar().extreme_rays()[0] == pytest.approx((1 / SQRT2, 1 / SQRT2), abs=1e-12)
         assert rhs.contains((-1.0, 0.3))
         assert not rhs.contains((1.0, 1.0))
 
     def test_far_right_is_proper_cone(self):
         rhs = rhs_bruteforce(LogPoint(10.0, 0.0), CROSS_FAN, 1.0)
-        assert rhs.kind == "proper_cone"
+        assert rhs.kind == "sector"
         # Polar of the sector spanned by (1,-1) and (1,1).
-        rays = rhs.cone.rays
+        rays = rhs.extreme_rays()
         expect = [(-1 / SQRT2, 1 / SQRT2), (-1 / SQRT2, -1 / SQRT2)]
         for u, e in zip(rays, expect):
             assert u == pytest.approx(e, abs=1e-9)
@@ -46,9 +46,8 @@ class TestBruteforce:
         fan = Fan([(1, 1)])
         rhs = rhs_bruteforce(LogPoint(10.0, 0.0), fan, 1.0)
         # Only one half-plane sector within delta: polar is a single ray.
-        assert rhs.kind == "proper_cone"
-        assert rhs.cone.kind == "ray"
-        assert rhs.cone.rays[0] == pytest.approx((-1 / SQRT2, 1 / SQRT2), abs=1e-9)
+        assert rhs.kind == "ray"
+        assert rhs.extreme_rays()[0] == pytest.approx((-1 / SQRT2, 1 / SQRT2), abs=1e-9)
 
     def test_single_generator_inside_strip(self):
         fan = Fan([(1, 1)])
@@ -68,7 +67,7 @@ class TestClassified:
     def test_single_generator_r1_is_halfplane(self):
         fan = Fan([(1, 1)])
         rhs = rhs_classified(PosPoint(1.0, 1.0), fan, 2.0)
-        assert rhs.kind == "half_plane"
+        assert rhs.kind == "halfplane"
 
     def test_boundary_point_is_ambiguous(self):
         # Outer boundary of the strip of (1,1) at delta = 1: sigma = sqrt(2).
@@ -81,8 +80,8 @@ class TestClassified:
         pt = LogPoint(8.0, 4.2)
         assert r_count(pt, WORKED_FAN, 3.0) == 1
         rhs = rhs_classified(pt, WORKED_FAN, 3.0)
-        assert rhs.kind == "half_plane"
-        n = rhs.normal
+        assert rhs.kind == "halfplane"
+        n = rhs.polar().extreme_rays()[0]
         assert n == pytest.approx((2 / math.sqrt(5), 1 / math.sqrt(5)), abs=1e-12)
 
 
@@ -141,7 +140,7 @@ class TestOracleEquivalence:
                 rhs = rhs_classified(pt, fan, 3.0)
             except AmbiguousClassification:
                 continue
-            assert (rhs.kind == "full_plane") == (r_count(pt, fan, 3.0) >= 2)
+            assert (rhs.kind == "full") == (r_count(pt, fan, 3.0) >= 2)
 
 
 class TestSubfanMonotonicity:
