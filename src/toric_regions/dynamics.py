@@ -40,6 +40,8 @@ from .region_construction import (
 )
 from .tdi_rhs import rhs_bruteforce, rhs_classified
 
+_CONE_TOL = 1e-9  # cone-violation tolerance of every velocity check
+
 
 def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> Cone:
     try:
@@ -50,6 +52,8 @@ def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> Cone:
 
 # ---------------------------------------------------------------------------
 # Mass-action systems
+
+_LOG_CAP = 600.0  # largest |monomial exponent| evaluated; e^600 is finite
 
 
 @dataclass(frozen=True)
@@ -90,22 +94,21 @@ def _reversible(source, target, k_fwd: float, k_bwd: float) -> list[Reaction]:
     ]
 
 
-def mass_action_field(system: MassActionSystem, point, t: float = 0.0,
-                      log_cap: float = 600.0) -> tuple[float, float]:
+def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
     """Sum over edges of k * x^source * (target - source), in x-space."""
     pt = as_log(point)
     fx = fy = 0.0
     for r in system.reactions:
         e = r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y
-        if abs(e) > log_cap:
-            raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {log_cap}")
+        if abs(e) > _LOG_CAP:
+            raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {_LOG_CAP}")
         m = math.exp(e)
         fx += m * (r.target[0] - r.source[0])
         fy += m * (r.target[1] - r.source[1])
     return (fx, fy)
 
 
-def field_stiffness(system: MassActionSystem, point, log_cap: float = 600.0) -> float:
+def field_stiffness(system: MassActionSystem, point) -> float:
     """Bound on the log-space Jacobian row sum of the embedded field.
 
     Used to keep explicit steps inside the stability region; the reversible
@@ -116,8 +119,8 @@ def field_stiffness(system: MassActionSystem, point, log_cap: float = 600.0) -> 
     fx = fy = 0.0
     for r in system.reactions:
         e = r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y
-        if abs(e) > log_cap:
-            raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {log_cap}")
+        if abs(e) > _LOG_CAP:
+            raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {_LOG_CAP}")
         m = math.exp(e)
         wy = abs(r.source[0]) + abs(r.source[1])
         dx = r.target[0] - r.source[0]
@@ -137,7 +140,10 @@ def complex_balance_residual(system: MassActionSystem, point) -> float:
     inflow: dict = {}
     outflow: dict = {}
     for r in system.reactions:
-        m = math.exp(r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y)
+        e = r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y
+        if abs(e) > _LOG_CAP:
+            raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {_LOG_CAP}")
+        m = math.exp(e)
         outflow[r.source] = outflow.get(r.source, 0.0) + m
         inflow[r.target] = inflow.get(r.target, 0.0) + m
     worst = 0.0
@@ -185,12 +191,19 @@ def embedded_system_for_target(fan: Fan, delta: float, target: str,
 # ---------------------------------------------------------------------------
 # Selection strategies
 
+_FALLBACK_ANGLE = 2.5  # full-plane direction of the left extreme ray; right mirrors it
+_ALTERNATION_PERIOD = 0.5  # time between AlternatingStrategy's switches
+_MIN_SPEED = 1e-3  # StrictStrategy's x-space speed floor in proper cones
+
+
+def _log_speed(point: LogPoint, v: tuple[float, float]) -> float:
+    """Log-space speed |(x'/x, y'/y)| of an x-space velocity."""
+    return math.hypot(v[0] * math.exp(-point.X), v[1] * math.exp(-point.Y))
+
 
 def _log_unit(point: LogPoint, v: tuple[float, float]) -> tuple[float, float]:
     """Rescale an x-space velocity to unit log-space speed (cones allow it)."""
-    gx = v[0] * math.exp(-point.X)
-    gy = v[1] * math.exp(-point.Y)
-    n = math.hypot(gx, gy)
+    n = _log_speed(point, v)
     if n == 0.0:
         return (0.0, 0.0)
     return (v[0] / n, v[1] / n)
@@ -204,7 +217,7 @@ class FieldStrategy:
         self.name = system.label or "field"
 
     def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
-        return mass_action_field(self.system, point, t)
+        return mass_action_field(self.system, point)
 
     def stability_scale(self, point: LogPoint, t: float) -> float:
         return field_stiffness(self.system, point)
@@ -222,17 +235,14 @@ class TimeRescaledField:
         self.system = system
         self.name = (system.label or "field") + "_rescaled"
 
-    def _speed(self, point: LogPoint, v) -> float:
-        return math.hypot(v[0] * math.exp(-point.X), v[1] * math.exp(-point.Y))
-
     def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
-        v = mass_action_field(self.system, point, t)
-        c = 1.0 / (1.0 + self._speed(point, v))
+        v = mass_action_field(self.system, point)
+        c = 1.0 / (1.0 + _log_speed(point, v))
         return (v[0] * c, v[1] * c)
 
     def stability_scale(self, point: LogPoint, t: float) -> float:
-        v = mass_action_field(self.system, point, t)
-        return field_stiffness(self.system, point) / (1.0 + self._speed(point, v))
+        v = mass_action_field(self.system, point)
+        return field_stiffness(self.system, point) / (1.0 + _log_speed(point, v))
 
 
 class ExtremeRayStrategy:
@@ -242,12 +252,12 @@ class ExtremeRayStrategy:
     keeps the trajectory moving deterministically.
     """
 
-    def __init__(self, side: str, fallback_angle: float | None = None):
+    def __init__(self, side: str):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
         self.name = f"extreme_{side}"
-        a = fallback_angle if fallback_angle is not None else (2.5 if side == "left" else -2.5)
+        a = _FALLBACK_ANGLE if side == "left" else -_FALLBACK_ANGLE
         self._fallback = (math.cos(a), math.sin(a))
 
     def pick(self, rhs: Cone) -> tuple[float, float]:
@@ -263,14 +273,13 @@ class ExtremeRayStrategy:
 class AlternatingStrategy:
     """Switch between the two extreme rays on a fixed time period."""
 
-    def __init__(self, period: float = 0.5):
-        self.period = period
+    def __init__(self):
         self.name = "alternating"
         self._left = ExtremeRayStrategy("left")
         self._right = ExtremeRayStrategy("right")
 
     def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
-        pick = self._left if int(t / self.period) % 2 == 0 else self._right
+        pick = self._left if int(t / _ALTERNATION_PERIOD) % 2 == 0 else self._right
         return pick(point, rhs, t)
 
 
@@ -295,9 +304,8 @@ class RandomInConeStrategy:
 class StrictStrategy:
     """Wrapper enforcing a minimum x-space speed whenever the cone is proper."""
 
-    def __init__(self, inner, rho: float = 1e-3):
+    def __init__(self, inner):
         self.inner = inner
-        self.rho = rho
         self.name = f"strict_{inner.name}"
 
     def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
@@ -305,8 +313,8 @@ class StrictStrategy:
         if rhs.width == TWO_PI:
             return v
         n = math.hypot(v[0], v[1])
-        if 0.0 < n < self.rho:
-            scale = self.rho / n
+        if 0.0 < n < _MIN_SPEED:
+            scale = _MIN_SPEED / n
             return (v[0] * scale, v[1] * scale)
         return v
 
@@ -325,6 +333,9 @@ def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # Integration
 
+_MAX_LOG_STEP = 0.25  # largest log-space move of one integrator step
+_OMEGA_RADIUS = 1e-3  # log-space cluster radius of omega_limit_estimate
+
 
 @dataclass
 class Trajectory:
@@ -333,7 +344,6 @@ class Trajectory:
     times: list[float]
     points: list[LogPoint]
     velocities: list[tuple[float, float]]
-    cone_tags: list[str]
     strategy: str
     termination: str
     worst_violation: float = 0.0
@@ -345,13 +355,11 @@ class Trajectory:
 
 
 def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
-              dt: float = 1e-2, max_log_step: float = 0.25,
-              validate: bool = True, tol: float = 1e-9,
-              stop_when=None) -> Trajectory:
+              dt: float = 1e-2, stop_when=None) -> Trajectory:
     """Explicit 4th-order stepping of the selection in log coordinates.
 
-    The step is capped so no single update moves more than max_log_step in
-    log space (the fields are exponentially stiff far from equilibrium) and
+    The step is capped so no single update moves more than 0.25 in log
+    space (the fields are exponentially stiff far from equilibrium) and
     halved when a stage fails, down to dt/1024; the strategy's velocity at
     every accepted step start is checked against the brute-force cone.
     """
@@ -360,14 +368,12 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     times = [t]
     points = [pt]
     velocities = []
-    tags = []
     worst = 0.0
     termination = "t_end"
 
-    def log_vel(p: LogPoint, tt: float) -> tuple[tuple[float, float], tuple[float, float], str]:
-        rhs = _rhs_fast(p, fan, delta)
-        v = strategy(p, rhs, tt)
-        return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y)), v, rhs.kind
+    def log_vel(p: LogPoint, tt: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        v = strategy(p, _rhs_fast(p, fan, delta), tt)
+        return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y)), v
 
     steps = 0
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
@@ -376,21 +382,20 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
             termination = "stopped"
             break
         steps += 1
-        f1, v0, tag = log_vel(pt, t)
-        if validate:
-            violation = rhs_bruteforce(pt, fan, delta, tol=-1e-9).violation(v0)
-            worst = max(worst, violation)
-            if violation > tol:
-                # Halving cannot fix the start velocity, so this is exactly
-                # the fails-at-minimum-step condition.
-                raise StepCollapse(
-                    f"velocity violates the cone by {violation:.3e} at t={t:.4g}"
-                )
+        f1, v0 = log_vel(pt, t)
+        violation = rhs_bruteforce(pt, fan, delta, tol=-1e-9).violation(v0)
+        worst = max(worst, violation)
+        if violation > _CONE_TOL:
+            # Halving cannot fix the start velocity, so this is exactly
+            # the fails-at-minimum-step condition.
+            raise StepCollapse(
+                f"velocity violates the cone by {violation:.3e} at t={t:.4g}"
+            )
         speed = math.hypot(f1[0], f1[1])
         if speed == 0.0:
             termination = "stalled"
             break
-        h = min(dt, t_end - t, max_log_step / speed)
+        h = min(dt, t_end - t, _MAX_LOG_STEP / speed)
         scale_fn = getattr(strategy, "stability_scale", None)
         if scale_fn is not None:
             stiff = scale_fn(pt, t)
@@ -399,14 +404,14 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
         h_min = dt / 1024.0
         while True:
             try:
-                f2, _, _ = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]), t + 0.5 * h)
-                f3, _, _ = log_vel(LogPoint(pt.X + 0.5 * h * f2[0], pt.Y + 0.5 * h * f2[1]), t + 0.5 * h)
-                f4, _, _ = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
+                f2, _ = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]), t + 0.5 * h)
+                f3, _ = log_vel(LogPoint(pt.X + 0.5 * h * f2[0], pt.Y + 0.5 * h * f2[1]), t + 0.5 * h)
+                f4, _ = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
                 dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
                 dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
                 if not (math.isfinite(dX) and math.isfinite(dY)):
                     raise MonomialOverflow("nonfinite step")
-                if max(abs(dX), abs(dY)) > 4.0 * max_log_step:
+                if max(abs(dX), abs(dY)) > 4.0 * _MAX_LOG_STEP:
                     raise MonomialOverflow("step too large")
                 break
             except (MonomialOverflow, OverflowError):
@@ -420,7 +425,6 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
         times.append(t)
         points.append(pt)
         velocities.append(v0)
-        tags.append(tag)
         if stop_when is not None and stop_when(pt, t):
             termination = "stopped"
             break
@@ -428,29 +432,25 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
         termination = "max_steps"
     # The last sample starts no step.
     velocities.append((0.0, 0.0))
-    tags.append("")
-    return Trajectory(times, points, velocities, tags, getattr(strategy, "name", "custom"),
+    return Trajectory(times, points, velocities, getattr(strategy, "name", "custom"),
                       termination, worst)
 
 
 def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
-                       target: LogPoint, t_end: float = 200.0, dt: float = 1e-3,
-                       rel_tol: float = 1e-6, validate: bool = True,
+                       target: LogPoint, t_end: float = 200.0, rel_tol: float = 1e-6,
                        rescale: bool = False) -> Trajectory:
-    """Integrate an embedded field until within rel_tol (log space) of target."""
+    """Integrate an embedded field, in steps of at most 1e-3, until within
+    rel_tol (log space) of target."""
     strat = TimeRescaledField(system) if rescale else FieldStrategy(system)
 
     def close(p: LogPoint, t: float) -> bool:
         return max(abs(p.X - target.X), abs(p.Y - target.Y)) <= rel_tol * 0.5
 
-    traj = integrate(strat, start, fan, delta, t_end, dt=dt, validate=validate,
-                     stop_when=close)
-    return traj
+    return integrate(strat, start, fan, delta, t_end, dt=1e-3, stop_when=close)
 
 
-def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25,
-                         radius: float = 1e-3) -> list[LogPoint]:
-    """Greedy cluster centers of the trajectory tail (log-space radius)."""
+def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25) -> list[LogPoint]:
+    """Greedy cluster centers of the trajectory tail (log-space radius 1e-3)."""
     n = len(trajectory.points)
     if n < 100:
         raise ValueError("need at least 100 trajectory samples")
@@ -458,7 +458,7 @@ def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25,
     centers: list[LogPoint] = []
     for p in tail:
         for c in centers:
-            if math.hypot(p.X - c.X, p.Y - c.Y) <= radius:
+            if math.hypot(p.X - c.X, p.Y - c.Y) <= _OMEGA_RADIUS:
                 break
         else:
             centers.append(p)
@@ -467,6 +467,10 @@ def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25,
 
 # ---------------------------------------------------------------------------
 # Reachability witnesses
+
+_LEG_STEP = 0.05  # log-space sample spacing of the straight witness legs
+_FLOW_T_END = 400.0  # time horizon of the witnesses' embedded flow to (1,1)
+_CHAINS = ("I1", "I4", "I2", "I3")  # route search order; I1 and I4 start at (N,M)
 
 
 @dataclass
@@ -477,20 +481,20 @@ class WitnessLeg:
     velocities: list[tuple[float, float]]
 
 
-def _validate_leg(leg: WitnessLeg, fan: Fan, delta: float, tol: float = 1e-9) -> float:
+def _validate_leg(leg: WitnessLeg, fan: Fan, delta: float) -> float:
     worst = 0.0
     for p, v in zip(leg.points, leg.velocities):
         worst = max(worst, rhs_bruteforce(p, fan, delta, tol=-1e-9).violation(v))
-    if worst > tol:
+    if worst > _CONE_TOL:
         raise WitnessFailed(leg.description, f"worst violation {worst:.3e}")
     return worst
 
 
-def _logline_leg(a: LogPoint, b: LogPoint, desc: str, step: float = 0.05) -> WitnessLeg:
+def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> WitnessLeg:
     """Straight path in log space; x-space velocity is (dX*x, dY*y)."""
     dX, dY = b.X - a.X, b.Y - a.Y
     length = math.hypot(dX, dY)
-    n = max(2, int(math.ceil(length / step)))
+    n = max(2, int(math.ceil(length / _LEG_STEP)))
     pts, vels = [], []
     for k in range(n + 1):
         u = k / n
@@ -501,37 +505,28 @@ def _logline_leg(a: LogPoint, b: LogPoint, desc: str, step: float = 0.05) -> Wit
 
 
 def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
-               desc: str, step: float = 0.05) -> WitnessLeg:
+               desc: str) -> WitnessLeg:
     """Straight x-space path from a toward x_end along an exact direction.
 
     The direction (not endpoint differences) is used for the velocities so
-    exactly cone-parallel walks validate exactly.
+    exactly cone-parallel walks validate exactly.  Samples are even in the
+    dominant log axis: when that is log y, the walk runs on the x<->y
+    mirror and its points are swapped back.
     """
+    mirror = abs(x_end.X - a.X) < abs(x_end.Y - a.Y)
+    if mirror:
+        a, x_end = LogPoint(a.Y, a.X), LogPoint(x_end.Y, x_end.X)
     ax, ay = math.exp(a.X), math.exp(a.Y)
     bx, by = math.exp(x_end.X), math.exp(x_end.Y)
-    pts, vels = [], []
-    # Parametrize by the dominant log axis for even coverage.
-    if abs(x_end.X - a.X) >= abs(x_end.Y - a.Y):
-        n = max(2, int(math.ceil(abs(x_end.X - a.X) / step)))
-        for k in range(n + 1):
-            X = a.X + (x_end.X - a.X) * k / n
-            x = math.exp(X)
-            y = ay + (by - ay) * (x - ax) / (bx - ax) if bx != ax else ay
-            if y <= 0.0:
-                continue
-            pts.append(LogPoint(X, math.log(y)))
-            vels.append(direction)
-    else:
-        n = max(2, int(math.ceil(abs(x_end.Y - a.Y) / step)))
-        for k in range(n + 1):
-            Y = a.Y + (x_end.Y - a.Y) * k / n
-            y = math.exp(Y)
-            x = ax + (bx - ax) * (y - ay) / (by - ay) if by != ay else ax
-            if x <= 0.0:
-                continue
-            pts.append(LogPoint(math.log(x), Y))
-            vels.append(direction)
-    return WitnessLeg("xline", desc, pts, vels)
+    n = max(2, int(math.ceil(abs(x_end.X - a.X) / _LEG_STEP)))
+    pts = []
+    for k in range(n + 1):
+        X = a.X + (x_end.X - a.X) * k / n
+        x = math.exp(X)
+        y = ay + (by - ay) * (x - ax) / (bx - ax) if bx != ax else ay
+        if y > 0.0:
+            pts.append(LogPoint(math.log(y), X) if mirror else LogPoint(X, math.log(y)))
+    return WitnessLeg("xline", desc, pts, [direction] * len(pts))
 
 
 def _segment_direction(seg: Segment, fan: Fan) -> tuple[float, float]:
@@ -548,58 +543,48 @@ def _segment_direction(seg: Segment, fan: Fan) -> tuple[float, float]:
 
 
 def reach_witness(from_point, to_point, fan: Fan, delta: float,
-                  region: RegionBoundary, tol: float = 1e-9,
-                  arrive_tol: float = 1e-6, t_flow: float = 400.0) -> Trajectory:
+                  region: RegionBoundary, arrive_tol: float = 1e-6) -> Trajectory:
     """Piecewise trajectory witnessing reachability inside the region.
 
     Leg 1 rides the all-rates-one embedded field to (1,1).  Leg 2 dispatches
     on r(target): full-plane targets get a straight log-space run; strip
-    targets route via the matching start point, walk the boundary to the
-    segment crossing the strip, and slide along the strip; gap targets walk
-    to a corner anchor and decompose the remaining displacement into the
-    gap cone's extreme rays.  Every leg is velocity-validated.
+    (r = 1) and gap (r = 0) targets are routed along the region boundary
+    (see ``_route_via_boundary``).  Every leg is velocity-validated.
 
     Both endpoints must lie in the region (``region_contains`` says "inside"
     or "boundary"): the region is invariant, so no trajectory from inside it
     reaches a point outside.  Otherwise ``WitnessFailed("precondition")`` is
-    raised before any leg is built.  A leg that cannot be built or fails
-    validation raises ``WitnessFailed`` naming that leg ("leg1_flow", "route",
-    "arrival", ...).
+    raised before any leg is built.  Otherwise a failure raises
+    ``WitnessFailed`` naming the step: "leg1_flow" when the flow to (1,1)
+    does not converge, "full-plane straight run" when that run fails
+    validation, and "route" when no boundary route to a strip or gap target
+    arrives and validates; the route's detail names the last candidate's
+    error, a leg that failed validation or an "arrival" drift.
     """
     src = as_log(from_point)
     dst = as_log(to_point)
     if region_contains(region, src) == "outside" or region_contains(region, dst) == "outside":
         raise WitnessFailed("precondition", "both endpoints must lie in the region")
 
-    legs: list[WitnessLeg] = []
-    origin = LogPoint(0.0, 0.0)
     sys11 = embedded_system_for_target(fan, delta, "origin_11")
-    flow1 = integrate_to_point(sys11, src, fan, delta, origin, t_end=t_flow,
-                               rel_tol=arrive_tol, rescale=True)
+    flow1 = integrate_to_point(sys11, src, fan, delta, LogPoint(0.0, 0.0),
+                               t_end=_FLOW_T_END, rel_tol=arrive_tol, rescale=True)
     if flow1.termination != "stopped":
         raise WitnessFailed("leg1_flow", f"did not converge ({flow1.termination})")
-    legs.append(WitnessLeg("flow", "embedded flow to (1,1)",
-                           flow1.points, flow1.velocities))
+    # Flow legs were validated by the integrator.
+    legs = [WitnessLeg("flow", "embedded flow to (1,1)", flow1.points, flow1.velocities)]
     cur = flow1.points[-1]
 
     r_dst = r_count(dst, fan, delta)
+    worst = 0.0
     if max(abs(dst.X - cur.X), abs(dst.Y - cur.Y)) <= arrive_tol:
         pass  # target was (1,1): single leg
     elif r_dst >= 2:
         legs.append(_logline_leg(cur, dst, "full-plane straight run"))
-        cur = dst
+        worst = _validate_leg(legs[-1], fan, delta)
     else:
-        legs_mid, cur = _route_via_boundary(cur, dst, r_dst, fan, delta, region,
-                                            arrive_tol, t_flow)
-        legs.extend(legs_mid)
-
-    if max(abs(dst.X - cur.X), abs(dst.Y - cur.Y)) > arrive_tol:
-        raise WitnessFailed("arrival", f"ended {max(abs(dst.X-cur.X), abs(dst.Y-cur.Y)):.2e} from target")
-
-    worst = 0.0
-    for leg in legs:
-        if leg.kind != "flow":  # flow legs were validated by the integrator
-            worst = max(worst, _validate_leg(leg, fan, delta, tol))
+        route, worst = _route_via_boundary(cur, dst, r_dst, fan, delta, region, arrive_tol)
+        legs.extend(route)
 
     times = [0.0]
     points = [src]
@@ -609,127 +594,82 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
             times.append(times[-1] + 1.0)
             points.append(p)
             vels.append(v)
-    return Trajectory(times, points, vels, [""] * len(times), "reach_witness",
-                      "arrived", worst, legs=legs)
+    return Trajectory(times, points, vels, "reach_witness", "arrived", worst, legs=legs)
 
 
-def _start_anchor_for(chain: str) -> str:
-    return "NM" if chain in ("I1", "I4") else "nm"
-
-
-def _find_crossing_chain(region: RegionBoundary, gen_index: int, arm: int):
-    for chain in ("I1", "I4", "I2", "I3"):
-        for k, seg in enumerate(region.polylines[chain]):
-            if seg.crossing and seg.region_index == gen_index and seg.arm_sign == arm:
-                return chain, k
-    return None, None
-
-
-def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
-                        delta: float, region: RegionBoundary,
-                        arrive_tol: float, t_flow: float):
-    """Legs from (1,1) to a strip (r=1) or gap (r=0) target."""
-    legs: list[WitnessLeg] = []
-    regions = fan.regions(delta)
-
-    if r_dst == 1:
-        target_region = next(
-            r for r in regions
-            if abs(strip_coordinate(dst, r)) < r.delta_i - 1e-9
-        )
-        arm = _sign(along_coordinate(dst, target_region.gen))
-        chain, k = _find_crossing_chain(region, target_region.index, arm)
-        if chain is None:
-            chain, k = _find_crossing_chain(region, target_region.index, -arm)
-        if chain is None:
-            raise WitnessFailed("route", f"no crossing segment for strip {target_region.index}")
-        anchor_name = _start_anchor_for(chain)
-        legs.append(_flow_leg_to_anchor(cur, anchor_name, fan, delta, region,
-                                        arrive_tol, t_flow))
-        cur = legs[-1].points[-1]
-        # Walk the chain up to the crossing segment, then into it.
-        for seg in region.polylines[chain][:k]:
-            leg = _xline_leg(cur, _segment_direction(seg, fan), seg.end,
-                             f"walk {chain} segment")
-            legs.append(leg)
-            cur = leg.points[-1]
-        seg = region.polylines[chain][k]
-        match = _strip_point(seg.start, target_region.gen,
-                             strip_coordinate(dst, target_region))
-        leg = _xline_leg(cur, _segment_direction(seg, fan), match,
-                         "walk into the strip")
-        legs.append(leg)
-        cur = leg.points[-1]
-        leg = _logline_leg(cur, dst, "slide along the strip")
-        legs.append(leg)
-        return legs, dst
-
-    # r = 0: gap target; find the flanking sector by position angle.
-    flank = _flanking_arms(dst, fan)
-    rays = rhs_bruteforce(dst, fan, delta).extreme_rays()
-    if len(rays) != 2:
-        raise WitnessFailed("route", "gap target has no proper cone")
-
-    candidates = []
-    for chain in ("I1", "I4", "I2", "I3"):
-        segs = region.polylines[chain]
-        for k2, seg in enumerate(segs):
-            for (_, gi, arm) in flank:
-                if seg.crossing and seg.region_index == gi and seg.arm_sign == arm:
-                    candidates.append((chain, k2))
-    seen = set()
-    candidates = [c for c in candidates if not (c in seen or seen.add(c))]
-    last_err: Exception | None = None
-    for chain, k2 in candidates:
-        for order in ((0, 1), (1, 0)):
-            try:
-                legs_try: list[WitnessLeg] = []
-                anchor_name = _start_anchor_for(chain)
-                legs_try.append(_flow_leg_to_anchor(cur, anchor_name, fan, delta,
-                                                    region, arrive_tol, t_flow))
-                c = legs_try[-1].points[-1]
-                for seg in region.polylines[chain][:k2]:
-                    leg = _xline_leg(c, _segment_direction(seg, fan), seg.end,
-                                     f"walk {chain} segment")
-                    legs_try.append(leg)
-                    c = leg.points[-1]
-                seg = region.polylines[chain][k2]
-                corner = seg.start
-                leg = _xline_leg(c, _segment_direction(seg, fan), corner,
-                                 "walk to the gap corner")
-                # corner equals the previous segment's end; only walk if needed
-                if max(abs(c.X - corner.X), abs(c.Y - corner.Y)) > 1e-12:
-                    legs_try.append(leg)
-                    c = leg.points[-1]
-                mids = _ray_decomposition(c, dst, rays, order)
-                for a, b, ray in mids:
-                    leg = _xline_leg(a, ray, b, "gap cone ray")
-                    legs_try.append(leg)
-                    c = leg.points[-1]
-                if max(abs(c.X - dst.X), abs(c.Y - dst.Y)) > arrive_tol:
-                    raise WitnessFailed("gap arrival", "decomposition drifted")
-                for leg in legs_try:
-                    if leg.kind != "flow":
-                        _validate_leg(leg, fan, delta)
-                return legs_try, dst
-            except (WitnessFailed, ValueError, ZeroDivisionError) as exc:
-                last_err = exc
-                continue
-    raise WitnessFailed("route", f"no valid gap route: {last_err}")
-
-
-def _flow_leg_to_anchor(cur: LogPoint, anchor_name: str, fan: Fan, delta: float,
-                        region: RegionBoundary, arrive_tol: float,
-                        t_flow: float) -> WitnessLeg:
-    """Hop from near (1,1) to (N,M) or (n,m) through the full-plane zone.
+def _hop_and_walk(cur: LogPoint, chain: str, k: int, fan: Fan,
+                  region: RegionBoundary) -> list[WitnessLeg]:
+    """Hop from near (1,1) to the chain's start point, (N,M) or (n,m),
+    then walk the chain's first k segments.
 
     The log-straight segment from the origin to a pairwise intersection
     point stays strictly inside both of that point's strips (its strip
     coordinates scale linearly), so the inclusion value along the hop is
     the whole plane and any velocity is admissible.
     """
-    ip = region.start_max if anchor_name == "NM" else region.start_min
-    return _logline_leg(cur, ip.log, f"full-plane hop to {anchor_name}")
+    name, ip = ("NM", region.start_max) if chain in ("I1", "I4") else ("nm", region.start_min)
+    legs = [_logline_leg(cur, ip.log, f"full-plane hop to {name}")]
+    for seg in region.polylines[chain][:k]:
+        legs.append(_xline_leg(legs[-1].points[-1], _segment_direction(seg, fan), seg.end,
+                               f"walk {chain} segment"))
+    return legs
+
+
+def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
+                        delta: float, region: RegionBoundary, arrive_tol: float):
+    """Validated legs from (1,1) to a strip (r=1) or gap (r=0) target, and
+    their worst cone violation.
+
+    Candidates are the crossing segments of the boundary chains: for a
+    strip target, the target strip's segments on the target's arm, then on
+    the other arm; for a gap target, the segments of either flanking arm.
+    Each route hops to the chain's start point and walks the chain up to
+    the candidate segment's start.  A strip target is then reached by
+    walking along that segment into the strip and sliding along the strip;
+    a gap target by the two extreme rays of its cone, in either order.  The
+    first route whose legs arrive and all validate wins.
+    """
+    if r_dst == 1:
+        strip = next(r for r in fan.regions(delta)
+                     if abs(strip_coordinate(dst, r)) < r.delta_i - 1e-9)
+        arm = _sign(along_coordinate(dst, strip.gen))
+        arm_sets = ({(strip.index, arm)}, {(strip.index, -arm)})
+        sigma = strip_coordinate(dst, strip)
+
+        def into_strip(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
+            match = _strip_point(seg.start, strip.gen, sigma)
+            into = _xline_leg(c, _segment_direction(seg, fan), match, "walk into the strip")
+            return [into, _logline_leg(into.points[-1], dst, "slide along the strip")]
+
+        finishes = (into_strip,)
+    else:
+        arm_sets = ({(gi, arm) for _, gi, arm in _flanking_arms(dst, fan)},)
+        rays = rhs_bruteforce(dst, fan, delta).extreme_rays()
+        if len(rays) != 2:
+            raise WitnessFailed("route", "gap target has no proper cone")
+
+        def along_rays(order):
+            return lambda c, seg: [_xline_leg(a, ray, b, "gap cone ray")
+                                   for a, b, ray in _ray_decomposition(c, dst, rays, order)]
+
+        finishes = (along_rays((0, 1)), along_rays((1, 0)))
+
+    candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS
+                  for k, seg in enumerate(region.polylines[chain])
+                  if seg.crossing and (seg.region_index, seg.arm_sign) in arms]
+    last_err: Exception | str = "no crossing segment on the target's arms"
+    for chain, k in candidates:
+        walk = _hop_and_walk(cur, chain, k, fan, region)
+        for finish in finishes:
+            try:
+                legs = walk + finish(walk[-1].points[-1], region.polylines[chain][k])
+                end = legs[-1].points[-1]
+                if max(abs(end.X - dst.X), abs(end.Y - dst.Y)) > arrive_tol:
+                    raise WitnessFailed("arrival", "route drifted from the target")
+                return legs, max(_validate_leg(leg, fan, delta) for leg in legs)
+            except (WitnessFailed, ValueError, ZeroDivisionError) as exc:
+                last_err = exc
+    raise WitnessFailed("route", f"no valid route: {last_err}")
 
 
 def _ray_decomposition(a: LogPoint, b: LogPoint, rays, order):

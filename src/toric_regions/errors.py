@@ -72,9 +72,11 @@ class WitnessFailed(ToricRegionsError):
 
     ``leg`` names the failing step: "precondition" when an endpoint lies
     outside the region, "leg1_flow" when the flow to (1,1) does not converge,
-    "route" when no boundary or gap route exists, "arrival" (or "gap arrival")
-    when the legs end away from the target, or a leg's description when that
-    leg fails velocity validation.
+    "full-plane straight run" when that leg fails velocity validation, or
+    "route" when no boundary route to a strip or gap target both arrives
+    and validates.  A failed route's ``detail`` names the last candidate's
+    error: the description of a leg that failed validation, or "arrival"
+    when the legs ended away from the target.
     """
 
     def __init__(self, leg: str, detail: str = ""):

@@ -7,6 +7,7 @@ their delta-independent exponents so start-point selection stays exact in
 the large-delta asymptotics.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -890,15 +891,10 @@ def hull_contains(hull: list[tuple[float, float]], point,
     return True
 
 
-# Hulls per (fan, delta), shared by the level-set bisections; unbounded.
-_shared_hulls: dict = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _hull(fan: Fan, delta: float) -> list[tuple[float, float]]:
-    key = (fan, delta)
-    if key not in _shared_hulls:
-        _shared_hulls[key] = conv_hull(construct_region(fan, delta, validate=False))
-    return _shared_hulls[key]
+    """Hull of the region at delta, shared by the level-set bisections."""
+    return conv_hull(construct_region(fan, delta, validate=False))
 
 
 def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float,

@@ -50,9 +50,9 @@ def rhs_classified(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
     """Fast three-case evaluation by the strip-interior count r(x).
 
     r >= 2 gives the full plane; r = 1 a half plane whose boundary slope is
-    the active strip's attracting slope; r = 0 the proper cone spanned by
-    the two flanking strips' half planes.  Raises AmbiguousClassification
-    within tol of any strip boundary.
+    the active strip's attracting slope (a line for a one-generator fan);
+    r = 0 the proper cone spanned by the two flanking strips' half planes.
+    Raises AmbiguousClassification within tol of any strip boundary.
     """
     pt = as_log(point)
     active = None
@@ -68,6 +68,10 @@ def rhs_classified(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
     if r >= 2:
         return Cone(0.0, TWO_PI)
     if r == 1:
+        if fan.b == 1:
+            # Both half-plane sectors are near: their intersection is the
+            # generator line, and its polar is the normal line.
+            return Cone(math.atan2(active.p, active.q), LINE_WIDTH).polar()
         # The polar of the active strip's arm on the point's side.
         side = 1 if along_coordinate(pt, active) >= 0.0 else -1
         return Cone(math.atan2(side * active.p, side * active.q), 0.0).polar()

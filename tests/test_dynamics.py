@@ -12,6 +12,7 @@ from toric_regions.dynamics import (
     StrictStrategy,
     Trajectory,
     _reversible,
+    _xline_leg,
     builtin_strategies,
     complex_balance_residual,
     embedded_system_for_target,
@@ -74,6 +75,10 @@ class TestMassActionField:
 
 
 class TestComplexBalance:
+    def test_overflow_cap(self):
+        with pytest.raises(MonomialOverflow):
+            complex_balance_residual(simple_exchange(), LogPoint(0.0, 800.0))
+
     def test_symmetric_at_diagonal(self):
         assert complex_balance_residual(simple_exchange(), PosPoint(4.0, 4.0)) == 0.0
 
@@ -105,15 +110,17 @@ class TestEmbedding:
 
 
 class TestIntegrate:
-    def test_constant_velocity_single_step(self):
+    def test_constant_velocity_two_steps(self):
         class Constant:
             name = "constant"
 
             def __call__(self, point, rhs, t):
                 return (1.0, 0.0)
 
+        # x' = 1 from x = 1: the log step cap 0.25 splits t = 0.5 in two.
         traj = integrate(Constant(), PosPoint(1.0, 1.0), WORKED_FAN, DELTA,
-                         t_end=0.5, dt=0.5, max_log_step=10.0)
+                         t_end=0.5, dt=0.5)
+        assert len(traj.times) == 3
         end = traj.points[-1].exp()
         assert end.x == pytest.approx(1.5, rel=1e-4)
         assert end.y == pytest.approx(1.0, rel=1e-12)
@@ -165,7 +172,7 @@ class TestStrategies:
                 u = rays[0] if rays else (1.0, 0.0)
                 return (u[0] * 1e-9, u[1] * 1e-9)
 
-        strict = StrictStrategy(Feeble(), rho=1e-3)
+        strict = StrictStrategy(Feeble())
         pt = LogPoint(10.0, 0.0)
         rhs = rhs_bruteforce(pt, WORKED_FAN, DELTA)
         v = strict(pt, rhs, 0.0)
@@ -200,7 +207,7 @@ class TestOmegaLimit:
     def _mk(points):
         n = len(points)
         return Trajectory(list(range(n)), points, [(0.0, 0.0)] * n,
-                          [""] * n, "synthetic", "t_end")
+                          "synthetic", "t_end")
 
     def test_constant_trajectory(self):
         pts = [LogPoint(1.0, 2.0)] * 150
@@ -276,3 +283,39 @@ class TestReachWitness:
         with pytest.raises(WitnessFailed) as err:
             reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
         assert err.value.leg == "precondition"
+
+    @pytest.mark.parametrize("gens, target, kind", [
+        ([(1, 2), (2, 1)], (4.66, 1.30), "strip"),                  # all positive
+        ([(-1, 2), (-2, 1)], (-12.2, 4.05), "strip"),               # all negative
+        ([(-1, 1), (1, 2), (2, 1), (1, 0)], (11.07, 11.25), "gap"),  # axis fan
+    ])
+    def test_boundary_route_off_the_worked_fan(self, gens, target, kind):
+        fan = Fan(gens)
+        region = construct_region(fan, DELTA)
+        target = LogPoint(*target)
+        assert r_count(target, fan, DELTA) == (1 if kind == "strip" else 0)
+        assert region_contains(region, target) == "inside"
+        traj = reach_witness(PosPoint(1.0, 1.0), target, fan, DELTA, region)
+        assert len(traj.legs) > 2
+        assert traj.worst_violation <= 1e-9
+        end = traj.points[-1]
+        assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
+
+
+class TestXlineLeg:
+    def test_log_y_dominant_walk(self):
+        a, b = LogPoint(0.2, -0.5), LogPoint(0.7, 2.5)
+        ax, ay, bx, by = math.exp(a.X), math.exp(a.Y), math.exp(b.X), math.exp(b.Y)
+        n = math.hypot(bx - ax, by - ay)
+        direction = ((bx - ax) / n, (by - ay) / n)
+        leg = _xline_leg(a, direction, b, "test walk")
+        assert leg.kind == "xline"
+        assert leg.velocities == [direction] * len(leg.points)
+        assert (leg.points[0].X, leg.points[0].Y) == pytest.approx((a.X, a.Y), abs=1e-12)
+        assert (leg.points[-1].X, leg.points[-1].Y) == pytest.approx((b.X, b.Y), abs=1e-12)
+        # Even in log y, the dominant axis, and on the x-space line a -> b.
+        steps = [q.Y - p.Y for p, q in zip(leg.points, leg.points[1:])]
+        assert steps == pytest.approx([steps[0]] * len(steps), abs=1e-12)
+        for p in leg.points:
+            x, y = math.exp(p.X), math.exp(p.Y)
+            assert abs((x - ax) * direction[1] - (y - ay) * direction[0]) <= 1e-12 * n

@@ -64,10 +64,12 @@ class TestClassified:
             b = rhs_classified(pt, CROSS_FAN, 1.0)
             assert rhs_equal(a, b, tol=1e-9), (pt, a, b)
 
-    def test_single_generator_r1_is_halfplane(self):
+    def test_single_generator_r1_is_line(self):
         fan = Fan([(1, 1)])
         rhs = rhs_classified(PosPoint(1.0, 1.0), fan, 2.0)
-        assert rhs.kind == "halfplane"
+        assert rhs.kind == "line"
+        for pt in (LogPoint(0.0, 0.0), LogPoint(5.0, 5.0), LogPoint(5.0, 4.5)):
+            assert rhs_equal(rhs_classified(pt, fan, 1.0), rhs_bruteforce(pt, fan, 1.0))
 
     def test_boundary_point_is_ambiguous(self):
         # Outer boundary of the strip of (1,1) at delta = 1: sigma = sqrt(2).
@@ -130,6 +132,14 @@ class TestOracleEquivalence:
             delta = float(rng.uniform(1.0, 6.0))
             checked, mismatches = agreement_run(fan, delta, 500, rng)
             assert mismatches == 0, (fan, delta)
+
+    def test_one_generator_fans(self):
+        rng = np.random.default_rng(6)
+        for fan in random_fans(rng, 6, min_b=1, max_b=1):
+            for delta in (0.5, 1.0, 3.0):
+                checked, mismatches = agreement_run(fan, delta, 200, rng)
+                assert checked > 150
+                assert mismatches == 0, (fan, delta)
 
     def test_full_plane_iff_r_ge_2(self):
         rng = np.random.default_rng(2)

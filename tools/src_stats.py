@@ -1,0 +1,54 @@
+"""Size figures of the package source: lines and keyword options.
+
+Prints JSON with, for every module under ``src/``, its line count and its
+number of keyword options, plus the totals.  A keyword option is a
+function parameter with a default value (positional or keyword-only),
+counted over every ``def`` in the module, methods and nested functions
+included.
+
+Run from anywhere:
+
+    python tools/src_stats.py [SRC_DIR]
+
+SRC_DIR defaults to the ``src`` directory next to this file's parent.
+"""
+
+import ast
+import json
+import sys
+from pathlib import Path
+
+
+def keyword_options(tree: ast.AST) -> int:
+    """Parameters with a default, over every function definition."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def src_stats(src: Path) -> dict:
+    modules = {}
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        modules[path.relative_to(src).as_posix()] = {
+            "lines": len(text.splitlines()),
+            "keyword_options": keyword_options(ast.parse(text, filename=str(path))),
+        }
+    return {
+        "modules": modules,
+        "total": {key: sum(m[key] for m in modules.values())
+                  for key in ("lines", "keyword_options")},
+    }
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
+    if not src.is_dir():
+        print(f"not a directory: {src}", file=sys.stderr)
+        return 2
+    print(json.dumps(src_stats(src), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
