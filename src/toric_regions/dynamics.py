@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     AmbiguousClassification,
     MonomialOverflow,
+    NoCrossing,
     StepCollapse,
     WitnessFailed,
 )
@@ -34,6 +35,7 @@ from .region_construction import (
     IntersectionPoint,
     RegionBoundary,
     Segment,
+    _line_y_log,
     _sign,
     _strip_point,
     region_contains,
@@ -506,40 +508,52 @@ def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> WitnessLeg:
 
 def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
                desc: str) -> WitnessLeg:
-    """Straight x-space path from a toward x_end along an exact direction.
+    """Straight x-space path from a to x_end along an exact direction.
 
     The direction (not endpoint differences) is used for the velocities so
     exactly cone-parallel walks validate exactly.  Samples are even in the
-    dominant log axis: when that is log y, the walk runs on the x<->y
-    mirror and its points are swapped back.
+    dominant log axis and lie on the direction's line through the nearer
+    end, evaluated by the line kernel (on the x<->y mirror when log y
+    dominates).  Raises NoCrossing if that line leaves the quadrant.
     """
-    mirror = abs(x_end.X - a.X) < abs(x_end.Y - a.Y)
-    if mirror:
-        a, x_end = LogPoint(a.Y, a.X), LogPoint(x_end.Y, x_end.X)
-    ax, ay = math.exp(a.X), math.exp(a.Y)
-    bx, by = math.exp(x_end.X), math.exp(x_end.Y)
+    dx, dy = direction
+    mirrored = abs(x_end.X - a.X) < abs(x_end.Y - a.Y)
+    if mirrored:
+        a, x_end, s = LogPoint(a.Y, a.X), LogPoint(x_end.Y, x_end.X), dx / dy
+    else:
+        s = dy / dx
     n = max(2, int(math.ceil(abs(x_end.X - a.X) / _LEG_STEP)))
     pts = []
     for k in range(n + 1):
         X = a.X + (x_end.X - a.X) * k / n
-        x = math.exp(X)
-        y = ay + (by - ay) * (x - ax) / (bx - ax) if bx != ax else ay
-        if y > 0.0:
-            pts.append(LogPoint(math.log(y), X) if mirror else LogPoint(X, math.log(y)))
+        near = a if 2 * k <= n else x_end
+        Y = _line_y_log(near.X, near.Y, s, X)
+        pts.append(LogPoint(Y, X) if mirrored else LogPoint(X, Y))
     return WitnessLeg("xline", desc, pts, [direction] * len(pts))
 
 
-def _segment_direction(seg: Segment, fan: Fan) -> tuple[float, float]:
-    """Unit x-space direction of a boundary segment, oriented start -> end."""
-    g = fan.generators[seg.region_index]
-    n = math.hypot(g.p, g.q)
-    d = (g.p / n, -g.q / n)
-    # Orient toward the segment end (compare x-space displacement sign).
-    to_end = (math.exp(seg.end.X) - math.exp(seg.start.X),
-              math.exp(seg.end.Y) - math.exp(seg.start.Y))
-    if d[0] * to_end[0] + d[1] * to_end[1] < 0.0:
-        d = (-d[0], -d[1])
-    return d
+def _segment_direction(seg: Segment) -> tuple[float, float]:
+    """Unit x-space direction of a boundary segment, oriented start -> end.
+
+    Per axis the log displacement has the sign of the x-space one, which is
+    parallel to the direction, so its dot product with the direction has
+    the orientation's sign exactly.
+    """
+    dx, dy = seg.direction
+    n = math.hypot(dx, dy)
+    if dx * (seg.end.X - seg.start.X) + dy * (seg.end.Y - seg.start.Y) < 0.0:
+        n = -n
+    return (dx / n, dy / n)
+
+
+def _xspace_unit(a: LogPoint, b: LogPoint) -> tuple[float, float]:
+    """Unit x-space direction from a to b, formed after scaling both points
+    by e^-max of their log coordinates so that nothing overflows."""
+    m = max(a.X, a.Y, b.X, b.Y)
+    dx = math.exp(b.X - m) - math.exp(a.X - m)
+    dy = math.exp(b.Y - m) - math.exp(a.Y - m)
+    n = math.hypot(dx, dy)
+    return (dx / n, dy / n)
 
 
 def reach_witness(from_point, to_point, fan: Fan, delta: float,
@@ -559,7 +573,8 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     does not converge, "full-plane straight run" when that run fails
     validation, and "route" when no boundary route to a strip or gap target
     arrives and validates; the route's detail names the last candidate's
-    error, a leg that failed validation or an "arrival" drift.
+    error: a leg that failed validation, an "arrival" drift or a walk whose
+    line left the quadrant.
     """
     src = as_log(from_point)
     dst = as_log(to_point)
@@ -597,7 +612,7 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     return Trajectory(times, points, vels, "reach_witness", "arrived", worst, legs=legs)
 
 
-def _hop_and_walk(cur: LogPoint, chain: str, k: int, fan: Fan,
+def _hop_and_walk(cur: LogPoint, chain: str, k: int,
                   region: RegionBoundary) -> list[WitnessLeg]:
     """Hop from near (1,1) to the chain's start point, (N,M) or (n,m),
     then walk the chain's first k segments.
@@ -610,7 +625,7 @@ def _hop_and_walk(cur: LogPoint, chain: str, k: int, fan: Fan,
     name, ip = ("NM", region.start_max) if chain in ("I1", "I4") else ("nm", region.start_min)
     legs = [_logline_leg(cur, ip.log, f"full-plane hop to {name}")]
     for seg in region.polylines[chain][:k]:
-        legs.append(_xline_leg(legs[-1].points[-1], _segment_direction(seg, fan), seg.end,
+        legs.append(_xline_leg(legs[-1].points[-1], _segment_direction(seg), seg.end,
                                f"walk {chain} segment"))
     return legs
 
@@ -626,8 +641,9 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     Each route hops to the chain's start point and walks the chain up to
     the candidate segment's start.  A strip target is then reached by
     walking along that segment into the strip and sliding along the strip;
-    a gap target by the two extreme rays of its cone, in either order.  The
-    first route whose legs arrive and all validate wins.
+    a gap target by one straight x-space run from there, whose constant
+    velocity the leg validator checks at every sample.  The first route
+    whose legs arrive and all validate wins.
     """
     if r_dst == 1:
         strip = next(r for r in fan.regions(delta)
@@ -636,63 +652,29 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
         arm_sets = ({(strip.index, arm)}, {(strip.index, -arm)})
         sigma = strip_coordinate(dst, strip)
 
-        def into_strip(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
+        def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
             match = _strip_point(seg.start, strip.gen, sigma)
-            into = _xline_leg(c, _segment_direction(seg, fan), match, "walk into the strip")
+            into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
             return [into, _logline_leg(into.points[-1], dst, "slide along the strip")]
-
-        finishes = (into_strip,)
     else:
         arm_sets = ({(gi, arm) for _, gi, arm in _flanking_arms(dst, fan)},)
-        rays = rhs_bruteforce(dst, fan, delta).extreme_rays()
-        if len(rays) != 2:
-            raise WitnessFailed("route", "gap target has no proper cone")
 
-        def along_rays(order):
-            return lambda c, seg: [_xline_leg(a, ray, b, "gap cone ray")
-                                   for a, b, ray in _ray_decomposition(c, dst, rays, order)]
-
-        finishes = (along_rays((0, 1)), along_rays((1, 0)))
+        def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
+            return [_xline_leg(c, _xspace_unit(c, dst), dst, "straight gap run")]
 
     candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS
                   for k, seg in enumerate(region.polylines[chain])
                   if seg.crossing and (seg.region_index, seg.arm_sign) in arms]
     last_err: Exception | str = "no crossing segment on the target's arms"
     for chain, k in candidates:
-        walk = _hop_and_walk(cur, chain, k, fan, region)
-        for finish in finishes:
-            try:
-                legs = walk + finish(walk[-1].points[-1], region.polylines[chain][k])
-                end = legs[-1].points[-1]
-                if max(abs(end.X - dst.X), abs(end.Y - dst.Y)) > arrive_tol:
-                    raise WitnessFailed("arrival", "route drifted from the target")
-                return legs, max(_validate_leg(leg, fan, delta) for leg in legs)
-            except (WitnessFailed, ValueError, ZeroDivisionError) as exc:
-                last_err = exc
+        try:
+            legs = _hop_and_walk(cur, chain, k, region)
+            legs += finish(legs[-1].points[-1], region.polylines[chain][k])
+            end = legs[-1].points[-1]
+            if max(abs(end.X - dst.X), abs(end.Y - dst.Y)) > arrive_tol:
+                raise WitnessFailed("arrival", "route drifted from the target")
+            # Finishing legs first: they are the ones that fail.
+            return legs, max(_validate_leg(leg, fan, delta) for leg in reversed(legs))
+        except (WitnessFailed, NoCrossing) as exc:
+            last_err = exc
     raise WitnessFailed("route", f"no valid route: {last_err}")
-
-
-def _ray_decomposition(a: LogPoint, b: LogPoint, rays, order):
-    """Split the x-space displacement a->b into two cone-ray moves."""
-    ax, ay = math.exp(a.X), math.exp(a.Y)
-    bx, by = math.exp(b.X), math.exp(b.Y)
-    r1 = rays[order[0]]
-    r2 = rays[order[1]]
-    det = r1[0] * r2[1] - r1[1] * r2[0]
-    if abs(det) < 1e-300:
-        raise ValueError("degenerate ray pair")
-    dx, dy = bx - ax, by - ay
-    alpha = (dx * r2[1] - dy * r2[0]) / det
-    beta = (r1[0] * dy - r1[1] * dx) / det
-    if alpha < -1e-12 or beta < -1e-12:
-        raise ValueError("target not in the gap cone from this corner")
-    mid = (ax + alpha * r1[0], ay + alpha * r1[1])
-    if mid[0] <= 0.0 or mid[1] <= 0.0:
-        raise ValueError("intermediate point leaves the quadrant")
-    mid_lp = LogPoint(math.log(mid[0]), math.log(mid[1]))
-    out = []
-    if alpha > 1e-12:
-        out.append((a, mid_lp, r1))
-    if beta > 1e-12:
-        out.append((mid_lp, b, r2))
-    return out

@@ -75,8 +75,9 @@ class WitnessFailed(ToricRegionsError):
     "full-plane straight run" when that leg fails velocity validation, or
     "route" when no boundary route to a strip or gap target both arrives
     and validates.  A failed route's ``detail`` names the last candidate's
-    error: the description of a leg that failed validation, or "arrival"
-    when the legs ended away from the target.
+    error: the description of a leg that failed validation, "arrival" when
+    the legs ended away from the target, or the ``NoCrossing`` of a walk
+    whose x-space line left the positive quadrant.
     """
 
     def __init__(self, leg: str, detail: str = ""):

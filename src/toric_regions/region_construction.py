@@ -204,42 +204,64 @@ def compute_slope_classes(fan: Fan) -> SlopeClasses:
 
 @dataclass(frozen=True)
 class Segment:
-    """Straight x-space piece; slope None means vertical (x constant)."""
+    """Straight x-space piece along its generator's attracting direction."""
 
     start: LogPoint
     end: LogPoint
-    slope: Fraction | None
+    gen: LineGenerator
     region_index: int
     arm_sign: int
     end_sign: int = 0       # sign of the curve the piece terminates on
     crossing: bool = True   # False for closure extensions / joins
     kind: str = "segment"
 
+    @property
+    def slope(self) -> Fraction | None:
+        """x-space slope -q/p; None means vertical (x constant)."""
+        return self.gen.attracting_slope()
+
+    @property
+    def direction(self) -> tuple[int, int]:
+        """x-space direction (p, -q) of the piece's line, unoriented."""
+        return (self.gen.p, -self.gen.q)
+
     def reversed(self) -> "Segment":
-        return Segment(self.end, self.start, self.slope, self.region_index,
+        return Segment(self.end, self.start, self.gen, self.region_index,
                        self.arm_sign, self.end_sign, self.crossing)
 
-    def normal(self, fan: Fan) -> tuple[float, float]:
+    def normal(self) -> tuple[float, float]:
         """Constant outward x-space unit normal."""
-        g = fan.generators[self.region_index]
+        g = self.gen
         n = g.norm
         return (self.arm_sign * g.q / n, self.arm_sign * g.p / n)
 
+    def at(self, c: float, mirrored: bool) -> LogPoint:
+        """Point of the piece's line with log x = c (log y = c if mirrored).
+
+        The line is evaluated from the nearer endpoint; the mirrored case is
+        the same kernel call on the x<->y mirror.
+        """
+        a, b, g = self.start, self.end, self.gen
+        if mirrored:
+            if abs(c - b.Y) < abs(c - a.Y):
+                a = b
+            return LogPoint(_line_x_log(a.X, a.Y, -g.p / g.q, c), c)
+        if abs(c - b.X) < abs(c - a.X):
+            a = b
+        return LogPoint(c, _line_y_log(a.X, a.Y, -g.q / g.p, c))
+
     def point_at(self, u: float) -> LogPoint:
         """Point at fraction u of the dominant log-axis span."""
-        dX = self.end.X - self.start.X
-        dY = self.end.Y - self.start.Y
-        if self.slope is None:
-            return LogPoint(self.start.X, self.start.Y + u * dY)
-        s = float(self.slope)
-        if abs(dX) >= abs(dY):
-            X = self.start.X + u * dX
-            return LogPoint(X, _line_y_log(self.start, s, X))
-        Y = self.start.Y + u * dY
-        return LogPoint(_line_x_log(self.start, s, Y), Y)
+        a, b = self.start, self.end
+        if abs(b.X - a.X) < abs(b.Y - a.Y):
+            return self.at(a.Y + u * (b.Y - a.Y), True)
+        return self.at(a.X + u * (b.X - a.X), False)
 
-    def log_length(self) -> float:
-        return abs(self.end.X - self.start.X) + abs(self.end.Y - self.start.Y)
+
+def _scaled_reciprocals(pt: LogPoint, a: float, b: float) -> tuple[float, float]:
+    """(a/x, b/y) at pt, times min(x, y) so that neither part overflows."""
+    m = min(pt.X, pt.Y)
+    return (a * math.exp(m - pt.X), b * math.exp(m - pt.Y))
 
 
 @dataclass(frozen=True)
@@ -255,14 +277,10 @@ class Arc:
     end: LogPoint
     kind: str = "arc"
 
-    def reversed(self) -> "Arc":
-        return Arc(self.gen_index, self.h_sign, self.end, self.start)
-
     def normal_at(self, fan: Fan, pt: LogPoint) -> tuple[float, float]:
         """Outward x-space unit normal at a point of the arc."""
         g = fan.generators[self.gen_index]
-        nx = -g.p * math.exp(-pt.X)
-        ny = g.q * math.exp(-pt.Y)
+        nx, ny = _scaled_reciprocals(pt, -g.p, g.q)
         n = math.hypot(nx, ny)
         return (self.h_sign * nx / n, self.h_sign * ny / n)
 
@@ -270,53 +288,79 @@ class Arc:
         return LogPoint(self.start.X + u * (self.end.X - self.start.X),
                         self.start.Y + u * (self.end.Y - self.start.Y))
 
-    def log_length(self) -> float:
-        return abs(self.end.X - self.start.X) + abs(self.end.Y - self.start.Y)
+
+_EXP_SAFE = 700.0  # exponents below this keep e^(...) finite in the line kernel
 
 
-def _line_y_log(anchor: LogPoint, s: float, X: float) -> float:
-    """Log of y along the x-space line through anchor with slope s, at log-x X."""
-    # y = y0 + s*(x - x0) = y0 * (1 + s*e^(X0-Y0)*(e^(X-X0) - 1))
-    z = s * math.exp(anchor.X - anchor.Y) * math.expm1(X - anchor.X)
-    return anchor.Y + math.log1p(z)
+def _line_y_log(X0: float, Y0: float, s: float, X: float) -> float:
+    """Log of y at log-x X on the x-space line of slope s through (X0, Y0).
+
+    This is the one evaluation of an x-space line; log x at log-y Y is the
+    same call on the x<->y mirror (_line_x_log).
+
+    y = y0 * (1 + z) with z = s * e^(X0 - Y0) * expm1(X - X0).  The product
+    is formed directly while its exponents stay below _EXP_SAFE, and from
+    the sum of the logs of its factors beyond that.  Raises NoCrossing where
+    the line has left the positive quadrant (1 + z <= 0).
+    """
+    e = X0 - Y0
+    t = X - X0
+    if -_EXP_SAFE < e < _EXP_SAFE and t < _EXP_SAFE and e + t < _EXP_SAFE:
+        z = s * math.exp(e) * math.expm1(t)
+    elif s == 0.0 or t == 0.0:
+        return Y0
+    else:
+        # log|z|, with log|expm1(t)| = max(t, 0) + log(1 - e^-|t|).
+        lz = math.log(abs(s)) + e + max(t, 0.0) + math.log(-math.expm1(-abs(t)))
+        if lz > _EXP_SAFE and s * t > 0.0:
+            return Y0 + lz  # log1p(z) - lz = log1p(1/z) is below 1e-304
+        z = math.copysign(math.exp(min(lz, _EXP_SAFE)), s * t)
+    if z > -1.0:
+        return Y0 + math.log1p(z)
+    raise NoCrossing("the line leaves the positive quadrant")
 
 
-def _line_x_log(anchor: LogPoint, s: float, Y: float) -> float:
-    """Log of x along the same line, at log-y Y (s must be nonzero)."""
-    z = math.exp(anchor.Y - anchor.X) * math.expm1(Y - anchor.Y) / s
-    return anchor.X + math.log1p(z)
+def _line_x_log(X0: float, Y0: float, w: float, Y: float) -> float:
+    """Log of x at log-y Y on the x-space line through (X0, Y0) with
+    dx/dy = w: the kernel on the x<->y mirror."""
+    return _line_y_log(Y0, X0, w, Y)
 
 
 # ---------------------------------------------------------------------------
 # Segment / curve crossings
 
 
+_MAX_SPAN = 300.0  # log units the crossing search walks before giving up
+
+
 def _line_root(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
-               d: int, max_span: float) -> LogPoint:
+               d: int) -> LogPoint:
     """Root of g = q*Y - p*X - log_h on the x-space line through anchor with
     slope s, stepping along log x in direction d from the anchor.
 
     Brackets the first sign change with doubling steps, then bisects it.
     Raises NoCrossing if the ray exits the positive quadrant or exceeds
-    max_span first.
+    _MAX_SPAN first.
     """
-    t0 = anchor.X
+    X0, Y0 = anchor.X, anchor.Y
     limit = None
-    if s != 0.0:
-        z = -math.exp(anchor.Y - anchor.X) / s  # expm1(X - X0) where y = 0
-        if (d > 0 and s < 0.0) or (d < 0 and s > 0.0 and z > -1.0):
-            limit = anchor.X + math.log1p(z)
+    if s * d < 0.0:
+        # Ahead, y falls to 0: the line's log x at log y -> -inf.
+        try:
+            limit = _line_x_log(X0, Y0, 1.0 / s, -math.inf)
+        except NoCrossing:
+            pass
 
     def g(t: float) -> float:
-        return q * _line_y_log(anchor, s, t) - p * t - log_h
+        return q * _line_y_log(X0, Y0, s, t) - p * t - log_h
 
-    lo, glo = t0, g(t0)
+    lo, glo = X0, g(X0)
     if glo == 0.0:
         # Start lies exactly on the curve: the degenerate root at the start
         # never counts, so step past it before bracketing.
-        bump = 1e-9 * (1.0 + abs(t0))
+        bump = 1e-9 * (1.0 + abs(X0))
         for _ in range(8):
-            lo = t0 + d * bump
+            lo = X0 + d * bump
             glo = g(lo)
             if glo != 0.0:
                 break
@@ -331,8 +375,8 @@ def _line_root(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
             hi = lo + d * min(step, 0.5 * abs(limit - lo))
         else:
             hi = lo + d * step
-        if abs(hi - t0) > max_span:
-            raise NoCrossing(f"no crossing within {max_span} log units")
+        if abs(hi - X0) > _MAX_SPAN:
+            raise NoCrossing(f"no crossing within {_MAX_SPAN} log units")
         ghi = g(hi)
         if ghi == 0.0 or (glo > 0.0) != (ghi > 0.0):
             break
@@ -354,11 +398,11 @@ def _line_root(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
         if abs(hi - lo) <= 1e-14 * (1.0 + abs(mid)):
             break
     t = 0.5 * (lo + hi)
-    return LogPoint(t, _line_y_log(anchor, s, t))
+    return LogPoint(t, _line_y_log(X0, Y0, s, t))
 
 
 def _curve_cross_on_line(anchor: LogPoint, s: float, gen: LineGenerator,
-                         log_h: float, dx: int, max_span: float = 300.0) -> LogPoint:
+                         log_h: float, dx: int) -> LogPoint:
     """Crossing of the x-space line through anchor (slope s) with the curve
     q*Y - p*X = log_h, searching in x direction dx.
 
@@ -381,7 +425,7 @@ def _curve_cross_on_line(anchor: LogPoint, s: float, gen: LineGenerator,
     best_res = math.inf
     for mirrored, (a, slope, qk, pk, d) in enumerate(problems):
         try:
-            pt = _line_root(a, slope, qk, pk, log_h, d, max_span)
+            pt = _line_root(a, slope, qk, pk, log_h, d)
         except NoCrossing as exc:
             err = exc
             continue
@@ -398,30 +442,25 @@ def _curve_cross_on_line(anchor: LogPoint, s: float, gen: LineGenerator,
 
 
 def segment_curve_intersection(start, slope: float, generator: LineGenerator,
-                               h: float, direction: int | None = None,
-                               max_span: float = 300.0) -> PosPoint:
+                               h: float) -> PosPoint:
     """First crossing of the ray from start (x-space slope) with y^q = h x^p.
 
-    With direction None both orientations are tried (+x first); the starting
-    point itself never counts as a crossing.  Raises NoCrossing if no sign
-    change occurs before the ray leaves the positive quadrant or exceeds
-    max_span log units.
+    Both orientations are tried, +x first; the starting point itself never
+    counts as a crossing.  Raises NoCrossing if no sign change occurs before
+    the ray leaves the positive quadrant or exceeds _MAX_SPAN log units.
     """
     anchor = as_log(start)
     log_h = math.log(h)
-    dirs = (direction,) if direction in (1, -1) else (1, -1)
-    last = None
-    for dx in dirs:
+    for dx in (1, -1):
         try:
-            pt = _curve_cross_on_line(anchor, float(slope), generator, log_h, dx,
-                                      max_span=max_span)
+            pt = _curve_cross_on_line(anchor, float(slope), generator, log_h, dx)
         except NoCrossing as exc:
             last = exc
             continue
         if abs(pt.X - anchor.X) + abs(pt.Y - anchor.Y) > 1e-11:
             return pt.exp()
         last = NoCrossing("only the degenerate crossing at the start point")
-    raise last if last is not None else NoCrossing("no crossing found")
+    raise last
 
 
 def _strip_point(anchor: LogPoint, gen: LineGenerator, sigma: float) -> LogPoint:
@@ -436,7 +475,7 @@ def _strip_point(anchor: LogPoint, gen: LineGenerator, sigma: float) -> LogPoint
         return LogPoint(-sigma / p, anchor.Y)
     # Along +x on this line the strip coordinate moves with sign -sign(p).
     dx = _sign(q * anchor.Y - p * anchor.X - sigma) * _sign(p)
-    return _curve_cross_on_line(anchor, float(gen.attracting_slope()), gen, sigma, dx)
+    return _curve_cross_on_line(anchor, -q / p, gen, sigma, dx)
 
 
 def _crossing_segment(cur: LogPoint, region: UncertaintyRegion,
@@ -449,8 +488,7 @@ def _crossing_segment(cur: LogPoint, region: UncertaintyRegion,
         )
     target = -_sign(sigma0)
     end = _strip_point(cur, region.gen, target * region.delta_i)
-    return Segment(cur, end, region.gen.attracting_slope(), region.index,
-                   arm_sign, target)
+    return Segment(cur, end, region.gen, region.index, arm_sign, target)
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +553,11 @@ def connect_arcs(term_a: LogPoint, ia: int, sa: int,
 
 def _extend_segment(seg: Segment, coord: str, value: float) -> Segment:
     """Continue a crossing segment's x-space line until X (or Y) hits value."""
-    s = float(seg.slope) if seg.slope is not None else None
-    if coord == "X":
-        if s is None:
-            raise ConstructionFailed("closure", "cannot extend a vertical segment in X")
-        end = LogPoint(value, _line_y_log(seg.start, s, value))
-    else:
-        if s is None:
-            end = LogPoint(seg.start.X, value)
-        elif s == 0.0:
-            raise ConstructionFailed("closure", "cannot extend a horizontal segment in Y")
-        else:
-            end = LogPoint(_line_x_log(seg.start, s, value), value)
-    return Segment(seg.end, end, seg.slope, seg.region_index, seg.arm_sign,
-                   seg.end_sign, crossing=False)
+    mirrored = coord == "Y"
+    if (seg.gen.q if mirrored else seg.gen.p) == 0:
+        raise ConstructionFailed("closure", f"the segment's line keeps {coord} constant")
+    return Segment(seg.end, seg.at(value, mirrored), seg.gen, seg.region_index,
+                   seg.arm_sign, seg.end_sign, crossing=False)
 
 
 def _close_side(term_a: LogPoint, ia: int, sa: int, seg_a: Segment,
@@ -548,40 +577,26 @@ def _close_side(term_a: LogPoint, ia: int, sa: int, seg_a: Segment,
     if len(axis_hits) > 1:
         raise UnsupportedFan("closure point inside two axis strips")
     axisr = axis_hits[0]
-    horizontal = axisr.gen.is_horizontal
     arm = _sign(along_coordinate(meet, axisr.gen))
-    pieces: list = []
-    if horizontal:
-        ca, cb = term_a.X, term_b.X
-    else:
-        ca, cb = term_a.Y, term_b.Y
+    coord = "X" if axisr.gen.is_horizontal else "Y"
+    ca, cb = getattr(term_a, coord), getattr(term_b, coord)
     extreme = min(ca, cb) if arm < 0 else max(ca, cb)
-    coord = "X" if horizontal else "Y"
+    # The terminal short of the extreme continues its segment's line to it.
+    head, tail = [], []
     if (arm < 0 and ca > extreme + 1e-12) or (arm > 0 and ca < extreme - 1e-12):
         ext = _extend_segment(seg_a, coord, extreme)
-        join_start = ext.end
-        pieces.append(ext)
-        join_end = term_b
-        tail = None
+        head, term_a = [ext], ext.end
     elif (arm < 0 and cb > extreme + 1e-12) or (arm > 0 and cb < extreme - 1e-12):
         ext = _extend_segment(seg_b, coord, extreme)
-        join_start = term_a
-        join_end = ext.end
-        tail = ext.reversed()
-    else:
-        join_start, join_end, tail = term_a, term_b, None
+        tail, term_b = [ext.reversed()], ext.end
     # The join must span the axis strip completely.
-    for endpoint in (join_start, join_end):
+    for endpoint in (term_a, term_b):
         if abs(strip_coordinate(endpoint, axisr)) < axisr.delta_i - 1e-9:
             raise ConstructionFailed(
                 "closure", "axis-parallel join does not span the axis strip"
             )
-    join = Segment(join_start, join_end, None if horizontal else Fraction(0),
-                   axisr.index, arm, 0, crossing=False)
-    pieces.append(join)
-    if tail is not None:
-        pieces.append(tail)
-    return pieces, None, axisr.index
+    join = Segment(term_a, term_b, axisr.gen, axisr.index, arm, 0, crossing=False)
+    return head + [join] + tail, None, axisr.index
 
 
 # ---------------------------------------------------------------------------
@@ -702,30 +717,22 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
 
 
 def _segment_band_distance(seg: Segment, pt: LogPoint) -> float:
-    """Approximate log-space distance from a point to a segment piece."""
-    if seg.slope is None:
-        lo, hi = sorted((seg.start.Y, seg.end.Y))
-        d = abs(pt.X - seg.start.X)
-        if pt.Y < lo:
-            return math.hypot(d, lo - pt.Y)
-        if pt.Y > hi:
-            return math.hypot(d, pt.Y - hi)
-        return d
-    s = float(seg.slope)
-    # Clamp to the parameter range on the dominant axis.
-    if abs(seg.end.X - seg.start.X) >= abs(seg.end.Y - seg.start.Y):
-        lo, hi = sorted((seg.start.X, seg.end.X))
-        if not (lo - 1e-12 <= pt.X <= hi + 1e-12):
-            return min(math.hypot(pt.X - a.X, pt.Y - a.Y) for a in (seg.start, seg.end))
-    else:
-        lo, hi = sorted((seg.start.Y, seg.end.Y))
-        if not (lo - 1e-12 <= pt.Y <= hi + 1e-12):
-            return min(math.hypot(pt.X - a.X, pt.Y - a.Y) for a in (seg.start, seg.end))
-    # Residual of the x-space line equation, normalized by its log gradient.
-    a = seg.start
-    r = s * math.exp(a.X) * math.expm1(pt.X - a.X) - math.exp(a.Y) * math.expm1(pt.Y - a.Y)
-    grad = math.hypot(s * math.exp(pt.X), math.exp(pt.Y))
-    return abs(r) / grad if grad > 0.0 else 0.0
+    """Approximate log-space distance from a point to a segment piece.
+
+    Beyond the piece's span on its dominant log axis, the distance to the
+    nearer endpoint; within it, the distance to the tangent of the line's
+    log-space image at the line point level with pt on that axis.
+    """
+    a, b = seg.start, seg.end
+    mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
+    c, lo, hi = (pt.Y, a.Y, b.Y) if mirrored else (pt.X, a.X, b.X)
+    lo, hi = min(lo, hi), max(lo, hi)
+    if not (lo - 1e-12 <= c <= hi + 1e-12):
+        return min(math.hypot(pt.X - e.X, pt.Y - e.Y) for e in (a, b))
+    on = seg.at(min(max(c, lo), hi), mirrored)
+    # The x-space direction (p, -q) is (p/x, -q/y) in log space.
+    tx, ty = _scaled_reciprocals(on, *seg.direction)
+    return abs((pt.X - on.X) * ty - (pt.Y - on.Y) * tx) / math.hypot(tx, ty)
 
 
 def _arc_band_distance(arc: Arc, pt: LogPoint) -> float:
@@ -754,18 +761,7 @@ def _segment_ray_hit(seg: Segment, pt: LogPoint) -> bool:
     """
     y0, y1 = seg.start.Y, seg.end.Y
     lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
-    if not (lo <= pt.Y < hi):
-        return False
-    if seg.slope is None:
-        return seg.start.X > pt.X
-    s = float(seg.slope)
-    if s == 0.0:
-        return False
-    a = seg.start
-    z = math.exp(a.Y - a.X) * math.expm1(pt.Y - a.Y) / s
-    if z <= -1.0:
-        return False
-    return a.X + math.log1p(z) > pt.X
+    return lo <= pt.Y < hi and seg.at(pt.Y, True).X > pt.X
 
 
 def _arc_ray_hit(arc: Arc, fan: Fan, pt: LogPoint) -> bool:
@@ -808,7 +804,8 @@ _MIN_PIECE_SAMPLES = 4  # boundary samples on even the shortest piece
 
 def sample_boundary(boundary: RegionBoundary, total: int) -> list[tuple[LogPoint, object]]:
     """Deterministic interior samples of every piece, count ~ log length."""
-    lengths = [max(p.log_length(), 1e-12) for p in boundary.pieces]
+    lengths = [max(abs(p.end.X - p.start.X) + abs(p.end.Y - p.start.Y), 1e-12)
+               for p in boundary.pieces]
     whole = sum(lengths)
     out = []
     for piece, ln in zip(boundary.pieces, lengths):
@@ -1018,7 +1015,7 @@ def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
     witness = None
     for pt, piece in samples:
         if piece.kind == "segment":
-            n = piece.normal(fan)
+            n = piece.normal()
         else:
             n = piece.normal_at(fan, pt)
         rhs = rhs_bruteforce(pt, fan, boundary.delta)
@@ -1056,8 +1053,14 @@ def _suc_check(boundary: RegionBoundary) -> dict:
             "detail": "S^uc points outside the region"}
 
 
-def _xspace_slope(a: LogPoint, b: LogPoint) -> float:
-    return (math.exp(b.Y) - math.exp(a.Y)) / (math.exp(b.X) - math.exp(a.X))
+def _falls(a: LogPoint, b: LogPoint) -> bool:
+    """Does the x-space chord a-b have a strictly negative slope?
+
+    exp is increasing, so the log displacements carry the signs; a vertical
+    or flat chord does not fall.
+    """
+    dX, dY = b.X - a.X, b.Y - a.Y
+    return dX < 0.0 < dY or dY < 0.0 < dX
 
 
 def _cone_containment_check(boundary: RegionBoundary) -> dict:
@@ -1065,18 +1068,15 @@ def _cone_containment_check(boundary: RegionBoundary) -> dict:
     ch = boundary.chords()
     nm = boundary.start_max
     issues = []
-    s2 = _xspace_slope(*ch["l2"])
-    s3 = _xspace_slope(*ch["l3"])
-    if not (s2 < 0.0 and s3 < 0.0):
-        issues.append(f"l2/l3 slopes not negative: {s2:.3g}, {s3:.3g}")
+    rising = [name for name in ("l2", "l3") if not _falls(*ch[name])]
+    if rising:
+        issues.append(f"slopes of {'/'.join(rising)} not negative")
     tie = abs(nm.cx - nm.cy) <= _EXP_TOL
     if nm.cy >= nm.cx - _EXP_TOL:
-        s4 = _xspace_slope(*ch["l4"])
-        if not (s4 < 0.0 and boundary.anchors["Aq"].X < nm.log.X):
+        if not (_falls(*ch["l4"]) and boundary.anchors["Aq"].X < nm.log.X):
             issues.append("vertical-ray case: slope(l4) >= 0 or x_q >= N")
     if tie or nm.cx > nm.cy - _EXP_TOL:
-        s1 = _xspace_slope(*ch["l1"])
-        if not (s1 < 0.0 and boundary.anchors["Bu"].Y < nm.log.Y):
+        if not (_falls(*ch["l1"]) and boundary.anchors["Bu"].Y < nm.log.Y):
             issues.append("horizontal-ray case: slope(l1) >= 0 or y_u >= M")
     return {"passed": not issues, "worst": float(len(issues)),
             "detail": "; ".join(issues) or "cones contain the stated rays"}

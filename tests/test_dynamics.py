@@ -302,6 +302,26 @@ class TestReachWitness:
         assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
 
 
+    @pytest.mark.parametrize("target", [
+        (10.724911, 0.807701), (9.550168, -3.008221), (-6.248087, 12.081331),
+        (9.451584, 8.506706), (11.006854, 0.067787), (-4.193756, 10.382501),
+    ])
+    def test_axis_fan_gap_targets(self, target):
+        # Gap targets the two-ray finish could not reach: its corner left the
+        # quadrant or the target was not in the cone from it.  One straight
+        # x-space run from the candidate's corner arrives.
+        fan = Fan([(-1, 1), (1, 2), (2, 1), (1, 0)])
+        region = construct_region(fan, DELTA)
+        target = LogPoint(*target)
+        assert r_count(target, fan, DELTA) == 0
+        assert region_contains(region, target) == "inside"
+        traj = reach_witness(PosPoint(1.0, 1.0), target, fan, DELTA, region)
+        assert traj.legs[-1].description == "straight gap run"
+        assert traj.worst_violation <= 1e-9
+        end = traj.points[-1]
+        assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
+
+
 class TestXlineLeg:
     def test_log_y_dominant_walk(self):
         a, b = LogPoint(0.2, -0.5), LogPoint(0.7, 2.5)

@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from toric_regions.errors import DeltaTooSmall, NoCrossing, OutOfBand, UnsupportedFan
+from toric_regions.errors import (
+    DeltaTooSmall,
+    NoCrossing,
+    OutOfBand,
+    ToricRegionsError,
+    UnsupportedFan,
+)
 from toric_regions.fan_geometry import (
     Fan,
     LineGenerator,
@@ -12,7 +18,11 @@ from toric_regions.fan_geometry import (
     strip_coordinate,
 )
 from toric_regions.region_construction import (
+    Segment,
     _curve_cross_on_line,
+    _falls,
+    _line_x_log,
+    _line_y_log,
     _strip_point,
     choose_start_points,
     compute_slope_classes,
@@ -191,6 +201,112 @@ class TestCrossingSolver:
         # Strip coordinate -X; the attracting line is horizontal.
         pt = _strip_point(LogPoint(2.0, 5.0), LineGenerator(1, 0), 3.0)
         assert pt == LogPoint(-3.0, 5.0)
+
+
+def _log_sum_y(X0: float, Y0: float, s: float, X: float) -> float:
+    """log(y0 - s*x0 + s*x) as a signed log-sum-exp of its three terms."""
+    terms = [(1.0, Y0)]
+    if s != 0.0:
+        ls = math.log(abs(s))
+        terms += [(-math.copysign(1.0, s), ls + X0), (math.copysign(1.0, s), ls + X)]
+    m = max(lt for _, lt in terms)
+    return m + math.log(sum(sign * math.exp(lt - m) for sign, lt in terms))
+
+
+class TestLineKernel:
+    # x0 = 1, y0 = 2; every line below stays in the quadrant for x in XS.
+    ANCHOR = LogPoint(0.0, math.log(2.0))
+    XS = (0.25, 0.7, 1.3, 1.9)
+
+    @pytest.mark.parametrize("s", [0.5, -0.5, 2.0, -2.0, 0.0])
+    def test_points_on_the_line(self, s):
+        a = self.ANCHOR
+        for x in self.XS:
+            pt = LogPoint(math.log(x), _line_y_log(a.X, a.Y, s, math.log(x)))
+            assert _on_xline(pt, a, s)
+            if s != 0.0:
+                # x at the same y is the same call on the x<->y mirror.
+                X = _line_x_log(a.X, a.Y, 1.0 / s, pt.Y)
+                assert X == _line_y_log(a.Y, a.X, 1.0 / s, pt.Y)
+                assert X == pytest.approx(pt.X, abs=1e-12)
+                assert _on_xline(LogPoint(X, pt.Y), a, s)
+
+    def test_vertical_direction(self):
+        # x = x0: the mirror has slope 0, so log x stays X0 at every log y.
+        a = self.ANCHOR
+        for Y in (-30.0, -1.0, 0.5, 40.0):
+            assert _line_x_log(a.X, a.Y, 0.0, Y) == a.X
+
+    @pytest.mark.parametrize("X0, Y0, s", [
+        (800.0, 0.0, 0.5), (800.0, 0.0, 2.0), (0.0, 800.0, -2.0), (0.0, 800.0, 0.5),
+    ])
+    def test_far_from_the_diagonal(self, X0, Y0, s):
+        # X0 - Y0 = +-800 and X - X0 = 750: the product form would overflow.
+        X = X0 + 750.0
+        Y = _line_y_log(X0, Y0, s, X)
+        assert math.isfinite(Y)
+        assert Y == pytest.approx(_log_sum_y(X0, Y0, s, X), rel=1e-12)
+
+    def test_past_the_quadrant_exit(self):
+        # y = 2 - x through (1, 1) reaches y = 0 at x = 2.
+        with pytest.raises(NoCrossing):
+            _line_y_log(0.0, 0.0, -1.0, math.log(2.5))
+        # Beyond the product form: y = 1 - (e^1550 - e^800)/2 < 0.
+        with pytest.raises(NoCrossing):
+            _line_y_log(800.0, 0.0, -0.5, 1550.0)
+        # The exit itself is the mirror's value at log y -> -inf.
+        assert _line_x_log(0.0, 0.0, -1.0, -math.inf) == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_falls_reads_signs(self):
+        o = LogPoint(0.0, 0.0)
+        assert _falls(o, LogPoint(1.0, -800.0)) and _falls(o, LogPoint(-900.0, 1.0))
+        # Rising, vertical and flat chords do not fall.
+        for b in (LogPoint(1.0, 1.0), LogPoint(0.0, 5.0), LogPoint(5.0, 0.0)):
+            assert not _falls(o, b)
+
+    def test_segment_evaluates_from_the_nearer_end(self):
+        # y = 1 - x from x = e^-30 to 1e-10 short of the quadrant exit.  From
+        # the far end, y near the exit is 1 + z with z ~ -1 + 1e-10, which
+        # loses about 1e-5 in log y.
+        start = LogPoint(-30.0, math.log1p(-math.exp(-30.0)))
+        end = LogPoint(math.log1p(-1e-10), math.log(1e-10))
+        seg = Segment(start, end, LineGenerator(1, 1), 0, 1)
+        for u in (0.5, 0.999999, 1.0):
+            pt = seg.point_at(u)
+            assert pt.Y == pytest.approx(math.log(-math.expm1(pt.X)), abs=1e-12)
+
+    def test_segments_evaluate_on_their_lines(self, worked_region):
+        for segs in worked_region.polylines.values():
+            for seg in segs:
+                for u, end in ((0.0, seg.start), (1.0, seg.end)):
+                    pt = seg.point_at(u)
+                    assert (pt.X, pt.Y) == pytest.approx((end.X, end.Y), abs=1e-12)
+                assert _on_xline(seg.point_at(0.5), seg.start, float(seg.slope))
+
+
+# Atlas cases that once leaked a bare OverflowError, ValueError or
+# ZeroDivisionError: x-space lines evaluated near the quadrant edge, the
+# vertical chord l3 in the cone check (delta = 10), and exp overflow in the
+# crossing search (delta = 100).
+LEAK_CASES = (
+    [(((-2, 1), (2, 3), (1, 1), (-1, 1), (-3, 1), (0, 1)), d) for d in (0.5, 1.0, 3.0, 10.0)]
+    + [(gens, 10.0) for gens in (
+        ((-1, 1), (1, 3), (3, 1), (2, 1)),
+        ((-1, 1), (2, 3), (2, 1), (1, 3), (3, 2)),
+        ((-3, 2), (1, 3), (3, 1), (1, 1), (-1, 1), (2, 1)),
+        ((-2, 3), (1, 3), (2, 1), (3, 2), (0, 1), (-3, 2)),
+    )]
+    + [(((-1, 1), (1, 3), (3, 1), (2, 1)), 100.0)]
+)
+
+
+@pytest.mark.parametrize("gens, delta", LEAK_CASES)
+def test_atlas_leak_cases_end_documented(gens, delta):
+    try:
+        region = construct_region(Fan(gens), delta)
+    except ToricRegionsError:
+        return
+    assert all(v["passed"] for v in region.report.values())
 
 
 class TestWorkedConstruction:

@@ -1,9 +1,19 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import toric_regions
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_src_stats_reports_every_module():
@@ -27,3 +37,18 @@ def test_src_stats_counts_parameters_with_defaults(tmp_path):
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "src_stats.py"), str(tmp_path)],
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out)["modules"]["mod.py"] == {"lines": 4, "keyword_options": 3}
+
+
+def test_atlas_outcomes_case_record():
+    tool = _load_tool("atlas_outcomes")
+    ok = tool.case_record([(-1, 1), (1, 2), (2, 1)], 3.0, "validated", toric_regions)
+    assert ok == {"gens": [[-1, 1], [1, 2], [2, 1]], "delta": 3.0, "seed": "validated",
+                  "outcome": "validated", "site": None}
+    # A defect-census case: the seed commit leaked a bare ValueError here.
+    gens = [(-2, 1), (2, 3), (1, 1), (-1, 1), (-3, 1), (0, 1)]
+    rec = tool.case_record(gens, 1.0, "bare:ValueError", toric_regions)
+    assert rec["seed"] == "bare:ValueError"
+    assert not rec["outcome"].startswith("bare:") and rec["site"] is None
+    # A bare exception is named with the function that raised it.
+    bad = tool.case_record([(-1, 1), (1, 2), (2, 1)], "3", "validated", toric_regions)
+    assert bad["outcome"] == "bare:TypeError" and bad["site"]
