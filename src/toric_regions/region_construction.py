@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     ArcsDontMeet,
     ConstructionFailed,
@@ -259,9 +261,12 @@ class Segment:
 
 
 def _scaled_reciprocals(pt: LogPoint, a: float, b: float) -> tuple[float, float]:
-    """(a/x, b/y) at pt, times min(x, y) so that neither part overflows."""
-    m = min(pt.X, pt.Y)
-    return (a * math.exp(m - pt.X), b * math.exp(m - pt.Y))
+    """(a/x, b/y) at pt, divided by the larger of |a|/x and |b|/y, so that
+    neither part overflows and the larger has magnitude 1."""
+    la = math.log(abs(a)) - pt.X if a else -math.inf
+    lb = math.log(abs(b)) - pt.Y if b else -math.inf
+    m = max(la, lb)
+    return (math.copysign(math.exp(la - m), a), math.copysign(math.exp(lb - m), b))
 
 
 @dataclass(frozen=True)
@@ -330,137 +335,69 @@ def _line_x_log(X0: float, Y0: float, w: float, Y: float) -> float:
 # Segment / curve crossings
 
 
-_MAX_SPAN = 300.0  # log units the crossing search walks before giving up
-
-
-def _line_root(anchor: LogPoint, s: float, q: int, p: int, log_h: float,
-               d: int) -> LogPoint:
+def _line_root(anchor: LogPoint, q: int, p: int, log_h: float) -> LogPoint:
     """Root of g = q*Y - p*X - log_h on the x-space line through anchor with
-    slope s, stepping along log x in direction d from the anchor.
+    slope -q/p, by bisection in log x.
 
-    Brackets the first sign change with doubling steps, then bisects it.
-    Raises NoCrossing if the ray exits the positive quadrant or exceeds
-    _MAX_SPAN first.
+    On that line g is strictly monotone in log x with |dg/dX| >= |p|, so
+    the root lies between the anchor's X0 and X0 + g(X0)/p.  A point past
+    the quadrant exit (where y reaches 0) reads g = -sign(q)*inf.  The
+    bisection stops when the midpoint equals an end, and returns the end
+    with the smaller |g|.
     """
     X0, Y0 = anchor.X, anchor.Y
-    limit = None
-    if s * d < 0.0:
-        # Ahead, y falls to 0: the line's log x at log y -> -inf.
-        try:
-            limit = _line_x_log(X0, Y0, 1.0 / s, -math.inf)
-        except NoCrossing:
-            pass
+    s = -q / p
 
     def g(t: float) -> float:
-        return q * _line_y_log(X0, Y0, s, t) - p * t - log_h
+        try:
+            return q * _line_y_log(X0, Y0, s, t) - p * t - log_h
+        except NoCrossing:
+            return -math.copysign(math.inf, q)
 
-    lo, glo = X0, g(X0)
-    if glo == 0.0:
-        # Start lies exactly on the curve: the degenerate root at the start
-        # never counts, so step past it before bracketing.
-        bump = 1e-9 * (1.0 + abs(X0))
-        for _ in range(8):
-            lo = X0 + d * bump
-            glo = g(lo)
-            if glo != 0.0:
-                break
-            bump *= 4.0
-        else:
-            raise NoCrossing("ray lies on the curve")
-    step = 0.25
-    for _ in range(200):
-        if limit is not None:
-            if abs(limit - lo) <= 1e-14 * (1.0 + abs(limit)):
-                raise NoCrossing("ray exits the positive quadrant before the curve")
-            hi = lo + d * min(step, 0.5 * abs(limit - lo))
-        else:
-            hi = lo + d * step
-        if abs(hi - X0) > _MAX_SPAN:
-            raise NoCrossing(f"no crossing within {_MAX_SPAN} log units")
-        ghi = g(hi)
-        if ghi == 0.0 or (glo > 0.0) != (ghi > 0.0):
-            break
-        lo, glo = hi, ghi
-        step *= 2.0
-    else:
-        raise NoCrossing("no sign change found while bracketing")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    g0 = q * Y0 - p * X0 - log_h
+    a, ga = X0, g0
+    b = X0 + g0 / p
+    gb = g(b)
+    mid = 0.5 * (a + b)
+    while a != mid != b:
         gm = g(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
+        if (gm > 0.0) == (g0 > 0.0):
+            a, ga = mid, gm
         else:
-            hi = mid
-        if abs(hi - lo) <= 1e-14 * (1.0 + abs(mid)):
-            break
-    t = 0.5 * (lo + hi)
+            b, gb = mid, gm
+        mid = 0.5 * (a + b)
+    t = a if abs(ga) <= abs(gb) else b
     return LogPoint(t, _line_y_log(X0, Y0, s, t))
 
 
-def _curve_cross_on_line(anchor: LogPoint, s: float, gen: LineGenerator,
-                         log_h: float, dx: int) -> LogPoint:
-    """Crossing of the x-space line through anchor (slope s) with the curve
-    q*Y - p*X = log_h, searching in x direction dx.
+def _curve_cross_on_line(anchor: LogPoint, gen: LineGenerator, log_h: float) -> LogPoint:
+    """Crossing of the x-space line through anchor along gen's attracting
+    slope -q/p with the curve q*Y - p*X = log_h.
 
-    The search runs along log x first.  Near the quadrant corners that
-    parametrization degenerates, so when it finds no crossing or leaves a
-    residual above 1e-11*(1 + |log_h|), the search is repeated along log y.
-    That second search is the first one applied to the mirrored problem:
-    swapping x and y turns the anchor (X0, Y0) into (Y0, X0), the slope s
-    into 1/s, the search direction dx into dx*sign(s), and the curve
-    q*Y - p*X = log_h into (-p)*Y' - (-q)*X' = log_h.  Its root is swapped
-    back, and the answer with the smaller residual wins.
+    The bisection runs along log x first.  Near the quadrant corners that
+    parametrization degenerates, so when it leaves a residual above
+    1e-11*(1 + |log_h|), it is repeated along log y.  That second search is
+    the first one applied to the mirrored problem: swapping x and y turns
+    the anchor (X0, Y0) into (Y0, X0), the slope -q/p into -p/q, and the
+    curve q*Y - p*X = log_h into (-p)*Y' - (-q)*X' = log_h.  Its root is
+    swapped back, and the answer with the smaller residual wins.
     """
     p, q = gen.p, gen.q
-    # (anchor, slope, q, p, direction) of the problem, then of its mirror.
-    problems = [(anchor, s, q, p, dx)]
-    if s != 0.0:
-        problems.append((LogPoint(anchor.Y, anchor.X), 1.0 / s, -p, -q, dx * _sign(s)))
-    err: Exception | None = None
-    best: LogPoint | None = None
-    best_res = math.inf
-    for mirrored, (a, slope, qk, pk, d) in enumerate(problems):
-        try:
-            pt = _line_root(a, slope, qk, pk, log_h, d)
-        except NoCrossing as exc:
-            err = exc
-            continue
-        if mirrored:
-            pt = LogPoint(pt.Y, pt.X)
-        res = abs(q * pt.Y - p * pt.X - log_h)
-        if res < best_res:
-            best, best_res = pt, res
-        if res <= 1e-11 * (1.0 + abs(log_h)):
-            return pt
-    if best is not None:
-        return best
-    raise err if err is not None else NoCrossing("no crossing found")
+
+    def residual(pt: LogPoint) -> float:
+        return abs(q * pt.Y - p * pt.X - log_h)
+
+    pt = _line_root(anchor, q, p, log_h)
+    if residual(pt) > 1e-11 * (1.0 + abs(log_h)):
+        m = _line_root(LogPoint(anchor.Y, anchor.X), -p, -q, log_h)
+        pt = min(pt, LogPoint(m.Y, m.X), key=residual)
+    return pt
 
 
-def segment_curve_intersection(start, slope: float, generator: LineGenerator,
-                               h: float) -> PosPoint:
-    """First crossing of the ray from start (x-space slope) with y^q = h x^p.
-
-    Both orientations are tried, +x first; the starting point itself never
-    counts as a crossing.  Raises NoCrossing if no sign change occurs before
-    the ray leaves the positive quadrant or exceeds _MAX_SPAN log units.
-    """
-    anchor = as_log(start)
-    log_h = math.log(h)
-    for dx in (1, -1):
-        try:
-            pt = _curve_cross_on_line(anchor, float(slope), generator, log_h, dx)
-        except NoCrossing as exc:
-            last = exc
-            continue
-        if abs(pt.X - anchor.X) + abs(pt.Y - anchor.Y) > 1e-11:
-            return pt.exp()
-        last = NoCrossing("only the degenerate crossing at the start point")
-    raise last
+def segment_curve_intersection(start, generator: LineGenerator, h: float) -> PosPoint:
+    """Crossing of the x-space line through start along the generator's
+    attracting slope -q/p with the curve y^q = h x^p."""
+    return _strip_point(as_log(start), generator, math.log(h)).exp()
 
 
 def _strip_point(anchor: LogPoint, gen: LineGenerator, sigma: float) -> LogPoint:
@@ -473,9 +410,7 @@ def _strip_point(anchor: LogPoint, gen: LineGenerator, sigma: float) -> LogPoint
     if q == 0:
         # Vertical generator: horizontal line, -p*X = sigma.
         return LogPoint(-sigma / p, anchor.Y)
-    # Along +x on this line the strip coordinate moves with sign -sign(p).
-    dx = _sign(q * anchor.Y - p * anchor.X - sigma) * _sign(p)
-    return _curve_cross_on_line(anchor, -q / p, gen, sigma, dx)
+    return _curve_cross_on_line(anchor, gen, sigma)
 
 
 def _crossing_segment(cur: LogPoint, region: UncertaintyRegion,
@@ -920,6 +855,9 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float,
 # Single-delta validation battery
 
 
+_LOOP_CHORDS = 32  # chords per piece in the simple-loop test
+
+
 def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
     pieces = boundary.pieces
     worst = 0.0
@@ -929,48 +867,33 @@ def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
         worst = max(worst, gap)
     closed = {"passed": worst <= 1e-9, "worst": worst, "detail": "max endpoint gap"}
 
-    # Approximate simplicity test on dense polylines with bbox prefiltering.
-    chains = []
-    for piece in pieces:
-        n = 32
-        chains.append([piece.point_at(i / n) for i in range(n + 1)])
+    # Approximate simplicity test: each piece is a chain of _LOOP_CHORDS
+    # chords, and two pieces cross when a chord of one meets a chord of the
+    # other strictly inside both (contact at shared anchors does not count).
+    # Each piece is tested at once against every later piece whose bounding
+    # box meets its own.
+    n = _LOOP_CHORDS
+    chains = np.array([[(pt.X, pt.Y) for pt in (piece.point_at(i / n) for i in range(n + 1))]
+                       for piece in pieces])
+    lo, hi = chains.min(axis=1), chains.max(axis=1)
+    starts, steps = chains[:, :-1], np.diff(chains, axis=1)
+    eps = 1e-9
     bad = 0
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            adjacent = (b == a + 1) or (a == 0 and b == len(pieces) - 1)
-            ca, cb = chains[a], chains[b]
-            if _chains_cross(ca, cb, skip_endpoints=adjacent):
-                bad += 1
+    for a in range(len(pieces) - 1):
+        near = a + 1 + np.flatnonzero(np.all((hi[a + 1:] >= lo[a] - 1e-9)
+                                             & (lo[a + 1:] <= hi[a] + 1e-9), axis=1))
+        # Chord i of piece a against chord j of each near piece: (piece, i, j).
+        p1, d1 = starts[a, :, None], steps[a, :, None]
+        p3, d2 = starts[near, None], steps[near, None]
+        e = p3 - p1
+        den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (e[..., 0] * d2[..., 1] - e[..., 1] * d2[..., 0]) / den
+            u = (e[..., 0] * d1[..., 1] - e[..., 1] * d1[..., 0]) / den
+        hit = (np.abs(den) >= 1e-300) & (eps < t) & (t < 1.0 - eps) & (eps < u) & (u < 1.0 - eps)
+        bad += int(np.count_nonzero(hit.any(axis=(1, 2))))
     simple = {"passed": bad == 0, "worst": float(bad), "detail": "crossing piece pairs"}
     return closed, simple
-
-
-def _chains_cross(ca, cb, skip_endpoints: bool) -> bool:
-    min_ax = min(p.X for p in ca) - 1e-9
-    max_ax = max(p.X for p in ca) + 1e-9
-    min_ay = min(p.Y for p in ca) - 1e-9
-    max_ay = max(p.Y for p in ca) + 1e-9
-    if (max(p.X for p in cb) < min_ax or min(p.X for p in cb) > max_ax
-            or max(p.Y for p in cb) < min_ay or min(p.Y for p in cb) > max_ay):
-        return False
-    # Strict-interior test: contact at shared anchors does not count.
-    eps = 1e-9
-    for i in range(len(ca) - 1):
-        for j in range(len(cb) - 1):
-            if _seg_intersect(ca[i], ca[i + 1], cb[j], cb[j + 1], eps):
-                return True
-    return False
-
-
-def _seg_intersect(p1, p2, p3, p4, eps) -> bool:
-    d1x, d1y = p2.X - p1.X, p2.Y - p1.Y
-    d2x, d2y = p4.X - p3.X, p4.Y - p3.Y
-    den = d1x * d2y - d1y * d2x
-    if abs(den) < 1e-300:
-        return False
-    t = ((p3.X - p1.X) * d2y - (p3.Y - p1.Y) * d2x) / den
-    u = ((p3.X - p1.X) * d1y - (p3.Y - p1.Y) * d1x) / den
-    return eps < t < 1.0 - eps and eps < u < 1.0 - eps
 
 
 def _chain_strictly_increasing(slopes: list[Fraction]) -> bool:
@@ -1082,33 +1005,39 @@ def _cone_containment_check(boundary: RegionBoundary) -> dict:
             "detail": "; ".join(issues) or "cones contain the stated rays"}
 
 
+def _log_mix(a: float, b: float, u: float) -> float:
+    """log((1 - u)*e^a + u*e^b), without forming e^a or e^b."""
+    m = max(a, b)
+    return m + math.log((1.0 - u) * math.exp(a - m) + u * math.exp(b - m))
+
+
 def _chords_inside_check(boundary: RegionBoundary) -> dict:
     bad = []
     for name, (a, b) in boundary.chords().items():
-        ax, ay = math.exp(a.X), math.exp(a.Y)
-        bx, by = math.exp(b.X), math.exp(b.Y)
         for u in (0.25, 0.5, 0.75):
-            px, py = ax + u * (bx - ax), ay + u * (by - ay)
-            if region_contains(boundary, PosPoint(px, py), band=1e-7) == "outside":
+            pt = LogPoint(_log_mix(a.X, b.X, u), _log_mix(a.Y, b.Y, u))
+            if region_contains(boundary, pt, band=1e-7) == "outside":
                 bad.append((name, u))
     return {"passed": not bad, "worst": float(len(bad)),
             "detail": f"chord points outside: {bad}" if bad else "chords inside"}
 
 
-def _arc_monotonicity_check(boundary: RegionBoundary, n: int = 64) -> dict:
-    """Tangent slopes along every arc must vary strictly monotonically."""
-    fan = boundary.fan
+_ARC_SAMPLES = 64  # points per arc in the tangent monotonicity check
+
+
+def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
+    """Tangent slopes along every arc must vary strictly monotonically.
+
+    On y^q = h x^p the tangent slope is the constant p/q times e^(Y - X).
+    Arcs lie only on generators off the axes, so p/q is nonzero and the
+    slope is strictly monotone exactly where Y - X is.
+    """
     bad = []
     for arc in boundary.arcs:
-        g = fan.generators[arc.gen_index]
-        if g.q == 0:
-            continue  # vertical tangents throughout
-        slopes = []
-        for k in range(n + 1):
-            pt = arc.point_at(k / n)
-            slopes.append((g.p / g.q) * math.exp(pt.Y - pt.X))
-        inc = all(a < b for a, b in zip(slopes, slopes[1:]))
-        dec = all(a > b for a, b in zip(slopes, slopes[1:]))
+        d = [pt.Y - pt.X for pt in (arc.point_at(k / _ARC_SAMPLES)
+                                    for k in range(_ARC_SAMPLES + 1))]
+        inc = all(a < b for a, b in zip(d, d[1:]))
+        dec = all(a > b for a, b in zip(d, d[1:]))
         if not (inc or dec):
             bad.append(arc.gen_index)
     return {"passed": not bad, "worst": float(len(bad)),

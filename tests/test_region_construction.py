@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,11 +19,16 @@ from toric_regions.fan_geometry import (
     strip_coordinate,
 )
 from toric_regions.region_construction import (
+    Arc,
     Segment,
     _curve_cross_on_line,
     _falls,
     _line_x_log,
     _line_y_log,
+    _log_mix,
+    _loop_checks,
+    _scaled_reciprocals,
+    _segment_band_distance,
     _strip_point,
     choose_start_points,
     compute_slope_classes,
@@ -147,28 +153,14 @@ class TestSlopeClasses:
 class TestSegmentCurveIntersection:
     def test_linear_curve_closed_form(self):
         gen = normalize_generator(1, 1)
-        pt = segment_curve_intersection(PosPoint(3.0, 4.0), -1.0, gen, math.e)
+        pt = segment_curve_intersection(PosPoint(3.0, 4.0), gen, math.e)
         assert pt.x == pytest.approx(7.0 / (1.0 + math.e), rel=1e-10)
         assert pt.y == pytest.approx(7.0 * math.e / (1.0 + math.e), rel=1e-10)
-
-    def test_quadratic_curve_closed_form(self):
-        gen = normalize_generator(1, 2)
-        pt = segment_curve_intersection(PosPoint(4.0, 0.5), 1.0, gen, 1.0)
-        assert pt.x == pytest.approx((8.0 + math.sqrt(15.0)) / 2.0, rel=1e-10)
-        assert pt.y == pytest.approx(pt.x - 3.5, rel=1e-10)
-        assert pt.y * pt.y == pytest.approx(pt.x, rel=1e-9)
-
-    def test_tangent_start_raises(self):
-        # Start on y^2 = x with the tangent slope 1/(2y): only the
-        # degenerate contact exists.
-        gen = normalize_generator(1, 2)
-        with pytest.raises(NoCrossing):
-            segment_curve_intersection(PosPoint(4.0, 2.0), 0.25, gen, 1.0)
 
     def test_huge_coordinates(self):
         gen = normalize_generator(1, 1)
         start = LogPoint(60.0, 60.0).exp()
-        pt = segment_curve_intersection(start, -1.0, gen, math.exp(3.0))
+        pt = segment_curve_intersection(start, gen, math.exp(3.0))
         res = math.log(pt.y) - math.log(pt.x) - 3.0
         assert abs(res) < 1e-9
 
@@ -182,12 +174,12 @@ def _on_xline(pt: LogPoint, anchor: LogPoint, s: float) -> bool:
 class TestCrossingSolver:
     def test_log_y_branch(self):
         # From the worked fan at delta = 3: the crossing sits near the x-axis,
-        # where the search along log x stalls at a residual of ~1e-6 and only
+        # where the search along log x stalls at a residual of ~4e-8 and only
         # the mirrored search along log y meets the tolerance.
         anchor = LogPoint(7.113170628689126, 0.20248334812051194)
         gen = LineGenerator(-1, 1)
         log_h = -3.0 * SQRT2
-        pt = _curve_cross_on_line(anchor, 1.0, gen, log_h, -1)
+        pt = _curve_cross_on_line(anchor, gen, log_h)
         assert abs(gen.q * pt.Y - gen.p * pt.X - log_h) <= 1e-11 * (1.0 + abs(log_h))
         assert _on_xline(pt, anchor, 1.0)
         assert pt.X < anchor.X
@@ -264,6 +256,14 @@ class TestLineKernel:
         for b in (LogPoint(1.0, 1.0), LogPoint(0.0, 5.0), LogPoint(5.0, 0.0)):
             assert not _falls(o, b)
 
+    def test_log_mix_is_the_log_of_the_x_space_mix(self):
+        for a, b in ((0.3, 2.0), (-1.0, 0.5), (4.0, -3.0)):
+            for u in (0.25, 0.5, 0.75):
+                x = (1.0 - u) * math.exp(a) + u * math.exp(b)
+                assert _log_mix(a, b, u) == pytest.approx(math.log(x), rel=1e-14)
+        # e^800 itself would overflow.
+        assert _log_mix(800.0, -800.0, 0.5) == pytest.approx(800.0 + math.log(0.5), rel=1e-15)
+
     def test_segment_evaluates_from_the_nearer_end(self):
         # y = 1 - x from x = e^-30 to 1e-10 short of the quadrant exit.  From
         # the far end, y near the exit is 1 + z with z ~ -1 + 1e-10, which
@@ -274,6 +274,13 @@ class TestLineKernel:
         for u in (0.5, 0.999999, 1.0):
             pt = seg.point_at(u)
             assert pt.Y == pytest.approx(math.log(-math.expm1(pt.X)), abs=1e-12)
+
+    def test_axis_segment_far_from_the_diagonal(self):
+        # A vertical x-space segment (generator (0, 1)) at X - Y = -800: the
+        # tangent of its log image is (0, -1) and must not underflow to zero.
+        assert _scaled_reciprocals(LogPoint(0.0, 800.0), 0, -1) == (0.0, -1.0)
+        seg = Segment(LogPoint(0.0, 790.0), LogPoint(0.0, 810.0), LineGenerator(0, 1), 0, 1)
+        assert _segment_band_distance(seg, LogPoint(1.0, 800.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_segments_evaluate_on_their_lines(self, worked_region):
         for segs in worked_region.polylines.values():
@@ -329,6 +336,14 @@ class TestWorkedConstruction:
         a1 = worked_region.polylines["I1"][0].end
         assert a1.X == pytest.approx(math.log(x), abs=1e-9)
         assert a1.Y == pytest.approx(math.log(y), abs=1e-9)
+
+    def test_validates_at_delta_100(self):
+        # The second I1 segment runs from X = 0.20 to X = -365.4, farther
+        # than a fixed 300-log-unit crossing search would reach.
+        b = construct_region(Fan(WORKED_GENS), 100.0)
+        assert all(v["passed"] for v in b.report.values())
+        seg = b.polylines["I1"][1]
+        assert (seg.start.X, seg.end.X) == pytest.approx((0.2027, -365.434), abs=1e-3)
 
     def test_segment_slopes(self, worked_region):
         slopes = {name: [str(s.slope) for s in segs]
@@ -409,6 +424,62 @@ class TestSpecialCases:
     def test_small_delta_rejected(self):
         with pytest.raises(DeltaTooSmall):
             construct_region(Fan(WORKED_GENS), 0.05)
+
+
+def _crossing_pairs_reference(pieces) -> int:
+    """Piece pairs that cross, by the scalar chord-by-chord loop that the
+    array form of _loop_checks replaced (same formulas, same tolerances)."""
+    chains = [[pc.point_at(i / 32) for i in range(33)] for pc in pieces]
+
+    def meet(p1, p2, p3, p4) -> bool:
+        d1x, d1y = p2.X - p1.X, p2.Y - p1.Y
+        d2x, d2y = p4.X - p3.X, p4.Y - p3.Y
+        den = d1x * d2y - d1y * d2x
+        if abs(den) < 1e-300:
+            return False
+        t = ((p3.X - p1.X) * d2y - (p3.Y - p1.Y) * d2x) / den
+        u = ((p3.X - p1.X) * d1y - (p3.Y - p1.Y) * d1x) / den
+        return 1e-9 < t < 1.0 - 1e-9 and 1e-9 < u < 1.0 - 1e-9
+
+    bad = 0
+    for a in range(len(chains)):
+        for b in range(a + 1, len(chains)):
+            ca, cb = chains[a], chains[b]
+            if (max(p.X for p in cb) < min(p.X for p in ca) - 1e-9
+                    or min(p.X for p in cb) > max(p.X for p in ca) + 1e-9
+                    or max(p.Y for p in cb) < min(p.Y for p in ca) - 1e-9
+                    or min(p.Y for p in cb) > max(p.Y for p in ca) + 1e-9):
+                continue
+            bad += any(meet(ca[i], ca[i + 1], cb[j], cb[j + 1])
+                       for i in range(32) for j in range(32))
+    return bad
+
+
+def _log_loop(*corners) -> SimpleNamespace:
+    """A closed loop of straight log-space pieces through the corners."""
+    pts = [LogPoint(*c) for c in corners]
+    return SimpleNamespace(pieces=tuple(Arc(0, 1, a, b) for a, b in zip(pts, pts[1:] + pts[:1])))
+
+
+class TestLoopChecks:
+    def test_bow_tie_crosses_once(self):
+        closed, simple = _loop_checks(_log_loop((0, 0), (3, 2), (3, 0), (0, 1.7)))
+        assert closed["passed"] and closed["worst"] == 0.0
+        assert not simple["passed"] and simple["worst"] == 1.0
+
+    def test_touching_corners_do_not_cross(self):
+        # Two triangles that share only the corner (1, 1).
+        loop = _log_loop((0, 0), (1, 1), (2, 0), (2.5, 2), (1, 1), (0, 2.2))
+        assert _loop_checks(loop)[1]["worst"] == 0.0
+
+    @pytest.mark.parametrize("gens, delta", [
+        (WORKED_GENS, 3.0), (WORKED_GENS, 100.0), ([(1, 2), (2, 1)], 1.0),
+        ([(1, 2), (2, 1), (-1, 1), (0, 1)], 3.0), ([(-2, 1), (2, 3), (1, 1)], 0.5),
+        ([(-1, 1), (1, 3), (3, 1), (2, 1)], 10.0),
+    ])
+    def test_matches_the_scalar_loop(self, gens, delta):
+        b = construct_region(Fan(gens), delta, validate=False)
+        assert _loop_checks(b)[1]["worst"] == float(_crossing_pairs_reference(b.pieces))
 
 
 class TestHullAndPhi:
