@@ -35,9 +35,9 @@ from .region_construction import (
     IntersectionPoint,
     RegionBoundary,
     Segment,
-    _line_y_log,
     _sign,
     _strip_point,
+    _xline_at,
     region_contains,
 )
 from .tdi_rhs import rhs_bruteforce, rhs_classified
@@ -96,15 +96,21 @@ def _reversible(source, target, k_fwd: float, k_bwd: float) -> list[Reaction]:
     ]
 
 
-def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
-    """Sum over edges of k * x^source * (target - source), in x-space."""
-    pt = as_log(point)
-    fx = fy = 0.0
+def _monomials(system: MassActionSystem, pt: LogPoint) -> list[tuple[Reaction, float]]:
+    """Each reaction with its monomial k * x^source; MonomialOverflow past _LOG_CAP."""
+    out = []
     for r in system.reactions:
         e = r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y
         if abs(e) > _LOG_CAP:
             raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {_LOG_CAP}")
-        m = math.exp(e)
+        out.append((r, math.exp(e)))
+    return out
+
+
+def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
+    """Sum over edges of k * x^source * (target - source), in x-space."""
+    fx = fy = 0.0
+    for r, m in _monomials(system, as_log(point)):
         fx += m * (r.target[0] - r.source[0])
         fy += m * (r.target[1] - r.source[1])
     return (fx, fy)
@@ -119,11 +125,7 @@ def field_stiffness(system: MassActionSystem, point) -> float:
     pt = as_log(point)
     lx = ly = 0.0
     fx = fy = 0.0
-    for r in system.reactions:
-        e = r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y
-        if abs(e) > _LOG_CAP:
-            raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {_LOG_CAP}")
-        m = math.exp(e)
+    for r, m in _monomials(system, pt):
         wy = abs(r.source[0]) + abs(r.source[1])
         dx = r.target[0] - r.source[0]
         dy = r.target[1] - r.source[1]
@@ -138,14 +140,9 @@ def field_stiffness(system: MassActionSystem, point) -> float:
 
 def complex_balance_residual(system: MassActionSystem, point) -> float:
     """max over vertices of |inflow - outflow| / (inflow + outflow)."""
-    pt = as_log(point)
     inflow: dict = {}
     outflow: dict = {}
-    for r in system.reactions:
-        e = r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y
-        if abs(e) > _LOG_CAP:
-            raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {_LOG_CAP}")
-        m = math.exp(e)
+    for r, m in _monomials(system, as_log(point)):
         outflow[r.source] = outflow.get(r.source, 0.0) + m
         inflow[r.target] = inflow.get(r.target, 0.0) + m
     worst = 0.0
@@ -516,19 +513,11 @@ def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
     end, evaluated by the line kernel (on the x<->y mirror when log y
     dominates).  Raises NoCrossing if that line leaves the quadrant.
     """
-    dx, dy = direction
     mirrored = abs(x_end.X - a.X) < abs(x_end.Y - a.Y)
-    if mirrored:
-        a, x_end, s = LogPoint(a.Y, a.X), LogPoint(x_end.Y, x_end.X), dx / dy
-    else:
-        s = dy / dx
-    n = max(2, int(math.ceil(abs(x_end.X - a.X) / _LEG_STEP)))
-    pts = []
-    for k in range(n + 1):
-        X = a.X + (x_end.X - a.X) * k / n
-        near = a if 2 * k <= n else x_end
-        Y = _line_y_log(near.X, near.Y, s, X)
-        pts.append(LogPoint(Y, X) if mirrored else LogPoint(X, Y))
+    c0, c1 = (a.Y, x_end.Y) if mirrored else (a.X, x_end.X)
+    n = max(2, int(math.ceil(abs(c1 - c0) / _LEG_STEP)))
+    pts = [_xline_at(a if 2 * k <= n else x_end, *direction, c0 + (c1 - c0) * k / n, mirrored)
+           for k in range(n + 1)]
     return WitnessLeg("xline", desc, pts, [direction] * len(pts))
 
 

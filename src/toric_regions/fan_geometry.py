@@ -212,16 +212,16 @@ def along_coordinate(point, gen: LineGenerator) -> float:
     return gen.q * pt.X + gen.p * pt.Y
 
 
-def r_count(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> int:
+def r_count(point, fan: Fan, delta: float) -> int:
     """Number of uncertainty regions whose open interior contains the point.
 
-    Interior means |strip coordinate| < delta_i - tol; points within tol of a
-    boundary curve are not counted.
+    Interior means |strip coordinate| < delta_i - STRIP_TOL; points within
+    STRIP_TOL of a boundary curve are not counted.
     """
     pt = as_log(point)
     count = 0
     for g in fan.generators:
-        if abs(g.q * pt.Y - g.p * pt.X) < delta_i(g, delta) - tol:
+        if abs(g.q * pt.Y - g.p * pt.X) < delta_i(g, delta) - STRIP_TOL:
             count += 1
     return count
 

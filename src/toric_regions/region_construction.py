@@ -81,25 +81,25 @@ def intersection_points(fan: Fan, delta: float) -> tuple[IntersectionPoint, ...]
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             gi, gj = gens[i], gens[j]
-            det = gi.p * gj.q - gj.p * gi.q
-            if det == 0:
+            if gi.p * gj.q == gj.p * gi.q:
                 raise ParallelGenerators(f"{gi} and {gj}")
-            wi, wj = gi.norm, gj.norm
             for si in (1, -1):
                 for sj in (1, -1):
-                    cx = (gi.q * wj * sj - gj.q * wi * si) / det
-                    cy = (gi.p * wj * sj - gj.p * wi * si) / det
+                    cx, cy = _meet_exponents(gi, si, gj, sj)
                     points.append(IntersectionPoint(i, j, si, sj, cx, cy, delta))
     return tuple(points)
 
 
-def _lookup_point(points, ia: int, sa: int, ib: int, sb: int) -> IntersectionPoint:
-    if ia > ib:
-        ia, sa, ib, sb = ib, sb, ia, sa
-    for pt in points:
-        if (pt.i, pt.j, pt.si, pt.sj) == (ia, ib, sa, sb):
-            return pt
-    raise KeyError(f"no intersection point for ({ia},{sa})x({ib},{sb})")
+def _meet_exponents(gi: LineGenerator, si: int, gj: LineGenerator, sj: int) -> tuple[float, float]:
+    """Unit-delta exponents (cx, cy) of the point where the curve
+    q*Y - p*X = si*delta_i of gi meets the curve of gj on side sj.
+
+    Swapping the curves negates both numerators and the determinant, which
+    can flip the sign of a zero exponent; callers pass the lower index first.
+    """
+    det = gi.p * gj.q - gj.p * gi.q
+    wi, wj = gi.norm, gj.norm
+    return ((gi.q * wj * sj - gj.q * wi * si) / det, (gi.p * wj * sj - gj.p * wi * si) / det)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,6 @@ class Segment:
     arm_sign: int
     end_sign: int = 0       # sign of the curve the piece terminates on
     crossing: bool = True   # False for closure extensions / joins
-    kind: str = "segment"
 
     @property
     def slope(self) -> Fraction | None:
@@ -231,33 +230,50 @@ class Segment:
         return Segment(self.end, self.start, self.gen, self.region_index,
                        self.arm_sign, self.end_sign, self.crossing)
 
-    def normal(self) -> tuple[float, float]:
-        """Constant outward x-space unit normal."""
+    def normal_at(self, pt: LogPoint) -> tuple[float, float]:
+        """Outward x-space unit normal, the same at every point."""
         g = self.gen
         n = g.norm
         return (self.arm_sign * g.q / n, self.arm_sign * g.p / n)
 
     def at(self, c: float, mirrored: bool) -> LogPoint:
-        """Point of the piece's line with log x = c (log y = c if mirrored).
-
-        The line is evaluated from the nearer endpoint; the mirrored case is
-        the same kernel call on the x<->y mirror.
-        """
-        a, b, g = self.start, self.end, self.gen
-        if mirrored:
-            if abs(c - b.Y) < abs(c - a.Y):
-                a = b
-            return LogPoint(_line_x_log(a.X, a.Y, -g.p / g.q, c), c)
-        if abs(c - b.X) < abs(c - a.X):
+        """Point of the piece's line with log x = c (log y = c if mirrored),
+        evaluated from the nearer endpoint."""
+        a, b = self.start, self.end
+        if (abs(c - b.Y) < abs(c - a.Y)) if mirrored else (abs(c - b.X) < abs(c - a.X)):
             a = b
-        return LogPoint(c, _line_y_log(a.X, a.Y, -g.q / g.p, c))
+        return _xline_at(a, self.gen.p, -self.gen.q, c, mirrored)
 
     def point_at(self, u: float) -> LogPoint:
-        """Point at fraction u of the dominant log-axis span."""
+        """Point at fraction u of the dominant log-axis span.
+
+        u = 1 gives the end itself: a + 1.0*(b - a) can miss b by an ulp,
+        past the quadrant exit on a segment that ends at it.
+        """
         a, b = self.start, self.end
+        if u == 1.0:
+            return b
         if abs(b.X - a.X) < abs(b.Y - a.Y):
             return self.at(a.Y + u * (b.Y - a.Y), True)
         return self.at(a.X + u * (b.X - a.X), False)
+
+    def band_distance(self, pt: LogPoint) -> float:
+        """Approximate log-space distance from a point to the piece.
+
+        Beyond the piece's span on its dominant log axis, the distance to the
+        nearer endpoint; within it, the distance to the tangent of the line's
+        log-space image at the line point level with pt on that axis.
+        """
+        a, b = self.start, self.end
+        mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
+        c, lo, hi = (pt.Y, a.Y, b.Y) if mirrored else (pt.X, a.X, b.X)
+        lo, hi = min(lo, hi), max(lo, hi)
+        if not (lo - 1e-12 <= c <= hi + 1e-12):
+            return min(math.hypot(pt.X - e.X, pt.Y - e.Y) for e in (a, b))
+        on = self.at(min(max(c, lo), hi), mirrored)
+        # The x-space direction (p, -q) is (p/x, -q/y) in log space.
+        tx, ty = _scaled_reciprocals(on, *self.direction)
+        return abs((pt.X - on.X) * ty - (pt.Y - on.Y) * tx) / math.hypot(tx, ty)
 
 
 def _scaled_reciprocals(pt: LogPoint, a: float, b: float) -> tuple[float, float]:
@@ -271,27 +287,47 @@ def _scaled_reciprocals(pt: LogPoint, a: float, b: float) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class Arc:
-    """Piece of the curve y^q = exp(h_sign * delta_i) * x^p.
+    """Piece of the curve y^q = exp(h_sign * delta_i) * x^p of gen.
 
     In log space this is a straight line q*Y - p*X = h_sign * delta_i.
+    Arcs lie only on generators off the axes, so p and q are nonzero.
     """
 
-    gen_index: int
+    gen: LineGenerator
     h_sign: int
     start: LogPoint
     end: LogPoint
-    kind: str = "arc"
 
-    def normal_at(self, fan: Fan, pt: LogPoint) -> tuple[float, float]:
+    def normal_at(self, pt: LogPoint) -> tuple[float, float]:
         """Outward x-space unit normal at a point of the arc."""
-        g = fan.generators[self.gen_index]
+        g = self.gen
         nx, ny = _scaled_reciprocals(pt, -g.p, g.q)
         n = math.hypot(nx, ny)
         return (self.h_sign * nx / n, self.h_sign * ny / n)
 
+    def at(self, c: float, mirrored: bool) -> LogPoint:
+        """Point of the arc's log line with log x = c (log y = c if mirrored)."""
+        g, a = self.gen, self.start
+        k = g.q * a.Y - g.p * a.X
+        if mirrored:
+            return LogPoint((g.q * c - k) / g.p, c)
+        return LogPoint(c, (k + g.p * c) / g.q)
+
     def point_at(self, u: float) -> LogPoint:
         return LogPoint(self.start.X + u * (self.end.X - self.start.X),
                         self.start.Y + u * (self.end.Y - self.start.Y))
+
+    def band_distance(self, pt: LogPoint) -> float:
+        """Exact log-space distance from a point to the arc (a log-space
+        segment)."""
+        ax, ay = self.start.X, self.start.Y
+        dx, dy = self.end.X - ax, self.end.Y - ay
+        l2 = dx * dx + dy * dy
+        if l2 == 0.0:
+            return math.hypot(pt.X - ax, pt.Y - ay)
+        t = ((pt.X - ax) * dx + (pt.Y - ay) * dy) / l2
+        t = min(1.0, max(0.0, t))
+        return math.hypot(pt.X - (ax + t * dx), pt.Y - (ay + t * dy))
 
 
 _EXP_SAFE = 700.0  # exponents below this keep e^(...) finite in the line kernel
@@ -329,6 +365,15 @@ def _line_x_log(X0: float, Y0: float, w: float, Y: float) -> float:
     """Log of x at log-y Y on the x-space line through (X0, Y0) with
     dx/dy = w: the kernel on the x<->y mirror."""
     return _line_y_log(Y0, X0, w, Y)
+
+
+def _xline_at(near: LogPoint, dx: float, dy: float, c: float, mirrored: bool) -> LogPoint:
+    """Point with log x = c (log y = c if mirrored) of the x-space line
+    through near with direction (dx, dy), by the kernel (on the x<->y
+    mirror when mirrored)."""
+    if mirrored:
+        return LogPoint(_line_x_log(near.X, near.Y, dx / dy, c), c)
+    return LogPoint(c, _line_y_log(near.X, near.Y, dy / dx, c))
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +511,22 @@ def build_polyline(start: LogPoint, phi: float, ccw: bool, stop_index: int,
 # Step 5: closures
 
 
-def connect_arcs(term_a: LogPoint, ia: int, sa: int,
-                 term_b: LogPoint, ib: int, sb: int,
-                 meet: LogPoint, fan: Fan) -> list[Arc]:
-    """Connect two polyline terminals along their outer boundary curves.
+def connect_arcs(seg_a: Segment, seg_b: Segment, meet: LogPoint) -> list[Arc]:
+    """Connect the ends of two terminal segments along the curves they end on.
 
     The arcs meet at meet, the closed-form intersection of the two curves;
     if that point does not lie between the terminals along both curves,
     delta is too small for this fan.
     """
-    for term, gi in ((term_a, ia), (term_b, ib)):
-        g = fan.generators[gi]
-        ta = along_coordinate(term, g)
-        tp = along_coordinate(meet, g)
+    for seg in (seg_a, seg_b):
+        ta = along_coordinate(seg.end, seg.gen)
+        tp = along_coordinate(meet, seg.gen)
         if _sign(ta) != _sign(tp) or abs(tp) > abs(ta) + 1e-9:
             raise ArcsDontMeet(
-                f"curve intersection not between terminals on strip {gi}"
+                f"curve intersection not between terminals on strip {seg.region_index}"
             )
-    return [Arc(ia, sa, term_a, meet), Arc(ib, sb, meet, term_b)]
+    return [Arc(seg_a.gen, seg_a.end_sign, seg_a.end, meet),
+            Arc(seg_b.gen, seg_b.end_sign, meet, seg_b.end)]
 
 
 def _extend_segment(seg: Segment, coord: str, value: float) -> Segment:
@@ -495,25 +538,30 @@ def _extend_segment(seg: Segment, coord: str, value: float) -> Segment:
                    seg.arm_sign, seg.end_sign, crossing=False)
 
 
-def _close_side(term_a: LogPoint, ia: int, sa: int, seg_a: Segment,
-                term_b: LogPoint, ib: int, sb: int, seg_b: Segment,
-                fan: Fan, delta: float, points):
-    """Close one side of the loop: two arcs, or an axis-parallel join when
-    the closed-form meeting point falls inside an axis strip."""
-    ip = _lookup_point(points, ia, sa, ib, sb)
-    meet = ip.log
+def _close_side(seg_a: Segment, seg_b: Segment, fan: Fan, delta: float):
+    """Close one side of the loop between the ends of two terminal segments:
+    two arcs meeting where the curves the segments end on cross, or an
+    axis-parallel join when that point falls inside an axis strip.
+
+    Returns the pieces, the meeting point of the arcs (None for a join)
+    and the joined axis strip's index (None for arcs).
+    """
+    lo, hi = sorted((seg_a, seg_b), key=lambda seg: seg.region_index)
+    cx, cy = _meet_exponents(lo.gen, lo.end_sign, hi.gen, hi.end_sign)
+    meet = LogPoint(cx * delta, cy * delta)
     regions = fan.regions(delta)
     axis_hits = [
         r for r in regions
         if r.gen.is_axis and abs(strip_coordinate(meet, r)) < r.delta_i - STRIP_TOL
     ]
     if not axis_hits:
-        return connect_arcs(term_a, ia, sa, term_b, ib, sb, meet, fan), ip, None
+        return connect_arcs(seg_a, seg_b, meet), meet, None
     if len(axis_hits) > 1:
         raise UnsupportedFan("closure point inside two axis strips")
     axisr = axis_hits[0]
     arm = _sign(along_coordinate(meet, axisr.gen))
     coord = "X" if axisr.gen.is_horizontal else "Y"
+    term_a, term_b = seg_a.end, seg_b.end
     ca, cb = getattr(term_a, coord), getattr(term_b, coord)
     extreme = min(ca, cb) if arm < 0 else max(ca, cb)
     # The terminal short of the extreme continues its segment's line to it.
@@ -557,7 +605,7 @@ class RegionBoundary:
 
     @property
     def arcs(self) -> list[Arc]:
-        return [p for p in self.pieces if p.kind == "arc"]
+        return [p for p in self.pieces if isinstance(p, Arc)]
 
     def chords(self) -> dict[str, tuple[LogPoint, LogPoint]]:
         """The four chords l1..l4 from the start points to the terminals."""
@@ -588,16 +636,8 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
         i2_segs = build_polyline(start_min.log, phi_min, False, classes.i2, fan, delta)
         i3_segs = build_polyline(start_min.log, phi_min, True, classes.i3, fan, delta)
 
-        side1, p12, join1 = _close_side(
-            i1_segs[-1].end, classes.i1, i1_segs[-1].end_sign, i1_segs[-1],
-            i2_segs[-1].end, classes.i2, i2_segs[-1].end_sign, i2_segs[-1],
-            fan, delta, points,
-        )
-        side2, p34, join2 = _close_side(
-            i3_segs[-1].end, classes.i3, i3_segs[-1].end_sign, i3_segs[-1],
-            i4_segs[-1].end, classes.i4, i4_segs[-1].end_sign, i4_segs[-1],
-            fan, delta, points,
-        )
+        side1, p12, join1 = _close_side(i1_segs[-1], i2_segs[-1], fan, delta)
+        side2, p34, join2 = _close_side(i3_segs[-1], i4_segs[-1], fan, delta)
     except (ConstructionFailed, ArcsDontMeet, NoCrossing) as exc:
         raise DeltaTooSmall(type(exc).__name__, str(exc)) from exc
 
@@ -618,9 +658,9 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
         "Ds": i3_segs[-1].end,
     }
     if p12 is not None:
-        anchors["P_i1i2"] = p12.log
+        anchors["P_i1i2"] = p12
     if p34 is not None:
-        anchors["P_i3i4"] = p34.log
+        anchors["P_i3i4"] = p34
     for name, segs in (("A", i1_segs), ("B", i4_segs), ("C", i2_segs), ("D", i3_segs)):
         for k, seg in enumerate(segs, start=1):
             anchors[f"{name}{k}"] = seg.end
@@ -651,65 +691,14 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
 # Containment and sampling
 
 
-def _segment_band_distance(seg: Segment, pt: LogPoint) -> float:
-    """Approximate log-space distance from a point to a segment piece.
-
-    Beyond the piece's span on its dominant log axis, the distance to the
-    nearer endpoint; within it, the distance to the tangent of the line's
-    log-space image at the line point level with pt on that axis.
-    """
-    a, b = seg.start, seg.end
-    mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
-    c, lo, hi = (pt.Y, a.Y, b.Y) if mirrored else (pt.X, a.X, b.X)
-    lo, hi = min(lo, hi), max(lo, hi)
-    if not (lo - 1e-12 <= c <= hi + 1e-12):
-        return min(math.hypot(pt.X - e.X, pt.Y - e.Y) for e in (a, b))
-    on = seg.at(min(max(c, lo), hi), mirrored)
-    # The x-space direction (p, -q) is (p/x, -q/y) in log space.
-    tx, ty = _scaled_reciprocals(on, *seg.direction)
-    return abs((pt.X - on.X) * ty - (pt.Y - on.Y) * tx) / math.hypot(tx, ty)
-
-
-def _arc_band_distance(arc: Arc, pt: LogPoint) -> float:
-    """Exact log-space distance to an arc piece (a log-space segment)."""
-    ax, ay = arc.start.X, arc.start.Y
-    bx, by = arc.end.X, arc.end.Y
-    dx, dy = bx - ax, by - ay
-    l2 = dx * dx + dy * dy
-    if l2 == 0.0:
-        return math.hypot(pt.X - ax, pt.Y - ay)
-    t = ((pt.X - ax) * dx + (pt.Y - ay) * dy) / l2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(pt.X - (ax + t * dx), pt.Y - (ay + t * dy))
-
-
-def _piece_band_distance(piece, pt: LogPoint) -> float:
-    if piece.kind == "segment":
-        return _segment_band_distance(piece, pt)
-    return _arc_band_distance(piece, pt)
-
-
-def _segment_ray_hit(seg: Segment, pt: LogPoint) -> bool:
-    """Does the horizontal +X ray from pt cross this segment piece?
+def _ray_hit(piece, pt: LogPoint) -> bool:
+    """Does the horizontal +X ray from pt cross the piece?
 
     Half-open convention: the lower Y endpoint is inclusive.
     """
-    y0, y1 = seg.start.Y, seg.end.Y
+    y0, y1 = piece.start.Y, piece.end.Y
     lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
-    return lo <= pt.Y < hi and seg.at(pt.Y, True).X > pt.X
-
-
-def _arc_ray_hit(arc: Arc, fan: Fan, pt: LogPoint) -> bool:
-    g = fan.generators[arc.gen_index]
-    y0, y1 = arc.start.Y, arc.end.Y
-    lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
-    if g.p == 0:
-        return False  # horizontal log-line, parallel to the ray
-    if not (lo <= pt.Y < hi):
-        return False
-    c = g.q * arc.start.Y - g.p * arc.start.X
-    x_at = (g.q * pt.Y - c) / g.p
-    return x_at > pt.X
+    return lo <= pt.Y < hi and piece.at(pt.Y, True).X > pt.X
 
 
 def region_contains(boundary: RegionBoundary, point,
@@ -720,17 +709,9 @@ def region_contains(boundary: RegionBoundary, point,
     ray casting along +X in log space decides.
     """
     pt = as_log(point)
-    for piece in boundary.pieces:
-        if _piece_band_distance(piece, pt) <= band:
-            return "boundary"
-    crossings = 0
-    for piece in boundary.pieces:
-        if piece.kind == "segment":
-            if _segment_ray_hit(piece, pt):
-                crossings += 1
-        else:
-            if _arc_ray_hit(piece, boundary.fan, pt):
-                crossings += 1
+    if any(piece.band_distance(pt) <= band for piece in boundary.pieces):
+        return "boundary"
+    crossings = sum(_ray_hit(piece, pt) for piece in boundary.pieces)
     return "inside" if crossings % 2 == 1 else "outside"
 
 
@@ -794,7 +775,7 @@ def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
     for piece in boundary.pieces:
         for anchor in (piece.start, piece.end):
             pts.append((math.exp(anchor.X), math.exp(anchor.Y)))
-        if piece.kind == "arc":
+        if isinstance(piece, Arc):
             for k in range(1, _HULL_ARC_SAMPLES):
                 lp = piece.point_at(k / _HULL_ARC_SAMPLES)
                 pts.append((math.exp(lp.X), math.exp(lp.Y)))
@@ -829,8 +810,10 @@ def _hull(fan: Fan, delta: float) -> list[tuple[float, float]]:
     return conv_hull(construct_region(fan, delta, validate=False))
 
 
-def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float,
-              tol: float = 1e-9) -> float:
+_LEVEL_TOL = 1e-9  # width of the delta bracket at which phi_level stops
+
+
+def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     """The delta in [delta_lo, delta_hi] whose convex boundary carries the point.
 
     Monotone bisection on hull membership; OutOfBand if the point is outside
@@ -842,7 +825,7 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float,
     if hull_contains(_hull(fan, delta_lo), pt, rel_tol=-1e-9):
         raise OutOfBand(f"point strictly inside conv(P({delta_lo}))")
     lo, hi = delta_lo, delta_hi
-    while hi - lo > tol:
+    while hi - lo > _LEVEL_TOL:
         mid = 0.5 * (lo + hi)
         if hull_contains(_hull(fan, mid), pt):
             hi = mid
@@ -937,10 +920,7 @@ def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
     worst = -math.inf
     witness = None
     for pt, piece in samples:
-        if piece.kind == "segment":
-            n = piece.normal()
-        else:
-            n = piece.normal_at(fan, pt)
+        n = piece.normal_at(pt)
         rhs = rhs_bruteforce(pt, fan, boundary.delta)
         for ray in rhs.extreme_rays():
             v = ray[0] * n[0] + ray[1] * n[1]
@@ -1039,9 +1019,9 @@ def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
         inc = all(a < b for a, b in zip(d, d[1:]))
         dec = all(a > b for a, b in zip(d, d[1:]))
         if not (inc or dec):
-            bad.append(arc.gen_index)
+            bad.append(str(arc.gen))
     return {"passed": not bad, "worst": float(len(bad)),
-            "detail": f"non-monotone arcs: {bad}" if bad else "tangent slopes monotone"}
+            "detail": f"non-monotone arcs on {bad}" if bad else "tangent slopes monotone"}
 
 
 _VALIDATION_SAMPLES = 512  # boundary samples for the r <= 1 and Nagumo checks

@@ -46,13 +46,13 @@ def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
     return functools.reduce(Cone.intersect, near).polar()
 
 
-def rhs_classified(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Cone:
+def rhs_classified(point, fan: Fan, delta: float) -> Cone:
     """Fast three-case evaluation by the strip-interior count r(x).
 
     r >= 2 gives the full plane; r = 1 a half plane whose boundary slope is
     the active strip's attracting slope (a line for a one-generator fan);
     r = 0 the proper cone spanned by the two flanking strips' half planes.
-    Raises AmbiguousClassification within tol of any strip boundary.
+    Raises AmbiguousClassification within STRIP_TOL of any strip boundary.
     """
     pt = as_log(point)
     active = None
@@ -60,8 +60,8 @@ def rhs_classified(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
     for i, g in enumerate(fan.generators):
         s = abs(g.q * pt.Y - g.p * pt.X)
         half_width = delta_i(g, delta)
-        if abs(s - half_width) <= tol:
-            raise AmbiguousClassification(f"point within {tol} of boundary of strip {i}")
+        if abs(s - half_width) <= STRIP_TOL:
+            raise AmbiguousClassification(f"point within {STRIP_TOL} of boundary of strip {i}")
         if s < half_width:
             r += 1
             active = g

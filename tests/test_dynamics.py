@@ -143,6 +143,45 @@ class TestIntegrate:
             integrate(Outward(), LogPoint(10.0, 10.0), Fan([(1, 1), (-1, 1)]),
                       1.0, t_end=1.0, dt=1e-2)
 
+    class Walled:
+        """Unit log speed along +X; the velocity overflows past X = 0.025."""
+
+        name = "walled"
+
+        def __call__(self, point, rhs, t):
+            if point.X > 0.025:
+                raise MonomialOverflow("past the wall")
+            return (math.exp(point.X), 0.0)
+
+    def test_overflowing_stage_halves_the_step(self):
+        # From X = 1/64 a full step's last stage reaches 0.03125, past the
+        # wall; the half step ends at 0.0234, short of it.
+        dt = 1.0 / 64.0
+        traj = integrate(self.Walled(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+                         t_end=1.0, dt=dt, stop_when=lambda p, t: t > dt)
+        assert traj.termination == "stopped"
+        assert np.diff(traj.times).tolist() == [dt, dt / 2.0]
+        assert traj.points[-1].X == pytest.approx(dt * 1.5, rel=1e-12)
+
+    def test_overflow_at_the_wall_collapses(self):
+        # The remaining gap to the wall shrinks until no step above
+        # dt/1024 passes.
+        with pytest.raises(StepCollapse, match="step below"):
+            integrate(self.Walled(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+                      t_end=1.0, dt=1.0 / 64.0)
+
+    def test_zero_velocity_stalls(self):
+        class Still:
+            name = "still"
+
+            def __call__(self, point, rhs, t):
+                return (0.0, 0.0)
+
+        traj = integrate(Still(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA, t_end=1.0)
+        assert traj.termination == "stalled"
+        assert traj.times == [0.0] and traj.points == [LogPoint(0.0, 0.0)]
+        assert traj.velocities == [(0.0, 0.0)]
+
     def test_convergence_origin_system(self):
         sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
         traj = integrate_to_point(sys11, PosPoint(math.exp(3.0), math.exp(-2.0)),

@@ -28,7 +28,6 @@ from toric_regions.region_construction import (
     _log_mix,
     _loop_checks,
     _scaled_reciprocals,
-    _segment_band_distance,
     _strip_point,
     choose_start_points,
     compute_slope_classes,
@@ -280,7 +279,7 @@ class TestLineKernel:
         # tangent of its log image is (0, -1) and must not underflow to zero.
         assert _scaled_reciprocals(LogPoint(0.0, 800.0), 0, -1) == (0.0, -1.0)
         seg = Segment(LogPoint(0.0, 790.0), LogPoint(0.0, 810.0), LineGenerator(0, 1), 0, 1)
-        assert _segment_band_distance(seg, LogPoint(1.0, 800.0)) == pytest.approx(1.0, rel=1e-12)
+        assert seg.band_distance(LogPoint(1.0, 800.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_segments_evaluate_on_their_lines(self, worked_region):
         for segs in worked_region.polylines.values():
@@ -289,6 +288,21 @@ class TestLineKernel:
                     pt = seg.point_at(u)
                     assert (pt.X, pt.Y) == pytest.approx((end.X, end.Y), abs=1e-12)
                 assert _on_xline(seg.point_at(0.5), seg.start, float(seg.slope))
+
+    @pytest.mark.parametrize("gens", [
+        ((-1, 2), (1, 2), (2, 1), (3, 2), (1, 0)),
+        ((-3, 2), (1, 2), (3, 2), (2, 1), (1, 0)),
+    ])
+    def test_segment_ending_at_the_quadrant_exit(self, gens):
+        # A segment of each region ends within an ulp of its line's quadrant
+        # exit.  There a + 1.0*(b - a) lands past the end, and the loop
+        # checks raised NoCrossing on that point.
+        b = construct_region(Fan(gens), 100.0, validate=False)
+        for seg in b.pieces:
+            if isinstance(seg, Segment):
+                assert seg.point_at(1.0) == seg.end
+        closed, simple = _loop_checks(b)
+        assert closed["passed"] and simple["passed"]
 
 
 # Atlas cases that once leaked a bare OverflowError, ValueError or
@@ -406,7 +420,7 @@ class TestSpecialCases:
         assert all(v["passed"] for v in b.report.values())
         horiz = next(i for i, g in enumerate(b.fan.generators) if g.is_horizontal)
         assert horiz in b.axis_joins
-        joins = [p for p in b.pieces if p.kind == "segment"
+        joins = [p for p in b.pieces if isinstance(p, Segment)
                  and p.region_index == horiz and not p.crossing and p.slope is None]
         assert len(joins) == 1
         assert joins[0].start.X == pytest.approx(joins[0].end.X, abs=1e-9)
@@ -458,7 +472,8 @@ def _crossing_pairs_reference(pieces) -> int:
 def _log_loop(*corners) -> SimpleNamespace:
     """A closed loop of straight log-space pieces through the corners."""
     pts = [LogPoint(*c) for c in corners]
-    return SimpleNamespace(pieces=tuple(Arc(0, 1, a, b) for a, b in zip(pts, pts[1:] + pts[:1])))
+    arcs = (Arc(LineGenerator(1, 1), 1, a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
+    return SimpleNamespace(pieces=tuple(arcs))
 
 
 class TestLoopChecks:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import toric_regions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,9 +43,15 @@ def test_src_stats_counts_parameters_with_defaults(tmp_path):
 
 def test_atlas_outcomes_case_record():
     tool = _load_tool("atlas_outcomes")
-    ok = tool.case_record([(-1, 1), (1, 2), (2, 1)], 3.0, "validated", toric_regions)
+    gens = [(-1, 1), (1, 2), (2, 1)]
+    ok = tool.case_record(gens, 3.0, "validated", toric_regions)
+    region = toric_regions.construct_region(toric_regions.Fan(gens), 3.0)
     assert ok == {"gens": [[-1, 1], [1, 2], [2, 1]], "delta": 3.0, "seed": "validated",
-                  "outcome": "validated", "site": None}
+                  "outcome": "validated", "site": None,
+                  "checks": {name: [res["passed"], res["worst"]]
+                             for name, res in region.report.items()},
+                  "pieces": tool.pieces_digest(region)}
+    assert len(ok["pieces"]) == 16
     # A defect-census case: the seed commit leaked a bare ValueError here.
     gens = [(-2, 1), (2, 3), (1, 1), (-1, 1), (-3, 1), (0, 1)]
     rec = tool.case_record(gens, 1.0, "bare:ValueError", toric_regions)
@@ -52,3 +60,26 @@ def test_atlas_outcomes_case_record():
     # A bare exception is named with the function that raised it.
     bad = tool.case_record([(-1, 1), (1, 2), (2, 1)], "3", "validated", toric_regions)
     assert bad["outcome"] == "bare:TypeError" and bad["site"]
+    assert bad["checks"] is None and bad["pieces"] is None
+
+
+def test_atlas_outcomes_failed_check_matches_construct_region():
+    # Both Nagumo and the cone check fail here; the first one names the case.
+    tool = _load_tool("atlas_outcomes")
+    gens = [(-3, 1), (2, 3), (2, 1)]
+    with pytest.raises(toric_regions.DeltaTooSmall) as exc:
+        toric_regions.construct_region(toric_regions.Fan(gens), 0.5)
+    rec = tool.case_record(gens, 0.5, None, toric_regions)
+    assert rec["outcome"] == f"DeltaTooSmall:{exc.value.check}"
+    failed = [name for name, (passed, _) in rec["checks"].items() if not passed]
+    assert failed == ["nagumo", "cone_containment"]
+
+
+def test_atlas_outcomes_adds_delta_300_without_seed(tmp_path, monkeypatch):
+    tool = _load_tool("atlas_outcomes")
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"deltas": [3.0], "fans": [
+        {"gens": [[1, 2], [2, 1]], "outcomes": ["validated"]}]}))
+    monkeypatch.setattr(tool, "CATALOG", catalog)
+    recs = list(tool.records(toric_regions))
+    assert [(r["delta"], r["seed"]) for r in recs] == [(3.0, "validated"), (300.0, None)]

@@ -1,26 +1,34 @@
-"""Outcome of every case of the benchmark's fan atlas, one JSON line each.
+"""Outcome and check figures of every case of the benchmark's fan atlas.
 
-For each (fan, delta) case of ``bench/data/atlas_catalog.json`` it runs
-``construct_region`` with the default validation and prints
+For each fan of ``bench/data/atlas_catalog.json``, at each catalog delta
+and at delta = 300, it builds the region with ``validate=False``, runs
+``validate_region`` on it, and prints one JSON line
 
-    {"gens": [[p, q], ...], "delta": d, "seed": <seed outcome>,
-     "outcome": <outcome now>, "site": <function or null>}
+    {"gens": [[p, q], ...], "delta": d, "seed": <seed outcome or null>,
+     "outcome": <outcome now>, "site": <function or null>,
+     "checks": {<check>: [<passed>, <worst>], ...} or null,
+     "pieces": <digest of the piece endpoints> or null}
 
-Outcomes use the benchmark's labels: "validated", "DeltaTooSmall:<check>",
-the class name of any other package error, or "bare:<class>" for an
-exception that is not a package error.  "site" names the function in
-which such a bare exception was raised.  The catalog is only read.
+Outcomes use the benchmark's labels: "validated", "DeltaTooSmall:<check>"
+(the first failed check, as ``construct_region`` reports it), the class
+name of any other package error, or "bare:<class>" for an exception that
+is not a package error.  "site" names the function in which such a bare
+exception was raised.  "checks" and "pieces" are null when no region was
+built or its validation raised.  The catalog holds no seed outcome for
+delta = 300.  The catalog is only read.
 
 Run from anywhere, against the package under SRC_DIR (default: the
 ``src`` directory next to this file's parent):
 
     python tools/atlas_outcomes.py [SRC_DIR] > outcomes.jsonl
 
-Running it on two source trees and comparing the outputs with ``diff``
-shows every case whose outcome changed; counting "bare:" outcomes gives
+Floats are printed exactly, so running it on two source trees and
+comparing the outputs with ``diff`` shows every case whose outcome, check
+verdict, worst value or boundary changed; counting "bare:" outcomes gives
 the defect census.
 """
 
+import hashlib
 import importlib
 import json
 import sys
@@ -28,16 +36,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CATALOG = ROOT / "bench" / "data" / "atlas_catalog.json"
+EXTRA_DELTA = 300.0  # beyond the catalog's deltas; no seed outcome
 
 
-def case_record(gens, delta: float, seed: str, package) -> dict:
+def pieces_digest(boundary) -> str:
+    """Short hash of every piece's endpoints, bit for bit."""
+    h = hashlib.sha256()
+    for piece in boundary.pieces:
+        for pt in (piece.start, piece.end):
+            h.update(f"{pt.X.hex()} {pt.Y.hex()};".encode())
+    return h.hexdigest()[:16]
+
+
+def case_record(gens, delta: float, seed: str | None, package) -> dict:
     """Run one atlas case with the imported ``toric_regions`` package."""
     rc, fg = package.region_construction, package.fan_geometry
-    site = None
+    site = checks = digest = None
     try:
-        # With validation on, a returned region passed every check.
-        rc.construct_region(fg.Fan(gens), delta)
-        outcome = "validated"
+        boundary = rc.construct_region(fg.Fan(gens), delta, validate=False)
+        report = rc.validate_region(boundary)
+        checks = {name: [res["passed"], res["worst"]] for name, res in report.items()}
+        digest = pieces_digest(boundary)
+        bad = [name for name, res in report.items() if not res["passed"]]
+        outcome = f"DeltaTooSmall:{bad[0]}" if bad else "validated"
     except package.errors.DeltaTooSmall as exc:
         outcome = f"DeltaTooSmall:{exc.check}"
     except package.errors.ToricRegionsError as exc:
@@ -49,7 +70,7 @@ def case_record(gens, delta: float, seed: str, package) -> dict:
             tb = tb.tb_next
         site = tb.tb_frame.f_code.co_name
     return {"gens": [list(g) for g in gens], "delta": delta, "seed": seed,
-            "outcome": outcome, "site": site}
+            "outcome": outcome, "site": site, "checks": checks, "pieces": digest}
 
 
 def records(package):
@@ -57,7 +78,7 @@ def records(package):
         catalog = json.load(fh)
     for fan in catalog["fans"]:
         gens = [tuple(g) for g in fan["gens"]]
-        for delta, seed in zip(catalog["deltas"], fan["outcomes"]):
+        for delta, seed in zip(catalog["deltas"] + [EXTRA_DELTA], fan["outcomes"] + [None]):
             yield case_record(gens, delta, seed, package)
 
 
