@@ -117,14 +117,14 @@ def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
 
 
 def field_stiffness(system: MassActionSystem, point) -> float:
-    """Bound on the log-space Jacobian row sum of the embedded field.
+    """Bound on the log-space Jacobian row sum of the embedded field, which keeps
+    explicit steps stable on the exponentially stiff reversible pair systems."""
+    return _field_and_stiffness(system, as_log(point))[1]
 
-    Used to keep explicit steps inside the stability region; the reversible
-    pair systems are exponentially stiff near their balanced manifolds.
-    """
-    pt = as_log(point)
-    lx = ly = 0.0
-    fx = fy = 0.0
+
+def _field_and_stiffness(system: MassActionSystem, pt: LogPoint):
+    """mass_action_field and field_stiffness from one monomial pass."""
+    lx = ly = fx = fy = 0.0
     for r, m in _monomials(system, pt):
         wy = abs(r.source[0]) + abs(r.source[1])
         dx = r.target[0] - r.source[0]
@@ -133,9 +133,8 @@ def field_stiffness(system: MassActionSystem, point) -> float:
         fy += m * dy
         lx += m * abs(dx) * wy
         ly += m * abs(dy) * wy
-    gx = math.exp(-pt.X)
-    gy = math.exp(-pt.Y)
-    return max(lx * gx, ly * gy) + max(abs(fx) * gx, abs(fy) * gy)
+    gx, gy = math.exp(-pt.X), math.exp(-pt.Y)
+    return (fx, fy), max(lx * gx, ly * gy) + max(abs(fx) * gx, abs(fy) * gy)
 
 
 def complex_balance_residual(system: MassActionSystem, point) -> float:
@@ -240,8 +239,8 @@ class TimeRescaledField:
         return (v[0] * c, v[1] * c)
 
     def stability_scale(self, point: LogPoint, t: float) -> float:
-        v = mass_action_field(self.system, point)
-        return field_stiffness(self.system, point) / (1.0 + _log_speed(point, v))
+        v, stiff = _field_and_stiffness(self.system, point)
+        return stiff / (1.0 + _log_speed(point, v))
 
 
 class ExtremeRayStrategy:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import NonPositiveDelta, ParallelGenerators, ZeroGenerator
 
 # Absolute tolerance on strip coordinates separating interior from boundary.
@@ -219,11 +221,8 @@ def r_count(point, fan: Fan, delta: float) -> int:
     STRIP_TOL of a boundary curve are not counted.
     """
     pt = as_log(point)
-    count = 0
-    for g in fan.generators:
-        if abs(g.q * pt.Y - g.p * pt.X) < delta_i(g, delta) - STRIP_TOL:
-            count += 1
-    return count
+    return sum(abs(g.q * pt.Y - g.p * pt.X) < delta_i(g, delta) - STRIP_TOL
+               for g in fan.generators)
 
 
 def attracting_direction(region: UncertaintyRegion, side: int) -> tuple[float, float]:
@@ -433,3 +432,20 @@ def dist_to_cone(point, cone: Cone) -> float:
         return math.hypot(pt.X, pt.Y)
     # Outside the cone the nearest point lies on an extreme ray.
     return min([_ray_distance(pt, u) for u in rays])
+
+
+def near_cone(X: np.ndarray, Y: np.ndarray, cone: Cone, limit: float) -> np.ndarray:
+    """dist_to_cone(pt, cone) <= limit at each log point (X[k], Y[k]) of a sector
+    or half plane; dist_to_cone decides near the limit, where np.hypot and
+    math.hypot can differ in the last place."""
+    u, e = cone._rays[:2]
+    dist = np.full(X.shape, np.inf)
+    for r in cone._rays:
+        t = X * r[0] + Y * r[1]
+        dist = np.minimum(dist, np.where(t <= 0.0, np.hypot(X, Y),
+                                         np.hypot(X - t * r[0], Y - t * r[1])))
+    dist[(u[0] * Y - u[1] * X >= 0.0) & (e[0] * Y - e[1] * X <= 0.0)] = 0.0  # zero excess
+    near = dist <= limit
+    for k in np.flatnonzero(np.abs(dist - limit) <= 1e-12 * abs(limit)):
+        near[k] = dist_to_cone(LogPoint(float(X[k]), float(Y[k])), cone) <= limit
+    return near

@@ -34,10 +34,10 @@ from .fan_geometry import (
     _wrap,
     along_coordinate,
     as_log,
-    r_count,
+    delta_i,
     strip_coordinate,
 )
-from .tdi_rhs import rhs_bruteforce
+from .tdi_rhs import rhs_bruteforce_batch
 
 
 def _sign(x: float) -> int:
@@ -915,32 +915,35 @@ def _slope_chain_check(boundary: RegionBoundary) -> dict:
     return {"passed": ok, "worst": 0.0 if ok else 1.0, "detail": detail or "strict order"}
 
 
+def _first_max(values: np.ndarray, samples, floor):
+    """Largest value above floor and the first sample with it, or (floor, None)."""
+    if values.max(initial=floor) == floor:
+        return floor, None
+    k = int(np.argmax(values))
+    return values[k].item(), (samples[k][0].X, samples[k][0].Y)
+
+
 def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
-    fan = boundary.fan
-    worst = -math.inf
-    witness = None
-    for pt, piece in samples:
-        n = piece.normal_at(pt)
-        rhs = rhs_bruteforce(pt, fan, boundary.delta)
-        for ray in rhs.extreme_rays():
-            v = ray[0] * n[0] + ray[1] * n[1]
-            if v > worst:
-                worst = v
-                witness = (pt.X, pt.Y)
-    if worst == -math.inf:
-        worst = 0.0
-    return {"passed": worst <= 1e-9, "worst": worst, "witness": witness,
+    X, Y = np.array([(pt.X, pt.Y) for pt, _ in samples]).reshape(-1, 2).T
+    normals = np.array([piece.normal_at(pt) for pt, piece in samples]).reshape(-1, 2)
+    values, index = rhs_bruteforce_batch(X, Y, boundary.fan, boundary.delta)
+    # Each sample's extreme rays dotted with its normal, elementwise as ray . n rounds.
+    out = np.full((len(samples), 3), -math.inf)
+    for j, value in enumerate(values):
+        at = index == j
+        for k, ray in enumerate(value.extreme_rays()):
+            out[at, k] = ray[0] * normals[at, 0] + ray[1] * normals[at, 1]
+    worst, witness = _first_max(out.max(axis=1), samples, -math.inf)
+    return {"passed": worst <= 1e-9, "worst": worst if witness else 0.0, "witness": witness,
             "detail": "max extreme-ray outward component"}
 
 
 def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
-    worst = 0
-    witness = None
-    for pt, _ in samples:
-        r = r_count(pt, boundary.fan, boundary.delta)
-        if r > worst:
-            worst = r
-            witness = (pt.X, pt.Y)
+    X, Y = np.array([(pt.X, pt.Y) for pt, _ in samples]).reshape(-1, 2).T
+    gens = boundary.fan.generators
+    s = np.abs(np.outer(Y, [g.q for g in gens]) - np.outer(X, [g.p for g in gens]))
+    half = np.array([delta_i(g, boundary.delta) for g in gens]) - STRIP_TOL
+    worst, witness = _first_max((s < half).sum(axis=1), samples, 0)
     return {"passed": worst <= 1, "worst": float(worst), "witness": witness,
             "detail": "max r(x) on boundary"}
 
@@ -1024,7 +1027,7 @@ def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
             "detail": f"non-monotone arcs on {bad}" if bad else "tangent slopes monotone"}
 
 
-_VALIDATION_SAMPLES = 512  # boundary samples for the r <= 1 and Nagumo checks
+_VALIDATION_SAMPLES = 512  # boundary samples, checked as arrays by the r <= 1 and Nagumo checks
 
 
 def validate_region(boundary: RegionBoundary) -> dict:

@@ -1,19 +1,22 @@
 """Right-hand side of the toric differential inclusion.
 
 At a log point the value is the polar of the intersection of every
-full-dimensional fan sector within distance delta of the point.  Every
-value is a ``Cone``: the full plane where r(x) >= 2 strips contain the
-point, a half plane where r(x) = 1, and where r(x) = 0 the polar of the
-containing sector (a ray for a one-generator fan).  Inside the strip of a
-one-generator fan the value is a line.
+full-dimensional fan sector within distance delta of the point, computed
+once per (fan, near set).  Every value is a ``Cone``: the full plane where
+r(x) >= 2 strips contain the point, a half plane where r(x) = 1, and where
+r(x) = 0 the polar of the containing sector (a ray for a one-generator
+fan).  Inside the strip of a one-generator fan the value is a line.
 
-``rhs_bruteforce`` evaluates the definition and is the ground truth.
-``rhs_classified`` reads the value off r(x) instead, and must agree with
-the brute force away from strip boundaries.
+``rhs_bruteforce`` evaluates the definition: the ground truth, and the
+integrator's check at every step.  ``rhs_bruteforce_batch`` does so for an
+array of points at once, for the validation battery.  ``rhs_classified``
+reads the value off r(x), and must agree away from strip boundaries.
 """
 
 import functools
 import math
+
+import numpy as np
 
 from .errors import AmbiguousClassification, NotASubfan
 from .fan_geometry import (
@@ -29,7 +32,15 @@ from .fan_geometry import (
     delta_i,
     dist_to_cone,
     fan_2d_cones,
+    near_cone,
 )
+
+
+@functools.lru_cache(maxsize=512)
+def _near_value(fan: Fan, near: int) -> Cone:
+    """Polar of the intersection of the sectors in the bit set near."""
+    return functools.reduce(Cone.intersect, [s for k, s in enumerate(fan_2d_cones(fan))
+                                             if near >> k & 1]).polar()
 
 
 def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Cone:
@@ -41,9 +52,19 @@ def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
     right side for velocity validation.
     """
     pt = as_log(point)
-    near = [s for s in fan_2d_cones(fan) if dist_to_cone(pt, s) <= delta - tol]
-    # Completeness of the fan guarantees the containing sector is collected.
-    return functools.reduce(Cone.intersect, near).polar()
+    # Completeness of the fan guarantees the containing sector is near.
+    return _near_value(fan, sum(1 << k for k, s in enumerate(fan_2d_cones(fan))
+                                if dist_to_cone(pt, s) <= delta - tol))
+
+
+def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan,
+                         delta: float) -> tuple[list[Cone], np.ndarray]:
+    """rhs_bruteforce at each log point (X[k], Y[k]) of float arrays, with the
+    default tol: the distinct values, and each point's index into them."""
+    near = sum(near_cone(X, Y, s, delta - STRIP_TOL).astype(np.int64) << k
+               for k, s in enumerate(fan_2d_cones(fan)))
+    codes, index = np.unique(near, return_inverse=True)
+    return [_near_value(fan, int(c)) for c in codes], index
 
 
 def rhs_classified(point, fan: Fan, delta: float) -> Cone:

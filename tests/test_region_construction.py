@@ -16,6 +16,7 @@ from toric_regions.fan_geometry import (
     LogPoint,
     PosPoint,
     normalize_generator,
+    r_count,
     strip_coordinate,
 )
 from toric_regions.region_construction import (
@@ -26,7 +27,10 @@ from toric_regions.region_construction import (
     _line_x_log,
     _line_y_log,
     _log_mix,
+    _VALIDATION_SAMPLES,
     _loop_checks,
+    _nagumo_check,
+    _r_le_1_check,
     _scaled_reciprocals,
     _strip_point,
     choose_start_points,
@@ -37,8 +41,10 @@ from toric_regions.region_construction import (
     intersection_points,
     phi_level,
     region_contains,
+    sample_boundary,
     segment_curve_intersection,
 )
+from toric_regions.tdi_rhs import rhs_bruteforce
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -495,6 +501,66 @@ class TestLoopChecks:
     def test_matches_the_scalar_loop(self, gens, delta):
         b = construct_region(Fan(gens), delta, validate=False)
         assert _loop_checks(b)[1]["worst"] == float(_crossing_pairs_reference(b.pieces))
+
+
+def _nagumo_reference(boundary, samples) -> dict:
+    """The scalar Nagumo loop that the array form replaced: one brute-force
+    value per sample, the first strict maximum names the witness."""
+    worst = -math.inf
+    witness = None
+    for pt, piece in samples:
+        n = piece.normal_at(pt)
+        for ray in rhs_bruteforce(pt, boundary.fan, boundary.delta).extreme_rays():
+            v = ray[0] * n[0] + ray[1] * n[1]
+            if v > worst:
+                worst = v
+                witness = (pt.X, pt.Y)
+    if worst == -math.inf:
+        worst = 0.0
+    return {"passed": worst <= 1e-9, "worst": worst, "witness": witness,
+            "detail": "max extreme-ray outward component"}
+
+
+def _r_le_1_reference(boundary, samples) -> dict:
+    """The scalar r <= 1 loop that the array form replaced."""
+    worst = 0
+    witness = None
+    for pt, _ in samples:
+        r = r_count(pt, boundary.fan, boundary.delta)
+        if r > worst:
+            worst = r
+            witness = (pt.X, pt.Y)
+    return {"passed": worst <= 1, "worst": float(worst), "witness": witness,
+            "detail": "max r(x) on boundary"}
+
+
+class TestSampleChecks:
+    @pytest.mark.parametrize("gens, delta, nagumo, r_le_1", [
+        (WORKED_GENS, 3.0, True, True), (WORKED_GENS, 100.0, True, True),
+        ([(1, 2), (2, 1)], 1.0, True, True), ([(1, 2), (2, 1), (-1, 1), (0, 1)], 3.0, True, True),
+        ([(-2, 1), (2, 3), (1, 1)], 300.0, True, True),
+        # Nagumo failures at delta = 0.5.
+        ([(-1, 3), (2, 3), (2, 1)], 0.5, False, True), ([(-2, 3), (1, 3), (3, 2)], 0.5, False, True),
+        ([(-2, 3), (2, 3), (1, 1), (2, 1), (1, 2)], 0.5, False, True),
+        ([(-3, 2), (1, 2), (2, 1), (3, 1), (1, 1)], 0.5, False, True),
+        # r <= 1 failures, where Nagumo fails too.
+        ([(-2, 1), (2, 3), (3, 1), (0, 1), (-3, 2)], 1.0, False, False),
+        # Here a half plane's inward normal is the worst extreme ray.
+        ([(-2, 1), (2, 3), (3, 1), (0, 1), (-3, 2)], 3.0, False, False),
+        ([(-3, 1), (1, 2), (2, 1), (-1, 2), (-2, 1), (0, 1)], 3.0, False, False),
+    ])
+    def test_matches_the_scalar_loops(self, gens, delta, nagumo, r_le_1):
+        b = construct_region(Fan(gens), delta, validate=False)
+        samples = sample_boundary(b, _VALIDATION_SAMPLES)
+        got, want = _nagumo_check(b, samples), _nagumo_reference(b, samples)
+        assert got == want and got["passed"] is nagumo
+        assert type(got["worst"]) is float
+        got, want = _r_le_1_check(b, samples), _r_le_1_reference(b, samples)
+        assert got == want and got["passed"] is r_le_1
+
+    def test_no_samples(self, worked_region):
+        assert _nagumo_check(worked_region, []) == _nagumo_reference(worked_region, [])
+        assert _r_le_1_check(worked_region, []) == _r_le_1_reference(worked_region, [])
 
 
 class TestHullAndPhi:

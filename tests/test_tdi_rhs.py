@@ -1,12 +1,27 @@
+import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toric_regions.errors import AmbiguousClassification, NotASubfan
-from toric_regions.fan_geometry import Fan, LogPoint, PosPoint, r_count
+from toric_regions.errors import AmbiguousClassification, NotASubfan, ToricRegionsError
+from toric_regions.fan_geometry import (
+    STRIP_TOL,
+    Cone,
+    Fan,
+    LogPoint,
+    PosPoint,
+    delta_i,
+    dist_to_cone,
+    fan_2d_cones,
+    r_count,
+)
+from toric_regions.region_construction import construct_region, sample_boundary
 from toric_regions.tdi_rhs import (
     rhs_bruteforce,
+    rhs_bruteforce_batch,
     rhs_classified,
     rhs_equal,
     rhs_subfan_subset,
@@ -87,15 +102,18 @@ class TestClassified:
         assert n == pytest.approx((2 / math.sqrt(5), 1 / math.sqrt(5)), abs=1e-12)
 
 
+# Canonical generators of the oracle fans.
+POOL = [(p, q) for p in range(-4, 5) for q in range(0, 5)
+        if (p, q) != (0, 0) and not (q == 0 and p <= 0) and math.gcd(abs(p), abs(q)) == 1]
+
+
 def random_fans(rng, count, min_b=2, max_b=6):
-    pool = [(p, q) for p in range(-4, 5) for q in range(0, 5)
-            if (p, q) != (0, 0) and not (q == 0 and p <= 0) and math.gcd(abs(p), abs(q)) == 1]
     fans = []
     while len(fans) < count:
         b = int(rng.integers(min_b, max_b + 1))
-        idx = rng.choice(len(pool), size=b, replace=False)
+        idx = rng.choice(len(POOL), size=b, replace=False)
         try:
-            fans.append(Fan([pool[i] for i in idx]))
+            fans.append(Fan([POOL[i] for i in idx]))
         except Exception:
             continue
     return fans
@@ -177,3 +195,88 @@ class TestSubfanMonotonicity:
     def test_not_a_subfan(self):
         with pytest.raises(NotASubfan):
             rhs_subfan_subset(LogPoint(0.0, 0.0), CROSS_FAN, Fan([(1, 3)]), 1.0)
+
+
+def _definition(pt, fan, delta):
+    """The inclusion's value as the definition reads, with no cache."""
+    near = [s for s in fan_2d_cones(fan) if dist_to_cone(pt, s) <= delta - STRIP_TOL]
+    return functools.reduce(Cone.intersect, near).polar()
+
+
+def _assert_batch_matches(X, Y, fan, delta):
+    """The batch value of every point is the scalar one, float for float."""
+    values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), fan, delta)
+    assert len(index) == len(X)
+    for x, y, k in zip(X, Y, index):
+        pt = LogPoint(float(x), float(y))
+        want = rhs_bruteforce(pt, fan, delta)
+        assert (values[k].lo, values[k].width) == (want.lo, want.width), (fan, delta, pt)
+        ref = _definition(pt, fan, delta)
+        assert (ref.lo, ref.width) == (want.lo, want.width), (fan, delta, pt)
+
+
+def _strip_boundary_points(fan, delta):
+    """Points on both boundary curves q*Y - p*X = +-delta_i of every strip."""
+    X, Y = [], []
+    for g in fan.generators:
+        for side in (1.0, -1.0):
+            for t in (-7.0, -1.0, -0.25, 0.0, 0.5, 2.0, 9.0):
+                if g.q:
+                    X.append(t)
+                    Y.append((g.p * t + side * delta_i(g, delta)) / g.q)
+                else:
+                    X.append(-side * delta_i(g, delta) / g.p)
+                    Y.append(t)
+    return X, Y
+
+
+ATLAS = json.loads((Path(__file__).resolve().parent.parent
+                    / "bench" / "data" / "atlas_catalog.json").read_text())
+
+
+class TestBatchBruteforce:
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
+    def test_one_generator_fans(self, delta):
+        # Half-plane sectors: three rays each, the third the inward normal.
+        rng = np.random.default_rng(7)
+        for gen in POOL:
+            fan = Fan([gen])
+            X, Y = _strip_boundary_points(fan, delta)
+            pts = rng.uniform(-5.0 * delta, 5.0 * delta, size=(60, 2))
+            _assert_batch_matches(X + [0.0] + list(pts[:, 0]), Y + [0.0] + list(pts[:, 1]),
+                                  fan, delta)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
+    def test_random_fans(self, delta):
+        rng = np.random.default_rng(8)
+        for fan in random_fans(rng, 12):
+            X, Y = _strip_boundary_points(fan, delta)
+            pts = rng.uniform(-5.0 * delta, 5.0 * delta, size=(200, 2))
+            _assert_batch_matches(X + [0.0] + list(pts[:, 0]), Y + [0.0] + list(pts[:, 1]),
+                                  fan, delta)
+
+    def test_empty_array(self):
+        values, index = rhs_bruteforce_batch(np.empty(0), np.empty(0), WORKED_FAN, 3.0)
+        assert values == [] and len(index) == 0
+
+    def test_values_are_distinct_near_sets(self):
+        X, Y = [0.0, 10.0, 0.0, 10.0], [0.0, 10.0, 0.0, 10.0]
+        values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), CROSS_FAN, 1.0)
+        assert len(values) == 2 and list(index[:2]) == list(index[2:])
+        assert (values[index[0]].kind, values[index[1]].kind) == ("full", "halfplane")
+
+    def test_atlas_boundary_samples(self):
+        regions = 0
+        for entry in ATLAS["fans"]:
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            try:
+                region = construct_region(fan, 3.0, validate=False)
+            except ToricRegionsError:
+                continue
+            samples = sample_boundary(region, 512)
+            _assert_batch_matches([pt.X for pt, _ in samples], [pt.Y for pt, _ in samples],
+                                  fan, 3.0)
+            regions += 1
+            if regions == 14:
+                break
+        assert regions == 14

@@ -48,7 +48,7 @@ def test_atlas_outcomes_case_record():
     region = toric_regions.construct_region(toric_regions.Fan(gens), 3.0)
     assert ok == {"gens": [[-1, 1], [1, 2], [2, 1]], "delta": 3.0, "seed": "validated",
                   "outcome": "validated", "site": None,
-                  "checks": {name: [res["passed"], res["worst"]]
+                  "checks": {name: [res["passed"], res["worst"], res.get("witness")]
                              for name, res in region.report.items()},
                   "pieces": tool.pieces_digest(region)}
     assert len(ok["pieces"]) == 16
@@ -71,8 +71,13 @@ def test_atlas_outcomes_failed_check_matches_construct_region():
         toric_regions.construct_region(toric_regions.Fan(gens), 0.5)
     rec = tool.case_record(gens, 0.5, None, toric_regions)
     assert rec["outcome"] == f"DeltaTooSmall:{exc.value.check}"
-    failed = [name for name, (passed, _) in rec["checks"].items() if not passed]
+    failed = [name for name, (passed, _, _) in rec["checks"].items() if not passed]
     assert failed == ["nagumo", "cone_containment"]
+    rc = toric_regions.region_construction
+    report = rc.validate_region(rc.construct_region(toric_regions.Fan(gens), 0.5, validate=False))
+    assert report["nagumo"]["witness"] is not None
+    assert rec["checks"]["nagumo"] == [False, report["nagumo"]["worst"],
+                                       report["nagumo"]["witness"]]
 
 
 def test_atlas_outcomes_adds_delta_300_without_seed(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ and at delta = 300, it builds the region with ``validate=False``, runs
 
     {"gens": [[p, q], ...], "delta": d, "seed": <seed outcome or null>,
      "outcome": <outcome now>, "site": <function or null>,
-     "checks": {<check>: [<passed>, <worst>], ...} or null,
+     "checks": {<check>: [<passed>, <worst>, <witness or null>], ...} or null,
      "pieces": <digest of the piece endpoints> or null}
 
 Outcomes use the benchmark's labels: "validated", "DeltaTooSmall:<check>"
@@ -24,7 +24,7 @@ Run from anywhere, against the package under SRC_DIR (default: the
 
 Floats are printed exactly, so running it on two source trees and
 comparing the outputs with ``diff`` shows every case whose outcome, check
-verdict, worst value or boundary changed; counting "bare:" outcomes gives
+verdict, worst value, witness point or boundary changed; counting "bare:" outcomes gives
 the defect census.
 """
 
@@ -55,7 +55,8 @@ def case_record(gens, delta: float, seed: str | None, package) -> dict:
     try:
         boundary = rc.construct_region(fg.Fan(gens), delta, validate=False)
         report = rc.validate_region(boundary)
-        checks = {name: [res["passed"], res["worst"]] for name, res in report.items()}
+        checks = {name: [res["passed"], res["worst"], res.get("witness")]
+                  for name, res in report.items()}
         digest = pieces_digest(boundary)
         bad = [name for name, res in report.items() if not res["passed"]]
         outcome = f"DeltaTooSmall:{bad[0]}" if bad else "validated"
