@@ -217,8 +217,9 @@ class FieldStrategy:
     def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
         return mass_action_field(self.system, point)
 
-    def stability_scale(self, point: LogPoint, t: float) -> float:
-        return field_stiffness(self.system, point)
+    def with_stiffness(self, point: LogPoint, rhs: Cone, t: float):
+        """The velocity and field_stiffness at a point, from one monomial pass."""
+        return _field_and_stiffness(self.system, point)
 
 
 class TimeRescaledField:
@@ -238,9 +239,13 @@ class TimeRescaledField:
         c = 1.0 / (1.0 + _log_speed(point, v))
         return (v[0] * c, v[1] * c)
 
-    def stability_scale(self, point: LogPoint, t: float) -> float:
+    def with_stiffness(self, point: LogPoint, rhs: Cone, t: float):
+        """The velocity and its stiffness bound at a point, from one monomial
+        pass."""
         v, stiff = _field_and_stiffness(self.system, point)
-        return stiff / (1.0 + _log_speed(point, v))
+        d = 1.0 + _log_speed(point, v)
+        c = 1.0 / d
+        return (v[0] * c, v[1] * c), stiff / d
 
 
 class ExtremeRayStrategy:
@@ -357,9 +362,10 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     """Explicit 4th-order stepping of the selection in log coordinates.
 
     The step is capped so no single update moves more than 0.25 in log
-    space (the fields are exponentially stiff far from equilibrium) and
-    halved when a stage fails, down to dt/1024; the strategy's velocity at
-    every accepted step start is checked against the brute-force cone.
+    space (the fields are exponentially stiff far from equilibrium), at
+    1.5 over the stiffness bound of a strategy that has with_stiffness,
+    and halved when a stage fails, down to dt/1024; the strategy's velocity
+    at every accepted step start is checked against the brute-force cone.
     """
     pt = as_log(start)
     t = 0.0
@@ -369,9 +375,16 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     worst = 0.0
     termination = "t_end"
 
-    def log_vel(p: LogPoint, tt: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        v = strategy(p, _rhs_fast(p, fan, delta), tt)
-        return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y)), v
+    def to_log(p: LogPoint, v: tuple[float, float]) -> tuple[float, float]:
+        return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y))
+
+    def log_vel(p: LogPoint, tt: float) -> tuple[float, float]:
+        return to_log(p, strategy(p, _rhs_fast(p, fan, delta), tt))
+
+    # The step start's velocity and stiffness bound come from one field
+    # evaluation.
+    start_vel = getattr(strategy, "with_stiffness",
+                        lambda p, rhs, tt: (strategy(p, rhs, tt), 0.0))
 
     steps = 0
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
@@ -380,7 +393,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
             termination = "stopped"
             break
         steps += 1
-        f1, v0 = log_vel(pt, t)
+        v0, stiff = start_vel(pt, _rhs_fast(pt, fan, delta), t)
+        f1 = to_log(pt, v0)
         violation = rhs_bruteforce(pt, fan, delta, tol=-1e-9).violation(v0)
         worst = max(worst, violation)
         if violation > _CONE_TOL:
@@ -394,17 +408,14 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
             termination = "stalled"
             break
         h = min(dt, t_end - t, _MAX_LOG_STEP / speed)
-        scale_fn = getattr(strategy, "stability_scale", None)
-        if scale_fn is not None:
-            stiff = scale_fn(pt, t)
-            if stiff > 0.0:
-                h = min(h, 1.5 / stiff)
+        if stiff > 0.0:
+            h = min(h, 1.5 / stiff)
         h_min = dt / 1024.0
         while True:
             try:
-                f2, _ = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]), t + 0.5 * h)
-                f3, _ = log_vel(LogPoint(pt.X + 0.5 * h * f2[0], pt.Y + 0.5 * h * f2[1]), t + 0.5 * h)
-                f4, _ = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
+                f2 = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]), t + 0.5 * h)
+                f3 = log_vel(LogPoint(pt.X + 0.5 * h * f2[0], pt.Y + 0.5 * h * f2[1]), t + 0.5 * h)
+                f4 = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
                 dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
                 dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
                 if not (math.isfinite(dX) and math.isfinite(dY)):

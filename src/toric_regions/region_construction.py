@@ -8,6 +8,7 @@ the large-delta asymptotics.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -758,7 +759,10 @@ def _monotone_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]
     return lower[:-1] + upper[:-1]
 
 
-_HULL_ARC_SAMPLES = 256  # interior samples per arc in conv_hull
+_HULL_ARC_SAMPLES = 256  # conv_hull samples an arc at u = k / _HULL_ARC_SAMPLES
+_HULL_ARC_U = np.arange(1, _HULL_ARC_SAMPLES) / _HULL_ARC_SAMPLES
+_HULL_MARGIN = 1e-12  # relative cross-product margin of conv_hull's interior filter
+_HULL_FILTER_LOG = 230.0  # conv_hull filters only while every |log coordinate| is below this
 
 
 def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
@@ -766,19 +770,39 @@ def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
 
     Segments are straight in x-space so only their endpoints matter.  Arcs
     are curved in x-space and can bulge outward past the chord between
-    their endpoints, extending the hull, so each arc is sampled at
-    _HULL_ARC_SAMPLES interior points.  (For the fan {(-1,1),(1,2),(2,1),
-    (1,3)} at delta = 1 the hull has 50 vertices; the endpoints alone give
-    10.)
+    their endpoints, extending the hull, so each arc is sampled at its
+    _HULL_ARC_SAMPLES - 1 interior log points s + u*(e - s), formed as
+    Arc.point_at forms them.  (For the fan {(-1,1),(1,2),(2,1),(1,3)} at
+    delta = 1 the hull has 50 vertices; the endpoints alone give 10.)
+    The samples are exponentiated with math.exp: np.exp differs from it in
+    the last place on about one in eleven of them, which would move hull
+    vertices.
+
+    The hull of the piece endpoints is a subset of the full hull, so a
+    point strictly inside it is not a vertex of the full hull, and such
+    points are dropped before the monotone chain.  Strictly inside means
+    that on every edge the cross product exceeds 1e-12 times the sum of
+    its two terms' magnitudes, far above its rounding error, so the chain
+    returns the vertex list it returns on all the points.  The filter runs
+    only while every coordinate lies in (e^-230, e^230): there the chain's
+    cross products neither underflow nor overflow.  Beyond that range an
+    underflowed product can pop a vertex, so points the filter would drop
+    can change the chain's result (an atlas fan at delta = 100, whose
+    coordinates reach down to 1e-281, showed it).
     """
-    pts = []
-    for piece in boundary.pieces:
-        for anchor in (piece.start, piece.end):
-            pts.append((math.exp(anchor.X), math.exp(anchor.Y)))
-        if isinstance(piece, Arc):
-            for k in range(1, _HULL_ARC_SAMPLES):
-                lp = piece.point_at(k / _HULL_ARC_SAMPLES)
-                pts.append((math.exp(lp.X), math.exp(lp.Y)))
+    ends = [(pt.X, pt.Y) for piece in boundary.pieces for pt in (piece.start, piece.end)]
+    s = np.array([(a.start.X, a.start.Y) for a in boundary.arcs]).reshape(-1, 1, 2)
+    e = np.array([(a.end.X, a.end.Y) for a in boundary.arcs]).reshape(-1, 1, 2)
+    X, Y = np.concatenate([ends, (s + _HULL_ARC_U[:, None] * (e - s)).reshape(-1, 2)]).T
+    xs, ys = list(map(math.exp, X.tolist())), list(map(math.exp, Y.tolist()))
+    pts = list(zip(xs, ys))
+    inner = _monotone_chain(pts[:len(ends)])
+    if len(inner) >= 3 and max(np.abs(X).max(), np.abs(Y).max()) < _HULL_FILTER_LOG:
+        hx, hy = np.array(inner).T
+        a = (np.roll(hx, -1) - hx) * (np.array(ys)[:, None] - hy)
+        b = (np.roll(hy, -1) - hy) * (np.array(xs)[:, None] - hx)
+        strict = (a - b > _HULL_MARGIN * (np.abs(a) + np.abs(b))).all(axis=1)
+        pts = list(itertools.compress(pts, (~strict).tolist()))
     return _monotone_chain(pts)
 
 

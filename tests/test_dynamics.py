@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from toric_regions import dynamics
 from toric_regions.dynamics import (
     AlternatingStrategy,
     ExtremeRayStrategy,
@@ -190,6 +191,21 @@ class TestIntegrate:
         end = traj.points[-1]
         assert max(abs(end.X), abs(end.Y)) <= 1e-6
         assert traj.worst_violation <= 1e-9
+
+    @pytest.mark.parametrize("rescale", [False, True])
+    def test_four_monomial_passes_per_step(self, monkeypatch, rescale):
+        # The step start's velocity and stiffness come from one pass and
+        # each later stage makes one; no step of this flow is halved.
+        passes = []
+        monomials = dynamics._monomials
+        monkeypatch.setattr(dynamics, "_monomials",
+                            lambda system, pt: passes.append(pt) or monomials(system, pt))
+        sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
+        traj = integrate_to_point(sys11, LogPoint(2.0, -1.5), WORKED_FAN, DELTA,
+                                  LogPoint(0.0, 0.0), t_end=0.05, rescale=rescale)
+        steps = len(traj.times) - 1
+        assert traj.termination == "t_end" and steps >= 50
+        assert len(passes) == 4 * steps
 
     def test_convergence_nm_system(self, region, nm_system):
         target = region.start_max.log

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from toric_regions import region_construction
 from toric_regions.errors import (
     DeltaTooSmall,
     NoCrossing,
@@ -20,6 +21,7 @@ from toric_regions.fan_geometry import (
     strip_coordinate,
 )
 from toric_regions.region_construction import (
+    _HULL_ARC_SAMPLES,
     Arc,
     Segment,
     _curve_cross_on_line,
@@ -29,6 +31,7 @@ from toric_regions.region_construction import (
     _log_mix,
     _VALIDATION_SAMPLES,
     _loop_checks,
+    _monotone_chain,
     _nagumo_check,
     _r_le_1_check,
     _scaled_reciprocals,
@@ -563,11 +566,57 @@ class TestSampleChecks:
         assert _r_le_1_check(worked_region, []) == _r_le_1_reference(worked_region, [])
 
 
+def _sampled_hull(boundary):
+    """conv_hull as first written: every arc sampled through Arc.point_at and
+    the monotone chain run on every point."""
+    pts = []
+    for piece in boundary.pieces:
+        for anchor in (piece.start, piece.end):
+            pts.append((math.exp(anchor.X), math.exp(anchor.Y)))
+        if isinstance(piece, Arc):
+            for k in range(1, _HULL_ARC_SAMPLES):
+                lp = piece.point_at(k / _HULL_ARC_SAMPLES)
+                pts.append((math.exp(lp.X), math.exp(lp.Y)))
+    return _monotone_chain(pts)
+
+
 class TestHullAndPhi:
     def test_hull_contains_all_anchors(self, worked_region):
         hull = conv_hull(worked_region)
         for pt in worked_region.anchors.values():
             assert hull_contains(hull, pt, rel_tol=1e-7)
+
+    def test_hull_matches_sampled_reference(self, monkeypatch):
+        # The level-band fans and the level census fan across the band.
+        band = [3.0 + k / 7 for k in range(8)]
+        cases = [(gens, d) for gens in ([(-1, 1), (1, 2), (2, 1)],
+                                        [(-1, 1), (1, 2), (2, 1), (1, 0)],
+                                        [(1, 2), (2, 1), (1, 1)],
+                                        [(-1, 2), (-2, 1)],
+                                        [(-2, 1), (-3, 1), (-3, 2)])
+                 for d in band]
+        cases += [
+            ([(-1, 1), (1, 2), (2, 1), (1, 3)], 1.0),  # 50 vertices, 10 from endpoints
+            ([(-1, 1), (1, 2), (1, 1)], 1.0),  # an arc on (1,1), straight in x-space
+            ([(-1, 1), (1, 2), (2, 1), (1, 0)], 1.0),  # an axis join
+            ([(-1, 1), (1, 2), (3, 1)], 100.0),  # coordinates down to 1e-281
+        ]
+        for gens, delta in cases:
+            region = construct_region(Fan(gens), delta, validate=False)
+            hull = conv_hull(region)
+            assert hull == _sampled_hull(region), (gens, delta)
+            assert all(type(c) is float for pt in hull for c in pt)
+        # The chain runs on the piece endpoints, then on the points outside
+        # their hull.
+        region = construct_region(Fan([(-1, 1), (1, 2), (2, 1), (1, 3)]), 1.0, validate=False)
+        ends = [(math.exp(pt.X), math.exp(pt.Y))
+                for piece in region.pieces for pt in (piece.start, piece.end)]
+        sizes = []
+        monkeypatch.setattr(region_construction, "_monotone_chain",
+                            lambda pts: sizes.append(len(pts)) or _monotone_chain(pts))
+        assert len(conv_hull(region)) == 50 and len(_monotone_chain(ends)) == 10
+        total = len(ends) + len(region.arcs) * (_HULL_ARC_SAMPLES - 1)
+        assert sizes[0] == len(ends) and 50 <= sizes[1] < total
 
     def test_hull_nesting(self):
         fan = Fan(WORKED_GENS)

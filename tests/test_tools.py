@@ -88,3 +88,22 @@ def test_atlas_outcomes_adds_delta_300_without_seed(tmp_path, monkeypatch):
     monkeypatch.setattr(tool, "CATALOG", catalog)
     recs = list(tool.records(toric_regions))
     assert [(r["delta"], r["seed"]) for r in recs] == [(3.0, "validated"), (300.0, None)]
+
+
+def test_level_outcomes_records():
+    tool = _load_tool("level_outcomes")
+    workloads = tool._workloads()
+    gens = workloads.LEVEL_FANS["worked"]
+    rc, fg = toric_regions.region_construction, toric_regions.fan_geometry
+    cx, cy = workloads.start_point_exponents(gens)
+    rec = tool.level_record(gens, "fan", 3.5, toric_regions, workloads)
+    phi = rc.phi_level(fg.LogPoint(3.5 * cx, 3.5 * cy), fg.Fan(gens), 3.0, 4.0)
+    assert rec == {"gens": [[-1, 1], [1, 2], [2, 1]], "group": "fan", "level": 3.5,
+                   "phi": phi.hex()}
+    assert abs(phi - 3.5) <= 1e-6
+    hull = rc.conv_hull(rc.construct_region(fg.Fan(gens), 3.5, validate=False))
+    assert tool.hull_record(gens, 3.5, toric_regions) == {
+        "gens": [[-1, 1], [1, 2], [2, 1]], "delta": 3.5, "vertices": len(hull),
+        "hull": tool.hull_digest(hull)}
+    # A level outside the band is a documented rejection.
+    assert tool.level_record(gens, "fan", 5.0, toric_regions, workloads)["phi"] == "OutOfBand"
