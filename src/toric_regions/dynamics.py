@@ -21,10 +21,12 @@ from .errors import (
 )
 from .fan_geometry import (
     LINE_WIDTH,
+    STRIP_TOL,
     TWO_PI,
     Cone,
     Fan,
     LogPoint,
+    _arm_table,
     _flanking_arms,
     along_coordinate,
     as_log,
@@ -191,7 +193,9 @@ def embedded_system_for_target(fan: Fan, delta: float, target: str,
 
 _FALLBACK_ANGLE = 2.5  # full-plane direction of the left extreme ray; right mirrors it
 _ALTERNATION_PERIOD = 0.5  # time between AlternatingStrategy's switches
-_MIN_SPEED = 1e-3  # StrictStrategy's x-space speed floor in proper cones
+# x-space speed floor of the ray selections in a proper cone: where x or y
+# is small a unit log speed is a tiny x-space velocity.
+_MIN_SPEED = 1e-3
 
 
 def _log_speed(point: LogPoint, v: tuple[float, float]) -> float:
@@ -199,12 +203,21 @@ def _log_speed(point: LogPoint, v: tuple[float, float]) -> float:
     return math.hypot(v[0] * math.exp(-point.X), v[1] * math.exp(-point.Y))
 
 
-def _log_unit(point: LogPoint, v: tuple[float, float]) -> tuple[float, float]:
-    """Rescale an x-space velocity to unit log-space speed (cones allow it)."""
+def _log_unit(point: LogPoint, v: tuple[float, float], rhs: Cone) -> tuple[float, float]:
+    """Rescale an x-space velocity to unit log-space speed, and then, unless
+    rhs is the full plane, up to x-space speed _MIN_SPEED (cones allow
+    both)."""
     n = _log_speed(point, v)
     if n == 0.0:
         return (0.0, 0.0)
-    return (v[0] / n, v[1] / n)
+    v = (v[0] / n, v[1] / n)
+    if rhs.width == TWO_PI:
+        return v
+    n = math.hypot(v[0], v[1])
+    if 0.0 < n < _MIN_SPEED:
+        scale = _MIN_SPEED / n
+        return (v[0] * scale, v[1] * scale)
+    return v
 
 
 class FieldStrategy:
@@ -249,7 +262,7 @@ class TimeRescaledField:
 
 
 class ExtremeRayStrategy:
-    """Always pick one extreme ray of the cone (unit log speed).
+    """Always pick one extreme ray of the cone (unit log speed, floored).
 
     In full-plane zones there is no constraint; a fixed fallback direction
     keeps the trajectory moving deterministically.
@@ -263,14 +276,10 @@ class ExtremeRayStrategy:
         a = _FALLBACK_ANGLE if side == "left" else -_FALLBACK_ANGLE
         self._fallback = (math.cos(a), math.sin(a))
 
-    def pick(self, rhs: Cone) -> tuple[float, float]:
-        rays = rhs.extreme_rays()
-        if not rays:
-            return self._fallback
-        return rays[-1 if self.side == "left" else 0]
-
     def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
-        return _log_unit(point, self.pick(rhs))
+        rays = rhs.extreme_rays()
+        u = rays[-1 if self.side == "left" else 0] if rays else self._fallback
+        return _log_unit(point, u, rhs)
 
 
 class AlternatingStrategy:
@@ -287,7 +296,8 @@ class AlternatingStrategy:
 
 
 class RandomInConeStrategy:
-    """Seeded random direction strictly inside the cone (unit log speed)."""
+    """Seeded random direction strictly inside the cone (unit log speed,
+    floored)."""
 
     def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
@@ -301,35 +311,17 @@ class RandomInConeStrategy:
             a = rhs.lo + (0.0 if u < 0.5 else math.pi)
         else:
             a = rhs.lo + u * rhs.width
-        return _log_unit(point, (math.cos(a), math.sin(a)))
-
-
-class StrictStrategy:
-    """Wrapper enforcing a minimum x-space speed whenever the cone is proper."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = f"strict_{inner.name}"
-
-    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
-        v = self.inner(point, rhs, t)
-        if rhs.width == TWO_PI:
-            return v
-        n = math.hypot(v[0], v[1])
-        if 0.0 < n < _MIN_SPEED:
-            scale = _MIN_SPEED / n
-            return (v[0] * scale, v[1] * scale)
-        return v
+        return _log_unit(point, (math.cos(a), math.sin(a)), rhs)
 
 
 def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
     """The shipped strategy registry, keyed by name."""
     return {
         "origin_11": FieldStrategy(embedded_system_for_target(fan, delta, "origin_11")),
-        "extreme_left": StrictStrategy(ExtremeRayStrategy("left")),
-        "extreme_right": StrictStrategy(ExtremeRayStrategy("right")),
-        "alternating": StrictStrategy(AlternatingStrategy()),
-        "random_in_cone": StrictStrategy(RandomInConeStrategy(seed)),
+        "extreme_left": ExtremeRayStrategy("left"),
+        "extreme_right": ExtremeRayStrategy("right"),
+        "alternating": AlternatingStrategy(),
+        "random_in_cone": RandomInConeStrategy(seed),
     }
 
 
@@ -646,7 +638,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     """
     if r_dst == 1:
         strip = next(r for r in fan.regions(delta)
-                     if abs(strip_coordinate(dst, r)) < r.delta_i - 1e-9)
+                     if abs(strip_coordinate(dst, r)) < r.delta_i - STRIP_TOL)
         arm = _sign(along_coordinate(dst, strip.gen))
         arm_sets = ({(strip.index, arm)}, {(strip.index, -arm)})
         sigma = strip_coordinate(dst, strip)
@@ -656,14 +648,15 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
             into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
             return [into, _logline_leg(into.points[-1], dst, "slide along the strip")]
     else:
-        arm_sets = ({(gi, arm) for _, gi, arm in _flanking_arms(dst, fan)},)
+        table, k = _arm_table(fan), _flanking_arms(dst, fan)
+        arm_sets = ({table[k][1:], table[(k + 1) % len(table)][1:]},)
 
         def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
             return [_xline_leg(c, _xspace_unit(c, dst), dst, "straight gap run")]
 
     candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS
                   for k, seg in enumerate(region.polylines[chain])
-                  if seg.crossing and (seg.region_index, seg.arm_sign) in arms]
+                  if (seg.region_index, seg.arm_sign) in arms]
     last_err: Exception | str = "no crossing segment on the target's arms"
     for chain, k in candidates:
         try:

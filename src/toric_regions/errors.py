@@ -60,7 +60,7 @@ class OutOfBand(ToricRegionsError):
 
 
 class MonomialOverflow(ToricRegionsError):
-    """A monomial exponent exceeded the configured log-magnitude cap."""
+    """A monomial exponent past its log-magnitude cap, or an exponential beyond the float range."""
 
 
 class StepCollapse(ToricRegionsError):

@@ -386,12 +386,10 @@ def _arm_table(fan: Fan) -> tuple[tuple[float, int, int], ...]:
     return tuple(arms)
 
 
-def _flanking_arms(pt: LogPoint, fan: Fan) -> tuple[tuple[float, int, int], tuple[float, int, int]]:
-    """The two consecutive arm rays of the sector containing the point.
-
-    The sector runs counter-clockwise from the first arm (inclusive) to the
-    second; entries are rows of the arm table.
-    """
+def _flanking_arms(pt: LogPoint, fan: Fan) -> int:
+    """Index k of the sector fan_2d_cones(fan)[k] containing the point: it
+    runs counter-clockwise from arm k (inclusive) of the arm table to arm
+    k + 1 (mod 2b)."""
     arms = _arm_table(fan)
     phi = _wrap(math.atan2(pt.Y, pt.X))
     k = len(arms) - 1
@@ -400,7 +398,7 @@ def _flanking_arms(pt: LogPoint, fan: Fan) -> tuple[tuple[float, int, int], tupl
             k = i
         else:
             break
-    return arms[k], arms[(k + 1) % len(arms)]
+    return k
 
 
 @lru_cache(maxsize=256)

@@ -19,6 +19,7 @@ from .errors import (
     ArcsDontMeet,
     ConstructionFailed,
     DeltaTooSmall,
+    MonomialOverflow,
     NoCrossing,
     OutOfBand,
     ParallelGenerators,
@@ -765,6 +766,15 @@ _HULL_MARGIN = 1e-12  # relative cross-product margin of conv_hull's interior fi
 _HULL_FILTER_LOG = 230.0  # conv_hull filters only while every |log coordinate| is below this
 
 
+def _exp_all(logs: list[float]) -> list[float]:
+    """math.exp of each log coordinate; MonomialOverflow past about 709.78."""
+    try:
+        return list(map(math.exp, logs))
+    except OverflowError:
+        raise MonomialOverflow(f"log coordinate {max(logs):.6g} exponentiates beyond "
+                               "the float range") from None
+
+
 def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
     """Convex hull of the boundary in x-space (CCW vertex list).
 
@@ -794,7 +804,7 @@ def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
     s = np.array([(a.start.X, a.start.Y) for a in boundary.arcs]).reshape(-1, 1, 2)
     e = np.array([(a.end.X, a.end.Y) for a in boundary.arcs]).reshape(-1, 1, 2)
     X, Y = np.concatenate([ends, (s + _HULL_ARC_U[:, None] * (e - s)).reshape(-1, 2)]).T
-    xs, ys = list(map(math.exp, X.tolist())), list(map(math.exp, Y.tolist()))
+    xs, ys = _exp_all(X.tolist()), _exp_all(Y.tolist())
     pts = list(zip(xs, ys))
     inner = _monotone_chain(pts[:len(ends)])
     if len(inner) >= 3 and max(np.abs(X).max(), np.abs(Y).max()) < _HULL_FILTER_LOG:
@@ -810,7 +820,7 @@ def hull_contains(hull: list[tuple[float, float]], point,
                   rel_tol: float = 1e-9) -> bool:
     """Point-in-convex-polygon with a relative tolerance on each edge."""
     pt = as_log(point)
-    px, py = math.exp(pt.X), math.exp(pt.Y)
+    px, py = _exp_all([pt.X, pt.Y])
     m = len(hull)
     if m == 0:
         return False
@@ -841,7 +851,8 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     """The delta in [delta_lo, delta_hi] whose convex boundary carries the point.
 
     Monotone bisection on hull membership; OutOfBand if the point is outside
-    the outer hull or strictly interior to the inner one.
+    the outer hull or strictly interior to the inner one, MonomialOverflow
+    if a hull or the point is beyond the float range.
     """
     pt = as_log(point)
     if not hull_contains(_hull(fan, delta_hi), pt):
@@ -916,12 +927,7 @@ def _slope_chain_check(boundary: RegionBoundary) -> dict:
     def slopes(segs) -> list[Fraction]:
         return [s.slope for s in segs if s.slope is not None]
 
-    i1 = [s for s in boundary.polylines["I1"] if s.crossing]
-    i2 = [s for s in boundary.polylines["I2"] if s.crossing]
-    i3 = [s for s in boundary.polylines["I3"] if s.crossing]
-    i4 = [s for s in boundary.polylines["I4"] if s.crossing]
-    if not (i1 and i2 and i3 and i4):
-        return {"passed": True, "worst": 0.0, "detail": "no comparable segments"}
+    i1, i2, i3, i4 = (boundary.polylines[name] for name in ("I1", "I2", "I3", "I4"))
     # B_p = the I4 anchor with the largest x coordinate.
     p_idx = max(range(len(i4)), key=lambda k: i4[k].end.X)
     chain1 = slopes(reversed(i4[: p_idx + 1])) + slopes(i1)

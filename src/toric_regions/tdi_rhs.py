@@ -1,16 +1,18 @@
 """Right-hand side of the toric differential inclusion.
 
 At a log point the value is the polar of the intersection of every
-full-dimensional fan sector within distance delta of the point, computed
-once per (fan, near set).  Every value is a ``Cone``: the full plane where
-r(x) >= 2 strips contain the point, a half plane where r(x) = 1, and where
-r(x) = 0 the polar of the containing sector (a ray for a one-generator
-fan).  Inside the strip of a one-generator fan the value is a line.
+full-dimensional fan sector within distance delta of the point, built
+only by ``_near_value``, once per (fan, near set).  Every value is a
+``Cone``: the full plane where r(x) >= 2 strips contain the point, a half
+plane where r(x) = 1, and where r(x) = 0 the polar of the containing
+sector (a ray for a one-generator fan).  Inside the strip of a
+one-generator fan the value is a line.
 
-``rhs_bruteforce`` evaluates the definition: the ground truth, and the
-integrator's check at every step.  ``rhs_bruteforce_batch`` does so for an
-array of points at once, for the validation battery.  ``rhs_classified``
-reads the value off r(x), and must agree away from strip boundaries.
+Each path only chooses the near set.  ``rhs_bruteforce`` does it by the
+definition: the ground truth, and the integrator's check at every step;
+``rhs_bruteforce_batch`` for an array of points at once, for the
+validation battery.  ``rhs_classified`` reads it off r(x) and the active
+strip's arm, and returns the definition's value away from strip boundaries.
 """
 
 import functools
@@ -25,8 +27,8 @@ from .fan_geometry import (
     TWO_PI,
     Cone,
     Fan,
+    _arm_table,
     _flanking_arms,
-    _wrap,
     along_coordinate,
     as_log,
     delta_i,
@@ -34,6 +36,9 @@ from .fan_geometry import (
     fan_2d_cones,
     near_cone,
 )
+
+# The value wherever r(x) >= 2; Cone is frozen, so every caller shares it.
+_FULL_PLANE = Cone(0.0, TWO_PI)
 
 
 @functools.lru_cache(maxsize=512)
@@ -68,15 +73,16 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan,
 
 
 def rhs_classified(point, fan: Fan, delta: float) -> Cone:
-    """Fast three-case evaluation by the strip-interior count r(x).
+    """Fast evaluation: choose the near set by the strip-interior count r(x),
+    and read its value from the definition's cache.
 
-    r >= 2 gives the full plane; r = 1 a half plane whose boundary slope is
-    the active strip's attracting slope (a line for a one-generator fan);
-    r = 0 the proper cone spanned by the two flanking strips' half planes.
-    Raises AmbiguousClassification within STRIP_TOL of any strip boundary.
+    r >= 2 gives the shared full plane; r = 1 the two sectors on either side
+    of the active strip's arm on the point's side (both half planes of a
+    one-generator fan); r = 0 the containing sector alone.  Raises
+    AmbiguousClassification within STRIP_TOL of any strip boundary.
     """
     pt = as_log(point)
-    active = None
+    active = -1
     r = 0
     for i, g in enumerate(fan.generators):
         s = abs(g.q * pt.Y - g.p * pt.X)
@@ -85,22 +91,15 @@ def rhs_classified(point, fan: Fan, delta: float) -> Cone:
             raise AmbiguousClassification(f"point within {STRIP_TOL} of boundary of strip {i}")
         if s < half_width:
             r += 1
-            active = g
+            active = i
     if r >= 2:
-        return Cone(0.0, TWO_PI)
-    if r == 1:
-        if fan.b == 1:
-            # Both half-plane sectors are near: their intersection is the
-            # generator line, and its polar is the normal line.
-            return Cone(math.atan2(active.p, active.q), LINE_WIDTH).polar()
-        # The polar of the active strip's arm on the point's side.
-        side = 1 if along_coordinate(pt, active) >= 0.0 else -1
-        return Cone(math.atan2(side * active.p, side * active.q), 0.0).polar()
-    # r = 0: the polar of the containing sector, built from the same arm
-    # angles as the one sector rhs_bruteforce collects, so the two paths
-    # agree bit for bit here.
-    (lo, _, _), (hi, _, _) = _flanking_arms(pt, fan)
-    return Cone(lo, _wrap(hi - lo)).polar()
+        return _FULL_PLANE
+    if r == 0:
+        return _near_value(fan, 1 << _flanking_arms(pt, fan))
+    side = 1 if along_coordinate(pt, fan.generators[active]) >= 0.0 else -1
+    arms = _arm_table(fan)
+    j = next(j for j, (_, gi, sign) in enumerate(arms) if gi == active and sign == side)
+    return _near_value(fan, (1 << j) | (1 << (j - 1) % len(arms)))
 
 
 def rhs_equal(a: Cone, b: Cone, tol: float = 1e-9) -> bool:

@@ -10,7 +10,6 @@ from toric_regions.dynamics import (
     FieldStrategy,
     MassActionSystem,
     RandomInConeStrategy,
-    StrictStrategy,
     Trajectory,
     _reversible,
     _xline_leg,
@@ -218,20 +217,23 @@ class TestIntegrate:
 
 
 class TestStrategies:
-    def test_strict_wrapper_floor(self):
-        class Feeble:
-            name = "feeble"
-
-            def __call__(self, point, rhs, t):
-                rays = rhs.extreme_rays()
-                u = rays[0] if rays else (1.0, 0.0)
-                return (u[0] * 1e-9, u[1] * 1e-9)
-
-        strict = StrictStrategy(Feeble())
-        pt = LogPoint(10.0, 0.0)
+    def test_ray_selections_floor(self):
+        # At x = y = e^-12 a unit log speed is an x-space speed of about
+        # 6e-6; in a proper cone each ray selection is raised to 1e-3, still
+        # in the cone, and in the full plane the unit log speed stands.
+        pt = LogPoint(-12.0, -12.0)
         rhs = rhs_bruteforce(pt, WORKED_FAN, DELTA)
-        v = strict(pt, rhs, 0.0)
-        assert math.hypot(*v) >= 1e-3
+        full = rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, DELTA)
+        assert (rhs.kind, full.kind) == ("sector", "full")
+        reg = builtin_strategies(WORKED_FAN, DELTA, seed=7)
+        for name in ("extreme_left", "extreme_right", "alternating", "random_in_cone"):
+            for t in (0.1, 0.6):
+                v = reg[name](pt, rhs, t)
+                assert math.hypot(*v) == pytest.approx(1e-3, rel=1e-12), name
+                assert rhs.violation(v) <= 1e-9, name
+                v = reg[name](pt, full, t)
+                assert math.hypot(v[0] * math.exp(12.0), v[1] * math.exp(12.0)) == \
+                    pytest.approx(1.0, rel=1e-12), name
 
     def test_extreme_rays_stay_in_cone(self):
         rng = np.random.default_rng(3)
@@ -255,6 +257,10 @@ class TestStrategies:
         reg = builtin_strategies(WORKED_FAN, DELTA)
         assert set(reg) == {"origin_11", "extreme_left", "extreme_right",
                             "alternating", "random_in_cone"}
+        # The ray selections carry their own floor: no wrapper renames them.
+        assert [reg[n].name for n in ("extreme_left", "extreme_right", "alternating")] == \
+            ["extreme_left", "extreme_right", "alternating"]
+        assert reg["random_in_cone"].name == "random_in_cone_0"
 
 
 class TestOmegaLimit:

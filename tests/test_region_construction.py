@@ -6,6 +6,7 @@ import pytest
 from toric_regions import region_construction
 from toric_regions.errors import (
     DeltaTooSmall,
+    MonomialOverflow,
     NoCrossing,
     OutOfBand,
     ToricRegionsError,
@@ -629,6 +630,20 @@ class TestHullAndPhi:
         hull = conv_hull(construct_region(fan, 3.5, validate=False))
         for x, y in hull[::2]:
             assert phi_level(PosPoint(x, y), fan, 3.0, 4.0) == pytest.approx(3.5, abs=1e-8)
+
+    def test_overflow_is_a_documented_error(self):
+        # At delta = 100 this region reaches past e^709.78, beyond the float
+        # range: the hull, a band reaching that delta, and a query point
+        # that far out raise MonomialOverflow, not a bare OverflowError.
+        fan = Fan([(-2, 1), (2, 3), (1, 1)])
+        with pytest.raises(MonomialOverflow, match="beyond the float range"):
+            conv_hull(construct_region(fan, 100.0, validate=False))
+        with pytest.raises(MonomialOverflow):
+            phi_level(LogPoint(5.0, 5.0), fan, 3.0, 100.0)
+        hull = conv_hull(construct_region(fan, 3.0, validate=False))
+        with pytest.raises(MonomialOverflow, match="710"):
+            hull_contains(hull, LogPoint(710.0, 0.0))
+        assert hull_contains(hull, LogPoint(0.0, 0.0))
 
     def test_phi_out_of_band(self):
         fan = Fan(WORKED_GENS)

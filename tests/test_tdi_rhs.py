@@ -171,6 +171,34 @@ class TestOracleEquivalence:
             assert (rhs.kind == "full") == (r_count(pt, fan, 3.0) >= 2)
 
 
+class TestClassifiedIsDefinition:
+    """rhs_classified only chooses the near set; the value is the definition's."""
+
+    @pytest.mark.parametrize("min_b, max_b", [(1, 1), (2, 6)])
+    def test_exact_agreement_off_strip_boundaries(self, min_b, max_b):
+        rng = np.random.default_rng(9 + min_b)
+        seen = set()
+        for fan in random_fans(rng, 40, min_b, max_b):
+            delta = float(rng.uniform(0.5, 6.0))
+            for X, Y in rng.uniform(-5.0 * delta, 5.0 * delta, size=(100, 2)):
+                pt = LogPoint(float(X), float(Y))
+                if min(abs(abs(g.q * pt.Y - g.p * pt.X) - delta_i(g, delta)) / g.norm
+                       for g in fan.generators) <= 1e-6:
+                    continue
+                fast = rhs_classified(pt, fan, delta)
+                slow = rhs_bruteforce(pt, fan, delta)
+                assert (fast.lo, fast.width) == (slow.lo, slow.width), (fan, delta, pt)
+                seen.add(min(r_count(pt, fan, delta), 2))
+        assert seen == ({0, 1} if max_b == 1 else {0, 1, 2})
+
+    def test_full_plane_is_one_shared_object(self):
+        a = rhs_classified(LogPoint(0.0, 0.0), WORKED_FAN, 3.0)
+        b = rhs_classified(LogPoint(1.0, -0.5), WORKED_FAN, 3.0)
+        c = rhs_classified(PosPoint(1.0, 1.0), CROSS_FAN, 1.0)
+        assert a.kind == "full"
+        assert a is b and a is c
+
+
 class TestSubfanMonotonicity:
     def test_reflexive(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -107,3 +108,36 @@ def test_level_outcomes_records():
         "hull": tool.hull_digest(hull)}
     # A level outside the band is a documented rejection.
     assert tool.level_record(gens, "fan", 5.0, toric_regions, workloads)["phi"] == "OutOfBand"
+
+
+def test_reach_outcomes_records():
+    tool = _load_tool("reach_outcomes")
+    workloads = tool._workloads()
+    dy, fg = importlib.import_module("toric_regions.dynamics"), toric_regions.fan_geometry
+    fan = fg.Fan(workloads.REACH_FANS["worked"])
+    region = toric_regions.construct_region(fan, 3.0)
+    traj = dy.reach_witness(fg.PosPoint(1.0, 1.0), fg.LogPoint(1.13011, 0.031832), fan, 3.0,
+                            region, arrive_tol=1e-6)
+    rec = tool.witness_record("worked", 1.13011, 0.031832, toric_regions, workloads)
+    assert rec == {"group": "witness", "fan": "worked", "X": 1.13011, "Y": 0.031832,
+                   "outcome": "arrived", "worst": traj.worst_violation.hex(),
+                   "points": len(traj.points), "digest": tool.trajectory_digest(traj)}
+    run = tool.strategy_record("worked", "extreme_left", (-2.0, 1.5), toric_regions, workloads)
+    assert run["outcome"] == "t_end" and run["points"] > 100
+    # A target outside the region is a documented rejection.
+    out = tool.witness_record("worked", 30.0, 30.0, toric_regions, workloads)
+    assert out["outcome"] == "WitnessFailed:precondition" and out["digest"] is None
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps these names; a deleted or renamed one
+    # would silently drop out of its per-layer metrics.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.TRACED + tracer.COUNTED:
+        owner = importlib.import_module(f"toric_regions.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module}.{attr}"
+    assert ("fan_geometry", "Fan.regions", "fan_geometry.Fan.regions") in tracer.TRACED

@@ -1,0 +1,152 @@
+"""Trajectory figures of the benchmark's reach fans.
+
+It prints one JSON line per record, in three groups:
+
+    {"group": "witness", "fan": name, "X": x, "Y": y, "outcome": o,
+     "worst": <float.hex of worst_violation> or null, "points": n, "digest": d}
+
+for every target of ``bench/data/reach_targets.json``: ``reach_witness``
+from (1, 1) at delta = 3, as the benchmark calls it;
+
+    {"group": "strategy", "fan": name, "strategy": s, "start": [X, Y],
+     "outcome": o, "worst": ..., "points": n, "digest": d}
+
+for every reach fan and built-in strategy from each of ``STRATEGY_STARTS``
+with seed ``STRATEGY_SEED``, integrated to t = 5; and
+
+    {"group": "converge", "fan": name, "start": [X, Y], "outcome": o,
+     "worst": ..., "points": n, "digest": d}
+
+for each of ``CONVERGE_STARTS`` on the benchmark's convergence fans: the
+all-rates-one embedded field integrated to (1, 1).  The digest is a sha256
+of the trajectory's points and velocities, bit for bit.  An outcome is
+the trajectory's termination ("arrived" for a witness), the class name
+of a package error (with the failing leg of a ``WitnessFailed``), or
+"bare:<class>" for an exception that is not one.
+``bench/`` is only read.
+
+Run from anywhere, against the package under SRC_DIR (default: the
+``src`` directory next to this file's parent):
+
+    python tools/reach_outcomes.py [SRC_DIR] > reach.jsonl
+
+Running it on two source trees and comparing the outputs with ``diff``
+shows every trajectory that changed.
+"""
+
+import functools
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STRATEGY_STARTS = ((-2.0, 1.5), (2.5, -1.0))
+STRATEGY_SEED = 12345
+CONVERGE_STARTS = ((2.0, -1.5), (-2.5, 0.5), (1.0, 2.5), (-1.5, -2.0))
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _error(exc: Exception, package) -> str:
+    if isinstance(exc, package.errors.WitnessFailed):
+        return f"WitnessFailed:{exc.leg}"
+    if isinstance(exc, package.errors.ToricRegionsError):
+        return type(exc).__name__
+    return f"bare:{type(exc).__name__}"
+
+
+def trajectory_digest(traj) -> str:
+    """Short hash of a trajectory's points and velocities, bit for bit."""
+    h = hashlib.sha256()
+    for p, v in zip(traj.points, traj.velocities):
+        h.update(f"{p.X.hex()} {p.Y.hex()} {float(v[0]).hex()} {float(v[1]).hex()};".encode())
+    return h.hexdigest()[:16]
+
+
+def _run(call, package) -> dict:
+    """Outcome fields of one trajectory-producing call."""
+    try:
+        traj = call()
+    except Exception as exc:
+        return {"outcome": _error(exc, package), "worst": None, "points": None,
+                "digest": None}
+    return {"outcome": traj.termination, "worst": float(traj.worst_violation).hex(),
+            "points": len(traj.points), "digest": trajectory_digest(traj)}
+
+
+@functools.lru_cache(maxsize=None)
+def _region(fan, delta: float, package):
+    return package.region_construction.construct_region(fan, delta)
+
+
+def witness_record(name: str, X: float, Y: float, package, workloads) -> dict:
+    fg, dy = package.fan_geometry, package.dynamics
+    fan = fg.Fan(workloads.REACH_FANS[name])
+    delta = workloads.REACH_DELTA
+    region = _region(fan, delta, package)
+    rec = {"group": "witness", "fan": name, "X": X, "Y": Y}
+    rec.update(_run(lambda: dy.reach_witness(
+        fg.PosPoint(1.0, 1.0), fg.LogPoint(X, Y), fan, delta, region,
+        arrive_tol=workloads.Reach.ARRIVE_TOL), package))
+    return rec
+
+
+def strategy_record(name: str, strategy: str, start, package, workloads) -> dict:
+    fg, dy = package.fan_geometry, package.dynamics
+    fan = fg.Fan(workloads.REACH_FANS[name])
+    delta = workloads.REACH_DELTA
+    strat = dy.builtin_strategies(fan, delta, seed=STRATEGY_SEED)[strategy]
+    rec = {"group": "strategy", "fan": name, "strategy": strategy, "start": list(start)}
+    rec.update(_run(lambda: dy.integrate(strat, fg.LogPoint(*start), fan, delta,
+                                         t_end=workloads.Reach.T_END), package))
+    return rec
+
+
+def converge_record(name: str, start, package, workloads) -> dict:
+    fg, dy = package.fan_geometry, package.dynamics
+    fan = fg.Fan(workloads.REACH_FANS[name])
+    delta = workloads.REACH_DELTA
+    field = dy.embedded_system_for_target(fan, delta, "origin_11")
+    rec = {"group": "converge", "fan": name, "start": list(start)}
+    rec.update(_run(lambda: dy.integrate_to_point(field, fg.LogPoint(*start), fan, delta,
+                                                  fg.LogPoint(0.0, 0.0), t_end=200.0,
+                                                  rel_tol=workloads.Reach.REL_TOL), package))
+    return rec
+
+
+def records(package, workloads):
+    catalog = json.loads((ROOT / "bench" / "data" / "reach_targets.json").read_text())
+    for name, entry in catalog["fans"].items():
+        for t in entry["targets"]:
+            yield witness_record(name, t["X"], t["Y"], package, workloads)
+    for name in workloads.REACH_FANS:
+        for strategy in workloads.Reach.STRATEGIES:
+            for start in STRATEGY_STARTS:
+                yield strategy_record(name, strategy, start, package, workloads)
+    for name in workloads.Reach.CONVERGE_FANS:
+        for start in CONVERGE_STARTS:
+            yield converge_record(name, start, package, workloads)
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[1]) if len(argv) > 1 else ROOT / "src"
+    if not (src / "toric_regions").is_dir():
+        print(f"no toric_regions package under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src.resolve()))
+    package = importlib.import_module("toric_regions")
+    importlib.import_module("toric_regions.dynamics")
+    for rec in records(package, _workloads()):
+        print(json.dumps(rec))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
