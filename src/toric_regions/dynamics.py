@@ -42,9 +42,12 @@ from .region_construction import (
     _xline_at,
     region_contains,
 )
-from .tdi_rhs import rhs_bruteforce, rhs_classified
+from .tdi_rhs import rhs_bruteforce, rhs_bruteforce_batch, rhs_classified
 
 _CONE_TOL = 1e-9  # cone-violation tolerance of every velocity check
+# Strip tolerance of the checks' cone: sectors within delta + 1e-9 count, so
+# a point on a strip boundary is checked against the larger value.
+_INCLUSIVE_TOL = -1e-9
 
 
 def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> Cone:
@@ -52,6 +55,15 @@ def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> Cone:
         return rhs_classified(point, fan, delta)
     except AmbiguousClassification:
         return rhs_bruteforce(point, fan, delta)
+
+
+def _violations(points: list[LogPoint], velocities: list[tuple[float, float]], fan: Fan,
+                delta: float) -> list[float]:
+    """Cone violation of each velocity at its point, against the inclusive
+    value of the inclusion, from one batched evaluation."""
+    X, Y = np.array([(p.X, p.Y) for p in points], dtype=float).reshape(-1, 2).T
+    values, index = rhs_bruteforce_batch(X, Y, fan, delta, _INCLUSIVE_TOL)
+    return [values[k].violation(v) for k, v in zip(index, velocities)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +235,16 @@ def _log_unit(point: LogPoint, v: tuple[float, float], rhs: Cone) -> tuple[float
 class FieldStrategy:
     """Follow a fixed embedded mass-action field."""
 
+    reads_cone = False  # the field lies in the cone; integrate passes rhs=None
+
     def __init__(self, system: MassActionSystem):
         self.system = system
         self.name = system.label or "field"
 
-    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone | None, t: float) -> tuple[float, float]:
         return mass_action_field(self.system, point)
 
-    def with_stiffness(self, point: LogPoint, rhs: Cone, t: float):
+    def with_stiffness(self, point: LogPoint, rhs: Cone | None, t: float):
         """The velocity and field_stiffness at a point, from one monomial pass."""
         return _field_and_stiffness(self.system, point)
 
@@ -243,16 +257,18 @@ class TimeRescaledField:
     even where the rates make the raw field exponentially slow.
     """
 
+    reads_cone = False  # as FieldStrategy
+
     def __init__(self, system: MassActionSystem):
         self.system = system
         self.name = (system.label or "field") + "_rescaled"
 
-    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
+    def __call__(self, point: LogPoint, rhs: Cone | None, t: float) -> tuple[float, float]:
         v = mass_action_field(self.system, point)
         c = 1.0 / (1.0 + _log_speed(point, v))
         return (v[0] * c, v[1] * c)
 
-    def with_stiffness(self, point: LogPoint, rhs: Cone, t: float):
+    def with_stiffness(self, point: LogPoint, rhs: Cone | None, t: float):
         """The velocity and its stiffness bound at a point, from one monomial
         pass."""
         v, stiff = _field_and_stiffness(self.system, point)
@@ -329,6 +345,7 @@ def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
 # Integration
 
 _MAX_LOG_STEP = 0.25  # largest log-space move of one integrator step
+_CHECK_CHUNK = 64  # step starts per batched cone check in integrate
 _OMEGA_RADIUS = 1e-3  # log-space cluster radius of omega_limit_estimate
 
 
@@ -356,8 +373,16 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     The step is capped so no single update moves more than 0.25 in log
     space (the fields are exponentially stiff far from equilibrium), at
     1.5 over the stiffness bound of a strategy that has with_stiffness,
-    and halved when a stage fails, down to dt/1024; the strategy's velocity
-    at every accepted step start is checked against the brute-force cone.
+    and halved when a stage fails, down to dt/1024.
+
+    The strategy's velocity at every step start is checked against the
+    inclusive brute-force cone: in batches of _CHECK_CHUNK step starts, once
+    more at the end, and before any exception leaves.  The first violating
+    step start raises StepCollapse, with the step and message a check at
+    every step would give; a stateful selection (RandomInConeStrategy) may
+    thus be called for up to _CHECK_CHUNK - 1 steps past it first.  A
+    selection whose reads_cone attribute is False is passed rhs=None, and no
+    cone is computed for it.
     """
     pt = as_log(start)
     t = 0.0
@@ -370,65 +395,90 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     def to_log(p: LogPoint, v: tuple[float, float]) -> tuple[float, float]:
         return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y))
 
+    reads_cone = getattr(strategy, "reads_cone", True)
+
+    def cone(p: LogPoint) -> Cone | None:
+        return _rhs_fast(p, fan, delta) if reads_cone else None
+
     def log_vel(p: LogPoint, tt: float) -> tuple[float, float]:
-        return to_log(p, strategy(p, _rhs_fast(p, fan, delta), tt))
+        return to_log(p, strategy(p, cone(p), tt))
 
     # The step start's velocity and stiffness bound come from one field
     # evaluation.
     start_vel = getattr(strategy, "with_stiffness",
                         lambda p, rhs, tt: (strategy(p, rhs, tt), 0.0))
 
+    # Step starts not yet checked against the cone: (point, velocity, t).
+    unchecked: list = []
+
+    def check_starts():
+        nonlocal worst
+        starts = unchecked.copy()
+        unchecked.clear()
+        violations = _violations([s[0] for s in starts], [s[1] for s in starts], fan, delta)
+        for (_, _, ts), violation in zip(starts, violations):
+            worst = max(worst, violation)
+            if violation > _CONE_TOL:
+                # Halving cannot fix the start velocity, so this is exactly
+                # the fails-at-minimum-step condition.
+                raise StepCollapse(
+                    f"velocity violates the cone by {violation:.3e} at t={ts:.4g}"
+                )
+
     steps = 0
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
-    while t < t_end and steps < max_steps:
-        if stop_when is not None and stop_when(pt, t):
-            termination = "stopped"
-            break
-        steps += 1
-        v0, stiff = start_vel(pt, _rhs_fast(pt, fan, delta), t)
-        f1 = to_log(pt, v0)
-        violation = rhs_bruteforce(pt, fan, delta, tol=-1e-9).violation(v0)
-        worst = max(worst, violation)
-        if violation > _CONE_TOL:
-            # Halving cannot fix the start velocity, so this is exactly
-            # the fails-at-minimum-step condition.
-            raise StepCollapse(
-                f"velocity violates the cone by {violation:.3e} at t={t:.4g}"
-            )
-        speed = math.hypot(f1[0], f1[1])
-        if speed == 0.0:
-            termination = "stalled"
-            break
-        h = min(dt, t_end - t, _MAX_LOG_STEP / speed)
-        if stiff > 0.0:
-            h = min(h, 1.5 / stiff)
-        h_min = dt / 1024.0
-        while True:
-            try:
-                f2 = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]), t + 0.5 * h)
-                f3 = log_vel(LogPoint(pt.X + 0.5 * h * f2[0], pt.Y + 0.5 * h * f2[1]), t + 0.5 * h)
-                f4 = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
-                dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
-                dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
-                if not (math.isfinite(dX) and math.isfinite(dY)):
-                    raise MonomialOverflow("nonfinite step")
-                if max(abs(dX), abs(dY)) > 4.0 * _MAX_LOG_STEP:
-                    raise MonomialOverflow("step too large")
+    try:
+        while t < t_end and steps < max_steps:
+            if stop_when is not None and stop_when(pt, t):
+                termination = "stopped"
                 break
-            except (MonomialOverflow, OverflowError):
-                h *= 0.5
-                if h < h_min:
-                    raise StepCollapse(
-                        f"step below {h_min} without passing at t={t:.4g}"
-                    )
-        pt = LogPoint(pt.X + dX, pt.Y + dY)
-        t += h
-        times.append(t)
-        points.append(pt)
-        velocities.append(v0)
-        if stop_when is not None and stop_when(pt, t):
-            termination = "stopped"
-            break
+            steps += 1
+            v0, stiff = start_vel(pt, cone(pt), t)
+            f1 = to_log(pt, v0)
+            unchecked.append((pt, v0, t))
+            if len(unchecked) == _CHECK_CHUNK:
+                check_starts()
+            speed = math.hypot(f1[0], f1[1])
+            if speed == 0.0:
+                termination = "stalled"
+                break
+            h = min(dt, t_end - t, _MAX_LOG_STEP / speed)
+            if stiff > 0.0:
+                h = min(h, 1.5 / stiff)
+            h_min = dt / 1024.0
+            while True:
+                try:
+                    f2 = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]),
+                                 t + 0.5 * h)
+                    f3 = log_vel(LogPoint(pt.X + 0.5 * h * f2[0], pt.Y + 0.5 * h * f2[1]),
+                                 t + 0.5 * h)
+                    f4 = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
+                    dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
+                    dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+                    if not (math.isfinite(dX) and math.isfinite(dY)):
+                        raise MonomialOverflow("nonfinite step")
+                    if max(abs(dX), abs(dY)) > 4.0 * _MAX_LOG_STEP:
+                        raise MonomialOverflow("step too large")
+                    break
+                except (MonomialOverflow, OverflowError):
+                    h *= 0.5
+                    if h < h_min:
+                        raise StepCollapse(
+                            f"step below {h_min} without passing at t={t:.4g}"
+                        )
+            pt = LogPoint(pt.X + dX, pt.Y + dY)
+            t += h
+            times.append(t)
+            points.append(pt)
+            velocities.append(v0)
+            if stop_when is not None and stop_when(pt, t):
+                termination = "stopped"
+                break
+    except Exception:
+        # An earlier step start that violates the cone is the first failure.
+        check_starts()
+        raise
+    check_starts()
     if steps >= max_steps and termination == "t_end" and t < t_end:
         termination = "max_steps"
     # The last sample starts no step.
@@ -483,9 +533,10 @@ class WitnessLeg:
 
 
 def _validate_leg(leg: WitnessLeg, fan: Fan, delta: float) -> float:
-    worst = 0.0
-    for p, v in zip(leg.points, leg.velocities):
-        worst = max(worst, rhs_bruteforce(p, fan, delta, tol=-1e-9).violation(v))
+    """Worst cone violation of the leg's velocities, each against the
+    inclusive value at its point; WitnessFailed naming the leg's description
+    when it exceeds _CONE_TOL."""
+    worst = max([0.0] + _violations(leg.points, leg.velocities, fan, delta))
     if worst > _CONE_TOL:
         raise WitnessFailed(leg.description, f"worst violation {worst:.3e}")
     return worst

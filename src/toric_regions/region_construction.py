@@ -956,7 +956,7 @@ def _first_max(values: np.ndarray, samples, floor):
 def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
     X, Y = np.array([(pt.X, pt.Y) for pt, _ in samples]).reshape(-1, 2).T
     normals = np.array([piece.normal_at(pt) for pt, piece in samples]).reshape(-1, 2)
-    values, index = rhs_bruteforce_batch(X, Y, boundary.fan, boundary.delta)
+    values, index = rhs_bruteforce_batch(X, Y, boundary.fan, boundary.delta, STRIP_TOL)
     # Each sample's extreme rays dotted with its normal, elementwise as ray . n rounds.
     out = np.full((len(samples), 3), -math.inf)
     for j, value in enumerate(values):

@@ -9,10 +9,12 @@ sector (a ray for a one-generator fan).  Inside the strip of a
 one-generator fan the value is a line.
 
 Each path only chooses the near set.  ``rhs_bruteforce`` does it by the
-definition: the ground truth, and the integrator's check at every step;
-``rhs_bruteforce_batch`` for an array of points at once, for the
-validation battery.  ``rhs_classified`` reads it off r(x) and the active
-strip's arm, and returns the definition's value away from strip boundaries.
+definition, point by point: the ground truth.  ``rhs_bruteforce_batch``
+does the same for an array of points at once; it is the validation
+battery's check, and, with the inclusive tol, the integrator's check of
+every step start and the check of every witness leg.  ``rhs_classified``
+reads the near set off r(x) and the active strip's arm, and returns the
+definition's value away from strip boundaries.
 """
 
 import functools
@@ -62,11 +64,11 @@ def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
                                 if dist_to_cone(pt, s) <= delta - tol))
 
 
-def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan,
-                         delta: float) -> tuple[list[Cone], np.ndarray]:
-    """rhs_bruteforce at each log point (X[k], Y[k]) of float arrays, with the
-    default tol: the distinct values, and each point's index into them."""
-    near = sum(near_cone(X, Y, s, delta - STRIP_TOL).astype(np.int64) << k
+def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
+                         tol: float) -> tuple[list[Cone], np.ndarray]:
+    """rhs_bruteforce(pt, fan, delta, tol) at each log point (X[k], Y[k]) of
+    float arrays: the distinct values, and each point's index into them."""
+    near = sum(near_cone(X, Y, s, delta - tol).astype(np.int64) << k
                for k, s in enumerate(fan_2d_cones(fan)))
     codes, index = np.unique(near, return_inverse=True)
     return [_near_value(fan, int(c)) for c in codes], index

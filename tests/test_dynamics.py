@@ -10,8 +10,11 @@ from toric_regions.dynamics import (
     FieldStrategy,
     MassActionSystem,
     RandomInConeStrategy,
+    TimeRescaledField,
     Trajectory,
+    WitnessLeg,
     _reversible,
+    _validate_leg,
     _xline_leg,
     builtin_strategies,
     complex_balance_residual,
@@ -29,6 +32,7 @@ from toric_regions.region_construction import construct_region, region_contains
 from toric_regions.tdi_rhs import rhs_bruteforce
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
+CROSS_FAN = Fan([(1, 1), (-1, 1)])
 DELTA = 3.0
 
 
@@ -142,6 +146,77 @@ class TestIntegrate:
         with pytest.raises(StepCollapse):
             integrate(Outward(), LogPoint(10.0, 10.0), Fan([(1, 1), (-1, 1)]),
                       1.0, t_end=1.0, dt=1e-2)
+
+    class Turning:
+        """Inward (-1, -1) until t0, outward (1, 1) from then on.  With wall,
+        every call after t0 + 0.015 raises MonomialOverflow.
+
+        The turn is half a step before t0, so rounding of the summed step
+        times cannot move it.  Far up the diagonal of CROSS_FAN at delta 1
+        the cone is {v . (1,1) <= 0}, which (1, 1) violates by 1.
+        """
+
+        name = "turning"
+
+        def __init__(self, t0, wall):
+            self.t0 = t0
+            self.wall = wall
+
+        def __call__(self, point, rhs, t):
+            if self.wall and t > self.t0 + 0.015:
+                raise MonomialOverflow("past the wall")
+            return (1.0, 1.0) if t > self.t0 - 0.005 else (-1.0, -1.0)
+
+    @pytest.mark.parametrize("wall", [False, True])
+    @pytest.mark.parametrize("t0", [0.0, 0.37, 0.64])
+    def test_first_violating_step_collapses(self, t0, wall):
+        # Step 38 (t = 0.37) is mid-chunk, step 65 (t = 0.64) the first of the
+        # second chunk of 64, which this run of 100 steps never fills.  With
+        # the wall, later stages and step starts fail, but the violating step
+        # start comes first.
+        with pytest.raises(StepCollapse) as err:
+            integrate(self.Turning(t0, wall), LogPoint(10.0, 10.0), CROSS_FAN, 1.0,
+                      t_end=1.0, dt=1e-2)
+        assert str(err.value) == f"velocity violates the cone by 1.000e+00 at t={t0:.4g}"
+
+    def test_worst_violation_is_the_per_step_maximum(self):
+        traj = integrate(ExtremeRayStrategy("right"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
+                         t_end=5.0)
+        ref = 0.0
+        for p, v in zip(traj.points[:-1], traj.velocities[:-1]):
+            ref = max(ref, rhs_bruteforce(p, WORKED_FAN, DELTA, tol=-1e-9).violation(v))
+        assert len(traj.times) > 3 * 64 and ref > 0.0
+        assert traj.worst_violation == ref
+
+    @pytest.mark.parametrize("strategy", [FieldStrategy, TimeRescaledField])
+    def test_field_flows_compute_no_cone(self, monkeypatch, strategy):
+        calls = []
+        fast = dynamics._rhs_fast
+        monkeypatch.setattr(dynamics, "_rhs_fast", lambda *a: calls.append(a) or fast(*a))
+        sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
+        traj = integrate(strategy(sys11), LogPoint(2.0, -1.5), WORKED_FAN, DELTA, t_end=0.05,
+                         dt=1e-3)
+        assert len(traj.times) > 50 and calls == []
+
+    def test_ray_and_custom_selections_get_the_cone(self):
+        seen = []
+
+        class Recording(ExtremeRayStrategy):
+            def __call__(self, point, rhs, t):
+                seen.append((point, rhs))
+                return super().__call__(point, rhs, t)
+
+        class Custom:
+            def __call__(self, point, rhs, t):
+                seen.append((point, rhs))
+                return (rhs.extreme_rays() or [(-1.0, -1.0)])[0]
+
+        for strategy in (Recording("left"), Custom()):
+            seen.clear()
+            integrate(strategy, LogPoint(-2.0, 1.5), WORKED_FAN, DELTA, t_end=0.1)
+            assert len(seen) > 10
+            for point, rhs in seen:
+                assert rhs == dynamics._rhs_fast(point, WORKED_FAN, DELTA)
 
     class Walled:
         """Unit log speed along +X; the velocity overflows past X = 0.025."""
@@ -381,6 +456,36 @@ class TestReachWitness:
         assert traj.worst_violation <= 1e-9
         end = traj.points[-1]
         assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
+
+
+class TestValidateLeg:
+    def test_worst_is_the_scalar_loops(self, region):
+        # Two strip targets and a gap target; the second strip route rounds
+        # to a positive worst.
+        worst = []
+        for target in ((4.0, 7.0), (3.677344, -3.26284), (5.5, -1.0)):
+            traj = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA,
+                                 region)
+            for leg in traj.legs:
+                ref = 0.0
+                for p, v in zip(leg.points, leg.velocities):
+                    ref = max(ref, rhs_bruteforce(p, WORKED_FAN, DELTA, tol=-1e-9).violation(v))
+                worst.append(_validate_leg(leg, WORKED_FAN, DELTA))
+                assert worst[-1] == ref, (target, leg.description)
+        assert len(worst) > 6 and max(worst) > 0.0
+
+    def test_bad_velocity_names_the_leg(self):
+        # Up the diagonal strip of CROSS_FAN the cone is {v . (1,1) <= 0}.
+        points = [LogPoint(10.0, 10.0 + 0.05 * k) for k in range(9)]
+        velocities = [(-1.0, -1.0)] * 9
+        velocities[4] = (1.0, 1.0)
+        leg = WitnessLeg("logline", "test run", points, velocities)
+        with pytest.raises(WitnessFailed) as err:
+            _validate_leg(leg, CROSS_FAN, 1.0)
+        assert err.value.leg == "test run"
+        assert str(err.value) == "test run: worst violation 1.000e+00"
+        velocities[4] = (-1.0, 1.0)
+        assert _validate_leg(leg, CROSS_FAN, 1.0) == 0.0
 
 
 class TestXlineLeg:

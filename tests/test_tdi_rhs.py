@@ -225,22 +225,29 @@ class TestSubfanMonotonicity:
             rhs_subfan_subset(LogPoint(0.0, 0.0), CROSS_FAN, Fan([(1, 3)]), 1.0)
 
 
-def _definition(pt, fan, delta):
+# The validation battery's reading (a strip boundary takes the gap value)
+# and the velocity checks' inclusive one (it takes the larger cone).
+TOLS = (STRIP_TOL, -1e-9)
+
+
+def _definition(pt, fan, delta, tol):
     """The inclusion's value as the definition reads, with no cache."""
-    near = [s for s in fan_2d_cones(fan) if dist_to_cone(pt, s) <= delta - STRIP_TOL]
+    near = [s for s in fan_2d_cones(fan) if dist_to_cone(pt, s) <= delta - tol]
     return functools.reduce(Cone.intersect, near).polar()
 
 
 def _assert_batch_matches(X, Y, fan, delta):
-    """The batch value of every point is the scalar one, float for float."""
-    values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), fan, delta)
-    assert len(index) == len(X)
-    for x, y, k in zip(X, Y, index):
-        pt = LogPoint(float(x), float(y))
-        want = rhs_bruteforce(pt, fan, delta)
-        assert (values[k].lo, values[k].width) == (want.lo, want.width), (fan, delta, pt)
-        ref = _definition(pt, fan, delta)
-        assert (ref.lo, ref.width) == (want.lo, want.width), (fan, delta, pt)
+    """The batch value of every point is the scalar one, float for float, at
+    both tols."""
+    for tol in TOLS:
+        values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), fan, delta, tol)
+        assert len(index) == len(X)
+        for x, y, k in zip(X, Y, index):
+            pt = LogPoint(float(x), float(y))
+            want = rhs_bruteforce(pt, fan, delta, tol)
+            assert (values[k].lo, values[k].width) == (want.lo, want.width), (fan, delta, tol, pt)
+            ref = _definition(pt, fan, delta, tol)
+            assert (ref.lo, ref.width) == (want.lo, want.width), (fan, delta, tol, pt)
 
 
 def _strip_boundary_points(fan, delta):
@@ -284,12 +291,27 @@ class TestBatchBruteforce:
                                   fan, delta)
 
     def test_empty_array(self):
-        values, index = rhs_bruteforce_batch(np.empty(0), np.empty(0), WORKED_FAN, 3.0)
-        assert values == [] and len(index) == 0
+        for tol in TOLS:
+            values, index = rhs_bruteforce_batch(np.empty(0), np.empty(0), WORKED_FAN, 3.0, tol)
+            assert values == [] and len(index) == 0
+
+    def test_tol_moves_boundary_values(self):
+        # Some strip boundary point takes the gap value at STRIP_TOL and the
+        # larger cone at the inclusive tol.
+        X, Y = map(np.array, _strip_boundary_points(WORKED_FAN, 3.0))
+        strict, inclusive = (rhs_bruteforce_batch(X, Y, WORKED_FAN, 3.0, tol) for tol in TOLS)
+        moved = [k for k in range(len(X))
+                 if strict[0][strict[1][k]] != inclusive[0][inclusive[1][k]]]
+        assert moved
+        for k in moved:
+            pt = LogPoint(float(X[k]), float(Y[k]))
+            assert strict[0][strict[1][k]] == rhs_bruteforce(pt, WORKED_FAN, 3.0, STRIP_TOL)
+            assert inclusive[0][inclusive[1][k]] == rhs_bruteforce(pt, WORKED_FAN, 3.0, -1e-9)
 
     def test_values_are_distinct_near_sets(self):
         X, Y = [0.0, 10.0, 0.0, 10.0], [0.0, 10.0, 0.0, 10.0]
-        values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), CROSS_FAN, 1.0)
+        values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), CROSS_FAN, 1.0,
+                                             STRIP_TOL)
         assert len(values) == 2 and list(index[:2]) == list(index[2:])
         assert (values[index[0]].kind, values[index[1]].kind) == ("full", "halfplane")
 

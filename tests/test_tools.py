@@ -120,13 +120,19 @@ def test_reach_outcomes_records():
                             region, arrive_tol=1e-6)
     rec = tool.witness_record("worked", 1.13011, 0.031832, toric_regions, workloads)
     assert rec == {"group": "witness", "fan": "worked", "X": 1.13011, "Y": 0.031832,
-                   "outcome": "arrived", "worst": traj.worst_violation.hex(),
+                   "outcome": "arrived", "message": None, "worst": traj.worst_violation.hex(),
                    "points": len(traj.points), "digest": tool.trajectory_digest(traj)}
     run = tool.strategy_record("worked", "extreme_left", (-2.0, 1.5), toric_regions, workloads)
     assert run["outcome"] == "t_end" and run["points"] > 100
     # A target outside the region is a documented rejection.
     out = tool.witness_record("worked", 30.0, 30.0, toric_regions, workloads)
     assert out["outcome"] == "WitnessFailed:precondition" and out["digest"] is None
+    assert out["message"] == "precondition: both endpoints must lie in the region"
+    # The turn at t = 0.37 collapses there, before the wall's overflows.
+    assert tool.collapse_record(0.37, True, toric_regions) == {
+        "group": "collapse", "t0": 0.37, "wall": True, "outcome": "StepCollapse",
+        "message": "velocity violates the cone by 1.000e+00 at t=0.37", "worst": None,
+        "points": None, "digest": None}
 
 
 def test_traced_names_resolve():

@@ -1,28 +1,36 @@
 """Trajectory figures of the benchmark's reach fans.
 
-It prints one JSON line per record, in three groups:
+It prints one JSON line per record, in four groups:
 
     {"group": "witness", "fan": name, "X": x, "Y": y, "outcome": o,
-     "worst": <float.hex of worst_violation> or null, "points": n, "digest": d}
+     "message": m, "worst": <float.hex of worst_violation> or null,
+     "points": n, "digest": d}
 
 for every target of ``bench/data/reach_targets.json``: ``reach_witness``
 from (1, 1) at delta = 3, as the benchmark calls it;
 
     {"group": "strategy", "fan": name, "strategy": s, "start": [X, Y],
-     "outcome": o, "worst": ..., "points": n, "digest": d}
+     "outcome": o, "message": m, "worst": ..., "points": n, "digest": d}
 
 for every reach fan and built-in strategy from each of ``STRATEGY_STARTS``
 with seed ``STRATEGY_SEED``, integrated to t = 5; and
 
     {"group": "converge", "fan": name, "start": [X, Y], "outcome": o,
-     "worst": ..., "points": n, "digest": d}
+     "message": m, "worst": ..., "points": n, "digest": d}
 
 for each of ``CONVERGE_STARTS`` on the benchmark's convergence fans: the
-all-rates-one embedded field integrated to (1, 1).  The digest is a sha256
-of the trajectory's points and velocities, bit for bit.  An outcome is
-the trajectory's termination ("arrived" for a witness), the class name
-of a package error (with the failing leg of a ``WitnessFailed``), or
-"bare:<class>" for an exception that is not one.
+all-rates-one embedded field integrated to (1, 1); and
+
+    {"group": "collapse", "t0": t0, "wall": w, "outcome": o, "message": m,
+     "worst": ..., "points": n, "digest": d}
+
+for a selection that turns out of the cone at each of ``COLLAPSE_T0``
+(see ``Turning``), with and without a wall of overflowing calls after the
+turn.  The digest is a sha256 of the trajectory's points and velocities,
+bit for bit.  An outcome is the trajectory's termination ("arrived" for a
+witness), the class name of a package error (with the failing leg of a
+``WitnessFailed``), or "bare:<class>" for an exception that is not one;
+the message is the exception's text, null when none was raised.
 ``bench/`` is only read.
 
 Run from anywhere, against the package under SRC_DIR (default: the
@@ -45,6 +53,9 @@ ROOT = Path(__file__).resolve().parent.parent
 STRATEGY_STARTS = ((-2.0, 1.5), (2.5, -1.0))
 STRATEGY_SEED = 12345
 CONVERGE_STARTS = ((2.0, -1.5), (-2.5, 0.5), (1.0, 2.5), (-1.5, -2.0))
+# Turn times of the collapse group: the first step, mid-way through the
+# integrator's first batch of 64 step checks, and the first of the second.
+COLLAPSE_T0 = (0.0, 0.37, 0.64)
 
 
 def _workloads():
@@ -75,10 +86,11 @@ def _run(call, package) -> dict:
     try:
         traj = call()
     except Exception as exc:
-        return {"outcome": _error(exc, package), "worst": None, "points": None,
-                "digest": None}
-    return {"outcome": traj.termination, "worst": float(traj.worst_violation).hex(),
-            "points": len(traj.points), "digest": trajectory_digest(traj)}
+        return {"outcome": _error(exc, package), "message": str(exc), "worst": None,
+                "points": None, "digest": None}
+    return {"outcome": traj.termination, "message": None,
+            "worst": float(traj.worst_violation).hex(), "points": len(traj.points),
+            "digest": trajectory_digest(traj)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,6 +133,32 @@ def converge_record(name: str, start, package, workloads) -> dict:
     return rec
 
 
+class Turning:
+    """Inward x-space velocity (-1, -1) until half a step before t0, outward
+    (1, 1) from then on; with wall, every call after t0 + 0.015 raises the
+    package's MonomialOverflow.  Far up the diagonal of the fan (1,1),
+    (-1,1) at delta 1 the cone is {v . (1,1) <= 0}, which (1, 1) violates."""
+
+    name = "turning"
+
+    def __init__(self, t0: float, wall: bool, package):
+        self.t0, self.wall, self.overflow = t0, wall, package.errors.MonomialOverflow
+
+    def __call__(self, point, rhs, t):
+        if self.wall and t > self.t0 + 0.015:
+            raise self.overflow("past the wall")
+        return (1.0, 1.0) if t > self.t0 - 0.005 else (-1.0, -1.0)
+
+
+def collapse_record(t0: float, wall: bool, package) -> dict:
+    fg, dy = package.fan_geometry, package.dynamics
+    rec = {"group": "collapse", "t0": t0, "wall": wall}
+    rec.update(_run(lambda: dy.integrate(Turning(t0, wall, package), fg.LogPoint(10.0, 10.0),
+                                         fg.Fan([(1, 1), (-1, 1)]), 1.0, t_end=1.0, dt=1e-2),
+                    package))
+    return rec
+
+
 def records(package, workloads):
     catalog = json.loads((ROOT / "bench" / "data" / "reach_targets.json").read_text())
     for name, entry in catalog["fans"].items():
@@ -133,6 +171,9 @@ def records(package, workloads):
     for name in workloads.Reach.CONVERGE_FANS:
         for start in CONVERGE_STARTS:
             yield converge_record(name, start, package, workloads)
+    for t0 in COLLAPSE_T0:
+        for wall in (False, True):
+            yield collapse_record(t0, wall, package)
 
 
 def main(argv: list[str]) -> int:
