@@ -43,7 +43,14 @@ class ArcsDontMeet(ToricRegionsError):
 
 
 class DeltaTooSmall(ToricRegionsError):
-    """Construction or its validation battery failed at this delta."""
+    """Construction or its validation battery failed at this delta.
+
+    ``report`` is the full ``validate_region`` report when validation
+    failed, naming every check with its result and witness; None when the
+    construction itself failed.
+    """
+
+    report: dict | None = None
 
     def __init__(self, check: str, detail: str = ""):
         super().__init__(f"{check}" + (f": {detail}" if detail else ""))

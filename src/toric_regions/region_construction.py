@@ -623,7 +623,8 @@ class RegionBoundary:
 
 def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBoundary:
     """Run the full construction, optionally followed by the single-delta
-    validation battery (failures raise DeltaTooSmall naming the check)."""
+    validation battery (failures raise DeltaTooSmall naming the first
+    failing check, with the full report as its ``report``)."""
     classes = compute_slope_classes(fan)
     points = intersection_points(fan, delta)
     start_max, start_min = choose_start_points(points, classes.mode)
@@ -685,7 +686,9 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
         boundary.report = report
         bad = [name for name, res in report.items() if not res["passed"]]
         if bad:
-            raise DeltaTooSmall(bad[0], str(report[bad[0]].get("detail", "")))
+            exc = DeltaTooSmall(bad[0], str(report[bad[0]].get("detail", "")))
+            exc.report = report
+            raise exc
     return boundary
 
 
@@ -840,32 +843,95 @@ def hull_contains(hull: list[tuple[float, float]], point,
 
 @functools.lru_cache(maxsize=4096)
 def _hull(fan: Fan, delta: float) -> list[tuple[float, float]]:
-    """Hull of the region at delta, shared by the level-set bisections."""
+    """Hull of the region at delta, shared by the probes of every phi_level query."""
     return conv_hull(construct_region(fan, delta, validate=False))
 
 
-_LEVEL_TOL = 1e-9  # width of the delta bracket at which phi_level stops
+def _level_measure(hull: list[tuple[float, float]], pt: LogPoint) -> float:
+    """Signed measure of pt against the hull, read only to place phi_level's probes.
+
+    The log-space ray from the origin (x-space (1,1), inside every region)
+    through pt leaves the polygon of the hull's vertices, taken to log
+    coordinates, at t * pt; the measure is log t, positive when pt lies
+    inside that polygon.  An edge counts as met within 1e-9 of its ends, so
+    a ray through a vertex meets it despite rounding.  NaN when a vertex is
+    at 0.0 or no edge meets the ray.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xy = np.fromiter(itertools.chain.from_iterable(hull), float, 2 * len(hull))
+        v = np.log(xy).reshape(-1, 2)
+        e = np.roll(v, -1, axis=0) - v
+        den = pt.X * e[:, 1] - pt.Y * e[:, 0]
+        t = (v[:, 0] * e[:, 1] - v[:, 1] * e[:, 0]) / den
+        s = (v[:, 0] * pt.Y - v[:, 1] * pt.X) / den
+    hit = (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t > 0.0)
+    if not np.isfinite(v).all() or not hit.any():
+        return math.nan
+    return math.log(t[hit].max())
+
+
+_LEVEL_TOL = 1e-9  # phi_level stops once its delta bracket is at most this wide
+_ITP_KAPPA = 0.2  # ITP truncation: probes move _ITP_KAPPA * w^2 / band off the secant point
 
 
 def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     """The delta in [delta_lo, delta_hi] whose convex boundary carries the point.
 
-    Monotone bisection on hull membership; OutOfBand if the point is outside
-    the outer hull or strictly interior to the inner one, MonomialOverflow
-    if a hull or the point is beyond the float range.
+    Returns the midpoint of a bracket [lo, hi] with hi - lo <= _LEVEL_TOL,
+    where hull_contains(_hull(fan, hi), pt) is True and
+    hull_contains(_hull(fan, lo), pt) is False; at lo = delta_lo the point
+    is only known not to lie strictly inside.  A band of width at most
+    _LEVEL_TOL returns its midpoint after the two end checks.  OutOfBand if
+    delta_lo > delta_hi, if the point is outside the outer hull or if it is
+    strictly interior to the inner one; MonomialOverflow if a hull or the
+    point is beyond the float range.
+
+    hull_contains decides every bracket update.  Where the next probe goes
+    is an ITP step (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
+    _level_measure, which near the level is log(delta / level): the secant
+    point of the measure at the bracket ends, moved toward the midpoint by
+    _ITP_KAPPA * w^2 / (delta_hi - delta_lo) and kept _LEVEL_TOL / 2 inside
+    the bracket, then projected into the interval from which bisection
+    still finishes in the probes left.  A bisection step replaces it when
+    the secant point is not finite or outside the bracket, and when the
+    bracket has not halved within two steps.  So a poor measure costs
+    probes, never correctness, and no query makes more interior probes than
+    bisection's ceil(log2((delta_hi - delta_lo) / _LEVEL_TOL)).
     """
     pt = as_log(point)
-    if not hull_contains(_hull(fan, delta_hi), pt):
+    if delta_lo > delta_hi:
+        raise OutOfBand(f"empty band [{delta_lo}, {delta_hi}]: delta_lo exceeds delta_hi")
+    hull_hi = _hull(fan, delta_hi)
+    if not hull_contains(hull_hi, pt):
         raise OutOfBand(f"point outside conv(P({delta_hi}))")
-    if hull_contains(_hull(fan, delta_lo), pt, rel_tol=-1e-9):
+    hull_lo = _hull(fan, delta_lo)
+    if hull_contains(hull_lo, pt, rel_tol=-1e-9):
         raise OutOfBand(f"point strictly inside conv(P({delta_lo}))")
     lo, hi = delta_lo, delta_hi
+    band = hi - lo
+    if band <= _LEVEL_TOL:
+        return 0.5 * (lo + hi)
+    m_lo, m_hi = _level_measure(hull_lo, pt), _level_measure(hull_hi, pt)
+    left = math.ceil(math.log2(band / _LEVEL_TOL))  # probes bisection would make
+    widths = [band]
     while hi - lo > _LEVEL_TOL:
-        mid = 0.5 * (lo + hi)
-        if hull_contains(_hull(fan, mid), pt):
-            hi = mid
+        w, mid = hi - lo, 0.5 * (lo + hi)
+        c = (lo * m_hi - hi * m_lo) / (m_hi - m_lo) if m_hi != m_lo else math.nan
+        if not lo <= c <= hi or (len(widths) > 2 and w > 0.5 * widths[-3]):
+            c = mid
         else:
-            lo = mid
+            push = _ITP_KAPPA * w * w / band
+            c = mid if push >= abs(mid - c) else c + math.copysign(push, mid - c)
+            c = min(max(c, lo + 0.5 * _LEVEL_TOL), hi - 0.5 * _LEVEL_TOL)
+        r = _LEVEL_TOL * 2.0 ** (left - 1) - 0.5 * w
+        c = min(max(c, mid - r), mid + r)
+        left -= 1
+        hull = _hull(fan, c)
+        if hull_contains(hull, pt):
+            hi, m_hi = c, _level_measure(hull, pt)
+        else:
+            lo, m_lo = c, _level_measure(hull, pt)
+        widths.append(hi - lo)
     return 0.5 * (lo + hi)
 
 

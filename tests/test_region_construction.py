@@ -23,10 +23,12 @@ from toric_regions.fan_geometry import (
 )
 from toric_regions.region_construction import (
     _HULL_ARC_SAMPLES,
+    _LEVEL_TOL,
     Arc,
     Segment,
     _curve_cross_on_line,
     _falls,
+    _hull,
     _line_x_log,
     _line_y_log,
     _log_mix,
@@ -449,6 +451,30 @@ class TestSpecialCases:
         with pytest.raises(DeltaTooSmall):
             construct_region(Fan(WORKED_GENS), 0.05)
 
+    def test_failed_validation_keeps_its_report(self):
+        # An atlas fan that fails Nagumo at delta = 0.5: the exception names
+        # the first failing check, as before, and carries the whole report.
+        fan = Fan([(-2, 3), (1, 3), (3, 2)])
+        with pytest.raises(DeltaTooSmall) as exc:
+            construct_region(fan, 0.5)
+        assert exc.value.check == "nagumo"
+        assert str(exc.value) == "nagumo: max extreme-ray outward component"
+        report = exc.value.report
+        region = construct_region(fan, 0.5, validate=False)
+        assert report == region_construction.validate_region(region)
+        assert {name for name, res in report.items() if not res["passed"]} == {
+            "nagumo", "cone_containment"}
+        X, Y = report["nagumo"]["witness"]
+        assert report["nagumo"]["worst"] > 1e-9
+        assert min(pc.band_distance(LogPoint(X, Y)) for pc in region.pieces) <= 1e-9
+        assert report["cone_containment"]["detail"] == (
+            "horizontal-ray case: slope(l1) >= 0 or y_u >= M")
+
+    def test_construction_failure_has_no_report(self):
+        with pytest.raises(DeltaTooSmall) as exc:
+            construct_region(Fan([(-1, 2), (1, 3), (1, 1)]), 0.5)
+        assert exc.value.check == "ArcsDontMeet" and exc.value.report is None
+
 
 def _crossing_pairs_reference(pieces) -> int:
     """Piece pairs that cross, by the scalar chord-by-chord loop that the
@@ -581,6 +607,44 @@ def _sampled_hull(boundary):
     return _monotone_chain(pts)
 
 
+def _bisect_level(pt, fan, delta_lo, delta_hi):
+    """phi_level as first written: the same end checks, then bisection of
+    the band on hull_contains down to a bracket of _LEVEL_TOL."""
+    if not hull_contains(_hull(fan, delta_hi), pt):
+        raise OutOfBand(f"point outside conv(P({delta_hi}))")
+    if hull_contains(_hull(fan, delta_lo), pt, rel_tol=-1e-9):
+        raise OutOfBand(f"point strictly inside conv(P({delta_lo}))")
+    lo, hi = delta_lo, delta_hi
+    while hi - lo > _LEVEL_TOL:
+        mid = 0.5 * (lo + hi)
+        if hull_contains(_hull(fan, mid), pt):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+LEVEL_FANS = ([(-1, 1), (1, 2), (2, 1)], [(-1, 1), (1, 2), (2, 1), (1, 0)],
+              [(1, 2), (2, 1), (1, 1)], [(-1, 2), (-2, 1)])
+LEVEL_CENSUS_FAN = [(-2, 1), (-3, 1), (-3, 2)]  # hull_contains is not monotone in delta here
+
+
+def _level_point(fan: Fan, level: float) -> LogPoint:
+    """The start point (N, M) of the region at delta = level."""
+    nm = choose_start_points(intersection_points(fan, 1.0), compute_slope_classes(fan).mode)[0]
+    return LogPoint(level * nm.cx, level * nm.cy)
+
+
+@pytest.fixture
+def hull_requests(monkeypatch):
+    """The deltas of every _hull request, counted from a cleared cache."""
+    requests = []
+    _hull.cache_clear()
+    monkeypatch.setattr(region_construction, "_hull",
+                        lambda fan, delta: requests.append(delta) or _hull(fan, delta))
+    return requests
+
+
 class TestHullAndPhi:
     def test_hull_contains_all_anchors(self, worked_region):
         hull = conv_hull(worked_region)
@@ -651,3 +715,64 @@ class TestHullAndPhi:
             phi_level(PosPoint(1.0, 1.0), fan, 3.0, 4.0)
         with pytest.raises(OutOfBand):
             phi_level(LogPoint(100.0, 100.0), fan, 3.0, 4.0)
+
+    @pytest.mark.parametrize("gens", LEVEL_FANS)
+    def test_phi_matches_bisection_on_level_fans(self, gens, hull_requests):
+        fan = Fan(gens)
+        for k in range(12):
+            level = 3.0 + (k + 0.5) / 12
+            pt = _level_point(fan, level)
+            hull_requests.clear()
+            _hull.cache_clear()
+            phi = phi_level(pt, fan, 3.0, 4.0)
+            assert len(hull_requests) <= 12, (level, hull_requests)
+            assert abs(phi - _bisect_level(pt, fan, 3.0, 4.0)) <= 1e-9
+            assert abs(phi - level) <= 1e-6
+            # The bracket contract at phi +- _LEVEL_TOL.
+            assert hull_contains(_hull(fan, phi + 1e-9), pt)
+            assert not hull_contains(_hull(fan, phi - 1e-9), pt)
+
+    def test_census_levels_keep_bisections_probe_count(self, hull_requests):
+        fan = Fan(LEVEL_CENSUS_FAN)
+        for k in range(16):
+            pt = _level_point(fan, 3.0 + (k + 0.5) / 16)
+            hull_requests.clear()
+            _hull.cache_clear()
+            phi = phi_level(pt, fan, 3.0, 4.0)
+            assert len(hull_requests) <= 32
+            assert 3.0 <= phi <= 4.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measure_bisects(self, value, hull_requests, monkeypatch):
+        # A measure of no use leaves only bisection steps: the probes and
+        # the result are bisection's, bit for bit.
+        monkeypatch.setattr(region_construction, "_level_measure", lambda hull, pt: value)
+        fan = Fan(WORKED_GENS)
+        pt = _level_point(fan, 3.3)
+        phi = phi_level(pt, fan, 3.0, 4.0)
+        assert len(hull_requests) == 32
+        assert phi == _bisect_level(pt, fan, 3.0, 4.0)
+
+    def test_measure_is_log_of_level_ratio(self):
+        # Near the level the start point is the hull vertex on the ray, so
+        # the measure is log(delta / level).
+        fan = Fan(WORKED_GENS)
+        pt = _level_point(fan, 3.5)
+        for delta in (3.0, 3.4, 3.5, 3.6, 4.0):
+            measure = region_construction._level_measure(_hull(fan, delta), pt)
+            assert measure == pytest.approx(math.log(delta / 3.5), abs=1e-12)
+        assert math.isnan(region_construction._level_measure([(0.0, 1.0), (2.0, 1.0),
+                                                              (1.0, 2.0)], pt))
+
+    def test_empty_band_is_out_of_band(self, hull_requests):
+        fan = Fan(WORKED_GENS)
+        with pytest.raises(OutOfBand, match=r"empty band \[4.0, 3.0\]"):
+            phi_level(_level_point(fan, 3.5), fan, 4.0, 3.0)
+        assert hull_requests == []
+
+    @pytest.mark.parametrize("width", [0.0, 5e-10, 9e-10])
+    def test_narrow_band_returns_after_the_end_checks(self, width, hull_requests):
+        fan = Fan(WORKED_GENS)
+        phi = phi_level(_level_point(fan, 3.5), fan, 3.5, 3.5 + width)
+        assert hull_requests == [3.5 + width, 3.5]
+        assert phi == 0.5 * (3.5 + 3.5 + width)

@@ -91,23 +91,30 @@ def test_atlas_outcomes_adds_delta_300_without_seed(tmp_path, monkeypatch):
     assert [(r["delta"], r["seed"]) for r in recs] == [(3.0, "validated"), (300.0, None)]
 
 
-def test_level_outcomes_records():
+def test_level_outcomes_records(monkeypatch):
     tool = _load_tool("level_outcomes")
     workloads = tool._workloads()
     gens = workloads.LEVEL_FANS["worked"]
     rc, fg = toric_regions.region_construction, toric_regions.fan_geometry
     cx, cy = workloads.start_point_exponents(gens)
+    hull = rc._hull
     rec = tool.level_record(gens, "fan", 3.5, toric_regions, workloads)
+    assert rc._hull is hull
+    # The same query, its hull requests counted here.
+    requests = []
+    monkeypatch.setattr(rc, "_hull", lambda fan, delta: requests.append(delta) or hull(fan, delta))
     phi = rc.phi_level(fg.LogPoint(3.5 * cx, 3.5 * cy), fg.Fan(gens), 3.0, 4.0)
+    monkeypatch.undo()
     assert rec == {"gens": [[-1, 1], [1, 2], [2, 1]], "group": "fan", "level": 3.5,
-                   "phi": phi.hex()}
-    assert abs(phi - 3.5) <= 1e-6
+                   "phi": phi.hex(), "probes": len(requests)}
+    assert abs(phi - 3.5) <= 1e-6 and len(requests) <= 12
     hull = rc.conv_hull(rc.construct_region(fg.Fan(gens), 3.5, validate=False))
     assert tool.hull_record(gens, 3.5, toric_regions) == {
         "gens": [[-1, 1], [1, 2], [2, 1]], "delta": 3.5, "vertices": len(hull),
         "hull": tool.hull_digest(hull)}
     # A level outside the band is a documented rejection.
-    assert tool.level_record(gens, "fan", 5.0, toric_regions, workloads)["phi"] == "OutOfBand"
+    out = tool.level_record(gens, "fan", 5.0, toric_regions, workloads)
+    assert out["phi"] == "OutOfBand" and out["probes"] == 1
 
 
 def test_reach_outcomes_records():

@@ -7,9 +7,11 @@ start point (N, M) scaled to the level, fed to ``phi_level`` over the
 band.  It prints one JSON line per query
 
     {"gens": [[p, q], ...], "group": "fan" or "census", "level": l,
-     "phi": <float.hex of phi_level> or <error class>}
+     "phi": <float.hex of phi_level> or <error class>, "probes": n}
 
-and one line per fan and delta = 3, 3.5 and 4
+where n counts the query's ``_hull`` requests.  The hull cache is cleared
+before each query, so n does not depend on query order.  It prints one
+line per fan and delta = 3, 3.5 and 4
 
     {"gens": [[p, q], ...], "delta": d, "vertices": n, "hull": <digest>}
 
@@ -60,15 +62,22 @@ def hull_digest(hull) -> str:
 
 
 def level_record(gens, group: str, level: float, package, workloads) -> dict:
-    """phi_level of the fan's start point scaled to the level."""
+    """phi_level of the fan's start point scaled to the level, with the
+    number of hulls it requested from a cleared cache."""
     rc, fg = package.region_construction, package.fan_geometry
     lo, hi = workloads.LEVEL_BAND
     cx, cy = workloads.start_point_exponents(gens)
+    hull, requests = rc._hull, []
+    hull.cache_clear()
+    rc._hull = lambda fan, delta: requests.append(delta) or hull(fan, delta)
     try:
         phi = rc.phi_level(fg.LogPoint(level * cx, level * cy), fg.Fan(gens), lo, hi).hex()
     except Exception as exc:
         phi = _error(exc, package)
-    return {"gens": [list(g) for g in gens], "group": group, "level": level, "phi": phi}
+    finally:
+        rc._hull = hull
+    return {"gens": [list(g) for g in gens], "group": group, "level": level, "phi": phi,
+            "probes": len(requests)}
 
 
 def hull_record(gens, delta: float, package) -> dict:
