@@ -232,11 +232,13 @@ class Segment:
         return Segment(self.end, self.start, self.gen, self.region_index,
                        self.arm_sign, self.end_sign, self.crossing)
 
-    def normal_at(self, pt: LogPoint) -> tuple[float, float]:
-        """Outward x-space unit normal, the same at every point."""
-        g = self.gen
-        n = g.norm
-        return (self.arm_sign * g.q / n, self.arm_sign * g.p / n)
+    @staticmethod
+    def normals_at(segs, which, X, Y):
+        """Outward x-space unit normals at points of segs[which], the same
+        at every point of a segment."""
+        table = np.array([(s.arm_sign * s.gen.q / s.gen.norm, s.arm_sign * s.gen.p / s.gen.norm)
+                          for s in segs]).reshape(-1, 2)
+        return table[which, 0], table[which, 1]
 
     def at(self, c: float, mirrored: bool) -> LogPoint:
         """Point of the piece's line with log x = c (log y = c if mirrored),
@@ -246,18 +248,32 @@ class Segment:
             a = b
         return _xline_at(a, self.gen.p, -self.gen.q, c, mirrored)
 
-    def point_at(self, u: float) -> LogPoint:
-        """Point at fraction u of the dominant log-axis span.
+    @staticmethod
+    def points_at(segs, which, u):
+        """Points at fractions u of the dominant log-axis spans of segs[which].
 
-        u = 1 gives the end itself: a + 1.0*(b - a) can miss b by an ulp,
-        past the quadrant exit on a segment that ends at it.
+        Each point is the x-space line's point at that log coordinate, as
+        at evaluates it from the nearer endpoint.  u = 1 gives the end
+        itself: a + 1.0*(b - a) can miss b by an ulp, past the quadrant exit
+        on a segment that ends at it.
         """
-        a, b = self.start, self.end
-        if u == 1.0:
-            return b
-        if abs(b.X - a.X) < abs(b.Y - a.Y):
-            return self.at(a.Y + u * (b.Y - a.Y), True)
-        return self.at(a.X + u * (b.X - a.X), False)
+        rows = []
+        for s in segs:
+            a, b = s.start, s.end
+            if abs(b.X - a.X) < abs(b.Y - a.Y):  # along log y, on the x<->y mirror
+                rows.append((a.Y, b.Y, a.X, b.X, s.gen.p / -s.gen.q, True))
+            else:
+                rows.append((a.X, b.X, a.Y, b.Y, -s.gen.q / s.gen.p, False))
+        A0, A1, C0, C1, slope, mirrored = np.array(rows).reshape(-1, 6)[which].T
+        end = u == 1.0
+        along = np.where(end, A1, A0 + u * (A1 - A0))
+        across = C1.copy()
+        c, A0, A1, C0, C1 = along[~end], A0[~end], A1[~end], C0[~end], C1[~end]
+        far = np.abs(c - A1) < np.abs(c - A0)
+        across[~end] = _line_y_log_batch(np.where(far, A1, A0), np.where(far, C1, C0),
+                                         slope[~end], c)
+        mirrored = mirrored.astype(bool)
+        return np.where(mirrored, across, along), np.where(mirrored, along, across)
 
     def band_distance(self, pt: LogPoint) -> float:
         """Approximate log-space distance from a point to the piece.
@@ -300,12 +316,20 @@ class Arc:
     start: LogPoint
     end: LogPoint
 
-    def normal_at(self, pt: LogPoint) -> tuple[float, float]:
-        """Outward x-space unit normal at a point of the arc."""
-        g = self.gen
-        nx, ny = _scaled_reciprocals(pt, -g.p, g.q)
-        n = math.hypot(nx, ny)
-        return (self.h_sign * nx / n, self.h_sign * ny / n)
+    @staticmethod
+    def normals_at(arcs, which, X, Y):
+        """Outward x-space unit normals at points (X, Y) of arcs[which]: the
+        normal (-p/x, q/y) scaled as _scaled_reciprocals scales it, then
+        divided by its length."""
+        table = np.array([(math.log(abs(a.gen.p)), math.log(abs(a.gen.q)), -a.gen.p, a.gen.q,
+                           a.h_sign) for a in arcs]).reshape(-1, 5)
+        la0, lb0, a, b, h = table[which].T
+        la, lb = la0 - X, lb0 - Y
+        m = np.maximum(la, lb)
+        nx = np.copysign(_math_map(math.exp, la - m), a)
+        ny = np.copysign(_math_map(math.exp, lb - m), b)
+        n = _math_map(math.hypot, nx, ny)
+        return h * nx / n, h * ny / n
 
     def at(self, c: float, mirrored: bool) -> LogPoint:
         """Point of the arc's log line with log x = c (log y = c if mirrored)."""
@@ -315,9 +339,13 @@ class Arc:
             return LogPoint((g.q * c - k) / g.p, c)
         return LogPoint(c, (k + g.p * c) / g.q)
 
-    def point_at(self, u: float) -> LogPoint:
-        return LogPoint(self.start.X + u * (self.end.X - self.start.X),
-                        self.start.Y + u * (self.end.Y - self.start.Y))
+    @staticmethod
+    def points_at(arcs, which, u):
+        """Points at fractions u of arcs[which]: the log-space mix
+        s + u*(e - s) of the endpoints, also at u = 1."""
+        sX, sY, eX, eY = np.array([(a.start.X, a.start.Y, a.end.X, a.end.Y)
+                                   for a in arcs]).reshape(-1, 4)[which].T
+        return sX + u * (eX - sX), sY + u * (eY - sY)
 
     def band_distance(self, pt: LogPoint) -> float:
         """Exact log-space distance from a point to the arc (a log-space
@@ -367,6 +395,32 @@ def _line_x_log(X0: float, Y0: float, w: float, Y: float) -> float:
     """Log of x at log-y Y on the x-space line through (X0, Y0) with
     dx/dy = w: the kernel on the x<->y mirror."""
     return _line_y_log(Y0, X0, w, Y)
+
+
+def _math_map(fn, *arrays) -> np.ndarray:
+    """fn from math applied elementwise: numpy's exp, expm1, log1p and
+    hypot differ from math's in the last place on some inputs."""
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _line_y_log_batch(X0, Y0, s, X) -> np.ndarray:
+    """_line_y_log elementwise over arrays, bit for bit.
+
+    Elements on its direct branch are computed here; the rest go one by one
+    through _line_y_log itself.  Raises NoCrossing if any element has left
+    the positive quadrant.
+    """
+    e, t = X0 - Y0, X - X0
+    direct = (-_EXP_SAFE < e) & (e < _EXP_SAFE) & (t < _EXP_SAFE) & (e + t < _EXP_SAFE)
+    z = s[direct] * _math_map(math.exp, e[direct]) * _math_map(math.expm1, t[direct])
+    if not (z > -1.0).all():
+        raise NoCrossing("the line leaves the positive quadrant")
+    out = np.empty_like(X)
+    out[direct] = Y0[direct] + _math_map(math.log1p, z)
+    rest = ~direct
+    out[rest] = [_line_y_log(*args) for args in zip(X0[rest].tolist(), Y0[rest].tolist(),
+                                                     s[rest].tolist(), X[rest].tolist())]
+    return out
 
 
 def _xline_at(near: LogPoint, dx: float, dy: float, c: float, mirrored: bool) -> LogPoint:
@@ -720,21 +774,54 @@ def region_contains(boundary: RegionBoundary, point,
     return "inside" if crossings % 2 == 1 else "outside"
 
 
+def _by_class(method: str, pieces, index, *arrays) -> np.ndarray:
+    """A piece-class array method over the elements of pieces[index].
+
+    Each class's method(own, which, *arrays) evaluates the elements on its
+    own pieces (which indexes those); the two result arrays come back as
+    the rows of one (2, len(index)) array.
+    """
+    out = np.empty((2, len(index)))
+    for cls in dict.fromkeys(map(type, pieces)):
+        own = [k for k, p in enumerate(pieces) if type(p) is cls]
+        local = np.full(len(pieces), -1)
+        local[own] = np.arange(len(own))
+        which = local[index]
+        at = which >= 0
+        out[:, at] = getattr(cls, method)([pieces[k] for k in own], which[at],
+                                          *(a[at] for a in arrays))
+    return out
+
+
+def _chains(pieces, n: int) -> np.ndarray:
+    """Every piece's points at u = i / n, i = 0..n: arrays (X, Y) of shape
+    (pieces, n + 1)."""
+    index = np.repeat(np.arange(len(pieces)), n + 1)
+    u = np.tile(np.arange(n + 1) / n, len(pieces))
+    return _by_class("points_at", pieces, index, u).reshape(2, len(pieces), n + 1)
+
+
 _MIN_PIECE_SAMPLES = 4  # boundary samples on even the shortest piece
 
 
-def sample_boundary(boundary: RegionBoundary, total: int) -> list[tuple[LogPoint, object]]:
-    """Deterministic interior samples of every piece, count ~ log length."""
-    lengths = [max(abs(p.end.X - p.start.X) + abs(p.end.Y - p.start.Y), 1e-12)
-               for p in boundary.pieces]
-    whole = sum(lengths)
-    out = []
-    for piece, ln in zip(boundary.pieces, lengths):
-        n = max(_MIN_PIECE_SAMPLES, int(round(total * ln / whole)))
-        for k in range(n):
-            u = (k + 0.5) / n
-            out.append((piece.point_at(u), piece))
-    return out
+def sample_boundary(boundary: RegionBoundary, total: int):
+    """Deterministic interior samples of every piece, count ~ log length.
+
+    A piece of log length l = |dX| + |dY| (at least 1e-12) gets
+    n = max(_MIN_PIECE_SAMPLES, round(total * l / L)) samples, L the sum of
+    all lengths, at u = (j + 1/2) / n for j < n, in piece order.  Returns
+    arrays (X, Y, piece index).
+    """
+    pieces = boundary.pieces
+    ends = np.array([(p.start.X, p.start.Y, p.end.X, p.end.Y) for p in pieces]).reshape(-1, 4)
+    lengths = np.maximum(np.abs(ends[:, 2] - ends[:, 0]) + np.abs(ends[:, 3] - ends[:, 1]), 1e-12)
+    # Summed left to right: np.sum's pairwise order can round differently.
+    whole = sum(lengths.tolist())
+    counts = np.maximum(_MIN_PIECE_SAMPLES, np.rint(total * lengths / whole)).astype(int)
+    index = np.repeat(np.arange(len(pieces)), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    u = (np.arange(len(index)) - first + 0.5) / np.repeat(counts, counts)
+    return (*_by_class("points_at", pieces, index, u), index)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +872,7 @@ def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
     are curved in x-space and can bulge outward past the chord between
     their endpoints, extending the hull, so each arc is sampled at its
     _HULL_ARC_SAMPLES - 1 interior log points s + u*(e - s), formed as
-    Arc.point_at forms them.  (For the fan {(-1,1),(1,2),(2,1),(1,3)} at
+    Arc.points_at forms them.  (For the fan {(-1,1),(1,2),(2,1),(1,3)} at
     delta = 1 the hull has 50 vertices; the endpoints alone give 10.)
     The samples are exponentiated with math.exp: np.exp differs from it in
     the last place on about one in eleven of them, which would move hull
@@ -954,28 +1041,24 @@ def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
     # Approximate simplicity test: each piece is a chain of _LOOP_CHORDS
     # chords, and two pieces cross when a chord of one meets a chord of the
     # other strictly inside both (contact at shared anchors does not count).
-    # Each piece is tested at once against every later piece whose bounding
-    # box meets its own.
-    n = _LOOP_CHORDS
-    chains = np.array([[(pt.X, pt.Y) for pt in (piece.point_at(i / n) for i in range(n + 1))]
-                       for piece in pieces])
+    # All piece pairs a < b whose bounding boxes meet are tested at once.
+    chains = np.stack(_chains(pieces, _LOOP_CHORDS), axis=-1)
     lo, hi = chains.min(axis=1), chains.max(axis=1)
     starts, steps = chains[:, :-1], np.diff(chains, axis=1)
+    a, b = np.triu_indices(len(pieces), 1)
+    near = np.all((hi[b] >= lo[a] - 1e-9) & (lo[b] <= hi[a] + 1e-9), axis=1)
+    a, b = a[near], b[near]
+    # Chord i of piece a against chord j of piece b: (pair, i, j).
+    p1, d1 = starts[a, :, None], steps[a, :, None]
+    p3, d2 = starts[b, None], steps[b, None]
+    e = p3 - p1
+    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (e[..., 0] * d2[..., 1] - e[..., 1] * d2[..., 0]) / den
+        u = (e[..., 0] * d1[..., 1] - e[..., 1] * d1[..., 0]) / den
     eps = 1e-9
-    bad = 0
-    for a in range(len(pieces) - 1):
-        near = a + 1 + np.flatnonzero(np.all((hi[a + 1:] >= lo[a] - 1e-9)
-                                             & (lo[a + 1:] <= hi[a] + 1e-9), axis=1))
-        # Chord i of piece a against chord j of each near piece: (piece, i, j).
-        p1, d1 = starts[a, :, None], steps[a, :, None]
-        p3, d2 = starts[near, None], steps[near, None]
-        e = p3 - p1
-        den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (e[..., 0] * d2[..., 1] - e[..., 1] * d2[..., 0]) / den
-            u = (e[..., 0] * d1[..., 1] - e[..., 1] * d1[..., 0]) / den
-        hit = (np.abs(den) >= 1e-300) & (eps < t) & (t < 1.0 - eps) & (eps < u) & (u < 1.0 - eps)
-        bad += int(np.count_nonzero(hit.any(axis=(1, 2))))
+    hit = (np.abs(den) >= 1e-300) & (eps < t) & (t < 1.0 - eps) & (eps < u) & (u < 1.0 - eps)
+    bad = int(np.count_nonzero(hit.any(axis=(1, 2))))
     simple = {"passed": bad == 0, "worst": float(bad), "detail": "crossing piece pairs"}
     return closed, simple
 
@@ -1011,35 +1094,40 @@ def _slope_chain_check(boundary: RegionBoundary) -> dict:
     return {"passed": ok, "worst": 0.0 if ok else 1.0, "detail": detail or "strict order"}
 
 
-def _first_max(values: np.ndarray, samples, floor):
-    """Largest value above floor and the first sample with it, or (floor, None)."""
+def _first_max(values: np.ndarray, X: np.ndarray, Y: np.ndarray, floor):
+    """Largest value above floor and the first sample (X, Y) with it, or
+    (floor, None)."""
     if values.max(initial=floor) == floor:
         return floor, None
     k = int(np.argmax(values))
-    return values[k].item(), (samples[k][0].X, samples[k][0].Y)
+    return values[k].item(), (X[k].item(), Y[k].item())
 
 
 def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
-    X, Y = np.array([(pt.X, pt.Y) for pt, _ in samples]).reshape(-1, 2).T
-    normals = np.array([piece.normal_at(pt) for pt, piece in samples]).reshape(-1, 2)
+    X, Y, piece = samples
+    n0, n1 = _by_class("normals_at", boundary.pieces, piece, X, Y)
     values, index = rhs_bruteforce_batch(X, Y, boundary.fan, boundary.delta, STRIP_TOL)
-    # Each sample's extreme rays dotted with its normal, elementwise as ray . n rounds.
-    out = np.full((len(samples), 3), -math.inf)
+    # Each value's extreme rays (at most 3), gathered per sample and dotted
+    # with its normal as ray . n rounds; -inf past a value's last ray.
+    rays = np.zeros((len(values), 3, 2))
+    has = np.zeros((len(values), 3), dtype=bool)
     for j, value in enumerate(values):
-        at = index == j
-        for k, ray in enumerate(value.extreme_rays()):
-            out[at, k] = ray[0] * normals[at, 0] + ray[1] * normals[at, 1]
-    worst, witness = _first_max(out.max(axis=1), samples, -math.inf)
+        k = len(value.extreme_rays())
+        rays[j, :k] = np.reshape(value.extreme_rays(), (k, 2))
+        has[j, :k] = True
+    rays, has = rays[index], has[index]
+    out = np.where(has, rays[..., 0] * n0[:, None] + rays[..., 1] * n1[:, None], -math.inf)
+    worst, witness = _first_max(out.max(axis=1), X, Y, -math.inf)
     return {"passed": worst <= 1e-9, "worst": worst if witness else 0.0, "witness": witness,
             "detail": "max extreme-ray outward component"}
 
 
 def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
-    X, Y = np.array([(pt.X, pt.Y) for pt, _ in samples]).reshape(-1, 2).T
+    X, Y, _ = samples
     gens = boundary.fan.generators
     s = np.abs(np.outer(Y, [g.q for g in gens]) - np.outer(X, [g.p for g in gens]))
     half = np.array([delta_i(g, boundary.delta) for g in gens]) - STRIP_TOL
-    worst, witness = _first_max((s < half).sum(axis=1), samples, 0)
+    worst, witness = _first_max((s < half).sum(axis=1), X, Y, 0)
     return {"passed": worst <= 1, "worst": float(worst), "witness": witness,
             "detail": "max r(x) on boundary"}
 
@@ -1050,7 +1138,7 @@ def _suc_check(boundary: RegionBoundary) -> dict:
     for ip in boundary.points_uc:
         if region_contains(boundary, ip.log, band=1e-7) == "outside":
             bad += 1
-            witness = (ip.log.X, ip.log.Y)
+            witness = witness or (ip.log.X, ip.log.Y)
     return {"passed": bad == 0, "worst": float(bad), "witness": witness,
             "detail": "S^uc points outside the region"}
 
@@ -1109,25 +1197,38 @@ def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
 
     On y^q = h x^p the tangent slope is the constant p/q times e^(Y - X).
     Arcs lie only on generators off the axes, so p/q is nonzero and the
-    slope is strictly monotone exactly where Y - X is.
+    slope is strictly monotone exactly where Y - X is.  Each arc is sampled
+    at u = k / _ARC_SAMPLES, k = 0.._ARC_SAMPLES.  The witness is the first
+    sample of the first failing arc whose step from the previous sample
+    does not go the way the arc's first step goes.
     """
-    bad = []
-    for arc in boundary.arcs:
-        d = [pt.Y - pt.X for pt in (arc.point_at(k / _ARC_SAMPLES)
-                                    for k in range(_ARC_SAMPLES + 1))]
-        inc = all(a < b for a, b in zip(d, d[1:]))
-        dec = all(a > b for a, b in zip(d, d[1:]))
-        if not (inc or dec):
-            bad.append(str(arc.gen))
-    return {"passed": not bad, "worst": float(len(bad)),
+    arcs = boundary.arcs
+    X, Y = _chains(arcs, _ARC_SAMPLES)
+    d = Y - X
+    inc, dec = d[:, :-1] < d[:, 1:], d[:, :-1] > d[:, 1:]
+    failing = ~(inc.all(axis=1) | dec.all(axis=1))
+    bad = [str(arc.gen) for arc, f in zip(arcs, failing.tolist()) if f]
+    witness = None
+    if bad:
+        a = int(np.argmax(failing))
+        k = 1 + int(np.argmin(inc[a] if inc[a, 0] else dec[a]))
+        witness = (X[a, k].item(), Y[a, k].item())
+    return {"passed": not bad, "worst": float(len(bad)), "witness": witness,
             "detail": f"non-monotone arcs on {bad}" if bad else "tangent slopes monotone"}
 
 
-_VALIDATION_SAMPLES = 512  # boundary samples, checked as arrays by the r <= 1 and Nagumo checks
+_VALIDATION_SAMPLES = 512  # boundary samples (arrays X, Y, piece) for the r <= 1 and Nagumo checks
 
 
 def validate_region(boundary: RegionBoundary) -> dict:
-    """Single-delta validation battery; returns {check: result} dicts."""
+    """Single-delta validation battery; returns {check: result} dicts.
+
+    Every check that evaluates the boundary away from its anchors does so
+    in array passes: sample_boundary's points feed the r <= 1 and Nagumo
+    checks, and the loop and arc checks take their point chains from the
+    same per-class points_at methods.  A failed check names a witness point
+    where it has one.
+    """
     report = {}
     closed, simple = _loop_checks(boundary)
     report["closed_loop"] = closed

@@ -1,6 +1,9 @@
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from toric_regions import region_construction
@@ -22,23 +25,30 @@ from toric_regions.fan_geometry import (
     strip_coordinate,
 )
 from toric_regions.region_construction import (
+    _ARC_SAMPLES,
+    _EXP_SAFE,
     _HULL_ARC_SAMPLES,
     _LEVEL_TOL,
+    _VALIDATION_SAMPLES,
     Arc,
     Segment,
+    _arc_monotonicity_check,
+    _by_class,
+    _chains,
     _curve_cross_on_line,
     _falls,
     _hull,
     _line_x_log,
     _line_y_log,
+    _line_y_log_batch,
     _log_mix,
-    _VALIDATION_SAMPLES,
     _loop_checks,
     _monotone_chain,
     _nagumo_check,
     _r_le_1_check,
     _scaled_reciprocals,
     _strip_point,
+    _suc_check,
     choose_start_points,
     compute_slope_classes,
     construct_region,
@@ -61,6 +71,54 @@ WORKED_GENS = [(-1, 1), (1, 2), (2, 1)]
 @pytest.fixture(scope="module")
 def worked_region():
     return construct_region(Fan(WORKED_GENS), 3.0)
+
+
+def _point_at_reference(piece, u: float) -> LogPoint:
+    """The scalar point_at that the array sampler replaced: an arc's log-space
+    mix of its endpoints; a segment's point at fraction u of its dominant
+    log-axis span, evaluated from the nearer end, and its end at u = 1."""
+    a, b = piece.start, piece.end
+    if isinstance(piece, Arc):
+        return LogPoint(a.X + u * (b.X - a.X), a.Y + u * (b.Y - a.Y))
+    if u == 1.0:
+        return b
+    if abs(b.X - a.X) < abs(b.Y - a.Y):
+        return piece.at(a.Y + u * (b.Y - a.Y), True)
+    return piece.at(a.X + u * (b.X - a.X), False)
+
+
+def _normal_at_reference(piece, pt: LogPoint) -> tuple[float, float]:
+    """The scalar outward x-space unit normal that the array form replaced."""
+    g = piece.gen
+    if isinstance(piece, Arc):
+        nx, ny = _scaled_reciprocals(pt, -g.p, g.q)
+        n = math.hypot(nx, ny)
+        return (piece.h_sign * nx / n, piece.h_sign * ny / n)
+    return (piece.arm_sign * g.q / g.norm, piece.arm_sign * g.p / g.norm)
+
+
+def _sample_boundary_reference(boundary, total: int) -> list[tuple[LogPoint, int]]:
+    """The scalar sampler that the array form replaced: (point, piece index)."""
+    lengths = [max(abs(p.end.X - p.start.X) + abs(p.end.Y - p.start.Y), 1e-12)
+               for p in boundary.pieces]
+    whole = sum(lengths)
+    out = []
+    for k, (piece, ln) in enumerate(zip(boundary.pieces, lengths)):
+        n = max(4, int(round(total * ln / whole)))
+        for j in range(n):
+            out.append((_point_at_reference(piece, (j + 0.5) / n), k))
+    return out
+
+
+def _loop_chains_reference(pieces) -> list[list[LogPoint]]:
+    """The scalar 33-point chain of every piece that _loop_checks tests."""
+    return [[_point_at_reference(pc, i / 32) for i in range(33)] for pc in pieces]
+
+
+def _points_of(piece, us) -> list[LogPoint]:
+    """A piece's points at the fractions us, by its class's array method."""
+    X, Y = type(piece).points_at([piece], np.zeros(len(us), dtype=int), np.array(us))
+    return [LogPoint(x, y) for x, y in zip(X.tolist(), Y.tolist())]
 
 
 class TestIntersectionPoints:
@@ -260,6 +318,41 @@ class TestLineKernel:
         # The exit itself is the mirror's value at log y -> -inf.
         assert _line_x_log(0.0, 0.0, -1.0, -math.inf) == pytest.approx(math.log(2.0), abs=1e-15)
 
+    def test_batch_kernel_is_the_scalar_kernel_bit_for_bit(self):
+        # Seeded inputs across the direct branch, the log branch (|X0 - Y0|
+        # or the exponents past _EXP_SAFE), t = 0 and s = 0.
+        rng = np.random.default_rng(14)
+        n = 6000
+        X0 = rng.uniform(-1000.0, 1000.0, n)
+        Y0 = X0 - np.where(rng.random(n) < 0.7, rng.uniform(-40.0, 40.0, n),
+                           rng.uniform(-1000.0, 1000.0, n))
+        t = np.where(rng.random(n) < 0.7, rng.uniform(-60.0, 60.0, n),
+                     rng.uniform(-900.0, 900.0, n))
+        t[rng.random(n) < 0.05] = 0.0
+        s = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-3.0, 3.0, n))
+        s[rng.random(n) < 0.05] = 0.0
+        X = X0 + t
+        want, exits = [], []
+        for k, args in enumerate(zip(X0.tolist(), Y0.tolist(), s.tolist(), X.tolist())):
+            try:
+                want.append(_line_y_log(*args))
+            except NoCrossing:
+                exits.append(k)
+        keep = np.setdiff1d(np.arange(n), exits)
+        got = _line_y_log_batch(X0[keep], Y0[keep], s[keep], X[keep])
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        e, tk = (X0 - Y0)[keep], (X - X0)[keep]
+        direct = (np.abs(e) < _EXP_SAFE) & (tk < _EXP_SAFE) & (e + tk < _EXP_SAFE)
+        assert direct.sum() > 1000 and (~direct).sum() > 300
+        assert (tk == 0.0).any() and (s[keep] == 0.0).any()
+        assert ((tk == 0.0) & ~direct).any() and ((s[keep] == 0.0) & ~direct).any()
+        # Each element the scalar kernel rejects makes the batch raise too.
+        e = (X0 - Y0)[exits]
+        assert (np.abs(e) < _EXP_SAFE).any() and (np.abs(e) >= _EXP_SAFE).any()
+        for k in exits:
+            with pytest.raises(NoCrossing):
+                _line_y_log_batch(X0[[0, k]], Y0[[0, k]], s[[0, k]], X[[0, k]])
+
     def test_falls_reads_signs(self):
         o = LogPoint(0.0, 0.0)
         assert _falls(o, LogPoint(1.0, -800.0)) and _falls(o, LogPoint(-900.0, 1.0))
@@ -282,8 +375,7 @@ class TestLineKernel:
         start = LogPoint(-30.0, math.log1p(-math.exp(-30.0)))
         end = LogPoint(math.log1p(-1e-10), math.log(1e-10))
         seg = Segment(start, end, LineGenerator(1, 1), 0, 1)
-        for u in (0.5, 0.999999, 1.0):
-            pt = seg.point_at(u)
+        for pt in _points_of(seg, [0.5, 0.999999, 1.0]):
             assert pt.Y == pytest.approx(math.log(-math.expm1(pt.X)), abs=1e-12)
 
     def test_axis_segment_far_from_the_diagonal(self):
@@ -296,10 +388,10 @@ class TestLineKernel:
     def test_segments_evaluate_on_their_lines(self, worked_region):
         for segs in worked_region.polylines.values():
             for seg in segs:
-                for u, end in ((0.0, seg.start), (1.0, seg.end)):
-                    pt = seg.point_at(u)
+                ends = _points_of(seg, [0.0, 1.0, 0.5])
+                for pt, end in zip(ends, (seg.start, seg.end)):
                     assert (pt.X, pt.Y) == pytest.approx((end.X, end.Y), abs=1e-12)
-                assert _on_xline(seg.point_at(0.5), seg.start, float(seg.slope))
+                assert _on_xline(ends[2], seg.start, float(seg.slope))
 
     @pytest.mark.parametrize("gens", [
         ((-1, 2), (1, 2), (2, 1), (3, 2), (1, 0)),
@@ -312,7 +404,7 @@ class TestLineKernel:
         b = construct_region(Fan(gens), 100.0, validate=False)
         for seg in b.pieces:
             if isinstance(seg, Segment):
-                assert seg.point_at(1.0) == seg.end
+                assert _points_of(seg, [1.0]) == [seg.end]
         closed, simple = _loop_checks(b)
         assert closed["passed"] and simple["passed"]
 
@@ -479,7 +571,7 @@ class TestSpecialCases:
 def _crossing_pairs_reference(pieces) -> int:
     """Piece pairs that cross, by the scalar chord-by-chord loop that the
     array form of _loop_checks replaced (same formulas, same tolerances)."""
-    chains = [[pc.point_at(i / 32) for i in range(33)] for pc in pieces]
+    chains = _loop_chains_reference(pieces)
 
     def meet(p1, p2, p3, p4) -> bool:
         d1x, d1y = p2.X - p1.X, p2.Y - p1.Y
@@ -538,8 +630,9 @@ def _nagumo_reference(boundary, samples) -> dict:
     value per sample, the first strict maximum names the witness."""
     worst = -math.inf
     witness = None
-    for pt, piece in samples:
-        n = piece.normal_at(pt)
+    for x, y, k in zip(*(a.tolist() for a in samples)):
+        pt = LogPoint(x, y)
+        n = _normal_at_reference(boundary.pieces[k], pt)
         for ray in rhs_bruteforce(pt, boundary.fan, boundary.delta).extreme_rays():
             v = ray[0] * n[0] + ray[1] * n[1]
             if v > worst:
@@ -555,7 +648,8 @@ def _r_le_1_reference(boundary, samples) -> dict:
     """The scalar r <= 1 loop that the array form replaced."""
     worst = 0
     witness = None
-    for pt, _ in samples:
+    for x, y in zip(samples[0].tolist(), samples[1].tolist()):
+        pt = LogPoint(x, y)
         r = r_count(pt, boundary.fan, boundary.delta)
         if r > worst:
             worst = r
@@ -589,20 +683,123 @@ class TestSampleChecks:
         assert got == want and got["passed"] is r_le_1
 
     def test_no_samples(self, worked_region):
-        assert _nagumo_check(worked_region, []) == _nagumo_reference(worked_region, [])
-        assert _r_le_1_check(worked_region, []) == _r_le_1_reference(worked_region, [])
+        none = (np.array([]), np.array([]), np.array([], dtype=int))
+        assert _nagumo_check(worked_region, none) == _nagumo_reference(worked_region, none)
+        assert _r_le_1_check(worked_region, none) == _r_le_1_reference(worked_region, none)
+
+
+class TestWitnesses:
+    def test_suc_names_the_first_outside_point(self):
+        b = construct_region(Fan([(-2, 1), (2, 3), (3, 1), (0, 1), (-3, 2)]), 3.0,
+                             validate=False)
+        outside = [(ip.log.X, ip.log.Y) for ip in b.points_uc
+                   if region_contains(b, ip.log, band=1e-7) == "outside"]
+        res = _suc_check(b)
+        assert len(outside) > 1 and res["worst"] == float(len(outside))
+        assert res["witness"] == outside[0]
+
+    def test_arc_monotonicity_names_where_the_order_breaks(self):
+        # A straight (1,1) arc: Y - X is constant, so rounding breaks the order.
+        b = construct_region(Fan([(-2, 1), (2, 3), (1, 1)]), 3.0, validate=False)
+        res = _arc_monotonicity_check(b)
+        assert not res["passed"]
+        for arc in b.arcs:
+            pts = [_point_at_reference(arc, k / _ARC_SAMPLES) for k in range(_ARC_SAMPLES + 1)]
+            d = [pt.Y - pt.X for pt in pts]
+            steps = list(zip(d, d[1:]))
+            rising = d[0] < d[1]
+            ok = [(a < b_) if rising else (a > b_) for a, b_ in steps]
+            if not all(ok):
+                k = ok.index(False) + 1
+                assert res["witness"] == (pts[k].X, pts[k].Y)
+                assert arc.band_distance(pts[k]) <= 1e-12
+                break
+        else:
+            pytest.fail("no failing arc")
+        passing = _arc_monotonicity_check(construct_region(Fan(WORKED_GENS), 3.0))
+        assert passing["passed"] and passing["witness"] is None
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+CATALOG_GENS = [tuple(tuple(g) for g in fan["gens"]) for fan in json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "data" / "atlas_catalog.json")
+    .read_text())["fans"]]
+
+
+class TestArraySampler:
+    """The array sampler, normals and chains against the scalar references,
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches_references(b, sampler=sample_boundary):
+        X, Y, index = sampler(b, _VALIDATION_SAMPLES)
+        ref = _sample_boundary_reference(b, _VALIDATION_SAMPLES)
+        assert _bits(X) == _bits(pt.X for pt, _ in ref)
+        assert _bits(Y) == _bits(pt.Y for pt, _ in ref)
+        assert index.tolist() == [k for _, k in ref]
+        n0, n1 = _by_class("normals_at", b.pieces, index, X, Y)
+        normals = [_normal_at_reference(b.pieces[k], pt) for pt, k in ref]
+        assert _bits(n0) == _bits(n[0] for n in normals)
+        assert _bits(n1) == _bits(n[1] for n in normals)
+        chain_x, chain_y = _chains(b.pieces, 32)
+        ref_chains = _loop_chains_reference(b.pieces)
+        assert _bits(chain_x.ravel()) == _bits(pt.X for c in ref_chains for pt in c)
+        assert _bits(chain_y.ravel()) == _bits(pt.Y for c in ref_chains for pt in c)
+
+    def test_worked_fan(self, worked_region):
+        self.assert_matches_references(worked_region)
+
+    @pytest.mark.parametrize("delta", [3.0, 100.0])
+    def test_catalog_fans(self, delta, monkeypatch):
+        scalar_calls = []
+
+        def counting_sampler(b, total):
+            # Scalar kernel calls made by the array sampler alone.
+            monkeypatch.setattr(region_construction, "_line_y_log",
+                                lambda *args: scalar_calls.append(args) or _line_y_log(*args))
+            try:
+                return sample_boundary(b, total)
+            finally:
+                monkeypatch.setattr(region_construction, "_line_y_log", _line_y_log)
+
+        built = 0
+        for gens in CATALOG_GENS:
+            try:
+                b = construct_region(Fan(gens), delta, validate=False)
+            except ToricRegionsError:
+                continue
+            built += 1
+            self.assert_matches_references(b, counting_sampler)
+        assert built > 100
+        # At delta = 100 some samples leave the direct branch and go through
+        # the scalar kernel one by one; at delta = 3 none do.
+        assert bool(scalar_calls) is (delta == 100.0)
+
+    def test_scalar_raise_is_kept(self):
+        # The sampled point past the quadrant exit raises NoCrossing in the
+        # array sampler as in the scalar one.
+        # On y = 2 - x through (1, 1), log x = 0.9 is past the exit at log 2.
+        seg = Segment(LogPoint(0.0, 0.0), LogPoint(3.0, -1.0), LineGenerator(1, 1), 0, 1)
+        assert _points_of(seg, [0.1]) == [_point_at_reference(seg, 0.1)]
+        with pytest.raises(NoCrossing):
+            _point_at_reference(seg, 0.3)
+        with pytest.raises(NoCrossing):
+            _points_of(seg, [0.1, 0.3])
 
 
 def _sampled_hull(boundary):
-    """conv_hull as first written: every arc sampled through Arc.point_at and
-    the monotone chain run on every point."""
+    """conv_hull as first written: every arc sampled at its log-space mix
+    s + u*(e - s) and the monotone chain run on every point."""
     pts = []
     for piece in boundary.pieces:
         for anchor in (piece.start, piece.end):
             pts.append((math.exp(anchor.X), math.exp(anchor.Y)))
         if isinstance(piece, Arc):
             for k in range(1, _HULL_ARC_SAMPLES):
-                lp = piece.point_at(k / _HULL_ARC_SAMPLES)
+                lp = _point_at_reference(piece, k / _HULL_ARC_SAMPLES)
                 pts.append((math.exp(lp.X), math.exp(lp.Y)))
     return _monotone_chain(pts)
 

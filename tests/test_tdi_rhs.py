@@ -323,9 +323,8 @@ class TestBatchBruteforce:
                 region = construct_region(fan, 3.0, validate=False)
             except ToricRegionsError:
                 continue
-            samples = sample_boundary(region, 512)
-            _assert_batch_matches([pt.X for pt, _ in samples], [pt.Y for pt, _ in samples],
-                                  fan, 3.0)
+            X, Y, _ = sample_boundary(region, 512)
+            _assert_batch_matches(X.tolist(), Y.tolist(), fan, 3.0)
             regions += 1
             if regions == 14:
                 break

@@ -1,9 +1,11 @@
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,8 +53,9 @@ def test_atlas_outcomes_case_record():
                   "outcome": "validated", "site": None,
                   "checks": {name: [res["passed"], res["worst"], res.get("witness")]
                              for name, res in region.report.items()},
-                  "pieces": tool.pieces_digest(region)}
-    assert len(ok["pieces"]) == 16
+                  "pieces": tool.pieces_digest(region),
+                  "samples": tool.samples_digest(region, toric_regions)}
+    assert len(ok["pieces"]) == 16 and len(ok["samples"]) == 16
     # A defect-census case: the seed commit leaked a bare ValueError here.
     gens = [(-2, 1), (2, 3), (1, 1), (-1, 1), (-3, 1), (0, 1)]
     rec = tool.case_record(gens, 1.0, "bare:ValueError", toric_regions)
@@ -61,7 +64,24 @@ def test_atlas_outcomes_case_record():
     # A bare exception is named with the function that raised it.
     bad = tool.case_record([(-1, 1), (1, 2), (2, 1)], "3", "validated", toric_regions)
     assert bad["outcome"] == "bare:TypeError" and bad["site"]
-    assert bad["checks"] is None and bad["pieces"] is None
+    assert bad["checks"] is None and bad["pieces"] is None and bad["samples"] is None
+
+
+def test_atlas_outcomes_samples_digest_reads_both_sample_forms():
+    # Older sources return (LogPoint, piece) pairs, not arrays (X, Y, piece).
+    tool = _load_tool("atlas_outcomes")
+    rc = toric_regions.region_construction
+    region = toric_regions.construct_region(toric_regions.Fan([(-1, 1), (1, 2), (2, 1)]), 3.0)
+    X, Y, index = rc.sample_boundary(region, tool.SAMPLES)
+    pairs = [(toric_regions.LogPoint(x, y), region.pieces[k])
+             for x, y, k in zip(X.tolist(), Y.tolist(), index.tolist())]
+    as_list = SimpleNamespace(region_construction=SimpleNamespace(
+        sample_boundary=lambda boundary, total: pairs))
+    assert tool.samples_digest(region, as_list) == tool.samples_digest(region, toric_regions)
+    # A single moved sample changes the digest.
+    pairs[7] = (toric_regions.LogPoint(X[7].item(), math.nextafter(Y[7].item(), math.inf)),
+                pairs[7][1])
+    assert tool.samples_digest(region, as_list) != tool.samples_digest(region, toric_regions)
 
 
 def test_atlas_outcomes_failed_check_matches_construct_region():

@@ -7,14 +7,16 @@ and at delta = 300, it builds the region with ``validate=False``, runs
     {"gens": [[p, q], ...], "delta": d, "seed": <seed outcome or null>,
      "outcome": <outcome now>, "site": <function or null>,
      "checks": {<check>: [<passed>, <worst>, <witness or null>], ...} or null,
-     "pieces": <digest of the piece endpoints> or null}
+     "pieces": <digest of the piece endpoints> or null,
+     "samples": <digest of the validation samples> or null}
 
 Outcomes use the benchmark's labels: "validated", "DeltaTooSmall:<check>"
 (the first failed check, as ``construct_region`` reports it), the class
 name of any other package error, or "bare:<class>" for an exception that
 is not a package error.  "site" names the function in which such a bare
-exception was raised.  "checks" and "pieces" are null when no region was
-built or its validation raised.  The catalog holds no seed outcome for
+exception was raised.  "samples" digests every X and Y of
+``sample_boundary(boundary, 512)``.  "checks", "pieces" and "samples" are
+null when no region was built or its validation raised.  The catalog holds no seed outcome for
 delta = 300.  The catalog is only read.
 
 Run from anywhere, against the package under SRC_DIR (default: the
@@ -24,8 +26,8 @@ Run from anywhere, against the package under SRC_DIR (default: the
 
 Floats are printed exactly, so running it on two source trees and
 comparing the outputs with ``diff`` shows every case whose outcome, check
-verdict, worst value, witness point or boundary changed; counting "bare:" outcomes gives
-the defect census.
+verdict, worst value, witness point, boundary or boundary sample changed;
+counting "bare:" outcomes gives the defect census.
 """
 
 import hashlib
@@ -37,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CATALOG = ROOT / "bench" / "data" / "atlas_catalog.json"
 EXTRA_DELTA = 300.0  # beyond the catalog's deltas; no seed outcome
+SAMPLES = 512  # boundary samples digested per case, as many as the battery takes
 
 
 def pieces_digest(boundary) -> str:
@@ -48,16 +51,34 @@ def pieces_digest(boundary) -> str:
     return h.hexdigest()[:16]
 
 
+def samples_digest(boundary, package) -> str:
+    """Short hash of every boundary sample's X and Y, bit for bit.
+
+    ``sample_boundary`` returns arrays (X, Y, piece index); older sources
+    returned a list of (LogPoint, piece) pairs, which is read too.
+    """
+    out = package.region_construction.sample_boundary(boundary, SAMPLES)
+    if isinstance(out, list):
+        xs, ys = [pt.X for pt, _ in out], [pt.Y for pt, _ in out]
+    else:
+        xs, ys = out[0].tolist(), out[1].tolist()
+    h = hashlib.sha256()
+    for x, y in zip(xs, ys):
+        h.update(f"{x.hex()} {y.hex()};".encode())
+    return h.hexdigest()[:16]
+
+
 def case_record(gens, delta: float, seed: str | None, package) -> dict:
     """Run one atlas case with the imported ``toric_regions`` package."""
     rc, fg = package.region_construction, package.fan_geometry
-    site = checks = digest = None
+    site = checks = digest = samples = None
     try:
         boundary = rc.construct_region(fg.Fan(gens), delta, validate=False)
         report = rc.validate_region(boundary)
         checks = {name: [res["passed"], res["worst"], res.get("witness")]
                   for name, res in report.items()}
         digest = pieces_digest(boundary)
+        samples = samples_digest(boundary, package)
         bad = [name for name, res in report.items() if not res["passed"]]
         outcome = f"DeltaTooSmall:{bad[0]}" if bad else "validated"
     except package.errors.DeltaTooSmall as exc:
@@ -71,7 +92,8 @@ def case_record(gens, delta: float, seed: str | None, package) -> dict:
             tb = tb.tb_next
         site = tb.tb_frame.f_code.co_name
     return {"gens": [list(g) for g in gens], "delta": delta, "seed": seed,
-            "outcome": outcome, "site": site, "checks": checks, "pieces": digest}
+            "outcome": outcome, "site": site, "checks": checks, "pieces": digest,
+            "samples": samples}
 
 
 def records(package):
