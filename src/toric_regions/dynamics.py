@@ -345,7 +345,6 @@ def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
 # Integration
 
 _MAX_LOG_STEP = 0.25  # largest log-space move of one integrator step
-_CHECK_CHUNK = 64  # step starts per batched cone check in integrate
 _OMEGA_RADIUS = 1e-3  # log-space cluster radius of omega_limit_estimate
 
 
@@ -373,23 +372,22 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     The step is capped so no single update moves more than 0.25 in log
     space (the fields are exponentially stiff far from equilibrium), at
     1.5 over the stiffness bound of a strategy that has with_stiffness,
-    and halved when a stage fails, down to dt/1024.
+    and halved, down to dt/1024, while a stage fails or the increment is
+    not finite or moves more than 1.0.
 
-    The strategy's velocity at every step start is checked against the
-    inclusive brute-force cone: in batches of _CHECK_CHUNK step starts, once
-    more at the end, and before any exception leaves.  The first violating
-    step start raises StepCollapse, with the step and message a check at
-    every step would give; a stateful selection (RandomInConeStrategy) may
-    thus be called for up to _CHECK_CHUNK - 1 steps past it first.  A
-    selection whose reads_cone attribute is False is passed rhs=None, and no
-    cone is computed for it.
+    The velocity of every step start is checked against the inclusive
+    brute-force cone once, in one batch, when the run ends or an exception
+    leaves it.  The first violating step start raises StepCollapse, with
+    the step and message a check at every step would give; a selection
+    that leaves the cone is thus called to the end of its run first.  A
+    selection whose reads_cone attribute is False is passed rhs=None, and
+    no cone is computed for it.
     """
     pt = as_log(start)
     t = 0.0
     times = [t]
     points = [pt]
-    velocities = []
-    worst = 0.0
+    velocities = []  # the velocity of each step start, as it is computed
     termination = "t_end"
 
     def to_log(p: LogPoint, v: tuple[float, float]) -> tuple[float, float]:
@@ -403,41 +401,32 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     def log_vel(p: LogPoint, tt: float) -> tuple[float, float]:
         return to_log(p, strategy(p, cone(p), tt))
 
-    # The step start's velocity and stiffness bound come from one field
-    # evaluation.
+    # One field evaluation gives a step start's velocity and stiffness bound.
     start_vel = getattr(strategy, "with_stiffness",
                         lambda p, rhs, tt: (strategy(p, rhs, tt), 0.0))
 
-    # Step starts not yet checked against the cone: (point, velocity, t).
-    unchecked: list = []
-
-    def check_starts():
-        nonlocal worst
-        starts = unchecked.copy()
-        unchecked.clear()
-        violations = _violations([s[0] for s in starts], [s[1] for s in starts], fan, delta)
-        for (_, _, ts), violation in zip(starts, violations):
-            worst = max(worst, violation)
+    def check_starts() -> float:
+        """Worst cone violation of the recorded step starts, in one batch."""
+        if not velocities:
+            return 0.0
+        violations = _violations(points[:len(velocities)], velocities, fan, delta)
+        for ts, violation in zip(times, violations):
             if violation > _CONE_TOL:
                 # Halving cannot fix the start velocity, so this is exactly
                 # the fails-at-minimum-step condition.
-                raise StepCollapse(
-                    f"velocity violates the cone by {violation:.3e} at t={ts:.4g}"
-                )
+                raise StepCollapse(f"velocity violates the cone by {violation:.3e} at t={ts:.4g}")
+        return max([0.0, *violations])
 
-    steps = 0
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
+    h_min = dt / 1024.0
     try:
-        while t < t_end and steps < max_steps:
+        while t < t_end and len(velocities) < max_steps:
             if stop_when is not None and stop_when(pt, t):
                 termination = "stopped"
                 break
-            steps += 1
             v0, stiff = start_vel(pt, cone(pt), t)
+            velocities.append(v0)
             f1 = to_log(pt, v0)
-            unchecked.append((pt, v0, t))
-            if len(unchecked) == _CHECK_CHUNK:
-                check_starts()
             speed = math.hypot(f1[0], f1[1])
             if speed == 0.0:
                 termination = "stalled"
@@ -445,7 +434,6 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
             h = min(dt, t_end - t, _MAX_LOG_STEP / speed)
             if stiff > 0.0:
                 h = min(h, 1.5 / stiff)
-            h_min = dt / 1024.0
             while True:
                 try:
                     f2 = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]),
@@ -455,22 +443,19 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     f4 = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
                     dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
                     dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
-                    if not (math.isfinite(dX) and math.isfinite(dY)):
-                        raise MonomialOverflow("nonfinite step")
-                    if max(abs(dX), abs(dY)) > 4.0 * _MAX_LOG_STEP:
-                        raise MonomialOverflow("step too large")
-                    break
                 except (MonomialOverflow, OverflowError):
-                    h *= 0.5
-                    if h < h_min:
-                        raise StepCollapse(
-                            f"step below {h_min} without passing at t={t:.4g}"
-                        )
+                    dX = dY = math.inf
+                # isfinite, not a bound alone: a NaN increment must halve too.
+                if (math.isfinite(dX) and math.isfinite(dY)
+                        and max(abs(dX), abs(dY)) <= 4.0 * _MAX_LOG_STEP):
+                    break
+                h *= 0.5
+                if h < h_min:
+                    raise StepCollapse(f"step below {h_min} without passing at t={t:.4g}")
             pt = LogPoint(pt.X + dX, pt.Y + dY)
             t += h
             times.append(t)
             points.append(pt)
-            velocities.append(v0)
             if stop_when is not None and stop_when(pt, t):
                 termination = "stopped"
                 break
@@ -478,11 +463,11 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
         # An earlier step start that violates the cone is the first failure.
         check_starts()
         raise
-    check_starts()
-    if steps >= max_steps and termination == "t_end" and t < t_end:
+    worst = check_starts()
+    if termination == "t_end" and t < t_end:  # the loop ran out of steps
         termination = "max_steps"
-    # The last sample starts no step.
-    velocities.append((0.0, 0.0))
+    # The last sample starts no step (a stalled start's velocity is replaced).
+    velocities[len(points) - 1:] = [(0.0, 0.0)]
     return Trajectory(times, points, velocities, getattr(strategy, "name", "custom"),
                       termination, worst)
 
@@ -643,15 +628,10 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
         route, worst = _route_via_boundary(cur, dst, r_dst, fan, delta, region, arrive_tol)
         legs.extend(route)
 
-    times = [0.0]
-    points = [src]
-    vels = [(0.0, 0.0)]
-    for leg in legs:
-        for p, v in zip(leg.points, leg.velocities):
-            times.append(times[-1] + 1.0)
-            points.append(p)
-            vels.append(v)
-    return Trajectory(times, points, vels, "reach_witness", "arrived", worst, legs=legs)
+    points = [src] + [p for leg in legs for p in leg.points]
+    vels = [(0.0, 0.0)] + [v for leg in legs for v in leg.velocities]
+    return Trajectory([float(k) for k in range(len(points))], points, vels, "reach_witness",
+                      "arrived", worst, legs=legs)
 
 
 def _hop_and_walk(cur: LogPoint, chain: str, k: int,

@@ -10,7 +10,7 @@ class ZeroGenerator(ToricRegionsError):
 
 
 class NonPositiveDelta(ToricRegionsError):
-    """The inclusion radius delta must be strictly positive."""
+    """The inclusion radius delta must be strictly positive and finite."""
 
 
 class ParallelGenerators(ToricRegionsError):

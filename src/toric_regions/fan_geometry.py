@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveDelta, ParallelGenerators, ZeroGenerator
+from .errors import NonPositiveDelta, ParallelGenerators, UnsupportedFan, ZeroGenerator
 
 # Absolute tolerance on strip coordinates separating interior from boundary.
 STRIP_TOL = 1e-9
@@ -122,7 +122,7 @@ class Fan:
     def __init__(self, generators):
         gens = [g if isinstance(g, LineGenerator) else LineGenerator(*g) for g in generators]
         if not gens:
-            raise ValueError("fan needs at least one generator")
+            raise UnsupportedFan("fan needs at least one generator")
         seen = set()
         for g in gens:
             key = (g.p, g.q)
@@ -196,8 +196,8 @@ class UncertaintyRegion:
 
 
 def delta_i(gen: LineGenerator, delta: float) -> float:
-    """Strip half-width delta * sqrt(p^2 + q^2) in strip coordinates."""
-    if not delta > 0.0:
+    """Strip half-width delta * sqrt(p^2 + q^2), for a delta strictly positive and finite."""
+    if not 0.0 < delta < math.inf:
         raise NonPositiveDelta(f"delta = {delta}")
     return delta * gen.norm
 

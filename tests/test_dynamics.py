@@ -26,10 +26,15 @@ from toric_regions.dynamics import (
     omega_limit_estimate,
     reach_witness,
 )
-from toric_regions.errors import MonomialOverflow, StepCollapse, WitnessFailed
-from toric_regions.fan_geometry import Fan, LogPoint, PosPoint, r_count
+from toric_regions.errors import (
+    AmbiguousClassification,
+    MonomialOverflow,
+    StepCollapse,
+    WitnessFailed,
+)
+from toric_regions.fan_geometry import Fan, LineGenerator, LogPoint, PosPoint, delta_i, r_count
 from toric_regions.region_construction import construct_region, region_contains
-from toric_regions.tdi_rhs import rhs_bruteforce
+from toric_regions.tdi_rhs import rhs_bruteforce, rhs_classified
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
 CROSS_FAN = Fan([(1, 1), (-1, 1)])
@@ -170,14 +175,45 @@ class TestIntegrate:
     @pytest.mark.parametrize("wall", [False, True])
     @pytest.mark.parametrize("t0", [0.0, 0.37, 0.64])
     def test_first_violating_step_collapses(self, t0, wall):
-        # Step 38 (t = 0.37) is mid-chunk, step 65 (t = 0.64) the first of the
-        # second chunk of 64, which this run of 100 steps never fills.  With
-        # the wall, later stages and step starts fail, but the violating step
-        # start comes first.
+        # The turn comes at the first step (t = 0), at step 38 (t = 0.37) or
+        # at step 65 (t = 0.64) of this run of 100 steps; without the wall the
+        # run goes on to t_end before the check.  With the wall, later stages
+        # and step starts fail, but the violating step start comes first.
         with pytest.raises(StepCollapse) as err:
             integrate(self.Turning(t0, wall), LogPoint(10.0, 10.0), CROSS_FAN, 1.0,
                       t_end=1.0, dt=1e-2)
         assert str(err.value) == f"velocity violates the cone by 1.000e+00 at t={t0:.4g}"
+
+    def test_keyboard_interrupt_is_not_replaced(self):
+        # The first step start violates the cone, but an interrupt in its
+        # stages leaves as it is, with no check made.
+        class Interrupting:
+            def __call__(self, point, rhs, t):
+                if t > 0.0:
+                    raise KeyboardInterrupt
+                return (1.0, 1.0)
+
+        with pytest.raises(KeyboardInterrupt):
+            integrate(Interrupting(), LogPoint(10.0, 10.0), CROSS_FAN, 1.0, t_end=1.0, dt=1e-2)
+
+    def test_step_starts_are_checked_in_one_batch(self, monkeypatch):
+        batches = []
+        violations = dynamics._violations
+
+        def counted(points, velocities, *args):
+            batches.append(len(velocities))
+            return violations(points, velocities, *args)
+
+        monkeypatch.setattr(dynamics, "_violations", counted)
+        traj = integrate(ExtremeRayStrategy("right"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
+                         t_end=5.0)
+        assert batches == [len(traj.times) - 1]
+        # A run that starts no step makes no batch call.
+        batches.clear()
+        traj = integrate(ExtremeRayStrategy("right"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
+                         t_end=5.0, stop_when=lambda p, t: True)
+        assert traj.termination == "stopped" and traj.velocities == [(0.0, 0.0)]
+        assert batches == []
 
     def test_worst_violation_is_the_per_step_maximum(self):
         traj = integrate(ExtremeRayStrategy("right"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
@@ -245,6 +281,30 @@ class TestIntegrate:
             integrate(self.Walled(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
                       t_end=1.0, dt=1.0 / 64.0)
 
+    class Past:
+        """Walled's unit log speed along +X, but past X = 0.025 the velocity
+        is scaled by factor: NaN, or a thousandfold speed."""
+
+        name = "past"
+
+        def __init__(self, factor):
+            self.factor = factor
+
+        def __call__(self, point, rhs, t):
+            return (math.exp(point.X) * (self.factor if point.X > 0.025 else 1.0), 0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, 1000.0])
+    def test_bad_increment_halves_the_step(self, factor):
+        # As at the wall: a full second step's last stage lies past X = 0.025,
+        # so its increment in X is NaN, or (5 + 1000) / 384 > 1; the half step
+        # stays short of it, and the run goes on.
+        dt = 1.0 / 64.0
+        traj = integrate(self.Past(factor), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+                         t_end=1.0, dt=dt, stop_when=lambda p, t: t > dt)
+        assert traj.termination == "stopped"
+        assert np.diff(traj.times).tolist() == [dt, dt / 2.0]
+        assert traj.points[-1].X == pytest.approx(dt * 1.5, rel=1e-12)
+
     def test_zero_velocity_stalls(self):
         class Still:
             name = "still"
@@ -289,6 +349,19 @@ class TestIntegrate:
         end = traj.points[-1]
         assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
         assert traj.worst_violation <= 1e-9
+
+
+class TestRhsFast:
+    def test_strip_boundary_takes_the_bruteforce_value(self):
+        # On the boundary of strip (1,2), 2Y - X = delta_i, with the gap
+        # outside: rhs_classified cannot choose, and the fallback gives the
+        # definition's open-side value, inside the checks' inclusive one.
+        pt = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
+        with pytest.raises(AmbiguousClassification):
+            rhs_classified(pt, WORKED_FAN, DELTA)
+        assert dynamics._rhs_fast(pt, WORKED_FAN, DELTA) == rhs_bruteforce(pt, WORKED_FAN, DELTA)
+        traj = integrate(ExtremeRayStrategy("left"), pt, WORKED_FAN, DELTA, t_end=1.0)
+        assert traj.termination == "t_end" and traj.worst_violation <= 1e-9
 
 
 class TestStrategies:

@@ -3,7 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from toric_regions.errors import NonPositiveDelta, ParallelGenerators, ZeroGenerator
+from toric_regions.errors import (
+    NonPositiveDelta,
+    ParallelGenerators,
+    UnsupportedFan,
+    ZeroGenerator,
+)
 from toric_regions.fan_geometry import (
     LINE_WIDTH,
     TWO_PI,
@@ -71,8 +76,9 @@ class TestDeltaI:
         assert delta_i(normalize_generator(1, 2), 3.0) == pytest.approx(3.0 * math.sqrt(5.0))
 
     def test_nonpositive_delta(self):
-        with pytest.raises(NonPositiveDelta):
-            delta_i(normalize_generator(1, 1), 0.0)
+        for delta in (0.0, math.inf):
+            with pytest.raises(NonPositiveDelta):
+                delta_i(normalize_generator(1, 1), delta)
 
 
 class TestStripCoordinate:
@@ -230,6 +236,10 @@ class TestFanSectors:
     def test_parallel_generators_rejected(self):
         with pytest.raises(ParallelGenerators):
             Fan([(1, 1), (2, 2)])
+
+    def test_empty_fan_rejected(self):
+        with pytest.raises(UnsupportedFan, match="at least one generator"):
+            Fan([])
 
 
 class TestDistToCone:

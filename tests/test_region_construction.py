@@ -11,6 +11,7 @@ from toric_regions.errors import (
     DeltaTooSmall,
     MonomialOverflow,
     NoCrossing,
+    NonPositiveDelta,
     OutOfBand,
     ToricRegionsError,
     UnsupportedFan,
@@ -905,6 +906,15 @@ class TestHullAndPhi:
         with pytest.raises(MonomialOverflow, match="710"):
             hull_contains(hull, LogPoint(710.0, 0.0))
         assert hull_contains(hull, LogPoint(0.0, 0.0))
+
+    def test_infinite_delta_is_rejected_at_once(self):
+        # No strip crossing exists at an infinite delta for the bisection to
+        # find; the delta is rejected where the strip widths are formed.
+        fan = Fan(WORKED_GENS)
+        with pytest.raises(NonPositiveDelta, match="inf"):
+            construct_region(fan, math.inf)
+        with pytest.raises(NonPositiveDelta, match="inf"):
+            phi_level(LogPoint(1.0, 1.0), fan, 3.0, math.inf)
 
     def test_phi_out_of_band(self):
         fan = Fan(WORKED_GENS)

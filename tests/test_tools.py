@@ -160,6 +160,11 @@ def test_reach_outcomes_records():
         "group": "collapse", "t0": 0.37, "wall": True, "outcome": "StepCollapse",
         "message": "velocity violates the cone by 1.000e+00 at t=0.37", "worst": None,
         "points": None, "digest": None}
+    # The overflowing selection stops after its full first step and one
+    # halved step.
+    rec = tool.halving_record("raise", toric_regions)
+    assert rec["group"] == "halving" and rec["past"] == "raise"
+    assert rec["outcome"] == "stopped" and rec["points"] == 3 and rec["worst"] == "0x0.0p+0"
 
 
 def test_traced_names_resolve():

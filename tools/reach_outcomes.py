@@ -1,6 +1,6 @@
 """Trajectory figures of the benchmark's reach fans.
 
-It prints one JSON line per record, in four groups:
+It prints one JSON line per record, in five groups:
 
     {"group": "witness", "fan": name, "X": x, "Y": y, "outcome": o,
      "message": m, "worst": <float.hex of worst_violation> or null,
@@ -26,12 +26,20 @@ all-rates-one embedded field integrated to (1, 1); and
 
 for a selection that turns out of the cone at each of ``COLLAPSE_T0``
 (see ``Turning``), with and without a wall of overflowing calls after the
-turn.  The digest is a sha256 of the trajectory's points and velocities,
-bit for bit.  An outcome is the trajectory's termination ("arrived" for a
-witness), the class name of a package error (with the failing leg of a
-``WitnessFailed``), or "bare:<class>" for an exception that is not one;
-the message is the exception's text, null when none was raised.
-``bench/`` is only read.
+turn; and
+
+    {"group": "halving", "past": p, "outcome": o, "message": m,
+     "worst": ..., "points": n, "digest": d}
+
+for each of ``PAST_KINDS``: a selection that meets a wall (see ``Past``)
+whose calls raise, return NaN or a thousandfold speed, so that the
+integrator halves its steps.  The raising one stops after its first halved
+step; the others run to ``HALVING_T_END``.  The digest is a sha256 of
+the trajectory's points and velocities, bit for bit.  An outcome is the
+trajectory's termination ("arrived" for a witness), the class name of a
+package error (with the failing leg of a ``WitnessFailed``), or
+"bare:<class>" for an exception that is not one; the message is the
+exception's text, null when none was raised.  ``bench/`` is only read.
 
 Run from anywhere, against the package under SRC_DIR (default: the
 ``src`` directory next to this file's parent):
@@ -46,6 +54,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,9 +62,13 @@ ROOT = Path(__file__).resolve().parent.parent
 STRATEGY_STARTS = ((-2.0, 1.5), (2.5, -1.0))
 STRATEGY_SEED = 12345
 CONVERGE_STARTS = ((2.0, -1.5), (-2.5, 0.5), (1.0, 2.5), (-1.5, -2.0))
-# Turn times of the collapse group: the first step, mid-way through the
-# integrator's first batch of 64 step checks, and the first of the second.
+# Turn times of the collapse group: the first step, step 38 and step 65.
 COLLAPSE_T0 = (0.0, 0.37, 0.64)
+PAST_KINDS = ("raise", "nan", "fast")
+HALVING_DT = 1.0 / 64.0
+# Past the wall the fast selection moves 0.25 in log X per step; by this
+# t_end it has reached X = 3, still where the inclusion is the full plane.
+HALVING_T_END = 0.028
 
 
 def _workloads():
@@ -159,6 +172,37 @@ def collapse_record(t0: float, wall: bool, package) -> dict:
     return rec
 
 
+class Past:
+    """Unit log speed along +X up to X = 0.025, and past it: every call
+    raises the package's MonomialOverflow ("raise"), or the velocity is
+    NaN ("nan") or a thousandfold ("fast").  From X = 0 at dt = 1/64 the
+    second step's last stage lies past the wall, so that step is halved."""
+
+    name = "past"
+
+    def __init__(self, kind: str, package):
+        self.kind, self.overflow = kind, package.errors.MonomialOverflow
+
+    def __call__(self, point, rhs, t):
+        factor = 1.0
+        if point.X > 0.025:
+            if self.kind == "raise":
+                raise self.overflow("past the wall")
+            factor = math.nan if self.kind == "nan" else 1000.0
+        return (math.exp(point.X) * factor, 0.0)
+
+
+def halving_record(kind: str, package) -> dict:
+    fg, dy = package.fan_geometry, package.dynamics
+    stop = (lambda p, t: t > HALVING_DT) if kind == "raise" else None
+    rec = {"group": "halving", "past": kind}
+    rec.update(_run(lambda: dy.integrate(Past(kind, package), fg.LogPoint(0.0, 0.0),
+                                         fg.Fan([(-1, 1), (1, 2), (2, 1)]), 3.0,
+                                         t_end=HALVING_T_END, dt=HALVING_DT, stop_when=stop),
+                    package))
+    return rec
+
+
 def records(package, workloads):
     catalog = json.loads((ROOT / "bench" / "data" / "reach_targets.json").read_text())
     for name, entry in catalog["fans"].items():
@@ -174,6 +218,8 @@ def records(package, workloads):
     for t0 in COLLAPSE_T0:
         for wall in (False, True):
             yield collapse_record(t0, wall, package)
+    for kind in PAST_KINDS:
+        yield halving_record(kind, package)
 
 
 def main(argv: list[str]) -> int:
