@@ -8,6 +8,7 @@ from .errors import (
     DeltaTooSmall,
     MonomialOverflow,
     NoCrossing,
+    NonFinitePoint,
     NonPositiveDelta,
     NotASubfan,
     OutOfBand,
@@ -55,7 +56,7 @@ __all__ = [
     "AmbiguousClassification", "ArcsDontMeet", "Cone",
     "ConstructionFailed", "DeltaTooSmall", "Fan", "IntersectionPoint",
     "LineGenerator", "LogPoint", "MonomialOverflow", "NoCrossing",
-    "NonPositiveDelta", "NotASubfan", "OutOfBand", "ParallelGenerators",
+    "NonFinitePoint", "NonPositiveDelta", "NotASubfan", "OutOfBand", "ParallelGenerators",
     "PosPoint", "RegionBoundary", "SlopeClasses", "StepCollapse",
     "ToricRegionsError", "UncertaintyRegion", "UnsupportedFan", "WitnessFailed",
     "ZeroGenerator", "attracting_direction",

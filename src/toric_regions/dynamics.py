@@ -27,6 +27,7 @@ from .fan_geometry import (
     Fan,
     LogPoint,
     _arm_table,
+    _finite_log,
     _flanking_arms,
     along_coordinate,
     as_log,
@@ -249,7 +250,7 @@ class FieldStrategy:
         return _field_and_stiffness(self.system, point)
 
 
-class TimeRescaledField:
+class TimeRescaledField(FieldStrategy):
     """Embedded field rescaled toward unit log speed.
 
     Positive rescaling keeps every velocity inside the inclusion cone, so
@@ -257,11 +258,9 @@ class TimeRescaledField:
     even where the rates make the raw field exponentially slow.
     """
 
-    reads_cone = False  # as FieldStrategy
-
     def __init__(self, system: MassActionSystem):
-        self.system = system
-        self.name = (system.label or "field") + "_rescaled"
+        super().__init__(system)
+        self.name += "_rescaled"
 
     def __call__(self, point: LogPoint, rhs: Cone | None, t: float) -> tuple[float, float]:
         v = mass_action_field(self.system, point)
@@ -315,7 +314,7 @@ class RandomInConeStrategy:
     """Seeded random direction strictly inside the cone (unit log speed,
     floored)."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
         self.name = f"random_in_cone_{seed}"
 
@@ -375,6 +374,10 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     and halved, down to dt/1024, while a stage fails or the increment is
     not finite or moves more than 1.0.
 
+    stop_when(point, t) is called once on every sample, the start too,
+    and the run ends "stopped" at the first where it is true, even with
+    t_end <= 0.  Otherwise it ends "t_end", "stalled" or "max_steps".
+
     The velocity of every step start is checked against the inclusive
     brute-force cone once, in one batch, when the run ends or an exception
     leaves it.  The first violating step start raises StepCollapse, with
@@ -382,8 +385,15 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     that leaves the cone is thus called to the end of its run first.  A
     selection whose reads_cone attribute is False is passed rhs=None, and
     no cone is computed for it.
+
+    ValueError unless t_end is finite and dt positive and finite;
+    NonFinitePoint (a ValueError too) unless the start is finite.
     """
-    pt = as_log(start)
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, not {t_end}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt}")
+    pt = _finite_log(start, "start")
     t = 0.0
     times = [t]
     points = [pt]
@@ -420,9 +430,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
     h_min = dt / 1024.0
     try:
-        while t < t_end and len(velocities) < max_steps:
-            if stop_when is not None and stop_when(pt, t):
-                termination = "stopped"
+        while stop_when is None or not stop_when(pt, t):
+            if t >= t_end or len(velocities) >= max_steps:
                 break
             v0, stiff = start_vel(pt, cone(pt), t)
             velocities.append(v0)
@@ -456,9 +465,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
             t += h
             times.append(t)
             points.append(pt)
-            if stop_when is not None and stop_when(pt, t):
-                termination = "stopped"
-                break
+        else:
+            termination = "stopped"
     except Exception:
         # An earlier step start that violates the cone is the first failure.
         check_starts()

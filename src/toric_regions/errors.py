@@ -13,6 +13,10 @@ class NonPositiveDelta(ToricRegionsError):
     """The inclusion radius delta must be strictly positive and finite."""
 
 
+class NonFinitePoint(ToricRegionsError, ValueError):
+    """A log point with a NaN or infinite coordinate; the message names the argument."""
+
+
 class ParallelGenerators(ToricRegionsError):
     """Two generators define the same line through the origin."""
 
@@ -59,7 +63,8 @@ class DeltaTooSmall(ToricRegionsError):
 
 
 class UnsupportedFan(ToricRegionsError):
-    """Fan violates the slope-class assumption and matches no special case."""
+    """Fan has no generators or a non-integer one, or violates the
+    slope-class assumption and matches no special case."""
 
 
 class OutOfBand(ToricRegionsError):

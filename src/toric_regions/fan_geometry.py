@@ -5,15 +5,23 @@ determinants) use integer arithmetic; point geometry lives in log space so
 coordinates of order e^(c*delta) never have to be materialized.
 """
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveDelta, ParallelGenerators, UnsupportedFan, ZeroGenerator
+from .errors import (
+    NonFinitePoint,
+    NonPositiveDelta,
+    ParallelGenerators,
+    UnsupportedFan,
+    ZeroGenerator,
+)
 
 # Absolute tolerance on strip coordinates separating interior from boundary.
 STRIP_TOL = 1e-9
@@ -34,14 +42,19 @@ class LineGenerator:
     """The line q*Y = p*X through the origin of log space.
 
     Stored in canonical form: gcd(|p|, |q|) = 1 and q > 0, or q = 0 and
-    p > 0.  Construction canonicalizes automatically.
+    p > 0.  Construction canonicalizes automatically; p and q may be any
+    integers (numpy's too), anything else raises UnsupportedFan.
     """
 
     p: int
     q: int
 
     def __post_init__(self):
-        p, q = self.p, self.q
+        try:
+            p, q = operator.index(self.p), operator.index(self.q)
+        except TypeError:
+            raise UnsupportedFan(f"generator ({self.p!r}, {self.q!r}) is not a pair of integers"
+                                 ) from None
         if p == 0 and q == 0:
             raise ZeroGenerator("generator (0, 0) does not define a line")
         g = math.gcd(abs(p), abs(q))
@@ -92,9 +105,8 @@ def normalize_generator(p: int, q: int) -> LineGenerator:
 
 
 def _angular_cmp(a: LineGenerator, b: LineGenerator) -> int:
-    """Exact comparison of line angles theta in (0, pi] using integers."""
-    if a.p == 0 and b.p == 0:
-        return 0
+    """Exact comparison of line angles theta in (0, pi] of two distinct
+    generators, using integers."""
     if a.p == 0:
         return 1  # horizontal sorts last (theta = pi)
     if b.p == 0:
@@ -180,6 +192,15 @@ def as_log(point) -> LogPoint:
         return point.log()
     x, y = point
     return PosPoint(x, y).log()
+
+
+def _finite_log(point, name: str) -> LogPoint:
+    """as_log(point); NonFinitePoint naming the argument if a coordinate is
+    NaN or infinite."""
+    pt = as_log(point)
+    if not (math.isfinite(pt.X) and math.isfinite(pt.Y)):
+        raise NonFinitePoint(f"{name} ({pt.X}, {pt.Y}) is not finite")
+    return pt
 
 
 @dataclass(frozen=True)
@@ -372,7 +393,8 @@ class Cone:
 
 @lru_cache(maxsize=256)
 def _arm_table(fan: Fan) -> tuple[tuple[float, int, int], ...]:
-    """All 2b arm rays (angle, generator index, arm sign) sorted by angle.
+    """All 2b arm rays (angle, generator index, arm sign) sorted by angle;
+    no two generators are parallel, so the angles strictly increase.
 
     Arm sign is the sign of the along-coordinate q*X + p*Y on that arm, so
     sign +1 is the arm in direction +(q, p).  Angles are wrapped to [0, 2*pi).
@@ -392,13 +414,7 @@ def _flanking_arms(pt: LogPoint, fan: Fan) -> int:
     k + 1 (mod 2b)."""
     arms = _arm_table(fan)
     phi = _wrap(math.atan2(pt.Y, pt.X))
-    k = len(arms) - 1
-    for i, (a, _, _) in enumerate(arms):
-        if phi >= a:
-            k = i
-        else:
-            break
-    return k
+    return (bisect.bisect_right(arms, phi, key=operator.itemgetter(0)) - 1) % len(arms)
 
 
 @lru_cache(maxsize=256)

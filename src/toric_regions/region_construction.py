@@ -7,11 +7,13 @@ their delta-independent exponents so start-point selection stays exact in
 the large-delta asymptotics.
 """
 
+import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .errors import (
     MonomialOverflow,
     NoCrossing,
     OutOfBand,
-    ParallelGenerators,
     UnsupportedFan,
 )
 from .fan_geometry import (
@@ -82,12 +83,9 @@ def intersection_points(fan: Fan, delta: float) -> tuple[IntersectionPoint, ...]
     points = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            gi, gj = gens[i], gens[j]
-            if gi.p * gj.q == gj.p * gi.q:
-                raise ParallelGenerators(f"{gi} and {gj}")
             for si in (1, -1):
                 for sj in (1, -1):
-                    cx, cy = _meet_exponents(gi, si, gj, sj)
+                    cx, cy = _meet_exponents(gens[i], si, gens[j], sj)
                     points.append(IntersectionPoint(i, j, si, sj, cx, cy, delta))
     return tuple(points)
 
@@ -118,28 +116,25 @@ def choose_start_points(points, mode: str = "standard"):
     maximum is the y coordinate wins, then proximity to the diagonal, then
     provenance order.  (n,m) minimizes the larger coordinate (the smaller
     one in the all-negative special case), never coincides with (N,M), and
-    breaks ties the same way.
+    breaks ties the same way.  ValueError with fewer than two points.
     """
-    if not points:
-        raise ValueError("empty intersection set")
+    if len(points) < 2:
+        raise ValueError(f"{len(points)} intersection points; start points need two")
+    tie_break = lambda p: (abs(p.cx - p.cy), p.key)
     xmax = max(p.cx for p in points)
     ymax = max(p.cy for p in points)
     if ymax >= xmax - _EXP_TOL:
-        cands = [p for p in points if p.cy >= ymax - _EXP_TOL]
+        nm = min((p for p in points if p.cy >= ymax - _EXP_TOL), key=tie_break)
     else:
-        cands = [p for p in points if p.cx >= xmax - _EXP_TOL]
-    cands.sort(key=lambda p: (abs(p.cx - p.cy), p.key))
-    nm = cands[0]
+        nm = min((p for p in points if p.cx >= xmax - _EXP_TOL), key=tie_break)
 
-    rest = [p for p in points if p is not nm] or [nm]
+    rest = [p for p in points if p is not nm]
     if mode == "all_negative":
         score = lambda p: min(p.cx, p.cy)
     else:
         score = lambda p: max(p.cx, p.cy)
     best = min(score(p) for p in rest)
-    cands = [p for p in rest if score(p) <= best + _EXP_TOL]
-    cands.sort(key=lambda p: (abs(p.cx - p.cy), p.key))
-    return nm, cands[0]
+    return nm, min((p for p in rest if score(p) <= best + _EXP_TOL), key=tie_break)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +210,7 @@ class Segment:
     gen: LineGenerator
     region_index: int
     arm_sign: int
-    end_sign: int = 0       # sign of the curve the piece terminates on
-    crossing: bool = True   # False for closure extensions / joins
+    end_sign: int  # sign of the curve the piece terminates on (0 for a join)
 
     @property
     def slope(self) -> Fraction | None:
@@ -230,7 +224,7 @@ class Segment:
 
     def reversed(self) -> "Segment":
         return Segment(self.end, self.start, self.gen, self.region_index,
-                       self.arm_sign, self.end_sign, self.crossing)
+                       self.arm_sign, self.end_sign)
 
     @staticmethod
     def normals_at(segs, which, X, Y):
@@ -536,31 +530,27 @@ def build_polyline(start: LogPoint, phi: float, ccw: bool, stop_index: int,
     """Cross strips one arm at a time until the stop generator is crossed.
 
     The traversal follows the angular order of the 2b arm rays, counter-
-    clockwise or clockwise from the start point's position angle.
+    clockwise or clockwise from the start point's position angle: the first
+    arm more than 1e-12 past it either way.
     """
     arms = _arm_table(fan)
     n = len(arms)
     regions = fan.regions(delta)
     phi = _wrap(phi)
     if ccw:
-        k = next((i for i, a in enumerate(arms) if a[0] > phi + 1e-12), 0)
+        k = bisect.bisect_right(arms, phi + 1e-12, key=itemgetter(0)) % n
     else:
-        k = n - 1
-        for i in range(n - 1, -1, -1):
-            if arms[i][0] < phi - 1e-12:
-                k = i
-                break
+        k = (bisect.bisect_left(arms, phi - 1e-12, key=itemgetter(0)) - 1) % n
     segments: list[Segment] = []
     cur = start
-    for _ in range(n + 1):
-        angle, gi, arm_sign = arms[k]
+    while True:  # the stop generator has an arm among any n consecutive arms
+        _, gi, arm_sign = arms[k]
         seg = _crossing_segment(cur, regions[gi], arm_sign)
         segments.append(seg)
         cur = seg.end
         if gi == stop_index:
             return segments
         k = (k + 1) % n if ccw else (k - 1) % n
-    raise ConstructionFailed("traversal", f"stop region {stop_index} never reached")
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +576,10 @@ def connect_arcs(seg_a: Segment, seg_b: Segment, meet: LogPoint) -> list[Arc]:
 
 
 def _extend_segment(seg: Segment, coord: str, value: float) -> Segment:
-    """Continue a crossing segment's x-space line until X (or Y) hits value."""
-    mirrored = coord == "Y"
-    if (seg.gen.q if mirrored else seg.gen.p) == 0:
-        raise ConstructionFailed("closure", f"the segment's line keeps {coord} constant")
-    return Segment(seg.end, seg.at(value, mirrored), seg.gen, seg.region_index,
-                   seg.arm_sign, seg.end_sign, crossing=False)
+    """Continue a terminal segment's x-space line until X (or Y) hits value;
+    it lies on a stop generator, never an axis one, so it moves both."""
+    return Segment(seg.end, seg.at(value, coord == "Y"), seg.gen, seg.region_index,
+                   seg.arm_sign, seg.end_sign)
 
 
 def _close_side(seg_a: Segment, seg_b: Segment, fan: Fan, delta: float):
@@ -634,7 +622,7 @@ def _close_side(seg_a: Segment, seg_b: Segment, fan: Fan, delta: float):
             raise ConstructionFailed(
                 "closure", "axis-parallel join does not span the axis strip"
             )
-    join = Segment(term_a, term_b, axisr.gen, axisr.index, arm, 0, crossing=False)
+    join = Segment(term_a, term_b, axisr.gen, axisr.index, arm, 0)
     return head + [join] + tail, None, axisr.index
 
 
@@ -652,11 +640,10 @@ class RegionBoundary:
     pieces: tuple
     anchors: dict
     polylines: dict
-    classes: SlopeClasses
     points_uc: tuple
     start_max: IntersectionPoint
     start_min: IntersectionPoint
-    axis_joins: tuple = ()
+    axis_joins: tuple
     report: dict | None = None
 
     @property
@@ -682,8 +669,6 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
     classes = compute_slope_classes(fan)
     points = intersection_points(fan, delta)
     start_max, start_min = choose_start_points(points, classes.mode)
-    if start_max is start_min:
-        raise UnsupportedFan("start points coincide; degenerate fan")
 
     phi_max = _wrap(math.atan2(start_max.cy, start_max.cx))
     phi_min = _wrap(math.atan2(start_min.cy, start_min.cx))
@@ -729,7 +714,6 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
         pieces=tuple(pieces),
         anchors=anchors,
         polylines={"I1": i1_segs, "I2": i2_segs, "I3": i3_segs, "I4": i4_segs},
-        classes=classes,
         points_uc=points,
         start_max=start_max,
         start_min=start_min,
@@ -1052,8 +1036,8 @@ def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
     p1, d1 = starts[a, :, None], steps[a, :, None]
     p3, d2 = starts[b, None], steps[b, None]
     e = p3 - p1
-    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # the products overflow at huge delta
+        den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         t = (e[..., 0] * d2[..., 1] - e[..., 1] * d2[..., 0]) / den
         u = (e[..., 0] * d1[..., 1] - e[..., 1] * d1[..., 0]) / den
     eps = 1e-9

@@ -22,14 +22,16 @@ import math
 
 import numpy as np
 
-from .errors import AmbiguousClassification, NotASubfan
+from .errors import AmbiguousClassification, NonPositiveDelta, NotASubfan
 from .fan_geometry import (
     LINE_WIDTH,
     STRIP_TOL,
     TWO_PI,
     Cone,
     Fan,
+    LogPoint,
     _arm_table,
+    _finite_log,
     _flanking_arms,
     along_coordinate,
     as_log,
@@ -41,6 +43,23 @@ from .fan_geometry import (
 
 # The value wherever r(x) >= 2; Cone is frozen, so every caller shares it.
 _FULL_PLANE = Cone(0.0, TWO_PI)
+
+
+def _near_limit(delta: float, tol: float) -> float:
+    """Distance delta - tol within which a sector is near, at least 0.
+    NonPositiveDelta unless delta is strictly positive and finite."""
+    if not 0.0 < delta < math.inf:
+        raise NonPositiveDelta(f"delta = {delta}")
+    return max(delta - tol, 0.0)
+
+
+def _near_set(pt: LogPoint, fan: Fan, limit: float) -> int:
+    """Bit set of the sectors within limit of pt, never empty.  The fan is
+    complete, so some sector contains pt, but with limit near 0 rounding can
+    leave a point on an arm just outside both sectors there: then the
+    nearest sector is taken."""
+    dist = [dist_to_cone(pt, s) for s in fan_2d_cones(fan)]
+    return sum(1 << k for k, d in enumerate(dist) if d <= limit) or 1 << dist.index(min(dist))
 
 
 @functools.lru_cache(maxsize=512)
@@ -56,20 +75,22 @@ def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
     Sectors are collected with dist <= delta - tol so that points exactly on
     a strip boundary deterministically take the open-side (gap) value; pass
     a negative tol for the inclusive reading (the larger cone), which is the
-    right side for velocity validation.
+    right side for velocity validation.  NonPositiveDelta unless delta is
+    positive and finite, NonFinitePoint unless the point is finite.
     """
-    pt = as_log(point)
-    # Completeness of the fan guarantees the containing sector is near.
-    return _near_value(fan, sum(1 << k for k, s in enumerate(fan_2d_cones(fan))
-                                if dist_to_cone(pt, s) <= delta - tol))
+    limit = _near_limit(delta, tol)
+    return _near_value(fan, _near_set(_finite_log(point, "point"), fan, limit))
 
 
 def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
                          tol: float) -> tuple[list[Cone], np.ndarray]:
     """rhs_bruteforce(pt, fan, delta, tol) at each log point (X[k], Y[k]) of
     float arrays: the distinct values, and each point's index into them."""
-    near = sum(near_cone(X, Y, s, delta - tol).astype(np.int64) << k
+    limit = _near_limit(delta, tol)
+    near = sum(near_cone(X, Y, s, limit).astype(np.int64) << k
                for k, s in enumerate(fan_2d_cones(fan)))
+    for k in np.flatnonzero(near == 0).tolist():
+        near[k] = _near_set(LogPoint(float(X[k]), float(Y[k])), fan, limit)
     codes, index = np.unique(near, return_inverse=True)
     return [_near_value(fan, int(c)) for c in codes], index
 
@@ -112,9 +133,9 @@ def rhs_equal(a: Cone, b: Cone, tol: float = 1e-9) -> bool:
     return abs(a.width - b.width) <= tol and min(gap, period - gap) <= tol
 
 
-def rhs_subfan_subset(point, fan: Fan, subfan: Fan, delta: float,
-                      tol: float = 1e-9) -> bool:
-    """True iff the subfan's right-hand side is contained in the fan's."""
+def rhs_subfan_subset(point, fan: Fan, subfan: Fan, delta: float) -> bool:
+    """True iff the subfan's right-hand side is contained in the fan's, to
+    Cone.contains' default tolerance."""
     fan_keys = {(g.p, g.q) for g in fan.generators}
     for g in subfan.generators:
         if (g.p, g.q) not in fan_keys:
@@ -124,4 +145,4 @@ def rhs_subfan_subset(point, fan: Fan, subfan: Fan, delta: float,
     if inner.width == TWO_PI:
         return outer.width == TWO_PI
     # Every other cone is generated by its extreme rays.
-    return all(outer.contains(u, tol) for u in inner.extreme_rays())
+    return all(outer.contains(u) for u in inner.extreme_rays())

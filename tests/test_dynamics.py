@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from toric_regions.dynamics import (
 from toric_regions.errors import (
     AmbiguousClassification,
     MonomialOverflow,
+    NonFinitePoint,
     StepCollapse,
     WitnessFailed,
 )
@@ -317,6 +320,60 @@ class TestIntegrate:
         assert traj.times == [0.0] and traj.points == [LogPoint(0.0, 0.0)]
         assert traj.velocities == [(0.0, 0.0)]
 
+    def test_stop_when_once_per_sample(self):
+        seen = []
+
+        def stop(p, t):
+            seen.append((p, t))
+            return False
+
+        traj = integrate(ExtremeRayStrategy("left"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
+                         t_end=1.0, stop_when=stop)
+        assert traj.termination == "t_end" and len(traj.points) == 101
+        assert seen == list(zip(traj.points, traj.times))
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_stopping_start_stops_without_time(self, t_end):
+        traj = integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+                         t_end=t_end, stop_when=lambda p, t: True)
+        assert traj.termination == "stopped" and traj.points == [LogPoint(0.0, 0.0)]
+        traj = integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+                         t_end=t_end, stop_when=lambda p, t: False)
+        assert traj.termination == "t_end" and traj.points == [LogPoint(0.0, 0.0)]
+
+    def test_runs_out_of_steps(self):
+        # A fast turn about (1,1), where every strip holds the point (so the
+        # cone is the whole plane): each step moves 0.25 in log space in
+        # 2.5e-5 time, so 64 * ceil(t_end / dt) + 16 = 656 steps end short
+        # of t_end.
+        class Spin:
+            reads_cone = False
+
+            def __call__(self, p, rhs, t):
+                return (-1e4 * p.Y * math.exp(p.X), 1e4 * p.X * math.exp(p.Y))
+
+        traj = integrate(Spin(), LogPoint(1.0, 0.0), WORKED_FAN, DELTA, t_end=0.1, dt=0.01)
+        assert traj.termination == "max_steps"
+        assert len(traj.points) == 657 and traj.times[-1] < 0.1
+        assert max(math.hypot(p.X, p.Y) for p in traj.points) < 1.1
+        assert traj.worst_violation == 0.0
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"t_end": math.nan}, "t_end"), ({"t_end": math.inf}, "t_end"),
+        ({"t_end": -math.inf}, "t_end"), ({"t_end": 1.0, "dt": 0.0}, "dt"),
+        ({"t_end": 1.0, "dt": -0.01}, "dt"), ({"t_end": 1.0, "dt": math.nan}, "dt"),
+        ({"t_end": 1.0, "dt": math.inf}, "dt"),
+    ])
+    def test_bad_time_arguments_are_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+                      **kwargs)
+
+    @pytest.mark.parametrize("start", [LogPoint(math.nan, 0.0), LogPoint(0.0, math.inf)])
+    def test_non_finite_start_is_named(self, start):
+        with pytest.raises(NonFinitePoint, match="^start"):
+            integrate(ExtremeRayStrategy("left"), start, WORKED_FAN, DELTA, t_end=1.0)
+
     def test_convergence_origin_system(self):
         sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
         traj = integrate_to_point(sys11, PosPoint(math.exp(3.0), math.exp(-2.0)),
@@ -529,6 +586,31 @@ class TestReachWitness:
         assert traj.worst_violation <= 1e-9
         end = traj.points[-1]
         assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
+
+
+    def test_flow_that_does_not_converge(self, region, monkeypatch):
+        monkeypatch.setattr(dynamics, "_FLOW_T_END", 0.01)
+        with pytest.raises(WitnessFailed) as err:
+            reach_witness(LogPoint(2.0, 1.0), LogPoint(-1.5, -1.0), WORKED_FAN, DELTA, region)
+        assert err.value.leg == "leg1_flow"
+        assert err.value.detail == "did not converge (t_end)"
+
+    def test_axis_fan_census_gap_without_route(self):
+        # A census gap target on the axis fan that no candidate route reaches:
+        # the last candidate's straight run leaves the cone.
+        data = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data"
+                           / "reach_targets.json").read_text())
+        axis = data["fans"]["axis"]
+        target = next(LogPoint(t["X"], t["Y"]) for t in axis["targets"]
+                      if (t["X"], t["Y"]) == (4.492845, -14.046111))
+        fan = Fan(axis["gens"])
+        region = construct_region(fan, data["delta"])
+        assert r_count(target, fan, data["delta"]) == 0
+        assert region_contains(region, target) == "inside"
+        with pytest.raises(WitnessFailed) as err:
+            reach_witness(PosPoint(1.0, 1.0), target, fan, data["delta"], region)
+        assert err.value.leg == "route"
+        assert err.value.detail.startswith("no valid route: straight gap run: worst violation")
 
 
 class TestValidateLeg:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -240,6 +241,17 @@ class TestFanSectors:
     def test_empty_fan_rejected(self):
         with pytest.raises(UnsupportedFan, match="at least one generator"):
             Fan([])
+
+    @pytest.mark.parametrize("gens", [[(1, 2.0), (-1, 1)], [("1", 2)], [(1, None)],
+                                      [(0.0, 0)]])
+    def test_non_integer_generator_rejected(self, gens):
+        with pytest.raises(UnsupportedFan, match="not a pair of integers"):
+            Fan(gens)
+
+    def test_numpy_integer_generators(self):
+        fan = Fan([(np.int64(2), np.int32(4)), (np.int8(-1), 1)])
+        assert fan == Fan([(1, 2), (-1, 1)])
+        assert all(type(v) is int for g in fan.generators for v in (g.p, g.q))
 
 
 class TestDistToCone:

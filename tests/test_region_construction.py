@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -198,9 +199,10 @@ class TestChooseStartPoints:
         assert (low.log.X, low.log.Y) == pytest.approx((-3 * SQRT5, -3 * SQRT5), abs=1e-9)
 
     def test_singleton(self):
+        # (n,m) never coincides with (N,M), so one point has no pair.
         pts = intersection_points(Fan([(1, 1), (-1, 1)]), 1.0)[:1]
-        top, low = choose_start_points(pts)
-        assert top is low is pts[0]
+        with pytest.raises(ValueError, match="need two"):
+            choose_start_points(pts)
 
 
 class TestSlopeClasses:
@@ -375,7 +377,7 @@ class TestLineKernel:
         # loses about 1e-5 in log y.
         start = LogPoint(-30.0, math.log1p(-math.exp(-30.0)))
         end = LogPoint(math.log1p(-1e-10), math.log(1e-10))
-        seg = Segment(start, end, LineGenerator(1, 1), 0, 1)
+        seg = Segment(start, end, LineGenerator(1, 1), 0, 1, 0)
         for pt in _points_of(seg, [0.5, 0.999999, 1.0]):
             assert pt.Y == pytest.approx(math.log(-math.expm1(pt.X)), abs=1e-12)
 
@@ -383,7 +385,7 @@ class TestLineKernel:
         # A vertical x-space segment (generator (0, 1)) at X - Y = -800: the
         # tangent of its log image is (0, -1) and must not underflow to zero.
         assert _scaled_reciprocals(LogPoint(0.0, 800.0), 0, -1) == (0.0, -1.0)
-        seg = Segment(LogPoint(0.0, 790.0), LogPoint(0.0, 810.0), LineGenerator(0, 1), 0, 1)
+        seg = Segment(LogPoint(0.0, 790.0), LogPoint(0.0, 810.0), LineGenerator(0, 1), 0, 1, 0)
         assert seg.band_distance(LogPoint(1.0, 800.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_segments_evaluate_on_their_lines(self, worked_region):
@@ -525,8 +527,11 @@ class TestSpecialCases:
         assert all(v["passed"] for v in b.report.values())
         horiz = next(i for i, g in enumerate(b.fan.generators) if g.is_horizontal)
         assert horiz in b.axis_joins
+        # The join is the horizontal strip's piece that no polyline crosses.
+        crossings = {s for segs in b.polylines.values() for s in segs}
         joins = [p for p in b.pieces if isinstance(p, Segment)
-                 and p.region_index == horiz and not p.crossing and p.slope is None]
+                 and p.region_index == horiz and p.slope is None
+                 and p not in crossings and p.reversed() not in crossings]
         assert len(joins) == 1
         assert joins[0].start.X == pytest.approx(joins[0].end.X, abs=1e-9)
 
@@ -543,6 +548,19 @@ class TestSpecialCases:
     def test_small_delta_rejected(self):
         with pytest.raises(DeltaTooSmall):
             construct_region(Fan(WORKED_GENS), 0.05)
+
+    @pytest.mark.parametrize("delta", [5e-10, 1e-300])
+    def test_delta_below_strip_tol_rejected(self, delta):
+        # The validation battery's near sets stay nonempty.
+        with pytest.raises(DeltaTooSmall):
+            construct_region(Fan(WORKED_GENS), delta)
+
+    def test_huge_delta_warns_nothing(self):
+        # The loop check's chord products overflow at this delta.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeltaTooSmall):
+                construct_region(Fan(WORKED_GENS), 1e300)
 
     def test_failed_validation_keeps_its_report(self):
         # An atlas fan that fails Nagumo at delta = 0.5: the exception names
@@ -783,7 +801,7 @@ class TestArraySampler:
         # The sampled point past the quadrant exit raises NoCrossing in the
         # array sampler as in the scalar one.
         # On y = 2 - x through (1, 1), log x = 0.9 is past the exit at log 2.
-        seg = Segment(LogPoint(0.0, 0.0), LogPoint(3.0, -1.0), LineGenerator(1, 1), 0, 1)
+        seg = Segment(LogPoint(0.0, 0.0), LogPoint(3.0, -1.0), LineGenerator(1, 1), 0, 1, 0)
         assert _points_of(seg, [0.1]) == [_point_at_reference(seg, 0.1)]
         with pytest.raises(NoCrossing):
             _point_at_reference(seg, 0.3)

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toric_regions.errors import AmbiguousClassification, NotASubfan, ToricRegionsError
+from toric_regions.errors import (
+    AmbiguousClassification,
+    NonFinitePoint,
+    NonPositiveDelta,
+    NotASubfan,
+    ToricRegionsError,
+)
 from toric_regions.fan_geometry import (
     STRIP_TOL,
     Cone,
@@ -70,6 +76,37 @@ class TestBruteforce:
         assert rhs.kind == "line"
         assert rhs.contains((1.0, -1.0)) and rhs.contains((-1.0, 1.0))
         assert not rhs.contains((1.0, 1.0))
+
+    @pytest.mark.parametrize("delta", [5e-10, 1e-300])
+    def test_delta_below_strip_tol(self, delta):
+        # delta - STRIP_TOL < 0: only the sector that contains the point is
+        # near, which gives the gap value.  The last point lies on the arm
+        # (2, 1), between the last sector and the first, but by rounding just
+        # outside both; it takes the value of one of them.
+        sectors = fan_2d_cones(WORKED_FAN)
+        on_arm = LogPoint(2.683281572999748e-300, 1.3416407864998737e-300)
+        assert min(dist_to_cone(on_arm, s) for s in sectors) > 0.0
+        for pt in (LogPoint(10.0, 0.0), LogPoint(0.3, 2.0), LogPoint(-4.0, -1.0), on_arm):
+            value = rhs_bruteforce(pt, WORKED_FAN, delta)
+            if pt is on_arm:
+                assert value in (sectors[0].polar(), sectors[-1].polar())
+            else:
+                assert value == rhs_classified(pt, WORKED_FAN, delta)
+            values, index = rhs_bruteforce_batch(np.array([pt.X]), np.array([pt.Y]),
+                                                 WORKED_FAN, delta, STRIP_TOL)
+            assert values[index[0]] == value
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(NonPositiveDelta):
+            rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, delta)
+        with pytest.raises(NonPositiveDelta):
+            rhs_bruteforce_batch(np.zeros(1), np.zeros(1), WORKED_FAN, delta, STRIP_TOL)
+
+    @pytest.mark.parametrize("pt", [LogPoint(math.nan, 0.0), LogPoint(0.0, -math.inf)])
+    def test_non_finite_point_rejected(self, pt):
+        with pytest.raises(NonFinitePoint, match="^point"):
+            rhs_bruteforce(pt, WORKED_FAN, 3.0)
 
 
 class TestClassified:

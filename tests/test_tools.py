@@ -67,21 +67,17 @@ def test_atlas_outcomes_case_record():
     assert bad["checks"] is None and bad["pieces"] is None and bad["samples"] is None
 
 
-def test_atlas_outcomes_samples_digest_reads_both_sample_forms():
-    # Older sources return (LogPoint, piece) pairs, not arrays (X, Y, piece).
+def test_atlas_outcomes_samples_digest_sees_a_moved_sample():
     tool = _load_tool("atlas_outcomes")
     rc = toric_regions.region_construction
     region = toric_regions.construct_region(toric_regions.Fan([(-1, 1), (1, 2), (2, 1)]), 3.0)
     X, Y, index = rc.sample_boundary(region, tool.SAMPLES)
-    pairs = [(toric_regions.LogPoint(x, y), region.pieces[k])
-             for x, y, k in zip(X.tolist(), Y.tolist(), index.tolist())]
-    as_list = SimpleNamespace(region_construction=SimpleNamespace(
-        sample_boundary=lambda boundary, total: pairs))
-    assert tool.samples_digest(region, as_list) == tool.samples_digest(region, toric_regions)
-    # A single moved sample changes the digest.
-    pairs[7] = (toric_regions.LogPoint(X[7].item(), math.nextafter(Y[7].item(), math.inf)),
-                pairs[7][1])
-    assert tool.samples_digest(region, as_list) != tool.samples_digest(region, toric_regions)
+    fake = SimpleNamespace(region_construction=SimpleNamespace(
+        sample_boundary=lambda boundary, total: (X, Y, index)))
+    assert tool.samples_digest(region, fake) == tool.samples_digest(region, toric_regions)
+    # A single sample moved by one ulp changes the digest.
+    Y[7] = math.nextafter(Y[7].item(), math.inf)
+    assert tool.samples_digest(region, fake) != tool.samples_digest(region, toric_regions)
 
 
 def test_atlas_outcomes_failed_check_matches_construct_region():

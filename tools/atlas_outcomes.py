@@ -52,18 +52,11 @@ def pieces_digest(boundary) -> str:
 
 
 def samples_digest(boundary, package) -> str:
-    """Short hash of every boundary sample's X and Y, bit for bit.
-
-    ``sample_boundary`` returns arrays (X, Y, piece index); older sources
-    returned a list of (LogPoint, piece) pairs, which is read too.
-    """
-    out = package.region_construction.sample_boundary(boundary, SAMPLES)
-    if isinstance(out, list):
-        xs, ys = [pt.X for pt, _ in out], [pt.Y for pt, _ in out]
-    else:
-        xs, ys = out[0].tolist(), out[1].tolist()
+    """Short hash of every X and Y of ``sample_boundary``'s arrays
+    (X, Y, piece index), bit for bit."""
+    X, Y, _ = package.region_construction.sample_boundary(boundary, SAMPLES)
     h = hashlib.sha256()
-    for x, y in zip(xs, ys):
+    for x, y in zip(X.tolist(), Y.tolist()):
         h.update(f"{x.hex()} {y.hex()};".encode())
     return h.hexdigest()[:16]
 
