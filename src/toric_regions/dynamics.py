@@ -7,6 +7,7 @@ integrator steps the log coordinates (X' = x'/x componentwise) so positivity
 is automatic and points of order e^(c*delta) stay representable.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ from .errors import (
     AmbiguousClassification,
     MonomialOverflow,
     NoCrossing,
+    NonFinitePoint,
     StepCollapse,
     WitnessFailed,
 )
@@ -452,7 +454,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     f4 = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
                     dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
                     dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
-                except (MonomialOverflow, OverflowError):
+                except (MonomialOverflow, NonFinitePoint, OverflowError):
                     dX = dY = math.inf
                 # isfinite, not a bound alone: a NaN increment must halve too.
                 if (math.isfinite(dX) and math.isfinite(dY)
@@ -525,14 +527,18 @@ class WitnessLeg:
     velocities: list[tuple[float, float]]
 
 
-def _validate_leg(leg: WitnessLeg, fan: Fan, delta: float) -> float:
-    """Worst cone violation of the leg's velocities, each against the
-    inclusive value at its point; WitnessFailed naming the leg's description
-    when it exceeds _CONE_TOL."""
-    worst = max([0.0] + _violations(leg.points, leg.velocities, fan, delta))
-    if worst > _CONE_TOL:
-        raise WitnessFailed(leg.description, f"worst violation {worst:.3e}")
-    return worst
+def _validate_leg(legs: list[WitnessLeg], fan: Fan, delta: float) -> float:
+    """Worst cone violation of the legs' velocities, each against the
+    inclusive value at its point, from one batch over all the legs;
+    WitnessFailed naming the description of the last leg whose worst
+    exceeds _CONE_TOL."""
+    violations = iter(_violations([p for leg in legs for p in leg.points],
+                                  [v for leg in legs for v in leg.velocities], fan, delta))
+    worst = [max([0.0, *itertools.islice(violations, len(leg.points))]) for leg in legs]
+    for leg, w in zip(reversed(legs), reversed(worst)):
+        if w > _CONE_TOL:
+            raise WitnessFailed(leg.description, f"worst violation {w:.3e}")
+    return max(worst)
 
 
 def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> WitnessLeg:
@@ -598,7 +604,9 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     Leg 1 rides the all-rates-one embedded field to (1,1).  Leg 2 dispatches
     on r(target): full-plane targets get a straight log-space run; strip
     (r = 1) and gap (r = 0) targets are routed along the region boundary
-    (see ``_route_via_boundary``).  Every leg is velocity-validated.
+    (see ``_route_via_boundary``).  Every leg is velocity-validated: the
+    integrator checks the flow, and the legs of the straight run or of a
+    candidate route are checked together, in one batch per route.
 
     Both endpoints must lie in the region (``region_contains`` says "inside"
     or "boundary"): the region is invariant, so no trajectory from inside it
@@ -607,9 +615,10 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     ``WitnessFailed`` naming the step: "leg1_flow" when the flow to (1,1)
     does not converge, "full-plane straight run" when that run fails
     validation, and "route" when no boundary route to a strip or gap target
-    arrives and validates; the route's detail names the last candidate's
-    error: a leg that failed validation, an "arrival" drift or a walk whose
-    line left the quadrant.
+    arrives and validates.  The route's detail names the last candidate's
+    error (the last leg of it that failed validation, an "arrival" drift or
+    a walk whose line left the quadrant), then lists every candidate tried
+    as "chain[k]: error".  A non-finite endpoint raises NonFinitePoint.
     """
     src = as_log(from_point)
     dst = as_log(to_point)
@@ -631,7 +640,7 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
         pass  # target was (1,1): single leg
     elif r_dst >= 2:
         legs.append(_logline_leg(cur, dst, "full-plane straight run"))
-        worst = _validate_leg(legs[-1], fan, delta)
+        worst = _validate_leg(legs[-1:], fan, delta)
     else:
         route, worst = _route_via_boundary(cur, dst, r_dst, fan, delta, region, arrive_tol)
         legs.extend(route)
@@ -672,8 +681,9 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     the candidate segment's start.  A strip target is then reached by
     walking along that segment into the strip and sliding along the strip;
     a gap target by one straight x-space run from there, whose constant
-    velocity the leg validator checks at every sample.  The first route
-    whose legs arrive and all validate wins.
+    velocity the leg validator checks at every sample.  All of a route's
+    legs are built first and checked in one batch.  The first route whose
+    legs arrive and all validate wins.
     """
     if r_dst == 1:
         strip = next(r for r in fan.regions(delta)
@@ -697,6 +707,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
                   for k, seg in enumerate(region.polylines[chain])
                   if (seg.region_index, seg.arm_sign) in arms]
     last_err: Exception | str = "no crossing segment on the target's arms"
+    tried = []  # "chain[k]: error" of every candidate
     for chain, k in candidates:
         try:
             legs = _hop_and_walk(cur, chain, k, region)
@@ -704,8 +715,8 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
             end = legs[-1].points[-1]
             if max(abs(end.X - dst.X), abs(end.Y - dst.Y)) > arrive_tol:
                 raise WitnessFailed("arrival", "route drifted from the target")
-            # Finishing legs first: they are the ones that fail.
-            return legs, max(_validate_leg(leg, fan, delta) for leg in reversed(legs))
+            return legs, _validate_leg(legs, fan, delta)
         except (WitnessFailed, NoCrossing) as exc:
             last_err = exc
-    raise WitnessFailed("route", f"no valid route: {last_err}")
+            tried.append(f"{chain}[{k}]: {exc}")
+    raise WitnessFailed("route", "; ".join([f"no valid route: {last_err}", *tried]))

@@ -239,9 +239,10 @@ def r_count(point, fan: Fan, delta: float) -> int:
     """Number of uncertainty regions whose open interior contains the point.
 
     Interior means |strip coordinate| < delta_i - STRIP_TOL; points within
-    STRIP_TOL of a boundary curve are not counted.
+    STRIP_TOL of a boundary curve are not counted.  NonFinitePoint unless
+    the point is finite.
     """
-    pt = as_log(point)
+    pt = _finite_log(point, "point")
     return sum(abs(g.q * pt.Y - g.p * pt.X) < delta_i(g, delta) - STRIP_TOL
                for g in fan.generators)
 
@@ -448,18 +449,45 @@ def dist_to_cone(point, cone: Cone) -> float:
     return min([_ray_distance(pt, u) for u in rays])
 
 
-def near_cone(X: np.ndarray, Y: np.ndarray, cone: Cone, limit: float) -> np.ndarray:
-    """dist_to_cone(pt, cone) <= limit at each log point (X[k], Y[k]) of a sector
-    or half plane; dist_to_cone decides near the limit, where np.hypot and
-    math.hypot can differ in the last place."""
-    u, e = cone._rays[:2]
-    dist = np.full(X.shape, np.inf)
-    for r in cone._rays:
-        t = X * r[0] + Y * r[1]
-        dist = np.minimum(dist, np.where(t <= 0.0, np.hypot(X, Y),
-                                         np.hypot(X - t * r[0], Y - t * r[1])))
-    dist[(u[0] * Y - u[1] * X >= 0.0) & (e[0] * Y - e[1] * X <= 0.0)] = 0.0  # zero excess
-    near = dist <= limit
-    for k in np.flatnonzero(np.abs(dist - limit) <= 1e-12 * abs(limit)):
-        near[k] = dist_to_cone(LogPoint(float(X[k]), float(Y[k])), cone) <= limit
+# Points per pass of near_sectors: bounds its (rays x points) temporaries
+# on the integrator's long batches of step starts.
+_NEAR_BLOCK = 1024
+
+
+@lru_cache(maxsize=256)
+def _sector_rays(fan: Fan) -> tuple[np.ndarray, np.ndarray]:
+    """The extreme rays of all fan_2d_cones(fan), stacked as a (rays, 2)
+    array, and the row of each sector's first ray.  Every call shares the
+    two arrays; nothing writes to them."""
+    sectors = fan_2d_cones(fan)
+    rays = np.array([u for s in sectors for u in s._rays])
+    first = np.cumsum([0] + [len(s._rays) for s in sectors[:-1]])
+    return rays, first
+
+
+def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.ndarray:
+    """dist_to_cone(pt, sector) <= limit for every sector of fan_2d_cones(fan)
+    (rows) and every log point (X[j], Y[j]) (columns).
+
+    The ray distances of all sectors come from one (rays x points) array,
+    each sector's distance is the minimum over its rows, and a sector's
+    zero excess sets it to 0.  dist_to_cone decides the (sector, point)
+    pairs near the limit, where np.hypot and math.hypot can differ in the
+    last place.  Points go in blocks of _NEAR_BLOCK.
+    """
+    rays, first = _sector_rays(fan)
+    rx, ry = rays[:, :1], rays[:, 1:]
+    u, e = rays[first], rays[first + 1]
+    near = np.empty((len(first), len(X)), dtype=bool)
+    for lo in range(0, len(X), _NEAR_BLOCK):
+        x, y = X[lo:lo + _NEAR_BLOCK], Y[lo:lo + _NEAR_BLOCK]
+        t = x * rx + y * ry
+        dist = np.minimum.reduceat(np.where(t <= 0.0, np.hypot(x, y),
+                                            np.hypot(x - t * rx, y - t * ry)), first, axis=0)
+        dist[(u[:, :1] * y - u[:, 1:] * x >= 0.0) & (e[:, :1] * y - e[:, 1:] * x <= 0.0)] = 0.0
+        block = near[:, lo:lo + _NEAR_BLOCK]
+        block[...] = dist <= limit
+        for k, j in zip(*np.nonzero(np.abs(dist - limit) <= 1e-12 * abs(limit))):
+            block[k, j] = dist_to_cone(LogPoint(float(x[j]), float(y[j])),
+                                       fan_2d_cones(fan)[k]) <= limit
     return near

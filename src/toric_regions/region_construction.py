@@ -34,6 +34,7 @@ from .fan_geometry import (
     PosPoint,
     UncertaintyRegion,
     _arm_table,
+    _finite_log,
     _wrap,
     along_coordinate,
     as_log,
@@ -749,9 +750,10 @@ def region_contains(boundary: RegionBoundary, point,
     """Classify a point as 'inside', 'boundary' or 'outside'.
 
     Boundary means within the given log-space band of some piece; otherwise
-    ray casting along +X in log space decides.
+    ray casting along +X in log space decides.  NonFinitePoint unless the
+    point is finite.
     """
-    pt = as_log(point)
+    pt = _finite_log(point, "point")
     if any(piece.band_distance(pt) <= band for piece in boundary.pieces):
         return "boundary"
     crossings = sum(_ray_hit(piece, pt) for piece in boundary.pieces)

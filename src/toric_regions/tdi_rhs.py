@@ -10,11 +10,14 @@ one-generator fan the value is a line.
 
 Each path only chooses the near set.  ``rhs_bruteforce`` does it by the
 definition, point by point: the ground truth.  ``rhs_bruteforce_batch``
-does the same for an array of points at once; it is the validation
-battery's check, and, with the inclusive tol, the integrator's check of
-every step start and the check of every witness leg.  ``rhs_classified``
-reads the near set off r(x) and the active strip's arm, and returns the
-definition's value away from strip boundaries.
+does the same for an array of points at once: ``near_sectors`` finds the
+near sectors of every point in one numpy broadcast over all sectors' rays,
+in blocks of 1,024 points, and one matmul turns them into bit sets.  It
+is the validation battery's check, and, with the inclusive tol, the
+integrator's check of every step start and the check of every candidate
+witness route.  ``rhs_classified`` reads the near set off r(x) and the
+active strip's arm, and returns the definition's value away from strip
+boundaries.
 """
 
 import functools
@@ -34,11 +37,10 @@ from .fan_geometry import (
     _finite_log,
     _flanking_arms,
     along_coordinate,
-    as_log,
     delta_i,
     dist_to_cone,
     fan_2d_cones,
-    near_cone,
+    near_sectors,
 )
 
 # The value wherever r(x) >= 2; Cone is frozen, so every caller shares it.
@@ -85,10 +87,15 @@ def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
 def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
                          tol: float) -> tuple[list[Cone], np.ndarray]:
     """rhs_bruteforce(pt, fan, delta, tol) at each log point (X[k], Y[k]) of
-    float arrays: the distinct values, and each point's index into them."""
+    float arrays: the distinct values, and each point's index into them.
+
+    near_sectors marks every (sector, point) pair within the limit in one
+    broadcast, in blocks of points, and one int64 matmul turns each
+    point's column into its near set's bit code.
+    """
     limit = _near_limit(delta, tol)
-    near = sum(near_cone(X, Y, s, limit).astype(np.int64) << k
-               for k, s in enumerate(fan_2d_cones(fan)))
+    bits = 1 << np.arange(len(fan_2d_cones(fan)), dtype=np.int64)
+    near = bits @ near_sectors(X, Y, fan, limit)
     for k in np.flatnonzero(near == 0).tolist():
         near[k] = _near_set(LogPoint(float(X[k]), float(Y[k])), fan, limit)
     codes, index = np.unique(near, return_inverse=True)
@@ -102,9 +109,10 @@ def rhs_classified(point, fan: Fan, delta: float) -> Cone:
     r >= 2 gives the shared full plane; r = 1 the two sectors on either side
     of the active strip's arm on the point's side (both half planes of a
     one-generator fan); r = 0 the containing sector alone.  Raises
-    AmbiguousClassification within STRIP_TOL of any strip boundary.
+    AmbiguousClassification within STRIP_TOL of any strip boundary, and
+    NonFinitePoint unless the point is finite.
     """
-    pt = as_log(point)
+    pt = _finite_log(point, "point")
     active = -1
     r = 0
     for i, g in enumerate(fan.generators):

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +310,26 @@ class TestIntegrate:
         assert np.diff(traj.times).tolist() == [dt, dt / 2.0]
         assert traj.points[-1].X == pytest.approx(dt * 1.5, rel=1e-12)
 
+    def test_non_finite_stage_point_halves_the_step(self):
+        # Past X = 0.02 the velocity is NaN.  The second step's second stage
+        # (X = 0.0234) lies past it, so its third stage point is not finite:
+        # that point's cone raises NonFinitePoint, which fails the stage as
+        # an overflow does, and the selection is never called there.  The
+        # half step's last stage is past the wall too; the quarter step
+        # passes.
+        seen = []
+
+        def nan_past(point, rhs, t):
+            seen.append(point)
+            return (math.exp(point.X) if point.X <= 0.02 else math.nan, 0.0)
+
+        dt = 1.0 / 64.0
+        traj = integrate(nan_past, LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+                         t_end=1.0, dt=dt, stop_when=lambda p, t: t > dt)
+        assert np.diff(traj.times).tolist() == [dt, dt / 4.0]
+        assert any(p.X > 0.02 for p in seen)
+        assert all(math.isfinite(p.X) and math.isfinite(p.Y) for p in seen)
+
     def test_zero_velocity_stalls(self):
         class Still:
             name = "still"
@@ -611,6 +633,55 @@ class TestReachWitness:
             reach_witness(PosPoint(1.0, 1.0), target, fan, data["delta"], region)
         assert err.value.leg == "route"
         assert err.value.detail.startswith("no valid route: straight gap run: worst violation")
+        # The one candidate tried is listed after the last error.
+        assert re.fullmatch(r"no valid route: (straight gap run: worst violation \S+); I4\[2\]: \1",
+                            err.value.detail)
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Lengths of the _violations batches and the (chain, k) of every
+        candidate route built, in call order."""
+        record = SimpleNamespace(batches=[], routes=[])
+        violations, hop_and_walk = dynamics._violations, dynamics._hop_and_walk
+
+        def counted(points, velocities, *args):
+            record.batches.append(len(velocities))
+            return violations(points, velocities, *args)
+
+        def hop(cur, chain, k, region):
+            record.routes.append((chain, k))
+            return hop_and_walk(cur, chain, k, region)
+
+        monkeypatch.setattr(dynamics, "_violations", counted)
+        monkeypatch.setattr(dynamics, "_hop_and_walk", hop)
+        return record
+
+    @pytest.mark.parametrize("target, routes", [
+        ((4.0, 7.0), [("I1", 0)]),                           # strip
+        ((5.954689, -0.749074), [("I4", 0), ("I4", 1)]),     # gap: the first route fails
+        ((-1.5, -1.0), []),                                  # full plane
+    ])
+    def test_one_batch_per_route(self, region, batches, target, routes):
+        # From (1,1) the flow makes no step, so every batch checks a route.
+        traj = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA, region)
+        assert len(traj.legs[0].points) == 1
+        assert batches.routes == routes
+        assert len(batches.batches) == max(1, len(routes))
+        assert batches.batches[-1] == sum(len(leg.points) for leg in traj.legs[1:])
+
+    def test_route_failure_lists_every_candidate(self, region, batches, monkeypatch):
+        # With no tolerance left every candidate fails its one check.
+        monkeypatch.setattr(dynamics, "_CONE_TOL", -1.0)
+        with pytest.raises(WitnessFailed) as err:
+            reach_witness(PosPoint(1.0, 1.0), LogPoint(5.954689, -0.749074), WORKED_FAN, DELTA,
+                          region)
+        assert batches.routes == [("I4", 0), ("I4", 1)]
+        assert len(batches.batches) == 2
+        head, *tried = err.value.detail.split("; ")
+        assert head == "no valid route: straight gap run: worst violation 0.000e+00"
+        assert [t.split(": ", 1)[0] for t in tried] == ["I4[0]", "I4[1]"]
+        assert tried[0].startswith("I4[0]: straight gap run: worst violation ")
+        assert tried[1] == "I4[1]: straight gap run: worst violation 0.000e+00"
 
 
 class TestValidateLeg:
@@ -625,7 +696,7 @@ class TestValidateLeg:
                 ref = 0.0
                 for p, v in zip(leg.points, leg.velocities):
                     ref = max(ref, rhs_bruteforce(p, WORKED_FAN, DELTA, tol=-1e-9).violation(v))
-                worst.append(_validate_leg(leg, WORKED_FAN, DELTA))
+                worst.append(_validate_leg([leg], WORKED_FAN, DELTA))
                 assert worst[-1] == ref, (target, leg.description)
         assert len(worst) > 6 and max(worst) > 0.0
 
@@ -636,11 +707,28 @@ class TestValidateLeg:
         velocities[4] = (1.0, 1.0)
         leg = WitnessLeg("logline", "test run", points, velocities)
         with pytest.raises(WitnessFailed) as err:
-            _validate_leg(leg, CROSS_FAN, 1.0)
+            _validate_leg([leg], CROSS_FAN, 1.0)
         assert err.value.leg == "test run"
         assert str(err.value) == "test run: worst violation 1.000e+00"
         velocities[4] = (-1.0, 1.0)
-        assert _validate_leg(leg, CROSS_FAN, 1.0) == 0.0
+        assert _validate_leg([leg], CROSS_FAN, 1.0) == 0.0
+
+    def test_route_names_its_last_bad_leg(self):
+        # The bad velocities sit at the end of the first bad leg and the start
+        # of the second, next to the good legs' points in the one batch.
+        points = [LogPoint(10.0, 10.0 + 0.05 * k) for k in range(9)]
+        inward = [(-1.0, -1.0)] * 9
+        good = WitnessLeg("logline", "good", points, inward)
+        first = WitnessLeg("logline", "first bad", points, inward[1:] + [(1.0, 1.0)])
+        second = WitnessLeg("logline", "second bad", points, [(0.0, 1.0)] + inward[1:])
+        with pytest.raises(WitnessFailed) as err:
+            _validate_leg([good, first, good, second, good], CROSS_FAN, 1.0)
+        assert err.value.leg == "second bad"
+        assert str(err.value) == "second bad: worst violation 7.071e-01"
+        with pytest.raises(WitnessFailed) as err:
+            _validate_leg([good, first, good], CROSS_FAN, 1.0)
+        assert str(err.value) == "first bad: worst violation 1.000e+00"
+        assert _validate_leg([good, good], CROSS_FAN, 1.0) == 0.0
 
 
 class TestXlineLeg:

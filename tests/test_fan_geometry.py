@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toric_regions.errors import (
+    NonFinitePoint,
     NonPositiveDelta,
     ParallelGenerators,
     UnsupportedFan,
@@ -114,6 +115,12 @@ class TestRCount:
     def test_boundary_not_interior(self):
         fan = Fan([(1, 1)])
         assert r_count(LogPoint(0.0, SQRT2), fan, 1.0) == 0
+
+    @pytest.mark.parametrize("pt", [LogPoint(math.nan, 0.0), LogPoint(math.inf, 0.0),
+                                    LogPoint(0.0, -math.inf)])
+    def test_non_finite_point_rejected(self, pt):
+        with pytest.raises(NonFinitePoint, match="^point"):
+            r_count(pt, Fan([(1, 1), (-1, 1)]), 1.0)
 
 
 class TestAttractingDirection:

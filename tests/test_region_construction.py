@@ -12,6 +12,7 @@ from toric_regions.errors import (
     DeltaTooSmall,
     MonomialOverflow,
     NoCrossing,
+    NonFinitePoint,
     NonPositiveDelta,
     OutOfBand,
     ToricRegionsError,
@@ -504,6 +505,12 @@ class TestRegionContains:
     def test_far_point_outside(self, worked_region):
         assert region_contains(worked_region, LogPoint(1e6, 1e6)) == "outside"
         assert region_contains(worked_region, LogPoint(13.8, 13.8)) == "outside"
+
+    @pytest.mark.parametrize("pt", [LogPoint(math.nan, 0.0), LogPoint(math.inf, 0.0),
+                                    LogPoint(0.0, -math.inf)])
+    def test_non_finite_point_rejected(self, worked_region, pt):
+        with pytest.raises(NonFinitePoint, match="^point"):
+            region_contains(worked_region, pt)
 
     def test_all_intersection_points_contained(self, worked_region):
         for ip in worked_region.points_uc:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toric_regions import fan_geometry
 from toric_regions.errors import (
     AmbiguousClassification,
     NonFinitePoint,
@@ -22,6 +23,7 @@ from toric_regions.fan_geometry import (
     delta_i,
     dist_to_cone,
     fan_2d_cones,
+    near_sectors,
     r_count,
 )
 from toric_regions.region_construction import construct_region, sample_boundary
@@ -122,6 +124,12 @@ class TestClassified:
         assert rhs.kind == "line"
         for pt in (LogPoint(0.0, 0.0), LogPoint(5.0, 5.0), LogPoint(5.0, 4.5)):
             assert rhs_equal(rhs_classified(pt, fan, 1.0), rhs_bruteforce(pt, fan, 1.0))
+
+    @pytest.mark.parametrize("pt", [LogPoint(math.nan, 0.0), LogPoint(math.inf, 0.0),
+                                    LogPoint(0.0, -math.inf)])
+    def test_non_finite_point_rejected(self, pt):
+        with pytest.raises(NonFinitePoint, match="^point"):
+            rhs_classified(pt, WORKED_FAN, 3.0)
 
     def test_boundary_point_is_ambiguous(self):
         # Outer boundary of the strip of (1,1) at delta = 1: sigma = sqrt(2).
@@ -273,10 +281,19 @@ def _definition(pt, fan, delta, tol):
     return functools.reduce(Cone.intersect, near).polar()
 
 
+def _near_reference(X, Y, fan, limit):
+    """dist_to_cone(pt, sector) <= limit for every (sector, point) pair."""
+    return np.array([[dist_to_cone(LogPoint(float(x), float(y)), s) <= limit
+                      for x, y in zip(X, Y)] for s in fan_2d_cones(fan)], dtype=bool)
+
+
 def _assert_batch_matches(X, Y, fan, delta):
-    """The batch value of every point is the scalar one, float for float, at
-    both tols."""
+    """The batch value of every point is the scalar one, float for float, and
+    near_sectors is the definition pair by pair, at both tols."""
     for tol in TOLS:
+        near = near_sectors(np.array(X), np.array(Y), fan, delta - tol)
+        assert near.shape == (2 * fan.b, len(X))
+        assert (near == _near_reference(X, Y, fan, delta - tol)).all(), (fan, delta, tol)
         values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), fan, delta, tol)
         assert len(index) == len(X)
         for x, y, k in zip(X, Y, index):
@@ -366,3 +383,49 @@ class TestBatchBruteforce:
             if regions == 14:
                 break
         assert regions == 14
+
+
+class TestNearSectors:
+    """The one broadcast over all sectors; TestBatchBruteforce compares it
+    with the definition pair by pair."""
+
+    def test_ties_go_to_dist_to_cone(self, monkeypatch):
+        # The limit is one point's distance to a sector away from it, so that
+        # pair is a tie; only pairs within 1e-12 (relative) of the limit are
+        # handed to dist_to_cone.
+        rng = np.random.default_rng(19)
+        X, Y = rng.uniform(-10.0, 10.0, size=(2, 50))
+        sectors = fan_2d_cones(WORKED_FAN)
+        pt = LogPoint(float(X[7]), float(Y[7]))
+        k = max(range(len(sectors)), key=lambda k: dist_to_cone(pt, sectors[k]))
+        limit = dist_to_cone(pt, sectors[k])
+        calls = []
+
+        def counted(point, cone):
+            calls.append((point, cone))
+            return dist_to_cone(point, cone)
+
+        monkeypatch.setattr(fan_geometry, "dist_to_cone", counted)
+        near = near_sectors(X, Y, WORKED_FAN, limit)
+        assert (pt, sectors[k]) in calls
+        assert all(abs(dist_to_cone(p, c) - limit) <= 1e-11 * limit for p, c in calls)
+        assert near[k, 7]
+        assert (near == _near_reference(X, Y, WORKED_FAN, limit)).all()
+        calls.clear()
+        near_sectors(X, Y, WORKED_FAN, limit * (1.0 + 1e-9))
+        assert calls == []
+
+    def test_blocks_match_the_scalar_value(self):
+        # 2,500 points span three blocks; strip boundary points sit in each.
+        rng = np.random.default_rng(20)
+        bX, bY = _strip_boundary_points(WORKED_FAN, 3.0)
+        X, Y = rng.uniform(-15.0, 15.0, size=(2, 2500))
+        for start in (0, 1000, 2000):
+            X[start:start + len(bX)], Y[start:start + len(bY)] = bX, bY
+        assert 2 * fan_geometry._NEAR_BLOCK < len(X) <= 3 * fan_geometry._NEAR_BLOCK
+        for tol in TOLS:
+            values, index = rhs_bruteforce_batch(X, Y, WORKED_FAN, 3.0, tol)
+            assert len(index) == len(X)
+            for x, y, k in zip(X, Y, index):
+                want = rhs_bruteforce(LogPoint(float(x), float(y)), WORKED_FAN, 3.0, tol)
+                assert (values[k].lo, values[k].width) == (want.lo, want.width), (x, y, tol)
