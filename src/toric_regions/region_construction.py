@@ -202,6 +202,11 @@ def compute_slope_classes(fan: Fan) -> SlopeClasses:
 # Boundary pieces
 
 
+def _ends(pieces) -> np.ndarray:
+    """One row (start.X, start.Y, end.X, end.Y) per piece."""
+    return np.array([(p.start.X, p.start.Y, p.end.X, p.end.Y) for p in pieces]).reshape(-1, 4)
+
+
 @dataclass(frozen=True)
 class Segment:
     """Straight x-space piece along its generator's attracting direction."""
@@ -244,6 +249,24 @@ class Segment:
         return _xline_at(a, self.gen.p, -self.gen.q, c, mirrored)
 
     @staticmethod
+    def _frames(segs) -> np.ndarray:
+        """One row (A0, A1, C0, C1, slope, mirrored, log|p|, log|q|, p, -q)
+        per segment: its ends' log coordinates along and across its dominant
+        log axis, the slope d(across)/d(along) of its x-space line, 1.0
+        where that axis is log y (the x<->y mirror), and the logs and signs
+        that _scaled_reciprocals takes of its direction (p, -q)."""
+        rows = []
+        for s in segs:
+            a, b, g = s.start, s.end, s.gen
+            logs = (math.log(abs(g.p)) if g.p else -math.inf,
+                    math.log(abs(g.q)) if g.q else -math.inf, g.p, -g.q)
+            if abs(b.X - a.X) < abs(b.Y - a.Y):
+                rows.append((a.Y, b.Y, a.X, b.X, g.p / -g.q, True, *logs))
+            else:
+                rows.append((a.X, b.X, a.Y, b.Y, -g.q / g.p, False, *logs))
+        return np.array(rows).reshape(-1, 10)
+
+    @staticmethod
     def points_at(segs, which, u):
         """Points at fractions u of the dominant log-axis spans of segs[which].
 
@@ -252,14 +275,7 @@ class Segment:
         itself: a + 1.0*(b - a) can miss b by an ulp, past the quadrant exit
         on a segment that ends at it.
         """
-        rows = []
-        for s in segs:
-            a, b = s.start, s.end
-            if abs(b.X - a.X) < abs(b.Y - a.Y):  # along log y, on the x<->y mirror
-                rows.append((a.Y, b.Y, a.X, b.X, s.gen.p / -s.gen.q, True))
-            else:
-                rows.append((a.X, b.X, a.Y, b.Y, -s.gen.q / s.gen.p, False))
-        A0, A1, C0, C1, slope, mirrored = np.array(rows).reshape(-1, 6)[which].T
+        A0, A1, C0, C1, slope, mirrored, *_ = Segment._frames(segs)[which].T
         end = u == 1.0
         along = np.where(end, A1, A0 + u * (A1 - A0))
         across = C1.copy()
@@ -287,6 +303,70 @@ class Segment:
         # The x-space direction (p, -q) is (p/x, -q/y) in log space.
         tx, ty = _scaled_reciprocals(on, *self.direction)
         return abs((pt.X - on.X) * ty - (pt.Y - on.Y) * tx) / math.hypot(tx, ty)
+
+    @staticmethod
+    def band_distances(segs, which, X, Y):
+        """band_distance at points (X, Y) of segs[which], in numpy, and a
+        bound on each one's gap to the scalar value.
+
+        The steps are band_distance's, with numpy's exp, expm1, log1p and
+        hypot in place of math's.  With numpy 2.4 those differ from math's
+        by at most one ulp (2·10^5 inputs each); allow ε = 4 ulp = 8.9e-16
+        for other builds.  The arithmetic between them rounds alike, so off
+        the span the gap is hypot's, below ε·d.  Within it the line point
+        `on` moves by at most ε·W, W = 3 + |on.X| + |on.Y| + |log1p z| +
+        3|z|/(1 + z) (z the kernel's, whose log1p amplifies an error in z by
+        1/(1 + z)).  That turns the tangent by a relative 5ε·W, so the gap
+        is below 13ε·W·(1 + |pt - on|_1).  The bound returned is
+        _TIE_MARGIN·W·(1 + |pt - on|_1), over 8 times that, and inf where
+        the kernel leaves its direct branch or the line its quadrant: the
+        scalar band_distance decides those pairs.
+        """
+        A0, A1, C0, C1, slope, mirrored, lp, lq, p, mq = Segment._frames(segs).T[:, which]
+        m = mirrored == 1.0
+        along, across = np.where(m, Y, X), np.where(m, X, Y)
+        # Every pair takes both branches, off its span too, where it reads
+        # the endpoint distance.  Floats overflow silently at huge delta, and
+        # off the kernel's branch z is inf or nan; err is then inf or nan,
+        # and the scalar decides.
+        with np.errstate(all="ignore"):
+            ends = np.minimum(np.hypot(along - A0, across - C0), np.hypot(along - A1, across - C1))
+            lo, hi = np.minimum(A0, A1), np.maximum(A0, A1)
+            span = (lo - 1e-12 <= along) & (along <= hi + 1e-12)
+            c = np.minimum(np.maximum(along, lo), hi)
+            far = np.abs(c - A1) < np.abs(c - A0)
+            N0, M0 = np.where(far, A1, A0), np.where(far, C1, C0)
+            e, t = N0 - M0, c - N0
+            direct = (-_EXP_SAFE < e) & (e < _EXP_SAFE) & (t < _EXP_SAFE) & (e + t < _EXP_SAFE)
+            z = slope * np.exp(e) * np.expm1(t)
+            lz = np.log1p(z)
+            onX, onY = np.where(m, M0 + lz, c), np.where(m, c, M0 + lz)
+            la, lb = lp - onX, lq - onY
+            top = np.maximum(la, lb)
+            tx, ty = np.copysign(np.exp(la - top), p), np.copysign(np.exp(lb - top), mq)
+            dX, dY = X - onX, Y - onY
+            d = np.where(span, np.abs(dX * ty - dY * tx) / np.hypot(tx, ty), ends)
+            W = 3.0 + np.abs(onX) + np.abs(onY) + np.abs(lz) + 3.0 * np.abs(z) / (1.0 + z)
+            err = np.where(span, np.where(direct & (z > -1.0), W * (1.0 + np.abs(dX) + np.abs(dY)),
+                                          np.inf), ends)
+        return d, _TIE_MARGIN * err
+
+    @staticmethod
+    def ray_crossings(segs, which, X, Y):
+        """(cx, spans): 1.0 in spans where Y lies in the half-open log-y
+        span of segs[which], as _ray_hit tests it, and there cx, the log x
+        of the segment's line at Y, evaluated as _ray_hit evaluates it: from
+        the end nearer in log y, by the kernel bit for bit."""
+        Y0, X0, Y1, X1, w = np.array([(s.start.Y, s.start.X, s.end.Y, s.end.X,
+                                       s.gen.p / -s.gen.q if s.gen.q else math.nan)
+                                      for s in segs]).reshape(-1, 5)[which].T
+        spans = (np.minimum(Y0, Y1) <= Y) & (Y < np.maximum(Y0, Y1))
+        cx = np.zeros(len(Y))
+        k = np.flatnonzero(spans)
+        far = np.abs(Y[k] - Y1[k]) < np.abs(Y[k] - Y0[k])
+        cx[k] = _line_y_log_batch(np.where(far, Y1[k], Y0[k]), np.where(far, X1[k], X0[k]),
+                                  w[k], Y[k])
+        return cx, spans
 
 
 def _scaled_reciprocals(pt: LogPoint, a: float, b: float) -> tuple[float, float]:
@@ -338,8 +418,7 @@ class Arc:
     def points_at(arcs, which, u):
         """Points at fractions u of arcs[which]: the log-space mix
         s + u*(e - s) of the endpoints, also at u = 1."""
-        sX, sY, eX, eY = np.array([(a.start.X, a.start.Y, a.end.X, a.end.Y)
-                                   for a in arcs]).reshape(-1, 4)[which].T
+        sX, sY, eX, eY = _ends(arcs)[which].T
         return sX + u * (eX - sX), sY + u * (eY - sY)
 
     def band_distance(self, pt: LogPoint) -> float:
@@ -353,6 +432,31 @@ class Arc:
         t = ((pt.X - ax) * dx + (pt.Y - ay) * dy) / l2
         t = min(1.0, max(0.0, t))
         return math.hypot(pt.X - (ax + t * dx), pt.Y - (ay + t * dy))
+
+    @staticmethod
+    def band_distances(arcs, which, X, Y):
+        """band_distance at points (X, Y) of arcs[which], in numpy, and a
+        bound on each one's gap to the scalar value.  Only hypot differs
+        from math's (by at most an ulp), so the bound is _TIE_MARGIN·d."""
+        sX, sY, eX, eY = _ends(arcs)[which].T
+        with np.errstate(all="ignore"):  # as floats do at huge delta; t = 0 where l2 = 0
+            dx, dy = eX - sX, eY - sY
+            l2 = dx * dx + dy * dy
+            t = np.clip(((X - sX) * dx + (Y - sY) * dy) / l2, 0.0, 1.0)
+            t[l2 == 0.0] = 0.0
+            d = np.hypot(X - (sX + t * dx), Y - (sY + t * dy))
+        return d, _TIE_MARGIN * d
+
+    @staticmethod
+    def ray_crossings(arcs, which, X, Y):
+        """(cx, spans) as Segment.ray_crossings gives them, cx by at's
+        mirrored closed form, bit for bit."""
+        sX, sY, eX, eY = _ends(arcs)[which].T
+        p, q = np.array([(a.gen.p, a.gen.q) for a in arcs]).reshape(-1, 2)[which].T
+        spans = (np.minimum(sY, eY) <= Y) & (Y < np.maximum(sY, eY))
+        cx = np.zeros(len(Y))
+        cx[spans] = (q[spans] * Y[spans] - (q[spans] * sY[spans] - p[spans] * sX[spans])) / p[spans]
+        return cx, spans
 
 
 _EXP_SAFE = 700.0  # exponents below this keep e^(...) finite in the line kernel
@@ -760,6 +864,55 @@ def region_contains(boundary: RegionBoundary, point,
     return "inside" if crossings % 2 == 1 else "outside"
 
 
+# A numpy band distance is trusted only farther than this, times its
+# scale, from the band; see Segment.band_distances.
+_TIE_MARGIN = 1e-13
+
+
+def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
+    """region_contains' label for every point (X[j], Y[j]) at band[j].
+
+    The band distances of every (point, piece) pair come from one
+    broadcast through the pieces' band_distances, each with a bound on
+    its gap to the scalar band_distance.  A pair whose distance lies within
+    that bound of its band, or beyond the numpy kernel's reach (bound inf),
+    is decided by the scalar band_distance, unless another piece already
+    claims its point: the filtered-predicate pattern of Shewchuk (Discrete
+    Comput. Geom. 18, 1997).  The +X rays are cast only from points that
+    no piece claims, through ray_crossings, bit for bit as _ray_hit casts
+    them, so the crossing parity is the scalar's.  NonFinitePoint names the
+    first non-finite point; empty arrays give [] without evaluating a piece.
+    """
+    X, Y, band = (np.asarray(a, dtype=float) for a in (X, Y, band))
+    bad = ~(np.isfinite(X) & np.isfinite(Y))
+    if bad.any():
+        j = int(np.argmax(bad))
+        _finite_log(LogPoint(X[j].item(), Y[j].item()), "point")
+    n, pieces = len(X), boundary.pieces
+    if n == 0:
+        return []
+    m = len(pieces)
+    pair = np.arange(n * m)  # pair k is point k // m with piece k % m
+    pt, pc = pair // m, pair % m
+    d, err = _by_class("band_distances", pieces, pc, X[pt], Y[pt])
+    b = band[pt]
+    tie = ~(np.abs(d - b) > err)  # also where d is nan
+    claimed = ((d <= b) & ~tie).reshape(n, m).any(axis=1)
+    for k in np.flatnonzero(tie & ~claimed[pt]).tolist():
+        j = k // m
+        if not claimed[j]:
+            point = LogPoint(X[j].item(), Y[j].item())
+            claimed[j] = pieces[k % m].band_distance(point) <= band[j]
+    labels = ["boundary"] * n
+    rest = np.flatnonzero(~claimed)
+    pt = rest[pair[:len(rest) * m] // m]
+    cx, spans = _by_class("ray_crossings", pieces, pc[:len(pt)], X[pt], Y[pt])
+    odd = ((spans == 1.0) & (cx > X[pt])).reshape(-1, m).sum(axis=1) % 2 == 1
+    for j, o in zip(rest.tolist(), odd.tolist()):
+        labels[j] = "inside" if o else "outside"
+    return labels
+
+
 def _by_class(method: str, pieces, index, *arrays) -> np.ndarray:
     """A piece-class array method over the elements of pieces[index].
 
@@ -799,7 +952,7 @@ def sample_boundary(boundary: RegionBoundary, total: int):
     arrays (X, Y, piece index).
     """
     pieces = boundary.pieces
-    ends = np.array([(p.start.X, p.start.Y, p.end.X, p.end.Y) for p in pieces]).reshape(-1, 4)
+    ends = _ends(pieces)
     lengths = np.maximum(np.abs(ends[:, 2] - ends[:, 0]) + np.abs(ends[:, 3] - ends[:, 1]), 1e-12)
     # Summed left to right: np.sum's pairwise order can round differently.
     whole = sum(lengths.tolist())
@@ -1118,11 +1271,12 @@ def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
             "detail": "max r(x) on boundary"}
 
 
-def _suc_check(boundary: RegionBoundary) -> dict:
+def _suc_check(boundary: RegionBoundary, labels: list[str]) -> dict:
+    """labels: the containment label of each S^uc point, at band 1e-7."""
     bad = 0
     witness = None
-    for ip in boundary.points_uc:
-        if region_contains(boundary, ip.log, band=1e-7) == "outside":
+    for ip, label in zip(boundary.points_uc, labels):
+        if label == "outside":
             bad += 1
             witness = witness or (ip.log.X, ip.log.Y)
     return {"passed": bad == 0, "worst": float(bad), "witness": witness,
@@ -1164,13 +1318,19 @@ def _log_mix(a: float, b: float, u: float) -> float:
     return m + math.log((1.0 - u) * math.exp(a - m) + u * math.exp(b - m))
 
 
-def _chords_inside_check(boundary: RegionBoundary) -> dict:
-    bad = []
-    for name, (a, b) in boundary.chords().items():
-        for u in (0.25, 0.5, 0.75):
-            pt = LogPoint(_log_mix(a.X, b.X, u), _log_mix(a.Y, b.Y, u))
-            if region_contains(boundary, pt, band=1e-7) == "outside":
-                bad.append((name, u))
+_CHORD_U = (0.25, 0.5, 0.75)  # fractions of each chord whose points must lie inside
+
+
+def _chord_points(boundary: RegionBoundary) -> list[LogPoint]:
+    """The points at _CHORD_U of each x-space chord, chord by chord."""
+    return [LogPoint(_log_mix(a.X, b.X, u), _log_mix(a.Y, b.Y, u))
+            for a, b in boundary.chords().values() for u in _CHORD_U]
+
+
+def _chords_inside_check(boundary: RegionBoundary, labels: list[str]) -> dict:
+    """labels: the containment label of each _chord_points point, at band 1e-7."""
+    keys = [(name, u) for name in boundary.chords() for u in _CHORD_U]
+    bad = [key for key, label in zip(keys, labels) if label == "outside"]
     return {"passed": not bad, "worst": float(len(bad)),
             "detail": f"chord points outside: {bad}" if bad else "chords inside"}
 
@@ -1212,25 +1372,32 @@ def validate_region(boundary: RegionBoundary) -> dict:
     Every check that evaluates the boundary away from its anchors does so
     in array passes: sample_boundary's points feed the r <= 1 and Nagumo
     checks, and the loop and arc checks take their point chains from the
-    same per-class points_at methods.  A failed check names a witness point
-    where it has one.
+    same per-class points_at methods.  The S^uc points, the chord points
+    (both at band 1e-7) and (1,1) (at region_contains' default 1e-9) are
+    classified in one region_contains_batch call.  A failed check names a
+    witness point where it has one.
     """
     report = {}
     closed, simple = _loop_checks(boundary)
     report["closed_loop"] = closed
     report["simple_loop"] = simple
-    report["suc_in_region"] = _suc_check(boundary)
+    probes = [ip.log for ip in boundary.points_uc] + _chord_points(boundary)
+    X = np.array([pt.X for pt in probes] + [0.0])
+    Y = np.array([pt.Y for pt in probes] + [0.0])
+    labels = region_contains_batch(boundary, X, Y, np.append(np.full(len(probes), 1e-7), 1e-9))
+    n_uc = len(boundary.points_uc)
+    report["suc_in_region"] = _suc_check(boundary, labels[:n_uc])
     pts = sample_boundary(boundary, _VALIDATION_SAMPLES)
     report["r_le_1"] = _r_le_1_check(boundary, pts)
     report["slope_chains"] = _slope_chain_check(boundary)
     report["nagumo"] = _nagumo_check(boundary, pts)
-    origin = region_contains(boundary, LogPoint(0.0, 0.0))
+    origin = labels[-1]
     report["origin_interior"] = {
         "passed": origin == "inside", "worst": 0.0 if origin == "inside" else 1.0,
         "detail": f"(1,1) classified {origin}",
     }
     if boundary.mode == "standard":
         report["cone_containment"] = _cone_containment_check(boundary)
-    report["chords_inside"] = _chords_inside_check(boundary)
+    report["chords_inside"] = _chords_inside_check(boundary, labels[n_uc:-1])
     report["arc_tangent_monotonicity"] = _arc_monotonicity_check(boundary)
     return report

@@ -60,6 +60,7 @@ from toric_regions.region_construction import (
     intersection_points,
     phi_level,
     region_contains,
+    region_contains_batch,
     sample_boundary,
     segment_curve_intersection,
 )
@@ -720,7 +721,9 @@ class TestWitnesses:
                              validate=False)
         outside = [(ip.log.X, ip.log.Y) for ip in b.points_uc
                    if region_contains(b, ip.log, band=1e-7) == "outside"]
-        res = _suc_check(b)
+        res = _suc_check(b, region_contains_batch(b, [ip.log.X for ip in b.points_uc],
+                                                  [ip.log.Y for ip in b.points_uc],
+                                                  np.full(len(b.points_uc), 1e-7)))
         assert len(outside) > 1 and res["worst"] == float(len(outside))
         assert res["witness"] == outside[0]
 
@@ -814,6 +817,136 @@ class TestArraySampler:
             _point_at_reference(seg, 0.3)
         with pytest.raises(NoCrossing):
             _points_of(seg, [0.1, 0.3])
+
+
+def _containment_probes(b, seed: int):
+    """Arrays (X, Y) of the S^uc points, the chord points, (1,1), the
+    sample_boundary points, the same jittered by up to 1e-7 in each
+    coordinate, seeded points in the box of the piece ends, and points
+    level with each piece end, 0.5 to either side (their rays pass through
+    a vertex)."""
+    rng = np.random.default_rng(seed)
+    pts = [ip.log for ip in b.points_uc] + region_construction._chord_points(b)
+    X, Y, _ = sample_boundary(b, _VALIDATION_SAMPLES)
+    jitter = rng.uniform(-1e-7, 1e-7, size=(2, len(X)))
+    ends = np.array([(pc.start.X, pc.start.Y) for pc in b.pieces])
+    box = rng.uniform(ends.min(axis=0) - 1.0, ends.max(axis=0) + 1.0, size=(64, 2))
+    return (np.concatenate([[pt.X for pt in pts], [0.0], X, X + jitter[0], box[:, 0],
+                            ends[:, 0] - 0.5, ends[:, 0] + 0.5]),
+            np.concatenate([[pt.Y for pt in pts], [0.0], Y, Y + jitter[1], box[:, 1],
+                            ends[:, 1], ends[:, 1]]))
+
+
+def _scalar_labels(b, X, Y, band: float) -> list[str]:
+    return [region_contains(b, LogPoint(x, y), band) for x, y in zip(X.tolist(), Y.tolist())]
+
+
+@pytest.fixture
+def scalar_distances(monkeypatch):
+    """(piece, point) of every scalar band_distance call."""
+    calls = []
+    for cls in (Segment, Arc):
+        def counted(piece, pt, original=cls.band_distance):
+            calls.append((piece, pt))
+            return original(piece, pt)
+        monkeypatch.setattr(cls, "band_distance", counted)
+    return calls
+
+
+def _first_atlas_regions(count: int, delta: float) -> list:
+    """The first count catalog regions that build at delta."""
+    regions = []
+    for gens in CATALOG_GENS:
+        try:
+            regions.append(construct_region(Fan(gens), delta, validate=False))
+        except ToricRegionsError:
+            continue
+        if len(regions) == count:
+            return regions
+    raise AssertionError(f"fewer than {count} catalog regions build at delta = {delta}")
+
+
+OFF_BRANCH_GENS = [(-2, 1), (2, 3), (1, 1)]  # at delta = 100 some kernel calls leave the direct branch
+
+
+class TestRegionContainsBatch:
+    """region_contains_batch against the scalar region_contains, label for label."""
+
+    @pytest.mark.parametrize("band", [1e-7, 1e-9])
+    def test_labels_match_the_scalar(self, band, worked_region):
+        regions = [worked_region, *_first_atlas_regions(14, 3.0),
+                   construct_region(Fan(OFF_BRANCH_GENS), 100.0, validate=False)]
+        seen = set()
+        for seed, b in enumerate(regions):
+            X, Y = _containment_probes(b, seed)
+            got = region_contains_batch(b, X, Y, np.full(len(X), band))
+            assert got == _scalar_labels(b, X, Y, band)
+            seen.update(got)
+        assert seen == {"inside", "outside", "boundary"}
+
+    def test_off_branch_pairs_go_to_the_scalar(self, scalar_distances):
+        b = construct_region(Fan(OFF_BRANCH_GENS), 100.0, validate=False)
+        X, Y = _containment_probes(b, 0)
+        n, m = len(X), len(b.pieces)
+        pair = np.arange(n * m)
+        _, err = _by_class("band_distances", b.pieces, pair % m, X[pair // m], Y[pair // m])
+        assert np.isinf(err).any()
+        got = region_contains_batch(b, X, Y, np.full(n, 1e-7))
+        assert scalar_distances
+        scalar_distances.clear()
+        assert got == _scalar_labels(b, X, Y, 1e-7)
+
+    def test_ties_go_to_band_distance(self, worked_region, scalar_distances):
+        # The band is one pair's scalar distance, so that pair is a tie.
+        b = worked_region
+        X, Y = _containment_probes(b, 3)
+        j = len(b.points_uc) + 12  # (1,1), inside
+        pt = LogPoint(X[j].item(), Y[j].item())
+        dist = [pc.band_distance(pt) for pc in b.pieces]
+        k = int(np.argmin(dist))
+        band = np.full(len(X), 1e-7)
+        band[j] = dist[k]
+        scalar_distances.clear()
+        got = region_contains_batch(b, X, Y, band)
+        assert (b.pieces[k], pt) in scalar_distances
+        assert got[j] == "boundary" == region_contains(b, pt, dist[k])
+        # Just below the band's scalar distance the pair is still a tie, and
+        # the scalar decides it the other way.
+        band[j] = math.nextafter(dist[k], 0.0)
+        scalar_distances.clear()
+        got = region_contains_batch(b, X, Y, band)
+        assert (b.pieces[k], pt) in scalar_distances
+        assert got[j] == region_contains(b, pt, band[j]) != "boundary"
+        # Far from every distance no pair is a tie.
+        scalar_distances.clear()
+        region_contains_batch(b, X, Y, np.full(len(X), 1e-7))
+        assert scalar_distances == []
+
+    def test_one_broadcast_per_validation(self, worked_region, monkeypatch):
+        batch, scalar = [], []
+        monkeypatch.setattr(region_construction, "region_contains_batch",
+                            lambda *args: batch.append(args) or region_contains_batch(*args))
+        monkeypatch.setattr(region_construction, "region_contains",
+                            lambda *args: scalar.append(args) or region_contains(*args))
+        report = region_construction.validate_region(worked_region)
+        assert len(batch) == 1 and scalar == []
+        assert report == worked_region.report
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, worked_region, bad):
+        X, Y = np.array([0.0, 1.0, bad]), np.array([0.0, bad, 0.0])
+        with pytest.raises(NonFinitePoint, match=r"point \(1\.0, "):
+            region_contains_batch(worked_region, X, Y, np.full(3, 1e-9))
+        with pytest.raises(NonFinitePoint):
+            region_contains(worked_region, LogPoint(1.0, bad))
+
+    def test_empty_arrays(self, worked_region, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a piece was evaluated")
+        for cls in (Segment, Arc):
+            for name in ("band_distance", "band_distances", "ray_crossings"):
+                monkeypatch.setattr(cls, name, evaluated)
+        assert region_contains_batch(worked_region, np.empty(0), np.empty(0), np.empty(0)) == []
 
 
 def _sampled_hull(boundary):

@@ -54,8 +54,9 @@ def test_atlas_outcomes_case_record():
                   "checks": {name: [res["passed"], res["worst"], res.get("witness")]
                              for name, res in region.report.items()},
                   "pieces": tool.pieces_digest(region),
-                  "samples": tool.samples_digest(region, toric_regions)}
-    assert len(ok["pieces"]) == 16 and len(ok["samples"]) == 16
+                  "samples": tool.samples_digest(region, toric_regions),
+                  "contains": tool.contains_digest(region, toric_regions)}
+    assert len(ok["pieces"]) == 16 and len(ok["samples"]) == 16 and len(ok["contains"]) == 16
     # A defect-census case: the seed commit leaked a bare ValueError here.
     gens = [(-2, 1), (2, 3), (1, 1), (-1, 1), (-3, 1), (0, 1)]
     rec = tool.case_record(gens, 1.0, "bare:ValueError", toric_regions)
@@ -65,6 +66,36 @@ def test_atlas_outcomes_case_record():
     bad = tool.case_record([(-1, 1), (1, 2), (2, 1)], "3", "validated", toric_regions)
     assert bad["outcome"] == "bare:TypeError" and bad["site"]
     assert bad["checks"] is None and bad["pieces"] is None and bad["samples"] is None
+    assert bad["contains"] is None
+
+
+def test_atlas_outcomes_contains_digest_reads_the_scalar_without_the_batch():
+    tool = _load_tool("atlas_outcomes")
+    rc = toric_regions.region_construction
+    region = toric_regions.construct_region(toric_regions.Fan([(-1, 1), (1, 2), (2, 1)]), 3.0)
+    X, Y, band = tool.contains_probes(region, toric_regions)
+    samples = len(rc.sample_boundary(region, tool.PROBE_SAMPLES)[0])
+    assert len(X) == len(Y) == len(band) == (len(region.points_uc) + 13 + 2 * samples
+                                             + tool.PROBE_SAMPLES)
+    assert sorted(set(band.tolist())) == [1e-9, 1e-7]
+    # A package without region_contains_batch: the digest comes from the
+    # scalar region_contains, and equals the broadcast's.
+    scalar_rc = SimpleNamespace(**{k: v for k, v in vars(rc).items()
+                                   if k != "region_contains_batch"})
+    scalar = SimpleNamespace(region_construction=scalar_rc,
+                             fan_geometry=toric_regions.fan_geometry,
+                             errors=toric_regions.errors)
+    digest = tool.contains_digest(region, toric_regions)
+    assert tool.contains_digest(region, scalar) == digest
+    labels = rc.region_contains_batch(region, X, Y, band)
+    assert {"inside", "outside", "boundary"} <= set(labels)
+    # One label moved changes the digest.
+    moved = SimpleNamespace(**vars(rc))
+    flipped = "outside" if labels[0] == "inside" else "inside"
+    moved.region_contains_batch = lambda *args: [flipped] + labels[1:]
+    fake = SimpleNamespace(region_construction=moved, fan_geometry=toric_regions.fan_geometry,
+                           errors=toric_regions.errors)
+    assert tool.contains_digest(region, fake) != digest
 
 
 def test_atlas_outcomes_samples_digest_sees_a_moved_sample():

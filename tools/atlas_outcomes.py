@@ -8,16 +8,23 @@ and at delta = 300, it builds the region with ``validate=False``, runs
      "outcome": <outcome now>, "site": <function or null>,
      "checks": {<check>: [<passed>, <worst>, <witness or null>], ...} or null,
      "pieces": <digest of the piece endpoints> or null,
-     "samples": <digest of the validation samples> or null}
+     "samples": <digest of the validation samples> or null,
+     "contains": <digest of containment labels> or null}
 
 Outcomes use the benchmark's labels: "validated", "DeltaTooSmall:<check>"
 (the first failed check, as ``construct_region`` reports it), the class
 name of any other package error, or "bare:<class>" for an exception that
 is not a package error.  "site" names the function in which such a bare
 exception was raised.  "samples" digests every X and Y of
-``sample_boundary(boundary, 512)``.  "checks", "pieces" and "samples" are
-null when no region was built or its validation raised.  The catalog holds no seed outcome for
-delta = 300.  The catalog is only read.
+``sample_boundary(boundary, 512)``.  "contains" digests the containment
+labels of a seeded probe set (see ``contains_probes``), computed by
+``region_contains_batch`` where the package has it and by the scalar
+``region_contains`` otherwise, so comparing a tree with the broadcast
+against one without compares the two label for label; a package error
+while labelling reads "raised:<class>".  "checks", "pieces", "samples" and
+"contains" are null when no region was built or its validation raised.
+The catalog holds no seed outcome for delta = 300.  The catalog is only
+read.
 
 Run from anywhere, against the package under SRC_DIR (default: the
 ``src`` directory next to this file's parent):
@@ -26,7 +33,8 @@ Run from anywhere, against the package under SRC_DIR (default: the
 
 Floats are printed exactly, so running it on two source trees and
 comparing the outputs with ``diff`` shows every case whose outcome, check
-verdict, worst value, witness point, boundary or boundary sample changed;
+verdict, worst value, witness point, boundary, boundary sample or
+containment label changed;
 counting "bare:" outcomes gives the defect census.
 """
 
@@ -36,10 +44,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 CATALOG = ROOT / "bench" / "data" / "atlas_catalog.json"
 EXTRA_DELTA = 300.0  # beyond the catalog's deltas; no seed outcome
 SAMPLES = 512  # boundary samples digested per case, as many as the battery takes
+PROBE_SEED = 2020  # seeds every case's probe jitter and box points alike
+PROBE_SAMPLES = 64  # sample_boundary total of the containment probes
 
 
 def pieces_digest(boundary) -> str:
@@ -61,10 +73,53 @@ def samples_digest(boundary, package) -> str:
     return h.hexdigest()[:16]
 
 
+def contains_probes(boundary, package):
+    """Arrays (X, Y, band) of the containment probes: the S^uc points and the
+    chord points at band 1e-7 and (1,1) at 1e-9, as the battery classifies
+    them; ``sample_boundary(boundary, PROBE_SAMPLES)`` and the same points
+    jittered by up to 1e-7 in each coordinate, at 1e-7; and PROBE_SAMPLES
+    points in the box of the piece ends widened by 1, at 1e-9."""
+    rc = package.region_construction
+    rng = np.random.default_rng(PROBE_SEED)
+    pts = [(ip.log.X, ip.log.Y) for ip in boundary.points_uc]
+    # The chord points by _log_mix, as the battery forms them, so that trees
+    # without _chord_points digest the same points.
+    pts += [(rc._log_mix(a.X, b.X, u), rc._log_mix(a.Y, b.Y, u))
+            for a, b in boundary.chords().values() for u in (0.25, 0.5, 0.75)]
+    pts.append((0.0, 0.0))
+    X, Y, _ = rc.sample_boundary(boundary, PROBE_SAMPLES)
+    jitter = rng.uniform(-1e-7, 1e-7, size=(2, len(X)))
+    ends = np.array([(e.X, e.Y) for pc in boundary.pieces for e in (pc.start, pc.end)])
+    box = rng.uniform(ends.min(axis=0) - 1.0, ends.max(axis=0) + 1.0, size=(PROBE_SAMPLES, 2))
+    px, py = np.array(pts).T
+    band = np.concatenate([np.full(len(pts) - 1, 1e-7), [1e-9], np.full(2 * len(X), 1e-7),
+                           np.full(PROBE_SAMPLES, 1e-9)])
+    return (np.concatenate([px, X, X + jitter[0], box[:, 0]]),
+            np.concatenate([py, Y, Y + jitter[1], box[:, 1]]), band)
+
+
+def contains_digest(boundary, package) -> str:
+    """Short hash of the containment label of every probe of
+    ``contains_probes``, by ``region_contains_batch`` if the package has it,
+    else point by point by ``region_contains``."""
+    rc, fg = package.region_construction, package.fan_geometry
+    try:
+        X, Y, band = contains_probes(boundary, package)
+        batch = getattr(rc, "region_contains_batch", None)
+        if batch is not None:
+            labels = batch(boundary, X, Y, band)
+        else:
+            labels = [rc.region_contains(boundary, fg.LogPoint(x, y), b)
+                      for x, y, b in zip(X.tolist(), Y.tolist(), band.tolist())]
+    except package.errors.ToricRegionsError as exc:
+        return f"raised:{type(exc).__name__}"
+    return hashlib.sha256(",".join(labels).encode()).hexdigest()[:16]
+
+
 def case_record(gens, delta: float, seed: str | None, package) -> dict:
     """Run one atlas case with the imported ``toric_regions`` package."""
     rc, fg = package.region_construction, package.fan_geometry
-    site = checks = digest = samples = None
+    site = checks = digest = samples = contains = None
     try:
         boundary = rc.construct_region(fg.Fan(gens), delta, validate=False)
         report = rc.validate_region(boundary)
@@ -72,6 +127,7 @@ def case_record(gens, delta: float, seed: str | None, package) -> dict:
                   for name, res in report.items()}
         digest = pieces_digest(boundary)
         samples = samples_digest(boundary, package)
+        contains = contains_digest(boundary, package)
         bad = [name for name, res in report.items() if not res["passed"]]
         outcome = f"DeltaTooSmall:{bad[0]}" if bad else "validated"
     except package.errors.DeltaTooSmall as exc:
@@ -86,7 +142,7 @@ def case_record(gens, delta: float, seed: str | None, package) -> dict:
         site = tb.tb_frame.f_code.co_name
     return {"gens": [list(g) for g in gens], "delta": delta, "seed": seed,
             "outcome": outcome, "site": site, "checks": checks, "pieces": digest,
-            "samples": samples}
+            "samples": samples, "contains": contains}
 
 
 def records(package):
