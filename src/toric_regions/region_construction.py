@@ -1097,7 +1097,6 @@ def _level_measure(hull: list[tuple[float, float]], pt: LogPoint) -> float:
 
 
 _LEVEL_TOL = 1e-9  # phi_level stops once its delta bracket is at most this wide
-_ITP_KAPPA = 0.2  # ITP truncation: probes move _ITP_KAPPA * w^2 / band off the secant point
 
 
 def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
@@ -1112,17 +1111,21 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     strictly interior to the inner one; MonomialOverflow if a hull or the
     point is beyond the float range.
 
-    hull_contains decides every bracket update.  Where the next probe goes
-    is an ITP step (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on
-    _level_measure, which near the level is log(delta / level): the secant
-    point of the measure at the bracket ends, moved toward the midpoint by
-    _ITP_KAPPA * w^2 / (delta_hi - delta_lo) and kept _LEVEL_TOL / 2 inside
-    the bracket, then projected into the interval from which bisection
-    still finishes in the probes left.  A bisection step replaces it when
-    the secant point is not finite or outside the bracket, and when the
-    bracket has not halved within two steps.  So a poor measure costs
-    probes, never correctness, and no query makes more interior probes than
-    bisection's ceil(log2((delta_hi - delta_lo) / _LEVEL_TOL)).
+    hull_contains decides every bracket update; _level_measure only places
+    the next probe.  That measure is log(delta / level) when the point lies
+    on the ray of a hull vertex, so the probe is its secant point in
+    log delta, exp((log lo * m_hi - log hi * m_lo) / (m_hi - m_lo)): the
+    level itself on such a point.  The secant point is checked against
+    [log lo, log hi] before exp, so it cannot overflow, and kept
+    _LEVEL_TOL / 2 inside the bracket.  A bisection step replaces it when
+    it is not finite or outside the bracket, and when the bracket has not
+    halved within two steps.  Either probe is then projected as in ITP
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with one probe of slack:
+    into the interval from which the bracket still narrows to _LEVEL_TOL
+    within bisection's ceil(log2((delta_hi - delta_lo) / _LEVEL_TOL))
+    probes plus one, less an ulp of delta_hi per probe for rounding.  So
+    a poor measure costs probes, never correctness, and no query makes
+    more interior probes than that.
     """
     pt = as_log(point)
     if delta_lo > delta_hi:
@@ -1138,27 +1141,35 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     if band <= _LEVEL_TOL:
         return 0.5 * (lo + hi)
     m_lo, m_hi = _level_measure(hull_lo, pt), _level_measure(hull_hi, pt)
-    left = math.ceil(math.log2(band / _LEVEL_TOL))  # probes bisection would make
+    # Bisection needs n interior probes; with one of slack the bracket may
+    # be at most reach wide after the next probe and half that after each
+    # later one.  Every probe may overshoot reach by half an ulp of
+    # delta_hi, so reach starts short of _LEVEL_TOL * 2^n by n + 1 ulps.
+    n = math.ceil(math.log2(band / _LEVEL_TOL))
+    reach = (_LEVEL_TOL - (n + 1) * math.ulp(delta_hi)) * 2.0 ** n
     widths = [band]
-    while hi - lo > _LEVEL_TOL:
-        w, mid = hi - lo, 0.5 * (lo + hi)
-        c = (lo * m_hi - hi * m_lo) / (m_hi - m_lo) if m_hi != m_lo else math.nan
-        if not lo <= c <= hi or (len(widths) > 2 and w > 0.5 * widths[-3]):
-            c = mid
+    while True:
+        log_lo, log_hi = math.log(lo), math.log(hi)
+        s = (log_lo * m_hi - log_hi * m_lo) / (m_hi - m_lo) if m_hi != m_lo else math.nan
+        if not log_lo <= s <= log_hi or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+            c = 0.5 * (lo + hi)
         else:
-            push = _ITP_KAPPA * w * w / band
-            c = mid if push >= abs(mid - c) else c + math.copysign(push, mid - c)
-            c = min(max(c, lo + 0.5 * _LEVEL_TOL), hi - 0.5 * _LEVEL_TOL)
-        r = _LEVEL_TOL * 2.0 ** (left - 1) - 0.5 * w
-        c = min(max(c, mid - r), mid + r)
-        left -= 1
+            c = min(max(math.exp(s), lo + 0.5 * _LEVEL_TOL), hi - 0.5 * _LEVEL_TOL)
+        c = min(max(c, hi - reach), lo + reach)
+        reach *= 0.5
         hull = _hull(fan, c)
-        if hull_contains(hull, pt):
-            hi, m_hi = c, _level_measure(hull, pt)
+        inside = hull_contains(hull, pt)
+        if inside:
+            hi = c
         else:
-            lo, m_lo = c, _level_measure(hull, pt)
+            lo = c
         widths.append(hi - lo)
-    return 0.5 * (lo + hi)
+        if widths[-1] <= _LEVEL_TOL:
+            return 0.5 * (lo + hi)
+        if inside:
+            m_hi = _level_measure(hull, pt)
+        else:
+            m_lo = _level_measure(hull, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -1118,6 +1118,64 @@ class TestHullAndPhi:
         assert len(hull_requests) == 32
         assert phi == _bisect_level(pt, fan, 3.0, 4.0)
 
+    def test_level_fans_probe_mean_and_cap(self, hull_requests):
+        # On every level-fan query the point lies on the ray of a hull
+        # vertex, so the secant in log delta lands on the level: about two
+        # interior probes, one hull on each side of it.
+        counts = []
+        for gens in LEVEL_FANS:
+            fan = Fan(gens)
+            for k in range(12):
+                hull_requests.clear()
+                _hull.cache_clear()
+                phi_level(_level_point(fan, 3.0 + (k + 0.5) / 12), fan, 3.0, 4.0)
+                counts.append(len(hull_requests))
+        assert sum(counts) / len(counts) <= 5.0
+        assert max(counts) <= 7
+
+    @pytest.mark.parametrize("inside, outside", [(1.0, -1e-12), (1e-12, -1.0)])
+    def test_adversarial_measure_stops_at_the_cap(self, inside, outside, hull_requests,
+                                                  monkeypatch):
+        # A measure whose secant point always falls next to one end of the
+        # bracket: only the projection bounds the probes, to bisection's 30
+        # interior probes plus one after the 2 end requests.  The bound
+        # holds under rounding: without its ulp margin some levels make 34.
+        monkeypatch.setattr(region_construction, "_level_measure",
+                            lambda hull, pt: inside if hull_contains(hull, pt) else outside)
+        fan = Fan(WORKED_GENS)
+        for k in range(20):
+            pt = _level_point(fan, 3.0 + (k + 0.5) / 20)
+            hull_requests.clear()
+            phi = phi_level(pt, fan, 3.0, 4.0)
+            assert len(hull_requests) == 2 + 30 + 1, k
+            assert abs(phi - _bisect_level(pt, fan, 3.0, 4.0)) <= 1e-9
+            assert hull_contains(_hull(fan, phi + 0.5 * _LEVEL_TOL), pt)
+            assert not hull_contains(_hull(fan, phi - 0.5 * _LEVEL_TOL), pt)
+
+    def test_secant_far_outside_the_bracket_bisects(self, hull_requests, monkeypatch):
+        # Two nearly equal measures of the same sign put the log-space
+        # secant point near 3e14, whose exp overflows: it is rejected
+        # before exp, so every probe is a bisection step.
+        monkeypatch.setattr(region_construction, "_level_measure",
+                            lambda hull, pt: 1.0 if hull_contains(hull, pt) else 1.0 + 2.0 ** -50)
+        fan = Fan(WORKED_GENS)
+        pt = _level_point(fan, 3.3)
+        phi = phi_level(pt, fan, 3.0, 4.0)
+        assert hull_requests[:3] == [4.0, 3.0, 3.5]
+        assert phi == _bisect_level(pt, fan, 3.0, 4.0)
+
+    def test_last_probe_measure_is_not_computed(self, hull_requests, monkeypatch):
+        # The measure places the next probe, so the probe that closes the
+        # bracket has none: one measure per end and per earlier probe.
+        measures = []
+        measure = region_construction._level_measure
+        monkeypatch.setattr(region_construction, "_level_measure",
+                            lambda hull, pt: measures.append(hull) or measure(hull, pt))
+        fan = Fan(WORKED_GENS)
+        phi = phi_level(_level_point(fan, 3.3), fan, 3.0, 4.0)
+        assert len(measures) == len(hull_requests) - 1
+        assert abs(phi - 3.3) <= 1e-9
+
     def test_measure_is_log_of_level_ratio(self):
         # Near the level the start point is the hull vertex on the ray, so
         # the measure is log(delta / level).
