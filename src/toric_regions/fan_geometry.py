@@ -385,11 +385,9 @@ class Cone:
             return Cone(0.0, ZERO_WIDTH)
         if len(parts) == 1:
             return Cone(*parts[0])
-        (a1, w1), (a2, w2) = parts
-        if _wrap(a1 - a2) <= ANGLE_TOL or _wrap(a2 - a1) <= ANGLE_TOL:
-            return Cone(a1, max(w1, w2))
-        # Two antipodal rays: the line through them.
-        return Cone(a1, LINE_WIDTH)
+        # Two parts need widths summing to 2*pi: two half planes meeting in
+        # two antipodal rays, the line through them.
+        return Cone(parts[0][0], LINE_WIDTH)
 
 
 @lru_cache(maxsize=256)

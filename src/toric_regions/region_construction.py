@@ -306,50 +306,30 @@ class Segment:
 
     @staticmethod
     def band_distances(segs, which, X, Y):
-        """band_distance at points (X, Y) of segs[which], in numpy, and a
-        bound on each one's gap to the scalar value.
+        """band_distance at points (X, Y) of segs[which], in numpy.
 
-        The steps are band_distance's, with numpy's exp, expm1, log1p and
-        hypot in place of math's.  With numpy 2.4 those differ from math's
-        by at most one ulp (2·10^5 inputs each); allow ε = 4 ulp = 8.9e-16
-        for other builds.  The arithmetic between them rounds alike, so off
-        the span the gap is hypot's, below ε·d.  Within it the line point
-        `on` moves by at most ε·W, W = 3 + |on.X| + |on.Y| + |log1p z| +
-        3|z|/(1 + z) (z the kernel's, whose log1p amplifies an error in z by
-        1/(1 + z)).  That turns the tangent by a relative 5ε·W, so the gap
-        is below 13ε·W·(1 + |pt - on|_1).  The bound returned is
-        _TIE_MARGIN·W·(1 + |pt - on|_1), over 8 times that, and inf where
-        the kernel leaves its direct branch or the line its quadrant: the
-        scalar band_distance decides those pairs.
+        The line point and the tangent's exps are at's and math's, bit for
+        bit, so only numpy's hypot differs from the scalar value, by at most
+        an ulp: the gap is below _TIE_MARGIN·d.
         """
         A0, A1, C0, C1, slope, mirrored, lp, lq, p, mq = Segment._frames(segs).T[:, which]
         m = mirrored == 1.0
         along, across = np.where(m, Y, X), np.where(m, X, Y)
-        # Every pair takes both branches, off its span too, where it reads
-        # the endpoint distance.  Floats overflow silently at huge delta, and
-        # off the kernel's branch z is inf or nan; err is then inf or nan,
-        # and the scalar decides.
-        with np.errstate(all="ignore"):
-            ends = np.minimum(np.hypot(along - A0, across - C0), np.hypot(along - A1, across - C1))
+        with np.errstate(all="ignore"):  # as floats do at huge delta
+            d = np.minimum(np.hypot(along - A0, across - C0), np.hypot(along - A1, across - C1))
             lo, hi = np.minimum(A0, A1), np.maximum(A0, A1)
-            span = (lo - 1e-12 <= along) & (along <= hi + 1e-12)
-            c = np.minimum(np.maximum(along, lo), hi)
-            far = np.abs(c - A1) < np.abs(c - A0)
-            N0, M0 = np.where(far, A1, A0), np.where(far, C1, C0)
-            e, t = N0 - M0, c - N0
-            direct = (-_EXP_SAFE < e) & (e < _EXP_SAFE) & (t < _EXP_SAFE) & (e + t < _EXP_SAFE)
-            z = slope * np.exp(e) * np.expm1(t)
-            lz = np.log1p(z)
-            onX, onY = np.where(m, M0 + lz, c), np.where(m, c, M0 + lz)
-            la, lb = lp - onX, lq - onY
+            k = np.flatnonzero((lo - 1e-12 <= along) & (along <= hi + 1e-12))
+            c = np.minimum(np.maximum(along[k], lo[k]), hi[k])
+            far = np.abs(c - A1[k]) < np.abs(c - A0[k])
+            on = _line_y_log_batch(np.where(far, A1[k], A0[k]), np.where(far, C1[k], C0[k]),
+                                   slope[k], c)
+            onX, onY = np.where(m[k], on, c), np.where(m[k], c, on)
+            la, lb = lp[k] - onX, lq[k] - onY
             top = np.maximum(la, lb)
-            tx, ty = np.copysign(np.exp(la - top), p), np.copysign(np.exp(lb - top), mq)
-            dX, dY = X - onX, Y - onY
-            d = np.where(span, np.abs(dX * ty - dY * tx) / np.hypot(tx, ty), ends)
-            W = 3.0 + np.abs(onX) + np.abs(onY) + np.abs(lz) + 3.0 * np.abs(z) / (1.0 + z)
-            err = np.where(span, np.where(direct & (z > -1.0), W * (1.0 + np.abs(dX) + np.abs(dY)),
-                                          np.inf), ends)
-        return d, _TIE_MARGIN * err
+            tx = np.copysign(_math_map(math.exp, la - top), p[k])
+            ty = np.copysign(_math_map(math.exp, lb - top), mq[k])
+            d[k] = np.abs((X[k] - onX) * ty - (Y[k] - onY) * tx) / np.hypot(tx, ty)
+        return d
 
     @staticmethod
     def ray_crossings(segs, which, X, Y):
@@ -435,17 +415,16 @@ class Arc:
 
     @staticmethod
     def band_distances(arcs, which, X, Y):
-        """band_distance at points (X, Y) of arcs[which], in numpy, and a
-        bound on each one's gap to the scalar value.  Only hypot differs
-        from math's (by at most an ulp), so the bound is _TIE_MARGIN·d."""
+        """band_distance at points (X, Y) of arcs[which], in numpy.  Only
+        hypot differs from math's, by at most an ulp: the gap to the scalar
+        value is below _TIE_MARGIN·d."""
         sX, sY, eX, eY = _ends(arcs)[which].T
         with np.errstate(all="ignore"):  # as floats do at huge delta; t = 0 where l2 = 0
             dx, dy = eX - sX, eY - sY
             l2 = dx * dx + dy * dy
             t = np.clip(((X - sX) * dx + (Y - sY) * dy) / l2, 0.0, 1.0)
             t[l2 == 0.0] = 0.0
-            d = np.hypot(X - (sX + t * dx), Y - (sY + t * dy))
-        return d, _TIE_MARGIN * d
+            return np.hypot(X - (sX + t * dx), Y - (sY + t * dy))
 
     @staticmethod
     def ray_crossings(arcs, which, X, Y):
@@ -864,8 +843,9 @@ def region_contains(boundary: RegionBoundary, point,
     return "inside" if crossings % 2 == 1 else "outside"
 
 
-# A numpy band distance is trusted only farther than this, times its
-# scale, from the band; see Segment.band_distances.
+# A numpy band distance d differs from the scalar one only by np.hypot's
+# rounding, at most an ulp on numpy 2.4 (4 allowed, below 9e-16·d), so it is
+# trusted only farther than _TIE_MARGIN·d from the band.
 _TIE_MARGIN = 1e-13
 
 
@@ -873,14 +853,14 @@ def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
     """region_contains' label for every point (X[j], Y[j]) at band[j].
 
     The band distances of every (point, piece) pair come from one
-    broadcast through the pieces' band_distances, each with a bound on
-    its gap to the scalar band_distance.  A pair whose distance lies within
-    that bound of its band, or beyond the numpy kernel's reach (bound inf),
-    is decided by the scalar band_distance, unless another piece already
-    claims its point: the filtered-predicate pattern of Shewchuk (Discrete
-    Comput. Geom. 18, 1997).  The +X rays are cast only from points that
-    no piece claims, through ray_crossings, bit for bit as _ray_hit casts
-    them, so the crossing parity is the scalar's.  NonFinitePoint names the
+    broadcast through the pieces' band_distances, whose one bound on the
+    gap to the scalar band_distance is _TIE_MARGIN·d.  A pair whose
+    distance d lies within that bound of its band, or is nan, is decided by
+    the scalar band_distance, unless another piece already claims its
+    point: the filtered-predicate pattern of Shewchuk (Discrete Comput.
+    Geom. 18, 1997).  The +X rays are cast only from points that no piece
+    claims, through ray_crossings, bit for bit as _ray_hit casts them, so
+    the crossing parity is the scalar's.  NonFinitePoint names the
     first non-finite point; empty arrays give [] without evaluating a piece.
     """
     X, Y, band = (np.asarray(a, dtype=float) for a in (X, Y, band))
@@ -894,9 +874,9 @@ def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
     m = len(pieces)
     pair = np.arange(n * m)  # pair k is point k // m with piece k % m
     pt, pc = pair // m, pair % m
-    d, err = _by_class("band_distances", pieces, pc, X[pt], Y[pt])
+    d = _by_class("band_distances", pieces, pc, X[pt], Y[pt])[0]
     b = band[pt]
-    tie = ~(np.abs(d - b) > err)  # also where d is nan
+    tie = ~(np.abs(d - b) > _TIE_MARGIN * d)  # also where d is nan
     claimed = ((d <= b) & ~tie).reshape(n, m).any(axis=1)
     for k in np.flatnonzero(tie & ~claimed[pt]).tolist():
         j = k // m
@@ -917,8 +897,8 @@ def _by_class(method: str, pieces, index, *arrays) -> np.ndarray:
     """A piece-class array method over the elements of pieces[index].
 
     Each class's method(own, which, *arrays) evaluates the elements on its
-    own pieces (which indexes those); the two result arrays come back as
-    the rows of one (2, len(index)) array.
+    own pieces (which indexes those); its two result arrays come back as
+    the rows of one (2, len(index)) array, and one array fills both rows.
     """
     out = np.empty((2, len(index)))
     for cls in dict.fromkeys(map(type, pieces)):
@@ -1118,14 +1098,13 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     level itself on such a point.  The secant point is checked against
     [log lo, log hi] before exp, so it cannot overflow, and kept
     _LEVEL_TOL / 2 inside the bracket.  A bisection step replaces it when
-    it is not finite or outside the bracket, and when the bracket has not
-    halved within two steps.  Either probe is then projected as in ITP
-    (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with one probe of slack:
-    into the interval from which the bracket still narrows to _LEVEL_TOL
-    within bisection's ceil(log2((delta_hi - delta_lo) / _LEVEL_TOL))
-    probes plus one, less an ulp of delta_hi per probe for rounding.  So
-    a poor measure costs probes, never correctness, and no query makes
-    more interior probes than that.
+    it is not finite or outside the bracket.  Either probe is then
+    projected as in ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with
+    one probe of slack: into the interval from which the bracket still
+    narrows to _LEVEL_TOL within bisection's probe count plus one, less an
+    ulp of delta_hi per probe for rounding.  So a poor measure costs probes,
+    never correctness: no query makes more than
+    ceil(log2((delta_hi - delta_lo) / _LEVEL_TOL)) + 1 interior probes.
     """
     pt = as_log(point)
     if delta_lo > delta_hi:
@@ -1147,11 +1126,10 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     # delta_hi, so reach starts short of _LEVEL_TOL * 2^n by n + 1 ulps.
     n = math.ceil(math.log2(band / _LEVEL_TOL))
     reach = (_LEVEL_TOL - (n + 1) * math.ulp(delta_hi)) * 2.0 ** n
-    widths = [band]
     while True:
         log_lo, log_hi = math.log(lo), math.log(hi)
         s = (log_lo * m_hi - log_hi * m_lo) / (m_hi - m_lo) if m_hi != m_lo else math.nan
-        if not log_lo <= s <= log_hi or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+        if not log_lo <= s <= log_hi:
             c = 0.5 * (lo + hi)
         else:
             c = min(max(math.exp(s), lo + 0.5 * _LEVEL_TOL), hi - 0.5 * _LEVEL_TOL)
@@ -1163,8 +1141,7 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
             hi = c
         else:
             lo = c
-        widths.append(hi - lo)
-        if widths[-1] <= _LEVEL_TOL:
+        if hi - lo <= _LEVEL_TOL:
             return 0.5 * (lo + hi)
         if inside:
             m_hi = _level_measure(hull, pt)

@@ -37,7 +37,16 @@ from toric_regions.errors import (
     StepCollapse,
     WitnessFailed,
 )
-from toric_regions.fan_geometry import Fan, LineGenerator, LogPoint, PosPoint, delta_i, r_count
+from toric_regions.fan_geometry import (
+    LINE_WIDTH,
+    Cone,
+    Fan,
+    LineGenerator,
+    LogPoint,
+    PosPoint,
+    delta_i,
+    r_count,
+)
 from toric_regions.region_construction import construct_region, region_contains
 from toric_regions.tdi_rhs import rhs_bruteforce, rhs_classified
 
@@ -82,10 +91,24 @@ class TestMassActionField:
         with pytest.raises(MonomialOverflow):
             mass_action_field(simple_exchange(), LogPoint(0.0, 700.0))
 
+    def test_stiffness(self):
+        # Y <-> X at (2, 3): row sums 5/2 and 5/3, field (1, -1) scaled by
+        # (1/2, 1/3); the bound is 5/2 + 1/2.  It is the stiffness that the
+        # field strategy computes in the same pass as the velocity.
+        pt = PosPoint(2.0, 3.0)
+        assert field_stiffness(simple_exchange(), pt) == pytest.approx(3.0, rel=1e-15)
+        assert FieldStrategy(simple_exchange()).with_stiffness(pt.log(), None, 0.0)[1] == \
+            field_stiffness(simple_exchange(), pt)
+
     def test_reversibility_enforced(self):
         from toric_regions.dynamics import Reaction
         with pytest.raises(ValueError):
             MassActionSystem((Reaction((0.0, 1.0), (1.0, 0.0), 1.0, 0.0),), 1.0)
+
+    @pytest.mark.parametrize("rate", [0.49, 2.01])
+    def test_rate_outside_band_rejected(self, rate):
+        with pytest.raises(ValueError, match="outside"):
+            MassActionSystem(tuple(_reversible((0.0, 1.0), (1.0, 0.0), rate, 1.0)), 0.5)
 
 
 class TestComplexBalance:
@@ -109,6 +132,12 @@ class TestComplexBalance:
 
 class TestEmbedding:
     """The tagged fields must take values inside the inclusion cone."""
+
+    def test_bad_targets_rejected(self):
+        with pytest.raises(ValueError, match="needs the intersection-point provenance"):
+            embedded_system_for_target(WORKED_FAN, DELTA, "point_NM")
+        with pytest.raises(ValueError, match="unknown target 'nowhere'"):
+            embedded_system_for_target(WORKED_FAN, DELTA, "nowhere")
 
     @pytest.mark.parametrize("target", ["origin_11", "point_NM"])
     def test_field_in_cone_everywhere(self, region, target):
@@ -480,6 +509,27 @@ class TestStrategies:
             rhs = rhs_bruteforce(pt, WORKED_FAN, DELTA, tol=-1e-9)
             assert rhs.violation(strat(pt, rhs, 0.0)) <= 1e-9
 
+    def test_bad_side_rejected(self):
+        with pytest.raises(ValueError, match="'left' or 'right'"):
+            ExtremeRayStrategy("up")
+
+    def test_random_in_cone_on_a_line(self):
+        # On a line cone each draw is one of its two directions.
+        line = Cone(0.4, LINE_WIDTH)
+        strat = RandomInConeStrategy(seed=2)
+        picks = {strat(LogPoint(0.0, 0.0), line, 0.0) for _ in range(32)}
+        u = (math.cos(0.4), math.sin(0.4))
+        assert len(picks) == 2
+        for v in picks:
+            assert line.violation(v) <= 1e-12
+            assert abs(abs(v[0] * u[0] + v[1] * u[1]) - math.hypot(*v)) <= 1e-12
+
+    def test_zero_log_speed_gives_zero_velocity(self):
+        # At x = y = e^800 a unit x-space direction has log speed 0.0 in
+        # floats, and the ray selection rests instead of dividing by it.
+        strat = ExtremeRayStrategy("left")
+        assert strat(LogPoint(800.0, 800.0), Cone(0.0, 1.0), 0.0) == (0.0, 0.0)
+
     def test_registry_names(self):
         reg = builtin_strategies(WORKED_FAN, DELTA)
         assert set(reg) == {"origin_11", "extreme_left", "extreme_right",
@@ -496,6 +546,15 @@ class TestOmegaLimit:
         n = len(points)
         return Trajectory(list(range(n)), points, [(0.0, 0.0)] * n,
                           "synthetic", "t_end")
+
+    def test_short_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="at least 100"):
+            omega_limit_estimate(self._mk([LogPoint(0.0, 0.0)] * 99))
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_times_must_increase(self, times):
+        with pytest.raises(ValueError, match="strictly increase"):
+            Trajectory(times, [LogPoint(0.0, 0.0)] * 3, [(0.0, 0.0)] * 3, "synthetic", "t_end")
 
     def test_constant_trajectory(self):
         pts = [LogPoint(1.0, 2.0)] * 150

@@ -139,6 +139,11 @@ class TestAttractingDirection:
         ux, uy = attracting_direction(region(0, 1, 1.0), +1)
         assert (ux, uy) == pytest.approx((0.0, -1.0))
 
+    @pytest.mark.parametrize("side", [0, 2, -2])
+    def test_bad_side_rejected(self, side):
+        with pytest.raises(ValueError, match="side must be"):
+            attracting_direction(region(1, 1, 1.0), side)
+
     def test_direction_decreases_strip_coordinate(self):
         r = region(2, 3, 1.5)
         pt = LogPoint(0.3, 2.0)
@@ -200,6 +205,31 @@ class TestConeAlgebra:
         both = a.contains(v, tol=0.0) and b.contains(v, tol=0.0)
         assert a.intersect(b).contains(v, tol=0.0) == both
 
+    def test_zero_and_full_operands(self):
+        sector, zero, full = Cone(0.3, 1.0), Cone(0.0, ZERO_WIDTH), Cone(0.0, TWO_PI)
+        assert sector.intersect(zero) == zero == zero.intersect(sector)
+        assert sector.intersect(full) == sector == full.intersect(sector)
+        assert zero.intersect(full) == zero == full.intersect(zero)
+
+    def test_line_operand_rejected(self):
+        line, sector = Cone(0.3, LINE_WIDTH), Cone(0.3, 1.0)
+        for a, b in ((line, sector), (sector, line)):
+            with pytest.raises(ValueError, match="line cannot be intersected"):
+                a.intersect(b)
+
+    @pytest.mark.parametrize("lo", [0.3, 0.3 + math.pi, 6.0])
+    def test_opposite_half_planes_give_the_line(self, lo):
+        # Two parts arise only here, as two antipodal rays.
+        line = Cone(lo, math.pi).intersect(Cone(lo + math.pi, math.pi))
+        assert line.kind == "line"
+        assert line.contains(_dir(lo)) and line.contains(_dir(lo + math.pi))
+        assert not line.contains(_dir(lo + 0.5 * math.pi))
+
+    @pytest.mark.parametrize("width", [-0.5, 3.5, 7.0, math.nan])
+    def test_invalid_width_rejected(self, width):
+        with pytest.raises(ValueError, match="cone width"):
+            Cone(0.0, width)
+
     @given(_arc(), st.floats(0.0, 2 * math.pi), st.floats(0.0, 1e-6))
     def test_contains_is_violation_below_tol(self, c, theta, tol):
         v = _dir(theta)
@@ -240,6 +270,8 @@ class TestFanSectors:
         fan = Fan([(2, 1), (-1, 1), (1, 2)])
         slopes = [g.slope() for g in fan.generators]
         assert [str(s) for s in slopes] == ["1/2", "2", "-1"]
+        # A generator (p, 0) has a vertical line.
+        assert normalize_generator(1, 0).slope() is None
 
     def test_parallel_generators_rejected(self):
         with pytest.raises(ParallelGenerators):
@@ -273,6 +305,11 @@ class TestDistToCone:
     def test_nearest_point_is_origin(self):
         c = Cone(0.0, math.pi / 2)
         assert dist_to_cone(LogPoint(-1.0, -1.0), c) == pytest.approx(SQRT2)
+
+    def test_zero_cone(self):
+        zero = Cone(0.0, ZERO_WIDTH)
+        assert dist_to_cone(LogPoint(3.0, -4.0), zero) == 5.0
+        assert dist_to_cone(LogPoint(0.0, 0.0), zero) == 0.0
 
     @given(st.floats(0.0, 2 * math.pi), st.floats(0.1, math.pi - 0.1),
            st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))

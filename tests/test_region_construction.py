@@ -219,6 +219,10 @@ class TestSlopeClasses:
         with pytest.raises(UnsupportedFan):
             compute_slope_classes(Fan([(2, 1), (-1, 1)]))
 
+    def test_axis_only_fan_rejected(self):
+        with pytest.raises(UnsupportedFan, match="too few usable generators"):
+            compute_slope_classes(Fan([(1, 0), (0, 1)]))
+
     def test_special_modes(self):
         assert compute_slope_classes(Fan([(1, 2), (2, 1)])).mode == "all_positive"
         assert compute_slope_classes(Fan([(-1, 2), (-2, 1)])).mode == "all_negative"
@@ -884,17 +888,33 @@ class TestRegionContainsBatch:
             seen.update(got)
         assert seen == {"inside", "outside", "boundary"}
 
-    def test_off_branch_pairs_go_to_the_scalar(self, scalar_distances):
-        b = construct_region(Fan(OFF_BRANCH_GENS), 100.0, validate=False)
+    @pytest.mark.parametrize("gens, delta", [(WORKED_GENS, 3.0), (OFF_BRANCH_GENS, 100.0),
+                                             (OFF_BRANCH_GENS, 300.0)],
+                             ids=["worked-3", "off_branch-100", "off_branch-300"])
+    def test_every_pair_within_4_ulp_of_the_scalar(self, gens, delta, scalar_distances):
+        # Off the kernel's direct branch too: the broadcast takes at's line
+        # point, so it needs the scalar on no pair.
+        b = construct_region(Fan(gens), delta, validate=False)
         X, Y = _containment_probes(b, 0)
         n, m = len(X), len(b.pieces)
         pair = np.arange(n * m)
-        _, err = _by_class("band_distances", b.pieces, pair % m, X[pair // m], Y[pair // m])
-        assert np.isinf(err).any()
-        got = region_contains_batch(b, X, Y, np.full(n, 1e-7))
-        assert scalar_distances
+        d = _by_class("band_distances", b.pieces, pair % m, X[pair // m], Y[pair // m])[0]
+        scalar = np.array([b.pieces[k % m].band_distance(LogPoint(X[k // m].item(), Y[k // m].item()))
+                           for k in pair.tolist()])
+        assert (np.abs(d - scalar) <= 4 * np.spacing(scalar)).all()
         scalar_distances.clear()
+        got = region_contains_batch(b, X, Y, np.full(n, 1e-7))
+        assert scalar_distances == []
         assert got == _scalar_labels(b, X, Y, 1e-7)
+
+    def test_zero_length_arc(self):
+        # The scalar and the array distance to a one-point arc agree: both
+        # are the distance to that point.
+        arc = Arc(LineGenerator(1, 2), 1, LogPoint(0.5, -1.0), LogPoint(0.5, -1.0))
+        X, Y = np.array([0.5, 3.5, -1.0]), np.array([-1.0, 3.0, -1.0])
+        d = Arc.band_distances([arc], np.zeros(3, dtype=int), X, Y)
+        assert d.tolist() == [arc.band_distance(LogPoint(x, y)) for x, y in zip(X, Y)]
+        assert d.tolist() == [0.0, 5.0, 1.5]
 
     def test_ties_go_to_band_distance(self, worked_region, scalar_distances):
         # The band is one pair's scalar distance, so that pair is a tie.
@@ -1006,6 +1026,14 @@ class TestHullAndPhi:
         hull = conv_hull(worked_region)
         for pt in worked_region.anchors.values():
             assert hull_contains(hull, pt, rel_tol=1e-7)
+
+    def test_hull_contains_degenerate_hulls(self):
+        # No vertex holds no point; one vertex holds only itself, to 1e-9
+        # relative in each coordinate.
+        assert not hull_contains([], LogPoint(0.0, 0.0))
+        assert hull_contains([(1.0, 2.0)], PosPoint(1.0, 2.0 * (1.0 + 5e-10)))
+        assert not hull_contains([(1.0, 2.0)], PosPoint(1.0, 2.0 * (1.0 + 5e-9)))
+        assert not hull_contains([(1.0, 2.0)], PosPoint(1.1, 2.0))
 
     def test_hull_matches_sampled_reference(self, monkeypatch):
         # The level-band fans and the level census fan across the band.
