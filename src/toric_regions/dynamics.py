@@ -96,6 +96,10 @@ class MassActionSystem:
     reactions: tuple[Reaction, ...]
     eps: float
     label: str = ""
+    # One row per reaction, in reaction order, built at construction:
+    # (log_rate, sx, sy, dx, dy, |sx| + |sy|) for source (sx, sy) and
+    # target - source (dx, dy).
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = {(r.source, r.target) for r in self.reactions}
@@ -104,6 +108,10 @@ class MassActionSystem:
                 raise ValueError(f"reaction {r.source}->{r.target} has no reverse")
             if not (self.eps - 1e-15 <= r.rate <= 1.0 / self.eps + 1e-15):
                 raise ValueError(f"rate {r.rate} outside [{self.eps}, {1/self.eps}]")
+        object.__setattr__(self, "terms", tuple(
+            (r.log_rate, r.source[0], r.source[1], r.target[0] - r.source[0],
+             r.target[1] - r.source[1], abs(r.source[0]) + abs(r.source[1]))
+            for r in self.reactions))
 
 
 def _reversible(source, target, k_fwd: float, k_bwd: float) -> list[Reaction]:
@@ -113,23 +121,33 @@ def _reversible(source, target, k_fwd: float, k_bwd: float) -> list[Reaction]:
     ]
 
 
-def _monomials(system: MassActionSystem, pt: LogPoint) -> list[tuple[Reaction, float]]:
-    """Each reaction with its monomial k * x^source; MonomialOverflow past _LOG_CAP."""
-    out = []
-    for r in system.reactions:
-        e = r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y
+def _term_sums(terms: tuple, X: float, Y: float, stiff: bool):
+    """Sums over the rows (log_rate, sx, sy, a, b, w) of a term table of
+    m * a and m * b, and, if stiff, of m * |a| * w and m * |b| * w (else
+    0.0), where m = e^(log_rate + sx*X + sy*Y) is the row's monomial at the
+    log point (X, Y).  Each sum runs from 0.0 in row order.
+    MonomialOverflow past _LOG_CAP.
+
+    Every evaluation of an embedded field makes one pass here.
+    """
+    fx = fy = lx = ly = 0.0
+    for log_rate, sx, sy, a, b, w in terms:
+        e = log_rate + sx * X + sy * Y
         if abs(e) > _LOG_CAP:
             raise MonomialOverflow(f"monomial exponent {e:.1f} beyond cap {_LOG_CAP}")
-        out.append((r, math.exp(e)))
-    return out
+        m = math.exp(e)
+        fx += m * a
+        fy += m * b
+        if stiff:
+            lx += m * abs(a) * w
+            ly += m * abs(b) * w
+    return fx, fy, lx, ly
 
 
 def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
     """Sum over edges of k * x^source * (target - source), in x-space."""
-    fx = fy = 0.0
-    for r, m in _monomials(system, as_log(point)):
-        fx += m * (r.target[0] - r.source[0])
-        fy += m * (r.target[1] - r.source[1])
+    pt = as_log(point)
+    fx, fy, _, _ = _term_sums(system.terms, pt.X, pt.Y, False)
     return (fx, fy)
 
 
@@ -141,30 +159,22 @@ def field_stiffness(system: MassActionSystem, point) -> float:
 
 def _field_and_stiffness(system: MassActionSystem, pt: LogPoint):
     """mass_action_field and field_stiffness from one monomial pass."""
-    lx = ly = fx = fy = 0.0
-    for r, m in _monomials(system, pt):
-        wy = abs(r.source[0]) + abs(r.source[1])
-        dx = r.target[0] - r.source[0]
-        dy = r.target[1] - r.source[1]
-        fx += m * dx
-        fy += m * dy
-        lx += m * abs(dx) * wy
-        ly += m * abs(dy) * wy
+    fx, fy, lx, ly = _term_sums(system.terms, pt.X, pt.Y, True)
     gx, gy = math.exp(-pt.X), math.exp(-pt.Y)
     return (fx, fy), max(lx * gx, ly * gy) + max(abs(fx) * gx, abs(fy) * gy)
 
 
 def complex_balance_residual(system: MassActionSystem, point) -> float:
     """max over vertices of |inflow - outflow| / (inflow + outflow)."""
-    inflow: dict = {}
-    outflow: dict = {}
-    for r, m in _monomials(system, as_log(point)):
-        outflow[r.source] = outflow.get(r.source, 0.0) + m
-        inflow[r.target] = inflow.get(r.target, 0.0) + m
+    pt = as_log(point)
     worst = 0.0
-    for v in set(inflow) | set(outflow):
-        fin = inflow.get(v, 0.0)
-        fout = outflow.get(v, 0.0)
+    for v in {c for r in system.reactions for c in (r.source, r.target)}:
+        # Weights 1.0 and 0.0 pick the reactions into and out of v exactly
+        # (m * 1.0 is m, and adding m * 0.0 adds nothing), so the two sums
+        # are the vertex's inflow and outflow, in reaction order.
+        rows = tuple((log_rate, sx, sy, float(r.target == v), float(r.source == v), 0.0)
+                     for r, (log_rate, sx, sy, _, _, _) in zip(system.reactions, system.terms))
+        fin, fout, _, _ = _term_sums(rows, pt.X, pt.Y, False)
         tot = fin + fout
         if tot > 0.0:
             worst = max(worst, abs(fin - fout) / tot)
@@ -236,7 +246,13 @@ def _log_unit(point: LogPoint, v: tuple[float, float], rhs: Cone) -> tuple[float
 
 
 class FieldStrategy:
-    """Follow a fixed embedded mass-action field."""
+    """Follow a fixed embedded mass-action field.
+
+    Besides the selection call, it gives integrate the velocity and
+    stiffness of a step start from one monomial pass (with_stiffness) and
+    the log velocity of a stage straight from the log coordinates
+    (log_stage), with the same float operations as the call.
+    """
 
     reads_cone = False  # the field lies in the cone; integrate passes rhs=None
 
@@ -250,6 +266,11 @@ class FieldStrategy:
     def with_stiffness(self, point: LogPoint, rhs: Cone | None, t: float):
         """The velocity and field_stiffness at a point, from one monomial pass."""
         return _field_and_stiffness(self.system, point)
+
+    def log_stage(self, X: float, Y: float, t: float) -> tuple[float, float]:
+        """The log velocity (x'/x, y'/y) at the log point (X, Y)."""
+        fx, fy, _, _ = _term_sums(self.system.terms, X, Y, False)
+        return (fx * math.exp(-X), fy * math.exp(-Y))
 
 
 class TimeRescaledField(FieldStrategy):
@@ -276,6 +297,14 @@ class TimeRescaledField(FieldStrategy):
         d = 1.0 + _log_speed(point, v)
         c = 1.0 / d
         return (v[0] * c, v[1] * c), stiff / d
+
+    def log_stage(self, X: float, Y: float, t: float) -> tuple[float, float]:
+        """The log velocity (x'/x, y'/y) of the rescaled field at the log
+        point (X, Y)."""
+        fx, fy, _, _ = _term_sums(self.system.terms, X, Y, False)
+        gx, gy = math.exp(-X), math.exp(-Y)
+        c = 1.0 / (1.0 + math.hypot(fx * gx, fy * gy))
+        return (fx * c * gx, fy * c * gy)
 
 
 class ExtremeRayStrategy:
@@ -376,6 +405,13 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     and halved, down to dt/1024, while a stage fails or the increment is
     not finite or moves more than 1.0.
 
+    A step start is a LogPoint, and its velocity comes from the selection
+    (or its with_stiffness).  The three later stages are evaluated from the
+    floats X, Y and t: a selection with a log_stage(X, Y, t) method gives
+    the stage's log velocity (x'/x, y'/y) itself, as the field strategies
+    do; for any other the stage builds the LogPoint and calls the selection
+    with it.  A log_stage must agree with the call bit for bit.
+
     stop_when(point, t) is called once on every sample, the start too,
     and the run ends "stopped" at the first where it is true, even with
     t_end <= 0.  Otherwise it ends "t_end", "stalled" or "max_steps".
@@ -396,6 +432,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, not {dt}")
     pt = _finite_log(start, "start")
+    X, Y = pt.X, pt.Y
     t = 0.0
     times = [t]
     points = [pt]
@@ -410,8 +447,12 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     def cone(p: LogPoint) -> Cone | None:
         return _rhs_fast(p, fan, delta) if reads_cone else None
 
-    def log_vel(p: LogPoint, tt: float) -> tuple[float, float]:
+    def point_stage(px: float, py: float, tt: float) -> tuple[float, float]:
+        p = LogPoint(px, py)
         return to_log(p, strategy(p, cone(p), tt))
+
+    # A strategy may give a stage's log velocity from the floats directly.
+    stage = getattr(strategy, "log_stage", point_stage)
 
     # One field evaluation gives a step start's velocity and stiffness bound.
     start_vel = getattr(strategy, "with_stiffness",
@@ -447,11 +488,9 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                 h = min(h, 1.5 / stiff)
             while True:
                 try:
-                    f2 = log_vel(LogPoint(pt.X + 0.5 * h * f1[0], pt.Y + 0.5 * h * f1[1]),
-                                 t + 0.5 * h)
-                    f3 = log_vel(LogPoint(pt.X + 0.5 * h * f2[0], pt.Y + 0.5 * h * f2[1]),
-                                 t + 0.5 * h)
-                    f4 = log_vel(LogPoint(pt.X + h * f3[0], pt.Y + h * f3[1]), t + h)
+                    f2 = stage(X + 0.5 * h * f1[0], Y + 0.5 * h * f1[1], t + 0.5 * h)
+                    f3 = stage(X + 0.5 * h * f2[0], Y + 0.5 * h * f2[1], t + 0.5 * h)
+                    f4 = stage(X + h * f3[0], Y + h * f3[1], t + h)
                     dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
                     dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
                 except (MonomialOverflow, NonFinitePoint, OverflowError):
@@ -463,7 +502,9 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                 h *= 0.5
                 if h < h_min:
                     raise StepCollapse(f"step below {h_min} without passing at t={t:.4g}")
-            pt = LogPoint(pt.X + dX, pt.Y + dY)
+            X += dX
+            Y += dY
+            pt = LogPoint(X, Y)
             t += h
             times.append(t)
             points.append(pt)

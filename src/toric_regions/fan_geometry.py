@@ -143,6 +143,12 @@ class Fan:
             seen.add(key)
         gens.sort(key=functools.cmp_to_key(_angular_cmp))
         object.__setattr__(self, "generators", tuple(gens))
+        # Fans key every lru_cache of the package; hashing the generators
+        # once here spares each lookup a pass over them.
+        object.__setattr__(self, "_hash", hash(self.generators))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def b(self) -> int:
@@ -243,8 +249,8 @@ def r_count(point, fan: Fan, delta: float) -> int:
     the point is finite.
     """
     pt = _finite_log(point, "point")
-    return sum(abs(g.q * pt.Y - g.p * pt.X) < delta_i(g, delta) - STRIP_TOL
-               for g in fan.generators)
+    return sum(abs(q * pt.Y - p * pt.X) < half_width - STRIP_TOL
+               for _, q, p, half_width, _, _ in _strip_table(fan, delta))
 
 
 def attracting_direction(region: UncertaintyRegion, side: int) -> tuple[float, float]:
@@ -405,6 +411,23 @@ def _arm_table(fan: Fan) -> tuple[tuple[float, int, int], ...]:
         arms.append((_wrap(a + math.pi), i, -1))
     arms.sort()
     return tuple(arms)
+
+
+@lru_cache(maxsize=256)
+def _strip_table(fan: Fan, delta: float) -> tuple[tuple[int, float, float, float, int, int], ...]:
+    """Per generator i, in fan order: (i, q, p, delta_i) and the bit codes
+    of the near sets of the r = 1 values on its arms, sign +1 then -1.
+
+    A point in the strip of generator i alone is near the two sectors on
+    either side of the strip's arm on the point's side: the arm's own
+    sector and the one before it in the arm table.  NonPositiveDelta, as
+    delta_i raises it, is never cached.
+    """
+    arms = _arm_table(fan)
+    codes = {(i, sign): (1 << j) | (1 << (j - 1) % len(arms))
+             for j, (_, i, sign) in enumerate(arms)}
+    return tuple((i, float(g.q), float(g.p), delta_i(g, delta), codes[i, 1], codes[i, -1])
+                 for i, g in enumerate(fan.generators))
 
 
 def _flanking_arms(pt: LogPoint, fan: Fan) -> int:

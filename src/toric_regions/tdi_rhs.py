@@ -33,11 +33,9 @@ from .fan_geometry import (
     Cone,
     Fan,
     LogPoint,
-    _arm_table,
     _finite_log,
     _flanking_arms,
-    along_coordinate,
-    delta_i,
+    _strip_table,
     dist_to_cone,
     fan_2d_cones,
     near_sectors,
@@ -104,7 +102,8 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
 
 def rhs_classified(point, fan: Fan, delta: float) -> Cone:
     """Fast evaluation: choose the near set by the strip-interior count r(x),
-    and read its value from the definition's cache.
+    from the (fan, delta) strip table, and read its value from the
+    definition's cache.
 
     r >= 2 gives the shared full plane; r = 1 the two sectors on either side
     of the active strip's arm on the point's side (both half planes of a
@@ -113,11 +112,12 @@ def rhs_classified(point, fan: Fan, delta: float) -> Cone:
     NonFinitePoint unless the point is finite.
     """
     pt = _finite_log(point, "point")
+    X, Y = pt.X, pt.Y
+    table = _strip_table(fan, delta)
     active = -1
     r = 0
-    for i, g in enumerate(fan.generators):
-        s = abs(g.q * pt.Y - g.p * pt.X)
-        half_width = delta_i(g, delta)
+    for i, q, p, half_width, _, _ in table:
+        s = abs(q * Y - p * X)
         if abs(s - half_width) <= STRIP_TOL:
             raise AmbiguousClassification(f"point within {STRIP_TOL} of boundary of strip {i}")
         if s < half_width:
@@ -127,10 +127,9 @@ def rhs_classified(point, fan: Fan, delta: float) -> Cone:
         return _FULL_PLANE
     if r == 0:
         return _near_value(fan, 1 << _flanking_arms(pt, fan))
-    side = 1 if along_coordinate(pt, fan.generators[active]) >= 0.0 else -1
-    arms = _arm_table(fan)
-    j = next(j for j, (_, gi, sign) in enumerate(arms) if gi == active and sign == side)
-    return _near_value(fan, (1 << j) | (1 << (j - 1) % len(arms)))
+    _, q, p, _, plus, minus = table[active]
+    # The sign of the along-coordinate q*X + p*Y picks the arm.
+    return _near_value(fan, plus if q * X + p * Y >= 0.0 else minus)
 
 
 def rhs_equal(a: Cone, b: Cone, tol: float = 1e-9) -> bool:

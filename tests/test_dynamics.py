@@ -111,6 +111,58 @@ class TestMassActionField:
             MassActionSystem(tuple(_reversible((0.0, 1.0), (1.0, 0.0), rate, 1.0)), 0.5)
 
 
+    @pytest.mark.parametrize("evaluate", [
+        dynamics._field_and_stiffness,
+        complex_balance_residual,
+        lambda system, pt: FieldStrategy(system).log_stage(pt.X, pt.Y, 0.0),
+        lambda system, pt: TimeRescaledField(system).log_stage(pt.X, pt.Y, 0.0),
+    ], ids=["field_and_stiffness", "complex_balance", "field_stage", "rescaled_stage"])
+    def test_every_evaluator_caps_the_exponent(self, evaluate):
+        # The term kernel raises for all of them, as for mass_action_field.
+        with pytest.raises(MonomialOverflow, match="monomial exponent 700.0 beyond cap"):
+            evaluate(simple_exchange(), LogPoint(0.0, 700.0))
+
+    def test_evaluators_match_the_per_reaction_loops(self, nm_system):
+        # The term kernel against the loops over the reactions it replaced,
+        # with the same float operations in the same order: equal bits.
+        def reference(system, pt):
+            fx = fy = lx = ly = 0.0
+            inflow, outflow = {}, {}
+            for r in system.reactions:
+                m = math.exp(r.log_rate + r.source[0] * pt.X + r.source[1] * pt.Y)
+                dx, dy = r.target[0] - r.source[0], r.target[1] - r.source[1]
+                wy = abs(r.source[0]) + abs(r.source[1])
+                fx += m * dx
+                fy += m * dy
+                lx += m * abs(dx) * wy
+                ly += m * abs(dy) * wy
+                outflow[r.source] = outflow.get(r.source, 0.0) + m
+                inflow[r.target] = inflow.get(r.target, 0.0) + m
+            gx, gy = math.exp(-pt.X), math.exp(-pt.Y)
+            stiff = max(lx * gx, ly * gy) + max(abs(fx) * gx, abs(fy) * gy)
+            balance = max([0.0] + [abs(inflow.get(v, 0.0) - outflow.get(v, 0.0))
+                                   / (inflow.get(v, 0.0) + outflow.get(v, 0.0))
+                                   for v in set(inflow) | set(outflow)])
+            return (fx, fy), stiff, balance
+
+        axis = embedded_system_for_target(Fan([(-1, 1), (1, 2), (2, 1), (1, 0)]), DELTA,
+                                          "origin_11")
+        for system in (nm_system, axis, simple_exchange()):
+            for pt in (LogPoint(0.3, -0.7), LogPoint(-2.5, 1.25), LogPoint(4.0, 3.0)):
+                field, stiff, balance = reference(system, pt)
+                assert mass_action_field(system, pt) == field
+                assert field_stiffness(system, pt) == stiff
+                assert complex_balance_residual(system, pt) == balance
+
+    def test_term_table(self):
+        # One row per reaction: log rate, source, target - source and the
+        # source's L1 norm; it takes no part in equality.
+        system = MassActionSystem(tuple(_reversible((0.0, 2.0), (1.0, 0.0), 2.0, 0.5)), 0.5)
+        assert system.terms == ((math.log(2.0), 0.0, 2.0, 1.0, -2.0, 2.0),
+                                (math.log(0.5), 1.0, 0.0, -1.0, 2.0, 1.0))
+        assert system == MassActionSystem(system.reactions, 0.5)
+
+
 class TestComplexBalance:
     def test_overflow_cap(self):
         with pytest.raises(MonomialOverflow):
@@ -436,18 +488,59 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("rescale", [False, True])
     def test_four_monomial_passes_per_step(self, monkeypatch, rescale):
-        # The step start's velocity and stiffness come from one pass and
-        # each later stage makes one; no step of this flow is halved.
+        # The step start's velocity and stiffness come from one pass of the
+        # term kernel and each later stage makes one; no step of this flow
+        # is halved.
         passes = []
-        monomials = dynamics._monomials
-        monkeypatch.setattr(dynamics, "_monomials",
-                            lambda system, pt: passes.append(pt) or monomials(system, pt))
+        sums = dynamics._term_sums
+        monkeypatch.setattr(dynamics, "_term_sums",
+                            lambda *args: passes.append(args) or sums(*args))
         sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
         traj = integrate_to_point(sys11, LogPoint(2.0, -1.5), WORKED_FAN, DELTA,
                                   LogPoint(0.0, 0.0), t_end=0.05, rescale=rescale)
         steps = len(traj.times) - 1
         assert traj.termination == "t_end" and steps >= 50
         assert len(passes) == 4 * steps
+
+    class Plain:
+        """A field strategy's selection and step start alone: with no
+        log_stage, integrate evaluates each stage from a LogPoint."""
+
+        reads_cone = False
+
+        def __init__(self, strategy):
+            self.strategy = strategy
+
+        def __call__(self, point, rhs, t):
+            return self.strategy(point, rhs, t)
+
+        def with_stiffness(self, point, rhs, t):
+            return self.strategy.with_stiffness(point, rhs, t)
+
+    @pytest.mark.parametrize("rescale", [False, True])
+    @pytest.mark.parametrize("gens", [[(-1, 1), (1, 2), (2, 1)],
+                                      [(-1, 1), (1, 2), (2, 1), (1, 0)]],
+                             ids=["worked", "axis"])
+    def test_float_stages_match_the_generic_stage(self, monkeypatch, gens, rescale):
+        # The field strategies' log_stage gives every trajectory bit for
+        # bit: the same run with the generic stage has equal times, points
+        # and velocities.
+        fan = Fan(gens)
+        sys11 = embedded_system_for_target(fan, DELTA, "origin_11")
+        for start in (LogPoint(2.0, -1.5), LogPoint(-2.5, 0.5)):
+            fast = integrate_to_point(sys11, start, fan, DELTA, LogPoint(0.0, 0.0),
+                                      rescale=rescale)
+            with monkeypatch.context() as patch:
+                for name in ("FieldStrategy", "TimeRescaledField"):
+                    cls = getattr(dynamics, name)
+                    patch.setattr(dynamics, name, lambda system, cls=cls: self.Plain(cls(system)))
+                generic = integrate_to_point(sys11, start, fan, DELTA, LogPoint(0.0, 0.0),
+                                             rescale=rescale)
+            assert fast.termination == generic.termination == "stopped"
+            assert len(fast.times) > 1000
+            assert fast.times == generic.times
+            assert fast.points == generic.points
+            assert fast.velocities == generic.velocities
 
     def test_convergence_nm_system(self, region, nm_system):
         target = region.start_max.log

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from toric_regions import fan_geometry
 from toric_regions.errors import (
     NonFinitePoint,
     NonPositiveDelta,
@@ -17,6 +19,7 @@ from toric_regions.fan_geometry import (
     ZERO_WIDTH,
     Cone,
     Fan,
+    LineGenerator,
     LogPoint,
     PosPoint,
     UncertaintyRegion,
@@ -286,6 +289,27 @@ class TestFanSectors:
     def test_non_integer_generator_rejected(self, gens):
         with pytest.raises(UnsupportedFan, match="not a pair of integers"):
             Fan(gens)
+
+    def test_equal_fans_hash_once_and_share_cache_entries(self, monkeypatch):
+        # Permuted and unreduced generator lists give equal fans with equal
+        # hashes, so the second fan finds the first one's cache entries; a
+        # fan hashes its generators once, when it is built.
+        a = Fan([(-1, 1), (1, 2), (2, 1)])
+        b = Fan([(4, 2), (2, 4), (-3, 3)])
+        assert a == b and a is not b and hash(a) == hash(b)
+        hashed = []
+        monkeypatch.setattr(LineGenerator, "__hash__",
+                            lambda g: hashed.append(g) or hash((g.p, g.q)))
+        for cached in (fan_2d_cones, fan_geometry._strip_table):
+            args = (2.5,) if cached is fan_geometry._strip_table else ()
+            first = cached(a, *args)
+            hits = cached.cache_info().hits
+            assert cached(b, *args) is first
+            assert cached.cache_info().hits == hits + 1
+        assert hashed == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.generators = ()
+        assert a.generators == b.generators
 
     def test_numpy_integer_generators(self):
         fan = Fan([(np.int64(2), np.int32(4)), (np.int8(-1), 1)])

@@ -1035,6 +1035,12 @@ class TestHullAndPhi:
         assert not hull_contains([(1.0, 2.0)], PosPoint(1.0, 2.0 * (1.0 + 5e-9)))
         assert not hull_contains([(1.0, 2.0)], PosPoint(1.1, 2.0))
 
+    def test_monotone_chain_of_two_or_fewer_distinct_points(self):
+        # Two or fewer distinct points are their own hull, sorted.
+        assert _monotone_chain([]) == []
+        assert _monotone_chain([(1.0, 2.0), (1.0, 2.0)]) == [(1.0, 2.0)]
+        assert _monotone_chain([(3.0, 1.0), (1.0, 2.0), (3.0, 1.0)]) == [(1.0, 2.0), (3.0, 1.0)]
+
     def test_hull_matches_sampled_reference(self, monkeypatch):
         # The level-band fans and the level census fan across the band.
         band = [3.0 + k / 7 for k in range(8)]
