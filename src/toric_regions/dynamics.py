@@ -249,9 +249,11 @@ class FieldStrategy:
     """Follow a fixed embedded mass-action field.
 
     Besides the selection call, it gives integrate the velocity and
-    stiffness of a step start from one monomial pass (with_stiffness) and
-    the log velocity of a stage straight from the log coordinates
-    (log_stage), with the same float operations as the call.
+    stiffness of a point from one monomial pass (with_stiffness) and the
+    log velocity of a stage straight from the log coordinates (log_stage),
+    with the same float operations as the call.  With with_stiffness,
+    integrate controls the step error: it evaluates each step's end once,
+    and that evaluation starts the next step.
     """
 
     reads_cone = False  # the field lies in the cone; integrate passes rhs=None
@@ -348,11 +350,20 @@ class RandomInConeStrategy:
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
         self.name = f"random_in_cone_{seed}"
+        self._doubles = iter(())
+
+    def _uniform(self, low: float, high: float) -> float:
+        """The next rng.uniform(low, high), from doubles drawn 512 at a time."""
+        d = next(self._doubles, None)
+        if d is None:
+            self._doubles = iter(self.rng.random(512).tolist())
+            d = next(self._doubles)
+        return low + (high - low) * d
 
     def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
-        u = float(self.rng.uniform(0.05, 0.95))
+        u = self._uniform(0.05, 0.95)
         if rhs.width == TWO_PI:
-            a = float(self.rng.uniform(0.0, 2.0 * math.pi))
+            a = self._uniform(0.0, 2.0 * math.pi)
         elif rhs.width == LINE_WIDTH:
             a = rhs.lo + (0.0 if u < 0.5 else math.pi)
         else:
@@ -375,6 +386,7 @@ def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
 # Integration
 
 _MAX_LOG_STEP = 0.25  # largest log-space move of one integrator step
+_STEP_TOL = 1e-9  # largest error estimate, in log space, of an error-controlled step
 _OMEGA_RADIUS = 1e-3  # log-space cluster radius of omega_limit_estimate
 
 
@@ -399,11 +411,26 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
               dt: float = 1e-2, stop_when=None) -> Trajectory:
     """Explicit 4th-order stepping of the selection in log coordinates.
 
-    The step is capped so no single update moves more than 0.25 in log
-    space (the fields are exponentially stiff far from equilibrium), at
-    1.5 over the stiffness bound of a strategy that has with_stiffness,
-    and halved, down to dt/1024, while a stage fails or the increment is
-    not finite or moves more than 1.0.
+    The step is capped at dt and at t_end - t, so that no single update
+    moves more than 0.25 in log space (the fields are exponentially stiff
+    far from equilibrium), and at 1.5 over the stiffness bound of a
+    strategy that has with_stiffness.  It is halved, down to dt/1024, while
+    a stage fails or the increment is not finite or moves more than 1.0.
+
+    A strategy with with_stiffness (a smooth embedded field) also gets
+    error-controlled steps.  Its step's end is evaluated by with_stiffness
+    at once, and that velocity f5 and stiffness start the next step when
+    the step is accepted (first same as last), so an attempt costs four
+    field evaluations.  The weights (1/6, 1/3, 1/3, 1/6) on f1, f2, f3, f5
+    make a 3rd-order step, and err = h/6 * max|f4 - f5| (log space) is its
+    gap to the RK4 step.  A step is accepted when err <= _STEP_TOL; the
+    next then tries h * min(5, 0.9 * (tol/err)^(1/4)), within the caps.
+    A rejected step retries at h * max(0.2, 0.9 * (tol/err)^(1/4)).  For
+    these strategies the floor of every retry is 1/1024 of the capped step,
+    not dt/1024, since at stiff starts the cap itself lies far below dt; a
+    failing evaluation at the end fails the step as a stage's does.
+    Every other selection (the ray, random and custom ones, which jump at
+    sector boundaries) steps at the caps alone.
 
     A step start is a LogPoint, and its velocity comes from the selection
     (or its with_stiffness).  The three later stages are evaluated from the
@@ -454,9 +481,11 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     # A strategy may give a stage's log velocity from the floats directly.
     stage = getattr(strategy, "log_stage", point_stage)
 
-    # One field evaluation gives a step start's velocity and stiffness bound.
-    start_vel = getattr(strategy, "with_stiffness",
-                        lambda p, rhs, tt: (strategy(p, rhs, tt), 0.0))
+    # One field evaluation gives a step start's velocity and stiffness bound;
+    # a selection that has it gets error-controlled steps.
+    with_stiffness = getattr(strategy, "with_stiffness", None)
+    controlled = with_stiffness is not None
+    start_vel = with_stiffness or (lambda p, rhs, tt: (strategy(p, rhs, tt), 0.0))
 
     def check_starts() -> float:
         """Worst cone violation of the recorded step starts, in one batch."""
@@ -471,21 +500,24 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
         return max([0.0, *violations])
 
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
-    h_min = dt / 1024.0
+    h_next = dt  # the error control's proposal for the next step
+    end = None  # (velocity, stiffness) at the last accepted step's end
     try:
         while stop_when is None or not stop_when(pt, t):
             if t >= t_end or len(velocities) >= max_steps:
                 break
-            v0, stiff = start_vel(pt, cone(pt), t)
+            v0, stiff = end or start_vel(pt, cone(pt), t)
             velocities.append(v0)
             f1 = to_log(pt, v0)
             speed = math.hypot(f1[0], f1[1])
             if speed == 0.0:
                 termination = "stalled"
                 break
-            h = min(dt, t_end - t, _MAX_LOG_STEP / speed)
+            h_cap = min(dt, t_end - t, _MAX_LOG_STEP / speed)
             if stiff > 0.0:
-                h = min(h, 1.5 / stiff)
+                h_cap = min(h_cap, 1.5 / stiff)
+            h = min(h_next, h_cap)
+            floor = (h_cap if controlled else dt) / 1024.0
             while True:
                 try:
                     f2 = stage(X + 0.5 * h * f1[0], Y + 0.5 * h * f1[1], t + 0.5 * h)
@@ -493,15 +525,31 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     f4 = stage(X + h * f3[0], Y + h * f3[1], t + h)
                     dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
                     dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+                    # isfinite, not a bound alone: a NaN increment must halve too.
+                    ok = (math.isfinite(dX) and math.isfinite(dY)
+                          and max(abs(dX), abs(dY)) <= 4.0 * _MAX_LOG_STEP)
+                    if ok and controlled:
+                        # The end's evaluation starts the next step if this
+                        # one is accepted; err is the 3rd-order step's gap.
+                        end_pt = LogPoint(X + dX, Y + dY)
+                        end = start_vel(end_pt, cone(end_pt), t + h)
+                        f5 = to_log(end_pt, end[0])
+                        err = h / 6.0 * max(abs(f4[0] - f5[0]), abs(f4[1] - f5[1]))
+                        ok = math.isfinite(err)
                 except (MonomialOverflow, NonFinitePoint, OverflowError):
-                    dX = dY = math.inf
-                # isfinite, not a bound alone: a NaN increment must halve too.
-                if (math.isfinite(dX) and math.isfinite(dY)
-                        and max(abs(dX), abs(dY)) <= 4.0 * _MAX_LOG_STEP):
+                    ok = False
+                if not ok:
+                    h *= 0.5
+                elif not controlled:
                     break
-                h *= 0.5
-                if h < h_min:
-                    raise StepCollapse(f"step below {h_min} without passing at t={t:.4g}")
+                else:
+                    scale = 0.9 * (_STEP_TOL / err) ** 0.25 if err else 5.0
+                    if err <= _STEP_TOL:
+                        h_next = h * min(5.0, scale)
+                        break
+                    h *= max(0.2, scale)
+                if h < floor:
+                    raise StepCollapse(f"step below {floor} without passing at t={t:.4g}")
             X += dX
             Y += dY
             pt = LogPoint(X, Y)
@@ -526,14 +574,14 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
                        target: LogPoint, t_end: float = 200.0, rel_tol: float = 1e-6,
                        rescale: bool = False) -> Trajectory:
-    """Integrate an embedded field, in steps of at most 1e-3, until within
-    rel_tol (log space) of target."""
+    """Integrate an embedded field, in error-controlled steps of at most
+    integrate's default dt, until within rel_tol (log space) of target."""
     strat = TimeRescaledField(system) if rescale else FieldStrategy(system)
 
     def close(p: LogPoint, t: float) -> bool:
         return max(abs(p.X - target.X), abs(p.Y - target.Y)) <= rel_tol * 0.5
 
-    return integrate(strat, start, fan, delta, t_end, dt=1e-3, stop_when=close)
+    return integrate(strat, start, fan, delta, t_end, stop_when=close)
 
 
 def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25) -> list[LogPoint]:

@@ -486,25 +486,42 @@ class TestIntegrate:
         assert max(abs(end.X), abs(end.Y)) <= 1e-6
         assert traj.worst_violation <= 1e-9
 
-    @pytest.mark.parametrize("rescale", [False, True])
-    def test_four_monomial_passes_per_step(self, monkeypatch, rescale):
-        # The step start's velocity and stiffness come from one pass of the
-        # term kernel and each later stage makes one; no step of this flow
-        # is halved.
+    @staticmethod
+    def attempted_ends(monkeypatch, run):
+        """run() under a count of term-kernel passes: the trajectory, the
+        number of passes, and the log points of the passes that evaluate
+        stiffness, which are the start's and then each attempted step's
+        end."""
         passes = []
         sums = dynamics._term_sums
-        monkeypatch.setattr(dynamics, "_term_sums",
-                            lambda *args: passes.append(args) or sums(*args))
-        sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
-        traj = integrate_to_point(sys11, LogPoint(2.0, -1.5), WORKED_FAN, DELTA,
-                                  LogPoint(0.0, 0.0), t_end=0.05, rescale=rescale)
-        steps = len(traj.times) - 1
-        assert traj.termination == "t_end" and steps >= 50
-        assert len(passes) == 4 * steps
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_term_sums", lambda *args: passes.append(args) or sums(*args))
+            traj = run()
+        return traj, len(passes), [LogPoint(X, Y) for _, X, Y, stiff in passes if stiff]
 
-    class Plain:
-        """A field strategy's selection and step start alone: with no
-        log_stage, integrate evaluates each stage from a LogPoint."""
+    @pytest.mark.parametrize("rescale", [False, True])
+    def test_four_monomial_passes_per_step(self, monkeypatch, rescale):
+        # The first step start's velocity and stiffness come from one pass of
+        # the term kernel.  Every attempted step makes four: its three later
+        # stages and its end, whose velocity and stiffness start the next
+        # step when the step is accepted.  The last sample's goes unused.
+        sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
+        traj, passes, ends = self.attempted_ends(monkeypatch, lambda: integrate_to_point(
+            sys11, LogPoint(2.0, -1.5), WORKED_FAN, DELTA, LogPoint(0.0, 0.0), t_end=1.0,
+            rescale=rescale))
+        steps = len(traj.times) - 1
+        assert traj.termination == "t_end" and steps >= 100
+        # The accepted ends are the samples, in order; no start is evaluated
+        # again.
+        assert ends[0] == traj.points[0]
+        assert [p for p in ends[1:] if p in traj.points] == traj.points[1:]
+        attempts = len(ends) - 1
+        assert attempts >= steps
+        assert passes == 4 * attempts + 1
+
+    class Call:
+        """A selection's call alone: with no with_stiffness, integrate steps
+        it at the caps, with no error control and no stiffness bound."""
 
         reads_cone = False
 
@@ -513,6 +530,10 @@ class TestIntegrate:
 
         def __call__(self, point, rhs, t):
             return self.strategy(point, rhs, t)
+
+    class Plain(Call):
+        """A field strategy's selection and step start alone: with no
+        log_stage, integrate evaluates each stage from a LogPoint."""
 
         def with_stiffness(self, point, rhs, t):
             return self.strategy.with_stiffness(point, rhs, t)
@@ -537,19 +558,65 @@ class TestIntegrate:
                 generic = integrate_to_point(sys11, start, fan, DELTA, LogPoint(0.0, 0.0),
                                              rescale=rescale)
             assert fast.termination == generic.termination == "stopped"
-            assert len(fast.times) > 1000
+            assert len(fast.times) > 500
             assert fast.times == generic.times
             assert fast.points == generic.points
             assert fast.velocities == generic.velocities
 
-    def test_convergence_nm_system(self, region, nm_system):
+    def test_convergence_nm_system(self, monkeypatch, region, nm_system):
+        # At (-8, 8) the stiffness is about 8e10, so the capped first step,
+        # 1.5 over it, is far below dt/1024.  Error rejections there still
+        # pass: their floor is 1/1024 of the capped step.
         target = region.start_max.log
-        traj = integrate_to_point(nm_system, LogPoint(-8.0, 8.0), WORKED_FAN,
-                                  DELTA, target, t_end=200.0)
+        traj, _, ends = self.attempted_ends(monkeypatch, lambda: integrate_to_point(
+            nm_system, LogPoint(-8.0, 8.0), WORKED_FAN, DELTA, target, t_end=200.0))
         assert traj.termination == "stopped"
         end = traj.points[-1]
         assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
         assert traj.worst_violation <= 1e-9
+        assert traj.times[1] < 1e-2 / 1024.0
+        assert ends[1] != traj.points[1]  # the first attempt was rejected
+        assert len(ends) - 1 > len(traj.times) - 1
+
+    @pytest.mark.parametrize("rescale", [False, True])
+    @pytest.mark.parametrize("gens", [[(-1, 1), (1, 2), (2, 1)],
+                                      [(-1, 1), (1, 2), (2, 1), (1, 0)]],
+                             ids=["worked", "axis"])
+    def test_error_control_meets_a_fine_fixed_step(self, gens, rescale):
+        # At t = 1 the error-controlled flow lies within 1e-9 (log space) of
+        # fixed RK4 steps of 1e-4; fixed steps of 1e-3 missed by up to 4e-8.
+        fan = Fan(gens)
+        strategy = (TimeRescaledField if rescale else FieldStrategy)(
+            embedded_system_for_target(fan, DELTA, "origin_11"))
+        for start in (LogPoint(2.0, -1.5), LogPoint(-2.5, 0.5), LogPoint(1.0, 2.5),
+                      LogPoint(-1.5, -2.0)):
+            run = integrate(strategy, start, fan, DELTA, t_end=1.0)
+            ref = integrate(self.Call(strategy), start, fan, DELTA, t_end=1.0, dt=1e-4)
+            assert len(run.times) <= 501 and len(ref.times) > 10000
+            a, b = run.points[-1], ref.points[-1]
+            assert max(abs(a.X - b.X), abs(a.Y - b.Y)) <= 1e-9
+
+    def test_error_rejections_shrink_the_step(self, monkeypatch):
+        # From (2, -1.5) the first attempt, of dt, misses the tolerance;
+        # the error control retries shorter and then grows the step again.
+        sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
+        traj, _, ends = self.attempted_ends(monkeypatch, lambda: integrate(
+            FieldStrategy(sys11), LogPoint(2.0, -1.5), WORKED_FAN, DELTA, t_end=0.05))
+        assert ends[1] not in traj.points and ends[2] not in traj.points
+        steps = np.diff(traj.times)
+        assert steps[0] < 1e-2 * 0.2 and steps.max() > 2.0 * steps[0]
+
+    @pytest.mark.parametrize("strategy", [ExtremeRayStrategy("left"), AlternatingStrategy(),
+                                          RandomInConeStrategy(3)],
+                             ids=["ray", "alternating", "random"])
+    def test_other_selections_step_exactly_dt(self, strategy):
+        # The ray and random selections jump at sector boundaries and get no
+        # error control: every step is dt (1/64, so the summed times are
+        # exact) up to t_end.
+        traj = integrate(strategy, LogPoint(-2.0, 1.5), WORKED_FAN, DELTA, t_end=1.0,
+                         dt=1.0 / 64.0)
+        assert traj.termination == "t_end"
+        assert np.diff(traj.times).tolist() == [1.0 / 64.0] * 64
 
 
 class TestRhsFast:
@@ -605,6 +672,15 @@ class TestStrategies:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError, match="'left' or 'right'"):
             ExtremeRayStrategy("up")
+
+    def test_random_in_cone_draws_the_scalar_stream(self):
+        # Doubles drawn 512 at a time give what scalar Generator.uniform
+        # calls would, for both ranges, across block refills.
+        strat = RandomInConeStrategy(seed=9)
+        rng = np.random.default_rng(9)
+        for k in range(1200):
+            low, high = (0.05, 0.95) if k % 3 else (0.0, 2.0 * math.pi)
+            assert strat._uniform(low, high) == float(rng.uniform(low, high))
 
     def test_random_in_cone_on_a_line(self):
         # On a line cone each draw is one of its two directions.

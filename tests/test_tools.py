@@ -192,6 +192,10 @@ def test_reach_outcomes_records():
     rec = tool.halving_record("raise", toric_regions)
     assert rec["group"] == "halving" and rec["past"] == "raise"
     assert rec["outcome"] == "stopped" and rec["points"] == 3 and rec["worst"] == "0x0.0p+0"
+    # The convergence flow to t = 1 against fixed steps of 1e-4.
+    rec = tool.accuracy_record("worked", (2.0, -1.5), False, toric_regions, workloads)
+    assert rec["group"] == "accuracy" and rec["rescale"] is False and 100 < rec["steps"] < 1000
+    assert float(rec["deviation"]) <= 1e-9 and rec["deviation"] == f"{float(rec['deviation']):.0e}"
 
 
 def test_traced_names_resolve():

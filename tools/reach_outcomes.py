@@ -1,6 +1,6 @@
 """Trajectory figures of the benchmark's reach fans.
 
-It prints one JSON line per record, in five groups:
+It prints one JSON line per record, in six groups:
 
     {"group": "witness", "fan": name, "X": x, "Y": y, "outcome": o,
      "message": m, "worst": <float.hex of worst_violation> or null,
@@ -34,7 +34,16 @@ turn; and
 for each of ``PAST_KINDS``: a selection that meets a wall (see ``Past``)
 whose calls raise, return NaN or a thousandfold speed, so that the
 integrator halves its steps.  The raising one stops after its first halved
-step; the others run to ``HALVING_T_END``.  The digest is a sha256 of
+step; the others run to ``HALVING_T_END``; and
+
+    {"group": "accuracy", "fan": name, "start": [X, Y], "rescale": r,
+     "steps": n, "deviation": d}
+
+for each convergence fan, start of ``CONVERGE_STARTS`` and rescale: the
+flow of the convergence group stopped at t = 1 instead (rel_tol 0), its
+step count, and the largest log-coordinate gap at t = 1 to a fixed-step
+RK4 reference of step ``REFERENCE_DT``, printed as "%.0e".  The digest is
+a sha256 of
 the trajectory's points and velocities, bit for bit.  An outcome is the
 trajectory's termination ("arrived" for a witness), the class name of a
 package error (with the failing leg of a ``WitnessFailed``), or
@@ -69,6 +78,7 @@ HALVING_DT = 1.0 / 64.0
 # Past the wall the fast selection moves 0.25 in log X per step; by this
 # t_end it has reached X = 3, still where the inclusion is the full plane.
 HALVING_T_END = 0.028
+REFERENCE_DT = 1e-4
 
 
 def _workloads():
@@ -203,6 +213,35 @@ def halving_record(kind: str, package) -> dict:
     return rec
 
 
+class Plain:
+    """A selection's call alone: with no with_stiffness, integrate steps
+    it at the caps, with no error control and no stiffness bound."""
+
+    reads_cone = False
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+
+    def __call__(self, point, rhs, t):
+        return self.strategy(point, rhs, t)
+
+
+def accuracy_record(name: str, start, rescale: bool, package, workloads) -> dict:
+    fg, dy = package.fan_geometry, package.dynamics
+    fan = fg.Fan(workloads.REACH_FANS[name])
+    delta = workloads.REACH_DELTA
+    field = dy.embedded_system_for_target(fan, delta, "origin_11")
+    run = dy.integrate_to_point(field, fg.LogPoint(*start), fan, delta, fg.LogPoint(0.0, 0.0),
+                                t_end=1.0, rel_tol=0.0, rescale=rescale)
+    strat = (dy.TimeRescaledField if rescale else dy.FieldStrategy)(field)
+    ref = dy.integrate(Plain(strat), fg.LogPoint(*start), fan, delta, t_end=1.0,
+                       dt=REFERENCE_DT)
+    a, b = run.points[-1], ref.points[-1]
+    return {"group": "accuracy", "fan": name, "start": list(start), "rescale": rescale,
+            "steps": len(run.times) - 1,
+            "deviation": f"{max(abs(a.X - b.X), abs(a.Y - b.Y)):.0e}"}
+
+
 def records(package, workloads):
     catalog = json.loads((ROOT / "bench" / "data" / "reach_targets.json").read_text())
     for name, entry in catalog["fans"].items():
@@ -220,6 +259,10 @@ def records(package, workloads):
             yield collapse_record(t0, wall, package)
     for kind in PAST_KINDS:
         yield halving_record(kind, package)
+    for name in workloads.Reach.CONVERGE_FANS:
+        for start in CONVERGE_STARTS:
+            for rescale in (False, True):
+                yield accuracy_record(name, start, rescale, package, workloads)
 
 
 def main(argv: list[str]) -> int:
