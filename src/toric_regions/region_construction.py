@@ -310,7 +310,8 @@ class Segment:
 
         The line point and the tangent's exps are at's and math's, bit for
         bit, so only numpy's hypot differs from the scalar value, by at most
-        an ulp: the gap is below _TIE_MARGIN·d.
+        an ulp: the gap is below _TIE_MARGIN·d.  Of the tangent's two exps
+        one is exp(0), so one math.exp per pair is taken.
         """
         A0, A1, C0, C1, slope, mirrored, lp, lq, p, mq = Segment._frames(segs).T[:, which]
         m = mirrored == 1.0
@@ -324,10 +325,14 @@ class Segment:
             on = _line_y_log_batch(np.where(far, A1[k], A0[k]), np.where(far, C1[k], C0[k]),
                                    slope[k], c)
             onX, onY = np.where(m[k], on, c), np.where(m[k], c, on)
+            # _scaled_reciprocals' exps: exp(0) = 1 for the larger log, which
+            # top - top + 1 keeps nan where that log is infinite, as the
+            # scalar's exp(inf - inf) does, and exp(-|la - lb|) for the other.
             la, lb = lp[k] - onX, lq[k] - onY
             top = np.maximum(la, lb)
-            tx = np.copysign(_math_map(math.exp, la - top), p[k])
-            ty = np.copysign(_math_map(math.exp, lb - top), mq[k])
+            one, other = top - top + 1.0, _math_map(math.exp, -np.abs(la - lb))
+            tx = np.copysign(np.where(la >= lb, one, other), p[k])
+            ty = np.copysign(np.where(la >= lb, other, one), mq[k])
             d[k] = np.abs((X[k] - onX) * ty - (Y[k] - onY) * tx) / np.hypot(tx, ty)
         return d
 
@@ -947,32 +952,52 @@ def sample_boundary(boundary: RegionBoundary, total: int):
 # Convex hull and the level function
 
 
-def _monotone_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+_ORIENT_ERR = 3.3306690738754716e-16  # Shewchuk's ccwerrboundA, (3 + 16 eps) eps
+_ORIENT_ABS = 1e-300  # absolute slack of the orientation filter, for products that underflow
+
+
+def _orient(o, a, b):
+    """Cross product (a - o) x (b - o) of the first two coordinates, sign-exact.
+
+    The float value is returned when it clears Shewchuk's forward error
+    bound (Discrete Comput. Geom. 18, 1997) by more than _ORIENT_ABS, which
+    covers products that underflow.  Otherwise the signs of the two
+    products, exact from the signs of the float differences, decide when
+    they differ; only products of equal sign go to the exact Fraction of
+    the same floats.
+    """
+    ax, ay, bx, by = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
+    left, right = ax * by, ay * bx
+    det = left - right
+    if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_ABS:
+        return det
+    sl = (ax > 0.0) - (ax < 0.0) if by > 0.0 else (ax < 0.0) - (ax > 0.0) if by < 0.0 else 0
+    sr = (ay > 0.0) - (ay < 0.0) if bx > 0.0 else (ay < 0.0) - (ay > 0.0) if bx < 0.0 else 0
+    if sl != sr or not sl:
+        return sl - sr
+    ox, oy = Fraction(o[0]), Fraction(o[1])
+    return ((Fraction(a[0]) - ox) * (Fraction(b[1]) - oy)
+            - (Fraction(a[1]) - oy) * (Fraction(b[0]) - ox))
+
+
+def _half_chain(pts) -> list:
+    """One half of Andrew's monotone chain over sorted points, each turn
+    decided by _orient."""
+    chain = []
+    for p in pts:
+        while len(chain) >= 2 and _orient(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _monotone_chain(pts: list[tuple]) -> list[tuple]:
+    """CCW convex hull of points (x, y, ...), from the lowest of the
+    leftmost ones: Andrew's monotone chain."""
     pts = sorted(set(pts))
     if len(pts) <= 2:
         return pts
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
-_HULL_ARC_SAMPLES = 256  # conv_hull samples an arc at u = k / _HULL_ARC_SAMPLES
-_HULL_ARC_U = np.arange(1, _HULL_ARC_SAMPLES) / _HULL_ARC_SAMPLES
-_HULL_MARGIN = 1e-12  # relative cross-product margin of conv_hull's interior filter
-_HULL_FILTER_LOG = 230.0  # conv_hull filters only while every |log coordinate| is below this
+    return _half_chain(pts)[:-1] + _half_chain(reversed(pts))[:-1]
 
 
 def _exp_all(logs: list[float]) -> list[float]:
@@ -984,50 +1009,275 @@ def _exp_all(logs: list[float]) -> list[float]:
                                "the float range") from None
 
 
-def conv_hull(boundary: RegionBoundary) -> list[tuple[float, float]]:
-    """Convex hull of the boundary in x-space (CCW vertex list).
+class Hull(list):
+    """CCW vertex list (x, y) of a convex hull in x-space, with its caps.
 
-    Segments are straight in x-space so only their endpoints matter.  Arcs
-    are curved in x-space and can bulge outward past the chord between
-    their endpoints, extending the hull, so each arc is sampled at its
-    _HULL_ARC_SAMPLES - 1 interior log points s + u*(e - s), formed as
-    Arc.points_at forms them.  (For the fan {(-1,1),(1,2),(2,1),(1,3)} at
-    delta = 1 the hull has 50 vertices; the endpoints alone give 10.)
-    The samples are exponentiated with math.exp: np.exp differs from it in
-    the last place on about one in eleven of them, which would move hull
-    vertices.
-
-    The hull of the piece endpoints is a subset of the full hull, so a
-    point strictly inside it is not a vertex of the full hull, and such
-    points are dropped before the monotone chain.  Strictly inside means
-    that on every edge the cross product exceeds 1e-12 times the sum of
-    its two terms' magnitudes, far above its rounding error, so the chain
-    returns the vertex list it returns on all the points.  The filter runs
-    only while every coordinate lies in (e^-230, e^230): there the chain's
-    cross products neither underflow nor overflow.  Beyond that range an
-    underflowed product can pop a vertex, so points the filter would drop
-    can change the chain's result (an atlas fan at delta = 100, whose
-    coordinates reach down to 1e-281, showed it).
+    caps maps k to (p, q, L) when the edge from vertex k to the next is not
+    straight but a piece of the curve q*Y - p*X = L, signed so that the hull
+    lies on the side q*Y - p*X <= L.  A hull without caps compares equal to
+    its plain vertex list.
     """
-    ends = [(pt.X, pt.Y) for piece in boundary.pieces for pt in (piece.start, piece.end)]
-    s = np.array([(a.start.X, a.start.Y) for a in boundary.arcs]).reshape(-1, 1, 2)
-    e = np.array([(a.end.X, a.end.Y) for a in boundary.arcs]).reshape(-1, 1, 2)
-    X, Y = np.concatenate([ends, (s + _HULL_ARC_U[:, None] * (e - s)).reshape(-1, 2)]).T
-    xs, ys = _exp_all(X.tolist()), _exp_all(Y.tolist())
-    pts = list(zip(xs, ys))
-    inner = _monotone_chain(pts[:len(ends)])
-    if len(inner) >= 3 and max(np.abs(X).max(), np.abs(Y).max()) < _HULL_FILTER_LOG:
-        hx, hy = np.array(inner).T
-        a = (np.roll(hx, -1) - hx) * (np.array(ys)[:, None] - hy)
-        b = (np.roll(hy, -1) - hy) * (np.array(xs)[:, None] - hx)
-        strict = (a - b > _HULL_MARGIN * (np.abs(a) + np.abs(b))).all(axis=1)
-        pts = list(itertools.compress(pts, (~strict).tolist()))
-    return _monotone_chain(pts)
+
+    def __init__(self, vertices, caps: dict):
+        super().__init__(vertices)
+        self.caps = caps
+
+
+_CAP_TOL = 1e-12  # relative margin by which an arc must clear a hull vertex's line
+
+
+class _HullArc:
+    """An arc as conv_hull reads it: the log-space segment between its ends,
+    on the line Y = r*X + L.
+
+    r is the segment's slope, p/q up to the rounding of the ends, and the
+    x-space curve y = e^L * x^r has tangent slope r*y/x.  Its point of
+    tangent slope r*e^nu is the closed form Y - X = nu on that line.  The
+    arc spans nu0 <= nu <= nu1, with the ends end0 and end1 (log
+    coordinates).  sigma is +1 if the arc is convex in x-space (r < 0 or
+    r > 1), so that only the lower hull chain can meet it, and -1 if it is
+    concave and only the upper chain can.
+    """
+
+    __slots__ = ("r", "log_r", "nu0", "nu1", "end0", "end1", "sigma")
+
+    def __init__(self, nu0: float, end0: tuple, nu1: float, end1: tuple, r: float):
+        self.r, self.log_r, self.sigma = r, math.log(abs(r)), 1 if r < 0.0 or r > 1.0 else -1
+        self.nu0, self.end0, self.nu1, self.end1 = nu0, end0, nu1, end1
+
+    @staticmethod
+    def of(arc: Arc):
+        """The arc's _HullArc; None for an arc straight in x-space (p = q)
+        or one too short to have a slope."""
+        (nu0, *end0), (nu1, *end1) = sorted((pt.Y - pt.X, pt.X, pt.Y) for pt in (arc.start, arc.end))
+        dX = end1[0] - end0[0]
+        r = (end1[1] - end0[1]) / dX if dX else 0.0
+        if arc.gen.p == arc.gen.q or r * (r - 1.0) == 0.0:
+            return None
+        return _HullArc(nu0, tuple(end0), nu1, tuple(end1), r)
+
+    @property
+    def cap(self) -> tuple:
+        """(p, q, L) of the line, signed so that the hull side is q*Y - p*X <= L."""
+        X, Y = self.end0
+        return (-self.sigma * self.r, float(-self.sigma), -self.sigma * (Y - self.r * X))
+
+    def nu(self, slope: tuple) -> float:
+        """nu of the open arc's tangent of a slope given as (sign, log|slope|);
+        nan if it has none."""
+        nu = self.clamp(slope)
+        return nu if self.nu0 < nu < self.nu1 else math.nan
+
+    def clamp(self, slope: tuple) -> float:
+        """nu of the arc's tangent of that slope, or of the end whose
+        tangent slope is nearest to it: the end nearer to slope 0 when the
+        signs differ."""
+        sign, lam = slope
+        return min(max(lam - self.log_r, self.nu0), self.nu1) if sign * self.r > 0.0 else self.nu0
+
+    def point(self, nu: float) -> tuple:
+        """Log coordinates (X, Y) of the arc's point at nu, from its nearer
+        end: the ends themselves at nu0 and nu1."""
+        if nu == self.nu0:
+            return self.end0
+        if nu == self.nu1:
+            return self.end1
+        (X, Y), base = (self.end0, self.nu0) if nu - self.nu0 < self.nu1 - nu else (self.end1, self.nu1)
+        dX = (nu - base) / (self.r - 1.0)
+        return (X + dX, Y + self.r * dX)
+
+    def slope_at(self, v) -> tuple:
+        """Tangent slope (sign, log|slope|) of the arc's curve at the hull
+        vertex v."""
+        return (math.copysign(1.0, self.r), v[3] - v[2] + self.log_r)
+
+    def beyond(self, X: float, Y: float, nu: float) -> float:
+        """Negative where the point (X, Y) lies strictly on the hull side of
+        the arc's tangent at nu, that is where that tangent line leaves the
+        point out of the hull chain.
+
+        The value is sigma * G, G = (y_T - y - m*(x_T - x)) / y_T at the
+        tangent point T and its slope m: (1 - r) - e^(Y - Y_T) + r*e^(X - X_T),
+        scaled by the largest exponential so that nothing overflows.  It
+        reads 0 within _CAP_TOL of the size of its terms.
+        """
+        tX, tY = self.point(nu)
+        dx, dy = X - tX, Y - tY
+        top = max(0.0, dx, dy)
+        a, b, c = (1.0 - self.r) * math.exp(-top), math.exp(dy - top), self.r * math.exp(dx - top)
+        g = a - b + c
+        return 0.0 if abs(g) <= _CAP_TOL * (abs(a) + b + abs(c)) else self.sigma * g
+
+    def beats(self, v, slope: tuple) -> bool:
+        """Does the arc's tangent of that slope leave the hull vertex v out?"""
+        nu = self.nu(slope)
+        return nu == nu and self.beyond(v[2], v[3], nu) < 0.0
+
+
+def _root(f, a: float, b: float) -> float:
+    """A zero of f between a and b, where f(a) >= 0 > f(b) (Illinois).
+
+    If f(a) <= 0, a is returned.  Every third step bisects, so the
+    bracket at least halves in three steps; the search stops at adjacent
+    floats and returns the end whose |f| is smaller.
+    """
+    fa, fb = f(a), f(b)
+    if fa <= 0.0:
+        return a
+    side = 0
+    for step in itertools.count():
+        c = 0.5 * (a + b) if step % 3 == 2 or fa == fb else (a * fb - b * fa) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            return a if abs(fa) <= abs(fb) else b
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if fc > 0.0:
+            a, fa = c, fc
+            if side > 0:
+                fb *= 0.5
+            side = 1
+        else:
+            b, fb = c, fc
+            if side < 0:
+                fa *= 0.5
+            side = -1
+
+
+def _vertex(X: float, Y: float) -> tuple:
+    """A hull chain vertex (x, y, X, Y)."""
+    return (*_exp_all([X, Y]), X, Y)
+
+
+def _edge_slope(u, v) -> tuple:
+    """x-space slope (sign, log|slope|) of a chain edge, from the float
+    differences of its ends, so that no slope overflows; vertical edges
+    (only the last edge of either CCW chain can be one) read +inf."""
+    dx, dy = v[0] - u[0], v[1] - u[1]
+    if not dx:
+        return (1.0, math.inf)
+    if not dy:
+        return (1.0, -math.inf)
+    return (math.copysign(1.0, dx * dy), math.log(abs(dy)) - math.log(abs(dx)))
+
+
+def _bridge(chain: list, owner: list, arc: _HullArc, k: int, slope: tuple, step: int):
+    """The bridge between the hull chain and arc, found walking from
+    chain[k] by step (-1 toward the chain's start, +1 toward its end).
+
+    The arc's tangent of the given slope leaves chain[k] out of the hull.
+    Each vertex the tangents leave out is passed; the walk stops at the
+    first one v with an outer slope (of its straight edge, or of the cap
+    ending at it, on the far side) whose tangent keeps it.  The bridge is
+    then the arc's tangent through v, a root of beyond along nu; or, when
+    the tangent through v would cut the cap ending at v, the common
+    tangent of the arc and that cap, whose point on the cap replaces v.
+    Returns (k, log point of the bridge on the arc).
+    """
+    while True:
+        n = k + step
+        v, cap = chain[k], None
+        if 0 <= n < len(chain):
+            cap = owner[min(k, n)]
+            out = cap.slope_at(v) if cap else _edge_slope(chain[min(k, n)], chain[max(k, n)])
+        else:
+            out = (step, math.inf)
+        if not arc.beats(v, out):
+            nu = _root(lambda nu: arc.beyond(v[2], v[3], nu), arc.clamp(out), arc.nu(slope))
+            return k, arc.point(nu)
+        if cap is None:
+            k, slope = n, out
+            continue
+        far = cap.slope_at(chain[n])
+        if arc.beats(chain[n], far):  # the whole cap is left out
+            k, slope = n, far
+            continue
+        shift = math.log(arc.r / cap.r)  # the cap's nu at the arc's nu, at equal slopes
+        lo, hi = sorted((v[3] - v[2], chain[n][3] - chain[n][2]))
+
+        def on_cap(nu):
+            return cap.point(min(max(nu + shift, lo), hi))
+
+        nu = _root(lambda nu: arc.beyond(*on_cap(nu), nu), arc.clamp(far), arc.nu(out))
+        chain[k] = _vertex(*on_cap(nu))
+        return k, arc.point(nu)
+
+
+def _add_cap(chain: list, owner: list, arc: _HullArc) -> None:
+    """Splice arc into one CCW hull chain, in place.
+
+    chain holds vertices (x, y, X, Y) and owner[k] the _HullArc of the cap
+    from chain[k] to chain[k + 1], or None for a straight edge; along the
+    chain the edge slopes increase, and so do the arc's tangent slopes.
+    The arc clears a straight edge when its tangent parallel to the edge
+    leaves the nearer end of the edge out.  From each edge it clears,
+    _bridge walks both ways to the bridges, and the cap between them
+    replaces every vertex the walks passed.
+    """
+    k = len(chain) - 2
+    while k >= 0:
+        slope = _edge_slope(chain[k], chain[k + 1])
+        nu = arc.nu(slope) if owner[k] is None else math.nan
+        X = arc.point(nu)[0] if nu == nu else math.nan
+        if nu == nu and arc.beats(min(chain[k], chain[k + 1], key=lambda v: abs(v[2] - X)), slope):
+            i, start = _bridge(chain, owner, arc, k, slope, -1)
+            j, end = _bridge(chain, owner, arc, k + 1, slope, 1)
+            # The path chain[i], start, end, chain[j], with the cap from
+            # start to end, less the points that coincide with a neighbour.
+            kept = [0, *(m for m, new in ((1, start != chain[i][2:]),
+                                          (2, end not in (start, chain[j][2:]))) if new), 3]
+            ends = {0: chain[i], 1: start, 2: end, 3: chain[j]}
+            chain[i:j + 1] = [ends[m] if m in (0, 3) else _vertex(*ends[m]) for m in kept]
+            owner[i:j] = [arc if a <= 1 < 2 <= b and start != end else None
+                          for a, b in zip(kept, kept[1:])]
+            k = i
+        k -= 1
+
+
+def conv_hull(boundary: RegionBoundary) -> Hull:
+    """Convex hull of the boundary in x-space: a Hull, CCW from the lowest
+    of its leftmost vertices.
+
+    Segments are straight in x-space, so the piece endpoints give the
+    polygon: Andrew's monotone chain, each turn sign-exact by _orient.  An
+    arc y^q = h*x^p is convex or concave in x-space, so it can bulge past
+    that polygon only on one chain, the lower or the upper.  Each arc that
+    does is spliced in as a cap, its piece between two tangent points on
+    it: a tangent from a hull vertex, or a common tangent with a cap
+    already spliced in.  Each is a root along the arc's tangent slope,
+    whose tangent point has a closed form in log space.  A (1,1) arc
+    (p = q) is straight in x-space and never a cap.  MonomialOverflow if a
+    vertex lies beyond the float range.
+    """
+    logs = dict.fromkeys((pt.X, pt.Y) for piece in boundary.pieces
+                         for pt in (piece.start, piece.end))
+    X, Y = zip(*logs)
+    hull = _monotone_chain(list(zip(_exp_all(list(X)), _exp_all(list(Y)), X, Y)))
+    r = hull.index(max(hull))  # the highest rightmost vertex ends the lower chain
+    chains = {1: hull[:r + 1], -1: hull[r:] + hull[:1]}
+    owners = {side: [None] * (len(chain) - 1) for side, chain in chains.items()}
+    for h in filter(None, map(_HullArc.of, boundary.arcs)):
+        _add_cap(chains[h.sigma], owners[h.sigma], h)
+    vertices, caps = [], {}
+    for side in (1, -1):
+        for k, arc in enumerate(owners[side]):
+            if arc is not None:
+                caps[len(vertices) + k] = arc.cap
+        vertices += [v[:2] for v in chains[side][:-1]]
+    return Hull(vertices, caps)
 
 
 def hull_contains(hull: list[tuple[float, float]], point,
                   rel_tol: float = 1e-9) -> bool:
-    """Point-in-convex-polygon with a relative tolerance on each edge."""
+    """Is the point in the convex hull, to a relative tolerance on each edge?
+
+    hull is conv_hull's Hull or a plain CCW vertex list.  A straight edge
+    from a to b keeps the point when (b - a) x (pt - a) is at least
+    -rel_tol * |b - a| * |pt - a|.  A cap keeps it too when it is beyond
+    the chord but on the hull side of the cap's curve q*Y - p*X = L, to a
+    log distance rel_tol: beyond the chord, that side is the cap's lens.
+    A negative rel_tol asks for strict interior points.
+    """
     pt = as_log(point)
     px, py = _exp_all([pt.X, pt.Y])
     m = len(hull)
@@ -1035,20 +1285,28 @@ def hull_contains(hull: list[tuple[float, float]], point,
         return False
     if m == 1:
         return math.isclose(px, hull[0][0], rel_tol=1e-9) and math.isclose(py, hull[0][1], rel_tol=1e-9)
+    caps = getattr(hull, "caps", {})
     for k in range(m):
-        ax, ay = hull[k]
-        bx, by = hull[(k + 1) % m]
-        ex, ey = bx - ax, by - ay
-        dx, dy = px - ax, py - ay
-        cross = ex * dy - ey * dx
-        scale = math.hypot(ex, ey) * (math.hypot(dx, dy) + 1e-300)
-        if cross < -rel_tol * scale:
-            return False
+        if _edge_margin(hull[k], hull[(k + 1) % m], px, py, rel_tol) < 0.0:
+            cap = caps.get(k)
+            if cap is None:
+                return False
+            p, q, L = cap
+            if q * pt.Y - p * pt.X - L > rel_tol * math.hypot(p, q):
+                return False
     return True
 
 
+def _edge_margin(a, b, px: float, py: float, rel_tol: float) -> float:
+    """(b - a) x (p - a) + rel_tol * |b - a| * |p - a|: negative where the
+    straight edge from a to b leaves the point p out."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    dx, dy = px - a[0], py - a[1]
+    return ex * dy - ey * dx + rel_tol * math.hypot(ex, ey) * (math.hypot(dx, dy) + 1e-300)
+
+
 @functools.lru_cache(maxsize=4096)
-def _hull(fan: Fan, delta: float) -> list[tuple[float, float]]:
+def _hull(fan: Fan, delta: float) -> Hull:
     """Hull of the region at delta, shared by the probes of every phi_level query."""
     return conv_hull(construct_region(fan, delta, validate=False))
 
@@ -1057,23 +1315,55 @@ def _level_measure(hull: list[tuple[float, float]], pt: LogPoint) -> float:
     """Signed measure of pt against the hull, read only to place phi_level's probes.
 
     The log-space ray from the origin (x-space (1,1), inside every region)
-    through pt leaves the polygon of the hull's vertices, taken to log
-    coordinates, at t * pt; the measure is log t, positive when pt lies
-    inside that polygon.  An edge counts as met within 1e-9 of its ends, so
-    a ray through a vertex meets it despite rounding.  NaN when a vertex is
-    at 0.0 or no edge meets the ray.
+    through pt leaves the hull at t * pt; the measure is log t, positive
+    when pt lies inside.  The exit edge is the one whose log-space chord
+    the ray leaves through, counting an edge as met within 1e-9 of its
+    ends.  Through a vertex, t is the chord's.  On a cap the chord is the
+    cap itself, and t is where the ray meets the cap's line moved out by
+    hull_contains' log distance 1e-9.  On a straight edge t is the first
+    root along the ray of the margins (_edge_margin at hull_contains'
+    default rel_tol) of that edge and of the straight edges next to it.
+    So the measure's zero is where hull_contains flips.  NaN when a vertex
+    is at 0.0 or no edge meets the ray.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xy = np.fromiter(itertools.chain.from_iterable(hull), float, 2 * len(hull))
-        v = np.log(xy).reshape(-1, 2)
-        e = np.roll(v, -1, axis=0) - v
-        den = pt.X * e[:, 1] - pt.Y * e[:, 0]
-        t = (v[:, 0] * e[:, 1] - v[:, 1] * e[:, 0]) / den
-        s = (v[:, 0] * pt.Y - v[:, 1] * pt.X) / den
-    hit = (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t > 0.0)
-    if not np.isfinite(v).all() or not hit.any():
+    if not all(x > 0.0 and y > 0.0 for x, y in hull):
         return math.nan
-    return math.log(t[hit].max())
+    m = len(hull)
+    v = [(math.log(x), math.log(y)) for x, y in hull]
+    t, k, at = 0.0, None, 0.0
+    for j, (ax, ay) in enumerate(v):
+        bx, by = v[(j + 1) % m]
+        ex, ey = bx - ax, by - ay
+        den = pt.X * ey - pt.Y * ex
+        if den:
+            tj = (ax * ey - ay * ex) / den
+            s = (ax * pt.Y - ay * pt.X) / den
+            if -1e-9 <= s <= 1.0 + 1e-9 and tj > t:
+                t, k, at = tj, j, s
+    if k is None:
+        return math.nan
+    caps = getattr(hull, "caps", {})
+    if 1e-9 < at < 1.0 - 1e-9 and k in caps:
+        p, q, L = caps[k]
+        t = (L + 1e-9 * math.hypot(p, q)) / (q * pt.Y - p * pt.X)
+    elif 1e-9 < at < 1.0 - 1e-9:
+        far, exits = 700.0 / max(abs(pt.X), abs(pt.Y)), []  # exp(far * |X|) stays finite
+        for j in (k - 1, k, k + 1):
+            if j % m not in caps:
+                a, b = hull[j % m], hull[(j + 1) % m]
+
+                def margin(u):
+                    if u >= far:
+                        return -1.0
+                    return _edge_margin(a, b, math.exp(u * pt.X), math.exp(u * pt.Y), 1e-9)
+
+                out = t
+                while margin(out) >= 0.0 and out < far:
+                    out *= 2.0
+                if out < far:
+                    exits.append(_root(margin, 0.0, out))
+        t = min(exits, default=t)
+    return math.log(t) if t > 0.0 else math.nan
 
 
 _LEVEL_TOL = 1e-9  # phi_level stops once its delta bracket is at most this wide
@@ -1092,10 +1382,14 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     point is beyond the float range.
 
     hull_contains decides every bracket update; _level_measure only places
-    the next probe.  That measure is log(delta / level) when the point lies
-    on the ray of a hull vertex, so the probe is its secant point in
-    log delta, exp((log lo * m_hi - log hi * m_lo) / (m_hi - m_lo)): the
-    level itself on such a point.  The secant point is checked against
+    the next probe.  Its zero is where hull_contains flips on the hull's
+    vertices and caps, and it is log(delta / level) when the point lies on
+    the ray of a hull vertex, so the probe is its secant point in log
+    delta, exp((log lo * m_hi - log hi * m_lo) / (m_hi - m_lo)): the level
+    itself on such a point.  As in the Illinois method, the end that a
+    probe leaves in place has its measure halved, unless the probe before
+    moved that end, so that the secant reaches past the level and the
+    bracket closes from both sides.  The secant point is checked against
     [log lo, log hi] before exp, so it cannot overflow, and kept
     _LEVEL_TOL / 2 inside the bracket.  A bisection step replaces it when
     it is not finite or outside the bracket.  Either probe is then
@@ -1126,6 +1420,7 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
     # delta_hi, so reach starts short of _LEVEL_TOL * 2^n by n + 1 ulps.
     n = math.ceil(math.log2(band / _LEVEL_TOL))
     reach = (_LEVEL_TOL - (n + 1) * math.ulp(delta_hi)) * 2.0 ** n
+    moved = 0  # the end the last probe moved: 1 for hi, -1 for lo
     while True:
         log_lo, log_hi = math.log(lo), math.log(hi)
         s = (log_lo * m_hi - log_hi * m_lo) / (m_hi - m_lo) if m_hi != m_lo else math.nan
@@ -1145,8 +1440,12 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
             return 0.5 * (lo + hi)
         if inside:
             m_hi = _level_measure(hull, pt)
+            m_lo *= 0.5 if moved != -1 else 1.0
+            moved = 1
         else:
             m_lo = _level_measure(hull, pt)
+            m_hi *= 0.5 if moved != 1 else 1.0
+            moved = -1
 
 
 # ---------------------------------------------------------------------------

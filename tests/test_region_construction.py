@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,14 +24,15 @@ from toric_regions.fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
+    delta_i,
     normalize_generator,
     r_count,
     strip_coordinate,
 )
 from toric_regions.region_construction import (
+    Hull,
     _ARC_SAMPLES,
     _EXP_SAFE,
-    _HULL_ARC_SAMPLES,
     _LEVEL_TOL,
     _VALIDATION_SAMPLES,
     Arc,
@@ -557,6 +559,30 @@ class TestSpecialCases:
         with pytest.raises(UnsupportedFan):
             construct_region(Fan([(2, 1), (-1, 1)]), 3.0)
 
+    def test_closure_inside_two_axis_strips_is_unsupported(self):
+        # No atlas fan reaches it: the terminal curves of (1,2) and (2,1),
+        # both on their + side, meet at delta*(-sqrt5/3, sqrt5/3), inside the
+        # strips of both axes, so no single axis-parallel join can close.
+        fan = Fan([(-1, 1), (1, 2), (2, 1), (1, 0), (0, 1)])
+        strips = {(r.gen.p, r.gen.q): r for r in fan.regions(3.0)}
+        ends = [Segment(LogPoint(0.0, 0.0), LogPoint(0.0, 0.0), strips[g].gen, strips[g].index, 1, 1)
+                for g in ((1, 2), (2, 1))]
+        with pytest.raises(UnsupportedFan, match="closure point inside two axis strips"):
+            region_construction._close_side(*ends, fan, 3.0)
+
+    def test_slope_chain_signs(self, worked_region):
+        # In standard mode chain 2 (I2 reversed, then I3) must fall and
+        # chain 3 rise; no atlas fan breaks either, so an I3 segment on
+        # (-1,1), whose slope 1 is positive, stands in for one that would.
+        check = region_construction._slope_chain_check
+        assert check(worked_region) == {"passed": True, "worst": 0.0, "detail": "strict order"}
+        polylines = dict(worked_region.polylines)
+        rising = next(s for s in worked_region.pieces if isinstance(s, Segment)
+                      and s.slope is not None and s.slope > 0)
+        polylines["I3"] = polylines["I3"] + [rising]
+        out = check(SimpleNamespace(polylines=polylines, mode="standard"))
+        assert out == {"passed": False, "worst": 1.0, "detail": "chain 2 has a nonnegative slope"}
+
     def test_small_delta_rejected(self):
         with pytest.raises(DeltaTooSmall):
             construct_region(Fan(WORKED_GENS), 0.05)
@@ -969,18 +995,42 @@ class TestRegionContainsBatch:
         assert region_contains_batch(worked_region, np.empty(0), np.empty(0), np.empty(0)) == []
 
 
+_ORACLE_ARC_SAMPLES = 4096
+
+
 def _sampled_hull(boundary):
-    """conv_hull as first written: every arc sampled at its log-space mix
-    s + u*(e - s) and the monotone chain run on every point."""
-    pts = []
+    """The hull's oracle: the monotone chain on every piece endpoint and on
+    every arc sampled at its log-space mix s + u*(e - s), u = k/4096.
+    Returns the log coordinates of its vertices, so that coordinates that
+    underflow in x-space keep their value."""
+    pts = {}
     for piece in boundary.pieces:
-        for anchor in (piece.start, piece.end):
-            pts.append((math.exp(anchor.X), math.exp(anchor.Y)))
+        us = [0.0, 1.0]
         if isinstance(piece, Arc):
-            for k in range(1, _HULL_ARC_SAMPLES):
-                lp = _point_at_reference(piece, k / _HULL_ARC_SAMPLES)
-                pts.append((math.exp(lp.X), math.exp(lp.Y)))
-    return _monotone_chain(pts)
+            us += [k / _ORACLE_ARC_SAMPLES for k in range(1, _ORACLE_ARC_SAMPLES)]
+        for u in us:
+            lp = _point_at_reference(piece, u) if 0.0 < u < 1.0 else (piece.start, piece.end)[int(u)]
+            pts[(math.exp(lp.X), math.exp(lp.Y))] = lp
+    return [pts[v] for v in _monotone_chain(list(pts))]
+
+
+def _fraction_chain(pts):
+    """Andrew's monotone chain with every cross product exact."""
+    pts = sorted(set(pts))
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = (tuple(map(Fraction, q)) for q in chain[-2:])
+                bx, by = map(Fraction, p)
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
 
 
 def _bisect_level(pt, fan, delta_lo, delta_hi):
@@ -1041,8 +1091,10 @@ class TestHullAndPhi:
         assert _monotone_chain([(1.0, 2.0), (1.0, 2.0)]) == [(1.0, 2.0)]
         assert _monotone_chain([(3.0, 1.0), (1.0, 2.0), (3.0, 1.0)]) == [(1.0, 2.0), (3.0, 1.0)]
 
-    def test_hull_matches_sampled_reference(self, monkeypatch):
-        # The level-band fans and the level census fan across the band.
+    def test_hull_matches_sampled_reference(self):
+        # The exact hull against the hull of 4,096 samples per arc: every
+        # sampled vertex lies in it, and every vertex of it is a piece
+        # endpoint or a point of an arc, the ends of the caps among them.
         band = [3.0 + k / 7 for k in range(8)]
         cases = [(gens, d) for gens in ([(-1, 1), (1, 2), (2, 1)],
                                         [(-1, 1), (1, 2), (2, 1), (1, 0)],
@@ -1051,7 +1103,7 @@ class TestHullAndPhi:
                                         [(-2, 1), (-3, 1), (-3, 2)])
                  for d in band]
         cases += [
-            ([(-1, 1), (1, 2), (2, 1), (1, 3)], 1.0),  # 50 vertices, 10 from endpoints
+            ([(-1, 1), (1, 2), (2, 1), (1, 3)], 1.0),  # 650 sampled vertices, 10 from endpoints
             ([(-1, 1), (1, 2), (1, 1)], 1.0),  # an arc on (1,1), straight in x-space
             ([(-1, 1), (1, 2), (2, 1), (1, 0)], 1.0),  # an axis join
             ([(-1, 1), (1, 2), (3, 1)], 100.0),  # coordinates down to 1e-281
@@ -1059,19 +1111,48 @@ class TestHullAndPhi:
         for gens, delta in cases:
             region = construct_region(Fan(gens), delta, validate=False)
             hull = conv_hull(region)
-            assert hull == _sampled_hull(region), (gens, delta)
             assert all(type(c) is float for pt in hull for c in pt)
-        # The chain runs on the piece endpoints, then on the points outside
-        # their hull.
+            for lp in _sampled_hull(region):
+                assert hull_contains(hull, lp, rel_tol=1e-12), (gens, delta, lp)
+            ends = {(math.exp(pt.X), math.exp(pt.Y))
+                    for piece in region.pieces for pt in (piece.start, piece.end)}
+            on_caps = {hull[(k + i) % len(hull)] for k in hull.caps for i in (0, 1)}
+            for x, y in hull:
+                if (x, y) in ends:
+                    continue
+                assert (x, y) in on_caps, (gens, delta, (x, y))
+                lp = LogPoint(math.log(x), math.log(y))
+                assert min(arc.band_distance(lp) / (1.0 + delta_i(arc.gen, delta))
+                           for arc in region.arcs) <= 1e-12, (gens, delta, lp)
+            for k in range(len(hull)):  # strictly convex, by exact turns
+                assert region_construction._orient(*(hull[(k + i) % len(hull)] for i in range(3))) > 0
+
+    def test_hull_splices_arcs_as_caps(self):
+        # An arc that bulges past the polygon of the piece endpoints is one
+        # cap on its curve, not a run of samples: the sampled hull has 650
+        # vertices here (50 at 256 samples per arc).
         region = construct_region(Fan([(-1, 1), (1, 2), (2, 1), (1, 3)]), 1.0, validate=False)
         ends = [(math.exp(pt.X), math.exp(pt.Y))
                 for piece in region.pieces for pt in (piece.start, piece.end)]
-        sizes = []
-        monkeypatch.setattr(region_construction, "_monotone_chain",
-                            lambda pts: sizes.append(len(pts)) or _monotone_chain(pts))
-        assert len(conv_hull(region)) == 50 and len(_monotone_chain(ends)) == 10
-        total = len(ends) + len(region.arcs) * (_HULL_ARC_SAMPLES - 1)
-        assert sizes[0] == len(ends) and 50 <= sizes[1] < total
+        hull = conv_hull(region)
+        assert len(_monotone_chain(ends)) == 10 and len(_sampled_hull(region)) == 650
+        assert len(hull.caps) == 1 and len(hull) <= 10 + 2 * len(hull.caps)
+        for k, (p, q, L) in hull.caps.items():
+            for x, y in (hull[k], hull[(k + 1) % len(hull)]):
+                assert abs(q * math.log(y) - p * math.log(x) - L) <= 1e-12 * (1.0 + abs(L))
+        # A hull without caps is its plain vertex list.
+        assert hull_contains(list(hull), LogPoint(0.0, 0.0))
+        assert Hull([(1.0, 2.0), (3.0, 1.0)], {}) == [(1.0, 2.0), (3.0, 1.0)]
+
+    def test_endpoint_chain_is_exact(self):
+        # At delta = 100 this region's coordinates reach down to 1e-281,
+        # where float cross products underflow; the chain still matches one
+        # taken with exact Fraction cross products on the same floats.
+        region = construct_region(Fan([(-1, 1), (1, 2), (3, 1)]), 100.0, validate=False)
+        ends = list({(math.exp(pt.X), math.exp(pt.Y))
+                     for piece in region.pieces for pt in (piece.start, piece.end)})
+        assert _monotone_chain(ends) == _fraction_chain(ends)
+        assert len(_monotone_chain(ends)) >= 7
 
     def test_hull_nesting(self):
         fan = Fan(WORKED_GENS)
@@ -1140,6 +1221,27 @@ class TestHullAndPhi:
             phi = phi_level(pt, fan, 3.0, 4.0)
             assert len(hull_requests) <= 32
             assert 3.0 <= phi <= 4.0
+
+    @pytest.mark.parametrize("gens", [WORKED_GENS, [(1, 2), (2, 1), (1, 1)], [(-1, 2), (-2, 1)]])
+    def test_edge_midpoints_make_few_hull_requests(self, gens, hull_requests):
+        # Off every vertex ray: the midpoints of the hull's edges at 3.5.  The
+        # measure's zero is where hull_contains flips, so the secant and the
+        # Illinois step find it in a few probes (33 requests each before).
+        # Two worked-fan midpoints sit on a small coordinate that
+        # hull_contains' tolerance swallows: hull(3.31...) and hull(3.5)
+        # both hold them, and they make 12.
+        fan = Fan(gens)
+        hull = conv_hull(construct_region(fan, 3.5, validate=False))
+        for k in range(len(hull)):
+            (ax, ay), (bx, by) = hull[k], hull[(k + 1) % len(hull)]
+            pt = PosPoint(0.5 * (ax + bx), 0.5 * (ay + by))
+            hull_requests.clear()
+            _hull.cache_clear()
+            phi = phi_level(pt, fan, 3.0, 4.0)
+            on_edge = not hull_contains(hull, pt, rel_tol=-1e-9)
+            assert len(hull_requests) <= (12 if on_edge and phi < 3.5 - 1e-6 else 10), (k, phi)
+            assert hull_contains(_hull(fan, phi + 1e-9), pt)
+            assert not hull_contains(_hull(fan, phi - 1e-9), pt, rel_tol=-1e-9)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_measure_bisects(self, value, hull_requests, monkeypatch):

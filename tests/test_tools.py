@@ -158,7 +158,13 @@ def test_level_outcomes_records(monkeypatch):
     hull = rc.conv_hull(rc.construct_region(fg.Fan(gens), 3.5, validate=False))
     assert tool.hull_record(gens, 3.5, toric_regions) == {
         "gens": [[-1, 1], [1, 2], [2, 1]], "delta": 3.5, "vertices": len(hull),
-        "hull": tool.hull_digest(hull)}
+        "caps": len(hull.caps), "hull": tool.hull_digest(hull)}
+    # The digest covers the caps: the all-negative fan's hull has two, and
+    # dropping them changes it.
+    hull = rc.conv_hull(rc.construct_region(fg.Fan([(-1, 2), (-2, 1)]), 3.5, validate=False))
+    rec = tool.hull_record([(-1, 2), (-2, 1)], 3.5, toric_regions)
+    assert (rec["vertices"], rec["caps"]) == (len(hull), 2) and rec["hull"] == tool.hull_digest(hull)
+    assert tool.hull_digest(list(hull)) != rec["hull"]
     # A level outside the band is a documented rejection.
     out = tool.level_record(gens, "fan", 5.0, toric_regions, workloads)
     assert out["phi"] == "OutOfBand" and out["probes"] == 1

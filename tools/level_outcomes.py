@@ -13,10 +13,10 @@ where n counts the query's ``_hull`` requests.  The hull cache is cleared
 before each query, so n does not depend on query order.  It prints one
 line per fan and delta = 3, 3.5 and 4
 
-    {"gens": [[p, q], ...], "delta": d, "vertices": n, "hull": <digest>}
+    {"gens": [[p, q], ...], "delta": d, "vertices": n, "caps": c, "hull": <digest>}
 
-where the digest is a sha256 of ``conv_hull`` of the region built with
-``validate=False``, bit for bit.  An error is the class name of a package
+for ``conv_hull`` of the region built with ``validate=False``: n vertices,
+c of its edges caps, and a sha256 of its vertices and caps, bit for bit.  An error is the class name of a package
 error, or "bare:<class>" for an exception that is not one.  ``bench/`` is
 only read.
 
@@ -54,10 +54,12 @@ def _error(exc: Exception, package) -> str:
 
 
 def hull_digest(hull) -> str:
-    """Short hash of a hull's vertex list, bit for bit."""
+    """Short hash of a hull's vertices and caps, bit for bit."""
     h = hashlib.sha256()
     for x, y in hull:
         h.update(f"{x.hex()} {y.hex()};".encode())
+    for k, cap in sorted(getattr(hull, "caps", {}).items()):
+        h.update(f"{k}:{' '.join(float(c).hex() for c in cap)};".encode())
     return h.hexdigest()[:16]
 
 
@@ -84,11 +86,11 @@ def hull_record(gens, delta: float, package) -> dict:
     rc, fg = package.region_construction, package.fan_geometry
     try:
         hull = rc.conv_hull(rc.construct_region(fg.Fan(gens), delta, validate=False))
-        vertices, digest = len(hull), hull_digest(hull)
+        vertices, caps, digest = len(hull), len(getattr(hull, "caps", {})), hull_digest(hull)
     except Exception as exc:
-        vertices, digest = None, _error(exc, package)
+        vertices, caps, digest = None, None, _error(exc, package)
     return {"gens": [list(g) for g in gens], "delta": delta, "vertices": vertices,
-            "hull": digest}
+            "caps": caps, "hull": digest}
 
 
 def records(package, workloads):
