@@ -961,20 +961,14 @@ def _orient(o, a, b):
 
     The float value is returned when it clears Shewchuk's forward error
     bound (Discrete Comput. Geom. 18, 1997) by more than _ORIENT_ABS, which
-    covers products that underflow.  Otherwise the signs of the two
-    products, exact from the signs of the float differences, decide when
-    they differ; only products of equal sign go to the exact Fraction of
-    the same floats.
+    covers products that underflow.  Otherwise it is the exact Fraction
+    cross product of the same floats.
     """
     ax, ay, bx, by = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
     left, right = ax * by, ay * bx
     det = left - right
     if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)) + _ORIENT_ABS:
         return det
-    sl = (ax > 0.0) - (ax < 0.0) if by > 0.0 else (ax < 0.0) - (ax > 0.0) if by < 0.0 else 0
-    sr = (ay > 0.0) - (ay < 0.0) if bx > 0.0 else (ay < 0.0) - (ay > 0.0) if bx < 0.0 else 0
-    if sl != sr or not sl:
-        return sl - sr
     ox, oy = Fraction(o[0]), Fraction(o[1])
     return ((Fraction(a[0]) - ox) * (Fraction(b[1]) - oy)
             - (Fraction(a[1]) - oy) * (Fraction(b[0]) - ox))
@@ -1014,13 +1008,21 @@ class Hull(list):
 
     caps maps k to (p, q, L) when the edge from vertex k to the next is not
     straight but a piece of the curve q*Y - p*X = L, signed so that the hull
-    lies on the side q*Y - p*X <= L.  A hull without caps compares equal to
-    its plain vertex list.
+    lies on the side q*Y - p*X <= L.  Two hulls are equal when their
+    vertices and caps are; a hull without caps also equals its plain vertex
+    list.  A slice or list() copy is a plain list and drops the caps, so
+    hull_contains reads every edge of it as straight.
     """
 
     def __init__(self, vertices, caps: dict):
         super().__init__(vertices)
         self.caps = caps
+
+    def __eq__(self, other):
+        return list.__eq__(self, other) is True and getattr(other, "caps", {}) == self.caps
+
+    def __ne__(self, other):
+        return not self == other
 
 
 _CAP_TOL = 1e-12  # relative margin by which an arc must clear a hull vertex's line

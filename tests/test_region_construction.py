@@ -1140,9 +1140,12 @@ class TestHullAndPhi:
         for k, (p, q, L) in hull.caps.items():
             for x, y in (hull[k], hull[(k + 1) % len(hull)]):
                 assert abs(q * math.log(y) - p * math.log(x) - L) <= 1e-12 * (1.0 + abs(L))
-        # A hull without caps is its plain vertex list.
+        # A hull without caps is its plain vertex list; one with caps is
+        # not, nor is a hull on the same vertices with other caps.
         assert hull_contains(list(hull), LogPoint(0.0, 0.0))
         assert Hull([(1.0, 2.0), (3.0, 1.0)], {}) == [(1.0, 2.0), (3.0, 1.0)]
+        assert hull != list(hull) and list(hull) != hull
+        assert hull != Hull(hull, {}) and hull == Hull(hull, dict(hull.caps))
 
     def test_endpoint_chain_is_exact(self):
         # At delta = 100 this region's coordinates reach down to 1e-281,
