@@ -202,11 +202,6 @@ def compute_slope_classes(fan: Fan) -> SlopeClasses:
 # Boundary pieces
 
 
-def _ends(pieces) -> np.ndarray:
-    """One row (start.X, start.Y, end.X, end.Y) per piece."""
-    return np.array([(p.start.X, p.start.Y, p.end.X, p.end.Y) for p in pieces]).reshape(-1, 4)
-
-
 @dataclass(frozen=True)
 class Segment:
     """Straight x-space piece along its generator's attracting direction."""
@@ -232,14 +227,6 @@ class Segment:
         return Segment(self.end, self.start, self.gen, self.region_index,
                        self.arm_sign, self.end_sign)
 
-    @staticmethod
-    def normals_at(segs, which, X, Y):
-        """Outward x-space unit normals at points of segs[which], the same
-        at every point of a segment."""
-        table = np.array([(s.arm_sign * s.gen.q / s.gen.norm, s.arm_sign * s.gen.p / s.gen.norm)
-                          for s in segs]).reshape(-1, 2)
-        return table[which, 0], table[which, 1]
-
     def at(self, c: float, mirrored: bool) -> LogPoint:
         """Point of the piece's line with log x = c (log y = c if mirrored),
         evaluated from the nearer endpoint."""
@@ -247,44 +234,6 @@ class Segment:
         if (abs(c - b.Y) < abs(c - a.Y)) if mirrored else (abs(c - b.X) < abs(c - a.X)):
             a = b
         return _xline_at(a, self.gen.p, -self.gen.q, c, mirrored)
-
-    @staticmethod
-    def _frames(segs) -> np.ndarray:
-        """One row (A0, A1, C0, C1, slope, mirrored, log|p|, log|q|, p, -q)
-        per segment: its ends' log coordinates along and across its dominant
-        log axis, the slope d(across)/d(along) of its x-space line, 1.0
-        where that axis is log y (the x<->y mirror), and the logs and signs
-        that _scaled_reciprocals takes of its direction (p, -q)."""
-        rows = []
-        for s in segs:
-            a, b, g = s.start, s.end, s.gen
-            logs = (math.log(abs(g.p)) if g.p else -math.inf,
-                    math.log(abs(g.q)) if g.q else -math.inf, g.p, -g.q)
-            if abs(b.X - a.X) < abs(b.Y - a.Y):
-                rows.append((a.Y, b.Y, a.X, b.X, g.p / -g.q, True, *logs))
-            else:
-                rows.append((a.X, b.X, a.Y, b.Y, -g.q / g.p, False, *logs))
-        return np.array(rows).reshape(-1, 10)
-
-    @staticmethod
-    def points_at(segs, which, u):
-        """Points at fractions u of the dominant log-axis spans of segs[which].
-
-        Each point is the x-space line's point at that log coordinate, as
-        at evaluates it from the nearer endpoint.  u = 1 gives the end
-        itself: a + 1.0*(b - a) can miss b by an ulp, past the quadrant exit
-        on a segment that ends at it.
-        """
-        A0, A1, C0, C1, slope, mirrored, *_ = Segment._frames(segs)[which].T
-        end = u == 1.0
-        along = np.where(end, A1, A0 + u * (A1 - A0))
-        across = C1.copy()
-        c, A0, A1, C0, C1 = along[~end], A0[~end], A1[~end], C0[~end], C1[~end]
-        far = np.abs(c - A1) < np.abs(c - A0)
-        across[~end] = _line_y_log_batch(np.where(far, A1, A0), np.where(far, C1, C0),
-                                         slope[~end], c)
-        mirrored = mirrored.astype(bool)
-        return np.where(mirrored, across, along), np.where(mirrored, along, across)
 
     def band_distance(self, pt: LogPoint) -> float:
         """Approximate log-space distance from a point to the piece.
@@ -303,55 +252,6 @@ class Segment:
         # The x-space direction (p, -q) is (p/x, -q/y) in log space.
         tx, ty = _scaled_reciprocals(on, *self.direction)
         return abs((pt.X - on.X) * ty - (pt.Y - on.Y) * tx) / math.hypot(tx, ty)
-
-    @staticmethod
-    def band_distances(segs, which, X, Y):
-        """band_distance at points (X, Y) of segs[which], in numpy.
-
-        The line point and the tangent's exps are at's and math's, bit for
-        bit, so only numpy's hypot differs from the scalar value, by at most
-        an ulp: the gap is below _TIE_MARGIN·d.  Of the tangent's two exps
-        one is exp(0), so one math.exp per pair is taken.
-        """
-        A0, A1, C0, C1, slope, mirrored, lp, lq, p, mq = Segment._frames(segs).T[:, which]
-        m = mirrored == 1.0
-        along, across = np.where(m, Y, X), np.where(m, X, Y)
-        with np.errstate(all="ignore"):  # as floats do at huge delta
-            d = np.minimum(np.hypot(along - A0, across - C0), np.hypot(along - A1, across - C1))
-            lo, hi = np.minimum(A0, A1), np.maximum(A0, A1)
-            k = np.flatnonzero((lo - 1e-12 <= along) & (along <= hi + 1e-12))
-            c = np.minimum(np.maximum(along[k], lo[k]), hi[k])
-            far = np.abs(c - A1[k]) < np.abs(c - A0[k])
-            on = _line_y_log_batch(np.where(far, A1[k], A0[k]), np.where(far, C1[k], C0[k]),
-                                   slope[k], c)
-            onX, onY = np.where(m[k], on, c), np.where(m[k], c, on)
-            # _scaled_reciprocals' exps: exp(0) = 1 for the larger log, which
-            # top - top + 1 keeps nan where that log is infinite, as the
-            # scalar's exp(inf - inf) does, and exp(-|la - lb|) for the other.
-            la, lb = lp[k] - onX, lq[k] - onY
-            top = np.maximum(la, lb)
-            one, other = top - top + 1.0, _math_map(math.exp, -np.abs(la - lb))
-            tx = np.copysign(np.where(la >= lb, one, other), p[k])
-            ty = np.copysign(np.where(la >= lb, other, one), mq[k])
-            d[k] = np.abs((X[k] - onX) * ty - (Y[k] - onY) * tx) / np.hypot(tx, ty)
-        return d
-
-    @staticmethod
-    def ray_crossings(segs, which, X, Y):
-        """(cx, spans): 1.0 in spans where Y lies in the half-open log-y
-        span of segs[which], as _ray_hit tests it, and there cx, the log x
-        of the segment's line at Y, evaluated as _ray_hit evaluates it: from
-        the end nearer in log y, by the kernel bit for bit."""
-        Y0, X0, Y1, X1, w = np.array([(s.start.Y, s.start.X, s.end.Y, s.end.X,
-                                       s.gen.p / -s.gen.q if s.gen.q else math.nan)
-                                      for s in segs]).reshape(-1, 5)[which].T
-        spans = (np.minimum(Y0, Y1) <= Y) & (Y < np.maximum(Y0, Y1))
-        cx = np.zeros(len(Y))
-        k = np.flatnonzero(spans)
-        far = np.abs(Y[k] - Y1[k]) < np.abs(Y[k] - Y0[k])
-        cx[k] = _line_y_log_batch(np.where(far, Y1[k], Y0[k]), np.where(far, X1[k], X0[k]),
-                                  w[k], Y[k])
-        return cx, spans
 
 
 def _scaled_reciprocals(pt: LogPoint, a: float, b: float) -> tuple[float, float]:
@@ -376,21 +276,6 @@ class Arc:
     start: LogPoint
     end: LogPoint
 
-    @staticmethod
-    def normals_at(arcs, which, X, Y):
-        """Outward x-space unit normals at points (X, Y) of arcs[which]: the
-        normal (-p/x, q/y) scaled as _scaled_reciprocals scales it, then
-        divided by its length."""
-        table = np.array([(math.log(abs(a.gen.p)), math.log(abs(a.gen.q)), -a.gen.p, a.gen.q,
-                           a.h_sign) for a in arcs]).reshape(-1, 5)
-        la0, lb0, a, b, h = table[which].T
-        la, lb = la0 - X, lb0 - Y
-        m = np.maximum(la, lb)
-        nx = np.copysign(_math_map(math.exp, la - m), a)
-        ny = np.copysign(_math_map(math.exp, lb - m), b)
-        n = _math_map(math.hypot, nx, ny)
-        return h * nx / n, h * ny / n
-
     def at(self, c: float, mirrored: bool) -> LogPoint:
         """Point of the arc's log line with log x = c (log y = c if mirrored)."""
         g, a = self.gen, self.start
@@ -398,13 +283,6 @@ class Arc:
         if mirrored:
             return LogPoint((g.q * c - k) / g.p, c)
         return LogPoint(c, (k + g.p * c) / g.q)
-
-    @staticmethod
-    def points_at(arcs, which, u):
-        """Points at fractions u of arcs[which]: the log-space mix
-        s + u*(e - s) of the endpoints, also at u = 1."""
-        sX, sY, eX, eY = _ends(arcs)[which].T
-        return sX + u * (eX - sX), sY + u * (eY - sY)
 
     def band_distance(self, pt: LogPoint) -> float:
         """Exact log-space distance from a point to the arc (a log-space
@@ -417,30 +295,6 @@ class Arc:
         t = ((pt.X - ax) * dx + (pt.Y - ay) * dy) / l2
         t = min(1.0, max(0.0, t))
         return math.hypot(pt.X - (ax + t * dx), pt.Y - (ay + t * dy))
-
-    @staticmethod
-    def band_distances(arcs, which, X, Y):
-        """band_distance at points (X, Y) of arcs[which], in numpy.  Only
-        hypot differs from math's, by at most an ulp: the gap to the scalar
-        value is below _TIE_MARGIN·d."""
-        sX, sY, eX, eY = _ends(arcs)[which].T
-        with np.errstate(all="ignore"):  # as floats do at huge delta; t = 0 where l2 = 0
-            dx, dy = eX - sX, eY - sY
-            l2 = dx * dx + dy * dy
-            t = np.clip(((X - sX) * dx + (Y - sY) * dy) / l2, 0.0, 1.0)
-            t[l2 == 0.0] = 0.0
-            return np.hypot(X - (sX + t * dx), Y - (sY + t * dy))
-
-    @staticmethod
-    def ray_crossings(arcs, which, X, Y):
-        """(cx, spans) as Segment.ray_crossings gives them, cx by at's
-        mirrored closed form, bit for bit."""
-        sX, sY, eX, eY = _ends(arcs)[which].T
-        p, q = np.array([(a.gen.p, a.gen.q) for a in arcs]).reshape(-1, 2)[which].T
-        spans = (np.minimum(sY, eY) <= Y) & (Y < np.maximum(sY, eY))
-        cx = np.zeros(len(Y))
-        cx[spans] = (q[spans] * Y[spans] - (q[spans] * sY[spans] - p[spans] * sX[spans])) / p[spans]
-        return cx, spans
 
 
 _EXP_SAFE = 700.0  # exponents below this keep e^(...) finite in the line kernel
@@ -739,6 +593,11 @@ class RegionBoundary:
     def arcs(self) -> list[Arc]:
         return [p for p in self.pieces if isinstance(p, Arc)]
 
+    @functools.cached_property
+    def table(self) -> "_PieceTable":
+        """The pieces as one _PieceTable, which every array pass reads."""
+        return _PieceTable(self.pieces)
+
     def chords(self) -> dict[str, tuple[LogPoint, LogPoint]]:
         """The four chords l1..l4 from the start points to the terminals."""
         nm = self.start_max.log
@@ -848,6 +707,145 @@ def region_contains(boundary: RegionBoundary, point,
     return "inside" if crossings % 2 == 1 else "outside"
 
 
+# ---------------------------------------------------------------------------
+# The pieces as one table
+
+
+class _PieceTable:
+    """A boundary's pieces as arrays, one entry per piece in piece order,
+    each formed with math as the pieces' scalar methods form it.
+
+    sX, sY, eX, eY: the log coordinates of start and end; arc: True for an
+    Arc; p, q: the generator; lp, lq: log|p|, log|q| (-inf at 0); dydx,
+    dxdy: the x-space slopes -q/p, p/-q (nan where infinite); sign: h_sign
+    or arm_sign; (n0, n1): a segment's outward unit normal sign*(q, p)/|g|.
+    """
+
+    def __init__(self, pieces):
+        rows = []
+        for pc in pieces:
+            g, a, b, arc = pc.gen, pc.start, pc.end, isinstance(pc, Arc)
+            sign = pc.h_sign if arc else pc.arm_sign
+            rows.append((a.X, a.Y, b.X, b.Y, arc, g.p, g.q,
+                         math.log(abs(g.p)) if g.p else -math.inf,
+                         math.log(abs(g.q)) if g.q else -math.inf,
+                         -g.q / g.p if g.p else math.nan, g.p / -g.q if g.q else math.nan,
+                         sign, sign * g.q / g.norm, sign * g.p / g.norm))
+        (self.sX, self.sY, self.eX, self.eY, arc, self.p, self.q, self.lp, self.lq,
+         self.dydx, self.dxdy, self.sign, self.n0, self.n1) = np.array(rows).reshape(-1, 14).T.copy()
+        self.arc = arc == 1.0
+
+
+def _frame(t: _PieceTable, k):
+    """(A0, A1, C0, C1, slope, mirrored) of the segments t[k]: their ends
+    along and across the dominant log axis, the slope d(across)/d(along),
+    and True where that axis is log y (the x<->y mirror)."""
+    sX, sY, eX, eY = t.sX[k], t.sY[k], t.eX[k], t.eY[k]
+    m = np.abs(eX - sX) < np.abs(eY - sY)
+    return (np.where(m, sY, sX), np.where(m, eY, eX), np.where(m, sX, sY), np.where(m, eX, eY),
+            np.where(m, t.dxdy[k], t.dydx[k]), m)
+
+
+def _points_at(t: _PieceTable, index, u):
+    """Points (X, Y) at fractions u of the pieces t[index]: an arc's is the
+    log-space mix s + u*(e - s) of its ends, also at u = 1; a segment's is
+    its x-space line's point level with the mix on the dominant log axis,
+    by at from the nearer end, and at u = 1 the end itself, which the mix
+    can miss by an ulp, past the quadrant exit on a segment that ends at it."""
+    sX, sY, eX, eY = t.sX[index], t.sY[index], t.eX[index], t.eY[index]
+    X, Y = sX + u * (eX - sX), sY + u * (eY - sY)
+    seg = ~t.arc[index]
+    end = seg & (u == 1.0)
+    X[end], Y[end] = eX[end], eY[end]
+    s = np.flatnonzero(seg & ~end)
+    A0, A1, C0, C1, slope, m = _frame(t, index[s])
+    c = np.where(m, Y[s], X[s])
+    far = np.abs(c - A1) < np.abs(c - A0)
+    across = _line_y_log_batch(np.where(far, A1, A0), np.where(far, C1, C0), slope, c)
+    X[s], Y[s] = np.where(m, across, c), np.where(m, c, across)
+    return X, Y
+
+
+def _normals_at(t: _PieceTable, index, X, Y):
+    """Outward x-space unit normals (n0, n1) of the pieces t[index] at the
+    points (X, Y): a segment's own; an arc's h_sign*(-p/x, q/y), scaled as
+    _scaled_reciprocals scales it, then divided by its length."""
+    n0, n1 = t.n0[index], t.n1[index]
+    arc = t.arc[index]
+    k = index[arc]
+    la, lb = t.lp[k] - X[arc], t.lq[k] - Y[arc]
+    m = np.maximum(la, lb)
+    nx = np.copysign(_math_map(math.exp, la - m), -t.p[k])
+    ny = np.copysign(_math_map(math.exp, lb - m), t.q[k])
+    n = _math_map(math.hypot, nx, ny)
+    n0[arc], n1[arc] = t.sign[k] * nx / n, t.sign[k] * ny / n
+    return n0, n1
+
+
+def _band_distances(t: _PieceTable, index, X, Y):
+    """band_distance of each piece t[index[j]] at (X[j], Y[j]), in numpy.
+
+    Only numpy's hypot differs from math's, by at most an ulp, so the gap
+    to the scalar value is below _TIE_MARGIN·d.  A segment's line point
+    and its tangent's exps are at's and math's, bit for bit; of the
+    tangent's two exps one is exp(0), so one math.exp per point is taken.
+    """
+    d = np.empty(len(index))
+    arc = t.arc[index]
+    k, x, y = index[arc], X[arc], Y[arc]
+    sX, sY = t.sX[k], t.sY[k]
+    with np.errstate(all="ignore"):  # as floats do at huge delta; u = 0 where l2 = 0
+        dx, dy = t.eX[k] - sX, t.eY[k] - sY
+        l2 = dx * dx + dy * dy
+        u = np.clip(((x - sX) * dx + (y - sY) * dy) / l2, 0.0, 1.0)
+        u[l2 == 0.0] = 0.0
+        d[arc] = np.hypot(x - (sX + u * dx), y - (sY + u * dy))
+
+        k, x, y = index[~arc], X[~arc], Y[~arc]
+        A0, A1, C0, C1, slope, m = _frame(t, k)
+        along, across = np.where(m, y, x), np.where(m, x, y)
+        ds = np.minimum(np.hypot(along - A0, across - C0), np.hypot(along - A1, across - C1))
+        lo, hi = np.minimum(A0, A1), np.maximum(A0, A1)
+        j = np.flatnonzero((lo - 1e-12 <= along) & (along <= hi + 1e-12))
+        c = np.minimum(np.maximum(along[j], lo[j]), hi[j])
+        far = np.abs(c - A1[j]) < np.abs(c - A0[j])
+        on = _line_y_log_batch(np.where(far, A1[j], A0[j]), np.where(far, C1[j], C0[j]),
+                               slope[j], c)
+        onX, onY = np.where(m[j], on, c), np.where(m[j], c, on)
+        # _scaled_reciprocals' exps of the direction (p, -q): exp(0) = 1 for
+        # the larger log, which top - top + 1 keeps nan where that log is
+        # infinite, as the scalar's exp(inf - inf) does, and exp(-|la - lb|)
+        # for the other.
+        la, lb = t.lp[k[j]] - onX, t.lq[k[j]] - onY
+        top = np.maximum(la, lb)
+        one, other = top - top + 1.0, _math_map(math.exp, -np.abs(la - lb))
+        tx = np.copysign(np.where(la >= lb, one, other), t.p[k[j]])
+        ty = np.copysign(np.where(la >= lb, other, one), -t.q[k[j]])
+        ds[j] = np.abs((x[j] - onX) * ty - (y[j] - onY) * tx) / np.hypot(tx, ty)
+        d[~arc] = ds
+    return d
+
+
+def _ray_crossings(t: _PieceTable, index, X, Y):
+    """(cx, spans): spans is True where Y lies in the half-open log-y span
+    of the piece t[index[j]], as _ray_hit tests it, and there cx is the log
+    x of the piece at Y, as _ray_hit evaluates it bit for bit: on an arc by
+    at's mirrored closed form, on a segment from the end nearer in log y,
+    by the kernel."""
+    sX, sY, eX, eY = t.sX[index], t.sY[index], t.eX[index], t.eY[index]
+    spans = (np.minimum(sY, eY) <= Y) & (Y < np.maximum(sY, eY))
+    cx = np.zeros(len(Y))
+    arc = t.arc[index]
+    a = spans & arc
+    p, q = t.p[index[a]], t.q[index[a]]
+    cx[a] = (q * Y[a] - (q * sY[a] - p * sX[a])) / p
+    s = np.flatnonzero(spans & ~arc)
+    far = np.abs(Y[s] - eY[s]) < np.abs(Y[s] - sY[s])
+    cx[s] = _line_y_log_batch(np.where(far, eY[s], sY[s]), np.where(far, eX[s], sX[s]),
+                              t.dxdy[index[s]], Y[s])
+    return cx, spans
+
+
 # A numpy band distance d differs from the scalar one only by np.hypot's
 # rounding, at most an ulp on numpy 2.4 (4 allowed, below 9e-16·d), so it is
 # trusted only farther than _TIE_MARGIN·d from the band.
@@ -858,15 +856,15 @@ def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
     """region_contains' label for every point (X[j], Y[j]) at band[j].
 
     The band distances of every (point, piece) pair come from one
-    broadcast through the pieces' band_distances, whose one bound on the
-    gap to the scalar band_distance is _TIE_MARGIN·d.  A pair whose
-    distance d lies within that bound of its band, or is nan, is decided by
-    the scalar band_distance, unless another piece already claims its
-    point: the filtered-predicate pattern of Shewchuk (Discrete Comput.
-    Geom. 18, 1997).  The +X rays are cast only from points that no piece
-    claims, through ray_crossings, bit for bit as _ray_hit casts them, so
-    the crossing parity is the scalar's.  NonFinitePoint names the
-    first non-finite point; empty arrays give [] without evaluating a piece.
+    broadcast through _band_distances, whose one bound on the gap to the
+    scalar band_distance is _TIE_MARGIN·d.  A pair whose distance d lies
+    within that bound of its band, or is nan, is decided by the scalar
+    band_distance, unless another piece already claims its point: the
+    filtered-predicate pattern of Shewchuk (Discrete Comput. Geom. 18,
+    1997).  The +X rays are cast only from points that no piece claims,
+    through _ray_crossings, bit for bit as _ray_hit casts them, so the
+    crossing parity is the scalar's.  NonFinitePoint names the first
+    non-finite point; empty arrays give [] without evaluating a piece.
     """
     X, Y, band = (np.asarray(a, dtype=float) for a in (X, Y, band))
     bad = ~(np.isfinite(X) & np.isfinite(Y))
@@ -879,7 +877,7 @@ def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
     m = len(pieces)
     pair = np.arange(n * m)  # pair k is point k // m with piece k % m
     pt, pc = pair // m, pair % m
-    d = _by_class("band_distances", pieces, pc, X[pt], Y[pt])[0]
+    d = _band_distances(boundary.table, pc, X[pt], Y[pt])
     b = band[pt]
     tie = ~(np.abs(d - b) > _TIE_MARGIN * d)  # also where d is nan
     claimed = ((d <= b) & ~tie).reshape(n, m).any(axis=1)
@@ -891,38 +889,20 @@ def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
     labels = ["boundary"] * n
     rest = np.flatnonzero(~claimed)
     pt = rest[pair[:len(rest) * m] // m]
-    cx, spans = _by_class("ray_crossings", pieces, pc[:len(pt)], X[pt], Y[pt])
-    odd = ((spans == 1.0) & (cx > X[pt])).reshape(-1, m).sum(axis=1) % 2 == 1
+    cx, spans = _ray_crossings(boundary.table, pc[:len(pt)], X[pt], Y[pt])
+    odd = (spans & (cx > X[pt])).reshape(-1, m).sum(axis=1) % 2 == 1
     for j, o in zip(rest.tolist(), odd.tolist()):
         labels[j] = "inside" if o else "outside"
     return labels
 
 
-def _by_class(method: str, pieces, index, *arrays) -> np.ndarray:
-    """A piece-class array method over the elements of pieces[index].
-
-    Each class's method(own, which, *arrays) evaluates the elements on its
-    own pieces (which indexes those); its two result arrays come back as
-    the rows of one (2, len(index)) array, and one array fills both rows.
-    """
-    out = np.empty((2, len(index)))
-    for cls in dict.fromkeys(map(type, pieces)):
-        own = [k for k, p in enumerate(pieces) if type(p) is cls]
-        local = np.full(len(pieces), -1)
-        local[own] = np.arange(len(own))
-        which = local[index]
-        at = which >= 0
-        out[:, at] = getattr(cls, method)([pieces[k] for k in own], which[at],
-                                          *(a[at] for a in arrays))
-    return out
-
-
-def _chains(pieces, n: int) -> np.ndarray:
-    """Every piece's points at u = i / n, i = 0..n: arrays (X, Y) of shape
-    (pieces, n + 1)."""
-    index = np.repeat(np.arange(len(pieces)), n + 1)
-    u = np.tile(np.arange(n + 1) / n, len(pieces))
-    return _by_class("points_at", pieces, index, u).reshape(2, len(pieces), n + 1)
+def _chains(t: _PieceTable, rows, n: int):
+    """The points at u = i / n, i = 0..n, of the pieces t[rows]: arrays
+    (X, Y) of shape (len(rows), n + 1)."""
+    index = np.repeat(rows, n + 1)
+    u = np.tile(np.arange(n + 1) / n, len(rows))
+    X, Y = _points_at(t, index, u)
+    return X.reshape(len(rows), n + 1), Y.reshape(len(rows), n + 1)
 
 
 _MIN_PIECE_SAMPLES = 4  # boundary samples on even the shortest piece
@@ -936,16 +916,15 @@ def sample_boundary(boundary: RegionBoundary, total: int):
     all lengths, at u = (j + 1/2) / n for j < n, in piece order.  Returns
     arrays (X, Y, piece index).
     """
-    pieces = boundary.pieces
-    ends = _ends(pieces)
-    lengths = np.maximum(np.abs(ends[:, 2] - ends[:, 0]) + np.abs(ends[:, 3] - ends[:, 1]), 1e-12)
+    t = boundary.table
+    lengths = np.maximum(np.abs(t.eX - t.sX) + np.abs(t.eY - t.sY), 1e-12)
     # Summed left to right: np.sum's pairwise order can round differently.
     whole = sum(lengths.tolist())
     counts = np.maximum(_MIN_PIECE_SAMPLES, np.rint(total * lengths / whole)).astype(int)
-    index = np.repeat(np.arange(len(pieces)), counts)
+    index = np.repeat(np.arange(len(counts)), counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     u = (np.arange(len(index)) - first + 0.5) / np.repeat(counts, counts)
-    return (*_by_class("points_at", pieces, index, u), index)
+    return (*_points_at(t, index, u), index)
 
 
 # ---------------------------------------------------------------------------
@@ -1278,7 +1257,8 @@ def hull_contains(hull: list[tuple[float, float]], point,
     -rel_tol * |b - a| * |pt - a|.  A cap keeps it too when it is beyond
     the chord but on the hull side of the cap's curve q*Y - p*X = L, to a
     log distance rel_tol: beyond the chord, that side is the cap's lens.
-    A negative rel_tol asks for strict interior points.
+    A negative rel_tol asks for strict interior points; a one-vertex hull
+    holds its vertex only, to rel_tol in each coordinate, and no point then.
     """
     pt = as_log(point)
     px, py = _exp_all([pt.X, pt.Y])
@@ -1286,7 +1266,8 @@ def hull_contains(hull: list[tuple[float, float]], point,
     if m == 0:
         return False
     if m == 1:
-        return math.isclose(px, hull[0][0], rel_tol=1e-9) and math.isclose(py, hull[0][1], rel_tol=1e-9)
+        return rel_tol >= 0.0 and all(math.isclose(a, b, rel_tol=rel_tol)
+                                      for a, b in zip((px, py), hull[0]))
     caps = getattr(hull, "caps", {})
     for k in range(m):
         if _edge_margin(hull[k], hull[(k + 1) % m], px, py, rel_tol) < 0.0:
@@ -1458,22 +1439,19 @@ _LOOP_CHORDS = 32  # chords per piece in the simple-loop test
 
 
 def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
-    pieces = boundary.pieces
-    worst = 0.0
-    for k, piece in enumerate(pieces):
-        nxt = pieces[(k + 1) % len(pieces)]
-        gap = max(abs(piece.end.X - nxt.start.X), abs(piece.end.Y - nxt.start.Y))
-        worst = max(worst, gap)
+    t = boundary.table
+    gaps = np.maximum(np.abs(t.eX - np.roll(t.sX, -1)), np.abs(t.eY - np.roll(t.sY, -1)))
+    worst = gaps.max(initial=0.0).item()
     closed = {"passed": worst <= 1e-9, "worst": worst, "detail": "max endpoint gap"}
 
     # Approximate simplicity test: each piece is a chain of _LOOP_CHORDS
     # chords, and two pieces cross when a chord of one meets a chord of the
     # other strictly inside both (contact at shared anchors does not count).
     # All piece pairs a < b whose bounding boxes meet are tested at once.
-    chains = np.stack(_chains(pieces, _LOOP_CHORDS), axis=-1)
+    chains = np.stack(_chains(t, np.arange(len(gaps)), _LOOP_CHORDS), axis=-1)
     lo, hi = chains.min(axis=1), chains.max(axis=1)
     starts, steps = chains[:, :-1], np.diff(chains, axis=1)
-    a, b = np.triu_indices(len(pieces), 1)
+    a, b = np.triu_indices(len(gaps), 1)
     near = np.all((hi[b] >= lo[a] - 1e-9) & (lo[b] <= hi[a] + 1e-9), axis=1)
     a, b = a[near], b[near]
     # Chord i of piece a against chord j of piece b: (pair, i, j).
@@ -1491,10 +1469,6 @@ def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
     return closed, simple
 
 
-def _chain_strictly_increasing(slopes: list[Fraction]) -> bool:
-    return all(a < b for a, b in zip(slopes, slopes[1:]))
-
-
 def _slope_chain_check(boundary: RegionBoundary) -> dict:
     """Slope monotonicity of the polyline chains (signs only in standard mode).
 
@@ -1510,9 +1484,7 @@ def _slope_chain_check(boundary: RegionBoundary) -> dict:
     chain1 = slopes(reversed(i4[: p_idx + 1])) + slopes(i1)
     chain2 = slopes(reversed(i2)) + slopes(i3)
     chain3 = slopes(reversed(i4[p_idx + 1:]))
-    ok = (_chain_strictly_increasing(chain1)
-          and _chain_strictly_increasing(chain2)
-          and _chain_strictly_increasing(chain3))
+    ok = all(a < b for chain in (chain1, chain2, chain3) for a, b in zip(chain, chain[1:]))
     detail = ""
     if boundary.mode == "standard":
         if not all(s < 0 for s in chain2):
@@ -1533,7 +1505,7 @@ def _first_max(values: np.ndarray, X: np.ndarray, Y: np.ndarray, floor):
 
 def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
     X, Y, piece = samples
-    n0, n1 = _by_class("normals_at", boundary.pieces, piece, X, Y)
+    n0, n1 = _normals_at(boundary.table, piece, X, Y)
     values, index = rhs_bruteforce_batch(X, Y, boundary.fan, boundary.delta, STRIP_TOL)
     # Each value's extreme rays (at most 3), gathered per sample and dotted
     # with its normal as ray . n rounds; -inf past a value's last ray.
@@ -1562,13 +1534,9 @@ def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
 
 def _suc_check(boundary: RegionBoundary, labels: list[str]) -> dict:
     """labels: the containment label of each S^uc point, at band 1e-7."""
-    bad = 0
-    witness = None
-    for ip, label in zip(boundary.points_uc, labels):
-        if label == "outside":
-            bad += 1
-            witness = witness or (ip.log.X, ip.log.Y)
-    return {"passed": bad == 0, "worst": float(bad), "witness": witness,
+    bad = [(ip.log.X, ip.log.Y) for ip, label in zip(boundary.points_uc, labels)
+           if label == "outside"]
+    return {"passed": not bad, "worst": float(len(bad)), "witness": bad[0] if bad else None,
             "detail": "S^uc points outside the region"}
 
 
@@ -1638,7 +1606,7 @@ def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
     does not go the way the arc's first step goes.
     """
     arcs = boundary.arcs
-    X, Y = _chains(arcs, _ARC_SAMPLES)
+    X, Y = _chains(boundary.table, np.flatnonzero(boundary.table.arc), _ARC_SAMPLES)
     d = Y - X
     inc, dec = d[:, :-1] < d[:, 1:], d[:, :-1] > d[:, 1:]
     failing = ~(inc.all(axis=1) | dec.all(axis=1))
@@ -1659,12 +1627,12 @@ def validate_region(boundary: RegionBoundary) -> dict:
     """Single-delta validation battery; returns {check: result} dicts.
 
     Every check that evaluates the boundary away from its anchors does so
-    in array passes: sample_boundary's points feed the r <= 1 and Nagumo
-    checks, and the loop and arc checks take their point chains from the
-    same per-class points_at methods.  The S^uc points, the chord points
-    (both at band 1e-7) and (1,1) (at region_contains' default 1e-9) are
-    classified in one region_contains_batch call.  A failed check names a
-    witness point where it has one.
+    in array passes over the boundary's one piece table: sample_boundary's
+    points feed the r <= 1 and Nagumo checks, and the loop and arc checks
+    take their point chains from the same _points_at.  The S^uc points,
+    the chord points (both at band 1e-7) and (1,1) (at region_contains'
+    default 1e-9) are classified in one region_contains_batch call.  A
+    failed check names a witness point where it has one.
     """
     report = {}
     closed, simple = _loop_checks(boundary)

@@ -37,8 +37,9 @@ from toric_regions.region_construction import (
     _VALIDATION_SAMPLES,
     Arc,
     Segment,
+    _PieceTable,
     _arc_monotonicity_check,
-    _by_class,
+    _band_distances,
     _chains,
     _curve_cross_on_line,
     _falls,
@@ -50,6 +51,8 @@ from toric_regions.region_construction import (
     _loop_checks,
     _monotone_chain,
     _nagumo_check,
+    _normals_at,
+    _points_at,
     _r_le_1_check,
     _scaled_reciprocals,
     _strip_point,
@@ -122,8 +125,8 @@ def _loop_chains_reference(pieces) -> list[list[LogPoint]]:
 
 
 def _points_of(piece, us) -> list[LogPoint]:
-    """A piece's points at the fractions us, by its class's array method."""
-    X, Y = type(piece).points_at([piece], np.zeros(len(us), dtype=int), np.array(us))
+    """A piece's points at the fractions us, by the array sampler."""
+    X, Y = _points_at(_PieceTable([piece]), np.zeros(len(us), dtype=int), np.array(us))
     return [LogPoint(x, y) for x, y in zip(X.tolist(), Y.tolist())]
 
 
@@ -657,8 +660,8 @@ def _crossing_pairs_reference(pieces) -> int:
 def _log_loop(*corners) -> SimpleNamespace:
     """A closed loop of straight log-space pieces through the corners."""
     pts = [LogPoint(*c) for c in corners]
-    arcs = (Arc(LineGenerator(1, 1), 1, a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
-    return SimpleNamespace(pieces=tuple(arcs))
+    arcs = tuple(Arc(LineGenerator(1, 1), 1, a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
+    return SimpleNamespace(pieces=arcs, table=_PieceTable(arcs))
 
 
 class TestLoopChecks:
@@ -799,11 +802,11 @@ class TestArraySampler:
         assert _bits(X) == _bits(pt.X for pt, _ in ref)
         assert _bits(Y) == _bits(pt.Y for pt, _ in ref)
         assert index.tolist() == [k for _, k in ref]
-        n0, n1 = _by_class("normals_at", b.pieces, index, X, Y)
+        n0, n1 = _normals_at(b.table, index, X, Y)
         normals = [_normal_at_reference(b.pieces[k], pt) for pt, k in ref]
         assert _bits(n0) == _bits(n[0] for n in normals)
         assert _bits(n1) == _bits(n[1] for n in normals)
-        chain_x, chain_y = _chains(b.pieces, 32)
+        chain_x, chain_y = _chains(b.table, np.arange(len(b.pieces)), 32)
         ref_chains = _loop_chains_reference(b.pieces)
         assert _bits(chain_x.ravel()) == _bits(pt.X for c in ref_chains for pt in c)
         assert _bits(chain_y.ravel()) == _bits(pt.Y for c in ref_chains for pt in c)
@@ -924,7 +927,7 @@ class TestRegionContainsBatch:
         X, Y = _containment_probes(b, 0)
         n, m = len(X), len(b.pieces)
         pair = np.arange(n * m)
-        d = _by_class("band_distances", b.pieces, pair % m, X[pair // m], Y[pair // m])[0]
+        d = _band_distances(b.table, pair % m, X[pair // m], Y[pair // m])
         scalar = np.array([b.pieces[k % m].band_distance(LogPoint(X[k // m].item(), Y[k // m].item()))
                            for k in pair.tolist()])
         assert (np.abs(d - scalar) <= 4 * np.spacing(scalar)).all()
@@ -938,7 +941,7 @@ class TestRegionContainsBatch:
         # are the distance to that point.
         arc = Arc(LineGenerator(1, 2), 1, LogPoint(0.5, -1.0), LogPoint(0.5, -1.0))
         X, Y = np.array([0.5, 3.5, -1.0]), np.array([-1.0, 3.0, -1.0])
-        d = Arc.band_distances([arc], np.zeros(3, dtype=int), X, Y)
+        d = _band_distances(_PieceTable([arc]), np.zeros(3, dtype=int), X, Y)
         assert d.tolist() == [arc.band_distance(LogPoint(x, y)) for x, y in zip(X, Y)]
         assert d.tolist() == [0.0, 5.0, 1.5]
 
@@ -990,8 +993,9 @@ class TestRegionContainsBatch:
         def evaluated(*args):
             raise AssertionError("a piece was evaluated")
         for cls in (Segment, Arc):
-            for name in ("band_distance", "band_distances", "ray_crossings"):
-                monkeypatch.setattr(cls, name, evaluated)
+            monkeypatch.setattr(cls, "band_distance", evaluated)
+        for name in ("_band_distances", "_ray_crossings"):
+            monkeypatch.setattr(region_construction, name, evaluated)
         assert region_contains_batch(worked_region, np.empty(0), np.empty(0), np.empty(0)) == []
 
 
@@ -1084,6 +1088,12 @@ class TestHullAndPhi:
         assert hull_contains([(1.0, 2.0)], PosPoint(1.0, 2.0 * (1.0 + 5e-10)))
         assert not hull_contains([(1.0, 2.0)], PosPoint(1.0, 2.0 * (1.0 + 5e-9)))
         assert not hull_contains([(1.0, 2.0)], PosPoint(1.1, 2.0))
+        # rel_tol is the one vertex's tolerance too, and a point has no
+        # strict interior, as a two-vertex hull has none.
+        assert not hull_contains([(1.0, 1.0)], (1.0, 1.0), rel_tol=-1e-9)
+        assert not hull_contains([(1.0, 1.0), (2.0, 2.0)], (1.0, 1.0), rel_tol=-1e-9)
+        assert hull_contains([(1.0, 1.0)], (1.0, 1.0), rel_tol=0.0)
+        assert not hull_contains([(1.0, 1.0)], (1.0, 1.0 + 5e-10), rel_tol=0.0)
 
     def test_monotone_chain_of_two_or_fewer_distinct_points(self):
         # Two or fewer distinct points are their own hull, sorted.
@@ -1107,6 +1117,8 @@ class TestHullAndPhi:
             ([(-1, 1), (1, 2), (1, 1)], 1.0),  # an arc on (1,1), straight in x-space
             ([(-1, 1), (1, 2), (2, 1), (1, 0)], 1.0),  # an axis join
             ([(-1, 1), (1, 2), (3, 1)], 100.0),  # coordinates down to 1e-281
+            ([(2, 3), (1, 1)], 5.0),  # a bridge walks past a straight edge
+            ([(3, 2), (2, 1)], 1.25),  # a bridge walks past a whole cap
         ]
         for gens, delta in cases:
             region = construct_region(Fan(gens), delta, validate=False)

@@ -216,3 +216,43 @@ def test_traced_names_resolve():
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module}.{attr}"
     assert ("fan_geometry", "Fan.regions", "fan_geometry.Fan.regions") in tracer.TRACED
+
+
+def test_unrun_lines_enumerates_statements_and_records_hits(tmp_path):
+    # A tiny package of its own, traced here: tier-1 is not run inside tier-1.
+    tool = _load_tool("unrun_lines")
+    src = tmp_path.resolve() / "src"
+    (src / "pkg").mkdir(parents=True)
+    mod = src / "pkg" / "mod.py"
+    mod.write_text('"""Module docstring."""\n'
+                   "import functools\n"
+                   "\n"
+                   "\n"
+                   "@functools.lru_cache(maxsize=4)\n"
+                   "def f(x):\n"
+                   '    """Docstring."""\n'
+                   "    if x:\n"
+                   "        y = (x +\n"
+                   "             1)\n"
+                   "        return y\n"
+                   "    return 0\n")
+    # Docstrings are no statements; a def owns its decorators, a compound
+    # statement its header, a simple one all its lines.
+    assert tool.statements(mod) == {2: range(2, 3), 6: range(5, 7), 8: range(8, 9),
+                                    9: range(9, 11), 11: range(11, 12), 12: range(12, 13)}
+    spec = importlib.util.spec_from_file_location("pkg_mod", mod)
+    module = importlib.util.module_from_spec(spec)
+    recorder = tool.LineRecorder(src)
+    outer = sys.gettrace()
+    recorder.start()
+    try:
+        spec.loader.exec_module(module)
+        assert module.f(1) == 2
+    finally:
+        recorder.stop()
+    assert sys.gettrace() is outer
+    assert list(recorder.hits) == [str(mod)]
+    assert tool.unrun(src, recorder.hits) == ["src/pkg/mod.py:12: return 0"]
+    assert tool.unrun(src, {}) == [f"src/pkg/mod.py:{n}: {line}" for n, line in (
+        (2, "import functools"), (6, "def f(x):"), (8, "if x:"), (9, "y = (x +"),
+        (11, "return y"), (12, "return 0"))]
