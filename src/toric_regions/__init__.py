@@ -46,7 +46,6 @@ from .region_construction import (
     intersection_points,
     phi_level,
     region_contains,
-    segment_curve_intersection,
 )
 from .tdi_rhs import rhs_bruteforce, rhs_classified, rhs_equal, rhs_subfan_subset
 
@@ -64,6 +63,5 @@ __all__ = [
     "conv_hull", "delta_i", "dist_to_cone", "fan_2d_cones", "hull_contains",
     "intersection_points", "normalize_generator", "phi_level",
     "r_count", "region_contains", "rhs_bruteforce", "rhs_classified",
-    "rhs_equal", "rhs_subfan_subset", "segment_curve_intersection",
-    "strip_coordinate",
+    "rhs_equal", "rhs_subfan_subset", "strip_coordinate",
 ]

@@ -31,7 +31,6 @@ from .fan_geometry import (
     Fan,
     LineGenerator,
     LogPoint,
-    PosPoint,
     UncertaintyRegion,
     _arm_table,
     _finite_log,
@@ -373,69 +372,58 @@ def _xline_at(near: LogPoint, dx: float, dy: float, c: float, mirrored: bool) ->
 # Segment / curve crossings
 
 
-def _line_root(anchor: LogPoint, q: int, p: int, log_h: float) -> LogPoint:
-    """Root of g = q*Y - p*X - log_h on the x-space line through anchor with
-    slope -q/p, by bisection in log x.
-
-    On that line g is strictly monotone in log x with |dg/dX| >= |p|, so
-    the root lies between the anchor's X0 and X0 + g(X0)/p.  A point past
-    the quadrant exit (where y reaches 0) reads g = -sign(q)*inf.  The
-    bisection stops when the midpoint equals an end, and returns the end
-    with the smaller |g|.
-    """
-    X0, Y0 = anchor.X, anchor.Y
-    s = -q / p
-
-    def g(t: float) -> float:
-        try:
-            return q * _line_y_log(X0, Y0, s, t) - p * t - log_h
-        except NoCrossing:
-            return -math.copysign(math.inf, q)
-
-    g0 = q * Y0 - p * X0 - log_h
-    a, ga = X0, g0
-    b = X0 + g0 / p
-    gb = g(b)
-    mid = 0.5 * (a + b)
-    while a != mid != b:
-        gm = g(mid)
-        if (gm > 0.0) == (g0 > 0.0):
-            a, ga = mid, gm
-        else:
-            b, gb = mid, gm
-        mid = 0.5 * (a + b)
-    t = a if abs(ga) <= abs(gb) else b
-    return LogPoint(t, _line_y_log(X0, Y0, s, t))
+def _softplus(v: float) -> float:
+    """log(1 + e^v), without overflow."""
+    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
 
 
 def _curve_cross_on_line(anchor: LogPoint, gen: LineGenerator, log_h: float) -> LogPoint:
     """Crossing of the x-space line through anchor along gen's attracting
-    slope -q/p with the curve q*Y - p*X = log_h.
+    slope -q/p with the curve q*Y - p*X = log_h, by Newton steps.
 
-    The bisection runs along log x first.  Near the quadrant corners that
-    parametrization degenerates, so when it leaves a residual above
-    1e-11*(1 + |log_h|), it is repeated along log y.  That second search is
-    the first one applied to the mirrored problem: swapping x and y turns
-    the anchor (X0, Y0) into (Y0, X0), the slope -q/p into -p/q, and the
-    curve q*Y - p*X = log_h into (-p)*Y' - (-q)*X' = log_h.  Its root is
-    swapped back, and the answer with the smaller residual wins.
+    The line q*x + p*y = c is walked by a parameter v that covers all of
+    it inside the quadrant; sp is the softplus and w0 = log(q*x0) -
+    log(|p|*y0) at the anchor.  For p > 0, q*x and p*y split c as
+    c*sigmoid(v) and c*sigmoid(-v): v0 = w0, X - X0 = (v - v0) - (sp(v) -
+    sp(v0)) and Y - Y0 = -(sp(v) - sp(v0)).  For p < 0, the larger of q*x
+    and |p|*y is |c|*(1 + e^v) and the smaller |c|*e^v: X moves by sp(v) -
+    sp(v0) and Y by v - v0 when w0 > 0, and the other way round otherwise.
+
+    The residual F(v) = g0 + A*(v - v0) + B*(sp(v) - sp(v0)) has a slope
+    between A and A + B, which share a sign, and is convex or concave with
+    linear asymptotes.  So the first step may pass the root, and after it
+    |F| falls; the steps stop when it stops falling.  c = 0 (p < 0, w0 = 0)
+    is the log line X - Y = const, where the root is closed form.
     """
     p, q = gen.p, gen.q
+    X0, Y0 = anchor.X, anchor.Y
+    g0 = q * Y0 - p * X0 - log_h
+    if g0 == 0.0:
+        return anchor
+    w0 = (math.log(q) + X0) - (math.log(abs(p)) + Y0)
+    if p > 0:
+        v0, (aX, bX, aY, bY) = w0, (1, -1, 0, -1)
+    elif w0 == 0.0:
+        t = -g0 / (q - p)
+        return LogPoint(X0 + t, Y0 + t)
+    else:
+        v0 = -abs(w0) - math.log(-math.expm1(-abs(w0)))
+        aX, bX, aY, bY = (0, 1, 1, 0) if w0 > 0.0 else (1, 0, 0, 1)
+    A, B = q * aY - p * aX, q * bY - p * bX
+    sp0 = _softplus(v0)
 
-    def residual(pt: LogPoint) -> float:
-        return abs(q * pt.Y - p * pt.X - log_h)
+    def step(v: float, f: float) -> tuple[float, float]:
+        v -= f / (A + B * math.exp(v - _softplus(v)))
+        return v, g0 + A * (v - v0) + B * (_softplus(v) - sp0)
 
-    pt = _line_root(anchor, q, p, log_h)
-    if residual(pt) > 1e-11 * (1.0 + abs(log_h)):
-        m = _line_root(LogPoint(anchor.Y, anchor.X), -p, -q, log_h)
-        pt = min(pt, LogPoint(m.Y, m.X), key=residual)
-    return pt
-
-
-def segment_curve_intersection(start, generator: LineGenerator, h: float) -> PosPoint:
-    """Crossing of the x-space line through start along the generator's
-    attracting slope -q/p with the curve y^q = h x^p."""
-    return _strip_point(as_log(start), generator, math.log(h)).exp()
+    v, f = step(v0, g0)
+    while f:
+        v1, f1 = step(v, f)
+        if not abs(f1) < abs(f):
+            break
+        v, f = v1, f1
+    d = _softplus(v) - sp0
+    return LogPoint(X0 + aX * (v - v0) + bX * d, Y0 + aY * (v - v0) + bY * d)
 
 
 def _strip_point(anchor: LogPoint, gen: LineGenerator, sigma: float) -> LogPoint:
@@ -1323,8 +1311,6 @@ def _level_measure(hull: list[tuple[float, float]], pt: LogPoint) -> float:
             s = (ax * pt.Y - ay * pt.X) / den
             if -1e-9 <= s <= 1.0 + 1e-9 and tj > t:
                 t, k, at = tj, j, s
-    if k is None:
-        return math.nan
     caps = getattr(hull, "caps", {})
     if 1e-9 < at < 1.0 - 1e-9 and k in caps:
         p, q, L = caps[k]

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from toric_regions import region_construction
 from toric_regions.errors import (
@@ -67,7 +68,6 @@ from toric_regions.region_construction import (
     region_contains,
     region_contains_batch,
     sample_boundary,
-    segment_curve_intersection,
 )
 from toric_regions.tdi_rhs import rhs_bruteforce
 
@@ -234,16 +234,19 @@ class TestSlopeClasses:
 
 
 class TestSegmentCurveIntersection:
+    """_strip_point off the axes: the crossing segment from an anchor meets
+    the power curve y^q = h x^p."""
+
     def test_linear_curve_closed_form(self):
         gen = normalize_generator(1, 1)
-        pt = segment_curve_intersection(PosPoint(3.0, 4.0), gen, math.e)
+        pt = _strip_point(PosPoint(3.0, 4.0).log(), gen, math.log(math.e)).exp()
         assert pt.x == pytest.approx(7.0 / (1.0 + math.e), rel=1e-10)
         assert pt.y == pytest.approx(7.0 * math.e / (1.0 + math.e), rel=1e-10)
 
     def test_huge_coordinates(self):
         gen = normalize_generator(1, 1)
         start = LogPoint(60.0, 60.0).exp()
-        pt = segment_curve_intersection(start, gen, math.exp(3.0))
+        pt = _strip_point(start.log(), gen, math.log(math.exp(3.0))).exp()
         res = math.log(pt.y) - math.log(pt.x) - 3.0
         assert abs(res) < 1e-9
 
@@ -254,11 +257,93 @@ def _on_xline(pt: LogPoint, anchor: LogPoint, s: float) -> bool:
     return abs((y - y0) - s * (x - x0)) <= 1e-12 * max(x, y, x0, y0)
 
 
+def _bisection_reference(anchor: LogPoint, gen: LineGenerator, log_h: float) -> LogPoint:
+    """The crossing solver that the Newton steps replaced, kept as an oracle.
+
+    It bisects in log x for the root of g = q*Y - p*X - log_h on the x-space
+    line through anchor, reading g = -sign(q)*inf past the quadrant exit.
+    When that leaves a residual above 1e-11*(1 + |log_h|), it bisects again
+    on the x<->y mirror, and the root with the smaller residual wins.
+    """
+
+    def root(a: LogPoint, q: int, p: int) -> LogPoint:
+        s = -q / p
+
+        def g(t: float) -> float:
+            try:
+                return q * _line_y_log(a.X, a.Y, s, t) - p * t - log_h
+            except NoCrossing:
+                return -math.copysign(math.inf, q)
+
+        g0 = q * a.Y - p * a.X - log_h
+        lo, glo = a.X, g0
+        hi = a.X + g0 / p
+        ghi = g(hi)
+        mid = 0.5 * (lo + hi)
+        while lo != mid != hi:
+            gm = g(mid)
+            if (gm > 0.0) == (g0 > 0.0):
+                lo, glo = mid, gm
+            else:
+                hi, ghi = mid, gm
+            mid = 0.5 * (lo + hi)
+        t = lo if abs(glo) <= abs(ghi) else hi
+        return LogPoint(t, _line_y_log(a.X, a.Y, s, t))
+
+    p, q = gen.p, gen.q
+
+    def residual(pt: LogPoint) -> float:
+        return abs(q * pt.Y - p * pt.X - log_h)
+
+    pt = root(anchor, q, p)
+    if residual(pt) > 1e-11 * (1.0 + abs(log_h)):
+        m = root(LogPoint(anchor.Y, anchor.X), -p, -q)
+        pt = min(pt, LogPoint(m.Y, m.X), key=residual)
+    return pt
+
+
+_OFF_AXIS_GENS = [(p, q) for p in range(-6, 7) for q in range(1, 7)
+                  if p and math.gcd(abs(p), q) == 1]
+
+
 class TestCrossingSolver:
+    # Every sign case: p > 0 (so c > 0), p < 0 with c > 0 and with c < 0,
+    # each with the level above and below the anchor's.
+    @example((2, 3), 1.0, 1.0, 4.0)
+    @example((2, 3), 1.0, 1.0, -7.5)
+    @example((-1, 2), 3.0, -1.0, 2.0)
+    @example((-1, 2), 3.0, -1.0, -6.0)
+    @example((-3, 1), -1.0, 5.0, 8.0)
+    @example((-3, 1), -1.0, 5.0, 0.5)
+    @given(st.sampled_from(_OFF_AXIS_GENS), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+           st.floats(-8.0, 8.0))
+    def test_newton_root_matches_the_bisection(self, pq, X0, Y0, log_h):
+        gen, anchor = LineGenerator(*pq), LogPoint(X0, Y0)
+        pt = _curve_cross_on_line(anchor, gen, log_h)
+        assert abs(gen.q * pt.Y - gen.p * pt.X - log_h) <= 1e-11 * (1.0 + abs(log_h))
+        assert _on_xline(pt, anchor, -gen.q / gen.p)
+        ref = _bisection_reference(anchor, gen, log_h)
+        for got, want in ((pt.X, ref.X), (pt.Y, ref.Y)):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_line_through_the_origin_is_closed_form(self):
+        # Generator (-1, 1) and X0 = Y0: the line x = y is the log line
+        # X - Y = 0, and the root moves both coordinates by -g0/(q - p).
+        anchor, gen = LogPoint(0.5, 0.5), LineGenerator(-1, 1)
+        pt = _curve_cross_on_line(anchor, gen, 2.0)
+        assert pt == LogPoint(1.0, 1.0)
+        ref = _bisection_reference(anchor, gen, 2.0)
+        assert (pt.X, pt.Y) == pytest.approx((ref.X, ref.Y), abs=1e-10)
+
+    def test_anchor_on_the_curve_is_returned(self):
+        anchor = LogPoint(1.0, 2.0)
+        assert _curve_cross_on_line(anchor, LineGenerator(2, 3), 4.0) == anchor
+
     def test_log_y_branch(self):
         # From the worked fan at delta = 3: the crossing sits near the x-axis,
-        # where the search along log x stalls at a residual of ~4e-8 and only
-        # the mirrored search along log y meets the tolerance.
+        # where log y runs far along the line while log x barely moves.  The
+        # root still meets the tolerance and lies on the line, left of the
+        # anchor.
         anchor = LogPoint(7.113170628689126, 0.20248334812051194)
         gen = LineGenerator(-1, 1)
         log_h = -3.0 * SQRT2
@@ -1337,6 +1422,11 @@ class TestHullAndPhi:
             assert measure == pytest.approx(math.log(delta / 3.5), abs=1e-12)
         assert math.isnan(region_construction._level_measure([(0.0, 1.0), (2.0, 1.0),
                                                               (1.0, 2.0)], pt))
+
+    def test_measure_of_a_ray_that_meets_no_edge_is_nan(self, worked_region):
+        # The origin gives the ray no direction: every edge's denominator is 0.
+        hull = conv_hull(worked_region)
+        assert math.isnan(region_construction._level_measure(hull, LogPoint(0.0, 0.0)))
 
     def test_empty_band_is_out_of_band(self, hull_requests):
         fan = Fan(WORKED_GENS)
