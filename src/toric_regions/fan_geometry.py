@@ -470,45 +470,45 @@ def dist_to_cone(point, cone: Cone) -> float:
     return min([_ray_distance(pt, u) for u in rays])
 
 
-# Points per pass of near_sectors: bounds its (rays x points) temporaries
+# Points per pass of near_sectors: bounds its (arms x points) temporaries
 # on the integrator's long batches of step starts.
 _NEAR_BLOCK = 1024
 
 
 @lru_cache(maxsize=256)
-def _sector_rays(fan: Fan) -> tuple[np.ndarray, np.ndarray]:
-    """The extreme rays of all fan_2d_cones(fan), stacked as a (rays, 2)
-    array, and the row of each sector's first ray.  Every call shares the
-    two arrays; nothing writes to them."""
-    sectors = fan_2d_cones(fan)
-    rays = np.array([u for s in sectors for u in s._rays])
-    first = np.cumsum([0] + [len(s._rays) for s in sectors[:-1]])
-    return rays, first
+def _arm_rays(fan: Fan) -> tuple[np.ndarray, np.ndarray]:
+    """The unit rays of the arm table, arm 0 repeated last, as two
+    (2b + 1, 1) columns: arm k is the start ray of fan_2d_cones(fan)[k].
+    Every call shares the two arrays; nothing writes to them."""
+    starts = [s._rays[0] for s in fan_2d_cones(fan)]
+    rays = np.array(starts + starts[:1])
+    return rays[:, :1], rays[:, 1:]
 
 
 def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.ndarray:
     """dist_to_cone(pt, sector) <= limit for every sector of fan_2d_cones(fan)
     (rows) and every log point (X[j], Y[j]) (columns).
 
-    The ray distances of all sectors come from one (rays x points) array,
-    each sector's distance is the minimum over its rows, and a sector's
-    zero excess sets it to 0.  dist_to_cone decides the (sector, point)
-    pairs near the limit, where np.hypot and math.hypot can differ in the
-    last place.  Points go in blocks of _NEAR_BLOCK.
+    Sector k runs from arm k to arm k + 1.  Per (arm, point) one cross
+    product c = arm x p and one dot product d = arm . p give the ray
+    distance: |c| where d > 0, else |p|.  A sector's distance is the
+    smaller of its two arms', and 0 where c_k >= 0 and c_k+1 <= 0, which
+    also bounds a one-generator fan's half planes.  Rounding moves both
+    |c| and an arm (from the sector's end ray) by ulps of |p|, so
+    dist_to_cone decides the pairs within 1e-12 * limit + 1e-14 * |p| of
+    the limit.  Points go in blocks of _NEAR_BLOCK.
     """
-    rays, first = _sector_rays(fan)
-    rx, ry = rays[:, :1], rays[:, 1:]
-    u, e = rays[first], rays[first + 1]
-    near = np.empty((len(first), len(X)), dtype=bool)
+    ax, ay = _arm_rays(fan)
+    near = np.empty((len(ax) - 1, len(X)), dtype=bool)
     for lo in range(0, len(X), _NEAR_BLOCK):
         x, y = X[lo:lo + _NEAR_BLOCK], Y[lo:lo + _NEAR_BLOCK]
-        t = x * rx + y * ry
-        dist = np.minimum.reduceat(np.where(t <= 0.0, np.hypot(x, y),
-                                            np.hypot(x - t * rx, y - t * ry)), first, axis=0)
-        dist[(u[:, :1] * y - u[:, 1:] * x >= 0.0) & (e[:, :1] * y - e[:, 1:] * x <= 0.0)] = 0.0
+        c, r = ax * y - ay * x, np.hypot(x, y)
+        ray = np.where(ax * x + ay * y > 0.0, np.abs(c), r)
+        dist = np.minimum(ray[:-1], ray[1:])
+        dist[(c[:-1] >= 0.0) & (c[1:] <= 0.0)] = 0.0
         block = near[:, lo:lo + _NEAR_BLOCK]
         block[...] = dist <= limit
-        for k, j in zip(*np.nonzero(np.abs(dist - limit) <= 1e-12 * abs(limit))):
+        for k, j in zip(*np.nonzero(np.abs(dist - limit) <= 1e-12 * abs(limit) + 1e-14 * r)):
             block[k, j] = dist_to_cone(LogPoint(float(x[j]), float(y[j])),
                                        fan_2d_cones(fan)[k]) <= limit
     return near

@@ -1433,24 +1433,32 @@ def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
     # Approximate simplicity test: each piece is a chain of _LOOP_CHORDS
     # chords, and two pieces cross when a chord of one meets a chord of the
     # other strictly inside both (contact at shared anchors does not count).
-    # All piece pairs a < b whose bounding boxes meet are tested at once.
+    # Such a point lies in both chords' boxes, so of the piece pairs a < b
+    # whose boxes meet only the chord pairs whose boxes meet are tested:
+    # the chords of each piece that meet the other's box, crossed.
     chains = np.stack(_chains(t, np.arange(len(gaps)), _LOOP_CHORDS), axis=-1)
     lo, hi = chains.min(axis=1), chains.max(axis=1)
-    starts, steps = chains[:, :-1], np.diff(chains, axis=1)
+    clo = np.minimum(chains[:, :-1], chains[:, 1:])
+    chi = np.maximum(chains[:, :-1], chains[:, 1:])
     a, b = np.triu_indices(len(gaps), 1)
     near = np.all((hi[b] >= lo[a] - 1e-9) & (lo[b] <= hi[a] + 1e-9), axis=1)
     a, b = a[near], b[near]
-    # Chord i of piece a against chord j of piece b: (pair, i, j).
-    p1, d1 = starts[a, :, None], steps[a, :, None]
-    p3, d2 = starts[b, None], steps[b, None]
-    e = p3 - p1
+    in_a = np.all((chi[a] >= lo[b, None] - 1e-9) & (clo[a] <= hi[b, None] + 1e-9), axis=-1)
+    in_b = np.all((chi[b] >= lo[a, None] - 1e-9) & (clo[b] <= hi[a, None] + 1e-9), axis=-1)
+    # Chord i of piece a[k] against chord j of piece b[k], flat.
+    k, i, j = np.nonzero(in_a[:, :, None] & in_b[:, None, :])
+    a, b = a[k], b[k]
+    meet = np.all((chi[b, j] >= clo[a, i] - 1e-9) & (clo[b, j] <= chi[a, i] + 1e-9), axis=-1)
+    k, a, i, b, j = k[meet], a[meet], i[meet], b[meet], j[meet]
+    p1, p3 = chains[a, i], chains[b, j]
+    d1, d2, e = chains[a, i + 1] - p1, chains[b, j + 1] - p3, p3 - p1
     with np.errstate(all="ignore"):  # the products overflow at huge delta
         den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         t = (e[..., 0] * d2[..., 1] - e[..., 1] * d2[..., 0]) / den
         u = (e[..., 0] * d1[..., 1] - e[..., 1] * d1[..., 0]) / den
     eps = 1e-9
     hit = (np.abs(den) >= 1e-300) & (eps < t) & (t < 1.0 - eps) & (eps < u) & (u < 1.0 - eps)
-    bad = int(np.count_nonzero(hit.any(axis=(1, 2))))
+    bad = len(set(k[hit].tolist()))  # np.unique's first call imports numpy.ma
     simple = {"passed": bad == 0, "worst": float(bad), "detail": "crossing piece pairs"}
     return closed, simple
 

@@ -10,10 +10,11 @@ one-generator fan the value is a line.
 
 Each path only chooses the near set.  ``rhs_bruteforce`` does it by the
 definition, point by point: the ground truth.  ``rhs_bruteforce_batch``
-does the same for an array of points at once: ``near_sectors`` finds the
-near sectors of every point in one numpy broadcast over all sectors' rays,
-in blocks of 1,024 points, and one matmul turns them into bit sets.  It
-is the validation battery's check, and, with the inclusive tol, the
+does the same for an array of points at once: ``near_sectors`` takes one
+cross and one dot product of every arm of the fan with every point, in
+blocks of 1,024 points, and reads each sector's distance off its two
+arms; one matmul turns the near sectors into bit sets.  It is the
+validation battery's check, and, with the inclusive tol, the
 integrator's check of every step start and the check of every candidate
 witness route.  ``rhs_classified`` reads the near set off r(x) and the
 active strip's arm, and returns the definition's value away from strip
@@ -87,9 +88,9 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
     """rhs_bruteforce(pt, fan, delta, tol) at each log point (X[k], Y[k]) of
     float arrays: the distinct values, and each point's index into them.
 
-    near_sectors marks every (sector, point) pair within the limit in one
-    broadcast, in blocks of points, and one int64 matmul turns each
-    point's column into its near set's bit code.
+    near_sectors marks every (sector, point) pair within the limit from
+    the arm table, one cross and one dot product per (arm, point), and one
+    int64 matmul turns each point's column into its near set's bit code.
     """
     limit = _near_limit(delta, tol)
     bits = 1 << np.arange(len(fan_2d_cones(fan)), dtype=np.int64)

@@ -562,6 +562,20 @@ class TestWorkedConstruction:
         seg = b.polylines["I1"][1]
         assert (seg.start.X, seg.end.X) == pytest.approx((0.2027, -365.434), abs=1e-3)
 
+    def test_arc_at_lies_on_its_log_line(self, worked_region):
+        # Log x = c gives a point of q*Y - p*X = q*start.Y - p*start.X, and
+        # the mirrored branch at its log y gives the point back.
+        for arc in worked_region.arcs:
+            g, a = arc.gen, arc.start
+            for c in (a.X, arc.end.X, 0.5 * (a.X + arc.end.X), a.X - 40.0):
+                pt = arc.at(c, False)
+                assert pt.X == c
+                assert g.q * pt.Y - g.p * pt.X == pytest.approx(
+                    g.q * a.Y - g.p * a.X, abs=1e-12 * (1.0 + abs(c)))
+                back = arc.at(pt.Y, True)
+                assert back.Y == pt.Y
+                assert back.X == pytest.approx(c, abs=1e-12 * (1.0 + abs(c)))
+
     def test_segment_slopes(self, worked_region):
         slopes = {name: [str(s.slope) for s in segs]
                   for name, segs in worked_region.polylines.items()}
@@ -763,11 +777,22 @@ class TestLoopChecks:
     @pytest.mark.parametrize("gens, delta", [
         (WORKED_GENS, 3.0), (WORKED_GENS, 100.0), ([(1, 2), (2, 1)], 1.0),
         ([(1, 2), (2, 1), (-1, 1), (0, 1)], 3.0), ([(-2, 1), (2, 3), (1, 1)], 0.5),
-        ([(-1, 1), (1, 3), (3, 1), (2, 1)], 10.0),
+        ([(-1, 1), (1, 3), (3, 1), (2, 1)], 10.0), ([(-2, 1), (2, 3), (1, 1)], 300.0),
+        # The boundary doubles back on itself: piece 5 runs back up along
+        # piece 4 within ulps, so rounding decides the crossing.
+        ([(-2, 1), (2, 3), (3, 1), (0, 1), (-3, 2)], 10.0),
+        # Pieces 0 and 3 lie on one log line, 1e-10 apart, inside the box
+        # slack: collinear and disjoint, they do not cross.
+        ([(0, 0), (1, 0.3), (1, 3.3), (1 + 1e-10, 0.3 * (1 + 1e-10)), (2, 0.6), (3, -1)], None),
     ])
     def test_matches_the_scalar_loop(self, gens, delta):
-        b = construct_region(Fan(gens), delta, validate=False)
-        assert _loop_checks(b)[1]["worst"] == float(_crossing_pairs_reference(b.pieces))
+        if delta is None:
+            b = _log_loop(*gens)
+        else:
+            b = construct_region(Fan(gens), delta, validate=False)
+        worst = _loop_checks(b)[1]["worst"]
+        assert worst == float(_crossing_pairs_reference(b.pieces))
+        assert worst == 0.0 or delta is not None
 
 
 def _nagumo_reference(boundary, samples) -> dict:

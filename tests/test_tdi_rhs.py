@@ -414,10 +414,32 @@ class TestBatchBruteforce:
                 break
         assert regions == 14
 
+    @pytest.mark.parametrize("delta", [100.0, 300.0])
+    def test_far_atlas_boundary_samples(self, delta):
+        # Far from the origin an arm's |arm x p| and the definition's
+        # hypot(p - t*arm) round differently; so do points exactly on an
+        # arm, t*(q, p), where arm x p is rounding noise around 0.
+        regions = 0
+        for entry in ATLAS["fans"]:
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            try:
+                region = construct_region(fan, delta, validate=False)
+            except ToricRegionsError:
+                continue
+            X, Y, _ = sample_boundary(region, 256)
+            arms = [(t * g.q, t * g.p) for g in fan.generators
+                    for t in (-3.0 * delta, -1.0, -1e-3, 1e-3, 0.7, delta, 7.0 * delta)]
+            _assert_batch_matches(X.tolist() + [x for x, _ in arms],
+                                  Y.tolist() + [y for _, y in arms], fan, delta)
+            regions += 1
+            if regions == 14:
+                break
+        assert regions == 14
+
 
 class TestNearSectors:
-    """The one broadcast over all sectors; TestBatchBruteforce compares it
-    with the definition pair by pair."""
+    """The arm table: one cross and one dot product per (arm, point);
+    TestBatchBruteforce compares it with the definition pair by pair."""
 
     def test_ties_go_to_dist_to_cone(self, monkeypatch):
         # The limit is one point's distance to a sector away from it, so that
@@ -444,6 +466,50 @@ class TestNearSectors:
         calls.clear()
         near_sectors(X, Y, WORKED_FAN, limit * (1.0 + 1e-9))
         assert calls == []
+
+    def test_far_points_at_the_limit(self):
+        # Points at distance 0.5 (to rounding) from a sector's extreme ray,
+        # up to 1e6 from the origin, where |arm x p| and the definition's
+        # distance differ by ulps of |p|: far more than 1e-12 * limit.
+        for entry in ATLAS["fans"][::17]:
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            X, Y = [], []
+            for s in fan_2d_cones(fan):
+                for ux, uy in s.extreme_rays():
+                    for t in (1.0, 1e3, 1e6):
+                        for off in (0.5, 0.5 * (1.0 + 1e-13), 0.5 * (1.0 - 1e-15), -0.5):
+                            X.append(t * ux - off * uy)
+                            Y.append(t * uy + off * ux)
+            X, Y = np.array(X), np.array(Y)
+            assert (near_sectors(X, Y, fan, 0.5) == _near_reference(X, Y, fan, 0.5)).all(), fan
+
+    def test_battery_samples_make_no_ties(self, monkeypatch):
+        # Arc samples lie on a strip boundary, STRIP_TOL from the battery's
+        # limit; at delta = 300 they sit thousands of log units out, and the
+        # tie band must stay far inside STRIP_TOL there.
+        region = construct_region(WORKED_FAN, 300.0, validate=False)
+        X, Y, _ = sample_boundary(region, 512)
+        assert np.hypot(X, Y).max() > 1e3
+        calls = []
+        monkeypatch.setattr(fan_geometry, "dist_to_cone", lambda *args: calls.append(args) or 0.0)
+        near_sectors(X, Y, WORKED_FAN, 300.0 - STRIP_TOL)
+        assert calls == []
+
+    def test_points_on_the_rays_at_a_zero_limit(self):
+        # delta = STRIP_TOL makes the limit 0: a point on an arm or a sector's
+        # ray is near exactly when the definition's distance is 0, which
+        # |arm x p| misses by rounding.
+        for entry in ATLAS["fans"][::9]:
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            pts = [(t * ux, t * uy) for s in fan_2d_cones(fan) for ux, uy in s.extreme_rays()
+                   for t in (0.5, 3.0, 100.0, 1e4)]
+            pts += [(t * g.q, t * g.p) for g in fan.generators for t in (-7.0, -1e-3, 0.7, 1e3)]
+            X, Y = (np.array(v) for v in zip(*pts))
+            assert (near_sectors(X, Y, fan, 0.0) == _near_reference(X, Y, fan, 0.0)).all(), fan
+            values, index = rhs_bruteforce_batch(X, Y, fan, STRIP_TOL, STRIP_TOL)
+            for (x, y), k in zip(pts, index):
+                want = rhs_bruteforce(LogPoint(x, y), fan, STRIP_TOL, STRIP_TOL)
+                assert (values[k].lo, values[k].width) == (want.lo, want.width), (fan, x, y)
 
     def test_blocks_match_the_scalar_value(self):
         # 2,500 points span three blocks; strip boundary points sit in each.

@@ -256,3 +256,21 @@ def test_unrun_lines_enumerates_statements_and_records_hits(tmp_path):
     assert tool.unrun(src, {}) == [f"src/pkg/mod.py:{n}: {line}" for n, line in (
         (2, "import functools"), (6, "def f(x):"), (8, "if x:"), (9, "y = (x +"),
         (11, "return y"), (12, "return 0"))]
+
+
+def test_bench_pairs_compare_applies_the_gain_rule():
+    tool = _load_tool("bench_pairs")
+    parent = [4.0, 4.2, 4.4, 4.1, 4.3, 4.2, 4.0, 4.4, 4.1, 4.3]
+    # Nine of ten pairs won, by more than the parent's quartile spread.
+    faster = [p - 0.6 for p in parent[:9]] + [4.5]
+    r = tool.compare(parent, faster, "lower")
+    assert (r["won"], r["pairs"], r["gain"]) == (9, 10, True)
+    assert r["parent"]["median"] == pytest.approx(4.2)
+    assert r["parent"]["q1"] <= r["parent"]["median"] <= r["parent"]["q3"]
+    # Eight pairs won is no gain, and neither is a gap inside the spread.
+    assert not tool.compare(parent, faster[:8] + [4.5, 4.5], "lower")["gain"]
+    assert not tool.compare(parent, [p - 0.01 for p in parent], "lower")["gain"]
+    # For a higher-is-better metric the larger value wins.
+    r = tool.compare(parent, [p + 1.0 for p in parent], "higher")
+    assert (r["won"], r["gain"]) == (10, True)
+    assert tool.compare(parent, [p + 1.0 for p in parent], "lower")["won"] == 0

@@ -1,0 +1,98 @@
+"""Alternated benchmark pairs of a parent checkout and this one.
+
+Pair k (k = 1..N) runs
+
+    python bench/run.py --workload W --seed k --seconds S --trace 0
+
+once in the parent checkout and once in this one, each from its own root,
+the parent first in odd pairs and this checkout first in even ones, so a
+drift of the machine's speed favours neither side.  For every end-to-end
+metric of ``BENCHMARK.json`` it then prints each side's median and
+quartiles (as ``statistics.quantiles(values, n=4)`` gives them), the
+pairs the change won in the metric's better direction, and whether the
+gap between the medians exceeds the parent's quartile spread q3 - q1.  A
+gain counts when the change wins at least 9 of 10 pairs and the gap
+exceeds that spread.
+
+Run from anywhere; PARENT_ROOT is the root of a checkout of the parent
+commit (``git archive`` of it will do), holding its ``bench/`` and
+``src/``:
+
+    python tools/bench_pairs.py PARENT_ROOT [--workload W] [--pairs N] [--seconds S]
+
+The defaults are atlas_validate, 10 pairs and 20 s.  ``bench/`` is only
+run, and each run leaves its record under its own checkout's
+``.bench_runs/``.  Per-pair values go to standard error as they come.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The metrics {name: value} of one bench/run.py run in the checkout."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"bench/run.py failed in {root}:\n{proc.stdout}{proc.stderr}")
+    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+
+
+def compare(parent: list, change: list, better: str) -> dict:
+    """Medians, quartiles, pairs won and the gain rule for one metric's
+    paired values (parent[k] and change[k] from pair k)."""
+    sign = 1.0 if better == "lower" else -1.0
+    out = {"won": sum(sign * (p - c) > 0.0 for p, c in zip(parent, change)),
+           "pairs": len(parent)}
+    for side, values in (("parent", parent), ("change", change)):
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+        out[side] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+    gap = sign * (out["parent"]["median"] - out["change"]["median"])
+    spread = out["parent"]["q3"] - out["parent"]["q1"]
+    out["gain"] = out["won"] >= 0.9 * out["pairs"] and gap > spread
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_root", type=Path)
+    ap.add_argument("--workload", default="atlas_validate")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    if not (args.parent_root / "bench" / "run.py").is_file():
+        print(f"no bench/run.py under {args.parent_root}", file=sys.stderr)
+        return 2
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"parent": [], "change": []}
+    for seed in range(1, args.pairs + 1):
+        order = [("parent", args.parent_root), ("change", ROOT)]
+        for side, root in (order if seed % 2 else order[::-1]):
+            runs[side].append(run_once(root, args.workload, seed, args.seconds))
+        print(f"pair {seed}: " + "  ".join(
+            f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
+            f"{runs['change'][-1][m['name']]:.4g}" for m in metrics), file=sys.stderr, flush=True)
+    print(f"{args.workload}, {args.pairs} alternated pairs of {args.seconds:g} s, "
+          "median [q1, q3]:")
+    for m in metrics:
+        name = m["name"]
+        r = compare([run[name] for run in runs["parent"]],
+                    [run[name] for run in runs["change"]], m["better"])
+        p, c = r["parent"], r["change"]
+        print(f"  {name:16s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+              f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
+              f"won {r['won']}/{r['pairs']}  gain {'yes' if r['gain'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
