@@ -5,11 +5,19 @@ witnesses.
 Velocities are x-space vectors constrained by the inclusion cone; the
 integrator steps the log coordinates (X' = x'/x componentwise) so positivity
 is automatic and points of order e^(c*delta) stay representable.
+
+Velocities are checked from float arrays: the integrator's step starts
+from the floats it steps on, and a witness leg's samples from the arrays
+(X, Y, vx, vy) the leg is built as.  The check (_violations) gives every
+violation bit for bit as Cone.violation does.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from .fan_geometry import (
     LINE_WIDTH,
     STRIP_TOL,
     TWO_PI,
+    ZERO_WIDTH,
     Cone,
     Fan,
     LogPoint,
@@ -40,9 +49,10 @@ from .region_construction import (
     IntersectionPoint,
     RegionBoundary,
     Segment,
+    _line_y_log_batch,
+    _math_map,
     _sign,
     _strip_point,
-    _xline_at,
     region_contains,
 )
 from .tdi_rhs import rhs_bruteforce, rhs_bruteforce_batch, rhs_classified
@@ -60,13 +70,49 @@ def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> Cone:
         return rhs_bruteforce(point, fan, delta)
 
 
-def _violations(points: list[LogPoint], velocities: list[tuple[float, float]], fan: Fan,
-                delta: float) -> list[float]:
-    """Cone violation of each velocity at its point, against the inclusive
-    value of the inclusion, from one batched evaluation."""
-    X, Y = np.array([(p.X, p.Y) for p in points], dtype=float).reshape(-1, 2).T
+def _cone_row(c: Cone) -> tuple[float, ...]:
+    """Cone._excess of a cone as three rays u, e and b: the excess of v
+    is max(0, -(u x v), e x v, -(b . v)), except that the zero cone's
+    (flagged by the row's first entry) is |v|.
+
+    u and e are the start and end rays.  A line takes e = u, so that the
+    two cross products give |u x v|; a ray takes e = u too, and b = u for
+    its opposite direction.  Rays that a cone does not read are zero:
+    their terms are 0 or NaN, and max passes over both.
+    """
+    w, rays = c.width, c.extreme_rays()
+    if not rays:
+        return (float(w == ZERO_WIDTH), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    u = rays[0]
+    e = u if w in (0.0, LINE_WIDTH) else rays[1]
+    b = u if w == 0.0 else (0.0, 0.0)
+    return (0.0, *u, *e, *b)
+
+
+def _violations(X: np.ndarray, Y: np.ndarray, vx: np.ndarray, vy: np.ndarray, fan: Fan,
+                delta: float) -> np.ndarray:
+    """Cone violation of each velocity (vx[k], vy[k]) at its log point
+    (X[k], Y[k]), against the inclusive value of the inclusion, from one
+    batched evaluation: Cone.violation's value, bit for bit.
+
+    Cone._excess runs on all points at once, from one _cone_row per
+    distinct value.  Products and differences round in numpy as in Python
+    floats, and fmax passes over a NaN term as Python's max does.  The
+    norm |v| comes from math.hypot (numpy's hypot differs in the last
+    place on some inputs), and only where the excess is positive.
+    """
     values, index = rhs_bruteforce_batch(X, Y, fan, delta, _INCLUSIVE_TOL)
-    return [values[k].violation(v) for k, v in zip(index, velocities)]
+    zero, u0, u1, e0, e1, b0, b1 = np.array([_cone_row(c) for c in values]).T[:, index]
+    zero = zero == 1.0
+    with np.errstate(all="ignore"):  # inf and NaN arise silently, as in Python floats
+        worst = np.fmax(np.fmax(-(u0 * vy - u1 * vx), e0 * vy - e1 * vx),
+                        np.fmax(-(b0 * vx + b1 * vy), 0.0))
+        hit = zero | (worst > 0.0)
+        norm = _math_map(math.hypot, vx[hit], vy[hit])
+        excess = np.where(zero[hit], norm, worst[hit])
+        out = np.zeros(len(X))
+        out[hit] = np.where(excess > 0.0, excess / norm, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +449,7 @@ class Trajectory:
     legs: list = field(default_factory=list)
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(map(operator.le, self.times[1:], self.times)):
             raise ValueError("trajectory times must strictly increase")
 
 
@@ -444,7 +490,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     t_end <= 0.  Otherwise it ends "t_end", "stalled" or "max_steps".
 
     The velocity of every step start is checked against the inclusive
-    brute-force cone once, in one batch, when the run ends or an exception
+    brute-force cone once, in one batch from the floats the run stepped
+    on (bit for bit as Cone.violation), when the run ends or an exception
     leaves it.  The first violating step start raises StepCollapse, with
     the step and message a check at every step would give; a selection
     that leaves the cone is thus called to the end of its run first.  A
@@ -463,6 +510,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     t = 0.0
     times = [t]
     points = [pt]
+    xs, ys = [X], [Y]  # the floats of the points
     velocities = []  # the velocity of each step start, as it is computed
     termination = "t_end"
 
@@ -489,15 +537,19 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 
     def check_starts() -> float:
         """Worst cone violation of the recorded step starts, in one batch."""
-        if not velocities:
+        n = len(velocities)
+        if not n:
             return 0.0
-        violations = _violations(points[:len(velocities)], velocities, fan, delta)
-        for ts, violation in zip(times, violations):
-            if violation > _CONE_TOL:
-                # Halving cannot fix the start velocity, so this is exactly
-                # the fails-at-minimum-step condition.
-                raise StepCollapse(f"velocity violates the cone by {violation:.3e} at t={ts:.4g}")
-        return max([0.0, *violations])
+        vx, vy = np.array(velocities, dtype=float).reshape(n, 2).T
+        violations = _violations(np.array(xs[:n]), np.array(ys[:n]), vx, vy, fan, delta)
+        bad = np.flatnonzero(violations > _CONE_TOL)
+        if len(bad):
+            # Halving cannot fix the start velocity, so this is exactly
+            # the fails-at-minimum-step condition.
+            k = bad[0]
+            raise StepCollapse(f"velocity violates the cone by {float(violations[k]):.3e} "
+                               f"at t={times[k]:.4g}")
+        return float(np.fmax.reduce(violations, initial=0.0))  # NaN passed over, as by max
 
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
     h_next = dt  # the error control's proposal for the next step
@@ -556,6 +608,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
             t += h
             times.append(t)
             points.append(pt)
+            xs.append(X)
+            ys.append(Y)
         else:
             termination = "stopped"
     except Exception:
@@ -616,50 +670,80 @@ class WitnessLeg:
     velocities: list[tuple[float, float]]
 
 
-def _validate_leg(legs: list[WitnessLeg], fan: Fan, delta: float) -> float:
+class _ArrayLeg(NamedTuple):
+    """A leg as it is built and checked: its samples' log points (X, Y)
+    and x-space velocities (vx, vy) as float arrays."""
+
+    kind: str
+    description: str
+    X: np.ndarray
+    Y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+
+    @property
+    def end(self) -> LogPoint:
+        """The last sample."""
+        return LogPoint(float(self.X[-1]), float(self.Y[-1]))
+
+    def witness(self) -> WitnessLeg:
+        """The leg with its LogPoints and velocity tuples."""
+        return WitnessLeg(self.kind, self.description,
+                          list(map(LogPoint, self.X.tolist(), self.Y.tolist())),
+                          list(zip(self.vx.tolist(), self.vy.tolist())))
+
+
+def _validate_leg(legs: list[_ArrayLeg], fan: Fan, delta: float) -> float:
     """Worst cone violation of the legs' velocities, each against the
-    inclusive value at its point, from one batch over all the legs;
+    inclusive value at its point, from one _violations batch over the
+    legs' concatenated float arrays (bit for bit as Cone.violation);
     WitnessFailed naming the description of the last leg whose worst
     exceeds _CONE_TOL."""
-    violations = iter(_violations([p for leg in legs for p in leg.points],
-                                  [v for leg in legs for v in leg.velocities], fan, delta))
-    worst = [max([0.0, *itertools.islice(violations, len(leg.points))]) for leg in legs]
+    _, _, *arrays = zip(*legs)  # the legs' X, Y, vx and vy
+    violations = _violations(*map(np.concatenate, arrays), fan, delta)
+    starts = list(itertools.accumulate([len(leg.X) for leg in legs[:-1]], initial=0))
+    # Each leg's max([0.0, *violations]): fmax passes over a NaN as max does.
+    worst = np.fmax(np.fmax.reduceat(violations, starts), 0.0).tolist()
     for leg, w in zip(reversed(legs), reversed(worst)):
         if w > _CONE_TOL:
             raise WitnessFailed(leg.description, f"worst violation {w:.3e}")
     return max(worst)
 
 
-def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> WitnessLeg:
+def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> _ArrayLeg:
     """Straight path in log space; x-space velocity is (dX*x, dY*y)."""
     dX, dY = b.X - a.X, b.Y - a.Y
-    length = math.hypot(dX, dY)
-    n = max(2, int(math.ceil(length / _LEG_STEP)))
-    pts, vels = [], []
-    for k in range(n + 1):
-        u = k / n
-        p = LogPoint(a.X + u * dX, a.Y + u * dY)
-        pts.append(p)
-        vels.append((dX * math.exp(p.X), dY * math.exp(p.Y)))
-    return WitnessLeg("logline", desc, pts, vels)
+    n = max(2, int(math.ceil(math.hypot(dX, dY) / _LEG_STEP)))
+    u = np.arange(n + 1) / n
+    X, Y = a.X + u * dX, a.Y + u * dY
+    return _ArrayLeg("logline", desc, X, Y, dX * _math_map(math.exp, X),
+                     dY * _math_map(math.exp, Y))
 
 
 def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
-               desc: str) -> WitnessLeg:
+               desc: str) -> _ArrayLeg:
     """Straight x-space path from a to x_end along an exact direction.
 
     The direction (not endpoint differences) is used for the velocities so
     exactly cone-parallel walks validate exactly.  Samples are even in the
     dominant log axis and lie on the direction's line through the nearer
     end, evaluated by the line kernel (on the x<->y mirror when log y
-    dominates).  Raises NoCrossing if that line leaves the quadrant.
+    dominates), all by one _line_y_log_batch call: sample k of n is
+    _xline_at(a if 2k <= n else x_end, *direction, c, mirrored), bit for
+    bit.  Raises NoCrossing if that line leaves the quadrant.
     """
+    dx, dy = direction
     mirrored = abs(x_end.X - a.X) < abs(x_end.Y - a.Y)
-    c0, c1 = (a.Y, x_end.Y) if mirrored else (a.X, x_end.X)
-    n = max(2, int(math.ceil(abs(c1 - c0) / _LEG_STEP)))
-    pts = [_xline_at(a if 2 * k <= n else x_end, *direction, c0 + (c1 - c0) * k / n, mirrored)
-           for k in range(n + 1)]
-    return WitnessLeg("xline", desc, pts, [direction] * len(pts))
+    # The kernel's (X0, Y0, slope), near end first; the mirror swaps x and y.
+    (A0, A1), (B0, B1), s = (((a.Y, x_end.Y), (a.X, x_end.X), dx / dy) if mirrored
+                             else ((a.X, x_end.X), (a.Y, x_end.Y), dy / dx))
+    n = max(2, int(math.ceil(abs(A1 - A0) / _LEG_STEP)))
+    k = np.arange(n + 1)
+    c = A0 + (A1 - A0) * k / n
+    far = 2 * k > n
+    other = _line_y_log_batch(np.where(far, A1, A0), np.where(far, B1, B0), np.full(n + 1, s), c)
+    X, Y = (other, c) if mirrored else (c, other)
+    return _ArrayLeg("xline", desc, X, Y, np.full(n + 1, dx), np.full(n + 1, dy))
 
 
 def _segment_direction(seg: Segment) -> tuple[float, float]:
@@ -686,6 +770,13 @@ def _xspace_unit(a: LogPoint, b: LogPoint) -> tuple[float, float]:
     return (dx / n, dy / n)
 
 
+@functools.lru_cache(maxsize=256)
+def _origin_system(fan: Fan, delta: float) -> MassActionSystem:
+    """The "origin_11" embedded system, built once per (fan, delta): it is
+    frozen, so every witness shares it."""
+    return embedded_system_for_target(fan, delta, "origin_11")
+
+
 def reach_witness(from_point, to_point, fan: Fan, delta: float,
                   region: RegionBoundary, arrive_tol: float = 1e-6) -> Trajectory:
     """Piecewise trajectory witnessing reachability inside the region.
@@ -695,7 +786,9 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     (r = 1) and gap (r = 0) targets are routed along the region boundary
     (see ``_route_via_boundary``).  Every leg is velocity-validated: the
     integrator checks the flow, and the legs of the straight run or of a
-    candidate route are checked together, in one batch per route.
+    candidate route are checked together, in one batch per route.  Legs
+    are float arrays; the LogPoints of the returned trajectory are made
+    for the winning legs only.
 
     Both endpoints must lie in the region (``region_contains`` says "inside"
     or "boundary"): the region is invariant, so no trajectory from inside it
@@ -714,8 +807,7 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     if region_contains(region, src) == "outside" or region_contains(region, dst) == "outside":
         raise WitnessFailed("precondition", "both endpoints must lie in the region")
 
-    sys11 = embedded_system_for_target(fan, delta, "origin_11")
-    flow1 = integrate_to_point(sys11, src, fan, delta, LogPoint(0.0, 0.0),
+    flow1 = integrate_to_point(_origin_system(fan, delta), src, fan, delta, LogPoint(0.0, 0.0),
                                t_end=_FLOW_T_END, rel_tol=arrive_tol, rescale=True)
     if flow1.termination != "stopped":
         raise WitnessFailed("leg1_flow", f"did not converge ({flow1.termination})")
@@ -728,11 +820,12 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     if max(abs(dst.X - cur.X), abs(dst.Y - cur.Y)) <= arrive_tol:
         pass  # target was (1,1): single leg
     elif r_dst >= 2:
-        legs.append(_logline_leg(cur, dst, "full-plane straight run"))
-        worst = _validate_leg(legs[-1:], fan, delta)
+        run = _logline_leg(cur, dst, "full-plane straight run")
+        worst = _validate_leg([run], fan, delta)
+        legs.append(run.witness())
     else:
         route, worst = _route_via_boundary(cur, dst, r_dst, fan, delta, region, arrive_tol)
-        legs.extend(route)
+        legs += [leg.witness() for leg in route]
 
     points = [src] + [p for leg in legs for p in leg.points]
     vels = [(0.0, 0.0)] + [v for leg in legs for v in leg.velocities]
@@ -741,7 +834,7 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
 
 
 def _hop_and_walk(cur: LogPoint, chain: str, k: int,
-                  region: RegionBoundary) -> list[WitnessLeg]:
+                  region: RegionBoundary) -> list[_ArrayLeg]:
     """Hop from near (1,1) to the chain's start point, (N,M) or (n,m),
     then walk the chain's first k segments.
 
@@ -753,7 +846,7 @@ def _hop_and_walk(cur: LogPoint, chain: str, k: int,
     name, ip = ("NM", region.start_max) if chain in ("I1", "I4") else ("nm", region.start_min)
     legs = [_logline_leg(cur, ip.log, f"full-plane hop to {name}")]
     for seg in region.polylines[chain][:k]:
-        legs.append(_xline_leg(legs[-1].points[-1], _segment_direction(seg), seg.end,
+        legs.append(_xline_leg(legs[-1].end, _segment_direction(seg), seg.end,
                                f"walk {chain} segment"))
     return legs
 
@@ -781,15 +874,15 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
         arm_sets = ({(strip.index, arm)}, {(strip.index, -arm)})
         sigma = strip_coordinate(dst, strip)
 
-        def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
+        def finish(c: LogPoint, seg: Segment) -> list[_ArrayLeg]:
             match = _strip_point(seg.start, strip.gen, sigma)
             into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
-            return [into, _logline_leg(into.points[-1], dst, "slide along the strip")]
+            return [into, _logline_leg(into.end, dst, "slide along the strip")]
     else:
         table, k = _arm_table(fan), _flanking_arms(dst, fan)
         arm_sets = ({table[k][1:], table[(k + 1) % len(table)][1:]},)
 
-        def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
+        def finish(c: LogPoint, seg: Segment) -> list[_ArrayLeg]:
             return [_xline_leg(c, _xspace_unit(c, dst), dst, "straight gap run")]
 
     candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS
@@ -800,8 +893,8 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     for chain, k in candidates:
         try:
             legs = _hop_and_walk(cur, chain, k, region)
-            legs += finish(legs[-1].points[-1], region.polylines[chain][k])
-            end = legs[-1].points[-1]
+            legs += finish(legs[-1].end, region.polylines[chain][k])
+            end = legs[-1].end
             if max(abs(end.X - dst.X), abs(end.Y - dst.Y)) > arrive_tol:
                 raise WitnessFailed("arrival", "route drifted from the target")
             return legs, _validate_leg(legs, fan, delta)

@@ -336,7 +336,7 @@ def _line_x_log(X0: float, Y0: float, w: float, Y: float) -> float:
 def _math_map(fn, *arrays) -> np.ndarray:
     """fn from math applied elementwise: numpy's exp, expm1, log1p and
     hypot differ from math's in the last place on some inputs."""
-    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
 def _line_y_log_batch(X0, Y0, s, X) -> np.ndarray:

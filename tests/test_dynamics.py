@@ -16,10 +16,13 @@ from toric_regions.dynamics import (
     RandomInConeStrategy,
     TimeRescaledField,
     Trajectory,
-    WitnessLeg,
+    _logline_leg,
+    _origin_system,
     _reversible,
     _validate_leg,
+    _violations,
     _xline_leg,
+    _xspace_unit,
     builtin_strategies,
     complex_balance_residual,
     embedded_system_for_target,
@@ -33,12 +36,15 @@ from toric_regions.dynamics import (
 from toric_regions.errors import (
     AmbiguousClassification,
     MonomialOverflow,
+    NoCrossing,
     NonFinitePoint,
     StepCollapse,
     WitnessFailed,
 )
 from toric_regions.fan_geometry import (
     LINE_WIDTH,
+    TWO_PI,
+    ZERO_WIDTH,
     Cone,
     Fan,
     LineGenerator,
@@ -47,7 +53,7 @@ from toric_regions.fan_geometry import (
     delta_i,
     r_count,
 )
-from toric_regions.region_construction import construct_region, region_contains
+from toric_regions.region_construction import _xline_at, construct_region, region_contains
 from toric_regions.tdi_rhs import rhs_bruteforce, rhs_classified
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
@@ -64,6 +70,13 @@ def region():
 def nm_system(region):
     return embedded_system_for_target(WORKED_FAN, DELTA, "point_NM",
                                       provenance=region.start_max)
+
+
+def array_leg(desc, points, velocities):
+    """A leg through the given samples, as _validate_leg takes it."""
+    return dynamics._ArrayLeg("logline", desc, np.array([p.X for p in points]),
+                              np.array([p.Y for p in points]),
+                              *np.array(velocities, dtype=float).T)
 
 
 def simple_exchange():
@@ -286,9 +299,9 @@ class TestIntegrate:
         batches = []
         violations = dynamics._violations
 
-        def counted(points, velocities, *args):
-            batches.append(len(velocities))
-            return violations(points, velocities, *args)
+        def counted(X, Y, vx, vy, *args):
+            batches.append(len(vx))
+            return violations(X, Y, vx, vy, *args)
 
         monkeypatch.setattr(dynamics, "_violations", counted)
         traj = integrate(ExtremeRayStrategy("right"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
@@ -725,6 +738,19 @@ class TestOmegaLimit:
         with pytest.raises(ValueError, match="strictly increase"):
             Trajectory(times, [LogPoint(0.0, 0.0)] * 3, [(0.0, 0.0)] * 3, "synthetic", "t_end")
 
+    @pytest.mark.parametrize("times", [
+        [], [0.0], [0.0, 1.0, 2.0], [1.0, -0.0, 0.0],
+        [0.0, math.nan, 1.0], [math.nan, math.nan], [0.0, 1.0, math.nan, 0.5],
+        [0.0, math.inf, math.inf], [-math.inf, 0.0, math.inf]])
+    def test_time_check_is_the_pairwise_rule(self, times):
+        # A pair fails when the later time is <= the earlier; a NaN fails no pair.
+        n = len(times)
+        if any(b <= a for a, b in zip(times, times[1:])):
+            with pytest.raises(ValueError, match="strictly increase"):
+                Trajectory(times, [LogPoint(0.0, 0.0)] * n, [(0.0, 0.0)] * n, "s", "t_end")
+        else:
+            Trajectory(times, [LogPoint(0.0, 0.0)] * n, [(0.0, 0.0)] * n, "s", "t_end")
+
     def test_constant_trajectory(self):
         pts = [LogPoint(1.0, 2.0)] * 150
         centers = omega_limit_estimate(self._mk(pts))
@@ -865,6 +891,26 @@ class TestReachWitness:
         assert re.fullmatch(r"no valid route: (straight gap run: worst violation \S+); I4\[2\]: \1",
                             err.value.detail)
 
+    def test_route_that_drifts_fails_arrival(self, region):
+        # This gap target's straight run ends an ulp or so off the target:
+        # within the default arrive_tol, but not within 0.0.  From (1,1) the
+        # flow still stops at once.
+        target = LogPoint(-1.844537, 6.17671)
+        assert r_count(target, WORKED_FAN, DELTA) == 0
+        traj = reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
+        end = traj.points[-1]
+        assert 0.0 < max(abs(end.X - target.X), abs(end.Y - target.Y)) < 1e-14
+        with pytest.raises(WitnessFailed) as err:
+            reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region, arrive_tol=0.0)
+        assert err.value.leg == "route"
+        drift = "arrival: route drifted from the target"
+        assert err.value.detail == f"no valid route: {drift}; I1[0]: {drift}; I1[1]: {drift}"
+
+    def test_origin_system_is_built_once(self):
+        system = _origin_system(WORKED_FAN, DELTA)
+        assert _origin_system(Fan([(-1, 1), (1, 2), (2, 1)]), DELTA) is system
+        assert system == embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
+
     @pytest.fixture
     def batches(self, monkeypatch):
         """Lengths of the _violations batches and the (chain, k) of every
@@ -872,9 +918,9 @@ class TestReachWitness:
         record = SimpleNamespace(batches=[], routes=[])
         violations, hop_and_walk = dynamics._violations, dynamics._hop_and_walk
 
-        def counted(points, velocities, *args):
-            record.batches.append(len(velocities))
-            return violations(points, velocities, *args)
+        def counted(X, Y, vx, vy, *args):
+            record.batches.append(len(vx))
+            return violations(X, Y, vx, vy, *args)
 
         def hop(cur, chain, k, region):
             record.routes.append((chain, k))
@@ -924,7 +970,8 @@ class TestValidateLeg:
                 ref = 0.0
                 for p, v in zip(leg.points, leg.velocities):
                     ref = max(ref, rhs_bruteforce(p, WORKED_FAN, DELTA, tol=-1e-9).violation(v))
-                worst.append(_validate_leg([leg], WORKED_FAN, DELTA))
+                worst.append(_validate_leg([array_leg(leg.description, leg.points,
+                                                      leg.velocities)], WORKED_FAN, DELTA))
                 assert worst[-1] == ref, (target, leg.description)
         assert len(worst) > 6 and max(worst) > 0.0
 
@@ -933,22 +980,21 @@ class TestValidateLeg:
         points = [LogPoint(10.0, 10.0 + 0.05 * k) for k in range(9)]
         velocities = [(-1.0, -1.0)] * 9
         velocities[4] = (1.0, 1.0)
-        leg = WitnessLeg("logline", "test run", points, velocities)
         with pytest.raises(WitnessFailed) as err:
-            _validate_leg([leg], CROSS_FAN, 1.0)
+            _validate_leg([array_leg("test run", points, velocities)], CROSS_FAN, 1.0)
         assert err.value.leg == "test run"
         assert str(err.value) == "test run: worst violation 1.000e+00"
         velocities[4] = (-1.0, 1.0)
-        assert _validate_leg([leg], CROSS_FAN, 1.0) == 0.0
+        assert _validate_leg([array_leg("test run", points, velocities)], CROSS_FAN, 1.0) == 0.0
 
     def test_route_names_its_last_bad_leg(self):
         # The bad velocities sit at the end of the first bad leg and the start
         # of the second, next to the good legs' points in the one batch.
         points = [LogPoint(10.0, 10.0 + 0.05 * k) for k in range(9)]
         inward = [(-1.0, -1.0)] * 9
-        good = WitnessLeg("logline", "good", points, inward)
-        first = WitnessLeg("logline", "first bad", points, inward[1:] + [(1.0, 1.0)])
-        second = WitnessLeg("logline", "second bad", points, [(0.0, 1.0)] + inward[1:])
+        good = array_leg("good", points, inward)
+        first = array_leg("first bad", points, inward[1:] + [(1.0, 1.0)])
+        second = array_leg("second bad", points, [(0.0, 1.0)] + inward[1:])
         with pytest.raises(WitnessFailed) as err:
             _validate_leg([good, first, good, second, good], CROSS_FAN, 1.0)
         assert err.value.leg == "second bad"
@@ -965,7 +1011,7 @@ class TestXlineLeg:
         ax, ay, bx, by = math.exp(a.X), math.exp(a.Y), math.exp(b.X), math.exp(b.Y)
         n = math.hypot(bx - ax, by - ay)
         direction = ((bx - ax) / n, (by - ay) / n)
-        leg = _xline_leg(a, direction, b, "test walk")
+        leg = _xline_leg(a, direction, b, "test walk").witness()
         assert leg.kind == "xline"
         assert leg.velocities == [direction] * len(leg.points)
         assert (leg.points[0].X, leg.points[0].Y) == pytest.approx((a.X, a.Y), abs=1e-12)
@@ -976,3 +1022,102 @@ class TestXlineLeg:
         for p in leg.points:
             x, y = math.exp(p.X), math.exp(p.Y)
             assert abs((x - ax) * direction[1] - (y - ay) * direction[0]) <= 1e-12 * n
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestViolations:
+    """_violations is Cone.violation, bit for bit."""
+
+    @pytest.mark.parametrize("fan, kinds", [
+        (WORKED_FAN, {"full", "halfplane", "sector"}),
+        (Fan([(1, 2)]), {"ray", "line"}),
+    ])
+    def test_matches_the_bruteforce_value(self, fan, kinds):
+        rng = np.random.default_rng(7)
+        X, Y = rng.uniform(-12.0, 12.0, (2, 3000))
+        angles = rng.uniform(0.0, 2.0 * math.pi, 3000)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, 3000)
+        vx, vy = scale * np.cos(angles), scale * np.sin(angles)
+        values = [rhs_bruteforce(LogPoint(x, y), fan, DELTA, tol=-1e-9)
+                  for x, y in zip(X.tolist(), Y.tolist())]
+        assert {c.kind for c in values} == kinds
+        # Every tenth velocity lies on an extreme ray of its value, and one
+        # in twenty is zero.
+        for k in range(0, 3000, 10):
+            rays = values[k].extreme_rays()
+            if rays:
+                vx[k], vy[k] = rays[k // 10 % len(rays)]
+        vx[::20] = vy[::20] = 0.0
+        ref = [c.violation(v) for c, v in zip(values, zip(vx.tolist(), vy.tolist()))]
+        assert max(ref) > 0.0 and ref.count(0.0) > 100
+        assert _hex(_violations(X, Y, vx, vy, fan, DELTA)) == _hex(ref)
+
+    CONES = [Cone(0.0, ZERO_WIDTH), Cone(0.0, TWO_PI), Cone(0.4, LINE_WIDTH), Cone(2.0, 0.0),
+             Cone(1.0, math.pi), Cone(5.0, 1.3)]
+    VELOCITIES = [(0, 0), (0.0, -0.0), (3, 4), (-7, 2), (2**60 + 1, -1), (math.nan, 1.0),
+                  (math.nan, math.nan), (math.inf, 0.0), (math.inf, math.nan),
+                  (-math.inf, math.inf), (1e308, 1e308), (5e-324, -5e-324), (0.3, -0.9)]
+
+    def test_hand_built_cones(self, monkeypatch):
+        # Every cone kind, the zero cone first, against zero, integer, NaN,
+        # infinite, overflowing and subnormal velocities.
+        pairs = [(c, v) for c in self.CONES for v in self.VELOCITIES]
+        index = np.repeat(np.arange(len(self.CONES)), len(self.VELOCITIES))
+        monkeypatch.setattr(dynamics, "rhs_bruteforce_batch",
+                            lambda X, Y, fan, delta, tol: (self.CONES, index))
+        vx, vy = np.array([v for _, v in pairs], dtype=float).T
+        got = _violations(np.zeros(len(pairs)), np.zeros(len(pairs)), vx, vy, WORKED_FAN, DELTA)
+        ref = [c.violation(v) for c, v in pairs]
+        assert _hex(got) == _hex(ref)
+        zero = ref[:len(self.VELOCITIES)]
+        assert zero[:4] == [0.0, 0.0, 1.0, 1.0] and math.isnan(zero[8])
+
+
+class TestArrayLegs:
+    """Each leg's samples are the per-sample scalar evaluations."""
+
+    @pytest.mark.parametrize("a, b", [
+        (LogPoint(0.2, -0.5), LogPoint(0.7, 2.5)),      # mirrored: log y dominates
+        (LogPoint(-1.0, 0.3), LogPoint(2.9, 1.1)),      # unmirrored
+        (LogPoint(4.0, -3.0), LogPoint(-2.5, -1.0)),    # unmirrored, leftward
+        (LogPoint(760.0, 8.0), LogPoint(745.0, 9.0)),   # off the kernel's direct branch
+    ])
+    def test_xline_leg_is_the_scalar_walk(self, a, b):
+        direction = _xspace_unit(a, b)
+        leg = _xline_leg(a, direction, b, "walk")
+        assert leg.end == leg.witness().points[-1]
+        leg = leg.witness()
+        mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
+        c0, c1 = (a.Y, b.Y) if mirrored else (a.X, b.X)
+        n = max(2, int(math.ceil(abs(c1 - c0) / dynamics._LEG_STEP)))
+        ref = [_xline_at(a if 2 * k <= n else b, *direction, c0 + (c1 - c0) * k / n, mirrored)
+               for k in range(n + 1)]
+        assert leg.points == ref
+        assert leg.velocities == [direction] * (n + 1)
+
+    @pytest.mark.parametrize("a, b", [
+        (LogPoint(0.0, 0.0), LogPoint(-1.5, -1.0)),
+        (LogPoint(3.0, -2.0), LogPoint(3.01, 40.0)),
+        (LogPoint(-700.0, 650.0), LogPoint(-690.0, 700.0)),
+    ])
+    def test_logline_leg_is_the_scalar_run(self, a, b):
+        leg = _logline_leg(a, b, "run").witness()
+        assert leg.kind == "logline"
+        dX, dY = b.X - a.X, b.Y - a.Y
+        n = max(2, int(math.ceil(math.hypot(dX, dY) / dynamics._LEG_STEP)))
+        ref = [LogPoint(a.X + k / n * dX, a.Y + k / n * dY) for k in range(n + 1)]
+        assert leg.points == ref
+        assert leg.velocities == [(dX * math.exp(p.X), dY * math.exp(p.Y)) for p in ref]
+
+    def test_walk_that_leaves_the_quadrant(self):
+        # From (1,1) along (1,-1) the line y = 2 - x ends at x = 2 < e.
+        a, b = LogPoint(0.0, 0.0), LogPoint(2.0, 0.0)
+        direction = (math.sqrt(0.5), -math.sqrt(0.5))
+        with pytest.raises(NoCrossing) as scalar:
+            _xline_at(a, *direction, 1.0, False)
+        with pytest.raises(NoCrossing) as err:
+            _xline_leg(a, direction, b, "walk")
+        assert str(err.value) == str(scalar.value) == "the line leaves the positive quadrant"

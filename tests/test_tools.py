@@ -274,3 +274,44 @@ def test_bench_pairs_compare_applies_the_gain_rule():
     r = tool.compare(parent, [p + 1.0 for p in parent], "higher")
     assert (r["won"], r["gain"]) == (10, True)
     assert tool.compare(parent, [p + 1.0 for p in parent], "lower")["won"] == 0
+
+
+def test_bench_pairs_reads_the_per_class_latencies():
+    tool = _load_tool("bench_pairs")
+    report = "\n".join([
+        "workload reach  seed 1  seconds 10.0  trace 0",
+        "  outcome arrived                                  216",
+        "metrics",
+        "  latency_ms_p50                 1.623325 ms     wall 1.42504, n=216",
+        "  latency_ms_p90                 2.473464 ms     wall 2.18869, n=216",
+        "  witness_ms_p50                 1.623325 ms     n=216",
+        "  witness_ms_p90                 2.473464 ms     n=216",
+        "  converge_ms_p50               16.144767 ms     n=15",
+        "  trajectory_ms_p50             12.944024 ms     n=40",
+        "record .bench_runs/reach-seed1-trace0.json"])
+    assert tool.class_latencies(report) == {
+        "witness_ms_p50": 1.623325, "converge_ms_p50": 16.144767,
+        "trajectory_ms_p50": 12.944024}
+    assert tool.class_latencies("  validate_ms_p50   3.5 ms     n=9") == {"validate_ms_p50": 3.5}
+    assert tool.class_latencies("") == {}
+
+
+def test_bench_pairs_prints_the_per_class_medians(tmp_path, monkeypatch, capsys):
+    tool = _load_tool("bench_pairs")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_once(root, workload, seed, seconds):
+        # The change halves the witness class and leaves the other alone.
+        scale = 0.5 if root == tool.ROOT else 1.0
+        return ({name: float(seed) for name in names},
+                {"witness_ms_p50": seed * scale, "converge_ms_p50": 10.0 + seed})
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    assert tool.main([str(tmp_path), "--workload", "reach", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("per-class medians (outside the gain rule):")
+    assert [line.split() for line in out[at + 1:]] == [
+        ["converge_ms_p50", "parent", "12", "change", "12"],
+        ["witness_ms_p50", "parent", "2", "change", "1"]]

@@ -14,6 +14,12 @@ gap between the medians exceeds the parent's quartile spread q3 - q1.  A
 gain counts when the change wins at least 9 of 10 pairs and the gap
 exceeds that spread.
 
+It also prints each side's median of the per-class latency lines of the
+runs' reports (``witness_ms_p50``, ``trajectory_ms_p50``,
+``converge_ms_p50``, ``validate_ms_p50``, ``level_ms_p50``: whichever the
+workload has).  They stand outside the gain rule; they show which op
+class moved a pooled metric such as reach's ``ops_per_s``.
+
 Run from anywhere; PARENT_ROOT is the root of a checkout of the parent
 commit (``git archive`` of it will do), holding its ``bench/`` and
 ``src/``:
@@ -35,8 +41,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics {name: value} of one bench/run.py run in the checkout."""
+def class_latencies(report: str) -> dict:
+    """{name: value} of the per-class median lines of a bench/run.py
+    report: the names ending in _ms_p50, other than the pooled
+    latency_ms_p50."""
+    out = {}
+    for line in report.splitlines():
+        words = line.split()
+        if len(words) > 1 and words[0].endswith("_ms_p50") and words[0] != "latency_ms_p50":
+            out[words[0]] = float(words[1])
+    return out
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The metrics {name: value} of one bench/run.py run in the checkout,
+    and its per-class latencies (class_latencies)."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -44,7 +63,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py failed in {root}:\n{proc.stdout}{proc.stderr}")
-    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    metrics = {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    return metrics, class_latencies("\n".join(lines[:-1]))
 
 
 def compare(parent: list, change: list, better: str) -> dict:
@@ -74,10 +94,13 @@ def main(argv=None) -> int:
         return 2
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
+    classes = {"parent": [], "change": []}
     for seed in range(1, args.pairs + 1):
         order = [("parent", args.parent_root), ("change", ROOT)]
         for side, root in (order if seed % 2 else order[::-1]):
-            runs[side].append(run_once(root, args.workload, seed, args.seconds))
+            values, latencies = run_once(root, args.workload, seed, args.seconds)
+            runs[side].append(values)
+            classes[side].append(latencies)
         print(f"pair {seed}: " + "  ".join(
             f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
             f"{runs['change'][-1][m['name']]:.4g}" for m in metrics), file=sys.stderr, flush=True)
@@ -91,6 +114,13 @@ def main(argv=None) -> int:
         print(f"  {name:16s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"won {r['won']}/{r['pairs']}  gain {'yes' if r['gain'] else 'no'}")
+    names = sorted(set().union(*classes["parent"], *classes["change"]))
+    if names:
+        print("per-class medians (outside the gain rule):")
+    for name in names:
+        medians = [statistics.median(run[name] for run in classes[side] if name in run)
+                   for side in ("parent", "change")]
+        print(f"  {name:18s} parent {medians[0]:.4g}  change {medians[1]:.4g}")
     return 0
 
 
