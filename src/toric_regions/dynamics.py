@@ -6,6 +6,11 @@ Velocities are x-space vectors constrained by the inclusion cone; the
 integrator steps the log coordinates (X' = x'/x componentwise) so positivity
 is automatic and points of order e^(c*delta) stay representable.
 
+The integrator works on floats: each stage's cone comes from _rhs_fast on
+the log coordinates (X, Y) and the run's strip table, and every built-in
+selection gives the stage's log velocity from them through
+log_stage(X, Y, rhs, t), bit for bit as its call does.
+
 Velocities are checked from float arrays: the integrator's step starts
 from the floats it steps on, and a witness leg's samples from the arrays
 (X, Y, vx, vy) the leg is built as.  The check (_violations) gives every
@@ -40,6 +45,7 @@ from .fan_geometry import (
     _arm_table,
     _finite_log,
     _flanking_arms,
+    _strip_table,
     along_coordinate,
     as_log,
     r_count,
@@ -55,7 +61,7 @@ from .region_construction import (
     _strip_point,
     region_contains,
 )
-from .tdi_rhs import rhs_bruteforce, rhs_bruteforce_batch, rhs_classified
+from .tdi_rhs import _classify, rhs_bruteforce, rhs_bruteforce_batch
 
 _CONE_TOL = 1e-9  # cone-violation tolerance of every velocity check
 # Strip tolerance of the checks' cone: sectors within delta + 1e-9 count, so
@@ -63,11 +69,16 @@ _CONE_TOL = 1e-9  # cone-violation tolerance of every velocity check
 _INCLUSIVE_TOL = -1e-9
 
 
-def _rhs_fast(point: LogPoint, fan: Fan, delta: float) -> Cone:
+def _rhs_fast(X: float, Y: float, fan: Fan, delta: float, table: tuple) -> Cone:
+    """The inclusion's value at the log point (X, Y): _classify's, from the
+    (fan, delta) strip table, or rhs_bruteforce's within STRIP_TOL of a
+    strip boundary.  NonFinitePoint unless X and Y are finite."""
+    if not (math.isfinite(X) and math.isfinite(Y)):
+        raise NonFinitePoint(f"point ({X}, {Y}) is not finite")
     try:
-        return rhs_classified(point, fan, delta)
+        return _classify(X, Y, fan, table)
     except AmbiguousClassification:
-        return rhs_bruteforce(point, fan, delta)
+        return rhs_bruteforce(LogPoint(X, Y), fan, delta)
 
 
 def _cone_row(c: Cone) -> tuple[float, ...]:
@@ -274,21 +285,26 @@ def _log_speed(point: LogPoint, v: tuple[float, float]) -> float:
     return math.hypot(v[0] * math.exp(-point.X), v[1] * math.exp(-point.Y))
 
 
-def _log_unit(point: LogPoint, v: tuple[float, float], rhs: Cone) -> tuple[float, float]:
-    """Rescale an x-space velocity to unit log-space speed, and then, unless
-    rhs is the full plane, up to x-space speed _MIN_SPEED (cones allow
-    both)."""
-    n = _log_speed(point, v)
+def _log_unit(X: float, Y: float, u: tuple[float, float], rhs: Cone):
+    """The x-space direction u at the log point (X, Y), rescaled to unit
+    log-space speed and then, unless rhs is the full plane, up to x-space
+    speed _MIN_SPEED (cones allow both); and its log velocity (x'/x, y'/y).
+
+    e^-X and e^-Y are each taken once, and serve the speed and the log
+    velocity: a selection's call returns the first pair, its log_stage the
+    second.
+    """
+    gx, gy = math.exp(-X), math.exp(-Y)
+    n = math.hypot(u[0] * gx, u[1] * gy)
     if n == 0.0:
-        return (0.0, 0.0)
-    v = (v[0] / n, v[1] / n)
-    if rhs.width == TWO_PI:
-        return v
-    n = math.hypot(v[0], v[1])
-    if 0.0 < n < _MIN_SPEED:
-        scale = _MIN_SPEED / n
-        return (v[0] * scale, v[1] * scale)
-    return v
+        return (0.0, 0.0), (0.0, 0.0)
+    vx, vy = u[0] / n, u[1] / n
+    if rhs.width != TWO_PI:
+        n = math.hypot(vx, vy)
+        if 0.0 < n < _MIN_SPEED:
+            scale = _MIN_SPEED / n
+            vx, vy = vx * scale, vy * scale
+    return (vx, vy), (vx * gx, vy * gy)
 
 
 class FieldStrategy:
@@ -296,10 +312,10 @@ class FieldStrategy:
 
     Besides the selection call, it gives integrate the velocity and
     stiffness of a point from one monomial pass (with_stiffness) and the
-    log velocity of a stage straight from the log coordinates (log_stage),
-    with the same float operations as the call.  With with_stiffness,
-    integrate controls the step error: it evaluates each step's end once,
-    and that evaluation starts the next step.
+    log velocity of a stage straight from the log coordinates (log_stage,
+    which is passed rhs=None), with the same float operations as the call.
+    With with_stiffness, integrate controls the step error: it evaluates
+    each step's end once, and that evaluation starts the next step.
     """
 
     reads_cone = False  # the field lies in the cone; integrate passes rhs=None
@@ -315,7 +331,7 @@ class FieldStrategy:
         """The velocity and field_stiffness at a point, from one monomial pass."""
         return _field_and_stiffness(self.system, point)
 
-    def log_stage(self, X: float, Y: float, t: float) -> tuple[float, float]:
+    def log_stage(self, X: float, Y: float, rhs: Cone | None, t: float) -> tuple[float, float]:
         """The log velocity (x'/x, y'/y) at the log point (X, Y)."""
         fx, fy, _, _ = _term_sums(self.system.terms, X, Y, False)
         return (fx * math.exp(-X), fy * math.exp(-Y))
@@ -346,7 +362,7 @@ class TimeRescaledField(FieldStrategy):
         c = 1.0 / d
         return (v[0] * c, v[1] * c), stiff / d
 
-    def log_stage(self, X: float, Y: float, t: float) -> tuple[float, float]:
+    def log_stage(self, X: float, Y: float, rhs: Cone | None, t: float) -> tuple[float, float]:
         """The log velocity (x'/x, y'/y) of the rescaled field at the log
         point (X, Y)."""
         fx, fy, _, _ = _term_sums(self.system.terms, X, Y, False)
@@ -355,7 +371,19 @@ class TimeRescaledField(FieldStrategy):
         return (fx * c * gx, fy * c * gy)
 
 
-class ExtremeRayStrategy:
+class _DirectionSelection:
+    """A selection of one x-space direction of the cone, _direction(rhs, t),
+    at unit log speed, floored by _log_unit: the call gives the velocity,
+    log_stage its log velocity (x'/x, y'/y) at the log point (X, Y)."""
+
+    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
+        return _log_unit(point.X, point.Y, self._direction(rhs, t), rhs)[0]
+
+    def log_stage(self, X: float, Y: float, rhs: Cone, t: float) -> tuple[float, float]:
+        return _log_unit(X, Y, self._direction(rhs, t), rhs)[1]
+
+
+class ExtremeRayStrategy(_DirectionSelection):
     """Always pick one extreme ray of the cone (unit log speed, floored).
 
     In full-plane zones there is no constraint; a fixed fallback direction
@@ -370,13 +398,12 @@ class ExtremeRayStrategy:
         a = _FALLBACK_ANGLE if side == "left" else -_FALLBACK_ANGLE
         self._fallback = (math.cos(a), math.sin(a))
 
-    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
+    def _direction(self, rhs: Cone, t: float) -> tuple[float, float]:
         rays = rhs.extreme_rays()
-        u = rays[-1 if self.side == "left" else 0] if rays else self._fallback
-        return _log_unit(point, u, rhs)
+        return rays[-1 if self.side == "left" else 0] if rays else self._fallback
 
 
-class AlternatingStrategy:
+class AlternatingStrategy(_DirectionSelection):
     """Switch between the two extreme rays on a fixed time period."""
 
     def __init__(self):
@@ -384,12 +411,12 @@ class AlternatingStrategy:
         self._left = ExtremeRayStrategy("left")
         self._right = ExtremeRayStrategy("right")
 
-    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
+    def _direction(self, rhs: Cone, t: float) -> tuple[float, float]:
         pick = self._left if int(t / _ALTERNATION_PERIOD) % 2 == 0 else self._right
-        return pick(point, rhs, t)
+        return pick._direction(rhs, t)
 
 
-class RandomInConeStrategy:
+class RandomInConeStrategy(_DirectionSelection):
     """Seeded random direction strictly inside the cone (unit log speed,
     floored)."""
 
@@ -406,7 +433,7 @@ class RandomInConeStrategy:
             d = next(self._doubles)
         return low + (high - low) * d
 
-    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
+    def _direction(self, rhs: Cone, t: float) -> tuple[float, float]:
         u = self._uniform(0.05, 0.95)
         if rhs.width == TWO_PI:
             a = self._uniform(0.0, 2.0 * math.pi)
@@ -414,7 +441,7 @@ class RandomInConeStrategy:
             a = rhs.lo + (0.0 if u < 0.5 else math.pi)
         else:
             a = rhs.lo + u * rhs.width
-        return _log_unit(point, (math.cos(a), math.sin(a)), rhs)
+        return (math.cos(a), math.sin(a))
 
 
 def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
@@ -479,11 +506,15 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     sector boundaries) steps at the caps alone.
 
     A step start is a LogPoint, and its velocity comes from the selection
-    (or its with_stiffness).  The three later stages are evaluated from the
-    floats X, Y and t: a selection with a log_stage(X, Y, t) method gives
-    the stage's log velocity (x'/x, y'/y) itself, as the field strategies
-    do; for any other the stage builds the LogPoint and calls the selection
-    with it.  A log_stage must agree with the call bit for bit.
+    (or its with_stiffness); after an accepted error-controlled step the
+    end's LogPoint and f5 are the next start and its f1, as evaluated.
+    The three later stages are evaluated from the floats X, Y and t: every
+    built-in selection has a method log_stage(X, Y, rhs, t) that gives the
+    stage's log velocity (x'/x, y'/y) itself, with the same float
+    operations as its call, so bit for bit.  For any other selection the
+    stage builds the LogPoint and calls the selection with it.  Step
+    starts and stages alike get their cone rhs from _rhs_fast on the
+    floats, with the strip table looked up once per run.
 
     stop_when(point, t) is called once on every sample, the start too,
     and the run ends "stopped" at the first where it is true, even with
@@ -499,7 +530,9 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     no cone is computed for it.
 
     ValueError unless t_end is finite and dt positive and finite;
-    NonFinitePoint (a ValueError too) unless the start is finite.
+    NonFinitePoint (a ValueError too) unless the start is finite;
+    NonPositiveDelta unless delta is positive and finite, before the first
+    sample for a selection that reads the cone.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, not {t_end}")
@@ -517,17 +550,23 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     def to_log(p: LogPoint, v: tuple[float, float]) -> tuple[float, float]:
         return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y))
 
-    reads_cone = getattr(strategy, "reads_cone", True)
+    # The strip table, looked up once, for a selection that reads the cone.
+    table = _strip_table(fan, delta) if getattr(strategy, "reads_cone", True) else None
 
-    def cone(p: LogPoint) -> Cone | None:
-        return _rhs_fast(p, fan, delta) if reads_cone else None
+    def cone(px: float, py: float) -> Cone | None:
+        return None if table is None else _rhs_fast(px, py, fan, delta, table)
+
+    log_stage = getattr(strategy, "log_stage", None)
 
     def point_stage(px: float, py: float, tt: float) -> tuple[float, float]:
+        """A custom selection's stage, from its call at a LogPoint."""
         p = LogPoint(px, py)
-        return to_log(p, strategy(p, cone(p), tt))
+        return to_log(p, strategy(p, cone(px, py), tt))
 
-    # A strategy may give a stage's log velocity from the floats directly.
-    stage = getattr(strategy, "log_stage", point_stage)
+    def float_stage(px: float, py: float, tt: float) -> tuple[float, float]:
+        return log_stage(px, py, cone(px, py), tt)
+
+    stage = point_stage if log_stage is None else float_stage
 
     # One field evaluation gives a step start's velocity and stiffness bound;
     # a selection that has it gets error-controlled steps.
@@ -553,14 +592,14 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
     h_next = dt  # the error control's proposal for the next step
-    end = None  # (velocity, stiffness) at the last accepted step's end
+    end = None  # (velocity, stiffness) at the last accepted step's end; f5 its log velocity
     try:
         while stop_when is None or not stop_when(pt, t):
             if t >= t_end or len(velocities) >= max_steps:
                 break
-            v0, stiff = end or start_vel(pt, cone(pt), t)
+            v0, stiff = end or start_vel(pt, cone(X, Y), t)
             velocities.append(v0)
-            f1 = to_log(pt, v0)
+            f1 = f5 if end else to_log(pt, v0)
             speed = math.hypot(f1[0], f1[1])
             if speed == 0.0:
                 termination = "stalled"
@@ -584,7 +623,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                         # The end's evaluation starts the next step if this
                         # one is accepted; err is the 3rd-order step's gap.
                         end_pt = LogPoint(X + dX, Y + dY)
-                        end = start_vel(end_pt, cone(end_pt), t + h)
+                        end = start_vel(end_pt, cone(end_pt.X, end_pt.Y), t + h)
                         f5 = to_log(end_pt, end[0])
                         err = h / 6.0 * max(abs(f4[0] - f5[0]), abs(f4[1] - f5[1]))
                         ok = math.isfinite(err)
@@ -602,9 +641,9 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     h *= max(0.2, scale)
                 if h < floor:
                     raise StepCollapse(f"step below {floor} without passing at t={t:.4g}")
-            X += dX
-            Y += dY
-            pt = LogPoint(X, Y)
+            # A controlled step built and evaluated its end in the attempt.
+            pt = end_pt if controlled else LogPoint(X + dX, Y + dY)
+            X, Y = pt.X, pt.Y
             t += h
             times.append(t)
             points.append(pt)
@@ -804,7 +843,9 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     """
     src = as_log(from_point)
     dst = as_log(to_point)
-    if region_contains(region, src) == "outside" or region_contains(region, dst) == "outside":
+    # (1, 1) is classified once per region.
+    src_label = region.origin_label if src == LogPoint(0.0, 0.0) else region_contains(region, src)
+    if src_label == "outside" or region_contains(region, dst) == "outside":
         raise WitnessFailed("precondition", "both endpoints must lie in the region")
 
     flow1 = integrate_to_point(_origin_system(fan, delta), src, fan, delta, LogPoint(0.0, 0.0),
@@ -879,7 +920,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
             into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
             return [into, _logline_leg(into.end, dst, "slide along the strip")]
     else:
-        table, k = _arm_table(fan), _flanking_arms(dst, fan)
+        table, k = _arm_table(fan), _flanking_arms(dst.X, dst.Y, fan)
         arm_sets = ({table[k][1:], table[(k + 1) % len(table)][1:]},)
 
         def finish(c: LogPoint, seg: Segment) -> list[_ArrayLeg]:

@@ -430,12 +430,12 @@ def _strip_table(fan: Fan, delta: float) -> tuple[tuple[int, float, float, float
                  for i, g in enumerate(fan.generators))
 
 
-def _flanking_arms(pt: LogPoint, fan: Fan) -> int:
-    """Index k of the sector fan_2d_cones(fan)[k] containing the point: it
-    runs counter-clockwise from arm k (inclusive) of the arm table to arm
-    k + 1 (mod 2b)."""
+def _flanking_arms(X: float, Y: float, fan: Fan) -> int:
+    """Index k of the sector fan_2d_cones(fan)[k] containing the log point
+    (X, Y): it runs counter-clockwise from arm k (inclusive) of the arm
+    table to arm k + 1 (mod 2b)."""
     arms = _arm_table(fan)
-    phi = _wrap(math.atan2(pt.Y, pt.X))
+    phi = _wrap(math.atan2(Y, X))
     return (bisect.bisect_right(arms, phi, key=operator.itemgetter(0)) - 1) % len(arms)
 
 

@@ -586,6 +586,11 @@ class RegionBoundary:
         """The pieces as one _PieceTable, which every array pass reads."""
         return _PieceTable(self.pieces)
 
+    @functools.cached_property
+    def origin_label(self) -> str:
+        """region_contains' label of the log origin (1, 1)."""
+        return region_contains(self, LogPoint(0.0, 0.0))
+
     def chords(self) -> dict[str, tuple[LogPoint, LogPoint]]:
         """The four chords l1..l4 from the start points to the terminals."""
         nm = self.start_max.log

@@ -16,9 +16,12 @@ blocks of 1,024 points, and reads each sector's distance off its two
 arms; one matmul turns the near sectors into bit sets.  It is the
 validation battery's check, and, with the inclusive tol, the
 integrator's check of every step start and the check of every candidate
-witness route.  ``rhs_classified`` reads the near set off r(x) and the
-active strip's arm, and returns the definition's value away from strip
-boundaries.
+witness route.  ``_classify`` reads the near set off r(x) and the active
+strip's arm, from the floats (X, Y) and the (fan, delta) strip table, and
+returns the definition's value away from strip boundaries.
+``rhs_classified`` is ``_classify`` at one checked point; the integrator
+calls ``_classify`` on the floats it steps on, through
+``dynamics._rhs_fast``.
 """
 
 import functools
@@ -101,20 +104,16 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
     return [_near_value(fan, int(c)) for c in codes], index
 
 
-def rhs_classified(point, fan: Fan, delta: float) -> Cone:
-    """Fast evaluation: choose the near set by the strip-interior count r(x),
-    from the (fan, delta) strip table, and read its value from the
-    definition's cache.
+def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:
+    """The value at the finite log point (X, Y), with the near set chosen
+    by the strip-interior count r(x) from the fan's strip table
+    _strip_table(fan, delta), and read from the definition's cache.
 
     r >= 2 gives the shared full plane; r = 1 the two sectors on either side
     of the active strip's arm on the point's side (both half planes of a
     one-generator fan); r = 0 the containing sector alone.  Raises
-    AmbiguousClassification within STRIP_TOL of any strip boundary, and
-    NonFinitePoint unless the point is finite.
+    AmbiguousClassification within STRIP_TOL of any strip boundary.
     """
-    pt = _finite_log(point, "point")
-    X, Y = pt.X, pt.Y
-    table = _strip_table(fan, delta)
     active = -1
     r = 0
     for i, q, p, half_width, _, _ in table:
@@ -127,10 +126,19 @@ def rhs_classified(point, fan: Fan, delta: float) -> Cone:
     if r >= 2:
         return _FULL_PLANE
     if r == 0:
-        return _near_value(fan, 1 << _flanking_arms(pt, fan))
+        return _near_value(fan, 1 << _flanking_arms(X, Y, fan))
     _, q, p, _, plus, minus = table[active]
     # The sign of the along-coordinate q*X + p*Y picks the arm.
     return _near_value(fan, plus if q * X + p * Y >= 0.0 else minus)
+
+
+def rhs_classified(point, fan: Fan, delta: float) -> Cone:
+    """Fast evaluation: _classify at the point, from the (fan, delta) strip
+    table.  Raises AmbiguousClassification within STRIP_TOL of any strip
+    boundary, and NonFinitePoint unless the point is finite.
+    """
+    pt = _finite_log(point, "point")
+    return _classify(pt.X, pt.Y, fan, _strip_table(fan, delta))
 
 
 def rhs_equal(a: Cone, b: Cone, tol: float = 1e-9) -> bool:

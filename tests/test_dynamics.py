@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from toric_regions import dynamics
+from toric_regions import dynamics, tdi_rhs
 from toric_regions.dynamics import (
     AlternatingStrategy,
     ExtremeRayStrategy,
@@ -38,6 +38,7 @@ from toric_regions.errors import (
     MonomialOverflow,
     NoCrossing,
     NonFinitePoint,
+    NonPositiveDelta,
     StepCollapse,
     WitnessFailed,
 )
@@ -50,6 +51,7 @@ from toric_regions.fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
+    _strip_table,
     delta_i,
     r_count,
 )
@@ -127,8 +129,8 @@ class TestMassActionField:
     @pytest.mark.parametrize("evaluate", [
         dynamics._field_and_stiffness,
         complex_balance_residual,
-        lambda system, pt: FieldStrategy(system).log_stage(pt.X, pt.Y, 0.0),
-        lambda system, pt: TimeRescaledField(system).log_stage(pt.X, pt.Y, 0.0),
+        lambda system, pt: FieldStrategy(system).log_stage(pt.X, pt.Y, None, 0.0),
+        lambda system, pt: TimeRescaledField(system).log_stage(pt.X, pt.Y, None, 0.0),
     ], ids=["field_and_stiffness", "complex_balance", "field_stage", "rescaled_stage"])
     def test_every_evaluator_caps_the_exponent(self, evaluate):
         # The term kernel raises for all of them, as for mass_action_field.
@@ -333,13 +335,27 @@ class TestIntegrate:
                          dt=1e-3)
         assert len(traj.times) > 50 and calls == []
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_cone_readers_need_a_positive_delta(self, delta):
+        # The run's strip table is looked up before the first sample.
+        with pytest.raises(NonPositiveDelta):
+            integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, delta,
+                      t_end=0.0)
+
     def test_ray_and_custom_selections_get_the_cone(self):
+        # Step starts and stages alike get the classified value, or the
+        # brute-force one at a strip boundary.
         seen = []
+        table = _strip_table(WORKED_FAN, DELTA)
 
         class Recording(ExtremeRayStrategy):
             def __call__(self, point, rhs, t):
                 seen.append((point, rhs))
                 return super().__call__(point, rhs, t)
+
+            def log_stage(self, X, Y, rhs, t):
+                seen.append((LogPoint(X, Y), rhs))
+                return super().log_stage(X, Y, rhs, t)
 
         class Custom:
             def __call__(self, point, rhs, t):
@@ -351,7 +367,7 @@ class TestIntegrate:
             integrate(strategy, LogPoint(-2.0, 1.5), WORKED_FAN, DELTA, t_end=0.1)
             assert len(seen) > 10
             for point, rhs in seen:
-                assert rhs == dynamics._rhs_fast(point, WORKED_FAN, DELTA)
+                assert rhs == dynamics._rhs_fast(point.X, point.Y, WORKED_FAN, DELTA, table)
 
     class Walled:
         """Unit log speed along +X; the velocity overflows past X = 0.025."""
@@ -575,6 +591,40 @@ class TestIntegrate:
             assert fast.times == generic.times
             assert fast.points == generic.points
             assert fast.velocities == generic.velocities
+            assert fast.worst_violation == generic.worst_violation
+
+    class ConeCall(Call):
+        """A cone-reading selection's call alone: with no log_stage,
+        integrate evaluates each stage from a LogPoint and its cone."""
+
+        reads_cone = True
+
+    @pytest.mark.parametrize("make", [lambda: ExtremeRayStrategy("left"),
+                                      lambda: ExtremeRayStrategy("right"),
+                                      AlternatingStrategy, lambda: RandomInConeStrategy(3)],
+                             ids=["left", "right", "alternating", "random"])
+    @pytest.mark.parametrize("gens", [[(-1, 1), (1, 2), (2, 1)],
+                                      [(-1, 1), (1, 2), (2, 1), (1, 0)]],
+                             ids=["worked", "axis"])
+    def test_cone_readers_float_stages_match_the_generic_stage(self, gens, make):
+        # The ray, alternating and random selections' log_stage gives every
+        # trajectory bit for bit: the same run with the generic stage has
+        # equal times, points, velocities, termination and worst violation.
+        # Both runs cross strip boundaries, and the second starts on the
+        # boundary of strip (1,2), where the cone is the brute-force one.
+        fan = Fan(gens)
+        on_strip = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
+        with pytest.raises(AmbiguousClassification):
+            rhs_classified(on_strip, fan, DELTA)
+        for start in (LogPoint(-5.0, -1.0), on_strip):
+            fast = integrate(make(), start, fan, DELTA, t_end=5.0)
+            generic = integrate(self.ConeCall(make()), start, fan, DELTA, t_end=5.0)
+            assert len({r_count(p, fan, DELTA) for p in fast.points}) > 1
+            assert fast.termination == generic.termination
+            assert fast.times == generic.times
+            assert fast.points == generic.points
+            assert fast.velocities == generic.velocities
+            assert fast.worst_violation == generic.worst_violation
 
     def test_convergence_nm_system(self, monkeypatch, region, nm_system):
         # At (-8, 8) the stiffness is about 8e10, so the capped first step,
@@ -633,6 +683,47 @@ class TestIntegrate:
 
 
 class TestRhsFast:
+    @pytest.mark.parametrize("gens", [[(-1, 1), (1, 2), (2, 1)],
+                                      [(-1, 1), (1, 2), (2, 1), (1, 0)]],
+                             ids=["worked", "axis"])
+    def test_classify_matches_rhs_classified_and_the_definition(self, gens):
+        # On a seeded grid, and at points on, within and just past STRIP_TOL
+        # of every strip boundary, _classify raises where rhs_classified
+        # does and otherwise gives its value, which is the definition's;
+        # _rhs_fast gives the definition's value everywhere.
+        fan = Fan(gens)
+        table = _strip_table(fan, DELTA)
+        rng = np.random.default_rng(17)
+        points = [tuple(p) for p in rng.uniform(-12.0, 12.0, size=(400, 2)).tolist()]
+        for _, q, p, half_width, _, _ in table:
+            n2 = q * q + p * p
+            for s in (half_width, -half_width):
+                for e in (0.0, 0.5e-9, -0.5e-9, 5e-9, -5e-9):
+                    a = float(rng.uniform(-6.0, 6.0))
+                    points.append((-p * (s + e) / n2 + q * a, q * (s + e) / n2 + p * a))
+        ambiguous = 0
+        for X, Y in points:
+            pt = LogPoint(X, Y)
+            truth = rhs_bruteforce(pt, fan, DELTA)
+            try:
+                reference = rhs_classified(pt, fan, DELTA)
+            except AmbiguousClassification:
+                ambiguous += 1
+                with pytest.raises(AmbiguousClassification):
+                    tdi_rhs._classify(X, Y, fan, table)
+            else:
+                assert tdi_rhs._classify(X, Y, fan, table) == reference == truth
+            assert dynamics._rhs_fast(X, Y, fan, DELTA, table) == truth
+        assert ambiguous >= 2 * len(table)
+
+    @pytest.mark.parametrize("X, Y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_points_raise(self, X, Y):
+        table = _strip_table(WORKED_FAN, DELTA)
+        with pytest.raises(NonFinitePoint):
+            dynamics._rhs_fast(X, Y, WORKED_FAN, DELTA, table)
+        with pytest.raises(NonFinitePoint):
+            rhs_classified(LogPoint(X, Y), WORKED_FAN, DELTA)
+
     def test_strip_boundary_takes_the_bruteforce_value(self):
         # On the boundary of strip (1,2), 2Y - X = delta_i, with the gap
         # outside: rhs_classified cannot choose, and the fallback gives the
@@ -640,7 +731,9 @@ class TestRhsFast:
         pt = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
         with pytest.raises(AmbiguousClassification):
             rhs_classified(pt, WORKED_FAN, DELTA)
-        assert dynamics._rhs_fast(pt, WORKED_FAN, DELTA) == rhs_bruteforce(pt, WORKED_FAN, DELTA)
+        table = _strip_table(WORKED_FAN, DELTA)
+        assert dynamics._rhs_fast(pt.X, pt.Y, WORKED_FAN, DELTA, table) == \
+            rhs_bruteforce(pt, WORKED_FAN, DELTA)
         traj = integrate(ExtremeRayStrategy("left"), pt, WORKED_FAN, DELTA, t_end=1.0)
         assert traj.termination == "t_end" and traj.worst_violation <= 1e-9
 
@@ -816,6 +909,33 @@ class TestReachWitness:
         assert traj.worst_violation <= 1e-9
         end = traj.points[-1]
         assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
+
+    def test_origin_is_classified_once_per_region(self, monkeypatch):
+        # The precondition reads the label of (1,1) off the region, where it
+        # is computed once, also for a region built without validation; any
+        # other start is classified by region_contains, as every target is.
+        region = construct_region(WORKED_FAN, DELTA, validate=False)
+        assert region.origin_label == region_contains(region, LogPoint(0.0, 0.0)) == "inside"
+        seen = []
+        contains = dynamics.region_contains
+        monkeypatch.setattr(dynamics, "region_contains",
+                            lambda reg, point: seen.append(point) or contains(reg, point))
+        target, src = LogPoint(-1.5, -1.0), LogPoint(2.0, 1.0)
+        first = reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
+        again = reach_witness(LogPoint(0.0, 0.0), target, WORKED_FAN, DELTA, region)
+        assert first.points == again.points and first.velocities == again.velocities
+        assert seen == [target, target]
+        seen.clear()
+        reach_witness(src, target, WORKED_FAN, DELTA, region)
+        assert seen == [src, target]
+        with pytest.raises(WitnessFailed) as err:
+            reach_witness(LogPoint(4.0, 8.3), target, WORKED_FAN, DELTA, region)
+        assert err.value.leg == "precondition"
+        # The cached label is the one read.
+        region.__dict__["origin_label"] = "outside"
+        with pytest.raises(WitnessFailed) as err:
+            reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
+        assert err.value.leg == "precondition"
 
     def test_out_of_region_target_rejected(self, region):
         # Beyond the I1 segment NM->A1 (x + 2y ~ 2.5e3 there, ~8.1e3 here): the

@@ -263,17 +263,31 @@ def test_bench_pairs_compare_applies_the_gain_rule():
     parent = [4.0, 4.2, 4.4, 4.1, 4.3, 4.2, 4.0, 4.4, 4.1, 4.3]
     # Nine of ten pairs won, by more than the parent's quartile spread.
     faster = [p - 0.6 for p in parent[:9]] + [4.5]
-    r = tool.compare(parent, faster, "lower")
+    r = tool.compare(parent, faster, "lower", 0.25)
     assert (r["won"], r["pairs"], r["gain"]) == (9, 10, True)
     assert r["parent"]["median"] == pytest.approx(4.2)
     assert r["parent"]["q1"] <= r["parent"]["median"] <= r["parent"]["q3"]
     # Eight pairs won is no gain, and neither is a gap inside the spread.
-    assert not tool.compare(parent, faster[:8] + [4.5, 4.5], "lower")["gain"]
-    assert not tool.compare(parent, [p - 0.01 for p in parent], "lower")["gain"]
+    assert not tool.compare(parent, faster[:8] + [4.5, 4.5], "lower", 0.25)["gain"]
+    assert not tool.compare(parent, [p - 0.01 for p in parent], "lower", 0.25)["gain"]
     # For a higher-is-better metric the larger value wins.
-    r = tool.compare(parent, [p + 1.0 for p in parent], "higher")
+    r = tool.compare(parent, [p + 1.0 for p in parent], "higher", 0.25)
     assert (r["won"], r["gain"]) == (10, True)
-    assert tool.compare(parent, [p + 1.0 for p in parent], "lower")["won"] == 0
+    assert tool.compare(parent, [p + 1.0 for p in parent], "lower", 0.25)["won"] == 0
+
+
+def test_bench_pairs_flags_a_spread_wider_than_the_bound():
+    tool = _load_tool("bench_pairs")
+    parent = [4.0, 4.2, 4.4, 4.1, 4.3, 4.2, 4.0, 4.4, 4.1, 4.3]
+    r = tool.compare(parent, parent, "lower", 0.25)
+    spread = r["parent"]["q3"] - r["parent"]["q1"]
+    assert spread == pytest.approx(0.25) and not r["unresolved"]
+    # The spread is 0.25 / 4.2 ~ 6 % of the median: unresolved under a 5 % bound.
+    assert tool.compare(parent, parent, "lower", 0.05)["unresolved"]
+    assert not tool.compare(parent, parent, "lower", 0.08)["unresolved"]
+    # The rule reads the parent's runs alone, and the magnitude of its median.
+    assert tool.compare([-p for p in parent], parent, "higher", 0.05)["unresolved"]
+    assert not tool.compare(parent, [1.0, 9.0] * 5, "lower", 0.08)["unresolved"]
 
 
 def test_bench_pairs_reads_the_per_class_latencies():
@@ -315,3 +329,24 @@ def test_bench_pairs_prints_the_per_class_medians(tmp_path, monkeypatch, capsys)
     assert [line.split() for line in out[at + 1:]] == [
         ["converge_ms_p50", "parent", "12", "change", "12"],
         ["witness_ms_p50", "parent", "2", "change", "1"]]
+
+
+def test_bench_pairs_prints_unresolved_metrics(tmp_path, monkeypatch, capsys):
+    tool = _load_tool("bench_pairs")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_once(root, workload, seed, seconds):
+        # The parent's setup_s spreads by about half its median; every
+        # other metric, on both sides, by about 2 %.
+        wide = root != tool.ROOT
+        return ({name: 10.0 + seed * (5.0 if wide and name == "setup_s" else 0.1)
+                 for name in names}, {})
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    assert tool.main([str(tmp_path), "--workload", "reach", "--pairs", "4"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  ")}
+    assert sorted(lines) == sorted(names)
+    assert [name for name in names if lines[name].endswith("  unresolved")] == ["setup_s"]

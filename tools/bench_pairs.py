@@ -12,7 +12,9 @@ quartiles (as ``statistics.quantiles(values, n=4)`` gives them), the
 pairs the change won in the metric's better direction, and whether the
 gap between the medians exceeds the parent's quartile spread q3 - q1.  A
 gain counts when the change wins at least 9 of 10 pairs and the gap
-exceeds that spread.
+exceeds that spread.  A metric whose parent spread exceeds its ``bound``
+(a fraction of the parent's median) is marked "unresolved": its runs
+spread too widely to tell a change within the bound from noise.
 
 It also prints each side's median of the per-class latency lines of the
 runs' reports (``witness_ms_p50``, ``trajectory_ms_p50``,
@@ -67,9 +69,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return metrics, class_latencies("\n".join(lines[:-1]))
 
 
-def compare(parent: list, change: list, better: str) -> dict:
-    """Medians, quartiles, pairs won and the gain rule for one metric's
-    paired values (parent[k] and change[k] from pair k)."""
+def compare(parent: list, change: list, better: str, bound: float) -> dict:
+    """Medians, quartiles, pairs won, the gain rule, and whether the
+    parent's quartile spread exceeds the bound (relative to its median),
+    for one metric's paired values (parent[k] and change[k] from pair k)."""
     sign = 1.0 if better == "lower" else -1.0
     out = {"won": sum(sign * (p - c) > 0.0 for p, c in zip(parent, change)),
            "pairs": len(parent)}
@@ -79,6 +82,7 @@ def compare(parent: list, change: list, better: str) -> dict:
     gap = sign * (out["parent"]["median"] - out["change"]["median"])
     spread = out["parent"]["q3"] - out["parent"]["q1"]
     out["gain"] = out["won"] >= 0.9 * out["pairs"] and gap > spread
+    out["unresolved"] = spread > bound * abs(out["parent"]["median"])
     return out
 
 
@@ -109,11 +113,12 @@ def main(argv=None) -> int:
     for m in metrics:
         name = m["name"]
         r = compare([run[name] for run in runs["parent"]],
-                    [run[name] for run in runs["change"]], m["better"])
+                    [run[name] for run in runs["change"]], m["better"], m["bound"])
         p, c = r["parent"], r["change"]
         print(f"  {name:16s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-              f"won {r['won']}/{r['pairs']}  gain {'yes' if r['gain'] else 'no'}")
+              f"won {r['won']}/{r['pairs']}  gain {'yes' if r['gain'] else 'no'}"
+              + ("  unresolved" if r["unresolved"] else ""))
     names = sorted(set().union(*classes["parent"], *classes["change"]))
     if names:
         print("per-class medians (outside the gain rule):")
