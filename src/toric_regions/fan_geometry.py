@@ -63,11 +63,9 @@ class LineGenerator:
             p, q = -p, -q
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @property
-    def norm(self) -> float:
-        """sqrt(p^2 + q^2), the scale factor relating delta to strip width."""
-        return math.sqrt(self.p * self.p + self.q * self.q)
+        # sqrt(p^2 + q^2), the scale factor relating delta to strip width;
+        # an attribute, not a field, so equality and hash see only (p, q).
+        object.__setattr__(self, "norm", math.sqrt(p * p + q * q))
 
     @property
     def is_horizontal(self) -> bool:

@@ -77,17 +77,19 @@ class IntersectionPoint:
         return (self.i, self.j, 0 if self.si > 0 else 1, 0 if self.sj > 0 else 1)
 
 
+@functools.lru_cache(maxsize=256)
+def _uc_rows(fan: Fan) -> tuple[tuple[int, int, int, int, float, float], ...]:
+    """The delta-free rows (i, j, si, sj, cx, cy) of S^uc in provenance
+    order: every fan has them, also one that the construction rejects."""
+    gens = fan.generators
+    return tuple((i, j, si, sj, *_meet_exponents(gens[i], si, gens[j], sj))
+                 for i in range(len(gens)) for j in range(i + 1, len(gens))
+                 for si in (1, -1) for sj in (1, -1))
+
+
 def intersection_points(fan: Fan, delta: float) -> tuple[IntersectionPoint, ...]:
     """All 4 * C(b, 2) pairwise curve intersections (the set S^uc)."""
-    gens = fan.generators
-    points = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    cx, cy = _meet_exponents(gens[i], si, gens[j], sj)
-                    points.append(IntersectionPoint(i, j, si, sj, cx, cy, delta))
-    return tuple(points)
+    return tuple(IntersectionPoint(*row, delta) for row in _uc_rows(fan))
 
 
 def _meet_exponents(gi: LineGenerator, si: int, gj: LineGenerator, sj: int) -> tuple[float, float]:
@@ -456,32 +458,39 @@ def _crossing_segment(cur: LogPoint, region: UncertaintyRegion,
 # Steps 3-4: polygonal lines
 
 
-def build_polyline(start: LogPoint, phi: float, ccw: bool, stop_index: int,
-                   fan: Fan, delta: float) -> list[Segment]:
-    """Cross strips one arm at a time until the stop generator is crossed.
+def _arm_walk(fan: Fan, phi: float, ccw: bool, stop_index: int) -> tuple[tuple[int, int], ...]:
+    """The arms (generator index, arm sign) that a polyline from position
+    angle phi crosses, in order, up to and including the stop generator's.
 
     The traversal follows the angular order of the 2b arm rays, counter-
-    clockwise or clockwise from the start point's position angle: the first
-    arm more than 1e-12 past it either way.
+    clockwise or clockwise from phi: the first arm more than 1e-12 past it
+    either way.
     """
     arms = _arm_table(fan)
     n = len(arms)
-    regions = fan.regions(delta)
-    phi = _wrap(phi)
     if ccw:
         k = bisect.bisect_right(arms, phi + 1e-12, key=itemgetter(0)) % n
     else:
         k = (bisect.bisect_left(arms, phi - 1e-12, key=itemgetter(0)) - 1) % n
-    segments: list[Segment] = []
-    cur = start
+    walk = []
     while True:  # the stop generator has an arm among any n consecutive arms
         _, gi, arm_sign = arms[k]
+        walk.append((gi, arm_sign))
+        if gi == stop_index:
+            return tuple(walk)
+        k = (k + 1) % n if ccw else (k - 1) % n
+
+
+def build_polyline(start: LogPoint, walk, regions) -> list[Segment]:
+    """Cross the strips regions[gi] of the walk's arms (gi, arm_sign) one
+    at a time, each segment starting where the last ended."""
+    segments: list[Segment] = []
+    cur = start
+    for gi, arm_sign in walk:
         seg = _crossing_segment(cur, regions[gi], arm_sign)
         segments.append(seg)
         cur = seg.end
-        if gi == stop_index:
-            return segments
-        k = (k + 1) % n if ccw else (k - 1) % n
+    return segments
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +522,11 @@ def _extend_segment(seg: Segment, coord: str, value: float) -> Segment:
                    seg.arm_sign, seg.end_sign)
 
 
-def _close_side(seg_a: Segment, seg_b: Segment, fan: Fan, delta: float):
+def _close_side(seg_a: Segment, seg_b: Segment, regions, delta: float):
     """Close one side of the loop between the ends of two terminal segments:
     two arcs meeting where the curves the segments end on cross, or an
-    axis-parallel join when that point falls inside an axis strip.
+    axis-parallel join when that point falls inside an axis strip of
+    regions, the fan's strips at delta.
 
     Returns the pieces, the meeting point of the arcs (None for a join)
     and the joined axis strip's index (None for arcs).
@@ -524,7 +534,6 @@ def _close_side(seg_a: Segment, seg_b: Segment, fan: Fan, delta: float):
     lo, hi = sorted((seg_a, seg_b), key=lambda seg: seg.region_index)
     cx, cy = _meet_exponents(lo.gen, lo.end_sign, hi.gen, hi.end_sign)
     meet = LogPoint(cx * delta, cy * delta)
-    regions = fan.regions(delta)
     axis_hits = [
         r for r in regions
         if r.gen.is_axis and abs(strip_coordinate(meet, r)) < r.delta_i - STRIP_TOL
@@ -603,24 +612,54 @@ class RegionBoundary:
         }
 
 
+@dataclass(frozen=True)
+class _FanPlan:
+    """Everything of a fan's construction that no delta changes: its slope
+    classes, the positions in intersection_points' order of the start
+    points (N,M) and (n,m), and the arm walks of I1, I4, I2 and I3."""
+
+    classes: SlopeClasses
+    start_max: int
+    start_min: int
+    walks: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def _fan_plan(fan: Fan) -> _FanPlan:
+    """The fan's construction plan.  choose_start_points reads only the
+    delta-free exponents and provenance of S^uc, and each walk starts at
+    its start point's position angle atan2(cy, cx).  UnsupportedFan, as
+    compute_slope_classes raises it, is never cached."""
+    classes = compute_slope_classes(fan)
+    points = intersection_points(fan, 1.0)
+    start_max, start_min = choose_start_points(points, classes.mode)
+    phi_max = _wrap(math.atan2(start_max.cy, start_max.cx))
+    phi_min = _wrap(math.atan2(start_min.cy, start_min.cx))
+    walks = (_arm_walk(fan, phi_max, True, classes.i1), _arm_walk(fan, phi_max, False, classes.i4),
+             _arm_walk(fan, phi_min, False, classes.i2), _arm_walk(fan, phi_min, True, classes.i3))
+    return _FanPlan(classes, points.index(start_max), points.index(start_min), walks)
+
+
 def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBoundary:
     """Run the full construction, optionally followed by the single-delta
     validation battery (failures raise DeltaTooSmall naming the first
-    failing check, with the full report as its ``report``)."""
-    classes = compute_slope_classes(fan)
+    failing check, with the full report as its ``report``).
+
+    The fan's _fan_plan fixes every choice; at delta only the strips, the
+    crossings and the closures are computed."""
+    plan = _fan_plan(fan)
+    regions = fan.regions(delta)
     points = intersection_points(fan, delta)
-    start_max, start_min = choose_start_points(points, classes.mode)
-
-    phi_max = _wrap(math.atan2(start_max.cy, start_max.cx))
-    phi_min = _wrap(math.atan2(start_min.cy, start_min.cx))
+    start_max, start_min = points[plan.start_max], points[plan.start_min]
+    i1_walk, i4_walk, i2_walk, i3_walk = plan.walks
     try:
-        i1_segs = build_polyline(start_max.log, phi_max, True, classes.i1, fan, delta)
-        i4_segs = build_polyline(start_max.log, phi_max, False, classes.i4, fan, delta)
-        i2_segs = build_polyline(start_min.log, phi_min, False, classes.i2, fan, delta)
-        i3_segs = build_polyline(start_min.log, phi_min, True, classes.i3, fan, delta)
+        i1_segs = build_polyline(start_max.log, i1_walk, regions)
+        i4_segs = build_polyline(start_max.log, i4_walk, regions)
+        i2_segs = build_polyline(start_min.log, i2_walk, regions)
+        i3_segs = build_polyline(start_min.log, i3_walk, regions)
 
-        side1, p12, join1 = _close_side(i1_segs[-1], i2_segs[-1], fan, delta)
-        side2, p34, join2 = _close_side(i3_segs[-1], i4_segs[-1], fan, delta)
+        side1, p12, join1 = _close_side(i1_segs[-1], i2_segs[-1], regions, delta)
+        side2, p34, join2 = _close_side(i3_segs[-1], i4_segs[-1], regions, delta)
     except (ConstructionFailed, ArcsDontMeet, NoCrossing) as exc:
         raise DeltaTooSmall(type(exc).__name__, str(exc)) from exc
 
@@ -651,7 +690,7 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
     boundary = RegionBoundary(
         fan=fan,
         delta=delta,
-        mode=classes.mode,
+        mode=plan.classes.mode,
         pieces=tuple(pieces),
         anchors=anchors,
         polylines={"I1": i1_segs, "I2": i2_segs, "I3": i3_segs, "I4": i4_segs},
@@ -889,16 +928,24 @@ def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
     return labels
 
 
-def _chains(t: _PieceTable, rows, n: int):
-    """The points at u = i / n, i = 0..n, of the pieces t[rows]: arrays
-    (X, Y) of shape (len(rows), n + 1)."""
-    index = np.repeat(rows, n + 1)
-    u = np.tile(np.arange(n + 1) / n, len(rows))
-    X, Y = _points_at(t, index, u)
-    return X.reshape(len(rows), n + 1), Y.reshape(len(rows), n + 1)
+def _chain_where(rows, n: int):
+    """(index, u) of the points at u = i / n, i = 0..n, of the pieces rows,
+    piece by piece."""
+    return np.repeat(rows, n + 1), np.tile(np.arange(n + 1) / n, len(rows))
 
 
 _MIN_PIECE_SAMPLES = 4  # boundary samples on even the shortest piece
+
+
+def _sample_where(t: _PieceTable, total: int):
+    """(index, u) of sample_boundary's samples of the pieces of t."""
+    lengths = np.maximum(np.abs(t.eX - t.sX) + np.abs(t.eY - t.sY), 1e-12)
+    # Summed left to right: np.sum's pairwise order can round differently.
+    whole = sum(lengths.tolist())
+    counts = np.maximum(_MIN_PIECE_SAMPLES, np.rint(total * lengths / whole)).astype(int)
+    index = np.repeat(np.arange(len(counts)), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return index, (np.arange(len(index)) - first + 0.5) / np.repeat(counts, counts)
 
 
 def sample_boundary(boundary: RegionBoundary, total: int):
@@ -909,15 +956,8 @@ def sample_boundary(boundary: RegionBoundary, total: int):
     all lengths, at u = (j + 1/2) / n for j < n, in piece order.  Returns
     arrays (X, Y, piece index).
     """
-    t = boundary.table
-    lengths = np.maximum(np.abs(t.eX - t.sX) + np.abs(t.eY - t.sY), 1e-12)
-    # Summed left to right: np.sum's pairwise order can round differently.
-    whole = sum(lengths.tolist())
-    counts = np.maximum(_MIN_PIECE_SAMPLES, np.rint(total * lengths / whole)).astype(int)
-    index = np.repeat(np.arange(len(counts)), counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    u = (np.arange(len(index)) - first + 0.5) / np.repeat(counts, counts)
-    return (*_points_at(t, index, u), index)
+    index, u = _sample_where(boundary.table, total)
+    return (*_points_at(boundary.table, index, u), index)
 
 
 # ---------------------------------------------------------------------------
@@ -1429,7 +1469,9 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
 _LOOP_CHORDS = 32  # chords per piece in the simple-loop test
 
 
-def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
+def _loop_checks(boundary: RegionBoundary, chains) -> tuple[dict, dict]:
+    """Closed and simple loop checks; chains: the arrays (X, Y) of every
+    piece's points at u = i / _LOOP_CHORDS, one row per piece."""
     t = boundary.table
     gaps = np.maximum(np.abs(t.eX - np.roll(t.sX, -1)), np.abs(t.eY - np.roll(t.sY, -1)))
     worst = gaps.max(initial=0.0).item()
@@ -1441,7 +1483,7 @@ def _loop_checks(boundary: RegionBoundary) -> tuple[dict, dict]:
     # Such a point lies in both chords' boxes, so of the piece pairs a < b
     # whose boxes meet only the chord pairs whose boxes meet are tested:
     # the chords of each piece that meet the other's box, crossed.
-    chains = np.stack(_chains(t, np.arange(len(gaps)), _LOOP_CHORDS), axis=-1)
+    chains = np.stack(chains, axis=-1)
     lo, hi = chains.min(axis=1), chains.max(axis=1)
     clo = np.minimum(chains[:, :-1], chains[:, 1:])
     chi = np.maximum(chains[:, :-1], chains[:, 1:])
@@ -1594,18 +1636,19 @@ def _chords_inside_check(boundary: RegionBoundary, labels: list[str]) -> dict:
 _ARC_SAMPLES = 64  # points per arc in the tangent monotonicity check
 
 
-def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
+def _arc_monotonicity_check(boundary: RegionBoundary, chains) -> dict:
     """Tangent slopes along every arc must vary strictly monotonically.
 
     On y^q = h x^p the tangent slope is the constant p/q times e^(Y - X).
     Arcs lie only on generators off the axes, so p/q is nonzero and the
-    slope is strictly monotone exactly where Y - X is.  Each arc is sampled
-    at u = k / _ARC_SAMPLES, k = 0.._ARC_SAMPLES.  The witness is the first
-    sample of the first failing arc whose step from the previous sample
-    does not go the way the arc's first step goes.
+    slope is strictly monotone exactly where Y - X is.  chains holds the
+    arrays (X, Y) of each arc's samples at u = k / _ARC_SAMPLES, k =
+    0.._ARC_SAMPLES, one row per arc.  The witness is the first sample of
+    the first failing arc whose step from the previous sample does not go
+    the way the arc's first step goes.
     """
     arcs = boundary.arcs
-    X, Y = _chains(boundary.table, np.flatnonzero(boundary.table.arc), _ARC_SAMPLES)
+    X, Y = chains
     d = Y - X
     inc, dec = d[:, :-1] < d[:, 1:], d[:, :-1] > d[:, 1:]
     failing = ~(inc.all(axis=1) | dec.all(axis=1))
@@ -1622,19 +1665,40 @@ def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
 _VALIDATION_SAMPLES = 512  # boundary samples (arrays X, Y, piece) for the r <= 1 and Nagumo checks
 
 
+def _validation_points(t: _PieceTable):
+    """The battery's points of the pieces of t, from one _points_at pass:
+    the loop chains of every piece (_LOOP_CHORDS chords), the arc chains
+    (_ARC_SAMPLES steps), each as arrays (X, Y) with one row per piece,
+    and sample_boundary's _VALIDATION_SAMPLES samples (X, Y, piece index).
+    _points_at is elementwise, so each part has the bits of its own pass.
+    """
+    rows = (np.arange(len(t.sX)), np.flatnonzero(t.arc))
+    where = [_chain_where(rows[0], _LOOP_CHORDS), _chain_where(rows[1], _ARC_SAMPLES),
+             _sample_where(t, _VALIDATION_SAMPLES)]
+    X, Y = _points_at(t, *(np.concatenate(parts) for parts in zip(*where)))
+    cut = np.cumsum([len(index) for index, _ in where])[:-1]
+    (loop_x, arc_x, sample_x), (loop_y, arc_y, sample_y) = np.split(X, cut), np.split(Y, cut)
+    chains = [(x.reshape(len(r), n + 1), y.reshape(len(r), n + 1))
+              for x, y, r, n in ((loop_x, loop_y, rows[0], _LOOP_CHORDS),
+                                 (arc_x, arc_y, rows[1], _ARC_SAMPLES))]
+    return (*chains, (sample_x, sample_y, where[2][0]))
+
+
 def validate_region(boundary: RegionBoundary) -> dict:
     """Single-delta validation battery; returns {check: result} dicts.
 
     Every check that evaluates the boundary away from its anchors does so
-    in array passes over the boundary's one piece table: sample_boundary's
-    points feed the r <= 1 and Nagumo checks, and the loop and arc checks
-    take their point chains from the same _points_at.  The S^uc points,
-    the chord points (both at band 1e-7) and (1,1) (at region_contains'
-    default 1e-9) are classified in one region_contains_batch call.  A
-    failed check names a witness point where it has one.
+    in array passes over the boundary's one piece table: one _points_at
+    pass (_validation_points) gives the loop and arc checks their point
+    chains and the r <= 1 and Nagumo checks sample_boundary's samples.
+    The S^uc points, the chord points (both at band 1e-7) and (1,1) (at
+    region_contains' default 1e-9) are classified in one
+    region_contains_batch call.  A failed check names a witness point
+    where it has one.
     """
     report = {}
-    closed, simple = _loop_checks(boundary)
+    loop, arcs, pts = _validation_points(boundary.table)
+    closed, simple = _loop_checks(boundary, loop)
     report["closed_loop"] = closed
     report["simple_loop"] = simple
     probes = [ip.log for ip in boundary.points_uc] + _chord_points(boundary)
@@ -1643,7 +1707,6 @@ def validate_region(boundary: RegionBoundary) -> dict:
     labels = region_contains_batch(boundary, X, Y, np.append(np.full(len(probes), 1e-7), 1e-9))
     n_uc = len(boundary.points_uc)
     report["suc_in_region"] = _suc_check(boundary, labels[:n_uc])
-    pts = sample_boundary(boundary, _VALIDATION_SAMPLES)
     report["r_le_1"] = _r_le_1_check(boundary, pts)
     report["slope_chains"] = _slope_chain_check(boundary)
     report["nagumo"] = _nagumo_check(boundary, pts)
@@ -1655,5 +1718,5 @@ def validate_region(boundary: RegionBoundary) -> dict:
     if boundary.mode == "standard":
         report["cone_containment"] = _cone_containment_check(boundary)
     report["chords_inside"] = _chords_inside_check(boundary, labels[n_uc:-1])
-    report["arc_tangent_monotonicity"] = _arc_monotonicity_check(boundary)
+    report["arc_tangent_monotonicity"] = _arc_monotonicity_check(boundary, arcs)
     return report

@@ -70,6 +70,23 @@ class TestNormalizeGenerator:
         assert p * g.q - q * g.p == 0
 
 
+    @given(st.integers(-30, 30), st.integers(-30, 30))
+    def test_norm_is_stored_and_outside_equality(self, p, q):
+        if p == 0 and q == 0:
+            return
+        g = normalize_generator(p, q)
+        assert g.norm.hex() == math.sqrt(g.p * g.p + g.q * g.q).hex()
+        # Equality, hash and repr see only (p, q).
+        assert [f.name for f in dataclasses.fields(g)] == ["p", "q"]
+        assert repr(g) == f"LineGenerator(p={g.p}, q={g.q})"
+        twice = LineGenerator(2 * p, 2 * q)
+        assert twice == g and hash(twice) == hash(g) and twice.norm == g.norm
+        moved = dataclasses.replace(g, q=g.q + 1)
+        assert moved.norm == math.sqrt(moved.p ** 2 + moved.q ** 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.norm = 1.0
+
+
 class TestDeltaI:
     def test_three_four(self):
         assert delta_i(normalize_generator(3, 4), 2.0) == pytest.approx(10.0)

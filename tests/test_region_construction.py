@@ -25,6 +25,8 @@ from toric_regions.fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
+    _arm_table,
+    _wrap,
     delta_i,
     normalize_generator,
     r_count,
@@ -41,13 +43,15 @@ from toric_regions.region_construction import (
     _PieceTable,
     _arc_monotonicity_check,
     _band_distances,
-    _chains,
+    _chain_where,
     _curve_cross_on_line,
     _falls,
+    _fan_plan,
     _hull,
     _line_x_log,
     _line_y_log,
     _line_y_log_batch,
+    _LOOP_CHORDS,
     _log_mix,
     _loop_checks,
     _monotone_chain,
@@ -58,6 +62,7 @@ from toric_regions.region_construction import (
     _scaled_reciprocals,
     _strip_point,
     _suc_check,
+    _validation_points,
     choose_start_points,
     compute_slope_classes,
     construct_region,
@@ -122,6 +127,23 @@ def _sample_boundary_reference(boundary, total: int) -> list[tuple[LogPoint, int
 def _loop_chains_reference(pieces) -> list[list[LogPoint]]:
     """The scalar 33-point chain of every piece that _loop_checks tests."""
     return [[_point_at_reference(pc, i / 32) for i in range(33)] for pc in pieces]
+
+
+def _chains(t, rows, n: int):
+    """The points at u = i / n, i = 0..n, of the pieces t[rows], in a
+    _points_at pass of their own: arrays (X, Y) of shape (len(rows), n + 1)."""
+    X, Y = _points_at(t, *_chain_where(rows, n))
+    return X.reshape(len(rows), n + 1), Y.reshape(len(rows), n + 1)
+
+
+def _loop_checks_of(b):
+    """_loop_checks of a boundary on its own chains."""
+    return _loop_checks(b, _chains(b.table, np.arange(len(b.pieces)), _LOOP_CHORDS))
+
+
+def _arc_check_of(b):
+    """_arc_monotonicity_check of a boundary on its own arc chains."""
+    return _arc_monotonicity_check(b, _chains(b.table, np.flatnonzero(b.table.arc), _ARC_SAMPLES))
 
 
 def _points_of(piece, us) -> list[LogPoint]:
@@ -504,7 +526,7 @@ class TestLineKernel:
         for seg in b.pieces:
             if isinstance(seg, Segment):
                 assert _points_of(seg, [1.0]) == [seg.end]
-        closed, simple = _loop_checks(b)
+        closed, simple = _loop_checks_of(b)
         assert closed["passed"] and simple["passed"]
 
 
@@ -604,6 +626,105 @@ class TestWorkedConstruction:
         assert (p34.X, p34.Y) == pytest.approx((p12.Y, p12.X), abs=1e-9)
 
 
+ATLAS_GENS = [tuple(map(tuple, json.loads(line)["gens"])) for line in
+              (Path(__file__).resolve().parent / "atlas_outcomes.jsonl").read_text().splitlines()]
+
+
+def _walk_reference(fan: Fan, start, ccw: bool, stop_index: int) -> list[tuple[int, int]]:
+    """The arms (generator index, arm sign) that the per-delta walk of
+    build_polyline crossed from a start point: a bisect into the arm table
+    at the point's position angle, then a step per arm to the stop one."""
+    arms = _arm_table(fan)
+    n = len(arms)
+    phi = _wrap(math.atan2(start.cy, start.cx))
+    if ccw:
+        k = next((j for j, arm in enumerate(arms) if arm[0] > phi + 1e-12), 0)
+    else:
+        k = next((j for j in reversed(range(n)) if arms[j][0] < phi - 1e-12), n - 1)
+    walk = []
+    while True:
+        _, gi, sign = arms[k]
+        walk.append((gi, sign))
+        if gi == stop_index:
+            return walk
+        k = (k + 1) % n if ccw else (k - 1) % n
+
+
+class TestFanPlan:
+    """The per-fan construction plan is delta-free: its start points and
+    walks are what the per-delta construction chose and walked."""
+
+    @pytest.mark.parametrize("delta", [1e-12, 0.5, 3.0, 300.0])
+    def test_plan_matches_the_per_delta_choices(self, delta):
+        planned = built = 0
+        for gens in dict.fromkeys(ATLAS_GENS):
+            fan = Fan(gens)
+            try:
+                plan = _fan_plan(fan)
+            except UnsupportedFan:
+                with pytest.raises(UnsupportedFan):
+                    compute_slope_classes(fan)
+                continue
+            planned += 1
+            classes = compute_slope_classes(fan)
+            assert plan.classes == classes
+            pts = intersection_points(fan, delta)
+            top, low = choose_start_points(pts, classes.mode)
+            assert pts[plan.start_max] is top and pts[plan.start_min] is low
+            walks = [_walk_reference(fan, top, True, classes.i1),
+                     _walk_reference(fan, top, False, classes.i4),
+                     _walk_reference(fan, low, False, classes.i2),
+                     _walk_reference(fan, low, True, classes.i3)]
+            assert [list(w) for w in plan.walks] == walks
+            try:
+                b = construct_region(fan, delta, validate=False)
+            except DeltaTooSmall:
+                continue
+            built += 1
+            crossed = [[(s.region_index, s.arm_sign) for s in b.polylines[name]]
+                       for name in ("I1", "I4", "I2", "I3")]
+            assert crossed == walks
+            assert (b.start_max, b.start_min) == (top, low)
+        assert planned > 150 and built > 100
+
+    def test_phi_level_misses_the_plan_once_per_fan(self, hull_requests):
+        _fan_plan.cache_clear()
+        for k, gens in enumerate(LEVEL_FANS, start=1):
+            fan = Fan(gens)
+            phi_level(_level_point(fan, 3.5), fan, 3.0, 4.0)
+            phi_level(_level_point(fan, 3.25), fan, 3.0, 4.0)
+            assert _fan_plan.cache_info().misses == k
+        assert len(hull_requests) > 4 * len(LEVEL_FANS)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_construct_region_fetches_the_strips_once(self, validate, monkeypatch):
+        calls = []
+        regions = Fan.regions
+        monkeypatch.setattr(Fan, "regions",
+                            lambda fan, delta: calls.append(delta) or regions(fan, delta))
+        for gens in (WORKED_GENS, [(1, 2), (2, 1), (-1, 1), (0, 1)]):
+            calls.clear()
+            construct_region(Fan(gens), 3.0, validate=validate)
+            assert calls == [3.0]
+
+    @pytest.mark.parametrize("delta", [3.0, 0.0, -1.0, math.nan, math.inf])
+    def test_unsupported_fan_is_rejected_before_delta_and_never_cached(self, delta):
+        fan = Fan([(2, 1), (-1, 1)])
+        before = _fan_plan.cache_info()
+        for _ in range(2):
+            with pytest.raises(UnsupportedFan):
+                construct_region(fan, delta)
+        after = _fan_plan.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (2, 0)
+        assert after.currsize == before.currsize
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_non_positive_delta(self, delta, validate):
+        with pytest.raises(NonPositiveDelta):
+            construct_region(Fan(WORKED_GENS), delta, validate=validate)
+
+
 class TestRegionContains:
     def test_unit_point_inside(self, worked_region):
         assert region_contains(worked_region, PosPoint(1.0, 1.0)) == "inside"
@@ -670,7 +791,7 @@ class TestSpecialCases:
         ends = [Segment(LogPoint(0.0, 0.0), LogPoint(0.0, 0.0), strips[g].gen, strips[g].index, 1, 1)
                 for g in ((1, 2), (2, 1))]
         with pytest.raises(UnsupportedFan, match="closure point inside two axis strips"):
-            region_construction._close_side(*ends, fan, 3.0)
+            region_construction._close_side(*ends, fan.regions(3.0), 3.0)
 
     def test_slope_chain_signs(self, worked_region):
         # In standard mode chain 2 (I2 reversed, then I3) must fall and
@@ -765,14 +886,14 @@ def _log_loop(*corners) -> SimpleNamespace:
 
 class TestLoopChecks:
     def test_bow_tie_crosses_once(self):
-        closed, simple = _loop_checks(_log_loop((0, 0), (3, 2), (3, 0), (0, 1.7)))
+        closed, simple = _loop_checks_of(_log_loop((0, 0), (3, 2), (3, 0), (0, 1.7)))
         assert closed["passed"] and closed["worst"] == 0.0
         assert not simple["passed"] and simple["worst"] == 1.0
 
     def test_touching_corners_do_not_cross(self):
         # Two triangles that share only the corner (1, 1).
         loop = _log_loop((0, 0), (1, 1), (2, 0), (2.5, 2), (1, 1), (0, 2.2))
-        assert _loop_checks(loop)[1]["worst"] == 0.0
+        assert _loop_checks_of(loop)[1]["worst"] == 0.0
 
     @pytest.mark.parametrize("gens, delta", [
         (WORKED_GENS, 3.0), (WORKED_GENS, 100.0), ([(1, 2), (2, 1)], 1.0),
@@ -790,7 +911,7 @@ class TestLoopChecks:
             b = _log_loop(*gens)
         else:
             b = construct_region(Fan(gens), delta, validate=False)
-        worst = _loop_checks(b)[1]["worst"]
+        worst = _loop_checks_of(b)[1]["worst"]
         assert worst == float(_crossing_pairs_reference(b.pieces))
         assert worst == 0.0 or delta is not None
 
@@ -873,7 +994,7 @@ class TestWitnesses:
     def test_arc_monotonicity_names_where_the_order_breaks(self):
         # A straight (1,1) arc: Y - X is constant, so rounding breaks the order.
         b = construct_region(Fan([(-2, 1), (2, 3), (1, 1)]), 3.0, validate=False)
-        res = _arc_monotonicity_check(b)
+        res = _arc_check_of(b)
         assert not res["passed"]
         for arc in b.arcs:
             pts = [_point_at_reference(arc, k / _ARC_SAMPLES) for k in range(_ARC_SAMPLES + 1)]
@@ -888,7 +1009,7 @@ class TestWitnesses:
                 break
         else:
             pytest.fail("no failing arc")
-        passing = _arc_monotonicity_check(construct_region(Fan(WORKED_GENS), 3.0))
+        passing = _arc_check_of(construct_region(Fan(WORKED_GENS), 3.0))
         assert passing["passed"] and passing["witness"] is None
 
 
@@ -920,6 +1041,11 @@ class TestArraySampler:
         ref_chains = _loop_chains_reference(b.pieces)
         assert _bits(chain_x.ravel()) == _bits(pt.X for c in ref_chains for pt in c)
         assert _bits(chain_y.ravel()) == _bits(pt.Y for c in ref_chains for pt in c)
+        # The battery's one pass has the bits of the three passes apart.
+        loop, arcs, samples = _validation_points(b.table)
+        arc_x, arc_y = _chains(b.table, np.flatnonzero(b.table.arc), _ARC_SAMPLES)
+        for got, want in zip((*loop, *arcs, *samples), (chain_x, chain_y, arc_x, arc_y, X, Y, index)):
+            assert got.shape == want.shape and _bits(got.ravel()) == _bits(want.ravel())
 
     def test_worked_fan(self, worked_region):
         self.assert_matches_references(worked_region)

@@ -350,3 +350,55 @@ def test_bench_pairs_prints_unresolved_metrics(tmp_path, monkeypatch, capsys):
              if line.startswith("  ")}
     assert sorted(lines) == sorted(names)
     assert [name for name in names if lines[name].endswith("  unresolved")] == ["setup_s"]
+
+
+def test_bench_pairs_names_the_workloads():
+    tool = _load_tool("bench_pairs")
+    declared = ["atlas_validate", "level_band", "reach"]
+    assert tool.workloads([], declared) == ["atlas_validate"]
+    assert tool.workloads(["all"], declared) == declared
+    assert tool.workloads(["reach", "level_band", "reach"], declared) == ["reach", "level_band"]
+    assert tool.workloads(["reach", "all"], declared) == ["reach", "atlas_validate", "level_band"]
+
+
+def test_bench_pairs_runs_every_workload_in_each_pair(tmp_path, monkeypatch, capsys):
+    tool = _load_tool("bench_pairs")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in bench["end_to_end"]]
+    declared = [w["name"] for w in bench["workloads"]]
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        # Each workload reads its own index; the change halves every metric.
+        side = "change" if root == tool.ROOT else "parent"
+        calls.append((seed, workload, side))
+        value = (declared.index(workload) + 1) * (0.5 if side == "change" else 1.0)
+        return {name: value for name in names}, {f"{workload}_ms_p50": value}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    assert tool.main([str(tmp_path), "--workload", "all", "--pairs", "2", "--seconds", "3"]) == 0
+    # Pair 1 runs the parent first, pair 2 the change, for every workload.
+    assert calls == [(seed, w, side) for seed, sides in ((1, ("parent", "change")),
+                                                         (2, ("change", "parent")))
+                     for w in declared for side in sides]
+    out = capsys.readouterr().out.splitlines()
+    heads = [k for k, line in enumerate(out) if not line.startswith("  ")
+             and line.endswith("median [q1, q3]:")]
+    assert [out[k] for k in heads] == [f"{w}, 2 alternated pairs of 3 s, median [q1, q3]:"
+                                       for w in declared]
+    for k, w in zip(heads, declared):
+        value = declared.index(w) + 1
+        block = out[k + 1:k + 1 + len(names)]
+        assert [line.split()[:5] for line in block] == [
+            [name, "parent", f"{value:.4g}", f"[{value:.4g},", f"{value:.4g}]"] for name in names]
+        assert out[k + 1 + len(names):k + 3 + len(names)] == [
+            "per-class medians (outside the gain rule):",
+            f"  {w + '_ms_p50':18s} parent {value:.4g}  change {value / 2:.4g}"]
+    # Two named workloads run those two only, in the order named.
+    calls.clear()
+    assert tool.main([str(tmp_path), "--workload", "reach", "--workload", "level_band",
+                      "--pairs", "1"]) == 0
+    assert [w for _, w, _ in calls] == ["reach", "reach", "level_band", "level_band"]
+    assert tool.main([str(tmp_path), "--workload", "nope", "--pairs", "1"]) == 2

@@ -1,13 +1,14 @@
 """Alternated benchmark pairs of a parent checkout and this one.
 
-Pair k (k = 1..N) runs
+Pair k (k = 1..N) runs, for every named workload W in turn,
 
     python bench/run.py --workload W --seed k --seconds S --trace 0
 
 once in the parent checkout and once in this one, each from its own root,
 the parent first in odd pairs and this checkout first in even ones, so a
-drift of the machine's speed favours neither side.  For every end-to-end
-metric of ``BENCHMARK.json`` it then prints each side's median and
+drift of the machine's speed favours neither side.  Then, one block per
+workload, for every end-to-end metric of ``BENCHMARK.json`` it prints
+each side's median and
 quartiles (as ``statistics.quantiles(values, n=4)`` gives them), the
 pairs the change won in the metric's better direction, and whether the
 gap between the medians exceeds the parent's quartile spread q3 - q1.  A
@@ -26,9 +27,11 @@ Run from anywhere; PARENT_ROOT is the root of a checkout of the parent
 commit (``git archive`` of it will do), holding its ``bench/`` and
 ``src/``:
 
-    python tools/bench_pairs.py PARENT_ROOT [--workload W] [--pairs N] [--seconds S]
+    python tools/bench_pairs.py PARENT_ROOT [--workload W ...] [--pairs N] [--seconds S]
 
-The defaults are atlas_validate, 10 pairs and 20 s.  ``bench/`` is only
+``--workload`` may be given more than once, and ``all`` names every
+workload of ``BENCHMARK.json``.  The defaults are atlas_validate, 10
+pairs and 20 s.  ``bench/`` is only
 run, and each run leaves its record under its own checkout's
 ``.bench_runs/``.  Per-pair values go to standard error as they come.
 """
@@ -86,30 +89,20 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent_root", type=Path)
-    ap.add_argument("--workload", default="atlas_validate")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    args = ap.parse_args(argv)
-    if not (args.parent_root / "bench" / "run.py").is_file():
-        print(f"no bench/run.py under {args.parent_root}", file=sys.stderr)
-        return 2
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"parent": [], "change": []}
-    classes = {"parent": [], "change": []}
-    for seed in range(1, args.pairs + 1):
-        order = [("parent", args.parent_root), ("change", ROOT)]
-        for side, root in (order if seed % 2 else order[::-1]):
-            values, latencies = run_once(root, args.workload, seed, args.seconds)
-            runs[side].append(values)
-            classes[side].append(latencies)
-        print(f"pair {seed}: " + "  ".join(
-            f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
-            f"{runs['change'][-1][m['name']]:.4g}" for m in metrics), file=sys.stderr, flush=True)
-    print(f"{args.workload}, {args.pairs} alternated pairs of {args.seconds:g} s, "
-          "median [q1, q3]:")
+def workloads(names: list, declared: list) -> list:
+    """The workloads that --workload names, in order, each once: ``all``
+    stands for every declared one, and none named means atlas_validate."""
+    out = []
+    for name in names or ["atlas_validate"]:
+        out += declared if name == "all" else [name]
+    return list(dict.fromkeys(out))
+
+
+def report(workload: str, runs: dict, classes: dict, metrics: list, pairs: int,
+           seconds: float) -> None:
+    """Print one workload's block: every metric's medians, quartiles,
+    pairs won and the gain rule, then the per-class medians."""
+    print(f"{workload}, {pairs} alternated pairs of {seconds:g} s, median [q1, q3]:")
     for m in metrics:
         name = m["name"]
         r = compare([run[name] for run in runs["parent"]],
@@ -126,6 +119,41 @@ def main(argv=None) -> int:
         medians = [statistics.median(run[name] for run in classes[side] if name in run)
                    for side in ("parent", "change")]
         print(f"  {name:18s} parent {medians[0]:.4g}  change {medians[1]:.4g}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_root", type=Path)
+    ap.add_argument("--workload", action="append", default=[])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    if not (args.parent_root / "bench" / "run.py").is_file():
+        print(f"no bench/run.py under {args.parent_root}", file=sys.stderr)
+        return 2
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    declared = [w["name"] for w in bench["workloads"]]
+    names = workloads(args.workload, declared)
+    unknown = [name for name in names if name not in declared]
+    if unknown:
+        print(f"unknown workload {unknown[0]}; declared: {', '.join(declared)}", file=sys.stderr)
+        return 2
+    runs = {name: {"parent": [], "change": []} for name in names}
+    classes = {name: {"parent": [], "change": []} for name in names}
+    for seed in range(1, args.pairs + 1):
+        order = [("parent", args.parent_root), ("change", ROOT)]
+        for name in names:
+            for side, root in (order if seed % 2 else order[::-1]):
+                values, latencies = run_once(root, name, seed, args.seconds)
+                runs[name][side].append(values)
+                classes[name][side].append(latencies)
+            print(f"pair {seed} {name}: " + "  ".join(
+                f"{m['name']} {runs[name]['parent'][-1][m['name']]:.4g} -> "
+                f"{runs[name]['change'][-1][m['name']]:.4g}" for m in metrics),
+                file=sys.stderr, flush=True)
+    for name in names:
+        report(name, runs[name], classes[name], metrics, args.pairs, args.seconds)
     return 0
 
 
