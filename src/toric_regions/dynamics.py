@@ -6,10 +6,11 @@ Velocities are x-space vectors constrained by the inclusion cone; the
 integrator steps the log coordinates (X' = x'/x componentwise) so positivity
 is automatic and points of order e^(c*delta) stay representable.
 
-The integrator works on floats: each stage's cone comes from _rhs_fast on
-the log coordinates (X, Y) and the run's strip table, and every built-in
-selection gives the stage's log velocity from them through
-log_stage(X, Y, rhs, t), bit for bit as its call does.
+The integrator works on floats: a selection gives its x-space velocity,
+its log velocity and, on request, its stiffness bound at the log
+coordinates (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
+a selection that reads the cone gets it from _rhs_fast and the run's strip
+table.
 
 Velocities are checked from float arrays: the integrator's step starts
 from the floats it steps on, and a witness leg's samples from the arrays
@@ -21,6 +22,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -130,6 +132,7 @@ def _violations(X: np.ndarray, Y: np.ndarray, vx: np.ndarray, vy: np.ndarray, fa
 # Mass-action systems
 
 _LOG_CAP = 600.0  # largest |monomial exponent| evaluated; e^600 is finite
+_LOG_MAX = math.log(sys.float_info.max)  # largest x whose e^x is finite
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,8 @@ class MassActionSystem:
         for r in self.reactions:
             if (r.target, r.source) not in pairs:
                 raise ValueError(f"reaction {r.source}->{r.target} has no reverse")
-            if not (self.eps - 1e-15 <= r.rate <= 1.0 / self.eps + 1e-15):
+            # The upper bound is relative: 1 / (1 / k) can round below k.
+            if not (self.eps - 1e-15 <= r.rate and r.rate * self.eps <= 1.0 + 1e-15):
                 raise ValueError(f"rate {r.rate} outside [{self.eps}, {1/self.eps}]")
         object.__setattr__(self, "terms", tuple(
             (r.log_rate, r.source[0], r.source[1], r.target[0] - r.source[0],
@@ -201,6 +205,17 @@ def _term_sums(terms: tuple, X: float, Y: float, stiff: bool):
     return fx, fy, lx, ly
 
 
+def _field(system: MassActionSystem, X: float, Y: float, stiff: bool):
+    """The embedded field (fx, fy) at the log point (X, Y), e^-X, e^-Y and,
+    if stiff, field_stiffness (else 0.0): (fx, fy, e^-X, e^-Y, stiffness),
+    from one _term_sums pass."""
+    fx, fy, lx, ly = _term_sums(system.terms, X, Y, stiff)
+    gx, gy = math.exp(-X), math.exp(-Y)
+    if not stiff:
+        return fx, fy, gx, gy, 0.0
+    return fx, fy, gx, gy, max(lx * gx, ly * gy) + max(abs(fx) * gx, abs(fy) * gy)
+
+
 def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
     """Sum over edges of k * x^source * (target - source), in x-space."""
     pt = as_log(point)
@@ -211,14 +226,8 @@ def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
 def field_stiffness(system: MassActionSystem, point) -> float:
     """Bound on the log-space Jacobian row sum of the embedded field, which keeps
     explicit steps stable on the exponentially stiff reversible pair systems."""
-    return _field_and_stiffness(system, as_log(point))[1]
-
-
-def _field_and_stiffness(system: MassActionSystem, pt: LogPoint):
-    """mass_action_field and field_stiffness from one monomial pass."""
-    fx, fy, lx, ly = _term_sums(system.terms, pt.X, pt.Y, True)
-    gx, gy = math.exp(-pt.X), math.exp(-pt.Y)
-    return (fx, fy), max(lx * gx, ly * gy) + max(abs(fx) * gx, abs(fy) * gy)
+    pt = as_log(point)
+    return _field(system, pt.X, pt.Y, True)[4]
 
 
 def complex_balance_residual(system: MassActionSystem, point) -> float:
@@ -245,8 +254,11 @@ def embedded_system_for_target(fan: Fan, delta: float, target: str,
 
     'origin_11' uses every generator with all rates 1; 'point_NM' uses the
     two generators of the provenance intersection point with the backward
-    rates e^(s_i * delta_i), which puts the equilibrium on that point.
-    Negative p is encoded directly as a power-law complex (p, 0).
+    rates e^(s_i * delta_i), which puts the equilibrium on that point;
+    MonomialOverflow, before any reaction is built, when such a rate is
+    not a positive finite float (its log rate lies past 709.78, or below
+    about -745.13).  Negative p is encoded directly as a power-law complex
+    (p, 0).
     """
     reactions: list[Reaction] = []
     if target == "origin_11":
@@ -259,11 +271,14 @@ def embedded_system_for_target(fan: Fan, delta: float, target: str,
             raise ValueError("point_NM target needs the intersection-point provenance")
         rates = []
         for idx, s in ((provenance.i, provenance.si), (provenance.j, provenance.sj)):
-            g = fan.generators[idx]
-            k_bwd = math.exp(s * delta * g.norm)
+            log_rate = s * delta * fan.generators[idx].norm
+            k_bwd = math.exp(log_rate) if log_rate <= _LOG_MAX else math.inf
+            if not 0.0 < k_bwd < math.inf:
+                raise MonomialOverflow(f"rate e^{log_rate:.1f} beyond the float range")
+            rates.append((fan.generators[idx], k_bwd))
+        for g, k_bwd in rates:
             reactions += _reversible((0.0, float(g.q)), (float(g.p), 0.0), 1.0, k_bwd)
-            rates.append(k_bwd)
-        eps = min(1.0, *(min(k, 1.0 / k) for k in rates))
+        eps = min(1.0, *(min(k, 1.0 / k) for _, k in rates))
         label = "embedded_point_NM"
     else:
         raise ValueError(f"unknown target {target!r}")
@@ -280,61 +295,43 @@ _ALTERNATION_PERIOD = 0.5  # time between AlternatingStrategy's switches
 _MIN_SPEED = 1e-3
 
 
-def _log_speed(point: LogPoint, v: tuple[float, float]) -> float:
-    """Log-space speed |(x'/x, y'/y)| of an x-space velocity."""
-    return math.hypot(v[0] * math.exp(-point.X), v[1] * math.exp(-point.Y))
-
-
 def _log_unit(X: float, Y: float, u: tuple[float, float], rhs: Cone):
     """The x-space direction u at the log point (X, Y), rescaled to unit
     log-space speed and then, unless rhs is the full plane, up to x-space
-    speed _MIN_SPEED (cones allow both); and its log velocity (x'/x, y'/y).
-
-    e^-X and e^-Y are each taken once, and serve the speed and the log
-    velocity: a selection's call returns the first pair, its log_stage the
-    second.
-    """
+    speed _MIN_SPEED (cones allow both), as a selection's velocity
+    (vx, vy, x'/x, y'/y, 0.0).  e^-X and e^-Y are each taken once, and
+    serve the speed and the log velocity."""
     gx, gy = math.exp(-X), math.exp(-Y)
     n = math.hypot(u[0] * gx, u[1] * gy)
     if n == 0.0:
-        return (0.0, 0.0), (0.0, 0.0)
+        return 0.0, 0.0, 0.0, 0.0, 0.0
     vx, vy = u[0] / n, u[1] / n
     if rhs.width != TWO_PI:
         n = math.hypot(vx, vy)
         if 0.0 < n < _MIN_SPEED:
             scale = _MIN_SPEED / n
             vx, vy = vx * scale, vy * scale
-    return (vx, vy), (vx * gx, vy * gy)
+    return vx, vy, vx * gx, vy * gy, 0.0
 
 
 class FieldStrategy:
     """Follow a fixed embedded mass-action field.
 
-    Besides the selection call, it gives integrate the velocity and
-    stiffness of a point from one monomial pass (with_stiffness) and the
-    log velocity of a stage straight from the log coordinates (log_stage,
-    which is passed rhs=None), with the same float operations as the call.
-    With with_stiffness, integrate controls the step error: it evaluates
-    each step's end once, and that evaluation starts the next step.
+    The field lies in the cone, so the selection reads none (integrate
+    passes rhs=None) and gets error-controlled steps.
     """
 
-    reads_cone = False  # the field lies in the cone; integrate passes rhs=None
+    reads_cone = False
 
     def __init__(self, system: MassActionSystem):
         self.system = system
         self.name = system.label or "field"
 
-    def __call__(self, point: LogPoint, rhs: Cone | None, t: float) -> tuple[float, float]:
-        return mass_action_field(self.system, point)
-
-    def with_stiffness(self, point: LogPoint, rhs: Cone | None, t: float):
-        """The velocity and field_stiffness at a point, from one monomial pass."""
-        return _field_and_stiffness(self.system, point)
-
-    def log_stage(self, X: float, Y: float, rhs: Cone | None, t: float) -> tuple[float, float]:
-        """The log velocity (x'/x, y'/y) at the log point (X, Y)."""
-        fx, fy, _, _ = _term_sums(self.system.terms, X, Y, False)
-        return (fx * math.exp(-X), fy * math.exp(-Y))
+    def velocity(self, X: float, Y: float, rhs: Cone | None, t: float, stiff: bool):
+        """The field at the log point (X, Y), its log velocity and, if stiff,
+        field_stiffness (else 0.0): (vx, vy, x'/x, y'/y, stiffness)."""
+        fx, fy, gx, gy, stiffness = _field(self.system, X, Y, stiff)
+        return fx, fy, fx * gx, fy * gy, stiffness
 
 
 class TimeRescaledField(FieldStrategy):
@@ -349,38 +346,25 @@ class TimeRescaledField(FieldStrategy):
         super().__init__(system)
         self.name += "_rescaled"
 
-    def __call__(self, point: LogPoint, rhs: Cone | None, t: float) -> tuple[float, float]:
-        v = mass_action_field(self.system, point)
-        c = 1.0 / (1.0 + _log_speed(point, v))
-        return (v[0] * c, v[1] * c)
-
-    def with_stiffness(self, point: LogPoint, rhs: Cone | None, t: float):
-        """The velocity and its stiffness bound at a point, from one monomial
-        pass."""
-        v, stiff = _field_and_stiffness(self.system, point)
-        d = 1.0 + _log_speed(point, v)
+    def velocity(self, X: float, Y: float, rhs: Cone | None, t: float, stiff: bool):
+        """The field over d = 1 + its log speed, at the log point (X, Y), as
+        FieldStrategy.velocity gives it, with the stiffness bound over d."""
+        fx, fy, gx, gy, stiffness = _field(self.system, X, Y, stiff)
+        d = 1.0 + math.hypot(fx * gx, fy * gy)
         c = 1.0 / d
-        return (v[0] * c, v[1] * c), stiff / d
-
-    def log_stage(self, X: float, Y: float, rhs: Cone | None, t: float) -> tuple[float, float]:
-        """The log velocity (x'/x, y'/y) of the rescaled field at the log
-        point (X, Y)."""
-        fx, fy, _, _ = _term_sums(self.system.terms, X, Y, False)
-        gx, gy = math.exp(-X), math.exp(-Y)
-        c = 1.0 / (1.0 + math.hypot(fx * gx, fy * gy))
-        return (fx * c * gx, fy * c * gy)
+        vx, vy = fx * c, fy * c
+        return vx, vy, vx * gx, vy * gy, stiffness / d
 
 
 class _DirectionSelection:
     """A selection of one x-space direction of the cone, _direction(rhs, t),
-    at unit log speed, floored by _log_unit: the call gives the velocity,
-    log_stage its log velocity (x'/x, y'/y) at the log point (X, Y)."""
+    at unit log speed, floored by _log_unit.  It jumps at sector
+    boundaries, so integrate steps it at the caps alone."""
 
-    def __call__(self, point: LogPoint, rhs: Cone, t: float) -> tuple[float, float]:
-        return _log_unit(point.X, point.Y, self._direction(rhs, t), rhs)[0]
+    reads_cone = True
 
-    def log_stage(self, X: float, Y: float, rhs: Cone, t: float) -> tuple[float, float]:
-        return _log_unit(X, Y, self._direction(rhs, t), rhs)[1]
+    def velocity(self, X: float, Y: float, rhs: Cone, t: float, stiff: bool):
+        return _log_unit(X, Y, self._direction(rhs, t), rhs)
 
 
 class ExtremeRayStrategy(_DirectionSelection):
@@ -484,37 +468,37 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
               dt: float = 1e-2, stop_when=None) -> Trajectory:
     """Explicit 4th-order stepping of the selection in log coordinates.
 
+    A selection has a class attribute reads_cone and a method
+    velocity(X, Y, rhs, t, stiff), which gives at the log point (X, Y) and
+    time t the tuple (vx, vy, fx, fy, stiffness): the x-space velocity,
+    the log velocity (x'/x, y'/y), and, if stiff, a bound on the log-space
+    Jacobian row sum (else 0.0).  Step starts, stages and step ends are
+    all evaluated by it from the floats the run holds.
+
+    reads_cone decides the rest.  A selection that reads the cone (the
+    ray, alternating and random ones, which jump at sector boundaries) is
+    passed its cone rhs from _rhs_fast, with the strip table looked up
+    once per run, and steps at the caps alone.  Any other (a smooth
+    embedded field) is passed rhs=None, is asked for the stiffness of its
+    step starts and ends, and gets error-controlled steps.
+
     The step is capped at dt and at t_end - t, so that no single update
     moves more than 0.25 in log space (the fields are exponentially stiff
-    far from equilibrium), and at 1.5 over the stiffness bound of a
-    strategy that has with_stiffness.  It is halved, down to dt/1024, while
-    a stage fails or the increment is not finite or moves more than 1.0.
+    far from equilibrium), and at 1.5 over the stiffness of the step
+    start.  It is halved, down to dt/1024, while a stage fails or the
+    increment is not finite or moves more than 1.0.
 
-    A strategy with with_stiffness (a smooth embedded field) also gets
-    error-controlled steps.  Its step's end is evaluated by with_stiffness
-    at once, and that velocity f5 and stiffness start the next step when
-    the step is accepted (first same as last), so an attempt costs four
-    field evaluations.  The weights (1/6, 1/3, 1/3, 1/6) on f1, f2, f3, f5
-    make a 3rd-order step, and err = h/6 * max|f4 - f5| (log space) is its
-    gap to the RK4 step.  A step is accepted when err <= _STEP_TOL; the
-    next then tries h * min(5, 0.9 * (tol/err)^(1/4)), within the caps.
-    A rejected step retries at h * max(0.2, 0.9 * (tol/err)^(1/4)).  For
-    these strategies the floor of every retry is 1/1024 of the capped step,
-    not dt/1024, since at stiff starts the cap itself lies far below dt; a
-    failing evaluation at the end fails the step as a stage's does.
-    Every other selection (the ray, random and custom ones, which jump at
-    sector boundaries) steps at the caps alone.
-
-    A step start is a LogPoint, and its velocity comes from the selection
-    (or its with_stiffness); after an accepted error-controlled step the
-    end's LogPoint and f5 are the next start and its f1, as evaluated.
-    The three later stages are evaluated from the floats X, Y and t: every
-    built-in selection has a method log_stage(X, Y, rhs, t) that gives the
-    stage's log velocity (x'/x, y'/y) itself, with the same float
-    operations as its call, so bit for bit.  For any other selection the
-    stage builds the LogPoint and calls the selection with it.  Step
-    starts and stages alike get their cone rhs from _rhs_fast on the
-    floats, with the strip table looked up once per run.
+    An error-controlled step's end is evaluated with its stiffness at
+    once, and that evaluation f5 starts the next step when the step is
+    accepted (first same as last), so an attempt costs four evaluations.
+    The weights (1/6, 1/3, 1/3, 1/6) on f1, f2, f3, f5 make a 3rd-order
+    step, and err = h/6 * max|f4 - f5| (log space) is its gap to the RK4
+    step.  A step is accepted when err <= _STEP_TOL; the next then tries
+    h * min(5, 0.9 * (tol/err)^(1/4)), within the caps.  A rejected step
+    retries at h * max(0.2, 0.9 * (tol/err)^(1/4)).  For these selections
+    the floor of every retry is 1/1024 of the capped step, not dt/1024,
+    since at stiff starts the cap itself lies far below dt; a failing
+    evaluation at the end fails the step as a stage's does.
 
     stop_when(point, t) is called once on every sample, the start too,
     and the run ends "stopped" at the first where it is true, even with
@@ -525,9 +509,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     on (bit for bit as Cone.violation), when the run ends or an exception
     leaves it.  The first violating step start raises StepCollapse, with
     the step and message a check at every step would give; a selection
-    that leaves the cone is thus called to the end of its run first.  A
-    selection whose reads_cone attribute is False is passed rhs=None, and
-    no cone is computed for it.
+    that leaves the cone is thus evaluated to the end of its run first.
 
     ValueError unless t_end is finite and dt positive and finite;
     NonFinitePoint (a ValueError too) unless the start is finite;
@@ -547,32 +529,12 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     velocities = []  # the velocity of each step start, as it is computed
     termination = "t_end"
 
-    def to_log(p: LogPoint, v: tuple[float, float]) -> tuple[float, float]:
-        return (v[0] * math.exp(-p.X), v[1] * math.exp(-p.Y))
+    controlled = not strategy.reads_cone
+    table = None if controlled else _strip_table(fan, delta)
 
-    # The strip table, looked up once, for a selection that reads the cone.
-    table = _strip_table(fan, delta) if getattr(strategy, "reads_cone", True) else None
-
-    def cone(px: float, py: float) -> Cone | None:
-        return None if table is None else _rhs_fast(px, py, fan, delta, table)
-
-    log_stage = getattr(strategy, "log_stage", None)
-
-    def point_stage(px: float, py: float, tt: float) -> tuple[float, float]:
-        """A custom selection's stage, from its call at a LogPoint."""
-        p = LogPoint(px, py)
-        return to_log(p, strategy(p, cone(px, py), tt))
-
-    def float_stage(px: float, py: float, tt: float) -> tuple[float, float]:
-        return log_stage(px, py, cone(px, py), tt)
-
-    stage = point_stage if log_stage is None else float_stage
-
-    # One field evaluation gives a step start's velocity and stiffness bound;
-    # a selection that has it gets error-controlled steps.
-    with_stiffness = getattr(strategy, "with_stiffness", None)
-    controlled = with_stiffness is not None
-    start_vel = with_stiffness or (lambda p, rhs, tt: (strategy(p, rhs, tt), 0.0))
+    def evaluate(px: float, py: float, tt: float, stiff: bool):
+        rhs = None if controlled else _rhs_fast(px, py, fan, delta, table)
+        return strategy.velocity(px, py, rhs, tt, stiff)
 
     def check_starts() -> float:
         """Worst cone violation of the recorded step starts, in one batch."""
@@ -592,40 +554,39 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
     h_next = dt  # the error control's proposal for the next step
-    end = None  # (velocity, stiffness) at the last accepted step's end; f5 its log velocity
+    end = None  # the evaluation of the last accepted step's end, if controlled
     try:
         while stop_when is None or not stop_when(pt, t):
             if t >= t_end or len(velocities) >= max_steps:
                 break
-            v0, stiff = end or start_vel(pt, cone(X, Y), t)
-            velocities.append(v0)
-            f1 = f5 if end else to_log(pt, v0)
-            speed = math.hypot(f1[0], f1[1])
+            vx, vy, f1x, f1y, stiffness = end or evaluate(X, Y, t, controlled)
+            velocities.append((vx, vy))
+            speed = math.hypot(f1x, f1y)
             if speed == 0.0:
                 termination = "stalled"
                 break
             h_cap = min(dt, t_end - t, _MAX_LOG_STEP / speed)
-            if stiff > 0.0:
-                h_cap = min(h_cap, 1.5 / stiff)
+            if stiffness > 0.0:
+                h_cap = min(h_cap, 1.5 / stiffness)
             h = min(h_next, h_cap)
             floor = (h_cap if controlled else dt) / 1024.0
             while True:
                 try:
-                    f2 = stage(X + 0.5 * h * f1[0], Y + 0.5 * h * f1[1], t + 0.5 * h)
-                    f3 = stage(X + 0.5 * h * f2[0], Y + 0.5 * h * f2[1], t + 0.5 * h)
-                    f4 = stage(X + h * f3[0], Y + h * f3[1], t + h)
-                    dX = h / 6.0 * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
-                    dY = h / 6.0 * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+                    _, _, f2x, f2y, _ = evaluate(X + 0.5 * h * f1x, Y + 0.5 * h * f1y,
+                                                 t + 0.5 * h, False)
+                    _, _, f3x, f3y, _ = evaluate(X + 0.5 * h * f2x, Y + 0.5 * h * f2y,
+                                                 t + 0.5 * h, False)
+                    _, _, f4x, f4y, _ = evaluate(X + h * f3x, Y + h * f3y, t + h, False)
+                    dX = h / 6.0 * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
+                    dY = h / 6.0 * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
                     # isfinite, not a bound alone: a NaN increment must halve too.
                     ok = (math.isfinite(dX) and math.isfinite(dY)
                           and max(abs(dX), abs(dY)) <= 4.0 * _MAX_LOG_STEP)
                     if ok and controlled:
                         # The end's evaluation starts the next step if this
                         # one is accepted; err is the 3rd-order step's gap.
-                        end_pt = LogPoint(X + dX, Y + dY)
-                        end = start_vel(end_pt, cone(end_pt.X, end_pt.Y), t + h)
-                        f5 = to_log(end_pt, end[0])
-                        err = h / 6.0 * max(abs(f4[0] - f5[0]), abs(f4[1] - f5[1]))
+                        end = evaluate(X + dX, Y + dY, t + h, True)
+                        err = h / 6.0 * max(abs(f4x - end[2]), abs(f4y - end[3]))
                         ok = math.isfinite(err)
                 except (MonomialOverflow, NonFinitePoint, OverflowError):
                     ok = False
@@ -641,8 +602,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     h *= max(0.2, scale)
                 if h < floor:
                     raise StepCollapse(f"step below {floor} without passing at t={t:.4g}")
-            # A controlled step built and evaluated its end in the attempt.
-            pt = end_pt if controlled else LogPoint(X + dX, Y + dY)
+            pt = LogPoint(X + dX, Y + dY)
             X, Y = pt.X, pt.Y
             t += h
             times.append(t)

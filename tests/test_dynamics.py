@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -55,7 +56,12 @@ from toric_regions.fan_geometry import (
     delta_i,
     r_count,
 )
-from toric_regions.region_construction import _xline_at, construct_region, region_contains
+from toric_regions.region_construction import (
+    _xline_at,
+    construct_region,
+    intersection_points,
+    region_contains,
+)
 from toric_regions.tdi_rhs import rhs_bruteforce, rhs_classified
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
@@ -87,6 +93,18 @@ def simple_exchange():
                             1.0, "exchange")
 
 
+class XVelocity:
+    """A cone-reading test selection given by its x-space velocity at a
+    LogPoint, x_velocity(point, rhs, t), with the log velocity integrate
+    takes from it."""
+
+    reads_cone = True
+
+    def velocity(self, X, Y, rhs, t, stiff):
+        vx, vy = self.x_velocity(LogPoint(X, Y), rhs, t)
+        return vx, vy, vx * math.exp(-X), vy * math.exp(-Y), 0.0
+
+
 class TestMassActionField:
     def test_exchange_field(self):
         assert mass_action_field(simple_exchange(), PosPoint(2.0, 3.0)) == \
@@ -112,7 +130,8 @@ class TestMassActionField:
         # field strategy computes in the same pass as the velocity.
         pt = PosPoint(2.0, 3.0)
         assert field_stiffness(simple_exchange(), pt) == pytest.approx(3.0, rel=1e-15)
-        assert FieldStrategy(simple_exchange()).with_stiffness(pt.log(), None, 0.0)[1] == \
+        X, Y = pt.log().X, pt.log().Y
+        assert FieldStrategy(simple_exchange()).velocity(X, Y, None, 0.0, True)[4] == \
             field_stiffness(simple_exchange(), pt)
 
     def test_reversibility_enforced(self):
@@ -127,11 +146,13 @@ class TestMassActionField:
 
 
     @pytest.mark.parametrize("evaluate", [
-        dynamics._field_and_stiffness,
+        lambda system, pt: FieldStrategy(system).velocity(pt.X, pt.Y, None, 0.0, True),
         complex_balance_residual,
-        lambda system, pt: FieldStrategy(system).log_stage(pt.X, pt.Y, None, 0.0),
-        lambda system, pt: TimeRescaledField(system).log_stage(pt.X, pt.Y, None, 0.0),
-    ], ids=["field_and_stiffness", "complex_balance", "field_stage", "rescaled_stage"])
+        lambda system, pt: FieldStrategy(system).velocity(pt.X, pt.Y, None, 0.0, False),
+        lambda system, pt: TimeRescaledField(system).velocity(pt.X, pt.Y, None, 0.0, False),
+        lambda system, pt: TimeRescaledField(system).velocity(pt.X, pt.Y, None, 0.0, True),
+    ], ids=["field_and_stiffness", "complex_balance", "field_stage", "rescaled_stage",
+            "rescaled_and_stiffness"])
     def test_every_evaluator_caps_the_exponent(self, evaluate):
         # The term kernel raises for all of them, as for mass_action_field.
         with pytest.raises(MonomialOverflow, match="monomial exponent 700.0 beyond cap"):
@@ -206,6 +227,36 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="unknown target 'nowhere'"):
             embedded_system_for_target(WORKED_FAN, DELTA, "nowhere")
 
+    @pytest.mark.parametrize("gens, delta", [
+        ([(-3, 2), (1, 3), (3, 1)], 200.0), ([(-1, 3), (2, 3), (3, 1)], 200.0),
+        ([(-1, 1), (1, 2), (2, 1)], 1000.0), ([(1, 2), (2, 1)], 1000.0)])
+    def test_rates_beyond_the_float_range_raise(self, gens, delta):
+        # A backward rate e^(s_i * delta_i) past the float range, or one that
+        # rounds to 0.0, is a MonomialOverflow; every other point builds.
+        fan = Fan(gens)
+        raised = []
+        for ip in intersection_points(fan, delta):
+            logs = [s * delta * fan.generators[i].norm for i, s in ((ip.i, ip.si), (ip.j, ip.sj))]
+            if all(-745.0 < x < 709.0 for x in logs):
+                embedded_system_for_target(fan, delta, "point_NM", provenance=ip)
+                continue
+            with pytest.raises(MonomialOverflow, match="beyond the float range"):
+                embedded_system_for_target(fan, delta, "point_NM", provenance=ip)
+            raised.append(max(logs, key=abs))
+        assert any(x > 709.79 for x in raised)
+        assert delta < 1000.0 or any(x < -745.14 for x in raised)
+
+    def test_large_rates_lie_in_their_band(self):
+        # At delta 1.5 the rate e^(1.5 * sqrt(5)) of strip (1,2) lies above
+        # 1 / (1 / itself) in floats, so above 1/eps of a system where it is
+        # the largest rate; the band check still takes it, at every
+        # intersection point of the worked fan.
+        rate = math.exp(1.5 * math.sqrt(5.0))
+        assert 1.0 / (1.0 / rate) < rate
+        for ip in intersection_points(WORKED_FAN, 1.5):
+            system = embedded_system_for_target(WORKED_FAN, 1.5, "point_NM", provenance=ip)
+            assert all(system.eps <= r.rate for r in system.reactions)
+
     @pytest.mark.parametrize("target", ["origin_11", "point_NM"])
     def test_field_in_cone_everywhere(self, region, target):
         prov = region.start_max if target == "point_NM" else None
@@ -221,10 +272,10 @@ class TestEmbedding:
 
 class TestIntegrate:
     def test_constant_velocity_two_steps(self):
-        class Constant:
+        class Constant(XVelocity):
             name = "constant"
 
-            def __call__(self, point, rhs, t):
+            def x_velocity(self, point, rhs, t):
                 return (1.0, 0.0)
 
         # x' = 1 from x = 1: the log step cap 0.25 splits t = 0.5 in two.
@@ -242,10 +293,10 @@ class TestIntegrate:
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
     def test_invalid_strategy_collapses(self):
-        class Outward:
+        class Outward(XVelocity):
             name = "outward"
 
-            def __call__(self, point, rhs, t):
+            def x_velocity(self, point, rhs, t):
                 return (1.0, 1.0)
 
         # Far up the diagonal the cone is {v . (1,1) <= 0}: (1,1) violates.
@@ -253,9 +304,9 @@ class TestIntegrate:
             integrate(Outward(), LogPoint(10.0, 10.0), Fan([(1, 1), (-1, 1)]),
                       1.0, t_end=1.0, dt=1e-2)
 
-    class Turning:
+    class Turning(XVelocity):
         """Inward (-1, -1) until t0, outward (1, 1) from then on.  With wall,
-        every call after t0 + 0.015 raises MonomialOverflow.
+        every evaluation after t0 + 0.015 raises MonomialOverflow.
 
         The turn is half a step before t0, so rounding of the summed step
         times cannot move it.  Far up the diagonal of CROSS_FAN at delta 1
@@ -268,7 +319,7 @@ class TestIntegrate:
             self.t0 = t0
             self.wall = wall
 
-        def __call__(self, point, rhs, t):
+        def x_velocity(self, point, rhs, t):
             if self.wall and t > self.t0 + 0.015:
                 raise MonomialOverflow("past the wall")
             return (1.0, 1.0) if t > self.t0 - 0.005 else (-1.0, -1.0)
@@ -288,8 +339,8 @@ class TestIntegrate:
     def test_keyboard_interrupt_is_not_replaced(self):
         # The first step start violates the cone, but an interrupt in its
         # stages leaves as it is, with no check made.
-        class Interrupting:
-            def __call__(self, point, rhs, t):
+        class Interrupting(XVelocity):
+            def x_velocity(self, point, rhs, t):
                 if t > 0.0:
                     raise KeyboardInterrupt
                 return (1.0, 1.0)
@@ -349,16 +400,12 @@ class TestIntegrate:
         table = _strip_table(WORKED_FAN, DELTA)
 
         class Recording(ExtremeRayStrategy):
-            def __call__(self, point, rhs, t):
-                seen.append((point, rhs))
-                return super().__call__(point, rhs, t)
-
-            def log_stage(self, X, Y, rhs, t):
+            def velocity(self, X, Y, rhs, t, stiff):
                 seen.append((LogPoint(X, Y), rhs))
-                return super().log_stage(X, Y, rhs, t)
+                return super().velocity(X, Y, rhs, t, stiff)
 
-        class Custom:
-            def __call__(self, point, rhs, t):
+        class Custom(XVelocity):
+            def x_velocity(self, point, rhs, t):
                 seen.append((point, rhs))
                 return (rhs.extreme_rays() or [(-1.0, -1.0)])[0]
 
@@ -369,12 +416,12 @@ class TestIntegrate:
             for point, rhs in seen:
                 assert rhs == dynamics._rhs_fast(point.X, point.Y, WORKED_FAN, DELTA, table)
 
-    class Walled:
+    class Walled(XVelocity):
         """Unit log speed along +X; the velocity overflows past X = 0.025."""
 
         name = "walled"
 
-        def __call__(self, point, rhs, t):
+        def x_velocity(self, point, rhs, t):
             if point.X > 0.025:
                 raise MonomialOverflow("past the wall")
             return (math.exp(point.X), 0.0)
@@ -396,7 +443,7 @@ class TestIntegrate:
             integrate(self.Walled(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
                       t_end=1.0, dt=1.0 / 64.0)
 
-    class Past:
+    class Past(XVelocity):
         """Walled's unit log speed along +X, but past X = 0.025 the velocity
         is scaled by factor: NaN, or a thousandfold speed."""
 
@@ -405,7 +452,7 @@ class TestIntegrate:
         def __init__(self, factor):
             self.factor = factor
 
-        def __call__(self, point, rhs, t):
+        def x_velocity(self, point, rhs, t):
             return (math.exp(point.X) * (self.factor if point.X > 0.025 else 1.0), 0.0)
 
     @pytest.mark.parametrize("factor", [math.nan, 1000.0])
@@ -424,27 +471,28 @@ class TestIntegrate:
         # Past X = 0.02 the velocity is NaN.  The second step's second stage
         # (X = 0.0234) lies past it, so its third stage point is not finite:
         # that point's cone raises NonFinitePoint, which fails the stage as
-        # an overflow does, and the selection is never called there.  The
+        # an overflow does, and the selection is never evaluated there.  The
         # half step's last stage is past the wall too; the quarter step
         # passes.
         seen = []
 
-        def nan_past(point, rhs, t):
-            seen.append(point)
-            return (math.exp(point.X) if point.X <= 0.02 else math.nan, 0.0)
+        class NanPast(XVelocity):
+            def x_velocity(self, point, rhs, t):
+                seen.append(point)
+                return (math.exp(point.X) if point.X <= 0.02 else math.nan, 0.0)
 
         dt = 1.0 / 64.0
-        traj = integrate(nan_past, LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
+        traj = integrate(NanPast(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
                          t_end=1.0, dt=dt, stop_when=lambda p, t: t > dt)
         assert np.diff(traj.times).tolist() == [dt, dt / 4.0]
         assert any(p.X > 0.02 for p in seen)
         assert all(math.isfinite(p.X) and math.isfinite(p.Y) for p in seen)
 
     def test_zero_velocity_stalls(self):
-        class Still:
+        class Still(XVelocity):
             name = "still"
 
-            def __call__(self, point, rhs, t):
+            def x_velocity(self, point, rhs, t):
                 return (0.0, 0.0)
 
         traj = integrate(Still(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA, t_end=1.0)
@@ -477,11 +525,9 @@ class TestIntegrate:
         # A fast turn about (1,1), where every strip holds the point (so the
         # cone is the whole plane): each step moves 0.25 in log space in
         # 2.5e-5 time, so 64 * ceil(t_end / dt) + 16 = 656 steps end short
-        # of t_end.
-        class Spin:
-            reads_cone = False
-
-            def __call__(self, p, rhs, t):
+        # of t_end.  Spin reads the cone, so its steps are fixed.
+        class Spin(XVelocity):
+            def x_velocity(self, p, rhs, t):
                 return (-1e4 * p.Y * math.exp(p.X), 1e4 * p.X * math.exp(p.Y))
 
         traj = integrate(Spin(), LogPoint(1.0, 0.0), WORKED_FAN, DELTA, t_end=0.1, dt=0.01)
@@ -548,31 +594,24 @@ class TestIntegrate:
         assert attempts >= steps
         assert passes == 4 * attempts + 1
 
-    class Call:
-        """A selection's call alone: with no with_stiffness, integrate steps
-        it at the caps, with no error control and no stiffness bound."""
-
-        reads_cone = False
+    class Generic:
+        """A selection's x-space velocity and stiffness alone: integrate
+        gets the log velocity from them as (vx * e^-X, vy * e^-Y)."""
 
         def __init__(self, strategy):
             self.strategy = strategy
+            self.reads_cone = strategy.reads_cone
 
-        def __call__(self, point, rhs, t):
-            return self.strategy(point, rhs, t)
-
-    class Plain(Call):
-        """A field strategy's selection and step start alone: with no
-        log_stage, integrate evaluates each stage from a LogPoint."""
-
-        def with_stiffness(self, point, rhs, t):
-            return self.strategy.with_stiffness(point, rhs, t)
+        def velocity(self, X, Y, rhs, t, stiff):
+            vx, vy, _, _, stiffness = self.strategy.velocity(X, Y, rhs, t, stiff)
+            return vx, vy, vx * math.exp(-X), vy * math.exp(-Y), stiffness
 
     @pytest.mark.parametrize("rescale", [False, True])
     @pytest.mark.parametrize("gens", [[(-1, 1), (1, 2), (2, 1)],
                                       [(-1, 1), (1, 2), (2, 1), (1, 0)]],
                              ids=["worked", "axis"])
     def test_float_stages_match_the_generic_stage(self, monkeypatch, gens, rescale):
-        # The field strategies' log_stage gives every trajectory bit for
+        # The log velocity a field strategy gives is its velocity's, bit for
         # bit: the same run with the generic stage has equal times, points
         # and velocities.
         fan = Fan(gens)
@@ -583,7 +622,8 @@ class TestIntegrate:
             with monkeypatch.context() as patch:
                 for name in ("FieldStrategy", "TimeRescaledField"):
                     cls = getattr(dynamics, name)
-                    patch.setattr(dynamics, name, lambda system, cls=cls: self.Plain(cls(system)))
+                    patch.setattr(dynamics, name,
+                                  lambda system, cls=cls: self.Generic(cls(system)))
                 generic = integrate_to_point(sys11, start, fan, DELTA, LogPoint(0.0, 0.0),
                                              rescale=rescale)
             assert fast.termination == generic.termination == "stopped"
@@ -593,12 +633,6 @@ class TestIntegrate:
             assert fast.velocities == generic.velocities
             assert fast.worst_violation == generic.worst_violation
 
-    class ConeCall(Call):
-        """A cone-reading selection's call alone: with no log_stage,
-        integrate evaluates each stage from a LogPoint and its cone."""
-
-        reads_cone = True
-
     @pytest.mark.parametrize("make", [lambda: ExtremeRayStrategy("left"),
                                       lambda: ExtremeRayStrategy("right"),
                                       AlternatingStrategy, lambda: RandomInConeStrategy(3)],
@@ -607,18 +641,19 @@ class TestIntegrate:
                                       [(-1, 1), (1, 2), (2, 1), (1, 0)]],
                              ids=["worked", "axis"])
     def test_cone_readers_float_stages_match_the_generic_stage(self, gens, make):
-        # The ray, alternating and random selections' log_stage gives every
-        # trajectory bit for bit: the same run with the generic stage has
-        # equal times, points, velocities, termination and worst violation.
-        # Both runs cross strip boundaries, and the second starts on the
-        # boundary of strip (1,2), where the cone is the brute-force one.
+        # The log velocity a ray, alternating or random selection gives is
+        # its velocity's, bit for bit: the same run with the generic stage
+        # has equal times, points, velocities, termination and worst
+        # violation.  Both runs cross strip boundaries, and the second
+        # starts on the boundary of strip (1,2), where the cone is the
+        # brute-force one.
         fan = Fan(gens)
         on_strip = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
         with pytest.raises(AmbiguousClassification):
             rhs_classified(on_strip, fan, DELTA)
         for start in (LogPoint(-5.0, -1.0), on_strip):
             fast = integrate(make(), start, fan, DELTA, t_end=5.0)
-            generic = integrate(self.ConeCall(make()), start, fan, DELTA, t_end=5.0)
+            generic = integrate(self.Generic(make()), start, fan, DELTA, t_end=5.0)
             assert len({r_count(p, fan, DELTA) for p in fast.points}) > 1
             assert fast.termination == generic.termination
             assert fast.times == generic.times
@@ -641,6 +676,19 @@ class TestIntegrate:
         assert ends[1] != traj.points[1]  # the first attempt was rejected
         assert len(ends) - 1 > len(traj.times) - 1
 
+    class FixedStep:
+        """A field strategy's velocity as a cone reader's, with no
+        stiffness: integrate steps it at the caps, with no error control
+        and no stiffness bound."""
+
+        reads_cone = True
+
+        def __init__(self, strategy):
+            self.strategy = strategy
+
+        def velocity(self, X, Y, rhs, t, stiff):
+            return self.strategy.velocity(X, Y, None, t, False)
+
     @pytest.mark.parametrize("rescale", [False, True])
     @pytest.mark.parametrize("gens", [[(-1, 1), (1, 2), (2, 1)],
                                       [(-1, 1), (1, 2), (2, 1), (1, 0)]],
@@ -654,10 +702,41 @@ class TestIntegrate:
         for start in (LogPoint(2.0, -1.5), LogPoint(-2.5, 0.5), LogPoint(1.0, 2.5),
                       LogPoint(-1.5, -2.0)):
             run = integrate(strategy, start, fan, DELTA, t_end=1.0)
-            ref = integrate(self.Call(strategy), start, fan, DELTA, t_end=1.0, dt=1e-4)
+            ref = integrate(self.FixedStep(strategy), start, fan, DELTA, t_end=1.0, dt=1e-4)
             assert len(run.times) <= 501 and len(ref.times) > 10000
             a, b = run.points[-1], ref.points[-1]
             assert max(abs(a.X - b.X), abs(a.Y - b.Y)) <= 1e-9
+
+    def test_runs_keep_their_recorded_digests(self):
+        # tools/reach_outcomes.trajectory_digest of one run of every built-in
+        # selection and of both field flows: a change that moves any bit of
+        # them fails here.  The cone readers start on the boundary of strip
+        # (1,2), where the cone is the brute-force one, and cross from the
+        # gap into two strips.
+        path = Path(__file__).resolve().parent.parent / "tools" / "reach_outcomes.py"
+        spec = importlib.util.spec_from_file_location("reach_outcomes", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        on_strip = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
+        digests = {}
+        for name, strategy in builtin_strategies(WORKED_FAN, DELTA, seed=3).items():
+            start = LogPoint(2.0, -1.5) if name == "origin_11" else on_strip
+            traj = integrate(strategy, start, WORKED_FAN, DELTA, t_end=5.0)
+            digests[name] = (tool.trajectory_digest(traj), len(traj.points))
+        sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
+        for rescale in (False, True):
+            traj = integrate_to_point(sys11, LogPoint(-2.5, 0.5), WORKED_FAN, DELTA,
+                                      LogPoint(0.0, 0.0), rescale=rescale)
+            digests[f"flow_rescale_{rescale}"] = (tool.trajectory_digest(traj), len(traj.points))
+        assert digests == {
+            "origin_11": ("d29a5370d2028b1b", 805),
+            "extreme_left": ("737429720a0adb10", 502),
+            "extreme_right": ("de3918a1becaf97d", 502),
+            "alternating": ("199613f0db95c391", 502),
+            "random_in_cone": ("50d16400fb0b7236", 502),
+            "flow_rescale_False": ("65bd8d3fb731aaba", 639),
+            "flow_rescale_True": ("027aa9e35f7d5f44", 648),
+        }
 
     def test_error_rejections_shrink_the_step(self, monkeypatch):
         # From (2, -1.5) the first attempt, of dt, misses the tolerance;
@@ -750,10 +829,10 @@ class TestStrategies:
         reg = builtin_strategies(WORKED_FAN, DELTA, seed=7)
         for name in ("extreme_left", "extreme_right", "alternating", "random_in_cone"):
             for t in (0.1, 0.6):
-                v = reg[name](pt, rhs, t)
+                v = reg[name].velocity(pt.X, pt.Y, rhs, t, False)[:2]
                 assert math.hypot(*v) == pytest.approx(1e-3, rel=1e-12), name
                 assert rhs.violation(v) <= 1e-9, name
-                v = reg[name](pt, full, t)
+                v = reg[name].velocity(pt.X, pt.Y, full, t, False)[:2]
                 assert math.hypot(v[0] * math.exp(12.0), v[1] * math.exp(12.0)) == \
                     pytest.approx(1.0, rel=1e-12), name
 
@@ -765,7 +844,7 @@ class TestStrategies:
             pt = LogPoint(float(X), float(Y))
             rhs = rhs_bruteforce(pt, WORKED_FAN, DELTA, tol=-1e-9)
             for strat in (left, right):
-                assert rhs.violation(strat(pt, rhs, 0.0)) <= 1e-9
+                assert rhs.violation(strat.velocity(pt.X, pt.Y, rhs, 0.0, False)[:2]) <= 1e-9
 
     def test_random_in_cone_stays_in_cone(self):
         rng = np.random.default_rng(4)
@@ -773,7 +852,7 @@ class TestStrategies:
         for X, Y in rng.uniform(-10, 10, size=(200, 2)):
             pt = LogPoint(float(X), float(Y))
             rhs = rhs_bruteforce(pt, WORKED_FAN, DELTA, tol=-1e-9)
-            assert rhs.violation(strat(pt, rhs, 0.0)) <= 1e-9
+            assert rhs.violation(strat.velocity(pt.X, pt.Y, rhs, 0.0, False)[:2]) <= 1e-9
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError, match="'left' or 'right'"):
@@ -792,7 +871,7 @@ class TestStrategies:
         # On a line cone each draw is one of its two directions.
         line = Cone(0.4, LINE_WIDTH)
         strat = RandomInConeStrategy(seed=2)
-        picks = {strat(LogPoint(0.0, 0.0), line, 0.0) for _ in range(32)}
+        picks = {strat.velocity(0.0, 0.0, line, 0.0, False)[:2] for _ in range(32)}
         u = (math.cos(0.4), math.sin(0.4))
         assert len(picks) == 2
         for v in picks:
@@ -803,7 +882,32 @@ class TestStrategies:
         # At x = y = e^800 a unit x-space direction has log speed 0.0 in
         # floats, and the ray selection rests instead of dividing by it.
         strat = ExtremeRayStrategy("left")
-        assert strat(LogPoint(800.0, 800.0), Cone(0.0, 1.0), 0.0) == (0.0, 0.0)
+        assert strat.velocity(800.0, 800.0, Cone(0.0, 1.0), 0.0, False) == (0.0,) * 5
+
+    def test_velocity_gives_the_stiffness_on_request(self):
+        # Asked for the stiffness or not, a field gives the same velocity
+        # and log velocity bits; the stiffness is field_stiffness, over
+        # d = 1 + the log speed for the rescaled field, and 0.0 unasked.
+        # Cone readers give 0.0 either way.
+        system = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
+        reg = builtin_strategies(WORKED_FAN, DELTA, seed=7)
+        field, rescaled = FieldStrategy(system), TimeRescaledField(system)
+        assert (field.reads_cone, rescaled.reads_cone) == (False, False)
+        for X, Y in ((0.3, -0.7), (-2.5, 1.25), (4.0, 3.0), (-12.0, -12.0)):
+            stiffness = field_stiffness(system, LogPoint(X, Y))
+            for strategy in (field, rescaled):
+                asked = strategy.velocity(X, Y, None, 0.0, True)
+                unasked = strategy.velocity(X, Y, None, 0.0, False)
+                assert asked[:4] == unasked[:4] and unasked[4] == 0.0
+            fx, fy, f0, f1, s = field.velocity(X, Y, None, 0.0, True)
+            assert s == stiffness and (fx, fy) == mass_action_field(system, LogPoint(X, Y))
+            assert rescaled.velocity(X, Y, None, 0.0, True)[4] == \
+                stiffness / (1.0 + math.hypot(f0, f1))
+            rhs = rhs_bruteforce(LogPoint(X, Y), WORKED_FAN, DELTA)
+            for name in ("extreme_left", "extreme_right", "alternating", "random_in_cone"):
+                assert reg[name].reads_cone
+                for stiff in (False, True):
+                    assert reg[name].velocity(X, Y, rhs, 0.6, stiff)[4] == 0.0
 
     def test_registry_names(self):
         reg = builtin_strategies(WORKED_FAN, DELTA)

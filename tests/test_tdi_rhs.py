@@ -246,6 +246,29 @@ class TestOracleEquivalence:
             assert (rhs.kind == "full") == (r_count(pt, fan, 3.0) >= 2)
 
 
+class TestSwapSymmetry:
+    def test_inclusion_commutes_with_the_swap(self):
+        # Swapping x and y maps each line (p, q) of a fan to (q, p), and the
+        # inclusion's value at (X, Y) to the mirror of its value at (Y, X):
+        # a velocity violates the one as its swap violates the other.  The
+        # values come from rhs_bruteforce, in one batch per side.
+        lines = (Path(__file__).resolve().parent / "atlas_outcomes.jsonl").read_text()
+        rng = np.random.default_rng(23)
+        worst = probes = 0
+        for gens in (json.loads(line)["gens"] for line in lines.splitlines()):
+            fan, swapped = Fan([tuple(g) for g in gens]), Fan([(q, p) for p, q in gens])
+            for delta in (0.5, 3.0, 300.0):
+                X, Y = rng.uniform(-4.0 * delta, 4.0 * delta, size=(2, 160))
+                a = rng.uniform(0.0, 2.0 * math.pi, size=160)
+                here, i = rhs_bruteforce_batch(X, Y, fan, delta, STRIP_TOL)
+                there, j = rhs_bruteforce_batch(Y, X, swapped, delta, STRIP_TOL)
+                for k, (vx, vy) in enumerate(zip(np.cos(a).tolist(), np.sin(a).tolist())):
+                    v = here[i[k]].violation((vx, vy))
+                    worst = max(worst, abs(v - there[j[k]].violation((vy, vx))))
+                    probes += v > 0.0
+        assert worst <= 1e-12 and probes > 10000
+
+
 class TestClassifiedIsDefinition:
     """rhs_classified only chooses the near set; the value is the definition's."""
 

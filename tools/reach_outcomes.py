@@ -25,14 +25,14 @@ all-rates-one embedded field integrated to (1, 1); and
      "worst": ..., "points": n, "digest": d}
 
 for a selection that turns out of the cone at each of ``COLLAPSE_T0``
-(see ``Turning``), with and without a wall of overflowing calls after the
-turn; and
+(see ``Turning``), with and without a wall of overflowing evaluations
+after the turn; and
 
     {"group": "halving", "past": p, "outcome": o, "message": m,
      "worst": ..., "points": n, "digest": d}
 
 for each of ``PAST_KINDS``: a selection that meets a wall (see ``Past``)
-whose calls raise, return NaN or a thousandfold speed, so that the
+whose evaluations raise, return NaN or a thousandfold speed, so that the
 integrator halves its steps.  The raising one stops after its first halved
 step; the others run to ``HALVING_T_END``; and
 
@@ -156,10 +156,21 @@ def converge_record(name: str, start, package, workloads) -> dict:
     return rec
 
 
-class Turning:
+class XVelocity:
+    """A cone-reading selection given by its x-space velocity
+    x_velocity(X, Y, t), with the log velocity integrate takes from it."""
+
+    reads_cone = True
+
+    def velocity(self, X, Y, rhs, t, stiff):
+        vx, vy = self.x_velocity(X, Y, t)
+        return vx, vy, vx * math.exp(-X), vy * math.exp(-Y), 0.0
+
+
+class Turning(XVelocity):
     """Inward x-space velocity (-1, -1) until half a step before t0, outward
-    (1, 1) from then on; with wall, every call after t0 + 0.015 raises the
-    package's MonomialOverflow.  Far up the diagonal of the fan (1,1),
+    (1, 1) from then on; with wall, every evaluation after t0 + 0.015 raises
+    the package's MonomialOverflow.  Far up the diagonal of the fan (1,1),
     (-1,1) at delta 1 the cone is {v . (1,1) <= 0}, which (1, 1) violates."""
 
     name = "turning"
@@ -167,7 +178,7 @@ class Turning:
     def __init__(self, t0: float, wall: bool, package):
         self.t0, self.wall, self.overflow = t0, wall, package.errors.MonomialOverflow
 
-    def __call__(self, point, rhs, t):
+    def x_velocity(self, X, Y, t):
         if self.wall and t > self.t0 + 0.015:
             raise self.overflow("past the wall")
         return (1.0, 1.0) if t > self.t0 - 0.005 else (-1.0, -1.0)
@@ -182,24 +193,25 @@ def collapse_record(t0: float, wall: bool, package) -> dict:
     return rec
 
 
-class Past:
-    """Unit log speed along +X up to X = 0.025, and past it: every call
-    raises the package's MonomialOverflow ("raise"), or the velocity is
-    NaN ("nan") or a thousandfold ("fast").  From X = 0 at dt = 1/64 the
-    second step's last stage lies past the wall, so that step is halved."""
+class Past(XVelocity):
+    """Unit log speed along +X up to X = 0.025, and past it: every
+    evaluation raises the package's MonomialOverflow ("raise"), or the
+    velocity is NaN ("nan") or a thousandfold ("fast").  From X = 0 at
+    dt = 1/64 the second step's last stage lies past the wall, so that
+    step is halved."""
 
     name = "past"
 
     def __init__(self, kind: str, package):
         self.kind, self.overflow = kind, package.errors.MonomialOverflow
 
-    def __call__(self, point, rhs, t):
+    def x_velocity(self, X, Y, t):
         factor = 1.0
-        if point.X > 0.025:
+        if X > 0.025:
             if self.kind == "raise":
                 raise self.overflow("past the wall")
             factor = math.nan if self.kind == "nan" else 1000.0
-        return (math.exp(point.X) * factor, 0.0)
+        return (math.exp(X) * factor, 0.0)
 
 
 def halving_record(kind: str, package) -> dict:
@@ -214,16 +226,17 @@ def halving_record(kind: str, package) -> dict:
 
 
 class Plain:
-    """A selection's call alone: with no with_stiffness, integrate steps
-    it at the caps, with no error control and no stiffness bound."""
+    """A field strategy's velocity as a cone reader's, with no stiffness:
+    integrate steps it at the caps, with no error control and no
+    stiffness bound."""
 
-    reads_cone = False
+    reads_cone = True
 
     def __init__(self, strategy):
         self.strategy = strategy
 
-    def __call__(self, point, rhs, t):
-        return self.strategy(point, rhs, t)
+    def velocity(self, X, Y, rhs, t, stiff):
+        return self.strategy.velocity(X, Y, None, t, False)
 
 
 def accuracy_record(name: str, start, rescale: bool, package, workloads) -> dict:
