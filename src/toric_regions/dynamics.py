@@ -6,22 +6,17 @@ Velocities are x-space vectors constrained by the inclusion cone; the
 integrator steps the log coordinates (X' = x'/x componentwise) so positivity
 is automatic and points of order e^(c*delta) stay representable.
 
-The integrator works on floats: a selection gives its x-space velocity,
-its log velocity and, on request, its stiffness bound at the log
-coordinates (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
-a selection that reads the cone gets it from _rhs_fast and the run's strip
-table.
-
-Velocities are checked from float arrays: the integrator's step starts
-from the floats it steps on, and a witness leg's samples from the arrays
-(X, Y, vx, vy) the leg is built as.  The check (_violations) gives every
-violation bit for bit as Cone.violation does.
+The integrator works on floats: a selection gives its velocities at the
+log point (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
+one that reads the cone gets it from _rhs_fast and the run's strip table.
+Trajectories and witness legs hold their samples as float arrays (X, Y,
+vx, vy), make LogPoints only when read, and have their velocities checked
+from the arrays by _violations, bit for bit as Cone.violation.
 """
 
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -447,21 +442,40 @@ _STEP_TOL = 1e-9  # largest error estimate, in log space, of an error-controlled
 _OMEGA_RADIUS = 1e-3  # log-space cluster radius of omega_limit_estimate
 
 
-@dataclass
-class Trajectory:
-    """Time-stamped log-space samples with the velocities that produced them."""
+def _points(samples) -> list[LogPoint]:
+    return list(map(LogPoint, samples.X.tolist(), samples.Y.tolist()))
 
-    times: list[float]
-    points: list[LogPoint]
-    velocities: list[tuple[float, float]]
+
+def _velocities(samples) -> list[tuple[float, float]]:
+    return list(zip(samples.vx.tolist(), samples.vy.tolist()))
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """Time-stamped log-space samples with the velocities that produced
+    them, held as float arrays: the times t, the log points (X, Y) and the
+    x-space velocities (vx, vy).  times, points (LogPoints) and velocities
+    (tuples) are their lists, made on first read and kept."""
+
+    t: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
     strategy: str
     termination: str
     worst_violation: float = 0.0
     legs: list = field(default_factory=list)
 
     def __post_init__(self):
-        if any(map(operator.le, self.times[1:], self.times)):
+        self.t, self.X, self.Y, self.vx, self.vy = (
+            np.asarray(a, dtype=float) for a in (self.t, self.X, self.Y, self.vx, self.vy))
+        if np.any(self.t[1:] <= self.t[:-1]):  # a NaN fails no pair
             raise ValueError("trajectory times must strictly increase")
+
+    times = functools.cached_property(lambda self: self.t.tolist())
+    points = functools.cached_property(_points)
+    velocities = functools.cached_property(_velocities)
 
 
 def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
@@ -500,9 +514,9 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     since at stiff starts the cap itself lies far below dt; a failing
     evaluation at the end fails the step as a stage's does.
 
-    stop_when(point, t) is called once on every sample, the start too,
-    and the run ends "stopped" at the first where it is true, even with
-    t_end <= 0.  Otherwise it ends "t_end", "stalled" or "max_steps".
+    stop_when(point, t) gets a LogPoint made for the call, on every sample
+    and the start; the run ends "stopped" at the first true one, even with
+    t_end <= 0, and otherwise "t_end", "stalled" or "max_steps".
 
     The velocity of every step start is checked against the inclusive
     brute-force cone once, in one batch from the floats the run stepped
@@ -523,10 +537,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     pt = _finite_log(start, "start")
     X, Y = pt.X, pt.Y
     t = 0.0
-    times = [t]
-    points = [pt]
-    xs, ys = [X], [Y]  # the floats of the points
-    velocities = []  # the velocity of each step start, as it is computed
+    times, xs, ys = [t], [X], [Y]  # the samples
+    vxs, vys = [], []  # the velocity of each step start, as it is computed
     termination = "t_end"
 
     controlled = not strategy.reads_cone
@@ -538,11 +550,10 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 
     def check_starts() -> float:
         """Worst cone violation of the recorded step starts, in one batch."""
-        n = len(velocities)
+        n = len(vxs)
         if not n:
             return 0.0
-        vx, vy = np.array(velocities, dtype=float).reshape(n, 2).T
-        violations = _violations(np.array(xs[:n]), np.array(ys[:n]), vx, vy, fan, delta)
+        violations = _violations(*map(np.array, (xs[:n], ys[:n], vxs, vys)), fan, delta)
         bad = np.flatnonzero(violations > _CONE_TOL)
         if len(bad):
             # Halving cannot fix the start velocity, so this is exactly
@@ -556,11 +567,12 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     h_next = dt  # the error control's proposal for the next step
     end = None  # the evaluation of the last accepted step's end, if controlled
     try:
-        while stop_when is None or not stop_when(pt, t):
-            if t >= t_end or len(velocities) >= max_steps:
+        while stop_when is None or not stop_when(LogPoint(X, Y), t):
+            if t >= t_end or len(vxs) >= max_steps:
                 break
             vx, vy, f1x, f1y, stiffness = end or evaluate(X, Y, t, controlled)
-            velocities.append((vx, vy))
+            vxs.append(vx)
+            vys.append(vy)
             speed = math.hypot(f1x, f1y)
             if speed == 0.0:
                 termination = "stalled"
@@ -602,11 +614,10 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     h *= max(0.2, scale)
                 if h < floor:
                     raise StepCollapse(f"step below {floor} without passing at t={t:.4g}")
-            pt = LogPoint(X + dX, Y + dY)
-            X, Y = pt.X, pt.Y
+            X += dX
+            Y += dY
             t += h
             times.append(t)
-            points.append(pt)
             xs.append(X)
             ys.append(Y)
         else:
@@ -619,9 +630,9 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     if termination == "t_end" and t < t_end:  # the loop ran out of steps
         termination = "max_steps"
     # The last sample starts no step (a stalled start's velocity is replaced).
-    velocities[len(points) - 1:] = [(0.0, 0.0)]
-    return Trajectory(times, points, velocities, getattr(strategy, "name", "custom"),
-                      termination, worst)
+    n = len(xs) - 1
+    return Trajectory(times, xs, ys, vxs[:n] + [0.0], vys[:n] + [0.0],
+                      getattr(strategy, "name", "custom"), termination, worst)
 
 
 def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
@@ -639,16 +650,12 @@ def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
 
 def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25) -> list[LogPoint]:
     """Greedy cluster centers of the trajectory tail (log-space radius 1e-3)."""
-    n = len(trajectory.points)
+    n = len(trajectory.t)
     if n < 100:
         raise ValueError("need at least 100 trajectory samples")
-    tail = trajectory.points[int(n * (1.0 - tail_fraction)):]
     centers: list[LogPoint] = []
-    for p in tail:
-        for c in centers:
-            if math.hypot(p.X - c.X, p.Y - c.Y) <= _OMEGA_RADIUS:
-                break
-        else:
+    for p in trajectory.points[int(n * (1.0 - tail_fraction)):]:
+        if not any(math.hypot(p.X - c.X, p.Y - c.Y) <= _OMEGA_RADIUS for c in centers):
             centers.append(p)
     return centers
 
@@ -661,17 +668,11 @@ _FLOW_T_END = 400.0  # time horizon of the witnesses' embedded flow to (1,1)
 _CHAINS = ("I1", "I4", "I2", "I3")  # route search order; I1 and I4 start at (N,M)
 
 
-@dataclass
-class WitnessLeg:
-    kind: str            # 'flow', 'xline' or 'logline'
-    description: str
-    points: list[LogPoint]
-    velocities: list[tuple[float, float]]
-
-
-class _ArrayLeg(NamedTuple):
-    """A leg as it is built and checked: its samples' log points (X, Y)
-    and x-space velocities (vx, vy) as float arrays."""
+class WitnessLeg(NamedTuple):
+    """A witness leg as it is built, checked and returned: its kind ('flow',
+    'xline' or 'logline'), its description, and its samples' log points
+    (X, Y) and x-space velocities (vx, vy) as float arrays.  points
+    (LogPoints) and velocities (tuples) are made on each read."""
 
     kind: str
     description: str
@@ -685,14 +686,11 @@ class _ArrayLeg(NamedTuple):
         """The last sample."""
         return LogPoint(float(self.X[-1]), float(self.Y[-1]))
 
-    def witness(self) -> WitnessLeg:
-        """The leg with its LogPoints and velocity tuples."""
-        return WitnessLeg(self.kind, self.description,
-                          list(map(LogPoint, self.X.tolist(), self.Y.tolist())),
-                          list(zip(self.vx.tolist(), self.vy.tolist())))
+    points = property(_points)
+    velocities = property(_velocities)
 
 
-def _validate_leg(legs: list[_ArrayLeg], fan: Fan, delta: float) -> float:
+def _validate_leg(legs: list[WitnessLeg], fan: Fan, delta: float) -> float:
     """Worst cone violation of the legs' velocities, each against the
     inclusive value at its point, from one _violations batch over the
     legs' concatenated float arrays (bit for bit as Cone.violation);
@@ -709,18 +707,18 @@ def _validate_leg(legs: list[_ArrayLeg], fan: Fan, delta: float) -> float:
     return max(worst)
 
 
-def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> _ArrayLeg:
+def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> WitnessLeg:
     """Straight path in log space; x-space velocity is (dX*x, dY*y)."""
     dX, dY = b.X - a.X, b.Y - a.Y
     n = max(2, int(math.ceil(math.hypot(dX, dY) / _LEG_STEP)))
     u = np.arange(n + 1) / n
     X, Y = a.X + u * dX, a.Y + u * dY
-    return _ArrayLeg("logline", desc, X, Y, dX * _math_map(math.exp, X),
-                     dY * _math_map(math.exp, Y))
+    return WitnessLeg("logline", desc, X, Y, dX * _math_map(math.exp, X),
+                      dY * _math_map(math.exp, Y))
 
 
 def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
-               desc: str) -> _ArrayLeg:
+               desc: str) -> WitnessLeg:
     """Straight x-space path from a to x_end along an exact direction.
 
     The direction (not endpoint differences) is used for the velocities so
@@ -742,7 +740,7 @@ def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
     far = 2 * k > n
     other = _line_y_log_batch(np.where(far, A1, A0), np.where(far, B1, B0), np.full(n + 1, s), c)
     X, Y = (other, c) if mirrored else (c, other)
-    return _ArrayLeg("xline", desc, X, Y, np.full(n + 1, dx), np.full(n + 1, dy))
+    return WitnessLeg("xline", desc, X, Y, np.full(n + 1, dx), np.full(n + 1, dy))
 
 
 def _segment_direction(seg: Segment) -> tuple[float, float]:
@@ -785,9 +783,9 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     (r = 1) and gap (r = 0) targets are routed along the region boundary
     (see ``_route_via_boundary``).  Every leg is velocity-validated: the
     integrator checks the flow, and the legs of the straight run or of a
-    candidate route are checked together, in one batch per route.  Legs
-    are float arrays; the LogPoints of the returned trajectory are made
-    for the winning legs only.
+    candidate route are checked together, in one batch per route.  The
+    legs and the returned trajectory hold float arrays, and make their
+    LogPoints only when read.
 
     Both endpoints must lie in the region (``region_contains`` says "inside"
     or "boundary"): the region is invariant, so no trajectory from inside it
@@ -801,8 +799,7 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     a walk whose line left the quadrant), then lists every candidate tried
     as "chain[k]: error".  A non-finite endpoint raises NonFinitePoint.
     """
-    src = as_log(from_point)
-    dst = as_log(to_point)
+    src, dst = as_log(from_point), as_log(to_point)
     # (1, 1) is classified once per region.
     src_label = region.origin_label if src == LogPoint(0.0, 0.0) else region_contains(region, src)
     if src_label == "outside" or region_contains(region, dst) == "outside":
@@ -813,29 +810,30 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     if flow1.termination != "stopped":
         raise WitnessFailed("leg1_flow", f"did not converge ({flow1.termination})")
     # Flow legs were validated by the integrator.
-    legs = [WitnessLeg("flow", "embedded flow to (1,1)", flow1.points, flow1.velocities)]
-    cur = flow1.points[-1]
+    legs = [WitnessLeg("flow", "embedded flow to (1,1)", flow1.X, flow1.Y, flow1.vx, flow1.vy)]
+    cur = legs[0].end
 
     r_dst = r_count(dst, fan, delta)
     worst = 0.0
     if max(abs(dst.X - cur.X), abs(dst.Y - cur.Y)) <= arrive_tol:
         pass  # target was (1,1): single leg
     elif r_dst >= 2:
-        run = _logline_leg(cur, dst, "full-plane straight run")
-        worst = _validate_leg([run], fan, delta)
-        legs.append(run.witness())
+        legs.append(_logline_leg(cur, dst, "full-plane straight run"))
+        worst = _validate_leg(legs[1:], fan, delta)
     else:
         route, worst = _route_via_boundary(cur, dst, r_dst, fan, delta, region, arrive_tol)
-        legs += [leg.witness() for leg in route]
+        legs += route
 
-    points = [src] + [p for leg in legs for p in leg.points]
-    vels = [(0.0, 0.0)] + [v for leg in legs for v in leg.velocities]
-    return Trajectory([float(k) for k in range(len(points))], points, vels, "reach_witness",
+    # The source, at rest, then every leg's samples, one column at a time.
+    _, _, *columns = zip(*legs)  # the legs' X, Y, vx and vy
+    X, Y, vx, vy = (np.concatenate([(first,), *col])
+                    for first, col in zip((src.X, src.Y, 0.0, 0.0), columns))
+    return Trajectory(np.arange(len(X), dtype=float), X, Y, vx, vy, "reach_witness",
                       "arrived", worst, legs=legs)
 
 
 def _hop_and_walk(cur: LogPoint, chain: str, k: int,
-                  region: RegionBoundary) -> list[_ArrayLeg]:
+                  region: RegionBoundary) -> list[WitnessLeg]:
     """Hop from near (1,1) to the chain's start point, (N,M) or (n,m),
     then walk the chain's first k segments.
 
@@ -875,7 +873,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
         arm_sets = ({(strip.index, arm)}, {(strip.index, -arm)})
         sigma = strip_coordinate(dst, strip)
 
-        def finish(c: LogPoint, seg: Segment) -> list[_ArrayLeg]:
+        def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
             match = _strip_point(seg.start, strip.gen, sigma)
             into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
             return [into, _logline_leg(into.end, dst, "slide along the strip")]
@@ -883,7 +881,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
         table, k = _arm_table(fan), _flanking_arms(dst.X, dst.Y, fan)
         arm_sets = ({table[k][1:], table[(k + 1) % len(table)][1:]},)
 
-        def finish(c: LogPoint, seg: Segment) -> list[_ArrayLeg]:
+        def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
             return [_xline_leg(c, _xspace_unit(c, dst), dst, "straight gap run")]
 
     candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS

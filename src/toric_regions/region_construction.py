@@ -580,7 +580,6 @@ class RegionBoundary:
     pieces: tuple
     anchors: dict
     polylines: dict
-    points_uc: tuple
     start_max: IntersectionPoint
     start_min: IntersectionPoint
     axis_joins: tuple
@@ -589,6 +588,10 @@ class RegionBoundary:
     @property
     def arcs(self) -> list[Arc]:
         return [p for p in self.pieces if isinstance(p, Arc)]
+
+    @functools.cached_property
+    def points_uc(self) -> tuple[IntersectionPoint, ...]:
+        return intersection_points(self.fan, self.delta)  # S^uc, on first read
 
     @functools.cached_property
     def table(self) -> "_PieceTable":
@@ -646,11 +649,11 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
     failing check, with the full report as its ``report``).
 
     The fan's _fan_plan fixes every choice; at delta only the strips, the
-    crossings and the closures are computed."""
+    start points, the crossings and the closures are computed."""
     plan = _fan_plan(fan)
     regions = fan.regions(delta)
-    points = intersection_points(fan, delta)
-    start_max, start_min = points[plan.start_max], points[plan.start_min]
+    start_max, start_min = (IntersectionPoint(*_uc_rows(fan)[k], delta)
+                            for k in (plan.start_max, plan.start_min))
     i1_walk, i4_walk, i2_walk, i3_walk = plan.walks
     try:
         i1_segs = build_polyline(start_max.log, i1_walk, regions)
@@ -694,7 +697,6 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
         pieces=tuple(pieces),
         anchors=anchors,
         polylines={"I1": i1_segs, "I2": i2_segs, "I3": i3_segs, "I4": i4_segs},
-        points_uc=points,
         start_max=start_max,
         start_min=start_min,
         axis_joins=tuple(j for j in (join1, join2) if j is not None),

@@ -82,9 +82,9 @@ def nm_system(region):
 
 def array_leg(desc, points, velocities):
     """A leg through the given samples, as _validate_leg takes it."""
-    return dynamics._ArrayLeg("logline", desc, np.array([p.X for p in points]),
-                              np.array([p.Y for p in points]),
-                              *np.array(velocities, dtype=float).T)
+    return dynamics.WitnessLeg("logline", desc, np.array([p.X for p in points]),
+                               np.array([p.Y for p in points]),
+                               *np.array(velocities, dtype=float).T)
 
 
 def simple_exchange():
@@ -923,8 +923,8 @@ class TestOmegaLimit:
     @staticmethod
     def _mk(points):
         n = len(points)
-        return Trajectory(list(range(n)), points, [(0.0, 0.0)] * n,
-                          "synthetic", "t_end")
+        return Trajectory(list(range(n)), [p.X for p in points], [p.Y for p in points],
+                          [0.0] * n, [0.0] * n, "synthetic", "t_end")
 
     def test_short_trajectory_rejected(self):
         with pytest.raises(ValueError, match="at least 100"):
@@ -933,7 +933,7 @@ class TestOmegaLimit:
     @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
     def test_times_must_increase(self, times):
         with pytest.raises(ValueError, match="strictly increase"):
-            Trajectory(times, [LogPoint(0.0, 0.0)] * 3, [(0.0, 0.0)] * 3, "synthetic", "t_end")
+            Trajectory(times, *[[0.0] * 3] * 4, "synthetic", "t_end")
 
     @pytest.mark.parametrize("times", [
         [], [0.0], [0.0, 1.0, 2.0], [1.0, -0.0, 0.0],
@@ -944,9 +944,9 @@ class TestOmegaLimit:
         n = len(times)
         if any(b <= a for a, b in zip(times, times[1:])):
             with pytest.raises(ValueError, match="strictly increase"):
-                Trajectory(times, [LogPoint(0.0, 0.0)] * n, [(0.0, 0.0)] * n, "s", "t_end")
+                Trajectory(times, *[[0.0] * n] * 4, "s", "t_end")
         else:
-            Trajectory(times, [LogPoint(0.0, 0.0)] * n, [(0.0, 0.0)] * n, "s", "t_end")
+            Trajectory(times, *[[0.0] * n] * 4, "s", "t_end")
 
     def test_constant_trajectory(self):
         pts = [LogPoint(1.0, 2.0)] * 150
@@ -1235,7 +1235,7 @@ class TestXlineLeg:
         ax, ay, bx, by = math.exp(a.X), math.exp(a.Y), math.exp(b.X), math.exp(b.Y)
         n = math.hypot(bx - ax, by - ay)
         direction = ((bx - ax) / n, (by - ay) / n)
-        leg = _xline_leg(a, direction, b, "test walk").witness()
+        leg = _xline_leg(a, direction, b, "test walk")
         assert leg.kind == "xline"
         assert leg.velocities == [direction] * len(leg.points)
         assert (leg.points[0].X, leg.points[0].Y) == pytest.approx((a.X, a.Y), abs=1e-12)
@@ -1312,8 +1312,7 @@ class TestArrayLegs:
     def test_xline_leg_is_the_scalar_walk(self, a, b):
         direction = _xspace_unit(a, b)
         leg = _xline_leg(a, direction, b, "walk")
-        assert leg.end == leg.witness().points[-1]
-        leg = leg.witness()
+        assert leg.end == leg.points[-1]
         mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
         c0, c1 = (a.Y, b.Y) if mirrored else (a.X, b.X)
         n = max(2, int(math.ceil(abs(c1 - c0) / dynamics._LEG_STEP)))
@@ -1328,7 +1327,7 @@ class TestArrayLegs:
         (LogPoint(-700.0, 650.0), LogPoint(-690.0, 700.0)),
     ])
     def test_logline_leg_is_the_scalar_run(self, a, b):
-        leg = _logline_leg(a, b, "run").witness()
+        leg = _logline_leg(a, b, "run")
         assert leg.kind == "logline"
         dX, dY = b.X - a.X, b.Y - a.Y
         n = max(2, int(math.ceil(math.hypot(dX, dY) / dynamics._LEG_STEP)))
@@ -1345,3 +1344,49 @@ class TestArrayLegs:
         with pytest.raises(NoCrossing) as err:
             _xline_leg(a, direction, b, "walk")
         assert str(err.value) == str(scalar.value) == "the line leaves the positive quadrant"
+
+
+class TestLazyLogPoints:
+    """Trajectories and legs hold arrays; LogPoints are made when read."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """A counting stand-in for dynamics.LogPoint: the list of the
+        LogPoints the module has made."""
+        made = []
+
+        def counting(X, Y):
+            made.append(LogPoint(X, Y))
+            return made[-1]
+
+        monkeypatch.setattr(dynamics, "LogPoint", counting)
+        return made
+
+    @staticmethod
+    def assert_lists_of_arrays(traj):
+        assert traj.times == traj.t.tolist()
+        assert traj.points == list(map(LogPoint, traj.X.tolist(), traj.Y.tolist()))
+        assert traj.velocities == list(zip(traj.vx.tolist(), traj.vy.tolist()))
+        # Each list is made once and kept.
+        assert traj.points is traj.points and traj.velocities is traj.velocities
+
+    @pytest.mark.parametrize("target", [(-1.5, -1.0), (4.0, 7.0), (5.5, -1.0)],
+                             ids=["full_plane", "strip", "gap"])
+    def test_witness_makes_its_points_on_read(self, region, made, target):
+        traj = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA, region)
+        n = len(traj.X)
+        # A few leg ends, not one LogPoint per sample.
+        before = len(made)
+        assert before < n // 4
+        points = traj.points
+        assert len(made) == before + n and made[before:] == points
+        self.assert_lists_of_arrays(traj)
+        assert points[1:] == [p for leg in traj.legs for p in leg.points]
+        assert traj.velocities[1:] == [v for leg in traj.legs for v in leg.velocities]
+
+    def test_ray_run_makes_its_points_on_read(self, made):
+        traj = integrate(ExtremeRayStrategy("left"), LogPoint(0.5, -0.3), WORKED_FAN, DELTA,
+                         t_end=2.0)
+        assert len(traj.X) > 100 and made == []
+        assert traj.points == made
+        self.assert_lists_of_arrays(traj)

@@ -218,6 +218,29 @@ def test_traced_names_resolve():
     assert ("fan_geometry", "Fan.regions", "fan_geometry.Fan.regions") in tracer.TRACED
 
 
+def test_bench_judge_accepts_the_reach_results():
+    # The benchmark judges every op's result outside the timed region; a
+    # result it cannot read would fail its ops as incorrect outputs.
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # The package modules, gathered as bench/run.py's Program gathers them.
+    program = SimpleNamespace(**{name: importlib.import_module(f"toric_regions.{name}") for name in
+                                 ("errors", "fan_geometry", "tdi_rhs", "region_construction",
+                                  "dynamics")})
+    reach = workloads.Reach(1, 1.0, program)
+    reach.setup()
+    ops = reach.ops()
+    outcomes = {}
+    for kind in ("witness", "trajectory", "converge"):
+        op = next(op for op in ops if op.kind == kind)
+        outcome, failed = reach.judge(op, op.call())
+        assert not failed, (kind, outcome)
+        outcomes[kind] = outcome
+    assert outcomes["witness"] == "arrived" and outcomes["converge"] == "converged"
+    assert outcomes["trajectory"].startswith("trajectory:")
+
+
 def test_unrun_lines_enumerates_statements_and_records_hits(tmp_path):
     # A tiny package of its own, traced here: tier-1 is not run inside tier-1.
     tool = _load_tool("unrun_lines")
@@ -402,3 +425,43 @@ def test_bench_pairs_runs_every_workload_in_each_pair(tmp_path, monkeypatch, cap
                       "--pairs", "1"]) == 0
     assert [w for _, w, _ in calls] == ["reach", "reach", "level_band", "level_band"]
     assert tool.main([str(tmp_path), "--workload", "nope", "--pairs", "1"]) == 2
+
+
+def test_bench_pairs_records_the_summary(tmp_path, monkeypatch, capsys):
+    tool = _load_tool("bench_pairs")
+    parent_root = tmp_path / "parent"
+    (parent_root / "bench").mkdir(parents=True)
+    (parent_root / "bench" / "run.py").write_text("")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in bench["end_to_end"]]
+    declared = [w["name"] for w in bench["workloads"]]
+
+    def run_once(root, workload, seed, seconds):
+        # Canned reports: the change halves every metric and class latency.
+        value = seed * (0.5 if root == tool.ROOT else 1.0)
+        return {name: value for name in names}, {f"{workload}_ms_p50": value}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "short_sha", lambda: "0123abc")
+    assert tool.main([str(parent_root), "--workload", "all", "--pairs", "3", "--seconds", "2",
+                      "--record", str(tmp_path)]) == 0
+    path = tmp_path / "BENCH_0123abc.json"
+    assert capsys.readouterr().out.splitlines()[-1] == f"record {path}"
+    rec = json.loads(path.read_text())
+    assert sorted(rec) == ["commit", "machine", "seconds", "seeds", "workloads"]
+    assert (rec["commit"], rec["seeds"], rec["seconds"]) == ("0123abc", [1, 2, 3], 2.0)
+    assert sorted(rec["machine"]) == ["cpu", "nproc", "numpy", "python"]
+    assert rec["machine"]["nproc"] >= 1 and rec["machine"]["python"].count(".") == 2
+    assert list(rec["workloads"]) == declared
+    for w, block in rec["workloads"].items():
+        assert list(block["metrics"]) == names
+        for r in block["metrics"].values():
+            assert r["parent"] == {"median": 2.0, "q1": 1.0, "q3": 3.0}
+            assert r["change"] == {"median": 1.0, "q1": 0.5, "q3": 1.5}
+            assert sorted(r) == ["change", "gain", "pairs", "parent", "unresolved", "won"]
+            assert r["pairs"] == 3
+        assert block["classes"] == {f"{w}_ms_p50": {"parent": 2.0, "change": 1.0}}
+    # Without --record nothing is written.
+    path.unlink()
+    assert tool.main([str(parent_root), "--workload", "reach", "--pairs", "1"]) == 0
+    assert list(tmp_path.glob("BENCH_*.json")) == []

@@ -23,11 +23,20 @@ runs' reports (``witness_ms_p50``, ``trajectory_ms_p50``,
 workload has).  They stand outside the gain rule; they show which op
 class moved a pooled metric such as reach's ``ops_per_s``.
 
+``--record`` also writes all of it to ``BENCH_<short sha>.json`` at the
+root of this checkout, named after its HEAD commit (``--record DIR``
+writes it in DIR): per workload, each metric's medians, quartiles, pairs
+won, gain and "unresolved" flags, and each side's per-class medians; with
+them the seeds, the seconds per run and the machine (nproc, CPU, Python
+and numpy versions).  Commit the change first, so that the name is the
+commit whose code was measured.
+
 Run from anywhere; PARENT_ROOT is the root of a checkout of the parent
 commit (``git archive`` of it will do), holding its ``bench/`` and
 ``src/``:
 
     python tools/bench_pairs.py PARENT_ROOT [--workload W ...] [--pairs N] [--seconds S]
+                                            [--record [DIR]]
 
 ``--workload`` may be given more than once, and ``all`` names every
 workload of ``BENCHMARK.json``.  The defaults are atlas_validate, 10
@@ -38,6 +47,8 @@ run, and each run leaves its record under its own checkout's
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -99,14 +110,18 @@ def workloads(names: list, declared: list) -> list:
 
 
 def report(workload: str, runs: dict, classes: dict, metrics: list, pairs: int,
-           seconds: float) -> None:
+           seconds: float) -> dict:
     """Print one workload's block: every metric's medians, quartiles,
-    pairs won and the gain rule, then the per-class medians."""
+    pairs won and the gain rule, then the per-class medians.  Returns
+    them as {"metrics": {name: compare's dict}, "classes": {name:
+    {"parent": median, "change": median}}}."""
     print(f"{workload}, {pairs} alternated pairs of {seconds:g} s, median [q1, q3]:")
+    out = {"metrics": {}, "classes": {}}
     for m in metrics:
         name = m["name"]
         r = compare([run[name] for run in runs["parent"]],
                     [run[name] for run in runs["change"]], m["better"], m["bound"])
+        out["metrics"][name] = r
         p, c = r["parent"], r["change"]
         print(f"  {name:16s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
@@ -119,6 +134,29 @@ def report(workload: str, runs: dict, classes: dict, metrics: list, pairs: int,
         medians = [statistics.median(run[name] for run in classes[side] if name in run)
                    for side in ("parent", "change")]
         print(f"  {name:18s} parent {medians[0]:.4g}  change {medians[1]:.4g}")
+        out["classes"][name] = dict(zip(("parent", "change"), medians))
+    return out
+
+
+def short_sha() -> str:
+    """The short hash of this checkout's HEAD commit."""
+    return subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def machine() -> dict:
+    """nproc, the CPU model, and the Python and numpy versions the runs use."""
+    import numpy
+
+    cpu = platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
+            "numpy": numpy.__version__}
 
 
 def main(argv=None) -> int:
@@ -127,6 +165,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", default=[])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--record", type=Path, nargs="?", const=ROOT, metavar="DIR")
     args = ap.parse_args(argv)
     if not (args.parent_root / "bench" / "run.py").is_file():
         print(f"no bench/run.py under {args.parent_root}", file=sys.stderr)
@@ -152,8 +191,15 @@ def main(argv=None) -> int:
                 f"{m['name']} {runs[name]['parent'][-1][m['name']]:.4g} -> "
                 f"{runs[name]['change'][-1][m['name']]:.4g}" for m in metrics),
                 file=sys.stderr, flush=True)
-    for name in names:
-        report(name, runs[name], classes[name], metrics, args.pairs, args.seconds)
+    summaries = {name: report(name, runs[name], classes[name], metrics, args.pairs, args.seconds)
+                 for name in names}
+    if args.record:
+        sha = short_sha()
+        path = args.record / f"BENCH_{sha}.json"
+        path.write_text(json.dumps({"commit": sha, "seeds": list(range(1, args.pairs + 1)),
+                                    "seconds": args.seconds, "machine": machine(),
+                                    "workloads": summaries}, indent=1) + "\n")
+        print(f"record {path}")
     return 0
 
 
