@@ -1368,7 +1368,8 @@ class TestLazyLogPoints:
         assert traj.points == list(map(LogPoint, traj.X.tolist(), traj.Y.tolist()))
         assert traj.velocities == list(zip(traj.vx.tolist(), traj.vy.tolist()))
         # Each list is made once and kept.
-        assert traj.points is traj.points and traj.velocities is traj.velocities
+        assert traj.times is traj.times and traj.points is traj.points
+        assert traj.velocities is traj.velocities
 
     @pytest.mark.parametrize("target", [(-1.5, -1.0), (4.0, 7.0), (5.5, -1.0)],
                              ids=["full_plane", "strip", "gap"])

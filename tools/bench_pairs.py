@@ -46,9 +46,8 @@ run, and each run leaves its record under its own checkout's
 """
 
 import argparse
+import importlib.util
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -145,18 +144,13 @@ def short_sha() -> str:
 
 
 def machine() -> dict:
-    """nproc, the CPU model, and the Python and numpy versions the runs use."""
-    import numpy
-
-    cpu = platform.machine()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
-            "numpy": numpy.__version__}
+    """nproc, the CPU model, and the Python and numpy versions, as
+    bench/run.py records them for its runs."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    meta = run.metadata(0)
+    return {key: meta[key] for key in ("nproc", "cpu", "python", "numpy")}
 
 
 def main(argv=None) -> int:
