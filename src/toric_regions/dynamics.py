@@ -653,9 +653,13 @@ def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25) ->
     n = len(trajectory.t)
     if n < 100:
         raise ValueError("need at least 100 trajectory samples")
+    tail = trajectory.points[int(n * (1.0 - tail_fraction)):]
     centers: list[LogPoint] = []
-    for p in trajectory.points[int(n * (1.0 - tail_fraction)):]:
-        if not any(math.hypot(p.X - c.X, p.Y - c.Y) <= _OMEGA_RADIUS for c in centers):
+    for p in tail:
+        for c in centers:
+            if math.hypot(p.X - c.X, p.Y - c.Y) <= _OMEGA_RADIUS:
+                break
+        else:
             centers.append(p)
     return centers
 
@@ -671,8 +675,8 @@ _CHAINS = ("I1", "I4", "I2", "I3")  # route search order; I1 and I4 start at (N,
 class WitnessLeg(NamedTuple):
     """A witness leg as it is built, checked and returned: its kind ('flow',
     'xline' or 'logline'), its description, and its samples' log points
-    (X, Y) and x-space velocities (vx, vy) as float arrays.  points
-    (LogPoints) and velocities (tuples) are made on each read."""
+    (X, Y) and x-space velocities (vx, vy) as float arrays.  points and
+    velocities build new lists on every read, so loops read the arrays."""
 
     kind: str
     description: str
@@ -799,7 +803,8 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     a walk whose line left the quadrant), then lists every candidate tried
     as "chain[k]: error".  A non-finite endpoint raises NonFinitePoint.
     """
-    src, dst = as_log(from_point), as_log(to_point)
+    src = as_log(from_point)
+    dst = as_log(to_point)
     # (1, 1) is classified once per region.
     src_label = region.origin_label if src == LogPoint(0.0, 0.0) else region_contains(region, src)
     if src_label == "outside" or region_contains(region, dst) == "outside":
