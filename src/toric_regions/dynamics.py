@@ -514,7 +514,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     since at stiff starts the cap itself lies far below dt; a failing
     evaluation at the end fails the step as a stage's does.
 
-    stop_when(point, t) gets a LogPoint made for the call, on every sample
+    stop_when(X, Y, t) gets the log coordinates and time of every sample
     and the start; the run ends "stopped" at the first true one, even with
     t_end <= 0, and otherwise "t_end", "stalled" or "max_steps".
 
@@ -567,7 +567,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     h_next = dt  # the error control's proposal for the next step
     end = None  # the evaluation of the last accepted step's end, if controlled
     try:
-        while stop_when is None or not stop_when(LogPoint(X, Y), t):
+        while stop_when is None or not stop_when(X, Y, t):
             if t >= t_end or len(vxs) >= max_steps:
                 break
             vx, vy, f1x, f1y, stiffness = end or evaluate(X, Y, t, controlled)
@@ -642,8 +642,8 @@ def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
     integrate's default dt, until within rel_tol (log space) of target."""
     strat = TimeRescaledField(system) if rescale else FieldStrategy(system)
 
-    def close(p: LogPoint, t: float) -> bool:
-        return max(abs(p.X - target.X), abs(p.Y - target.Y)) <= rel_tol * 0.5
+    def close(X: float, Y: float, t: float) -> bool:
+        return max(abs(X - target.X), abs(Y - target.Y)) <= rel_tol * 0.5
 
     return integrate(strat, start, fan, delta, t_end, stop_when=close)
 

@@ -1635,33 +1635,21 @@ def _chords_inside_check(boundary: RegionBoundary, labels: list[str]) -> dict:
             "detail": f"chord points outside: {bad}" if bad else "chords inside"}
 
 
-_ARC_SAMPLES = 64  # points per arc in the tangent monotonicity check
+def _arc_monotonicity_check(boundary: RegionBoundary) -> dict:
+    """Every arc must turn one way: be convex, concave or straight in x-space.
 
-
-def _arc_monotonicity_check(boundary: RegionBoundary, chains) -> dict:
-    """Tangent slopes along every arc must vary strictly monotonically.
-
-    On y^q = h x^p the tangent slope is the constant p/q times e^(Y - X).
-    Arcs lie only on generators off the axes, so p/q is nonzero and the
-    slope is strictly monotone exactly where Y - X is.  chains holds the
-    arrays (X, Y) of each arc's samples at u = k / _ARC_SAMPLES, k =
-    0.._ARC_SAMPLES, one row per arc.  The witness is the first sample of
-    the first failing arc whose step from the previous sample does not go
-    the way the arc's first step goes.
+    An arc lies on the log line q*Y - p*X = h_sign * delta_i, so along it
+    Y - X changes linearly, by ((p - q) / q) * dX, and the tangent slope
+    (p/q) * e^(Y - X) is monotone: constant on a p = q arc, the x-space ray
+    y = h*x.  conv_hull relies on this when it gives each arc one chain.
+    So only a degenerate arc fails, one of zero length, start.X == end.X
+    (dY = (p/q) * dX).  The witness is the start of the first one.
     """
-    arcs = boundary.arcs
-    X, Y = chains
-    d = Y - X
-    inc, dec = d[:, :-1] < d[:, 1:], d[:, :-1] > d[:, 1:]
-    failing = ~(inc.all(axis=1) | dec.all(axis=1))
-    bad = [str(arc.gen) for arc, f in zip(arcs, failing.tolist()) if f]
-    witness = None
-    if bad:
-        a = int(np.argmax(failing))
-        k = 1 + int(np.argmin(inc[a] if inc[a, 0] else dec[a]))
-        witness = (X[a, k].item(), Y[a, k].item())
-    return {"passed": not bad, "worst": float(len(bad)), "witness": witness,
-            "detail": f"non-monotone arcs on {bad}" if bad else "tangent slopes monotone"}
+    bad = [arc for arc in boundary.arcs if arc.start.X == arc.end.X]
+    return {"passed": not bad, "worst": float(len(bad)),
+            "witness": (bad[0].start.X, bad[0].start.Y) if bad else None,
+            "detail": f"zero-length arcs on {[str(arc.gen) for arc in bad]}" if bad
+            else "every arc turns one way"}
 
 
 _VALIDATION_SAMPLES = 512  # boundary samples (arrays X, Y, piece) for the r <= 1 and Nagumo checks
@@ -1669,21 +1657,17 @@ _VALIDATION_SAMPLES = 512  # boundary samples (arrays X, Y, piece) for the r <= 
 
 def _validation_points(t: _PieceTable):
     """The battery's points of the pieces of t, from one _points_at pass:
-    the loop chains of every piece (_LOOP_CHORDS chords), the arc chains
-    (_ARC_SAMPLES steps), each as arrays (X, Y) with one row per piece,
-    and sample_boundary's _VALIDATION_SAMPLES samples (X, Y, piece index).
-    _points_at is elementwise, so each part has the bits of its own pass.
+    the loop chains of every piece (_LOOP_CHORDS chords) as arrays (X, Y)
+    with one row per piece, and sample_boundary's _VALIDATION_SAMPLES
+    samples (X, Y, piece index).  _points_at is elementwise, so each part
+    has the bits of its own pass.
     """
-    rows = (np.arange(len(t.sX)), np.flatnonzero(t.arc))
-    where = [_chain_where(rows[0], _LOOP_CHORDS), _chain_where(rows[1], _ARC_SAMPLES),
-             _sample_where(t, _VALIDATION_SAMPLES)]
-    X, Y = _points_at(t, *(np.concatenate(parts) for parts in zip(*where)))
-    cut = np.cumsum([len(index) for index, _ in where])[:-1]
-    (loop_x, arc_x, sample_x), (loop_y, arc_y, sample_y) = np.split(X, cut), np.split(Y, cut)
-    chains = [(x.reshape(len(r), n + 1), y.reshape(len(r), n + 1))
-              for x, y, r, n in ((loop_x, loop_y, rows[0], _LOOP_CHORDS),
-                                 (arc_x, arc_y, rows[1], _ARC_SAMPLES))]
-    return (*chains, (sample_x, sample_y, where[2][0]))
+    n = len(t.sX)
+    loop, samples = _chain_where(np.arange(n), _LOOP_CHORDS), _sample_where(t, _VALIDATION_SAMPLES)
+    X, Y = _points_at(t, *(np.concatenate(parts) for parts in zip(loop, samples)))
+    cut = len(loop[0])
+    chains = (X[:cut].reshape(n, _LOOP_CHORDS + 1), Y[:cut].reshape(n, _LOOP_CHORDS + 1))
+    return chains, (X[cut:], Y[cut:], samples[0])
 
 
 def validate_region(boundary: RegionBoundary) -> dict:
@@ -1691,15 +1675,15 @@ def validate_region(boundary: RegionBoundary) -> dict:
 
     Every check that evaluates the boundary away from its anchors does so
     in array passes over the boundary's one piece table: one _points_at
-    pass (_validation_points) gives the loop and arc checks their point
-    chains and the r <= 1 and Nagumo checks sample_boundary's samples.
+    pass (_validation_points) gives the loop checks their point chains and
+    the r <= 1 and Nagumo checks sample_boundary's samples.
     The S^uc points, the chord points (both at band 1e-7) and (1,1) (at
     region_contains' default 1e-9) are classified in one
     region_contains_batch call.  A failed check names a witness point
     where it has one.
     """
     report = {}
-    loop, arcs, pts = _validation_points(boundary.table)
+    loop, pts = _validation_points(boundary.table)
     closed, simple = _loop_checks(boundary, loop)
     report["closed_loop"] = closed
     report["simple_loop"] = simple
@@ -1720,5 +1704,5 @@ def validate_region(boundary: RegionBoundary) -> dict:
     if boundary.mode == "standard":
         report["cone_containment"] = _cone_containment_check(boundary)
     report["chords_inside"] = _chords_inside_check(boundary, labels[n_uc:-1])
-    report["arc_tangent_monotonicity"] = _arc_monotonicity_check(boundary, arcs)
+    report["arc_tangent_monotonicity"] = _arc_monotonicity_check(boundary)
     return report

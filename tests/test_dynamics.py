@@ -363,7 +363,7 @@ class TestIntegrate:
         # A run that starts no step makes no batch call.
         batches.clear()
         traj = integrate(ExtremeRayStrategy("right"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
-                         t_end=5.0, stop_when=lambda p, t: True)
+                         t_end=5.0, stop_when=lambda X, Y, t: True)
         assert traj.termination == "stopped" and traj.velocities == [(0.0, 0.0)]
         assert batches == []
 
@@ -431,7 +431,7 @@ class TestIntegrate:
         # wall; the half step ends at 0.0234, short of it.
         dt = 1.0 / 64.0
         traj = integrate(self.Walled(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
-                         t_end=1.0, dt=dt, stop_when=lambda p, t: t > dt)
+                         t_end=1.0, dt=dt, stop_when=lambda X, Y, t: t > dt)
         assert traj.termination == "stopped"
         assert np.diff(traj.times).tolist() == [dt, dt / 2.0]
         assert traj.points[-1].X == pytest.approx(dt * 1.5, rel=1e-12)
@@ -462,7 +462,7 @@ class TestIntegrate:
         # stays short of it, and the run goes on.
         dt = 1.0 / 64.0
         traj = integrate(self.Past(factor), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
-                         t_end=1.0, dt=dt, stop_when=lambda p, t: t > dt)
+                         t_end=1.0, dt=dt, stop_when=lambda X, Y, t: t > dt)
         assert traj.termination == "stopped"
         assert np.diff(traj.times).tolist() == [dt, dt / 2.0]
         assert traj.points[-1].X == pytest.approx(dt * 1.5, rel=1e-12)
@@ -483,7 +483,7 @@ class TestIntegrate:
 
         dt = 1.0 / 64.0
         traj = integrate(NanPast(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
-                         t_end=1.0, dt=dt, stop_when=lambda p, t: t > dt)
+                         t_end=1.0, dt=dt, stop_when=lambda X, Y, t: t > dt)
         assert np.diff(traj.times).tolist() == [dt, dt / 4.0]
         assert any(p.X > 0.02 for p in seen)
         assert all(math.isfinite(p.X) and math.isfinite(p.Y) for p in seen)
@@ -503,8 +503,8 @@ class TestIntegrate:
     def test_stop_when_once_per_sample(self):
         seen = []
 
-        def stop(p, t):
-            seen.append((p, t))
+        def stop(X, Y, t):
+            seen.append((LogPoint(X, Y), t))
             return False
 
         traj = integrate(ExtremeRayStrategy("left"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
@@ -515,10 +515,10 @@ class TestIntegrate:
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_stopping_start_stops_without_time(self, t_end):
         traj = integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
-                         t_end=t_end, stop_when=lambda p, t: True)
+                         t_end=t_end, stop_when=lambda X, Y, t: True)
         assert traj.termination == "stopped" and traj.points == [LogPoint(0.0, 0.0)]
         traj = integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
-                         t_end=t_end, stop_when=lambda p, t: False)
+                         t_end=t_end, stop_when=lambda X, Y, t: False)
         assert traj.termination == "t_end" and traj.points == [LogPoint(0.0, 0.0)]
 
     def test_runs_out_of_steps(self):

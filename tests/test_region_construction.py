@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -34,7 +35,6 @@ from toric_regions.fan_geometry import (
 )
 from toric_regions.region_construction import (
     Hull,
-    _ARC_SAMPLES,
     _EXP_SAFE,
     _LEVEL_TOL,
     _VALIDATION_SAMPLES,
@@ -139,11 +139,6 @@ def _chains(t, rows, n: int):
 def _loop_checks_of(b):
     """_loop_checks of a boundary on its own chains."""
     return _loop_checks(b, _chains(b.table, np.arange(len(b.pieces)), _LOOP_CHORDS))
-
-
-def _arc_check_of(b):
-    """_arc_monotonicity_check of a boundary on its own arc chains."""
-    return _arc_monotonicity_check(b, _chains(b.table, np.flatnonzero(b.table.arc), _ARC_SAMPLES))
 
 
 def _points_of(piece, us) -> list[LogPoint]:
@@ -991,26 +986,24 @@ class TestWitnesses:
         assert len(outside) > 1 and res["worst"] == float(len(outside))
         assert res["witness"] == outside[0]
 
-    def test_arc_monotonicity_names_where_the_order_breaks(self):
-        # A straight (1,1) arc: Y - X is constant, so rounding breaks the order.
-        b = construct_region(Fan([(-2, 1), (2, 3), (1, 1)]), 3.0, validate=False)
-        res = _arc_check_of(b)
-        assert not res["passed"]
-        for arc in b.arcs:
-            pts = [_point_at_reference(arc, k / _ARC_SAMPLES) for k in range(_ARC_SAMPLES + 1)]
-            d = [pt.Y - pt.X for pt in pts]
-            steps = list(zip(d, d[1:]))
-            rising = d[0] < d[1]
-            ok = [(a < b_) if rising else (a > b_) for a, b_ in steps]
-            if not all(ok):
-                k = ok.index(False) + 1
-                assert res["witness"] == (pts[k].X, pts[k].Y)
-                assert arc.band_distance(pts[k]) <= 1e-12
-                break
-        else:
-            pytest.fail("no failing arc")
-        passing = _arc_check_of(construct_region(Fan(WORKED_GENS), 3.0))
-        assert passing["passed"] and passing["witness"] is None
+    @pytest.mark.parametrize("gens", [[(-2, 1), (2, 3), (1, 1)], [(2, 3), (1, 1)]])
+    def test_straight_arcs_pass_every_check(self, gens):
+        # Each has a (1,1) arc, straight in x-space, on which the tangent
+        # slope is constant: the arc turns one way, non-strictly.
+        b = construct_region(Fan(gens), 3.0, validate=False)
+        assert any(arc.gen.p == arc.gen.q for arc in b.arcs)
+        report = region_construction.validate_region(b)
+        assert all(res["passed"] for res in report.values()), report
+        assert report["arc_tangent_monotonicity"]["witness"] is None
+
+    def test_arc_monotonicity_names_a_zero_length_arc(self, worked_region):
+        k, arc = next((k, pc) for k, pc in enumerate(worked_region.pieces)
+                      if isinstance(pc, Arc))
+        pieces = list(worked_region.pieces)
+        pieces[k] = dataclasses.replace(arc, end=arc.start)
+        res = _arc_monotonicity_check(dataclasses.replace(worked_region, pieces=tuple(pieces)))
+        assert not res["passed"] and res["worst"] == 1.0
+        assert res["witness"] == (arc.start.X, arc.start.Y)
 
 
 def _bits(values) -> list[str]:
@@ -1041,10 +1034,9 @@ class TestArraySampler:
         ref_chains = _loop_chains_reference(b.pieces)
         assert _bits(chain_x.ravel()) == _bits(pt.X for c in ref_chains for pt in c)
         assert _bits(chain_y.ravel()) == _bits(pt.Y for c in ref_chains for pt in c)
-        # The battery's one pass has the bits of the three passes apart.
-        loop, arcs, samples = _validation_points(b.table)
-        arc_x, arc_y = _chains(b.table, np.flatnonzero(b.table.arc), _ARC_SAMPLES)
-        for got, want in zip((*loop, *arcs, *samples), (chain_x, chain_y, arc_x, arc_y, X, Y, index)):
+        # The battery's one pass has the bits of the two passes apart.
+        loop, samples = _validation_points(b.table)
+        for got, want in zip((*loop, *samples), (chain_x, chain_y, X, Y, index)):
             assert got.shape == want.shape and _bits(got.ravel()) == _bits(want.ravel())
 
     def test_worked_fan(self, worked_region):

@@ -216,7 +216,9 @@ class Past(XVelocity):
 
 def halving_record(kind: str, package) -> dict:
     fg, dy = package.fan_geometry, package.dynamics
-    stop = (lambda p, t: t > HALVING_DT) if kind == "raise" else None
+    # The time is stop_when's last argument whether it gets (point, t) or
+    # (X, Y, t), so trees of either signature run alike.
+    stop = (lambda *args: args[-1] > HALVING_DT) if kind == "raise" else None
     rec = {"group": "halving", "past": kind}
     rec.update(_run(lambda: dy.integrate(Past(kind, package), fg.LogPoint(0.0, 0.0),
                                          fg.Fan([(-1, 1), (1, 2), (2, 1)]), 3.0,
