@@ -786,10 +786,14 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     on r(target): full-plane targets get a straight log-space run; strip
     (r = 1) and gap (r = 0) targets are routed along the region boundary
     (see ``_route_via_boundary``).  Every leg is velocity-validated: the
-    integrator checks the flow, and the legs of the straight run or of a
-    candidate route are checked together, in one batch per route.  The
-    legs and the returned trajectory hold float arrays, and make their
-    LogPoints only when read.
+    integrator checks the flow, and the straight run or a candidate route's
+    finish legs are checked in one batch.  A route's prefix (the hop and
+    the chain walk) is built and checked once and kept on the region for
+    its lifetime, for one flow end at a time (from (1,1) the end is always
+    (1,1)); another end replaces them, so the region keeps at most one per
+    chain segment.  Witnesses share the prefix legs, whose arrays are
+    read-only.  The legs and the returned trajectory hold float arrays,
+    and make their LogPoints only when read.
 
     Both endpoints must lie in the region (``region_contains`` says "inside"
     or "boundary"): the region is invariant, so no trajectory from inside it
@@ -855,6 +859,31 @@ def _hop_and_walk(cur: LogPoint, chain: str, k: int,
     return legs
 
 
+def _route_prefix(cur: LogPoint, chain: str, k: int, fan: Fan, delta: float,
+                  region: RegionBoundary) -> tuple[list[WitnessLeg], float | WitnessFailed]:
+    """The legs of _hop_and_walk(cur, chain, k, region) and their
+    _validate_leg worst (or the WitnessFailed it raised), built and checked
+    once per region and flow end: region.witness_prefixes keeps one end's,
+    at most one per chain segment.  The legs' arrays are read-only, since
+    witnesses share them.  A walk that raises NoCrossing is not kept."""
+    at = (cur.X.hex(), cur.Y.hex(), fan, delta)  # the bits: -0.0 starts other legs than 0.0
+    memo = region.witness_prefixes
+    if at not in memo:
+        memo.clear()
+    prefixes = memo.setdefault(at, {})
+    if (chain, k) not in prefixes:
+        legs = _hop_and_walk(cur, chain, k, region)
+        try:
+            worst = _validate_leg(legs, fan, delta)
+        except WitnessFailed as exc:
+            worst = exc.with_traceback(None)
+        for leg in legs:
+            for array in leg[2:]:
+                array.setflags(write=False)
+        prefixes[chain, k] = legs, worst
+    return prefixes[chain, k]
+
+
 def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
                         delta: float, region: RegionBoundary, arrive_tol: float):
     """Validated legs from (1,1) to a strip (r=1) or gap (r=0) target, and
@@ -864,12 +893,12 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     strip target, the target strip's segments on the target's arm, then on
     the other arm; for a gap target, the segments of either flanking arm.
     Each route hops to the chain's start point and walks the chain up to
-    the candidate segment's start.  A strip target is then reached by
-    walking along that segment into the strip and sliding along the strip;
-    a gap target by one straight x-space run from there, whose constant
-    velocity the leg validator checks at every sample.  All of a route's
-    legs are built first and checked in one batch.  The first route whose
-    legs arrive and all validate wins.
+    the candidate segment's start (_route_prefix).  It finishes at a strip
+    target by walking along that segment into the strip and sliding along
+    the strip, at a gap target by one straight x-space run from there
+    unless the corner is the target.  After the arrival check the finish
+    legs' check runs, then the prefix's.  The first route whose legs
+    arrive and all validate wins.
     """
     if r_dst == 1:
         strip = next(r for r in fan.regions(delta)
@@ -887,6 +916,8 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
         arm_sets = ({table[k][1:], table[(k + 1) % len(table)][1:]},)
 
         def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
+            if max(abs(c.X - dst.X), abs(c.Y - dst.Y)) <= arrive_tol:
+                return []  # the corner is the target
             return [_xline_leg(c, _xspace_unit(c, dst), dst, "straight gap run")]
 
     candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS
@@ -896,12 +927,15 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     tried = []  # "chain[k]: error" of every candidate
     for chain, k in candidates:
         try:
-            legs = _hop_and_walk(cur, chain, k, region)
-            legs += finish(legs[-1].end, region.polylines[chain][k])
-            end = legs[-1].end
+            prefix, worst = _route_prefix(cur, chain, k, fan, delta, region)
+            legs = finish(prefix[-1].end, region.polylines[chain][k])
+            end = (legs or prefix)[-1].end
             if max(abs(end.X - dst.X), abs(end.Y - dst.Y)) > arrive_tol:
                 raise WitnessFailed("arrival", "route drifted from the target")
-            return legs, _validate_leg(legs, fan, delta)
+            finish_worst = _validate_leg(legs, fan, delta) if legs else 0.0
+            if isinstance(worst, WitnessFailed):
+                raise WitnessFailed(worst.leg, worst.detail)
+            return prefix + legs, max(worst, finish_worst)
         except (WitnessFailed, NoCrossing) as exc:
             last_err = exc
             tried.append(f"{chain}[{k}]: {exc}")

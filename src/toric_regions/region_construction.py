@@ -603,6 +603,11 @@ class RegionBoundary:
         """region_contains' label of the log origin (1, 1)."""
         return region_contains(self, LogPoint(0.0, 0.0))
 
+    @functools.cached_property
+    def witness_prefixes(self) -> dict:
+        """Checked witness route prefixes of one flow end (dynamics._route_prefix)."""
+        return {}
+
     def chords(self) -> dict[str, tuple[LogPoint, LogPoint]]:
         """The four chords l1..l4 from the start points to the terminals."""
         nm = self.start_max.log

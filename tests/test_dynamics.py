@@ -1115,6 +1115,16 @@ class TestReachWitness:
         assert re.fullmatch(r"no valid route: (straight gap run: worst violation \S+); I4\[2\]: \1",
                             err.value.detail)
 
+    def test_gap_target_on_a_route_corner(self, region):
+        # (N,M) is a gap point and the corner of the I1[0] route, which ends
+        # there with no straight gap run: that run's direction would be 0/0.
+        target = region.start_max.log
+        assert r_count(target, WORKED_FAN, DELTA) == 0
+        traj = reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
+        assert [leg.description for leg in traj.legs] == ["embedded flow to (1,1)",
+                                                         "full-plane hop to NM"]
+        assert traj.points[-1] == target and traj.worst_violation == 0.0
+
     def test_route_that_drifts_fails_arrival(self, region):
         # This gap target's straight run ends an ulp or so off the target:
         # within the default arrive_tol, but not within 0.0.  From (1,1) the
@@ -1159,27 +1169,114 @@ class TestReachWitness:
         ((5.954689, -0.749074), [("I4", 0), ("I4", 1)]),     # gap: the first route fails
         ((-1.5, -1.0), []),                                  # full plane
     ])
-    def test_one_batch_per_route(self, region, batches, target, routes):
-        # From (1,1) the flow makes no step, so every batch checks a route.
-        traj = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA, region)
-        assert len(traj.legs[0].points) == 1
+    def test_one_batch_per_route(self, batches, target, routes):
+        # From (1,1) the flow makes no step, so every batch checks route
+        # legs: a route's prefix (the hop and its walk) once per region,
+        # then each route's finish legs in one batch of their own.
+        region = construct_region(WORKED_FAN, DELTA)
+        cold = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA, region)
+        assert len(cold.legs[0].points) == 1
         assert batches.routes == routes
-        assert len(batches.batches) == max(1, len(routes))
-        assert batches.batches[-1] == sum(len(leg.points) for leg in traj.legs[1:])
+        assert len(batches.batches) == max(1, 2 * len(routes))
+        # The winning route's prefix is its first k + 1 legs after the flow.
+        prefix = 1 + (routes[-1][1] + 1 if routes else 0)
+        finish = sum(len(leg.X) for leg in cold.legs[prefix:])
+        assert batches.batches[-1] == finish
+        if routes:
+            assert batches.batches[-2] == sum(len(leg.X) for leg in cold.legs[1:prefix])
+        batches.batches.clear()
+        warm = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA, region)
+        assert batches.routes == routes  # no prefix is built again
+        assert batches.batches[-1] == finish and len(batches.batches) == max(1, len(routes))
+        assert warm.X.tobytes() == cold.X.tobytes() and warm.vy.tobytes() == cold.vy.tobytes()
 
-    def test_route_failure_lists_every_candidate(self, region, batches, monkeypatch):
-        # With no tolerance left every candidate fails its one check.
+    def test_route_failure_lists_every_candidate(self, batches, monkeypatch):
+        # With no tolerance left every prefix and every finish fails its
+        # check, and each route names its finish leg, the last that failed.
         monkeypatch.setattr(dynamics, "_CONE_TOL", -1.0)
-        with pytest.raises(WitnessFailed) as err:
-            reach_witness(PosPoint(1.0, 1.0), LogPoint(5.954689, -0.749074), WORKED_FAN, DELTA,
-                          region)
+        region = construct_region(WORKED_FAN, DELTA)
+        details = []
+        for _ in range(2):
+            with pytest.raises(WitnessFailed) as err:
+                reach_witness(PosPoint(1.0, 1.0), LogPoint(5.954689, -0.749074), WORKED_FAN,
+                              DELTA, region)
+            details.append(err.value.detail)
+        # Two prefixes and two finishes, then the two finishes alone.
         assert batches.routes == [("I4", 0), ("I4", 1)]
-        assert len(batches.batches) == 2
-        head, *tried = err.value.detail.split("; ")
+        assert len(batches.batches) == 4 + 2
+        assert details[0] == details[1]
+        head, *tried = details[0].split("; ")
         assert head == "no valid route: straight gap run: worst violation 0.000e+00"
         assert [t.split(": ", 1)[0] for t in tried] == ["I4[0]", "I4[1]"]
         assert tried[0].startswith("I4[0]: straight gap run: worst violation ")
         assert tried[1] == "I4[1]: straight gap run: worst violation 0.000e+00"
+
+    def test_failed_prefix_is_named_after_the_finish_checks(self, batches, monkeypatch):
+        # Walk velocities turned a quarter clockwise fail the prefix of
+        # I4[1], whose finish arrives and validates: the route fails naming
+        # the walk, on every call, from the one check of that prefix.
+        hop_and_walk = dynamics._hop_and_walk
+
+        def turned_walk(cur, chain, k, region):
+            legs = hop_and_walk(cur, chain, k, region)
+            return legs[:1] + [leg._replace(vx=-leg.vy, vy=leg.vx) for leg in legs[1:]]
+
+        monkeypatch.setattr(dynamics, "_hop_and_walk", turned_walk)
+        region = construct_region(WORKED_FAN, DELTA)
+        details = []
+        for _ in range(2):
+            with pytest.raises(WitnessFailed) as err:
+                reach_witness(PosPoint(1.0, 1.0), LogPoint(5.954689, -0.749074), WORKED_FAN,
+                              DELTA, region)
+            details.append(err.value.detail)
+        assert details[0] == details[1]
+        assert re.fullmatch(r"no valid route: (walk I4 segment: worst violation \S+); "
+                            r"I4\[0\]: straight gap run: worst violation \S+; I4\[1\]: \1",
+                            details[0])
+        assert len(batches.batches) == 4 + 2
+
+    def test_memoized_prefix_legs_are_read_only(self, region):
+        # Witnesses through one prefix share its legs' arrays; the memo keeps
+        # the prefixes of one flow end, and another end replaces them.
+        target = LogPoint(5.954689, -0.749074)
+        traj = reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
+        again = reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
+        hop = traj.legs[1]
+        assert hop.description == "full-plane hop to NM" and again.legs[1].X is hop.X
+        for array in hop[2:]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert len(region.witness_prefixes) == 1
+        src = LogPoint(0.5, 0.25)  # its flow ends near (1,1), not on it
+        other = reach_witness(src, target, WORKED_FAN, DELTA, region)
+        cold = reach_witness(src, target, WORKED_FAN, DELTA, construct_region(WORKED_FAN, DELTA))
+        assert other.X.tobytes() == cold.X.tobytes() and other.Y.tobytes() == cold.Y.tobytes()
+        assert other.legs[1].X[0] != 0.0 and len(region.witness_prefixes) == 1
+
+    def test_warm_region_gives_the_cold_witnesses(self):
+        # Every witness target of the benchmark, on a region that has
+        # routed every target before it and on a fresh one: the same bits.
+        data = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data"
+                           / "reach_targets.json").read_text())
+        delta, failed = data["delta"], 0
+
+        def witness(fan, region, target):
+            try:
+                traj = reach_witness(PosPoint(1.0, 1.0), target, fan, delta, region)
+            except WitnessFailed as exc:
+                return exc.detail
+            return ([a.tobytes() for a in (traj.X, traj.Y, traj.vx, traj.vy)],
+                    traj.worst_violation.hex(), [leg.description for leg in traj.legs])
+
+        for entry in data["fans"].values():
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            warm = construct_region(fan, delta)
+            for t in entry["targets"]:
+                target = LogPoint(t["X"], t["Y"])
+                cold = witness(fan, construct_region(fan, delta), target)
+                assert witness(fan, warm, target) == cold, (entry["gens"], target)
+                failed += isinstance(cold, str)
+        assert failed > 0
 
 
 class TestValidateLeg:
