@@ -10,7 +10,6 @@ from .errors import (
     NoCrossing,
     NonFinitePoint,
     NonPositiveDelta,
-    NotASubfan,
     OutOfBand,
     ParallelGenerators,
     StepCollapse,
@@ -26,11 +25,9 @@ from .fan_geometry import (
     LogPoint,
     PosPoint,
     UncertaintyRegion,
-    attracting_direction,
     delta_i,
     dist_to_cone,
     fan_2d_cones,
-    normalize_generator,
     r_count,
     strip_coordinate,
 )
@@ -47,7 +44,7 @@ from .region_construction import (
     phi_level,
     region_contains,
 )
-from .tdi_rhs import rhs_bruteforce, rhs_classified, rhs_equal, rhs_subfan_subset
+from .tdi_rhs import rhs_bruteforce, rhs_classified
 
 __version__ = "0.1.0"
 
@@ -55,13 +52,11 @@ __all__ = [
     "AmbiguousClassification", "ArcsDontMeet", "Cone",
     "ConstructionFailed", "DeltaTooSmall", "Fan", "IntersectionPoint",
     "LineGenerator", "LogPoint", "MonomialOverflow", "NoCrossing",
-    "NonFinitePoint", "NonPositiveDelta", "NotASubfan", "OutOfBand", "ParallelGenerators",
+    "NonFinitePoint", "NonPositiveDelta", "OutOfBand", "ParallelGenerators",
     "PosPoint", "RegionBoundary", "SlopeClasses", "StepCollapse",
     "ToricRegionsError", "UncertaintyRegion", "UnsupportedFan", "WitnessFailed",
-    "ZeroGenerator", "attracting_direction",
-    "choose_start_points", "compute_slope_classes", "construct_region",
-    "conv_hull", "delta_i", "dist_to_cone", "fan_2d_cones", "hull_contains",
-    "intersection_points", "normalize_generator", "phi_level",
-    "r_count", "region_contains", "rhs_bruteforce", "rhs_classified",
-    "rhs_equal", "rhs_subfan_subset", "strip_coordinate",
+    "ZeroGenerator", "choose_start_points", "compute_slope_classes",
+    "construct_region", "conv_hull", "delta_i", "dist_to_cone", "fan_2d_cones",
+    "hull_contains", "intersection_points", "phi_level", "r_count",
+    "region_contains", "rhs_bruteforce", "rhs_classified", "strip_coordinate",
 ]

@@ -225,23 +225,6 @@ def field_stiffness(system: MassActionSystem, point) -> float:
     return _field(system, pt.X, pt.Y, True)[4]
 
 
-def complex_balance_residual(system: MassActionSystem, point) -> float:
-    """max over vertices of |inflow - outflow| / (inflow + outflow)."""
-    pt = as_log(point)
-    worst = 0.0
-    for v in {c for r in system.reactions for c in (r.source, r.target)}:
-        # Weights 1.0 and 0.0 pick the reactions into and out of v exactly
-        # (m * 1.0 is m, and adding m * 0.0 adds nothing), so the two sums
-        # are the vertex's inflow and outflow, in reaction order.
-        rows = tuple((log_rate, sx, sy, float(r.target == v), float(r.source == v), 0.0)
-                     for r, (log_rate, sx, sy, _, _, _) in zip(system.reactions, system.terms))
-        fin, fout, _, _ = _term_sums(rows, pt.X, pt.Y, False)
-        tot = fin + fout
-        if tot > 0.0:
-            worst = max(worst, abs(fin - fout) / tot)
-    return worst
-
-
 def embedded_system_for_target(fan: Fan, delta: float, target: str,
                                provenance: IntersectionPoint | None = None) -> MassActionSystem:
     """Reversible network q*Y <-> p*X per generator pair, rates placed so the
@@ -439,7 +422,6 @@ def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
 
 _MAX_LOG_STEP = 0.25  # largest log-space move of one integrator step
 _STEP_TOL = 1e-9  # largest error estimate, in log space, of an error-controlled step
-_OMEGA_RADIUS = 1e-3  # log-space cluster radius of omega_limit_estimate
 
 
 def _points(samples) -> list[LogPoint]:
@@ -646,22 +628,6 @@ def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
         return max(abs(X - target.X), abs(Y - target.Y)) <= rel_tol * 0.5
 
     return integrate(strat, start, fan, delta, t_end, stop_when=close)
-
-
-def omega_limit_estimate(trajectory: Trajectory, tail_fraction: float = 0.25) -> list[LogPoint]:
-    """Greedy cluster centers of the trajectory tail (log-space radius 1e-3)."""
-    n = len(trajectory.t)
-    if n < 100:
-        raise ValueError("need at least 100 trajectory samples")
-    tail = trajectory.points[int(n * (1.0 - tail_fraction)):]
-    centers: list[LogPoint] = []
-    for p in tail:
-        for c in centers:
-            if math.hypot(p.X - c.X, p.Y - c.Y) <= _OMEGA_RADIUS:
-                break
-        else:
-            centers.append(p)
-    return centers
 
 
 # ---------------------------------------------------------------------------
@@ -895,10 +861,11 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     Each route hops to the chain's start point and walks the chain up to
     the candidate segment's start (_route_prefix).  It finishes at a strip
     target by walking along that segment into the strip and sliding along
-    the strip, at a gap target by one straight x-space run from there
-    unless the corner is the target.  After the arrival check the finish
-    legs' check runs, then the prefix's.  The first route whose legs
-    arrive and all validate wins.
+    the strip, at a gap target by walking the segment when its end is the
+    target, else by one straight x-space run unless the corner is the
+    target.  After the arrival check the finish legs' check runs, then
+    the prefix's.  The first route whose legs arrive and all validate
+    wins.
     """
     if r_dst == 1:
         strip = next(r for r in fan.regions(delta)
@@ -918,6 +885,8 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
         def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
             if max(abs(c.X - dst.X), abs(c.Y - dst.Y)) <= arrive_tol:
                 return []  # the corner is the target
+            if max(abs(seg.end.X - dst.X), abs(seg.end.Y - dst.Y)) <= arrive_tol:
+                return [_xline_leg(c, _segment_direction(seg), seg.end, "walk to the target")]
             return [_xline_leg(c, _xspace_unit(c, dst), dst, "straight gap run")]
 
     candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS

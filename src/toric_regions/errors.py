@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The package's exception types: ToricRegionsError and the subclasses its code raises."""
 
 
 class ToricRegionsError(Exception):
@@ -23,10 +23,6 @@ class ParallelGenerators(ToricRegionsError):
 
 class AmbiguousClassification(ToricRegionsError):
     """Point sits within tolerance of a strip boundary; use the brute force."""
-
-
-class NotASubfan(ToricRegionsError):
-    """Sub-fan generators are not a subset of the fan's generators."""
 
 
 class NoCrossing(ToricRegionsError):

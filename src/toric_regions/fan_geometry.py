@@ -97,11 +97,6 @@ class LineGenerator:
         return f"({self.p},{self.q})"
 
 
-def normalize_generator(p: int, q: int) -> LineGenerator:
-    """Canonical generator for the line q*Y = p*X."""
-    return LineGenerator(p, q)
-
-
 def _angular_cmp(a: LineGenerator, b: LineGenerator) -> int:
     """Exact comparison of line angles theta in (0, pi] of two distinct
     generators, using integers."""
@@ -251,19 +246,6 @@ def r_count(point, fan: Fan, delta: float) -> int:
                for _, q, p, half_width, _, _ in _strip_table(fan, delta))
 
 
-def attracting_direction(region: UncertaintyRegion, side: int) -> tuple[float, float]:
-    """Unit vector orthogonal to the generator line pointing into the strip.
-
-    side = +1 addresses the component where the strip coordinate is positive;
-    the returned direction decreases |strip coordinate| from that side.
-    """
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
-    g = region.gen
-    n = g.norm
-    return (side * g.p / n, -side * g.q / n)
-
-
 # ---------------------------------------------------------------------------
 # Cones
 
@@ -351,10 +333,6 @@ class Cone:
         """Worst constraint excess of v, normalized by |v| (0 if inside)."""
         worst = self._excess(v[0], v[1])
         return worst / math.hypot(v[0], v[1]) if worst > 0.0 else 0.0
-
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        """Membership, tolerant at the boundary relative to |v|."""
-        return self.violation(v) <= tol
 
     def polar(self) -> "Cone":
         """Polar cone {w : w.v <= 0 for all v in the cone}."""

@@ -111,14 +111,14 @@ def _meet_exponents(gi: LineGenerator, si: int, gj: LineGenerator, sj: int) -> t
 _EXP_TOL = 1e-9  # tolerance on unit-delta exponents when ranking coordinates
 
 
-def choose_start_points(points, mode: str = "standard"):
+def choose_start_points(points, mode: str):
     """Pick ((N,M), (n,m)) from S^uc.
 
     (N,M) maximizes the larger coordinate; on an x/y tie the point whose
     maximum is the y coordinate wins, then proximity to the diagonal, then
     provenance order.  (n,m) minimizes the larger coordinate (the smaller
-    one in the all-negative special case), never coincides with (N,M), and
-    breaks ties the same way.  ValueError with fewer than two points.
+    one in the fan's SlopeClasses mode "all_negative"), never coincides
+    with (N,M), and breaks ties the same way.  ValueError with < 2 points.
     """
     if len(points) < 2:
         raise ValueError(f"{len(points)} intersection points; start points need two")

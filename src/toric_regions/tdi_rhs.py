@@ -21,7 +21,8 @@ strip's arm, from the floats (X, Y) and the (fan, delta) strip table, and
 returns the definition's value away from strip boundaries.
 ``rhs_classified`` is ``_classify`` at one checked point; the integrator
 calls ``_classify`` on the floats it steps on, through
-``dynamics._rhs_fast``.
+``dynamics._rhs_fast``.  Velocities are checked against a value c by
+``c.violation(v)``: 0 inside, else the worst excess over |v|.
 """
 
 import functools
@@ -29,9 +30,8 @@ import math
 
 import numpy as np
 
-from .errors import AmbiguousClassification, NonPositiveDelta, NotASubfan
+from .errors import AmbiguousClassification, NonPositiveDelta
 from .fan_geometry import (
-    LINE_WIDTH,
     STRIP_TOL,
     TWO_PI,
     Cone,
@@ -140,25 +140,3 @@ def rhs_classified(point, fan: Fan, delta: float) -> Cone:
     pt = _finite_log(point, "point")
     return _classify(pt.X, pt.Y, fan, _strip_table(fan, delta))
 
-
-def rhs_equal(a: Cone, b: Cone, tol: float = 1e-9) -> bool:
-    """Widths and start angles within tol; a line's start angle counts
-    modulo pi."""
-    period = math.pi if a.width == LINE_WIDTH else TWO_PI
-    gap = (a.lo - b.lo) % period
-    return abs(a.width - b.width) <= tol and min(gap, period - gap) <= tol
-
-
-def rhs_subfan_subset(point, fan: Fan, subfan: Fan, delta: float) -> bool:
-    """True iff the subfan's right-hand side is contained in the fan's, to
-    Cone.contains' default tolerance."""
-    fan_keys = {(g.p, g.q) for g in fan.generators}
-    for g in subfan.generators:
-        if (g.p, g.q) not in fan_keys:
-            raise NotASubfan(f"generator {g} not in fan {fan}")
-    inner = rhs_bruteforce(point, subfan, delta)
-    outer = rhs_bruteforce(point, fan, delta)
-    if inner.width == TWO_PI:
-        return outer.width == TWO_PI
-    # Every other cone is generated by its extreme rays.
-    return all(outer.contains(u) for u in inner.extreme_rays())

@@ -25,13 +25,11 @@ from toric_regions.dynamics import (
     _xline_leg,
     _xspace_unit,
     builtin_strategies,
-    complex_balance_residual,
     embedded_system_for_target,
     field_stiffness,
     integrate,
     integrate_to_point,
     mass_action_field,
-    omega_limit_estimate,
     reach_witness,
 )
 from toric_regions.errors import (
@@ -53,6 +51,7 @@ from toric_regions.fan_geometry import (
     LogPoint,
     PosPoint,
     _strip_table,
+    as_log,
     delta_i,
     r_count,
 )
@@ -91,6 +90,24 @@ def simple_exchange():
     # Y <-> X with both rates 1: vertices (0,1) and (1,0).
     return MassActionSystem(tuple(_reversible((0.0, 1.0), (1.0, 0.0), 1.0, 1.0)),
                             1.0, "exchange")
+
+
+def complex_balance_residual(system: MassActionSystem, point) -> float:
+    """max over vertices of |inflow - outflow| / (inflow + outflow): 0 where
+    the system is complex balanced, as its embedding places it at the target."""
+    pt = as_log(point)
+    worst = 0.0
+    for v in {c for r in system.reactions for c in (r.source, r.target)}:
+        # Weights 1.0 and 0.0 pick the reactions into and out of v exactly
+        # (m * 1.0 is m, and adding m * 0.0 adds nothing), so the two sums
+        # are the vertex's inflow and outflow, in reaction order.
+        rows = tuple((log_rate, sx, sy, float(r.target == v), float(r.source == v), 0.0)
+                     for r, (log_rate, sx, sy, _, _, _) in zip(system.reactions, system.terms))
+        fin, fout, _, _ = dynamics._term_sums(rows, pt.X, pt.Y, False)
+        tot = fin + fout
+        if tot > 0.0:
+            worst = max(worst, abs(fin - fout) / tot)
+    return worst
 
 
 class XVelocity:
@@ -919,17 +936,7 @@ class TestStrategies:
         assert reg["random_in_cone"].name == "random_in_cone_0"
 
 
-class TestOmegaLimit:
-    @staticmethod
-    def _mk(points):
-        n = len(points)
-        return Trajectory(list(range(n)), [p.X for p in points], [p.Y for p in points],
-                          [0.0] * n, [0.0] * n, "synthetic", "t_end")
-
-    def test_short_trajectory_rejected(self):
-        with pytest.raises(ValueError, match="at least 100"):
-            omega_limit_estimate(self._mk([LogPoint(0.0, 0.0)] * 99))
-
+class TestTrajectory:
     @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
     def test_times_must_increase(self, times):
         with pytest.raises(ValueError, match="strictly increase"):
@@ -947,31 +954,6 @@ class TestOmegaLimit:
                 Trajectory(times, *[[0.0] * n] * 4, "s", "t_end")
         else:
             Trajectory(times, *[[0.0] * n] * 4, "s", "t_end")
-
-    def test_constant_trajectory(self):
-        pts = [LogPoint(1.0, 2.0)] * 150
-        centers = omega_limit_estimate(self._mk(pts))
-        assert len(centers) == 1
-        assert (centers[0].X, centers[0].Y) == (1.0, 2.0)
-
-    def test_periodic_log_circle(self):
-        pts = [LogPoint(math.cos(2 * math.pi * k / 200), math.sin(2 * math.pi * k / 200))
-               for k in range(600)]
-        centers = omega_limit_estimate(self._mk(pts), tail_fraction=0.5)
-        # Every circle point is within the sampling gap of some center.
-        gap = 2 * math.pi / 200 + 1e-3
-        for p in pts[-200:]:
-            assert min(math.hypot(p.X - c.X, p.Y - c.Y) for c in centers) <= gap
-        for c in centers:
-            assert math.hypot(c.X, c.Y) == pytest.approx(1.0, abs=1e-9)
-
-    def test_converging_trajectory(self):
-        sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
-        traj = integrate_to_point(sys11, LogPoint(3.0, -2.0), WORKED_FAN, DELTA,
-                                  LogPoint(0.0, 0.0), t_end=200.0, rel_tol=1e-6)
-        centers = omega_limit_estimate(traj, tail_fraction=0.05)
-        assert len(centers) == 1
-        assert math.hypot(centers[0].X, centers[0].Y) <= 1e-3
 
 
 class TestReachWitness:
@@ -1124,6 +1106,21 @@ class TestReachWitness:
         assert [leg.description for leg in traj.legs] == ["embedded flow to (1,1)",
                                                          "full-plane hop to NM"]
         assert traj.points[-1] == target and traj.worst_violation == 0.0
+
+    @pytest.mark.parametrize("gens", [[(-3, 1), (1, 3), (1, 1), (-1, 3)],
+                                      [(-2, 3), (1, 2), (1, 1), (-2, 1)]])
+    def test_gap_target_at_a_segment_end_walks_the_segment(self, gens):
+        # Aq ends a candidate segment.  A straight gap run there took its
+        # direction from the end points and left the cone by rounding
+        # (5.5e-09 and 3.4e-06); the walk keeps the segment's own direction.
+        fan = Fan(gens)
+        boundary = construct_region(fan, DELTA)
+        target = boundary.anchors["Aq"]
+        assert r_count(target, fan, DELTA) == 0
+        traj = reach_witness(PosPoint(1.0, 1.0), target, fan, DELTA, boundary)
+        assert traj.termination == "arrived"
+        assert traj.legs[-1].description == "walk to the target"
+        assert (traj.X[-1].hex(), traj.Y[-1].hex()) == (target.X.hex(), target.Y.hex())
 
     def test_route_that_drifts_fails_arrival(self, region):
         # This gap target's straight run ends an ulp or so off the target:

@@ -29,7 +29,6 @@ from toric_regions.fan_geometry import (
     _arm_table,
     _wrap,
     delta_i,
-    normalize_generator,
     r_count,
     strip_coordinate,
 )
@@ -210,7 +209,7 @@ class TestChooseStartPoints:
     def test_cross_fan_selection(self):
         delta = 1.0
         pts = intersection_points(Fan([(1, 1), (-1, 1)]), delta)
-        top, low = choose_start_points(pts)
+        top, low = choose_start_points(pts, "standard")
         # (N,M) = (1, e^(sqrt2 delta)) via the prefer-y tie break.
         assert (top.log.X, top.log.Y) == pytest.approx((0.0, SQRT2), abs=1e-12)
         # (n,m) = (e^(-sqrt2 delta), 1) via the provenance tie break.
@@ -218,7 +217,7 @@ class TestChooseStartPoints:
 
     def test_worked_fan_diagonal_points(self):
         pts = intersection_points(Fan(WORKED_GENS), 3.0)
-        top, low = choose_start_points(pts)
+        top, low = choose_start_points(pts, "standard")
         assert (top.log.X, top.log.Y) == pytest.approx((3 * SQRT5, 3 * SQRT5), abs=1e-9)
         assert (low.log.X, low.log.Y) == pytest.approx((-3 * SQRT5, -3 * SQRT5), abs=1e-9)
 
@@ -226,7 +225,7 @@ class TestChooseStartPoints:
         # (n,m) never coincides with (N,M), so one point has no pair.
         pts = intersection_points(Fan([(1, 1), (-1, 1)]), 1.0)[:1]
         with pytest.raises(ValueError, match="need two"):
-            choose_start_points(pts)
+            choose_start_points(pts, "standard")
 
 
 class TestSlopeClasses:
@@ -255,13 +254,13 @@ class TestSegmentCurveIntersection:
     the power curve y^q = h x^p."""
 
     def test_linear_curve_closed_form(self):
-        gen = normalize_generator(1, 1)
+        gen = LineGenerator(1, 1)
         pt = _strip_point(PosPoint(3.0, 4.0).log(), gen, math.log(math.e)).exp()
         assert pt.x == pytest.approx(7.0 / (1.0 + math.e), rel=1e-10)
         assert pt.y == pytest.approx(7.0 * math.e / (1.0 + math.e), rel=1e-10)
 
     def test_huge_coordinates(self):
-        gen = normalize_generator(1, 1)
+        gen = LineGenerator(1, 1)
         start = LogPoint(60.0, 60.0).exp()
         pt = _strip_point(start.log(), gen, math.log(math.exp(3.0))).exp()
         res = math.log(pt.y) - math.log(pt.x) - 3.0

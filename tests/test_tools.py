@@ -31,6 +31,7 @@ def test_src_stats_reports_every_module():
         assert stats["total"][key] == sum(m[key] for m in modules.values())
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
     assert stats["total"]["lines"] == lines
+    assert stats["total"]["public_names"] == len(toric_regions.__all__)
 
 
 def test_src_stats_counts_parameters_with_defaults(tmp_path):

@@ -1,10 +1,12 @@
-"""Size figures of the package source: lines and keyword options.
+"""Size figures of the package source: lines, keyword options and public names.
 
 Prints JSON with, for every module under ``src/``, its line count and its
-number of keyword options, plus the totals.  A keyword option is a
-function parameter with a default value (positional or keyword-only),
-counted over every ``def`` in the module, methods and nested functions
-included.
+number of keyword options, plus the totals and the package's public names.
+A keyword option is a function parameter with a default value (positional
+or keyword-only), counted over every ``def`` in the module, methods and
+nested functions included.  The public names are the entries of
+``__all__`` in ``toric_regions/__init__.py``, read without importing it
+(0 when SRC_DIR holds no such file).
 
 Run from anywhere:
 
@@ -26,6 +28,18 @@ def keyword_options(tree: ast.AST) -> int:
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
+def public_names(src: Path) -> int:
+    """Length of the package's __all__, read by ast; 0 without one."""
+    init = src / "toric_regions" / "__init__.py"
+    if not init.is_file():
+        return 0
+    for node in ast.parse(init.read_text(), filename=str(init)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def src_stats(src: Path) -> dict:
     modules = {}
     for path in sorted(src.rglob("*.py")):
@@ -34,11 +48,8 @@ def src_stats(src: Path) -> dict:
             "lines": len(text.splitlines()),
             "keyword_options": keyword_options(ast.parse(text, filename=str(path))),
         }
-    return {
-        "modules": modules,
-        "total": {key: sum(m[key] for m in modules.values())
-                  for key in ("lines", "keyword_options")},
-    }
+    total = {key: sum(m[key] for m in modules.values()) for key in ("lines", "keyword_options")}
+    return {"modules": modules, "total": {**total, "public_names": public_names(src)}}
 
 
 def main(argv: list[str]) -> int:
