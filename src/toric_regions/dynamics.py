@@ -54,6 +54,7 @@ from .region_construction import (
     Segment,
     _line_y_log_batch,
     _math_map,
+    _read_only,
     _sign,
     _strip_point,
     region_contains,
@@ -844,8 +845,7 @@ def _route_prefix(cur: LogPoint, chain: str, k: int, fan: Fan, delta: float,
         except WitnessFailed as exc:
             worst = exc.with_traceback(None)
         for leg in legs:
-            for array in leg[2:]:
-                array.setflags(write=False)
+            _read_only(*leg[2:])
         prefixes[chain, k] = legs, worst
     return prefixes[chain, k]
 
@@ -861,11 +861,12 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     Each route hops to the chain's start point and walks the chain up to
     the candidate segment's start (_route_prefix).  It finishes at a strip
     target by walking along that segment into the strip and sliding along
-    the strip, at a gap target by walking the segment when its end is the
-    target, else by one straight x-space run unless the corner is the
-    target.  After the arrival check the finish legs' check runs, then
-    the prefix's.  The first route whose legs arrive and all validate
-    wins.
+    the strip.  At a gap target it ends at the corner when that is the
+    target; else it walks the segment when its end is the target, or when
+    a closure arc starting at that end holds the target, and then slides
+    along the arc; else it makes one straight x-space run.  After the
+    arrival check the finish legs' check runs, then the prefix's.  The
+    first route whose legs arrive and all validate wins.
     """
     if r_dst == 1:
         strip = next(r for r in fan.regions(delta)
@@ -887,6 +888,12 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
                 return []  # the corner is the target
             if max(abs(seg.end.X - dst.X), abs(seg.end.Y - dst.Y)) <= arrive_tol:
                 return [_xline_leg(c, _segment_direction(seg), seg.end, "walk to the target")]
+            arc = next((a for a in region.arcs if seg.end in (a.start, a.end)), None)
+            if arc is not None and arc.band_distance(dst) <= arrive_tol:
+                # The closure arc at the segment's end holds the target, and
+                # is straight in log space.
+                walk = _xline_leg(c, _segment_direction(seg), seg.end, "walk to the arc")
+                return [walk, _logline_leg(walk.end, dst, "slide along the arc")]
             return [_xline_leg(c, _xspace_unit(c, dst), dst, "straight gap run")]
 
     candidates = [(chain, k) for arms in arm_sets for chain in _CHAINS

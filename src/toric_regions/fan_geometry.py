@@ -73,11 +73,6 @@ class LineGenerator:
         return self.p == 0
 
     @property
-    def is_vertical(self) -> bool:
-        """Line X = 0 (infinite slope)."""
-        return self.q == 0
-
-    @property
     def is_axis(self) -> bool:
         return self.p == 0 or self.q == 0
 
@@ -136,12 +131,22 @@ class Fan:
             seen.add(key)
         gens.sort(key=functools.cmp_to_key(_angular_cmp))
         object.__setattr__(self, "generators", tuple(gens))
-        # Fans key every lru_cache of the package; hashing the generators
-        # once here spares each lookup a pass over them.
+        # Fans key every lru_cache of the package, and a lookup with a fresh
+        # equal fan compares them too: the hash and the (p, q) pairs, kept
+        # here, spare each lookup a pass of LineGenerator calls.
         object.__setattr__(self, "_hash", hash(self.generators))
+        object.__setattr__(self, "_pq", tuple((g.p, g.q) for g in gens))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Same generators: the same object, or the same (p, q) pairs."""
+        if self is other:
+            return True
+        if not isinstance(other, Fan):
+            return NotImplemented
+        return self._pq == other._pq
 
     @property
     def b(self) -> int:
@@ -472,7 +477,8 @@ def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.nda
     also bounds a one-generator fan's half planes.  Rounding moves both
     |c| and an arm (from the sector's end ray) by ulps of |p|, so
     dist_to_cone decides the pairs within 1e-12 * limit + 1e-14 * |p| of
-    the limit.  Points go in blocks of _NEAR_BLOCK.
+    the limit, found by one 2-D nonzero only in a block that has such a
+    tie.  Points go in blocks of _NEAR_BLOCK.
     """
     ax, ay = _arm_rays(fan)
     near = np.empty((len(ax) - 1, len(X)), dtype=bool)
@@ -484,7 +490,9 @@ def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.nda
         dist[(c[:-1] >= 0.0) & (c[1:] <= 0.0)] = 0.0
         block = near[:, lo:lo + _NEAR_BLOCK]
         block[...] = dist <= limit
-        for k, j in zip(*np.nonzero(np.abs(dist - limit) <= 1e-12 * abs(limit) + 1e-14 * r)):
-            block[k, j] = dist_to_cone(LogPoint(float(x[j]), float(y[j])),
-                                       fan_2d_cones(fan)[k]) <= limit
+        tie = np.abs(dist - limit) <= 1e-12 * abs(limit) + 1e-14 * r
+        if tie.any():
+            for k, j in zip(*tie.nonzero()):
+                block[k, j] = dist_to_cone(LogPoint(float(x[j]), float(y[j])),
+                                           fan_2d_cones(fan)[k]) <= limit
     return near

@@ -808,14 +808,16 @@ def _points_at(t: _PieceTable, index, u):
 def _normals_at(t: _PieceTable, index, X, Y):
     """Outward x-space unit normals (n0, n1) of the pieces t[index] at the
     points (X, Y): a segment's own; an arc's h_sign*(-p/x, q/y), scaled as
-    _scaled_reciprocals scales it, then divided by its length."""
+    _scaled_reciprocals scales it, then divided by its length.  Of its two
+    exps one is exp(0) = 1, of the larger log (both are finite on an arc),
+    so one math.exp per point is taken, of -|la - lb|."""
     n0, n1 = t.n0[index], t.n1[index]
     arc = t.arc[index]
     k = index[arc]
     la, lb = t.lp[k] - X[arc], t.lq[k] - Y[arc]
-    m = np.maximum(la, lb)
-    nx = np.copysign(_math_map(math.exp, la - m), -t.p[k])
-    ny = np.copysign(_math_map(math.exp, lb - m), t.q[k])
+    other = _math_map(math.exp, -np.abs(la - lb))
+    nx = np.copysign(np.where(la >= lb, 1.0, other), -t.p[k])
+    ny = np.copysign(np.where(la >= lb, other, 1.0), t.q[k])
     n = _math_map(math.hypot, nx, ny)
     n0[arc], n1[arc] = t.sign[k] * nx / n, t.sign[k] * ny / n
     return n0, n1
@@ -935,10 +937,18 @@ def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
     return labels
 
 
-def _chain_where(rows, n: int):
-    """(index, u) of the points at u = i / n, i = 0..n, of the pieces rows,
-    piece by piece."""
-    return np.repeat(rows, n + 1), np.tile(np.arange(n + 1) / n, len(rows))
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: a cache shares them with its callers."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_where(pieces: int, n: int):
+    """(index, u) of the points at u = i / n, i = 0..n, of each of that
+    many pieces, piece by piece; read-only, and shared by every call."""
+    return _read_only(np.repeat(np.arange(pieces), n + 1), np.tile(np.arange(n + 1) / n, pieces))
 
 
 _MIN_PIECE_SAMPLES = 4  # boundary samples on even the shortest piece
@@ -1476,11 +1486,20 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
 _LOOP_CHORDS = 32  # chords per piece in the simple-loop test
 
 
+@functools.lru_cache(maxsize=64)
+def _loop_index(pieces: int):
+    """_loop_checks' index arrays for a loop of that many pieces: each
+    piece's successor, and the piece pairs a < b (np.triu_indices' order);
+    read-only, and shared by every loop of that size."""
+    return _read_only(np.roll(np.arange(pieces), -1), *np.triu_indices(pieces, 1))
+
+
 def _loop_checks(boundary: RegionBoundary, chains) -> tuple[dict, dict]:
     """Closed and simple loop checks; chains: the arrays (X, Y) of every
     piece's points at u = i / _LOOP_CHORDS, one row per piece."""
     t = boundary.table
-    gaps = np.maximum(np.abs(t.eX - np.roll(t.sX, -1)), np.abs(t.eY - np.roll(t.sY, -1)))
+    nxt, a, b = _loop_index(len(t.sX))
+    gaps = np.maximum(np.abs(t.eX - t.sX[nxt]), np.abs(t.eY - t.sY[nxt]))
     worst = gaps.max(initial=0.0).item()
     closed = {"passed": worst <= 1e-9, "worst": worst, "detail": "max endpoint gap"}
 
@@ -1494,15 +1513,14 @@ def _loop_checks(boundary: RegionBoundary, chains) -> tuple[dict, dict]:
     lo, hi = chains.min(axis=1), chains.max(axis=1)
     clo = np.minimum(chains[:, :-1], chains[:, 1:])
     chi = np.maximum(chains[:, :-1], chains[:, 1:])
-    a, b = np.triu_indices(len(gaps), 1)
-    near = np.all((hi[b] >= lo[a] - 1e-9) & (lo[b] <= hi[a] + 1e-9), axis=1)
+    near = ((hi[b] >= lo[a] - 1e-9) & (lo[b] <= hi[a] + 1e-9)).all(axis=1)
     a, b = a[near], b[near]
-    in_a = np.all((chi[a] >= lo[b, None] - 1e-9) & (clo[a] <= hi[b, None] + 1e-9), axis=-1)
-    in_b = np.all((chi[b] >= lo[a, None] - 1e-9) & (clo[b] <= hi[a, None] + 1e-9), axis=-1)
+    in_a = ((chi[a] >= lo[b, None] - 1e-9) & (clo[a] <= hi[b, None] + 1e-9)).all(axis=-1)
+    in_b = ((chi[b] >= lo[a, None] - 1e-9) & (clo[b] <= hi[a, None] + 1e-9)).all(axis=-1)
     # Chord i of piece a[k] against chord j of piece b[k], flat.
-    k, i, j = np.nonzero(in_a[:, :, None] & in_b[:, None, :])
+    k, i, j = (in_a[:, :, None] & in_b[:, None, :]).nonzero()
     a, b = a[k], b[k]
-    meet = np.all((chi[b, j] >= clo[a, i] - 1e-9) & (clo[b, j] <= chi[a, i] + 1e-9), axis=-1)
+    meet = ((chi[b, j] >= clo[a, i] - 1e-9) & (clo[b, j] <= chi[a, i] + 1e-9)).all(axis=-1)
     k, a, i, b, j = k[meet], a[meet], i[meet], b[meet], j[meet]
     p1, p3 = chains[a, i], chains[b, j]
     d1, d2, e = chains[a, i + 1] - p1, chains[b, j + 1] - p3, p3 - p1
@@ -1524,7 +1542,7 @@ def _slope_chain_check(boundary: RegionBoundary) -> dict:
     are skipped when emitting slopes but still position the anchor B_p.
     """
     def slopes(segs) -> list[Fraction]:
-        return [s.slope for s in segs if s.slope is not None]
+        return [slope for slope in (s.slope for s in segs) if slope is not None]
 
     i1, i2, i3, i4 = (boundary.polylines[name] for name in ("I1", "I2", "I3", "I4"))
     # B_p = the I4 anchor with the largest x coordinate.
@@ -1555,14 +1573,12 @@ def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
     X, Y, piece = samples
     n0, n1 = _normals_at(boundary.table, piece, X, Y)
     values, index = rhs_bruteforce_batch(X, Y, boundary.fan, boundary.delta, STRIP_TOL)
-    # Each value's extreme rays (at most 3), gathered per sample and dotted
-    # with its normal as ray . n rounds; -inf past a value's last ray.
-    rays = np.zeros((len(values), 3, 2))
-    has = np.zeros((len(values), 3), dtype=bool)
-    for j, value in enumerate(values):
-        k = len(value.extreme_rays())
-        rays[j, :k] = np.reshape(value.extreme_rays(), (k, 2))
-        has[j, :k] = True
+    # Each value's extreme rays (at most 3), padded to 3 in one array,
+    # gathered per sample and dotted with its normal as ray . n rounds;
+    # -inf past a value's last ray.
+    rays = [value.extreme_rays() for value in values]
+    has = np.arange(3) < np.array([len(r) for r in rays], dtype=int)[:, None]
+    rays = np.array([r + ((0.0, 0.0),) * (3 - len(r)) for r in rays]).reshape(-1, 3, 2)
     rays, has = rays[index], has[index]
     out = np.where(has, rays[..., 0] * n0[:, None] + rays[..., 1] * n1[:, None], -math.inf)
     worst, witness = _first_max(out.max(axis=1), X, Y, -math.inf)
@@ -1573,7 +1589,8 @@ def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
 def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
     X, Y, _ = samples
     gens = boundary.fan.generators
-    s = np.abs(np.outer(Y, [g.q for g in gens]) - np.outer(X, [g.p for g in gens]))
+    q, p = np.array([g.q for g in gens]), np.array([g.p for g in gens])
+    s = np.abs(Y[:, None] * q - X[:, None] * p)
     half = np.array([delta_i(g, boundary.delta) for g in gens]) - STRIP_TOL
     worst, witness = _first_max((s < half).sum(axis=1), X, Y, 0)
     return {"passed": worst <= 1, "worst": float(worst), "witness": witness,
@@ -1581,8 +1598,11 @@ def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
 
 
 def _suc_check(boundary: RegionBoundary, labels: list[str]) -> dict:
-    """labels: the containment label of each S^uc point, at band 1e-7."""
-    bad = [(ip.log.X, ip.log.Y) for ip, label in zip(boundary.points_uc, labels)
+    """labels: the containment label of each S^uc point, at band 1e-7.
+    The points are read off _uc_rows times delta, as IntersectionPoint.log
+    forms them."""
+    d = boundary.delta
+    bad = [(cx * d, cy * d) for (*_, cx, cy), label in zip(_uc_rows(boundary.fan), labels)
            if label == "outside"]
     return {"passed": not bad, "worst": float(len(bad)), "witness": bad[0] if bad else None,
             "detail": "S^uc points outside the region"}
@@ -1668,7 +1688,7 @@ def _validation_points(t: _PieceTable):
     has the bits of its own pass.
     """
     n = len(t.sX)
-    loop, samples = _chain_where(np.arange(n), _LOOP_CHORDS), _sample_where(t, _VALIDATION_SAMPLES)
+    loop, samples = _chain_where(n, _LOOP_CHORDS), _sample_where(t, _VALIDATION_SAMPLES)
     X, Y = _points_at(t, *(np.concatenate(parts) for parts in zip(loop, samples)))
     cut = len(loop[0])
     chains = (X[:cut].reshape(n, _LOOP_CHORDS + 1), Y[:cut].reshape(n, _LOOP_CHORDS + 1))
@@ -1682,7 +1702,8 @@ def validate_region(boundary: RegionBoundary) -> dict:
     in array passes over the boundary's one piece table: one _points_at
     pass (_validation_points) gives the loop checks their point chains and
     the r <= 1 and Nagumo checks sample_boundary's samples.
-    The S^uc points, the chord points (both at band 1e-7) and (1,1) (at
+    The S^uc points (_uc_rows times delta, as IntersectionPoint.log forms
+    them), the chord points (both at band 1e-7) and (1,1) (at
     region_contains' default 1e-9) are classified in one
     region_contains_batch call.  A failed check names a witness point
     where it has one.
@@ -1692,11 +1713,11 @@ def validate_region(boundary: RegionBoundary) -> dict:
     closed, simple = _loop_checks(boundary, loop)
     report["closed_loop"] = closed
     report["simple_loop"] = simple
-    probes = [ip.log for ip in boundary.points_uc] + _chord_points(boundary)
-    X = np.array([pt.X for pt in probes] + [0.0])
-    Y = np.array([pt.Y for pt in probes] + [0.0])
-    labels = region_contains_batch(boundary, X, Y, np.append(np.full(len(probes), 1e-7), 1e-9))
-    n_uc = len(boundary.points_uc)
+    rows, chords, d = _uc_rows(boundary.fan), _chord_points(boundary), boundary.delta
+    X = np.array([cx * d for *_, cx, _ in rows] + [pt.X for pt in chords] + [0.0])
+    Y = np.array([cy * d for *_, cy in rows] + [pt.Y for pt in chords] + [0.0])
+    labels = region_contains_batch(boundary, X, Y, np.append(np.full(len(X) - 1, 1e-7), 1e-9))
+    n_uc = len(rows)
     report["suc_in_region"] = _suc_check(boundary, labels[:n_uc])
     report["r_le_1"] = _r_le_1_check(boundary, pts)
     report["slope_chains"] = _slope_chain_check(boundary)

@@ -94,14 +94,18 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
     near_sectors marks every (sector, point) pair within the limit from
     the arm table, one cross and one dot product per (arm, point), and one
     int64 matmul turns each point's column into its near set's bit code.
+    The values come in ascending code order, as np.unique orders them:
+    the distinct codes are read off one sort, and np.searchsorted gives
+    each point's index, in memory linear in the points for any fan.
     """
     limit = _near_limit(delta, tol)
     bits = 1 << np.arange(len(fan_2d_cones(fan)), dtype=np.int64)
     near = bits @ near_sectors(X, Y, fan, limit)
     for k in np.flatnonzero(near == 0).tolist():
         near[k] = _near_set(LogPoint(float(X[k]), float(Y[k])), fan, limit)
-    codes, index = np.unique(near, return_inverse=True)
-    return [_near_value(fan, int(c)) for c in codes], index
+    s = np.sort(near)
+    codes = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+    return [_near_value(fan, c) for c in codes.tolist()], np.searchsorted(codes, near)
 
 
 def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:

@@ -10,8 +10,8 @@ until the record is rewritten:
 
     PYTHONPATH=src python tests/test_anchors.py > tests/anchor_outcomes.jsonl
 
-Outcomes are "arrived" or "WitnessFailed:<leg>".  The record holds 2,328
-arrivals and 94 failed routes over 158 fans.
+Outcomes are "arrived" or "WitnessFailed:<leg>".  The record holds 2,422
+arrivals and no failed route over 158 fans.
 """
 
 import json

@@ -1122,6 +1122,23 @@ class TestReachWitness:
         assert traj.legs[-1].description == "walk to the target"
         assert (traj.X[-1].hex(), traj.Y[-1].hex()) == (target.X.hex(), target.Y.hex())
 
+    @pytest.mark.parametrize("gens, name", [([(2, 3), (1, 2)], "P_i1i2"),
+                                            ([(-1, 2), (-2, 1)], "P_i3i4")])
+    def test_closure_meet_point_slides_along_the_arc(self, gens, name):
+        # Where a closure's two arcs meet, every straight gap run left the
+        # cone.  The route walks a terminal segment to the arc that starts
+        # at its end, then slides along that arc, straight in log space.
+        fan = Fan(gens)
+        boundary = construct_region(fan, DELTA)
+        target = boundary.anchors[name]
+        assert r_count(target, fan, DELTA) == 0
+        traj = reach_witness(PosPoint(1.0, 1.0), target, fan, DELTA, boundary)
+        assert traj.termination == "arrived"
+        walk, slide = traj.legs[-2:]
+        assert (walk.description, slide.description) == ("walk to the arc", "slide along the arc")
+        assert walk.end in {pt for arc in boundary.arcs for pt in (arc.start, arc.end)}
+        assert max(abs(slide.end.X - target.X), abs(slide.end.Y - target.Y)) <= 1e-12
+
     def test_route_that_drifts_fails_arrival(self, region):
         # This gap target's straight run ends an ulp or so off the target:
         # within the default arrive_tol, but not within 0.0.  From (1,1) the

@@ -297,6 +297,19 @@ class TestFanSectors:
             a.generators = ()
         assert a.generators == b.generators
 
+    def test_equality_reads_the_pairs(self, monkeypatch):
+        # A cache lookup with a fresh equal fan compares the two fans: by
+        # identity, then by the generators' (p, q) pairs, with no call of
+        # LineGenerator.__eq__.
+        a, b = Fan([(-1, 1), (1, 2), (2, 1)]), Fan([(2, 1), (1, 2), (-1, 1)])
+        compared = []
+        monkeypatch.setattr(LineGenerator, "__eq__",
+                            lambda g, h: compared.append(g) or NotImplemented)
+        assert a == a and a == b and not a != b
+        assert a != Fan([(-1, 1), (1, 2)]) and a != Fan([(1, 1), (1, 2), (2, 1)])
+        assert compared == []
+        assert a.__eq__(a.generators) is NotImplemented and a != "fan"
+
     def test_numpy_integer_generators(self):
         fan = Fan([(np.int64(2), np.int32(4)), (np.int8(-1), 1)])
         assert fan == Fan([(1, 2), (-1, 1)])

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,16 +17,34 @@ def test_all_exports_resolve():
     assert missing == []
 
 
+def _read_list(tree: ast.AST) -> list[str]:
+    """Every loaded name and attribute of the tree, once per read."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+
 def _reads(tree: ast.AST, imports: bool) -> set[str]:
     """Names read in the tree: loaded names and attributes, and, if
     imports, imported names."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-            names.add(node.id if isinstance(node, ast.Name) else node.attr)
-        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    names = set(_read_list(tree))
+    if imports:
+        names.update(alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names)
     return names
+
+
+def _outside_reads() -> set[str]:
+    """Names read or imported in bench/ and tools/ outside their tests,
+    and the parts of every name the benchmark's tracer wraps, which it
+    reads from strings."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    used = {part for _, attr, _ in tracer.TRACED + tracer.COUNTED for part in attr.split(".")}
+    for path in [*(ROOT / "bench").rglob("*.py"), *(ROOT / "tools").rglob("*.py")]:
+        if "tests" not in path.relative_to(ROOT).parts:
+            used |= _reads(ast.parse(path.read_text()), True)
+    return used
 
 
 def test_every_export_is_used_outside_the_tests():
@@ -36,10 +55,7 @@ def test_every_export_is_used_outside_the_tests():
     # package a name counts where it is read, and a read inside an exported
     # function or class counts only once that export is itself used.
     exports = set(toric_regions.__all__)
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    used = {part for _, attr, _ in tracer.TRACED + tracer.COUNTED for part in attr.split(".")}
+    used = _outside_reads()
     inside = {}  # export -> the names its own definition reads
     for path in sorted((ROOT / "src").rglob("*.py")):
         if path.name == "__init__.py":
@@ -49,15 +65,32 @@ def test_every_export_is_used_outside_the_tests():
                 inside.setdefault(node.name, set()).update(_reads(node, False))
             else:
                 used |= _reads(node, False)
-    for path in [*(ROOT / "bench").rglob("*.py"), *(ROOT / "tools").rglob("*.py")]:
-        if "tests" not in path.relative_to(ROOT).parts:
-            used |= _reads(ast.parse(path.read_text()), True)
     while True:
         grown = used.union(*[inside[name] for name in exports & used & inside.keys()])
         if grown == used:
             break
         used = grown
     assert sorted(exports - used) == []
+
+
+def test_every_function_and_method_is_read():
+    # A function or method defined under src/ that nothing in src/, bench/
+    # or tools/ reads is dead, or alive only for the tests.  A read counts
+    # as in the export guard, except that a definition's reads of its own
+    # name (recursion) do not keep it; dunder methods are called by Python
+    # itself.
+    reads, defs = Counter(), []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(_read_list(tree))
+        defs += [(path.relative_to(ROOT).as_posix(), node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__"))]
+    outside = _outside_reads()
+    unread = [f"{path}:{node.lineno} {node.name}" for path, node in defs
+              if node.name not in outside
+              and reads[node.name] == _read_list(node).count(node.name)]
+    assert unread == []
 
 
 def test_console_scripts_resolve():

@@ -53,6 +53,7 @@ from toric_regions.region_construction import (
     _LOOP_CHORDS,
     _log_mix,
     _loop_checks,
+    _loop_index,
     _monotone_chain,
     _nagumo_check,
     _normals_at,
@@ -128,16 +129,17 @@ def _loop_chains_reference(pieces) -> list[list[LogPoint]]:
     return [[_point_at_reference(pc, i / 32) for i in range(33)] for pc in pieces]
 
 
-def _chains(t, rows, n: int):
-    """The points at u = i / n, i = 0..n, of the pieces t[rows], in a
-    _points_at pass of their own: arrays (X, Y) of shape (len(rows), n + 1)."""
-    X, Y = _points_at(t, *_chain_where(rows, n))
-    return X.reshape(len(rows), n + 1), Y.reshape(len(rows), n + 1)
+def _chains(t, n: int):
+    """The points at u = i / n, i = 0..n, of every piece of t, in a
+    _points_at pass of their own: arrays (X, Y) with one row per piece."""
+    pieces = len(t.sX)
+    X, Y = _points_at(t, *_chain_where(pieces, n))
+    return X.reshape(pieces, n + 1), Y.reshape(pieces, n + 1)
 
 
 def _loop_checks_of(b):
     """_loop_checks of a boundary on its own chains."""
-    return _loop_checks(b, _chains(b.table, np.arange(len(b.pieces)), _LOOP_CHORDS))
+    return _loop_checks(b, _chains(b.table, _LOOP_CHORDS))
 
 
 def _points_of(piece, us) -> list[LogPoint]:
@@ -769,7 +771,7 @@ class TestSpecialCases:
     def test_vertical_generator_horizontal_join(self):
         b = construct_region(Fan([(1, 2), (2, 1), (-1, 1), (1, 0)]), 3.0)
         assert all(v["passed"] for v in b.report.values())
-        vert = next(i for i, g in enumerate(b.fan.generators) if g.is_vertical)
+        vert = next(i for i, g in enumerate(b.fan.generators) if g.q == 0)  # X = 0
         assert vert in b.axis_joins
 
     def test_unsupported_fan(self):
@@ -909,6 +911,19 @@ class TestLoopChecks:
         assert worst == float(_crossing_pairs_reference(b.pieces))
         assert worst == 0.0 or delta is not None
 
+    def test_cached_index_arrays_are_read_only(self):
+        # Every loop of a size shares them, so a write would corrupt the
+        # next loop's check.
+        for pieces in (1, 2, 7):
+            nxt, a, b = _loop_index(pieces)
+            assert nxt.tolist() == np.roll(np.arange(pieces), -1).tolist()
+            assert [a.tolist(), b.tolist()] == [x.tolist() for x in np.triu_indices(pieces, 1)]
+            index, u = _chain_where(pieces, _LOOP_CHORDS)
+            for array in (nxt, a, b, index, u):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[:1] = 0
+
 
 def _nagumo_reference(boundary, samples) -> dict:
     """The scalar Nagumo loop that the array form replaced: one brute-force
@@ -1029,7 +1044,7 @@ class TestArraySampler:
         normals = [_normal_at_reference(b.pieces[k], pt) for pt, k in ref]
         assert _bits(n0) == _bits(n[0] for n in normals)
         assert _bits(n1) == _bits(n[1] for n in normals)
-        chain_x, chain_y = _chains(b.table, np.arange(len(b.pieces)), 32)
+        chain_x, chain_y = _chains(b.table, 32)
         ref_chains = _loop_chains_reference(b.pieces)
         assert _bits(chain_x.ravel()) == _bits(pt.X for c in ref_chains for pt in c)
         assert _bits(chain_y.ravel()) == _bits(pt.Y for c in ref_chains for pt in c)

@@ -410,6 +410,24 @@ class TestBatchBruteforce:
             _assert_batch_matches(X + [0.0] + list(pts[:, 0]), Y + [0.0] + list(pts[:, 1]),
                                   fan, delta)
 
+    @pytest.mark.parametrize("gens", [
+        [(1, 0), (0, 1), (1, 1), (-1, 1), (1, 2), (2, 1), (-1, 2), (-2, 1)],
+        [(1, 0), (0, 1), (1, 1), (-1, 1), (1, 2), (2, 1), (-1, 2), (-2, 1), (1, 3), (3, 1),
+         (-1, 3), (-3, 1)],
+    ])
+    def test_many_generator_fans(self, gens):
+        # 16 and 24 sectors: near-set codes far past 2^(2b) for small b, on
+        # strip boundaries, on every arm and off them, at both tols.
+        fan = Fan(gens)
+        rng = np.random.default_rng(9)
+        for delta in (0.5, 3.0):
+            X, Y = _strip_boundary_points(fan, delta)
+            arms = [(t * g.q, t * g.p) for g in fan.generators
+                    for t in (-2.0 * delta, -0.3, 0.0, 0.3, delta, 5.0 * delta)]
+            pts = rng.uniform(-6.0 * delta, 6.0 * delta, size=(200, 2))
+            _assert_batch_matches(X + [x for x, _ in arms] + list(pts[:, 0]),
+                                  Y + [y for _, y in arms] + list(pts[:, 1]), fan, delta)
+
     def test_empty_array(self):
         for tol in TOLS:
             values, index = rhs_bruteforce_batch(np.empty(0), np.empty(0), WORKED_FAN, 3.0, tol)
