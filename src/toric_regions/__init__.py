@@ -24,12 +24,10 @@ from .fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
-    UncertaintyRegion,
     delta_i,
     dist_to_cone,
     fan_2d_cones,
     r_count,
-    strip_coordinate,
 )
 from .region_construction import (
     IntersectionPoint,
@@ -54,9 +52,9 @@ __all__ = [
     "LineGenerator", "LogPoint", "MonomialOverflow", "NoCrossing",
     "NonFinitePoint", "NonPositiveDelta", "OutOfBand", "ParallelGenerators",
     "PosPoint", "RegionBoundary", "SlopeClasses", "StepCollapse",
-    "ToricRegionsError", "UncertaintyRegion", "UnsupportedFan", "WitnessFailed",
+    "ToricRegionsError", "UnsupportedFan", "WitnessFailed",
     "ZeroGenerator", "choose_start_points", "compute_slope_classes",
     "construct_region", "conv_hull", "delta_i", "dist_to_cone", "fan_2d_cones",
     "hull_contains", "intersection_points", "phi_level", "r_count",
-    "region_contains", "rhs_bruteforce", "rhs_classified", "strip_coordinate",
+    "region_contains", "rhs_bruteforce", "rhs_classified",
 ]

@@ -8,7 +8,7 @@ is automatic and points of order e^(c*delta) stay representable.
 
 The integrator works on floats: a selection gives its velocities at the
 log point (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
-one that reads the cone gets it from _rhs_fast and the run's strip table.
+one that reads the cone gets it from _rhs_fast and fan.regions(delta).
 Trajectories and witness legs hold their samples as float arrays (X, Y,
 vx, vy), make LogPoints only when read, and have their velocities checked
 from the arrays by _violations, bit for bit as Cone.violation.
@@ -42,11 +42,9 @@ from .fan_geometry import (
     _arm_table,
     _finite_log,
     _flanking_arms,
-    _strip_table,
     along_coordinate,
     as_log,
     r_count,
-    strip_coordinate,
 )
 from .region_construction import (
     IntersectionPoint,
@@ -68,9 +66,9 @@ _INCLUSIVE_TOL = -1e-9
 
 
 def _rhs_fast(X: float, Y: float, fan: Fan, delta: float, table: tuple) -> Cone:
-    """The inclusion's value at the log point (X, Y): _classify's, from the
-    (fan, delta) strip table, or rhs_bruteforce's within STRIP_TOL of a
-    strip boundary.  NonFinitePoint unless X and Y are finite."""
+    """The inclusion's value at the log point (X, Y): _classify's, from
+    table, the strip table fan.regions(delta), or rhs_bruteforce's within
+    STRIP_TOL of a strip boundary.  NonFinitePoint unless X and Y are finite."""
     if not (math.isfinite(X) and math.isfinite(Y)):
         raise NonFinitePoint(f"point ({X}, {Y}) is not finite")
     try:
@@ -474,10 +472,11 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 
     reads_cone decides the rest.  A selection that reads the cone (the
     ray, alternating and random ones, which jump at sector boundaries) is
-    passed its cone rhs from _rhs_fast, with the strip table looked up
-    once per run, and steps at the caps alone.  Any other (a smooth
-    embedded field) is passed rhs=None, is asked for the stiffness of its
-    step starts and ends, and gets error-controlled steps.
+    passed its cone rhs from _rhs_fast, with the strip table
+    fan.regions(delta) looked up once per run, and steps at the caps
+    alone.  Any other (a smooth embedded field) is passed rhs=None, is
+    asked for the stiffness of its step starts and ends, and gets
+    error-controlled steps.
 
     The step is capped at dt and at t_end - t, so that no single update
     moves more than 0.25 in log space (the fields are exponentially stiff
@@ -525,7 +524,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     termination = "t_end"
 
     controlled = not strategy.reads_cone
-    table = None if controlled else _strip_table(fan, delta)
+    table = None if controlled else fan.regions(delta)
 
     def evaluate(px: float, py: float, tt: float, stiff: bool):
         rhs = None if controlled else _rhs_fast(px, py, fan, delta, table)
@@ -869,14 +868,17 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     first route whose legs arrive and all validate wins.
     """
     if r_dst == 1:
-        strip = next(r for r in fan.regions(delta)
-                     if abs(strip_coordinate(dst, r)) < r.delta_i - STRIP_TOL)
-        arm = _sign(along_coordinate(dst, strip.gen))
-        arm_sets = ({(strip.index, arm)}, {(strip.index, -arm)})
-        sigma = strip_coordinate(dst, strip)
+        # The target's strip: the one row of fan.regions(delta) that r_dst counted.
+        for i, q, p, half_width, _, _ in fan.regions(delta):
+            sigma = q * dst.Y - p * dst.X
+            if abs(sigma) < half_width - STRIP_TOL:
+                break
+        gen = fan.generators[i]
+        arm = _sign(along_coordinate(dst, gen))
+        arm_sets = ({(i, arm)}, {(i, -arm)})
 
         def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
-            match = _strip_point(seg.start, strip.gen, sigma)
+            match = _strip_point(seg.start, gen, sigma)
             into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
             return [into, _logline_leg(into.end, dst, "slide along the strip")]
     else:

@@ -152,11 +152,24 @@ class Fan:
     def b(self) -> int:
         return len(self.generators)
 
-    def regions(self, delta: float) -> tuple["UncertaintyRegion", ...]:
-        """Uncertainty regions for every generator at this delta."""
-        return tuple(
-            UncertaintyRegion(g, delta_i(g, delta), i) for i, g in enumerate(self.generators)
-        )
+    @lru_cache(maxsize=256)
+    def regions(self, delta: float) -> tuple[tuple[int, float, float, float, int, int], ...]:
+        """The strip table at delta, which every reader shares: per
+        generator i, in fan order, the row (i, q, p, delta_i, plus, minus) of
+        its uncertainty region, the strip |q*Y - p*X| <= delta_i between the
+        curves y^q = e^(-delta_i) x^p and y^q = e^(+delta_i) x^p, with float
+        q and p.  plus and minus are the bit codes of the near sets of the
+        r = 1 values on its arms of sign +1 and -1: a point in this strip
+        alone is near the two sectors on either side of the strip's arm on
+        its side, the arm's own sector and the one before it in the arm
+        table.  Rows are exact tuples, which the classifier's loops unpack
+        fastest.  NonPositiveDelta, as delta_i raises it, is never cached.
+        """
+        arms = _arm_table(self)
+        codes = {(i, sign): (1 << j) | (1 << (j - 1) % len(arms))
+                 for j, (_, i, sign) in enumerate(arms)}
+        return tuple((i, float(g.q), float(g.p), delta_i(g, delta), codes[i, 1], codes[i, -1])
+                     for i, g in enumerate(self.generators))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(g) for g in self.generators) + "}"
@@ -184,9 +197,6 @@ class LogPoint:
     X: float
     Y: float
 
-    def exp(self) -> PosPoint:
-        return PosPoint(math.exp(self.X), math.exp(self.Y))
-
 
 def as_log(point) -> LogPoint:
     """Accept either representation; work internally in log space."""
@@ -207,30 +217,11 @@ def _finite_log(point, name: str) -> LogPoint:
     return pt
 
 
-@dataclass(frozen=True)
-class UncertaintyRegion:
-    """The strip |q*Y - p*X| <= delta_i around one generator line.
-
-    In x-space it is the band between y^q = e^(-delta_i) x^p and
-    y^q = e^(+delta_i) x^p; (1, 1) is strictly interior for every delta.
-    """
-
-    gen: LineGenerator
-    delta_i: float
-    index: int
-
-
 def delta_i(gen: LineGenerator, delta: float) -> float:
     """Strip half-width delta * sqrt(p^2 + q^2), for a delta strictly positive and finite."""
     if not 0.0 < delta < math.inf:
         raise NonPositiveDelta(f"delta = {delta}")
     return delta * gen.norm
-
-
-def strip_coordinate(point, region: UncertaintyRegion) -> float:
-    """Signed coordinate s = q*Y - p*X; |s| <= delta_i inside the strip."""
-    pt = as_log(point)
-    return region.gen.q * pt.Y - region.gen.p * pt.X
 
 
 def along_coordinate(point, gen: LineGenerator) -> float:
@@ -240,15 +231,16 @@ def along_coordinate(point, gen: LineGenerator) -> float:
 
 
 def r_count(point, fan: Fan, delta: float) -> int:
-    """Number of uncertainty regions whose open interior contains the point.
+    """Number of strips of fan.regions(delta) whose open interior contains
+    the point.
 
-    Interior means |strip coordinate| < delta_i - STRIP_TOL; points within
+    Interior means |q*Y - p*X| < delta_i - STRIP_TOL; points within
     STRIP_TOL of a boundary curve are not counted.  NonFinitePoint unless
     the point is finite.
     """
     pt = _finite_log(point, "point")
     return sum(abs(q * pt.Y - p * pt.X) < half_width - STRIP_TOL
-               for _, q, p, half_width, _, _ in _strip_table(fan, delta))
+               for _, q, p, half_width, _, _ in fan.regions(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +384,6 @@ def _arm_table(fan: Fan) -> tuple[tuple[float, int, int], ...]:
         arms.append((_wrap(a + math.pi), i, -1))
     arms.sort()
     return tuple(arms)
-
-
-@lru_cache(maxsize=256)
-def _strip_table(fan: Fan, delta: float) -> tuple[tuple[int, float, float, float, int, int], ...]:
-    """Per generator i, in fan order: (i, q, p, delta_i) and the bit codes
-    of the near sets of the r = 1 values on its arms, sign +1 then -1.
-
-    A point in the strip of generator i alone is near the two sectors on
-    either side of the strip's arm on the point's side: the arm's own
-    sector and the one before it in the arm table.  NonPositiveDelta, as
-    delta_i raises it, is never cached.
-    """
-    arms = _arm_table(fan)
-    codes = {(i, sign): (1 << j) | (1 << (j - 1) % len(arms))
-             for j, (_, i, sign) in enumerate(arms)}
-    return tuple((i, float(g.q), float(g.p), delta_i(g, delta), codes[i, 1], codes[i, -1])
-                 for i, g in enumerate(fan.generators))
 
 
 def _flanking_arms(X: float, Y: float, fan: Fan) -> int:

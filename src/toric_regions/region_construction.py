@@ -31,14 +31,11 @@ from .fan_geometry import (
     Fan,
     LineGenerator,
     LogPoint,
-    UncertaintyRegion,
     _arm_table,
     _finite_log,
     _wrap,
     along_coordinate,
     as_log,
-    delta_i,
-    strip_coordinate,
 )
 from .tdi_rhs import rhs_bruteforce_batch
 
@@ -441,17 +438,17 @@ def _strip_point(anchor: LogPoint, gen: LineGenerator, sigma: float) -> LogPoint
     return _curve_cross_on_line(anchor, gen, sigma)
 
 
-def _crossing_segment(cur: LogPoint, region: UncertaintyRegion,
+def _crossing_segment(cur: LogPoint, row: tuple, gen: LineGenerator,
                       arm_sign: int) -> Segment:
-    """Segment from cur across the strip, ending on its far boundary curve."""
-    sigma0 = strip_coordinate(cur, region)
-    if abs(sigma0) < region.delta_i - STRIP_TOL:
-        raise ConstructionFailed(
-            "crossing", f"start point lies inside strip {region.index}"
-        )
+    """Segment from cur across the strip of gen, whose Fan.regions row is
+    row, ending on the strip's far boundary curve."""
+    i, q, p, half_width, _, _ = row
+    sigma0 = q * cur.Y - p * cur.X
+    if abs(sigma0) < half_width - STRIP_TOL:
+        raise ConstructionFailed("crossing", f"start point lies inside strip {i}")
     target = -_sign(sigma0)
-    end = _strip_point(cur, region.gen, target * region.delta_i)
-    return Segment(cur, end, region.gen, region.index, arm_sign, target)
+    end = _strip_point(cur, gen, target * half_width)
+    return Segment(cur, end, gen, i, arm_sign, target)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +478,14 @@ def _arm_walk(fan: Fan, phi: float, ccw: bool, stop_index: int) -> tuple[tuple[i
         k = (k + 1) % n if ccw else (k - 1) % n
 
 
-def build_polyline(start: LogPoint, walk, regions) -> list[Segment]:
-    """Cross the strips regions[gi] of the walk's arms (gi, arm_sign) one
-    at a time, each segment starting where the last ended."""
+def build_polyline(start: LogPoint, walk, rows, gens) -> list[Segment]:
+    """Cross the strips of the walk's arms (gi, arm_sign) one at a time,
+    each segment starting where the last ended: rows[gi] is the strip's
+    Fan.regions row and gens[gi] its generator."""
     segments: list[Segment] = []
     cur = start
     for gi, arm_sign in walk:
-        seg = _crossing_segment(cur, regions[gi], arm_sign)
+        seg = _crossing_segment(cur, rows[gi], gens[gi], arm_sign)
         segments.append(seg)
         cur = seg.end
     return segments
@@ -522,11 +520,11 @@ def _extend_segment(seg: Segment, coord: str, value: float) -> Segment:
                    seg.arm_sign, seg.end_sign)
 
 
-def _close_side(seg_a: Segment, seg_b: Segment, regions, delta: float):
+def _close_side(seg_a: Segment, seg_b: Segment, rows, gens, delta: float):
     """Close one side of the loop between the ends of two terminal segments:
     two arcs meeting where the curves the segments end on cross, or an
-    axis-parallel join when that point falls inside an axis strip of
-    regions, the fan's strips at delta.
+    axis-parallel join when that point falls inside an axis strip: of the
+    rows of Fan.regions(delta), those whose generator in gens is an axis.
 
     Returns the pieces, the meeting point of the arcs (None for a join)
     and the joined axis strip's index (None for arcs).
@@ -534,17 +532,15 @@ def _close_side(seg_a: Segment, seg_b: Segment, regions, delta: float):
     lo, hi = sorted((seg_a, seg_b), key=lambda seg: seg.region_index)
     cx, cy = _meet_exponents(lo.gen, lo.end_sign, hi.gen, hi.end_sign)
     meet = LogPoint(cx * delta, cy * delta)
-    axis_hits = [
-        r for r in regions
-        if r.gen.is_axis and abs(strip_coordinate(meet, r)) < r.delta_i - STRIP_TOL
-    ]
+    axis_hits = [(i, q, p, half_width) for i, q, p, half_width, _, _ in rows
+                 if gens[i].is_axis and abs(q * meet.Y - p * meet.X) < half_width - STRIP_TOL]
     if not axis_hits:
         return connect_arcs(seg_a, seg_b, meet), meet, None
     if len(axis_hits) > 1:
         raise UnsupportedFan("closure point inside two axis strips")
-    axisr = axis_hits[0]
-    arm = _sign(along_coordinate(meet, axisr.gen))
-    coord = "X" if axisr.gen.is_horizontal else "Y"
+    i, q, p, half_width = axis_hits[0]
+    arm = _sign(along_coordinate(meet, gens[i]))
+    coord = "X" if gens[i].is_horizontal else "Y"
     term_a, term_b = seg_a.end, seg_b.end
     ca, cb = getattr(term_a, coord), getattr(term_b, coord)
     extreme = min(ca, cb) if arm < 0 else max(ca, cb)
@@ -558,12 +554,12 @@ def _close_side(seg_a: Segment, seg_b: Segment, regions, delta: float):
         tail, term_b = [ext.reversed()], ext.end
     # The join must span the axis strip completely.
     for endpoint in (term_a, term_b):
-        if abs(strip_coordinate(endpoint, axisr)) < axisr.delta_i - 1e-9:
+        if abs(q * endpoint.Y - p * endpoint.X) < half_width - 1e-9:
             raise ConstructionFailed(
                 "closure", "axis-parallel join does not span the axis strip"
             )
-    join = Segment(term_a, term_b, axisr.gen, axisr.index, arm, 0)
-    return head + [join] + tail, None, axisr.index
+    join = Segment(term_a, term_b, gens[i], i, arm, 0)
+    return head + [join] + tail, None, i
 
 
 # ---------------------------------------------------------------------------
@@ -656,18 +652,18 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
     The fan's _fan_plan fixes every choice; at delta only the strips, the
     start points, the crossings and the closures are computed."""
     plan = _fan_plan(fan)
-    regions = fan.regions(delta)
+    rows, gens = fan.regions(delta), fan.generators
     start_max, start_min = (IntersectionPoint(*_uc_rows(fan)[k], delta)
                             for k in (plan.start_max, plan.start_min))
     i1_walk, i4_walk, i2_walk, i3_walk = plan.walks
     try:
-        i1_segs = build_polyline(start_max.log, i1_walk, regions)
-        i4_segs = build_polyline(start_max.log, i4_walk, regions)
-        i2_segs = build_polyline(start_min.log, i2_walk, regions)
-        i3_segs = build_polyline(start_min.log, i3_walk, regions)
+        i1_segs = build_polyline(start_max.log, i1_walk, rows, gens)
+        i4_segs = build_polyline(start_max.log, i4_walk, rows, gens)
+        i2_segs = build_polyline(start_min.log, i2_walk, rows, gens)
+        i3_segs = build_polyline(start_min.log, i3_walk, rows, gens)
 
-        side1, p12, join1 = _close_side(i1_segs[-1], i2_segs[-1], regions, delta)
-        side2, p34, join2 = _close_side(i3_segs[-1], i4_segs[-1], regions, delta)
+        side1, p12, join1 = _close_side(i1_segs[-1], i2_segs[-1], rows, gens, delta)
+        side2, p34, join2 = _close_side(i3_segs[-1], i4_segs[-1], rows, gens, delta)
     except (ConstructionFailed, ArcsDontMeet, NoCrossing) as exc:
         raise DeltaTooSmall(type(exc).__name__, str(exc)) from exc
 
@@ -1588,11 +1584,9 @@ def _nagumo_check(boundary: RegionBoundary, samples) -> dict:
 
 def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
     X, Y, _ = samples
-    gens = boundary.fan.generators
-    q, p = np.array([g.q for g in gens]), np.array([g.p for g in gens])
+    q, p, half_width = np.array([row[1:4] for row in boundary.fan.regions(boundary.delta)]).T
     s = np.abs(Y[:, None] * q - X[:, None] * p)
-    half = np.array([delta_i(g, boundary.delta) for g in gens]) - STRIP_TOL
-    worst, witness = _first_max((s < half).sum(axis=1), X, Y, 0)
+    worst, witness = _first_max((s < half_width - STRIP_TOL).sum(axis=1), X, Y, 0)
     return {"passed": worst <= 1, "worst": float(worst), "witness": witness,
             "detail": "max r(x) on boundary"}
 

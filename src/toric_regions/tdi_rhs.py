@@ -17,8 +17,9 @@ arms; one matmul turns the near sectors into bit sets.  It is the
 validation battery's check, and, with the inclusive tol, the
 integrator's check of every step start and the check of every candidate
 witness route.  ``_classify`` reads the near set off r(x) and the active
-strip's arm, from the floats (X, Y) and the (fan, delta) strip table, and
-returns the definition's value away from strip boundaries.
+strip's arm, from the floats (X, Y) and the rows of ``Fan.regions``, the
+one strip table of a (fan, delta), and returns the definition's value
+away from strip boundaries.
 ``rhs_classified`` is ``_classify`` at one checked point; the integrator
 calls ``_classify`` on the floats it steps on, through
 ``dynamics._rhs_fast``.  Velocities are checked against a value c by
@@ -39,7 +40,6 @@ from .fan_geometry import (
     LogPoint,
     _finite_log,
     _flanking_arms,
-    _strip_table,
     dist_to_cone,
     fan_2d_cones,
     near_sectors,
@@ -110,8 +110,8 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
 
 def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:
     """The value at the finite log point (X, Y), with the near set chosen
-    by the strip-interior count r(x) from the fan's strip table
-    _strip_table(fan, delta), and read from the definition's cache.
+    by the strip-interior count r(x) from the rows of table, the strip
+    table fan.regions(delta), and read from the definition's cache.
 
     r >= 2 gives the shared full plane; r = 1 the two sectors on either side
     of the active strip's arm on the point's side (both half planes of a
@@ -137,10 +137,10 @@ def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:
 
 
 def rhs_classified(point, fan: Fan, delta: float) -> Cone:
-    """Fast evaluation: _classify at the point, from the (fan, delta) strip
-    table.  Raises AmbiguousClassification within STRIP_TOL of any strip
-    boundary, and NonFinitePoint unless the point is finite.
+    """Fast evaluation: _classify at the point, from fan.regions(delta).
+    Raises AmbiguousClassification within STRIP_TOL of any strip boundary,
+    and NonFinitePoint unless the point is finite.
     """
     pt = _finite_log(point, "point")
-    return _classify(pt.X, pt.Y, fan, _strip_table(fan, delta))
+    return _classify(pt.X, pt.Y, fan, fan.regions(delta))
 

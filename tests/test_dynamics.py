@@ -50,7 +50,6 @@ from toric_regions.fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
-    _strip_table,
     as_log,
     delta_i,
     r_count,
@@ -299,9 +298,9 @@ class TestIntegrate:
         traj = integrate(Constant(), PosPoint(1.0, 1.0), WORKED_FAN, DELTA,
                          t_end=0.5, dt=0.5)
         assert len(traj.times) == 3
-        end = traj.points[-1].exp()
-        assert end.x == pytest.approx(1.5, rel=1e-4)
-        assert end.y == pytest.approx(1.0, rel=1e-12)
+        end = traj.points[-1]
+        assert math.exp(end.X) == pytest.approx(1.5, rel=1e-4)
+        assert math.exp(end.Y) == pytest.approx(1.0, rel=1e-12)
 
     def test_times_strictly_increase(self):
         sys11 = embedded_system_for_target(WORKED_FAN, DELTA, "origin_11")
@@ -405,7 +404,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
     def test_cone_readers_need_a_positive_delta(self, delta):
-        # The run's strip table is looked up before the first sample.
+        # The run's strip table, fan.regions(delta), is looked up before
+        # the first sample.
         with pytest.raises(NonPositiveDelta):
             integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, delta,
                       t_end=0.0)
@@ -414,7 +414,7 @@ class TestIntegrate:
         # Step starts and stages alike get the classified value, or the
         # brute-force one at a strip boundary.
         seen = []
-        table = _strip_table(WORKED_FAN, DELTA)
+        table = WORKED_FAN.regions(DELTA)
 
         class Recording(ExtremeRayStrategy):
             def velocity(self, X, Y, rhs, t, stiff):
@@ -788,7 +788,7 @@ class TestRhsFast:
         # does and otherwise gives its value, which is the definition's;
         # _rhs_fast gives the definition's value everywhere.
         fan = Fan(gens)
-        table = _strip_table(fan, DELTA)
+        table = fan.regions(DELTA)
         rng = np.random.default_rng(17)
         points = [tuple(p) for p in rng.uniform(-12.0, 12.0, size=(400, 2)).tolist()]
         for _, q, p, half_width, _, _ in table:
@@ -814,7 +814,7 @@ class TestRhsFast:
 
     @pytest.mark.parametrize("X, Y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
     def test_non_finite_points_raise(self, X, Y):
-        table = _strip_table(WORKED_FAN, DELTA)
+        table = WORKED_FAN.regions(DELTA)
         with pytest.raises(NonFinitePoint):
             dynamics._rhs_fast(X, Y, WORKED_FAN, DELTA, table)
         with pytest.raises(NonFinitePoint):
@@ -827,7 +827,7 @@ class TestRhsFast:
         pt = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
         with pytest.raises(AmbiguousClassification):
             rhs_classified(pt, WORKED_FAN, DELTA)
-        table = _strip_table(WORKED_FAN, DELTA)
+        table = WORKED_FAN.regions(DELTA)
         assert dynamics._rhs_fast(pt.X, pt.Y, WORKED_FAN, DELTA, table) == \
             rhs_bruteforce(pt, WORKED_FAN, DELTA)
         traj = integrate(ExtremeRayStrategy("left"), pt, WORKED_FAN, DELTA, t_end=1.0)

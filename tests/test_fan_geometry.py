@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from toric_regions import fan_geometry
+from toric_regions.dynamics import ExtremeRayStrategy, integrate
 from toric_regions.errors import (
     NonFinitePoint,
     NonPositiveDelta,
@@ -22,13 +22,13 @@ from toric_regions.fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
-    UncertaintyRegion,
     delta_i,
     dist_to_cone,
     fan_2d_cones,
     r_count,
-    strip_coordinate,
 )
+from toric_regions.region_construction import construct_region
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -40,9 +40,11 @@ def rhs_equal(a: Cone, b: Cone, tol: float) -> bool:
     return abs(a.width - b.width) <= tol and min(gap, period - gap) <= tol
 
 
-def region(p, q, delta):
-    g = LineGenerator(p, q)
-    return UncertaintyRegion(g, delta_i(g, delta), 0)
+def coordinate(pt: LogPoint, p: int, q: int) -> float:
+    """The strip coordinate q*Y - p*X of a log point, as the Fan.regions row
+    of the one-generator fan (p, q) gives it."""
+    _, qf, pf, _, _, _ = Fan([(p, q)]).regions(1.0)[0]
+    return qf * pt.Y - pf * pt.X
 
 
 class TestNormalizeGenerator:
@@ -110,17 +112,31 @@ class TestDeltaI:
 class TestStripCoordinate:
     def test_log_origin_is_zero(self):
         for pq in [(1, 1), (-2, 3), (1, 0), (0, 1)]:
-            assert strip_coordinate(LogPoint(0.0, 0.0), region(*pq, 1.0)) == 0.0
+            assert coordinate(LogPoint(0.0, 0.0), *pq) == 0.0
 
     def test_above_diagonal(self):
-        assert strip_coordinate(LogPoint(0.0, 5.0), region(1, 1, 1.0)) == pytest.approx(5.0)
+        assert coordinate(LogPoint(0.0, 5.0), 1, 1) == pytest.approx(5.0)
 
     def test_on_the_line(self):
-        assert strip_coordinate(LogPoint(3.0, 3.0), region(1, 1, 1.0)) == 0.0
+        assert coordinate(LogPoint(3.0, 3.0), 1, 1) == 0.0
 
     def test_accepts_positive_points(self):
-        pt = PosPoint(math.e, math.e**2)
-        assert strip_coordinate(pt, region(1, 1, 1.0)) == pytest.approx(1.0)
+        # r_count reads a positive point's coordinate off its log: here 1,
+        # inside the strip of (1,1) at delta 1 (delta_i = sqrt 2), outside
+        # it at delta 0.5.
+        pt, fan = PosPoint(math.e, math.e**2), Fan([(1, 1)])
+        assert coordinate(pt.log(), 1, 1) == pytest.approx(1.0)
+        assert (r_count(pt, fan, 1.0), r_count(pt, fan, 0.5)) == (1, 0)
+
+    def test_rows_give_the_generators_coordinate_bit_for_bit(self):
+        # The readers form q*Y - p*X from a row's float q and p; on seeded
+        # points of every magnitude it has the bits of gen.q*Y - gen.p*X.
+        fan = Fan([(-3, 7), (1, 2), (2, 1), (1, 0), (0, 1), (-5, 2), (11, 13)])
+        rng = np.random.default_rng(37)
+        points = (rng.uniform(-1.0, 1.0, size=(500, 2)) * 10.0 ** rng.integers(-3, 6, (500, 1)))
+        for X, Y in points.tolist():
+            for (_, q, p, _, _, _), g in zip(fan.regions(3.0), fan.generators):
+                assert (q * Y - p * X).hex() == (g.q * Y - g.p * X).hex()
 
 
 class TestRCount:
@@ -145,6 +161,51 @@ class TestRCount:
     def test_non_finite_point_rejected(self, pt):
         with pytest.raises(NonFinitePoint, match="^point"):
             r_count(pt, Fan([(1, 1), (-1, 1)]), 1.0)
+
+
+class TestStripTable:
+    """Fan.regions(delta) is the one strip table of a (fan, delta)."""
+
+    FANS = [[(1, 1)], [(-1, 1), (1, 2), (2, 1)], [(-1, 1), (1, 2), (2, 1), (1, 0), (0, 1)],
+            [(-3, 7), (1, 2), (2, 1), (-5, 2), (11, 13), (0, 1)]]
+
+    def test_one_table_that_every_reader_reads(self, monkeypatch):
+        # Repeated calls, also with a fresh equal fan, return one object,
+        # and r_count, integrate and construct_region all read that one:
+        # the last twice, in the construction and in the r <= 1 check.
+        fan = Fan([(-1, 1), (1, 2), (2, 1)])
+        table = fan.regions(3.0)
+        assert fan.regions(3.0) is table and Fan([(2, 1), (-1, 1), (1, 2)]).regions(3.0) is table
+        read = []
+        regions = Fan.regions
+        monkeypatch.setattr(Fan, "regions",
+                            lambda f, delta: read.append(regions(f, delta)) or read[-1])
+        r_count(LogPoint(1.0, 2.0), fan, 3.0)
+        integrate(ExtremeRayStrategy("left"), LogPoint(1.0, 2.0), fan, 3.0, t_end=0.01)
+        construct_region(fan, 3.0)
+        assert len(read) == 4 and all(t is table for t in read)
+
+    @pytest.mark.parametrize("gens", FANS)
+    def test_rows_hold_delta_i_and_the_arms_flanking_sectors(self, gens):
+        # Row i is (i, q, p, delta_i, plus, minus), an exact tuple; plus and
+        # minus hold the two sectors of fan_2d_cones whose edge is the arm
+        # +(q, p), resp. -(q, p): both half planes of a one-generator fan.
+        fan = Fan(gens)
+        sectors = fan_2d_cones(fan)
+        for delta in (0.5, 3.0, 300.0):
+            rows = fan.regions(delta)
+            assert len(rows) == fan.b
+            for row, g in zip(rows, fan.generators):
+                assert type(row) is tuple
+                i, q, p, half_width, plus, minus = row
+                assert fan.generators[i] is g and (q, p) == (g.q, g.p)
+                assert half_width == delta_i(g, delta)
+                for sign, code in ((1, plus), (-1, minus)):
+                    u = (sign * g.q / g.norm, sign * g.p / g.norm)
+                    flank = sum(1 << k for k, c in enumerate(sectors)
+                                if any(math.hypot(r[0] - u[0], r[1] - u[1]) < 1e-12
+                                       for r in c.extreme_rays()[:2]))
+                    assert code == flank and bin(code).count("1") == 2
 
 
 class TestPolar:
@@ -286,8 +347,8 @@ class TestFanSectors:
         hashed = []
         monkeypatch.setattr(LineGenerator, "__hash__",
                             lambda g: hashed.append(g) or hash((g.p, g.q)))
-        for cached in (fan_2d_cones, fan_geometry._strip_table):
-            args = (2.5,) if cached is fan_geometry._strip_table else ()
+        for cached in (fan_2d_cones, Fan.regions):
+            args = (2.5,) if cached is Fan.regions else ()
             first = cached(a, *args)
             hits = cached.cache_info().hits
             assert cached(b, *args) is first
@@ -353,13 +414,14 @@ def _dir(a):
 class TestPoints:
     def test_roundtrip(self):
         pt = PosPoint(2.5, 7.0)
-        back = pt.log().exp()
+        lp = pt.log()
+        back = PosPoint(math.exp(lp.X), math.exp(lp.Y))
         assert back.x == pytest.approx(pt.x, rel=1e-12)
         assert back.y == pytest.approx(pt.y, rel=1e-12)
 
     def test_log_roundtrip(self):
         lp = LogPoint(-40.0, 55.0)
-        back = lp.exp().log()
+        back = PosPoint(math.exp(lp.X), math.exp(lp.Y)).log()
         assert back.X == pytest.approx(lp.X, rel=1e-12)
         assert back.Y == pytest.approx(lp.Y, rel=1e-12)
 

@@ -17,16 +17,33 @@ def test_all_exports_resolve():
     assert missing == []
 
 
-def _read_list(tree: ast.AST) -> list[str]:
-    """Every loaded name and attribute of the tree, once per read."""
+def _modules(tree: ast.AST) -> set[str]:
+    """The names that the tree's import statements bind to modules."""
+    return {(alias.asname or alias.name).partition(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names}
+
+
+def _of_module(node: ast.Attribute, modules: set[str]) -> bool:
+    """Is the attribute read off a module that modules names, as math.exp
+    or np.random.default_rng is?"""
+    base = node.value
+    while isinstance(base, ast.Attribute):
+        base = base.value
+    return isinstance(base, ast.Name) and base.id in modules
+
+
+def _read_list(tree: ast.AST, modules: set[str]) -> list[str]:
+    """Every loaded name and attribute of the tree, once per read, except
+    the attributes of modules: math.exp reads no method exp."""
     return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node, ast.Attribute) and _of_module(node, modules))]
 
 
-def _reads(tree: ast.AST, imports: bool) -> set[str]:
-    """Names read in the tree: loaded names and attributes, and, if
-    imports, imported names."""
-    names = set(_read_list(tree))
+def _reads(tree: ast.AST, modules: set[str], imports: bool) -> set[str]:
+    """Names read in the tree, as _read_list counts them, and, if imports,
+    imported names."""
+    names = set(_read_list(tree, modules))
     if imports:
         names.update(alias.name.rpartition(".")[2] for node in ast.walk(tree)
                      if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names)
@@ -43,7 +60,8 @@ def _outside_reads() -> set[str]:
     used = {part for _, attr, _ in tracer.TRACED + tracer.COUNTED for part in attr.split(".")}
     for path in [*(ROOT / "bench").rglob("*.py"), *(ROOT / "tools").rglob("*.py")]:
         if "tests" not in path.relative_to(ROOT).parts:
-            used |= _reads(ast.parse(path.read_text()), True)
+            tree = ast.parse(path.read_text())
+            used |= _reads(tree, _modules(tree), True)
     return used
 
 
@@ -60,11 +78,13 @@ def test_every_export_is_used_outside_the_tests():
     for path in sorted((ROOT / "src").rglob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        modules = _modules(tree)
+        for node in tree.body:
             if getattr(node, "name", None) in exports:
-                inside.setdefault(node.name, set()).update(_reads(node, False))
+                inside.setdefault(node.name, set()).update(_reads(node, modules, False))
             else:
-                used |= _reads(node, False)
+                used |= _reads(node, modules, False)
     while True:
         grown = used.union(*[inside[name] for name in exports & used & inside.keys()])
         if grown == used:
@@ -77,19 +97,21 @@ def test_every_function_and_method_is_read():
     # A function or method defined under src/ that nothing in src/, bench/
     # or tools/ reads is dead, or alive only for the tests.  A read counts
     # as in the export guard, except that a definition's reads of its own
-    # name (recursion) do not keep it; dunder methods are called by Python
-    # itself.
+    # name (recursion) do not keep it; an attribute of an imported module
+    # (math.exp) is no read of a method of that name, and dunder methods are
+    # called by Python itself.
     reads, defs = Counter(), []
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text())
-        reads.update(_read_list(tree))
-        defs += [(path.relative_to(ROOT).as_posix(), node) for node in ast.walk(tree)
+        modules = _modules(tree)
+        reads.update(_read_list(tree, modules))
+        defs += [(path.relative_to(ROOT).as_posix(), node, modules) for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                  and not (node.name.startswith("__") and node.name.endswith("__"))]
     outside = _outside_reads()
-    unread = [f"{path}:{node.lineno} {node.name}" for path, node in defs
+    unread = [f"{path}:{node.lineno} {node.name}" for path, node, modules in defs
               if node.name not in outside
-              and reads[node.name] == _read_list(node).count(node.name)]
+              and reads[node.name] == _read_list(node, modules).count(node.name)]
     assert unread == []
 
 

@@ -30,7 +30,6 @@ from toric_regions.fan_geometry import (
     _wrap,
     delta_i,
     r_count,
-    strip_coordinate,
 )
 from toric_regions.region_construction import (
     Hull,
@@ -85,6 +84,13 @@ WORKED_GENS = [(-1, 1), (1, 2), (2, 1)]
 @pytest.fixture(scope="module")
 def worked_region():
     return construct_region(Fan(WORKED_GENS), 3.0)
+
+
+def _strip_coordinate(pt: LogPoint, row) -> tuple[float, float]:
+    """The strip coordinate q*Y - p*X of pt and the half-width delta_i, of
+    the strip whose Fan.regions row is row."""
+    _, q, p, half_width, _, _ = row
+    return q * pt.Y - p * pt.X, half_width
 
 
 def _point_at_reference(piece, u: float) -> LogPoint:
@@ -170,22 +176,21 @@ class TestIntersectionPoints:
     def test_points_satisfy_both_curves(self):
         fan = Fan(WORKED_GENS)
         delta = 3.0
-        regions = fan.regions(delta)
+        rows = fan.regions(delta)
         for p in intersection_points(fan, delta):
-            ri, rj = regions[p.i], regions[p.j]
-            assert strip_coordinate(p.log, ri) == pytest.approx(p.si * ri.delta_i, abs=1e-9)
-            assert strip_coordinate(p.log, rj) == pytest.approx(p.sj * rj.delta_i, abs=1e-9)
+            for k, side in ((p.i, p.si), (p.j, p.sj)):
+                sigma, half_width = _strip_coordinate(p.log, rows[k])
+                assert sigma == pytest.approx(side * half_width, abs=1e-9)
 
     def test_refound_by_independent_bisection(self):
         # Parametrize one curve by X and bisect the other curve's residual.
         fan = Fan(WORKED_GENS)
         delta = 3.0
-        regions = fan.regions(delta)
+        rows = fan.regions(delta)
         for p in intersection_points(fan, delta):
-            gi = regions[p.i].gen
-            gj = regions[p.j].gen
-            ci = p.si * regions[p.i].delta_i
-            cj = p.sj * regions[p.j].delta_i
+            gi, gj = fan.generators[p.i], fan.generators[p.j]
+            ci = p.si * rows[p.i][3]
+            cj = p.sj * rows[p.j][3]
 
             def on_curve_i(X):
                 return (gi.p * X + ci) / gi.q
@@ -257,14 +262,15 @@ class TestSegmentCurveIntersection:
 
     def test_linear_curve_closed_form(self):
         gen = LineGenerator(1, 1)
-        pt = _strip_point(PosPoint(3.0, 4.0).log(), gen, math.log(math.e)).exp()
-        assert pt.x == pytest.approx(7.0 / (1.0 + math.e), rel=1e-10)
-        assert pt.y == pytest.approx(7.0 * math.e / (1.0 + math.e), rel=1e-10)
+        pt = _strip_point(PosPoint(3.0, 4.0).log(), gen, math.log(math.e))
+        assert math.exp(pt.X) == pytest.approx(7.0 / (1.0 + math.e), rel=1e-10)
+        assert math.exp(pt.Y) == pytest.approx(7.0 * math.e / (1.0 + math.e), rel=1e-10)
 
     def test_huge_coordinates(self):
         gen = LineGenerator(1, 1)
-        start = LogPoint(60.0, 60.0).exp()
-        pt = _strip_point(start.log(), gen, math.log(math.exp(3.0))).exp()
+        start = PosPoint(math.exp(60.0), math.exp(60.0))
+        end = _strip_point(start.log(), gen, math.log(math.exp(3.0)))
+        pt = PosPoint(math.exp(end.X), math.exp(end.Y))
         res = math.log(pt.y) - math.log(pt.x) - 3.0
         assert abs(res) < 1e-9
 
@@ -603,15 +609,11 @@ class TestWorkedConstruction:
 
     def test_anchors_on_their_curves(self, worked_region):
         b = worked_region
-        regions = b.fan.regions(b.delta)
+        rows = b.fan.regions(b.delta)
         # A_q and B_u terminate on the negative-slope strip's lower curve.
-        r = regions[2]
-        for name in ("Aq", "Bu"):
-            assert strip_coordinate(b.anchors[name], r) == pytest.approx(-r.delta_i, abs=1e-9)
-        assert strip_coordinate(b.anchors["Cr"], regions[0]) == pytest.approx(
-            regions[0].delta_i, abs=1e-9)
-        assert strip_coordinate(b.anchors["Ds"], regions[1]) == pytest.approx(
-            -regions[1].delta_i, abs=1e-9)
+        for name, k, side in (("Aq", 2, -1), ("Bu", 2, -1), ("Cr", 0, 1), ("Ds", 1, -1)):
+            sigma, half_width = _strip_coordinate(b.anchors[name], rows[k])
+            assert sigma == pytest.approx(side * half_width, abs=1e-9)
 
     def test_meeting_points_match_closed_form(self, worked_region):
         b = worked_region
@@ -694,14 +696,17 @@ class TestFanPlan:
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_construct_region_fetches_the_strips_once(self, validate, monkeypatch):
-        calls = []
+        # The construction reads the strip table once; the battery's r <= 1
+        # check reads it once more, and gets the same table.
+        tables = []
         regions = Fan.regions
         monkeypatch.setattr(Fan, "regions",
-                            lambda fan, delta: calls.append(delta) or regions(fan, delta))
+                            lambda fan, delta: tables.append(regions(fan, delta)) or tables[-1])
         for gens in (WORKED_GENS, [(1, 2), (2, 1), (-1, 1), (0, 1)]):
-            calls.clear()
+            tables.clear()
             construct_region(Fan(gens), 3.0, validate=validate)
-            assert calls == [3.0]
+            assert len(tables) == (2 if validate else 1)
+            assert all(table is regions(Fan(gens), 3.0) for table in tables)
 
     @pytest.mark.parametrize("delta", [3.0, 0.0, -1.0, math.nan, math.inf])
     def test_unsupported_fan_is_rejected_before_delta_and_never_cached(self, delta):
@@ -783,11 +788,11 @@ class TestSpecialCases:
         # both on their + side, meet at delta*(-sqrt5/3, sqrt5/3), inside the
         # strips of both axes, so no single axis-parallel join can close.
         fan = Fan([(-1, 1), (1, 2), (2, 1), (1, 0), (0, 1)])
-        strips = {(r.gen.p, r.gen.q): r for r in fan.regions(3.0)}
-        ends = [Segment(LogPoint(0.0, 0.0), LogPoint(0.0, 0.0), strips[g].gen, strips[g].index, 1, 1)
-                for g in ((1, 2), (2, 1))]
+        gens = fan.generators
+        ends = [Segment(LogPoint(0.0, 0.0), LogPoint(0.0, 0.0), g, gens.index(g), 1, 1)
+                for g in (LineGenerator(1, 2), LineGenerator(2, 1))]
         with pytest.raises(UnsupportedFan, match="closure point inside two axis strips"):
-            region_construction._close_side(*ends, fan.regions(3.0), 3.0)
+            region_construction._close_side(*ends, fan.regions(3.0), gens, 3.0)
 
     def test_slope_chain_signs(self, worked_region):
         # In standard mode chain 2 (I2 reversed, then I3) must fall and

@@ -149,29 +149,31 @@ class TestClassified:
         grid = [LogPoint(float(X), float(Y)) for X in range(-9, 10, 2) for Y in range(-9, 10, 3)]
         counts = {}
         for delta in (3.0, 1.0, 3.0, 1.0):
-            strips = WORKED_FAN.regions(delta)
+            halves = [delta_i(g, delta) for g in WORKED_FAN.generators]
             for pt in grid:
-                sigma = [abs(strip.gen.q * pt.Y - strip.gen.p * pt.X) for strip in strips]
-                if min(abs(s - strip.delta_i) for s, strip in zip(sigma, strips)) <= 1e-6:
+                sigma = [abs(g.q * pt.Y - g.p * pt.X) for g in WORKED_FAN.generators]
+                if min(abs(s - h) for s, h in zip(sigma, halves)) <= 1e-6:
                     continue
                 fast = rhs_classified(pt, WORKED_FAN, delta)
                 slow = rhs_bruteforce(pt, WORKED_FAN, delta)
                 assert (fast.lo, fast.width) == (slow.lo, slow.width), (delta, pt)
                 r = r_count(pt, WORKED_FAN, delta)
-                assert r == sum(s < strip.delta_i for s, strip in zip(sigma, strips))
+                assert r == sum(s < h for s, h in zip(sigma, halves))
                 counts.setdefault(pt, {})[delta] = r
         assert any(len(set(by_delta.values())) == 2 for by_delta in counts.values())
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_delta_rejected(self, delta):
         # A bad delta raises on every call and leaves no strip table behind.
-        tables = fan_geometry._strip_table.cache_info().currsize
+        tables = Fan.regions.cache_info().currsize
         for _ in range(2):
+            with pytest.raises(NonPositiveDelta):
+                WORKED_FAN.regions(delta)
             with pytest.raises(NonPositiveDelta):
                 rhs_classified(LogPoint(0.0, 0.0), WORKED_FAN, delta)
             with pytest.raises(NonPositiveDelta):
                 r_count(LogPoint(0.0, 0.0), WORKED_FAN, delta)
-        assert fan_geometry._strip_table.cache_info().currsize == tables
+        assert Fan.regions.cache_info().currsize == tables
 
     def test_halfplane_slope_is_attracting_slope(self):
         # Inside the strip of (1,2) only: boundary of the half plane must

@@ -70,7 +70,7 @@ def test_atlas_outcomes_case_record():
     assert bad["contains"] is None
 
 
-def test_atlas_outcomes_contains_digest_reads_the_scalar_without_the_batch():
+def test_atlas_outcomes_contains_digest_sees_a_moved_label():
     tool = _load_tool("atlas_outcomes")
     rc = toric_regions.region_construction
     region = toric_regions.construct_region(toric_regions.Fan([(-1, 1), (1, 2), (2, 1)]), 3.0)
@@ -79,23 +79,14 @@ def test_atlas_outcomes_contains_digest_reads_the_scalar_without_the_batch():
     assert len(X) == len(Y) == len(band) == (len(region.points_uc) + 13 + 2 * samples
                                              + tool.PROBE_SAMPLES)
     assert sorted(set(band.tolist())) == [1e-9, 1e-7]
-    # A package without region_contains_batch: the digest comes from the
-    # scalar region_contains, and equals the broadcast's.
-    scalar_rc = SimpleNamespace(**{k: v for k, v in vars(rc).items()
-                                   if k != "region_contains_batch"})
-    scalar = SimpleNamespace(region_construction=scalar_rc,
-                             fan_geometry=toric_regions.fan_geometry,
-                             errors=toric_regions.errors)
     digest = tool.contains_digest(region, toric_regions)
-    assert tool.contains_digest(region, scalar) == digest
     labels = rc.region_contains_batch(region, X, Y, band)
     assert {"inside", "outside", "boundary"} <= set(labels)
     # One label moved changes the digest.
     moved = SimpleNamespace(**vars(rc))
     flipped = "outside" if labels[0] == "inside" else "inside"
     moved.region_contains_batch = lambda *args: [flipped] + labels[1:]
-    fake = SimpleNamespace(region_construction=moved, fan_geometry=toric_regions.fan_geometry,
-                           errors=toric_regions.errors)
+    fake = SimpleNamespace(region_construction=moved, errors=toric_regions.errors)
     assert tool.contains_digest(region, fake) != digest
 
 
@@ -165,7 +156,7 @@ def test_level_outcomes_records(monkeypatch):
     hull = rc.conv_hull(rc.construct_region(fg.Fan([(-1, 2), (-2, 1)]), 3.5, validate=False))
     rec = tool.hull_record([(-1, 2), (-2, 1)], 3.5, toric_regions)
     assert (rec["vertices"], rec["caps"]) == (len(hull), 2) and rec["hull"] == tool.hull_digest(hull)
-    assert tool.hull_digest(list(hull)) != rec["hull"]
+    assert tool.hull_digest(rc.Hull(hull, {})) != rec["hull"]
     # A level outside the band is a documented rejection.
     out = tool.level_record(gens, "fan", 5.0, toric_regions, workloads)
     assert out["phi"] == "OutOfBand" and out["probes"] == 1

@@ -18,10 +18,8 @@ is not a package error.  "site" names the function in which such a bare
 exception was raised.  "samples" digests every X and Y of
 ``sample_boundary(boundary, 512)``.  "contains" digests the containment
 labels of a seeded probe set (see ``contains_probes``), computed by
-``region_contains_batch`` where the package has it and by the scalar
-``region_contains`` otherwise, so comparing a tree with the broadcast
-against one without compares the two label for label; a package error
-while labelling reads "raised:<class>".  "checks", "pieces", "samples" and
+``region_contains_batch``; a package error while labelling reads
+"raised:<class>".  "checks", "pieces", "samples" and
 "contains" are null when no region was built or its validation raised.
 The catalog holds no seed outcome for delta = 300.  The catalog is only
 read.
@@ -82,10 +80,7 @@ def contains_probes(boundary, package):
     rc = package.region_construction
     rng = np.random.default_rng(PROBE_SEED)
     pts = [(ip.log.X, ip.log.Y) for ip in boundary.points_uc]
-    # The chord points by _log_mix, as the battery forms them, so that trees
-    # without _chord_points digest the same points.
-    pts += [(rc._log_mix(a.X, b.X, u), rc._log_mix(a.Y, b.Y, u))
-            for a, b in boundary.chords().values() for u in (0.25, 0.5, 0.75)]
+    pts += [(pt.X, pt.Y) for pt in rc._chord_points(boundary)]
     pts.append((0.0, 0.0))
     X, Y, _ = rc.sample_boundary(boundary, PROBE_SAMPLES)
     jitter = rng.uniform(-1e-7, 1e-7, size=(2, len(X)))
@@ -100,17 +95,10 @@ def contains_probes(boundary, package):
 
 def contains_digest(boundary, package) -> str:
     """Short hash of the containment label of every probe of
-    ``contains_probes``, by ``region_contains_batch`` if the package has it,
-    else point by point by ``region_contains``."""
-    rc, fg = package.region_construction, package.fan_geometry
+    ``contains_probes``, by ``region_contains_batch``."""
     try:
         X, Y, band = contains_probes(boundary, package)
-        batch = getattr(rc, "region_contains_batch", None)
-        if batch is not None:
-            labels = batch(boundary, X, Y, band)
-        else:
-            labels = [rc.region_contains(boundary, fg.LogPoint(x, y), b)
-                      for x, y, b in zip(X.tolist(), Y.tolist(), band.tolist())]
+        labels = package.region_construction.region_contains_batch(boundary, X, Y, band)
     except package.errors.ToricRegionsError as exc:
         return f"raised:{type(exc).__name__}"
     return hashlib.sha256(",".join(labels).encode()).hexdigest()[:16]

@@ -58,7 +58,7 @@ def hull_digest(hull) -> str:
     h = hashlib.sha256()
     for x, y in hull:
         h.update(f"{x.hex()} {y.hex()};".encode())
-    for k, cap in sorted(getattr(hull, "caps", {}).items()):
+    for k, cap in sorted(hull.caps.items()):
         h.update(f"{k}:{' '.join(float(c).hex() for c in cap)};".encode())
     return h.hexdigest()[:16]
 
@@ -86,7 +86,7 @@ def hull_record(gens, delta: float, package) -> dict:
     rc, fg = package.region_construction, package.fan_geometry
     try:
         hull = rc.conv_hull(rc.construct_region(fg.Fan(gens), delta, validate=False))
-        vertices, caps, digest = len(hull), len(getattr(hull, "caps", {})), hull_digest(hull)
+        vertices, caps, digest = len(hull), len(hull.caps), hull_digest(hull)
     except Exception as exc:
         vertices, caps, digest = None, None, _error(exc, package)
     return {"gens": [list(g) for g in gens], "delta": delta, "vertices": vertices,
