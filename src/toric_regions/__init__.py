@@ -26,7 +26,6 @@ from .fan_geometry import (
     PosPoint,
     delta_i,
     dist_to_cone,
-    fan_2d_cones,
     r_count,
 )
 from .region_construction import (
@@ -54,7 +53,7 @@ __all__ = [
     "PosPoint", "RegionBoundary", "SlopeClasses", "StepCollapse",
     "ToricRegionsError", "UnsupportedFan", "WitnessFailed",
     "ZeroGenerator", "choose_start_points", "compute_slope_classes",
-    "construct_region", "conv_hull", "delta_i", "dist_to_cone", "fan_2d_cones",
+    "construct_region", "conv_hull", "delta_i", "dist_to_cone",
     "hull_contains", "intersection_points", "phi_level", "r_count",
     "region_contains", "rhs_bruteforce", "rhs_classified",
 ]

@@ -39,7 +39,7 @@ from .fan_geometry import (
     Cone,
     Fan,
     LogPoint,
-    _arm_table,
+    _fan_table,
     _finite_log,
     _flanking_arms,
     along_coordinate,
@@ -473,7 +473,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     reads_cone decides the rest.  A selection that reads the cone (the
     ray, alternating and random ones, which jump at sector boundaries) is
     passed its cone rhs from _rhs_fast, with the strip table
-    fan.regions(delta) looked up once per run, and steps at the caps
+    fan.regions(delta) built once per run, and steps at the caps
     alone.  Any other (a smooth embedded field) is passed rhs=None, is
     asked for the stiffness of its step starts and ends, and gets
     error-controlled steps.
@@ -882,8 +882,9 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
             into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
             return [into, _logline_leg(into.end, dst, "slide along the strip")]
     else:
-        table, k = _arm_table(fan), _flanking_arms(dst.X, dst.Y, fan)
-        arm_sets = ({table[k][1:], table[(k + 1) % len(table)][1:]},)
+        arms = _fan_table(fan).arms
+        k = _flanking_arms(dst.X, dst.Y, arms)
+        arm_sets = ({arms[k][1:], arms[(k + 1) % len(arms)][1:]},)
 
         def finish(c: LogPoint, seg: Segment) -> list[WitnessLeg]:
             if max(abs(c.X - dst.X), abs(c.Y - dst.Y)) <= arrive_tol:

@@ -9,9 +9,10 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,9 +132,9 @@ class Fan:
             seen.add(key)
         gens.sort(key=functools.cmp_to_key(_angular_cmp))
         object.__setattr__(self, "generators", tuple(gens))
-        # Fans key every lru_cache of the package, and a lookup with a fresh
-        # equal fan compares them too: the hash and the (p, q) pairs, kept
-        # here, spare each lookup a pass of LineGenerator calls.
+        # Fans key the per-fan caches (_fan_table, _fan_plan), and a lookup
+        # with a fresh equal fan compares them too: the hash and the (p, q)
+        # pairs, kept here, spare each lookup a pass of LineGenerator calls.
         object.__setattr__(self, "_hash", hash(self.generators))
         object.__setattr__(self, "_pq", tuple((g.p, g.q) for g in gens))
 
@@ -152,24 +153,18 @@ class Fan:
     def b(self) -> int:
         return len(self.generators)
 
-    @lru_cache(maxsize=256)
     def regions(self, delta: float) -> tuple[tuple[int, float, float, float, int, int], ...]:
-        """The strip table at delta, which every reader shares: per
-        generator i, in fan order, the row (i, q, p, delta_i, plus, minus) of
-        its uncertainty region, the strip |q*Y - p*X| <= delta_i between the
-        curves y^q = e^(-delta_i) x^p and y^q = e^(+delta_i) x^p, with float
-        q and p.  plus and minus are the bit codes of the near sets of the
-        r = 1 values on its arms of sign +1 and -1: a point in this strip
-        alone is near the two sectors on either side of the strip's arm on
-        its side, the arm's own sector and the one before it in the arm
-        table.  Rows are exact tuples, which the classifier's loops unpack
-        fastest.  NonPositiveDelta, as delta_i raises it, is never cached.
-        """
-        arms = _arm_table(self)
-        codes = {(i, sign): (1 << j) | (1 << (j - 1) % len(arms))
-                 for j, (_, i, sign) in enumerate(arms)}
-        return tuple((i, float(g.q), float(g.p), delta_i(g, delta), codes[i, 1], codes[i, -1])
-                     for i, g in enumerate(self.generators))
+        """The strip table at delta, built on each call from the fan's
+        _fan_table record: per generator i, in fan order, the row (i, q, p,
+        delta_i, plus, minus) of the strip |q*Y - p*X| <= delta_i, with float
+        q and p, and plus and minus the codes of the near sets of the r = 1
+        values on its arms of sign +1 and -1 (the arm's sector and the one
+        before it).  Rows are exact tuples, which the classifier's loops
+        unpack fastest.  delta_i forms every half-width first, so a bad delta
+        raises NonPositiveDelta and builds no record."""
+        half_widths = [delta_i(g, delta) for g in self.generators]
+        return tuple([(i, q, p, half_widths[i], plus, minus)
+                      for i, q, p, plus, minus in _fan_table(self).strips])
 
     def __str__(self) -> str:
         return "{" + ",".join(str(g) for g in self.generators) + "}"
@@ -254,7 +249,22 @@ _KINDS = {ZERO_WIDTH: "zero", LINE_WIDTH: "line", 0.0: "ray", math.pi: "halfplan
           TWO_PI: "full"}
 
 
-@dataclass(frozen=True)
+def _unit_rays(lo: float, w: float) -> tuple[tuple[float, float], ...]:
+    """Cone.extreme_rays of the cone of start angle lo and width w."""
+    if w in (ZERO_WIDTH, TWO_PI):
+        return ()
+    u = (math.cos(lo), math.sin(lo))
+    if w == 0.0:
+        return (u,)
+    if w == LINE_WIDTH:
+        return (u, (-u[0], -u[1]))
+    if w == math.pi:
+        return (u, (-u[0], -u[1]), (-u[1], u[0]))
+    end = lo + w
+    return (u, (math.cos(end), math.sin(end)))
+
+
+@dataclass(frozen=True, slots=True)
 class Cone:
     """Closed convex cone in R^2: the directions of the counter-clockwise
     angular interval [lo, lo + width].
@@ -268,6 +278,8 @@ class Cone:
 
     lo: float
     width: float
+    # extreme_rays, formed on construction; slots, as the fan records hold many cones
+    _rays: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.width
@@ -277,28 +289,15 @@ class Cone:
             w = math.pi
         elif not (0.0 < w < math.pi or w in (ZERO_WIDTH, LINE_WIDTH, TWO_PI)):
             raise ValueError(f"cone width {w} is not in [0, pi], 2*pi or a marker width")
-        object.__setattr__(self, "lo", 0.0 if w in (ZERO_WIDTH, TWO_PI) else _wrap(self.lo))
+        lo = 0.0 if w in (ZERO_WIDTH, TWO_PI) else _wrap(self.lo)
+        object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "width", w)
+        object.__setattr__(self, "_rays", _unit_rays(lo, w))
 
     @property
     def kind(self) -> str:
         """'zero', 'ray', 'sector', 'halfplane', 'full' or 'line', read off the width."""
         return _KINDS.get(self.width, "sector")
-
-    @functools.cached_property
-    def _rays(self) -> tuple[tuple[float, float], ...]:
-        w = self.width
-        if w in (ZERO_WIDTH, TWO_PI):
-            return ()
-        u = (math.cos(self.lo), math.sin(self.lo))
-        if w == 0.0:
-            return (u,)
-        if w == LINE_WIDTH:
-            return (u, (-u[0], -u[1]))
-        if w == math.pi:
-            return (u, (-u[0], -u[1]), (-u[1], u[0]))
-        end = self.lo + w
-        return (u, (math.cos(end), math.sin(end)))
 
     def extreme_rays(self) -> tuple[tuple[float, float], ...]:
         """Unit extreme directions, counter-clockwise from lo.
@@ -369,41 +368,76 @@ class Cone:
         return Cone(parts[0][0], LINE_WIDTH)
 
 
-@lru_cache(maxsize=256)
-def _arm_table(fan: Fan) -> tuple[tuple[float, int, int], ...]:
-    """All 2b arm rays (angle, generator index, arm sign) sorted by angle;
-    no two generators are parallel, so the angles strictly increase.
+class _NearValues(dict):
+    """The inclusion's value by near-set bit code, built on its first read:
+    the polar of the intersection of the sectors whose bits the code sets."""
 
-    Arm sign is the sign of the along-coordinate q*X + p*Y on that arm, so
-    sign +1 is the arm in direction +(q, p).  Angles are wrapped to [0, 2*pi).
+    __slots__ = ("sectors",)
+
+    def __init__(self, sectors: tuple[Cone, ...]):
+        self.sectors = sectors
+
+    def __missing__(self, near: int) -> Cone:
+        value = self[near] = functools.reduce(
+            Cone.intersect, [s for k, s in enumerate(self.sectors) if near >> k & 1]).polar()
+        return value
+
+
+class _FanTable(NamedTuple):
+    """Everything the construction and the inclusion read off a fan at no
+    delta.  An arm's sign is that of q*X + p*Y on it, so sign +1 is the arm
+    +(q, p); no two generators are parallel, so its angles strictly increase."""
+
+    arms: tuple  # the 2b arms (angle in [0, 2*pi), generator index, sign), by angle
+    sectors: tuple  # the 2b sectors, k from arm k to arm k + 1: two half planes for b = 1
+    rays: tuple  # the sectors' unit start rays, sector 0's again last: two read-only columns
+    strips: tuple  # the delta-free columns (i, q, p, plus, minus) of the rows of Fan.regions
+    uc: tuple  # the columns cx, cy of S^uc's unit-delta exponents, in _uc_pairs order
+    values: _NearValues  # the inclusion's value by near-set code, for the record's lifetime
+
+
+def _uc_pairs(b: int) -> list[tuple[int, int, int, int]]:
+    """S^uc's provenance order (i, j, si, sj), i < j, for b generators."""
+    return [(i, j, si, sj) for i in range(b) for j in range(i + 1, b)
+            for si in (1, -1) for sj in (1, -1)]
+
+
+def _meet_exponents(gi: LineGenerator, si: int, gj: LineGenerator, sj: int) -> tuple[float, float]:
+    """Unit-delta exponents (cx, cy) of the point where the curve
+    q*Y - p*X = si*delta_i of gi meets the curve of gj on side sj.
+
+    Swapping the curves negates both numerators and the determinant, which
+    can flip the sign of a zero exponent; callers pass the lower index first.
     """
-    arms = []
-    for i, g in enumerate(fan.generators):
-        a = _wrap(math.atan2(g.p, g.q))
-        arms.append((a, i, 1))
-        arms.append((_wrap(a + math.pi), i, -1))
-    arms.sort()
-    return tuple(arms)
+    det = gi.p * gj.q - gj.p * gi.q
+    wi, wj = gi.norm, gj.norm
+    return ((gi.q * wj * sj - gj.q * wi * si) / det, (gi.p * wj * sj - gj.p * wi * si) / det)
 
 
-def _flanking_arms(X: float, Y: float, fan: Fan) -> int:
-    """Index k of the sector fan_2d_cones(fan)[k] containing the log point
-    (X, Y): it runs counter-clockwise from arm k (inclusive) of the arm
-    table to arm k + 1 (mod 2b)."""
-    arms = _arm_table(fan)
+@lru_cache(maxsize=256)
+def _fan_table(fan: Fan) -> _FanTable:
+    """The fan's _FanTable record, the one cache of this module."""
+    gens = fan.generators
+    angles = [_wrap(math.atan2(g.p, g.q)) for g in gens]
+    arms = sorted([(a, i, 1) for i, a in enumerate(angles)]
+                  + [(_wrap(a + math.pi), i, -1) for i, a in enumerate(angles)])
+    n = len(arms)
+    sectors = tuple(Cone(a, _wrap(arms[(k + 1) % n][0] - a)) for k, (a, _, _) in enumerate(arms))
+    rays = np.array([s._rays[0] for s in sectors + sectors[:1]])
+    rays.setflags(write=False)
+    codes = {(i, sign): (1 << k) | (1 << (k - 1) % n) for k, (_, i, sign) in enumerate(arms)}
+    strips = tuple((i, float(g.q), float(g.p), codes[i, 1], codes[i, -1])
+                   for i, g in enumerate(gens))
+    uc = [_meet_exponents(gens[i], si, gens[j], sj) for i, j, si, sj in _uc_pairs(len(gens))]
+    return _FanTable(tuple(arms), sectors, (rays[:, :1], rays[:, 1:]), strips,
+                     (tuple(cx for cx, _ in uc), tuple(cy for _, cy in uc)), _NearValues(sectors))
+
+
+def _flanking_arms(X: float, Y: float, arms: tuple[tuple[float, int, int], ...]) -> int:
+    """Index k of the sector containing the log point (X, Y), given the
+    arms of the fan's record: from arm k (inclusive) to arm k + 1 (mod 2b)."""
     phi = _wrap(math.atan2(Y, X))
     return (bisect.bisect_right(arms, phi, key=operator.itemgetter(0)) - 1) % len(arms)
-
-
-@lru_cache(maxsize=256)
-def fan_2d_cones(fan: Fan) -> tuple[Cone, ...]:
-    """The 2b full-dimensional sectors from each arm ray to the next.
-
-    A single generator gives two half planes.
-    """
-    arms = _arm_table(fan)
-    return tuple(Cone(a, _wrap(arms[(k + 1) % len(arms)][0] - a))
-                 for k, (a, _, _) in enumerate(arms))
 
 
 def _ray_distance(pt: LogPoint, u: tuple[float, float]) -> float:
@@ -431,19 +465,9 @@ def dist_to_cone(point, cone: Cone) -> float:
 _NEAR_BLOCK = 1024
 
 
-@lru_cache(maxsize=256)
-def _arm_rays(fan: Fan) -> tuple[np.ndarray, np.ndarray]:
-    """The unit rays of the arm table, arm 0 repeated last, as two
-    (2b + 1, 1) columns: arm k is the start ray of fan_2d_cones(fan)[k].
-    Every call shares the two arrays; nothing writes to them."""
-    starts = [s._rays[0] for s in fan_2d_cones(fan)]
-    rays = np.array(starts + starts[:1])
-    return rays[:, :1], rays[:, 1:]
-
-
 def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.ndarray:
-    """dist_to_cone(pt, sector) <= limit for every sector of fan_2d_cones(fan)
-    (rows) and every log point (X[j], Y[j]) (columns).
+    """dist_to_cone(pt, sector) <= limit for every sector of the fan's
+    _fan_table record (rows) and every log point (X[j], Y[j]) (columns).
 
     Sector k runs from arm k to arm k + 1.  Per (arm, point) one cross
     product c = arm x p and one dot product d = arm . p give the ray
@@ -455,7 +479,8 @@ def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.nda
     the limit, found by one 2-D nonzero only in a block that has such a
     tie.  Points go in blocks of _NEAR_BLOCK.
     """
-    ax, ay = _arm_rays(fan)
+    table = _fan_table(fan)
+    ax, ay = table.rays
     near = np.empty((len(ax) - 1, len(X)), dtype=bool)
     for lo in range(0, len(X), _NEAR_BLOCK):
         x, y = X[lo:lo + _NEAR_BLOCK], Y[lo:lo + _NEAR_BLOCK]
@@ -469,5 +494,5 @@ def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.nda
         if tie.any():
             for k, j in zip(*tie.nonzero()):
                 block[k, j] = dist_to_cone(LogPoint(float(x[j]), float(y[j])),
-                                           fan_2d_cones(fan)[k]) <= limit
+                                           table.sectors[k]) <= limit
     return near

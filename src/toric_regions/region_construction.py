@@ -11,7 +11,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -31,8 +31,10 @@ from .fan_geometry import (
     Fan,
     LineGenerator,
     LogPoint,
-    _arm_table,
+    _fan_table,
     _finite_log,
+    _meet_exponents,
+    _uc_pairs,
     _wrap,
     along_coordinate,
     as_log,
@@ -74,31 +76,10 @@ class IntersectionPoint:
         return (self.i, self.j, 0 if self.si > 0 else 1, 0 if self.sj > 0 else 1)
 
 
-@functools.lru_cache(maxsize=256)
-def _uc_rows(fan: Fan) -> tuple[tuple[int, int, int, int, float, float], ...]:
-    """The delta-free rows (i, j, si, sj, cx, cy) of S^uc in provenance
-    order: every fan has them, also one that the construction rejects."""
-    gens = fan.generators
-    return tuple((i, j, si, sj, *_meet_exponents(gens[i], si, gens[j], sj))
-                 for i in range(len(gens)) for j in range(i + 1, len(gens))
-                 for si in (1, -1) for sj in (1, -1))
-
-
 def intersection_points(fan: Fan, delta: float) -> tuple[IntersectionPoint, ...]:
-    """All 4 * C(b, 2) pairwise curve intersections (the set S^uc)."""
-    return tuple(IntersectionPoint(*row, delta) for row in _uc_rows(fan))
-
-
-def _meet_exponents(gi: LineGenerator, si: int, gj: LineGenerator, sj: int) -> tuple[float, float]:
-    """Unit-delta exponents (cx, cy) of the point where the curve
-    q*Y - p*X = si*delta_i of gi meets the curve of gj on side sj.
-
-    Swapping the curves negates both numerators and the determinant, which
-    can flip the sign of a zero exponent; callers pass the lower index first.
-    """
-    det = gi.p * gj.q - gj.p * gi.q
-    wi, wj = gi.norm, gj.norm
-    return ((gi.q * wj * sj - gj.q * wi * si) / det, (gi.p * wj * sj - gj.p * wi * si) / det)
+    """All 4 * C(b, 2) pairwise curve intersections (the set S^uc), in _uc_pairs order."""
+    return tuple(IntersectionPoint(*pair, cx, cy, delta)
+                 for pair, cx, cy in zip(_uc_pairs(fan.b), *_fan_table(fan).uc))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +444,7 @@ def _arm_walk(fan: Fan, phi: float, ccw: bool, stop_index: int) -> tuple[tuple[i
     clockwise or clockwise from phi: the first arm more than 1e-12 past it
     either way.
     """
-    arms = _arm_table(fan)
+    arms = _fan_table(fan).arms
     n = len(arms)
     if ccw:
         k = bisect.bisect_right(arms, phi + 1e-12, key=itemgetter(0)) % n
@@ -619,12 +600,11 @@ class RegionBoundary:
 @dataclass(frozen=True)
 class _FanPlan:
     """Everything of a fan's construction that no delta changes: its slope
-    classes, the positions in intersection_points' order of the start
-    points (N,M) and (n,m), and the arm walks of I1, I4, I2 and I3."""
+    classes, the delta-free rows (i, j, si, sj, cx, cy) of the start points
+    (N,M) and (n,m), and the arm walks of I1, I4, I2 and I3."""
 
     classes: SlopeClasses
-    start_max: int
-    start_min: int
+    starts: tuple
     walks: tuple
 
 
@@ -641,7 +621,7 @@ def _fan_plan(fan: Fan) -> _FanPlan:
     phi_min = _wrap(math.atan2(start_min.cy, start_min.cx))
     walks = (_arm_walk(fan, phi_max, True, classes.i1), _arm_walk(fan, phi_max, False, classes.i4),
              _arm_walk(fan, phi_min, False, classes.i2), _arm_walk(fan, phi_min, True, classes.i3))
-    return _FanPlan(classes, points.index(start_max), points.index(start_min), walks)
+    return _FanPlan(classes, (astuple(start_max)[:-1], astuple(start_min)[:-1]), walks)
 
 
 def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBoundary:
@@ -653,8 +633,7 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
     start points, the crossings and the closures are computed."""
     plan = _fan_plan(fan)
     rows, gens = fan.regions(delta), fan.generators
-    start_max, start_min = (IntersectionPoint(*_uc_rows(fan)[k], delta)
-                            for k in (plan.start_max, plan.start_min))
+    start_max, start_min = (IntersectionPoint(*row, delta) for row in plan.starts)
     i1_walk, i4_walk, i2_walk, i3_walk = plan.walks
     try:
         i1_segs = build_polyline(start_max.log, i1_walk, rows, gens)
@@ -1340,7 +1319,7 @@ def _hull(fan: Fan, delta: float) -> Hull:
     return conv_hull(construct_region(fan, delta, validate=False))
 
 
-def _level_measure(hull: list[tuple[float, float]], pt: LogPoint) -> float:
+def _level_measure(hull: Hull, pt: LogPoint) -> float:
     """Signed measure of pt against the hull, read only to place phi_level's probes.
 
     The log-space ray from the origin (x-space (1,1), inside every region)
@@ -1369,7 +1348,7 @@ def _level_measure(hull: list[tuple[float, float]], pt: LogPoint) -> float:
             s = (ax * pt.Y - ay * pt.X) / den
             if -1e-9 <= s <= 1.0 + 1e-9 and tj > t:
                 t, k, at = tj, j, s
-    caps = getattr(hull, "caps", {})
+    caps = hull.caps
     if 1e-9 < at < 1.0 - 1e-9 and k in caps:
         p, q, L = caps[k]
         t = (L + 1e-9 * math.hypot(p, q)) / (q * pt.Y - p * pt.X)
@@ -1593,10 +1572,10 @@ def _r_le_1_check(boundary: RegionBoundary, samples) -> dict:
 
 def _suc_check(boundary: RegionBoundary, labels: list[str]) -> dict:
     """labels: the containment label of each S^uc point, at band 1e-7.
-    The points are read off _uc_rows times delta, as IntersectionPoint.log
-    forms them."""
+    The points are read off the S^uc exponents of the fan's _fan_table
+    record times delta, as IntersectionPoint.log forms them."""
     d = boundary.delta
-    bad = [(cx * d, cy * d) for (*_, cx, cy), label in zip(_uc_rows(boundary.fan), labels)
+    bad = [(cx * d, cy * d) for cx, cy, label in zip(*_fan_table(boundary.fan).uc, labels)
            if label == "outside"]
     return {"passed": not bad, "worst": float(len(bad)), "witness": bad[0] if bad else None,
             "detail": "S^uc points outside the region"}
@@ -1696,10 +1675,10 @@ def validate_region(boundary: RegionBoundary) -> dict:
     in array passes over the boundary's one piece table: one _points_at
     pass (_validation_points) gives the loop checks their point chains and
     the r <= 1 and Nagumo checks sample_boundary's samples.
-    The S^uc points (_uc_rows times delta, as IntersectionPoint.log forms
-    them), the chord points (both at band 1e-7) and (1,1) (at
-    region_contains' default 1e-9) are classified in one
-    region_contains_batch call.  A failed check names a witness point
+    The S^uc points (the exponents of the fan's _fan_table record times
+    delta, as IntersectionPoint.log forms them), the chord points (both at
+    band 1e-7) and (1,1) (at region_contains' default 1e-9) are classified
+    in one region_contains_batch call.  A failed check names a witness point
     where it has one.
     """
     report = {}
@@ -1707,11 +1686,11 @@ def validate_region(boundary: RegionBoundary) -> dict:
     closed, simple = _loop_checks(boundary, loop)
     report["closed_loop"] = closed
     report["simple_loop"] = simple
-    rows, chords, d = _uc_rows(boundary.fan), _chord_points(boundary), boundary.delta
-    X = np.array([cx * d for *_, cx, _ in rows] + [pt.X for pt in chords] + [0.0])
-    Y = np.array([cy * d for *_, cy in rows] + [pt.Y for pt in chords] + [0.0])
+    (uc_x, uc_y), chords, d = _fan_table(boundary.fan).uc, _chord_points(boundary), boundary.delta
+    X = np.array([cx * d for cx in uc_x] + [pt.X for pt in chords] + [0.0])
+    Y = np.array([cy * d for cy in uc_y] + [pt.Y for pt in chords] + [0.0])
     labels = region_contains_batch(boundary, X, Y, np.append(np.full(len(X) - 1, 1e-7), 1e-9))
-    n_uc = len(rows)
+    n_uc = len(uc_x)
     report["suc_in_region"] = _suc_check(boundary, labels[:n_uc])
     report["r_le_1"] = _r_le_1_check(boundary, pts)
     report["slope_chains"] = _slope_chain_check(boundary)

@@ -2,11 +2,11 @@
 
 At a log point the value is the polar of the intersection of every
 full-dimensional fan sector within distance delta of the point, built
-only by ``_near_value``, once per (fan, near set).  Every value is a
-``Cone``: the full plane where r(x) >= 2 strips contain the point, a half
-plane where r(x) = 1, and where r(x) = 0 the polar of the containing
-sector (a ray for a one-generator fan).  Inside the strip of a
-one-generator fan the value is a line.
+once per (fan, near set) by the values memo of the fan's ``_fan_table``
+record.  Every value is a ``Cone``: the full plane where r(x) >= 2
+strips contain the point, a half plane where r(x) = 1, and where r(x) = 0
+the polar of the containing sector (a ray for a one-generator fan).
+Inside the strip of a one-generator fan the value is a line.
 
 Each path only chooses the near set.  ``rhs_bruteforce`` does it by the
 definition, point by point: the ground truth.  ``rhs_bruteforce_batch``
@@ -18,15 +18,14 @@ validation battery's check, and, with the inclusive tol, the
 integrator's check of every step start and the check of every candidate
 witness route.  ``_classify`` reads the near set off r(x) and the active
 strip's arm, from the floats (X, Y) and the rows of ``Fan.regions``, the
-one strip table of a (fan, delta), and returns the definition's value
-away from strip boundaries.
+strip table of a (fan, delta), and returns the definition's value away
+from strip boundaries.
 ``rhs_classified`` is ``_classify`` at one checked point; the integrator
 calls ``_classify`` on the floats it steps on, through
 ``dynamics._rhs_fast``.  Velocities are checked against a value c by
 ``c.violation(v)``: 0 inside, else the worst excess over |v|.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -38,10 +37,10 @@ from .fan_geometry import (
     Cone,
     Fan,
     LogPoint,
+    _fan_table,
     _finite_log,
     _flanking_arms,
     dist_to_cone,
-    fan_2d_cones,
     near_sectors,
 )
 
@@ -62,15 +61,8 @@ def _near_set(pt: LogPoint, fan: Fan, limit: float) -> int:
     complete, so some sector contains pt, but with limit near 0 rounding can
     leave a point on an arm just outside both sectors there: then the
     nearest sector is taken."""
-    dist = [dist_to_cone(pt, s) for s in fan_2d_cones(fan)]
+    dist = [dist_to_cone(pt, s) for s in _fan_table(fan).sectors]
     return sum(1 << k for k, d in enumerate(dist) if d <= limit) or 1 << dist.index(min(dist))
-
-
-@functools.lru_cache(maxsize=512)
-def _near_value(fan: Fan, near: int) -> Cone:
-    """Polar of the intersection of the sectors in the bit set near."""
-    return functools.reduce(Cone.intersect, [s for k, s in enumerate(fan_2d_cones(fan))
-                                             if near >> k & 1]).polar()
 
 
 def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Cone:
@@ -83,7 +75,7 @@ def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Con
     positive and finite, NonFinitePoint unless the point is finite.
     """
     limit = _near_limit(delta, tol)
-    return _near_value(fan, _near_set(_finite_log(point, "point"), fan, limit))
+    return _fan_table(fan).values[_near_set(_finite_log(point, "point"), fan, limit)]
 
 
 def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
@@ -99,19 +91,20 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
     each point's index, in memory linear in the points for any fan.
     """
     limit = _near_limit(delta, tol)
-    bits = 1 << np.arange(len(fan_2d_cones(fan)), dtype=np.int64)
+    record = _fan_table(fan)
+    bits = 1 << np.arange(len(record.sectors), dtype=np.int64)
     near = bits @ near_sectors(X, Y, fan, limit)
     for k in np.flatnonzero(near == 0).tolist():
         near[k] = _near_set(LogPoint(float(X[k]), float(Y[k])), fan, limit)
     s = np.sort(near)
     codes = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
-    return [_near_value(fan, c) for c in codes.tolist()], np.searchsorted(codes, near)
+    return [record.values[c] for c in codes.tolist()], np.searchsorted(codes, near)
 
 
 def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:
     """The value at the finite log point (X, Y), with the near set chosen
     by the strip-interior count r(x) from the rows of table, the strip
-    table fan.regions(delta), and read from the definition's cache.
+    table fan.regions(delta), and read from the values memo of _fan_table(fan).
 
     r >= 2 gives the shared full plane; r = 1 the two sectors on either side
     of the active strip's arm on the point's side (both half planes of a
@@ -129,11 +122,12 @@ def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:
             active = i
     if r >= 2:
         return _FULL_PLANE
+    record = _fan_table(fan)
     if r == 0:
-        return _near_value(fan, 1 << _flanking_arms(X, Y, fan))
+        return record.values[1 << _flanking_arms(X, Y, record.arms)]
     _, q, p, _, plus, minus = table[active]
     # The sign of the along-coordinate q*X + p*Y picks the arm.
-    return _near_value(fan, plus if q * X + p * Y >= 0.0 else minus)
+    return record.values[plus if q * X + p * Y >= 0.0 else minus]
 
 
 def rhs_classified(point, fan: Fan, delta: float) -> Cone:

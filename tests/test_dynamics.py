@@ -404,7 +404,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
     def test_cone_readers_need_a_positive_delta(self, delta):
-        # The run's strip table, fan.regions(delta), is looked up before
+        # The run's strip table, fan.regions(delta), is built before
         # the first sample.
         with pytest.raises(NonPositiveDelta):
             integrate(ExtremeRayStrategy("left"), LogPoint(0.0, 0.0), WORKED_FAN, delta,

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,9 +24,9 @@ from toric_regions.fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
+    _fan_table,
     delta_i,
     dist_to_cone,
-    fan_2d_cones,
     r_count,
 )
 from toric_regions.region_construction import construct_region
@@ -164,18 +166,19 @@ class TestRCount:
 
 
 class TestStripTable:
-    """Fan.regions(delta) is the one strip table of a (fan, delta)."""
+    """Fan.regions(delta) is the strip table of a (fan, delta), built on each
+    call from the fan's one delta-free record."""
 
     FANS = [[(1, 1)], [(-1, 1), (1, 2), (2, 1)], [(-1, 1), (1, 2), (2, 1), (1, 0), (0, 1)],
             [(-3, 7), (1, 2), (2, 1), (-5, 2), (11, 13), (0, 1)]]
 
     def test_one_table_that_every_reader_reads(self, monkeypatch):
-        # Repeated calls, also with a fresh equal fan, return one object,
-        # and r_count, integrate and construct_region all read that one:
+        # Repeated calls, also with a fresh equal fan, return equal rows,
+        # and r_count, integrate and construct_region all read those rows:
         # the last twice, in the construction and in the r <= 1 check.
         fan = Fan([(-1, 1), (1, 2), (2, 1)])
         table = fan.regions(3.0)
-        assert fan.regions(3.0) is table and Fan([(2, 1), (-1, 1), (1, 2)]).regions(3.0) is table
+        assert fan.regions(3.0) == table and Fan([(2, 1), (-1, 1), (1, 2)]).regions(3.0) == table
         read = []
         regions = Fan.regions
         monkeypatch.setattr(Fan, "regions",
@@ -183,15 +186,15 @@ class TestStripTable:
         r_count(LogPoint(1.0, 2.0), fan, 3.0)
         integrate(ExtremeRayStrategy("left"), LogPoint(1.0, 2.0), fan, 3.0, t_end=0.01)
         construct_region(fan, 3.0)
-        assert len(read) == 4 and all(t is table for t in read)
+        assert len(read) == 4 and all(t == table for t in read)
 
     @pytest.mark.parametrize("gens", FANS)
     def test_rows_hold_delta_i_and_the_arms_flanking_sectors(self, gens):
         # Row i is (i, q, p, delta_i, plus, minus), an exact tuple; plus and
-        # minus hold the two sectors of fan_2d_cones whose edge is the arm
-        # +(q, p), resp. -(q, p): both half planes of a one-generator fan.
+        # minus hold the two sectors of the fan's record whose edge is the
+        # arm +(q, p), resp. -(q, p): both half planes of a one-generator fan.
         fan = Fan(gens)
-        sectors = fan_2d_cones(fan)
+        sectors = _fan_table(fan).sectors
         for delta in (0.5, 3.0, 300.0):
             rows = fan.regions(delta)
             assert len(rows) == fan.b
@@ -285,15 +288,23 @@ class TestConeAlgebra:
         with pytest.raises(ValueError, match="cone width"):
             Cone(0.0, width)
 
+    def test_cones_keep_their_rays_in_slots_and_copy(self):
+        # A cone holds lo, width and its extreme rays in slots, no instance
+        # dict; copies and pickles are equal cones with the same rays.
+        for cone in (Cone(0.3, 1.1), Cone(2.0, math.pi), Cone(0.0, TWO_PI), Cone(1.0, LINE_WIDTH)):
+            assert not hasattr(cone, "__dict__")
+            for twin in (pickle.loads(pickle.dumps(cone)), copy.deepcopy(cone)):
+                assert twin == cone and twin.extreme_rays() == cone.extreme_rays()
+
 
 class TestFanSectors:
     def test_single_generator_two_halfplanes(self):
-        sectors = fan_2d_cones(Fan([(1, 0)]))
+        sectors = _fan_table(Fan([(1, 0)])).sectors
         assert len(sectors) == 2
         assert all(s.kind == "halfplane" for s in sectors)
 
     def test_two_generators_four_sectors(self):
-        sectors = fan_2d_cones(Fan([(1, 1), (-1, 1)]))
+        sectors = _fan_table(Fan([(1, 1), (-1, 1)])).sectors
         assert len(sectors) == 4
         assert all(s.kind == "sector" for s in sectors)
 
@@ -305,7 +316,7 @@ class TestFanSectors:
     ])
     def test_sectors_tile_the_plane(self, gens):
         fan = Fan(gens)
-        sectors = fan_2d_cones(fan)
+        sectors = _fan_table(fan).sectors
         assert len(sectors) == 2 * fan.b
         total = sum(s.width for s in sectors)
         assert total == pytest.approx(2 * math.pi, abs=1e-12)
@@ -339,20 +350,18 @@ class TestFanSectors:
 
     def test_equal_fans_hash_once_and_share_cache_entries(self, monkeypatch):
         # Permuted and unreduced generator lists give equal fans with equal
-        # hashes, so the second fan finds the first one's cache entries; a
-        # fan hashes its generators once, when it is built.
+        # hashes, so the second fan finds the first one's record with one
+        # cache hit; a fan hashes its generators once, when it is built.
         a = Fan([(-1, 1), (1, 2), (2, 1)])
         b = Fan([(4, 2), (2, 4), (-3, 3)])
         assert a == b and a is not b and hash(a) == hash(b)
         hashed = []
         monkeypatch.setattr(LineGenerator, "__hash__",
                             lambda g: hashed.append(g) or hash((g.p, g.q)))
-        for cached in (fan_2d_cones, Fan.regions):
-            args = (2.5,) if cached is Fan.regions else ()
-            first = cached(a, *args)
-            hits = cached.cache_info().hits
-            assert cached(b, *args) is first
-            assert cached.cache_info().hits == hits + 1
+        first = _fan_table(a)
+        hits = _fan_table.cache_info().hits
+        assert _fan_table(b) is first
+        assert _fan_table.cache_info().hits == hits + 1
         assert hashed == []
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.generators = ()

@@ -26,7 +26,7 @@ from toric_regions.fan_geometry import (
     LineGenerator,
     LogPoint,
     PosPoint,
-    _arm_table,
+    _fan_table,
     _wrap,
     delta_i,
     r_count,
@@ -37,6 +37,7 @@ from toric_regions.region_construction import (
     _LEVEL_TOL,
     _VALIDATION_SAMPLES,
     Arc,
+    IntersectionPoint,
     Segment,
     _PieceTable,
     _arc_monotonicity_check,
@@ -632,7 +633,7 @@ def _walk_reference(fan: Fan, start, ccw: bool, stop_index: int) -> list[tuple[i
     """The arms (generator index, arm sign) that the per-delta walk of
     build_polyline crossed from a start point: a bisect into the arm table
     at the point's position angle, then a step per arm to the stop one."""
-    arms = _arm_table(fan)
+    arms = _fan_table(fan).arms
     n = len(arms)
     phi = _wrap(math.atan2(start.cy, start.cx))
     if ccw:
@@ -668,7 +669,7 @@ class TestFanPlan:
             assert plan.classes == classes
             pts = intersection_points(fan, delta)
             top, low = choose_start_points(pts, classes.mode)
-            assert pts[plan.start_max] is top and pts[plan.start_min] is low
+            assert tuple(IntersectionPoint(*row, delta) for row in plan.starts) == (top, low)
             walks = [_walk_reference(fan, top, True, classes.i1),
                      _walk_reference(fan, top, False, classes.i4),
                      _walk_reference(fan, low, False, classes.i2),
@@ -697,7 +698,7 @@ class TestFanPlan:
     @pytest.mark.parametrize("validate", [False, True])
     def test_construct_region_fetches_the_strips_once(self, validate, monkeypatch):
         # The construction reads the strip table once; the battery's r <= 1
-        # check reads it once more, and gets the same table.
+        # check reads it once more, and gets equal rows.
         tables = []
         regions = Fan.regions
         monkeypatch.setattr(Fan, "regions",
@@ -706,7 +707,7 @@ class TestFanPlan:
             tables.clear()
             construct_region(Fan(gens), 3.0, validate=validate)
             assert len(tables) == (2 if validate else 1)
-            assert all(table is regions(Fan(gens), 3.0) for table in tables)
+            assert all(table == regions(Fan(gens), 3.0) for table in tables)
 
     @pytest.mark.parametrize("delta", [3.0, 0.0, -1.0, math.nan, math.inf])
     def test_unsupported_fan_is_rejected_before_delta_and_never_cached(self, delta):
@@ -1417,10 +1418,16 @@ class TestHullAndPhi:
         assert len(_monotone_chain(ends)) >= 7
 
     def test_hull_nesting(self):
-        fan = Fan(WORKED_GENS)
-        h3 = conv_hull(construct_region(fan, 3.0, validate=False))
-        h4 = conv_hull(construct_region(fan, 4.0, validate=False))
-        assert all(hull_contains(h4, p) for p in h3)
+        # phi_level's bracket rests on this law: over consecutive deltas of
+        # the level band, every vertex of the smaller hull lies in the larger
+        # one, and some vertex of the larger lies outside the smaller.
+        # LEVEL_CENSUS_FAN stays out: hull_contains is not monotone there.
+        for gens in LEVEL_FANS:
+            fan = Fan(gens)
+            hulls = [_hull(fan, delta) for delta in (3.0, 3.25, 3.5, 3.75, 4.0)]
+            for small, big in zip(hulls, hulls[1:]):
+                assert all(hull_contains(big, v) for v in small), gens
+                assert not all(hull_contains(small, v) for v in big), gens
 
     def test_phi_fixed_point(self):
         fan = Fan(WORKED_GENS)

@@ -21,9 +21,9 @@ from toric_regions.fan_geometry import (
     Fan,
     LogPoint,
     PosPoint,
+    _fan_table,
     delta_i,
     dist_to_cone,
-    fan_2d_cones,
     near_sectors,
     r_count,
 )
@@ -92,7 +92,7 @@ class TestBruteforce:
         # near, which gives the gap value.  The last point lies on the arm
         # (2, 1), between the last sector and the first, but by rounding just
         # outside both; it takes the value of one of them.
-        sectors = fan_2d_cones(WORKED_FAN)
+        sectors = _fan_table(WORKED_FAN).sectors
         on_arm = LogPoint(2.683281572999748e-300, 1.3416407864998737e-300)
         assert min(dist_to_cone(on_arm, s) for s in sectors) > 0.0
         for pt in (LogPoint(10.0, 0.0), LogPoint(0.3, 2.0), LogPoint(-4.0, -1.0), on_arm):
@@ -164,16 +164,40 @@ class TestClassified:
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_delta_rejected(self, delta):
-        # A bad delta raises on every call and leaves no strip table behind.
-        tables = Fan.regions.cache_info().currsize
+        # A bad delta raises on every call and builds no record for a fan
+        # that no other test uses: the record cache is not even looked up.
+        fan = Fan([(-7, 3), (2, 9), (5, 1)])
+        before = _fan_table.cache_info()
         for _ in range(2):
             with pytest.raises(NonPositiveDelta):
-                WORKED_FAN.regions(delta)
+                fan.regions(delta)
             with pytest.raises(NonPositiveDelta):
-                rhs_classified(LogPoint(0.0, 0.0), WORKED_FAN, delta)
+                rhs_classified(LogPoint(0.0, 0.0), fan, delta)
             with pytest.raises(NonPositiveDelta):
-                r_count(LogPoint(0.0, 0.0), WORKED_FAN, delta)
-        assert Fan.regions.cache_info().currsize == tables
+                r_count(LogPoint(0.0, 0.0), fan, delta)
+        assert _fan_table.cache_info() == before
+
+    def test_each_value_is_built_once_per_fan_and_near_set(self, monkeypatch):
+        # The record's values memo builds the value of a (fan, near set) on
+        # its first read: the first pass of construct_region, battery
+        # included, builds each value once, and a second pass builds none.
+        fans = [Fan([tuple(g) for g in entry["gens"]]) for entry in ATLAS["fans"][:6]]
+        built = []
+        polar = Cone.polar
+        monkeypatch.setattr(Cone, "polar", lambda c: built.append(c) or polar(c))
+
+        def construct_all() -> int:
+            built.clear()
+            for fan in fans:
+                try:
+                    construct_region(fan, 3.0)
+                except ToricRegionsError:
+                    pass
+            return len(built)
+
+        _fan_table.cache_clear()
+        assert construct_all() == sum(len(_fan_table(fan).values) for fan in fans) > 10
+        assert construct_all() == 0
 
     def test_halfplane_slope_is_attracting_slope(self):
         # Inside the strip of (1,2) only: boundary of the half plane must
@@ -345,14 +369,14 @@ TOLS = (STRIP_TOL, -1e-9)
 
 def _definition(pt, fan, delta, tol):
     """The inclusion's value as the definition reads, with no cache."""
-    near = [s for s in fan_2d_cones(fan) if dist_to_cone(pt, s) <= delta - tol]
+    near = [s for s in _fan_table(fan).sectors if dist_to_cone(pt, s) <= delta - tol]
     return functools.reduce(Cone.intersect, near).polar()
 
 
 def _near_reference(X, Y, fan, limit):
     """dist_to_cone(pt, sector) <= limit for every (sector, point) pair."""
     return np.array([[dist_to_cone(LogPoint(float(x), float(y)), s) <= limit
-                      for x, y in zip(X, Y)] for s in fan_2d_cones(fan)], dtype=bool)
+                      for x, y in zip(X, Y)] for s in _fan_table(fan).sectors], dtype=bool)
 
 
 def _assert_batch_matches(X, Y, fan, delta):
@@ -503,7 +527,7 @@ class TestNearSectors:
         # handed to dist_to_cone.
         rng = np.random.default_rng(19)
         X, Y = rng.uniform(-10.0, 10.0, size=(2, 50))
-        sectors = fan_2d_cones(WORKED_FAN)
+        sectors = _fan_table(WORKED_FAN).sectors
         pt = LogPoint(float(X[7]), float(Y[7]))
         k = max(range(len(sectors)), key=lambda k: dist_to_cone(pt, sectors[k]))
         limit = dist_to_cone(pt, sectors[k])
@@ -530,7 +554,7 @@ class TestNearSectors:
         for entry in ATLAS["fans"][::17]:
             fan = Fan([tuple(g) for g in entry["gens"]])
             X, Y = [], []
-            for s in fan_2d_cones(fan):
+            for s in _fan_table(fan).sectors:
                 for ux, uy in s.extreme_rays():
                     for t in (1.0, 1e3, 1e6):
                         for off in (0.5, 0.5 * (1.0 + 1e-13), 0.5 * (1.0 - 1e-15), -0.5):
@@ -557,7 +581,7 @@ class TestNearSectors:
         # |arm x p| misses by rounding.
         for entry in ATLAS["fans"][::9]:
             fan = Fan([tuple(g) for g in entry["gens"]])
-            pts = [(t * ux, t * uy) for s in fan_2d_cones(fan) for ux, uy in s.extreme_rays()
+            pts = [(t * ux, t * uy) for s in _fan_table(fan).sectors for ux, uy in s.extreme_rays()
                    for t in (0.5, 3.0, 100.0, 1e4)]
             pts += [(t * g.q, t * g.p) for g in fan.generators for t in (-7.0, -1e-3, 0.7, 1e3)]
             X, Y = (np.array(v) for v in zip(*pts))

@@ -27,7 +27,7 @@ def test_src_stats_reports_every_module():
     stats = json.loads(out)
     modules = stats["modules"]
     assert "toric_regions/dynamics.py" in modules
-    for key in ("lines", "keyword_options"):
+    for key in ("lines", "keyword_options", "caches"):
         assert stats["total"][key] == sum(m[key] for m in modules.values())
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
     assert stats["total"]["lines"] == lines
@@ -36,13 +36,18 @@ def test_src_stats_reports_every_module():
 
 def test_src_stats_counts_parameters_with_defaults(tmp_path):
     (tmp_path / "mod.py").write_text(
+        "import functools\n"
         "def f(a, b=1, *, c=2, d):\n"
         "    def g(e=3):\n"
         "        return lambda h=4: h\n"
-        "    return g\n")
+        "    return g\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def k(x):\n"
+        "    return x\n"
+        "m = functools.lru_cache(maxsize=None)(len)\n")
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "src_stats.py"), str(tmp_path)],
                          capture_output=True, text=True, check=True).stdout
-    assert json.loads(out)["modules"]["mod.py"] == {"lines": 4, "keyword_options": 3}
+    assert json.loads(out)["modules"]["mod.py"] == {"lines": 9, "keyword_options": 3, "caches": 2}
 
 
 def test_atlas_outcomes_case_record():

@@ -1,10 +1,13 @@
-"""Size figures of the package source: lines, keyword options and public names.
+"""Size figures of the package source: lines, keyword options, caches and public names.
 
-Prints JSON with, for every module under ``src/``, its line count and its
-number of keyword options, plus the totals and the package's public names.
-A keyword option is a function parameter with a default value (positional
-or keyword-only), counted over every ``def`` in the module, methods and
-nested functions included.  The public names are the entries of
+Prints JSON with, for every module under ``src/``, its line count, its
+number of keyword options and its number of caches, plus the totals and
+the package's public names.  A keyword option is a function parameter
+with a default value (positional or keyword-only), counted over every
+``def`` in the module, methods and nested functions included.  A cache is
+an ``lru_cache`` used as a decorator, bare or called, or called on a
+function (``lru_cache(maxsize=8)(f)``), by that name or as
+``functools.lru_cache``.  The public names are the entries of
 ``__all__`` in ``toric_regions/__init__.py``, read without importing it
 (0 when SRC_DIR holds no such file).
 
@@ -28,6 +31,20 @@ def keyword_options(tree: ast.AST) -> int:
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
+def _is_lru_cache(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+def caches(tree: ast.AST) -> int:
+    """lru_caches: every call of lru_cache, and every bare @lru_cache."""
+    nodes = list(ast.walk(tree))
+    return (sum(isinstance(node, ast.Call) and _is_lru_cache(node.func) for node in nodes)
+            + sum(_is_lru_cache(d) for node in nodes
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  for d in node.decorator_list))
+
+
 def public_names(src: Path) -> int:
     """Length of the package's __all__, read by ast; 0 without one."""
     init = src / "toric_regions" / "__init__.py"
@@ -44,11 +61,14 @@ def src_stats(src: Path) -> dict:
     modules = {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
         modules[path.relative_to(src).as_posix()] = {
             "lines": len(text.splitlines()),
-            "keyword_options": keyword_options(ast.parse(text, filename=str(path))),
+            "keyword_options": keyword_options(tree),
+            "caches": caches(tree),
         }
-    total = {key: sum(m[key] for m in modules.values()) for key in ("lines", "keyword_options")}
+    total = {key: sum(m[key] for m in modules.values())
+             for key in ("lines", "keyword_options", "caches")}
     return {"modules": modules, "total": {**total, "public_names": public_names(src)}}
 
 
