@@ -2,7 +2,6 @@
 differential inclusions."""
 
 from .errors import (
-    AmbiguousClassification,
     ArcsDontMeet,
     ConstructionFailed,
     DeltaTooSmall,
@@ -41,19 +40,18 @@ from .region_construction import (
     phi_level,
     region_contains,
 )
-from .tdi_rhs import rhs_bruteforce, rhs_classified
+from .tdi_rhs import rhs_bruteforce
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousClassification", "ArcsDontMeet", "Cone",
-    "ConstructionFailed", "DeltaTooSmall", "Fan", "IntersectionPoint",
-    "LineGenerator", "LogPoint", "MonomialOverflow", "NoCrossing",
-    "NonFinitePoint", "NonPositiveDelta", "OutOfBand", "ParallelGenerators",
-    "PosPoint", "RegionBoundary", "SlopeClasses", "StepCollapse",
-    "ToricRegionsError", "UnsupportedFan", "WitnessFailed",
+    "ArcsDontMeet", "Cone", "ConstructionFailed", "DeltaTooSmall", "Fan",
+    "IntersectionPoint", "LineGenerator", "LogPoint", "MonomialOverflow",
+    "NoCrossing", "NonFinitePoint", "NonPositiveDelta", "OutOfBand",
+    "ParallelGenerators", "PosPoint", "RegionBoundary", "SlopeClasses",
+    "StepCollapse", "ToricRegionsError", "UnsupportedFan", "WitnessFailed",
     "ZeroGenerator", "choose_start_points", "compute_slope_classes",
     "construct_region", "conv_hull", "delta_i", "dist_to_cone",
     "hull_contains", "intersection_points", "phi_level", "r_count",
-    "region_contains", "rhs_bruteforce", "rhs_classified",
+    "region_contains", "rhs_bruteforce",
 ]

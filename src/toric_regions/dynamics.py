@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AmbiguousClassification,
     MonomialOverflow,
     NoCrossing,
     NonFinitePoint,
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .fan_geometry import (
     LINE_WIDTH,
-    STRIP_TOL,
     TWO_PI,
     ZERO_WIDTH,
     Cone,
@@ -42,6 +40,7 @@ from .fan_geometry import (
     _fan_table,
     _finite_log,
     _flanking_arms,
+    _in_strip,
     along_coordinate,
     as_log,
     r_count,
@@ -57,24 +56,12 @@ from .region_construction import (
     _strip_point,
     region_contains,
 )
-from .tdi_rhs import _classify, rhs_bruteforce, rhs_bruteforce_batch
+from .tdi_rhs import _rhs_fast, rhs_bruteforce_batch
 
 _CONE_TOL = 1e-9  # cone-violation tolerance of every velocity check
 # Strip tolerance of the checks' cone: sectors within delta + 1e-9 count, so
 # a point on a strip boundary is checked against the larger value.
 _INCLUSIVE_TOL = -1e-9
-
-
-def _rhs_fast(X: float, Y: float, fan: Fan, delta: float, table: tuple) -> Cone:
-    """The inclusion's value at the log point (X, Y): _classify's, from
-    table, the strip table fan.regions(delta), or rhs_bruteforce's within
-    STRIP_TOL of a strip boundary.  NonFinitePoint unless X and Y are finite."""
-    if not (math.isfinite(X) and math.isfinite(Y)):
-        raise NonFinitePoint(f"point ({X}, {Y}) is not finite")
-    try:
-        return _classify(X, Y, fan, table)
-    except AmbiguousClassification:
-        return rhs_bruteforce(LogPoint(X, Y), fan, delta)
 
 
 def _cone_row(c: Cone) -> tuple[float, ...]:
@@ -201,27 +188,15 @@ def _term_sums(terms: tuple, X: float, Y: float, stiff: bool):
 
 def _field(system: MassActionSystem, X: float, Y: float, stiff: bool):
     """The embedded field (fx, fy) at the log point (X, Y), e^-X, e^-Y and,
-    if stiff, field_stiffness (else 0.0): (fx, fy, e^-X, e^-Y, stiffness),
-    from one _term_sums pass."""
+    if stiff, its stiffness (else 0.0): (fx, fy, e^-X, e^-Y, stiffness),
+    from one _term_sums pass.  The stiffness bounds the log-space Jacobian
+    row sum of the field, which keeps explicit steps stable on the
+    exponentially stiff reversible pair systems."""
     fx, fy, lx, ly = _term_sums(system.terms, X, Y, stiff)
     gx, gy = math.exp(-X), math.exp(-Y)
     if not stiff:
         return fx, fy, gx, gy, 0.0
     return fx, fy, gx, gy, max(lx * gx, ly * gy) + max(abs(fx) * gx, abs(fy) * gy)
-
-
-def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
-    """Sum over edges of k * x^source * (target - source), in x-space."""
-    pt = as_log(point)
-    fx, fy, _, _ = _term_sums(system.terms, pt.X, pt.Y, False)
-    return (fx, fy)
-
-
-def field_stiffness(system: MassActionSystem, point) -> float:
-    """Bound on the log-space Jacobian row sum of the embedded field, which keeps
-    explicit steps stable on the exponentially stiff reversible pair systems."""
-    pt = as_log(point)
-    return _field(system, pt.X, pt.Y, True)[4]
 
 
 def embedded_system_for_target(fan: Fan, delta: float, target: str,
@@ -306,7 +281,7 @@ class FieldStrategy:
 
     def velocity(self, X: float, Y: float, rhs: Cone | None, t: float, stiff: bool):
         """The field at the log point (X, Y), its log velocity and, if stiff,
-        field_stiffness (else 0.0): (vx, vy, x'/x, y'/y, stiffness)."""
+        _field's stiffness (else 0.0): (vx, vy, x'/x, y'/y, stiffness)."""
         fx, fy, gx, gy, stiffness = _field(self.system, X, Y, stiff)
         return fx, fy, fx * gx, fy * gy, stiffness
 
@@ -696,8 +671,9 @@ def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
     dominant log axis and lie on the direction's line through the nearer
     end, evaluated by the line kernel (on the x<->y mirror when log y
     dominates), all by one _line_y_log_batch call: sample k of n is
-    _xline_at(a if 2k <= n else x_end, *direction, c, mirrored), bit for
-    bit.  Raises NoCrossing if that line leaves the quadrant.
+    _line_y_log's point at c on the line through a if 2k <= n, else through
+    x_end (x and y swapped on the mirror), bit for bit.  Raises NoCrossing
+    if that line leaves the quadrant.
     """
     dx, dy = direction
     mirrored = abs(x_end.X - a.X) < abs(x_end.Y - a.Y)
@@ -761,18 +737,22 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     read-only.  The legs and the returned trajectory hold float arrays,
     and make their LogPoints only when read.
 
-    Both endpoints must lie in the region (``region_contains`` says "inside"
-    or "boundary"): the region is invariant, so no trajectory from inside it
-    reaches a point outside.  Otherwise ``WitnessFailed("precondition")`` is
-    raised before any leg is built.  Otherwise a failure raises
-    ``WitnessFailed`` naming the step: "leg1_flow" when the flow to (1,1)
-    does not converge, "full-plane straight run" when that run fails
-    validation, and "route" when no boundary route to a strip or gap target
-    arrives and validates.  The route's detail names the last candidate's
-    error (the last leg of it that failed validation, an "arrival" drift or
-    a walk whose line left the quadrant), then lists every candidate tried
-    as "chain[k]: error".  A non-finite endpoint raises NonFinitePoint.
+    The region must be built for this fan and delta, and both endpoints
+    must lie in it (``region_contains`` says "inside" or "boundary"): the
+    region is invariant, so no trajectory from inside it reaches a point
+    outside.  Otherwise ``WitnessFailed("precondition")`` is raised before
+    any leg is built.  Otherwise a failure raises ``WitnessFailed`` naming
+    the step: "leg1_flow" when the flow to (1,1) does not converge,
+    "full-plane straight run" when that run fails validation, and "route"
+    when no boundary route to a strip or gap target arrives and validates.
+    The route's detail names the last candidate's error (the last leg of
+    it that failed validation, an "arrival" drift or a walk whose line left
+    the quadrant), then lists every candidate tried as "chain[k]: error".
+    A non-finite endpoint raises NonFinitePoint.
     """
+    if region.fan != fan or region.delta != delta:
+        raise WitnessFailed("precondition", f"the region is built for {region.fan} at delta "
+                            f"{region.delta}, not {fan} at {delta}")
     src = as_log(from_point)
     dst = as_log(to_point)
     # (1, 1) is classified once per region.
@@ -832,7 +812,7 @@ def _route_prefix(cur: LogPoint, chain: str, k: int, fan: Fan, delta: float,
     once per region and flow end: region.witness_prefixes keeps one end's,
     at most one per chain segment.  The legs' arrays are read-only, since
     witnesses share them.  A walk that raises NoCrossing is not kept."""
-    at = (cur.X.hex(), cur.Y.hex(), fan, delta)  # the bits: -0.0 starts other legs than 0.0
+    at = (cur.X.hex(), cur.Y.hex())  # the bits: -0.0 starts other legs than 0.0
     memo = region.witness_prefixes
     if at not in memo:
         memo.clear()
@@ -869,10 +849,9 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     """
     if r_dst == 1:
         # The target's strip: the one row of fan.regions(delta) that r_dst counted.
-        for i, q, p, half_width, _, _ in fan.regions(delta):
-            sigma = q * dst.Y - p * dst.X
-            if abs(sigma) < half_width - STRIP_TOL:
-                break
+        i, q, p, _, _, _ = next(row for row in fan.regions(delta)
+                                if _in_strip(row, dst.X, dst.Y))
+        sigma = q * dst.Y - p * dst.X
         gen = fan.generators[i]
         arm = _sign(along_coordinate(dst, gen))
         arm_sets = ({(i, arm)}, {(i, -arm)})

@@ -21,10 +21,6 @@ class ParallelGenerators(ToricRegionsError):
     """Two generators define the same line through the origin."""
 
 
-class AmbiguousClassification(ToricRegionsError):
-    """Point sits within tolerance of a strip boundary; use the brute force."""
-
-
 class NoCrossing(ToricRegionsError):
     """A ray does not cross the requested boundary curve inside the positive quadrant."""
 

@@ -225,17 +225,19 @@ def along_coordinate(point, gen: LineGenerator) -> float:
     return gen.q * pt.X + gen.p * pt.Y
 
 
+def _in_strip(row: tuple, X: float, Y: float) -> bool:
+    """Does the log point (X, Y) lie in the open interior of the strip of
+    row, a row (i, q, p, delta_i, plus, minus) of Fan.regions:
+    |q*Y - p*X| < delta_i - STRIP_TOL?  Points within STRIP_TOL of a
+    boundary curve do not."""
+    return abs(row[1] * Y - row[2] * X) < row[3] - STRIP_TOL
+
+
 def r_count(point, fan: Fan, delta: float) -> int:
     """Number of strips of fan.regions(delta) whose open interior contains
-    the point.
-
-    Interior means |q*Y - p*X| < delta_i - STRIP_TOL; points within
-    STRIP_TOL of a boundary curve are not counted.  NonFinitePoint unless
-    the point is finite.
-    """
+    the point (_in_strip).  NonFinitePoint unless the point is finite."""
     pt = _finite_log(point, "point")
-    return sum(abs(q * pt.Y - p * pt.X) < half_width - STRIP_TOL
-               for _, q, p, half_width, _, _ in fan.regions(delta))
+    return sum(_in_strip(row, pt.X, pt.Y) for row in fan.regions(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .fan_geometry import (
     LogPoint,
     _fan_table,
     _finite_log,
+    _in_strip,
     _meet_exponents,
     _uc_pairs,
     _wrap,
@@ -212,7 +213,10 @@ class Segment:
         a, b = self.start, self.end
         if (abs(c - b.Y) < abs(c - a.Y)) if mirrored else (abs(c - b.X) < abs(c - a.X)):
             a = b
-        return _xline_at(a, self.gen.p, -self.gen.q, c, mirrored)
+        dx, dy = self.direction
+        if mirrored:  # the kernel on the x<->y mirror
+            return LogPoint(_line_y_log(a.Y, a.X, dx / dy, c), c)
+        return LogPoint(c, _line_y_log(a.X, a.Y, dy / dx, c))
 
     def band_distance(self, pt: LogPoint) -> float:
         """Approximate log-space distance from a point to the piece.
@@ -283,7 +287,7 @@ def _line_y_log(X0: float, Y0: float, s: float, X: float) -> float:
     """Log of y at log-x X on the x-space line of slope s through (X0, Y0).
 
     This is the one evaluation of an x-space line; log x at log-y Y is the
-    same call on the x<->y mirror (_line_x_log).
+    same call on the x<->y mirror, _line_y_log(Y0, X0, dx/dy, Y).
 
     y = y0 * (1 + z) with z = s * e^(X0 - Y0) * expm1(X - X0).  The product
     is formed directly while its exponents stay below _EXP_SAFE, and from
@@ -305,12 +309,6 @@ def _line_y_log(X0: float, Y0: float, s: float, X: float) -> float:
     if z > -1.0:
         return Y0 + math.log1p(z)
     raise NoCrossing("the line leaves the positive quadrant")
-
-
-def _line_x_log(X0: float, Y0: float, w: float, Y: float) -> float:
-    """Log of x at log-y Y on the x-space line through (X0, Y0) with
-    dx/dy = w: the kernel on the x<->y mirror."""
-    return _line_y_log(Y0, X0, w, Y)
 
 
 def _math_map(fn, *arrays) -> np.ndarray:
@@ -337,15 +335,6 @@ def _line_y_log_batch(X0, Y0, s, X) -> np.ndarray:
     out[rest] = [_line_y_log(*args) for args in zip(X0[rest].tolist(), Y0[rest].tolist(),
                                                      s[rest].tolist(), X[rest].tolist())]
     return out
-
-
-def _xline_at(near: LogPoint, dx: float, dy: float, c: float, mirrored: bool) -> LogPoint:
-    """Point with log x = c (log y = c if mirrored) of the x-space line
-    through near with direction (dx, dy), by the kernel (on the x<->y
-    mirror when mirrored)."""
-    if mirrored:
-        return LogPoint(_line_x_log(near.X, near.Y, dx / dy, c), c)
-    return LogPoint(c, _line_y_log(near.X, near.Y, dy / dx, c))
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +413,9 @@ def _crossing_segment(cur: LogPoint, row: tuple, gen: LineGenerator,
     """Segment from cur across the strip of gen, whose Fan.regions row is
     row, ending on the strip's far boundary curve."""
     i, q, p, half_width, _, _ = row
-    sigma0 = q * cur.Y - p * cur.X
-    if abs(sigma0) < half_width - STRIP_TOL:
+    if _in_strip(row, cur.X, cur.Y):
         raise ConstructionFailed("crossing", f"start point lies inside strip {i}")
-    target = -_sign(sigma0)
+    target = -_sign(q * cur.Y - p * cur.X)
     end = _strip_point(cur, gen, target * half_width)
     return Segment(cur, end, gen, i, arm_sign, target)
 
@@ -513,13 +501,13 @@ def _close_side(seg_a: Segment, seg_b: Segment, rows, gens, delta: float):
     lo, hi = sorted((seg_a, seg_b), key=lambda seg: seg.region_index)
     cx, cy = _meet_exponents(lo.gen, lo.end_sign, hi.gen, hi.end_sign)
     meet = LogPoint(cx * delta, cy * delta)
-    axis_hits = [(i, q, p, half_width) for i, q, p, half_width, _, _ in rows
-                 if gens[i].is_axis and abs(q * meet.Y - p * meet.X) < half_width - STRIP_TOL]
+    axis_hits = [row for row in rows if gens[row[0]].is_axis and _in_strip(row, meet.X, meet.Y)]
     if not axis_hits:
         return connect_arcs(seg_a, seg_b, meet), meet, None
     if len(axis_hits) > 1:
         raise UnsupportedFan("closure point inside two axis strips")
-    i, q, p, half_width = axis_hits[0]
+    row = axis_hits[0]
+    i = row[0]
     arm = _sign(along_coordinate(meet, gens[i]))
     coord = "X" if gens[i].is_horizontal else "Y"
     term_a, term_b = seg_a.end, seg_b.end
@@ -535,7 +523,7 @@ def _close_side(seg_a: Segment, seg_b: Segment, rows, gens, delta: float):
         tail, term_b = [ext.reversed()], ext.end
     # The join must span the axis strip completely.
     for endpoint in (term_a, term_b):
-        if abs(q * endpoint.Y - p * endpoint.X) < half_width - 1e-9:
+        if _in_strip(row, endpoint.X, endpoint.Y):
             raise ConstructionFailed(
                 "closure", "axis-parallel join does not span the axis strip"
             )
@@ -565,10 +553,6 @@ class RegionBoundary:
     @property
     def arcs(self) -> list[Arc]:
         return [p for p in self.pieces if isinstance(p, Arc)]
-
-    @functools.cached_property
-    def points_uc(self) -> tuple[IntersectionPoint, ...]:
-        return intersection_points(self.fan, self.delta)  # S^uc, on first read
 
     @functools.cached_property
     def table(self) -> "_PieceTable":
@@ -917,13 +901,6 @@ def _read_only(*arrays) -> tuple:
     for array in arrays:
         array.setflags(write=False)
     return arrays
-
-
-@functools.lru_cache(maxsize=64)
-def _chain_where(pieces: int, n: int):
-    """(index, u) of the points at u = i / n, i = 0..n, of each of that
-    many pieces, piece by piece; read-only, and shared by every call."""
-    return _read_only(np.repeat(np.arange(pieces), n + 1), np.tile(np.arange(n + 1) / n, pieces))
 
 
 _MIN_PIECE_SAMPLES = 4  # boundary samples on even the shortest piece
@@ -1463,17 +1440,20 @@ _LOOP_CHORDS = 32  # chords per piece in the simple-loop test
 
 @functools.lru_cache(maxsize=64)
 def _loop_index(pieces: int):
-    """_loop_checks' index arrays for a loop of that many pieces: each
-    piece's successor, and the piece pairs a < b (np.triu_indices' order);
-    read-only, and shared by every loop of that size."""
-    return _read_only(np.roll(np.arange(pieces), -1), *np.triu_indices(pieces, 1))
+    """The loop checks' index arrays for a loop of that many pieces: each
+    piece's successor, the piece pairs a < b (np.triu_indices' order), and
+    (index, u) of the chain points at u = i / _LOOP_CHORDS, i = 0.._LOOP_CHORDS,
+    piece by piece; read-only, and shared by every loop of that size."""
+    n = _LOOP_CHORDS
+    return _read_only(np.roll(np.arange(pieces), -1), *np.triu_indices(pieces, 1),
+                      np.repeat(np.arange(pieces), n + 1), np.tile(np.arange(n + 1) / n, pieces))
 
 
 def _loop_checks(boundary: RegionBoundary, chains) -> tuple[dict, dict]:
     """Closed and simple loop checks; chains: the arrays (X, Y) of every
     piece's points at u = i / _LOOP_CHORDS, one row per piece."""
     t = boundary.table
-    nxt, a, b = _loop_index(len(t.sX))
+    nxt, a, b, _, _ = _loop_index(len(t.sX))
     gaps = np.maximum(np.abs(t.eX - t.sX[nxt]), np.abs(t.eY - t.sY[nxt]))
     worst = gaps.max(initial=0.0).item()
     closed = {"passed": worst <= 1e-9, "worst": worst, "detail": "max endpoint gap"}
@@ -1661,7 +1641,7 @@ def _validation_points(t: _PieceTable):
     has the bits of its own pass.
     """
     n = len(t.sX)
-    loop, samples = _chain_where(n, _LOOP_CHORDS), _sample_where(t, _VALIDATION_SAMPLES)
+    loop, samples = _loop_index(n)[3:], _sample_where(t, _VALIDATION_SAMPLES)
     X, Y = _points_at(t, *(np.concatenate(parts) for parts in zip(loop, samples)))
     cut = len(loop[0])
     chains = (X[:cut].reshape(n, _LOOP_CHORDS + 1), Y[:cut].reshape(n, _LOOP_CHORDS + 1))

@@ -8,29 +8,28 @@ strips contain the point, a half plane where r(x) = 1, and where r(x) = 0
 the polar of the containing sector (a ray for a one-generator fan).
 Inside the strip of a one-generator fan the value is a line.
 
-Each path only chooses the near set.  ``rhs_bruteforce`` does it by the
-definition, point by point: the ground truth.  ``rhs_bruteforce_batch``
-does the same for an array of points at once: ``near_sectors`` takes one
-cross and one dot product of every arm of the fan with every point, in
-blocks of 1,024 points, and reads each sector's distance off its two
-arms; one matmul turns the near sectors into bit sets.  It is the
-validation battery's check, and, with the inclusive tol, the
-integrator's check of every step start and the check of every candidate
-witness route.  ``_classify`` reads the near set off r(x) and the active
-strip's arm, from the floats (X, Y) and the rows of ``Fan.regions``, the
-strip table of a (fan, delta), and returns the definition's value away
-from strip boundaries.
-``rhs_classified`` is ``_classify`` at one checked point; the integrator
-calls ``_classify`` on the floats it steps on, through
-``dynamics._rhs_fast``.  Velocities are checked against a value c by
-``c.violation(v)``: 0 inside, else the worst excess over |v|.
+There are two evaluators, the definition and the classifier, and each
+only chooses the near set.  ``rhs_bruteforce`` does it by the definition,
+point by point: the ground truth.  ``rhs_bruteforce_batch`` does the
+same for an array of points at once: ``near_sectors`` takes one cross
+and one dot product of every arm of the fan with every point, in blocks
+of 1,024 points, and reads each sector's distance off its two arms; one
+matmul turns the near sectors into bit sets.  It is the validation
+battery's check, and, with the inclusive tol, the integrator's check of
+every step start and the check of every candidate witness route.
+``_rhs_fast``, the value the integrator steps on, reads the near set off
+r(x) and the active strip's arm, from the floats (X, Y) and the rows of
+``Fan.regions``, the strip table of a (fan, delta); within STRIP_TOL of
+a strip boundary it returns ``rhs_bruteforce``'s value instead.
+Velocities are checked against a value c by ``c.violation(v)``: 0
+inside, else the worst excess over |v|.
 """
 
 import math
 
 import numpy as np
 
-from .errors import AmbiguousClassification, NonPositiveDelta
+from .errors import NonFinitePoint, NonPositiveDelta
 from .fan_geometry import (
     STRIP_TOL,
     TWO_PI,
@@ -101,22 +100,25 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
     return [record.values[c] for c in codes.tolist()], np.searchsorted(codes, near)
 
 
-def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:
-    """The value at the finite log point (X, Y), with the near set chosen
-    by the strip-interior count r(x) from the rows of table, the strip
-    table fan.regions(delta), and read from the values memo of _fan_table(fan).
+def _rhs_fast(X: float, Y: float, fan: Fan, delta: float, table: tuple) -> Cone:
+    """The value at the log point (X, Y), with the near set chosen by the
+    strip-interior count r(x) from the rows of table, the strip table
+    fan.regions(delta), and read from the values memo of _fan_table(fan).
 
     r >= 2 gives the shared full plane; r = 1 the two sectors on either side
     of the active strip's arm on the point's side (both half planes of a
-    one-generator fan); r = 0 the containing sector alone.  Raises
-    AmbiguousClassification within STRIP_TOL of any strip boundary.
+    one-generator fan); r = 0 the containing sector alone.  Within
+    STRIP_TOL of any strip boundary the count cannot choose, and the value
+    is rhs_bruteforce's.  NonFinitePoint unless X and Y are finite.
     """
+    if not (math.isfinite(X) and math.isfinite(Y)):
+        raise NonFinitePoint(f"point ({X}, {Y}) is not finite")
     active = -1
     r = 0
     for i, q, p, half_width, _, _ in table:
         s = abs(q * Y - p * X)
         if abs(s - half_width) <= STRIP_TOL:
-            raise AmbiguousClassification(f"point within {STRIP_TOL} of boundary of strip {i}")
+            return rhs_bruteforce(LogPoint(X, Y), fan, delta)
         if s < half_width:
             r += 1
             active = i
@@ -128,13 +130,3 @@ def _classify(X: float, Y: float, fan: Fan, table: tuple) -> Cone:
     _, q, p, _, plus, minus = table[active]
     # The sign of the along-coordinate q*X + p*Y picks the arm.
     return record.values[plus if q * X + p * Y >= 0.0 else minus]
-
-
-def rhs_classified(point, fan: Fan, delta: float) -> Cone:
-    """Fast evaluation: _classify at the point, from fan.regions(delta).
-    Raises AmbiguousClassification within STRIP_TOL of any strip boundary,
-    and NonFinitePoint unless the point is finite.
-    """
-    pt = _finite_log(point, "point")
-    return _classify(pt.X, pt.Y, fan, fan.regions(delta))
-

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from toric_regions import dynamics, tdi_rhs
+from toric_regions import dynamics
 from toric_regions.dynamics import (
     AlternatingStrategy,
     ExtremeRayStrategy,
@@ -26,14 +26,11 @@ from toric_regions.dynamics import (
     _xspace_unit,
     builtin_strategies,
     embedded_system_for_target,
-    field_stiffness,
     integrate,
     integrate_to_point,
-    mass_action_field,
     reach_witness,
 )
 from toric_regions.errors import (
-    AmbiguousClassification,
     MonomialOverflow,
     NoCrossing,
     NonFinitePoint,
@@ -43,6 +40,7 @@ from toric_regions.errors import (
 )
 from toric_regions.fan_geometry import (
     LINE_WIDTH,
+    STRIP_TOL,
     TWO_PI,
     ZERO_WIDTH,
     Cone,
@@ -55,12 +53,12 @@ from toric_regions.fan_geometry import (
     r_count,
 )
 from toric_regions.region_construction import (
-    _xline_at,
+    _line_y_log,
     construct_region,
     intersection_points,
     region_contains,
 )
-from toric_regions.tdi_rhs import rhs_bruteforce, rhs_classified
+from toric_regions.tdi_rhs import rhs_bruteforce
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
 CROSS_FAN = Fan([(1, 1), (-1, 1)])
@@ -89,6 +87,35 @@ def simple_exchange():
     # Y <-> X with both rates 1: vertices (0,1) and (1,0).
     return MassActionSystem(tuple(_reversible((0.0, 1.0), (1.0, 0.0), 1.0, 1.0)),
                             1.0, "exchange")
+
+
+def mass_action_field(system: MassActionSystem, point) -> tuple[float, float]:
+    """The embedded field (fx, fy) at a point: the sum over the reactions of
+    k * x^source * (target - source), in x-space, from dynamics._field."""
+    pt = as_log(point)
+    return dynamics._field(system, pt.X, pt.Y, False)[:2]
+
+
+def field_stiffness(system: MassActionSystem, point) -> float:
+    """dynamics._field's stiffness bound at a point."""
+    pt = as_log(point)
+    return dynamics._field(system, pt.X, pt.Y, True)[4]
+
+
+def xline_at(near: LogPoint, dx: float, dy: float, c: float, mirrored: bool) -> LogPoint:
+    """Point with log x = c (log y = c if mirrored) of the x-space line
+    through near with direction (dx, dy), by the line kernel (on the x<->y
+    mirror when mirrored)."""
+    if mirrored:
+        return LogPoint(_line_y_log(near.Y, near.X, dx / dy, c), c)
+    return LogPoint(c, _line_y_log(near.X, near.Y, dy / dx, c))
+
+
+def on_a_strip_boundary(X: float, Y: float, table: tuple) -> bool:
+    """Is the log point (X, Y) within STRIP_TOL of a boundary of a strip of
+    table, a Fan.regions table, where the strip count cannot choose?"""
+    return any(abs(abs(q * Y - p * X) - half_width) <= STRIP_TOL
+               for _, q, p, half_width, _, _ in table)
 
 
 def complex_balance_residual(system: MassActionSystem, point) -> float:
@@ -170,7 +197,7 @@ class TestMassActionField:
     ], ids=["field_and_stiffness", "complex_balance", "field_stage", "rescaled_stage",
             "rescaled_and_stiffness"])
     def test_every_evaluator_caps_the_exponent(self, evaluate):
-        # The term kernel raises for all of them, as for mass_action_field.
+        # The term kernel raises for all of them, as for _field.
         with pytest.raises(MonomialOverflow, match="monomial exponent 700.0 beyond cap"):
             evaluate(simple_exchange(), LogPoint(0.0, 700.0))
 
@@ -666,8 +693,7 @@ class TestIntegrate:
         # brute-force one.
         fan = Fan(gens)
         on_strip = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
-        with pytest.raises(AmbiguousClassification):
-            rhs_classified(on_strip, fan, DELTA)
+        assert on_a_strip_boundary(on_strip.X, on_strip.Y, fan.regions(DELTA))
         for start in (LogPoint(-5.0, -1.0), on_strip):
             fast = integrate(make(), start, fan, DELTA, t_end=5.0)
             generic = integrate(self.Generic(make()), start, fan, DELTA, t_end=5.0)
@@ -782,11 +808,11 @@ class TestRhsFast:
     @pytest.mark.parametrize("gens", [[(-1, 1), (1, 2), (2, 1)],
                                       [(-1, 1), (1, 2), (2, 1), (1, 0)]],
                              ids=["worked", "axis"])
-    def test_classify_matches_rhs_classified_and_the_definition(self, gens):
+    def test_matches_the_definition(self, gens):
         # On a seeded grid, and at points on, within and just past STRIP_TOL
-        # of every strip boundary, _classify raises where rhs_classified
-        # does and otherwise gives its value, which is the definition's;
-        # _rhs_fast gives the definition's value everywhere.
+        # of every strip boundary, _rhs_fast gives the definition's value:
+        # by the strip count, or, within STRIP_TOL of a boundary, where the
+        # count cannot choose, by rhs_bruteforce.
         fan = Fan(gens)
         table = fan.regions(DELTA)
         rng = np.random.default_rng(17)
@@ -799,35 +825,24 @@ class TestRhsFast:
                     points.append((-p * (s + e) / n2 + q * a, q * (s + e) / n2 + p * a))
         ambiguous = 0
         for X, Y in points:
-            pt = LogPoint(X, Y)
-            truth = rhs_bruteforce(pt, fan, DELTA)
-            try:
-                reference = rhs_classified(pt, fan, DELTA)
-            except AmbiguousClassification:
-                ambiguous += 1
-                with pytest.raises(AmbiguousClassification):
-                    tdi_rhs._classify(X, Y, fan, table)
-            else:
-                assert tdi_rhs._classify(X, Y, fan, table) == reference == truth
+            ambiguous += on_a_strip_boundary(X, Y, table)
+            truth = rhs_bruteforce(LogPoint(X, Y), fan, DELTA)
             assert dynamics._rhs_fast(X, Y, fan, DELTA, table) == truth
         assert ambiguous >= 2 * len(table)
 
     @pytest.mark.parametrize("X, Y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
     def test_non_finite_points_raise(self, X, Y):
         table = WORKED_FAN.regions(DELTA)
-        with pytest.raises(NonFinitePoint):
+        with pytest.raises(NonFinitePoint, match="^point"):
             dynamics._rhs_fast(X, Y, WORKED_FAN, DELTA, table)
-        with pytest.raises(NonFinitePoint):
-            rhs_classified(LogPoint(X, Y), WORKED_FAN, DELTA)
 
     def test_strip_boundary_takes_the_bruteforce_value(self):
         # On the boundary of strip (1,2), 2Y - X = delta_i, with the gap
-        # outside: rhs_classified cannot choose, and the fallback gives the
+        # outside: the strip count cannot choose, and _rhs_fast gives the
         # definition's open-side value, inside the checks' inclusive one.
         pt = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
-        with pytest.raises(AmbiguousClassification):
-            rhs_classified(pt, WORKED_FAN, DELTA)
         table = WORKED_FAN.regions(DELTA)
+        assert on_a_strip_boundary(pt.X, pt.Y, table)
         assert dynamics._rhs_fast(pt.X, pt.Y, WORKED_FAN, DELTA, table) == \
             rhs_bruteforce(pt, WORKED_FAN, DELTA)
         traj = integrate(ExtremeRayStrategy("left"), pt, WORKED_FAN, DELTA, t_end=1.0)
@@ -1031,6 +1046,25 @@ class TestReachWitness:
         with pytest.raises(WitnessFailed) as err:
             reach_witness(PosPoint(1.0, 1.0), target, WORKED_FAN, DELTA, region)
         assert err.value.leg == "precondition"
+
+    @pytest.mark.parametrize("gens, delta", [
+        ([(-1, 1), (1, 2), (2, 1)], 1.0),   # the region's fan at another delta
+        ([(1, 2), (2, 1)], DELTA),          # a subfan
+        ([(1, 1), (-1, 1)], DELTA),         # another fan
+    ])
+    def test_region_of_another_fan_or_delta_rejected(self, region, monkeypatch, gens, delta):
+        # The region is the invariant one of its own (fan, delta) only, so
+        # a witness through it proves nothing for another: the precondition
+        # fails before any leg is built, for a full-plane and a strip target
+        # alike.  An equal fan in another order is the same fan.
+        monkeypatch.setattr(dynamics, "integrate_to_point", None)  # a leg would call it
+        for target in (LogPoint(-1.5, -1.0), LogPoint(4.0, 7.0)):
+            with pytest.raises(WitnessFailed, match="^precondition: the region is built for "):
+                reach_witness(PosPoint(1.0, 1.0), target, Fan(gens), delta, region)
+        monkeypatch.undo()
+        permuted = Fan([(2, 1), (-1, 1), (1, 2)])
+        traj = reach_witness(PosPoint(1.0, 1.0), LogPoint(4.0, 7.0), permuted, DELTA, region)
+        assert traj.termination == "arrived"
 
     @pytest.mark.parametrize("gens, target, kind", [
         ([(1, 2), (2, 1)], (4.66, 1.30), "strip"),                  # all positive
@@ -1427,7 +1461,7 @@ class TestArrayLegs:
         mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
         c0, c1 = (a.Y, b.Y) if mirrored else (a.X, b.X)
         n = max(2, int(math.ceil(abs(c1 - c0) / dynamics._LEG_STEP)))
-        ref = [_xline_at(a if 2 * k <= n else b, *direction, c0 + (c1 - c0) * k / n, mirrored)
+        ref = [xline_at(a if 2 * k <= n else b, *direction, c0 + (c1 - c0) * k / n, mirrored)
                for k in range(n + 1)]
         assert leg.points == ref
         assert leg.velocities == [direction] * (n + 1)
@@ -1451,7 +1485,7 @@ class TestArrayLegs:
         a, b = LogPoint(0.0, 0.0), LogPoint(2.0, 0.0)
         direction = (math.sqrt(0.5), -math.sqrt(0.5))
         with pytest.raises(NoCrossing) as scalar:
-            _xline_at(a, *direction, 1.0, False)
+            xline_at(a, *direction, 1.0, False)
         with pytest.raises(NoCrossing) as err:
             _xline_leg(a, direction, b, "walk")
         assert str(err.value) == str(scalar.value) == "the line leaves the positive quadrant"

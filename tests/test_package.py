@@ -1,6 +1,5 @@
 import ast
 import importlib
-import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -51,13 +50,11 @@ def _reads(tree: ast.AST, modules: set[str], imports: bool) -> set[str]:
 
 
 def _outside_reads() -> set[str]:
-    """Names read or imported in bench/ and tools/ outside their tests,
-    and the parts of every name the benchmark's tracer wraps, which it
-    reads from strings."""
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    used = {part for _, attr, _ in tracer.TRACED + tracer.COUNTED for part in attr.split(".")}
+    """Names read or imported in bench/ and tools/ outside their tests.
+    The names the benchmark's tracer wraps are strings, and no read: a
+    name that only the tracer reaches is dead, and the tracer lists a
+    name it cannot find as absent."""
+    used = set()
     for path in [*(ROOT / "bench").rglob("*.py"), *(ROOT / "tools").rglob("*.py")]:
         if "tests" not in path.relative_to(ROOT).parts:
             tree = ast.parse(path.read_text())
@@ -68,10 +65,10 @@ def _outside_reads() -> set[str]:
 def test_every_export_is_used_outside_the_tests():
     # A public name that only tests read is a dead helper: it belongs in the
     # tests that read it.  Reads count in the package modules (__init__.py
-    # aside), in bench/ and tools/ outside their tests, and in the names the
-    # benchmark's tracer wraps.  Imports count in bench/ and tools/; in the
-    # package a name counts where it is read, and a read inside an exported
-    # function or class counts only once that export is itself used.
+    # aside) and in bench/ and tools/ outside their tests.  Imports count
+    # in bench/ and tools/; in the package a name counts where it is read,
+    # and a read inside an exported function or class counts only once
+    # that export is itself used.
     exports = set(toric_regions.__all__)
     used = _outside_reads()
     inside = {}  # export -> the names its own definition reads

@@ -42,12 +42,10 @@ from toric_regions.region_construction import (
     _PieceTable,
     _arc_monotonicity_check,
     _band_distances,
-    _chain_where,
     _curve_cross_on_line,
     _falls,
     _fan_plan,
     _hull,
-    _line_x_log,
     _line_y_log,
     _line_y_log_batch,
     _LOOP_CHORDS,
@@ -136,17 +134,18 @@ def _loop_chains_reference(pieces) -> list[list[LogPoint]]:
     return [[_point_at_reference(pc, i / 32) for i in range(33)] for pc in pieces]
 
 
-def _chains(t, n: int):
-    """The points at u = i / n, i = 0..n, of every piece of t, in a
-    _points_at pass of their own: arrays (X, Y) with one row per piece."""
+def _chains(t):
+    """The points at u = i / _LOOP_CHORDS, i = 0.._LOOP_CHORDS, of every
+    piece of t, in a _points_at pass of their own: arrays (X, Y) with one
+    row per piece."""
     pieces = len(t.sX)
-    X, Y = _points_at(t, *_chain_where(pieces, n))
-    return X.reshape(pieces, n + 1), Y.reshape(pieces, n + 1)
+    X, Y = _points_at(t, *_loop_index(pieces)[3:])
+    return X.reshape(pieces, _LOOP_CHORDS + 1), Y.reshape(pieces, _LOOP_CHORDS + 1)
 
 
 def _loop_checks_of(b):
     """_loop_checks of a boundary on its own chains."""
-    return _loop_checks(b, _chains(b.table, _LOOP_CHORDS))
+    return _loop_checks(b, _chains(b.table))
 
 
 def _points_of(piece, us) -> list[LogPoint]:
@@ -411,8 +410,7 @@ class TestLineKernel:
             assert _on_xline(pt, a, s)
             if s != 0.0:
                 # x at the same y is the same call on the x<->y mirror.
-                X = _line_x_log(a.X, a.Y, 1.0 / s, pt.Y)
-                assert X == _line_y_log(a.Y, a.X, 1.0 / s, pt.Y)
+                X = _line_y_log(a.Y, a.X, 1.0 / s, pt.Y)
                 assert X == pytest.approx(pt.X, abs=1e-12)
                 assert _on_xline(LogPoint(X, pt.Y), a, s)
 
@@ -420,7 +418,7 @@ class TestLineKernel:
         # x = x0: the mirror has slope 0, so log x stays X0 at every log y.
         a = self.ANCHOR
         for Y in (-30.0, -1.0, 0.5, 40.0):
-            assert _line_x_log(a.X, a.Y, 0.0, Y) == a.X
+            assert _line_y_log(a.Y, a.X, 0.0, Y) == a.X
 
     @pytest.mark.parametrize("X0, Y0, s", [
         (800.0, 0.0, 0.5), (800.0, 0.0, 2.0), (0.0, 800.0, -2.0), (0.0, 800.0, 0.5),
@@ -440,7 +438,7 @@ class TestLineKernel:
         with pytest.raises(NoCrossing):
             _line_y_log(800.0, 0.0, -0.5, 1550.0)
         # The exit itself is the mirror's value at log y -> -inf.
-        assert _line_x_log(0.0, 0.0, -1.0, -math.inf) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _line_y_log(0.0, 0.0, -1.0, -math.inf) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_batch_kernel_is_the_scalar_kernel_bit_for_bit(self):
         # Seeded inputs across the direct branch, the log branch (|X0 - Y0|
@@ -745,7 +743,7 @@ class TestRegionContains:
             region_contains(worked_region, pt)
 
     def test_all_intersection_points_contained(self, worked_region):
-        for ip in worked_region.points_uc:
+        for ip in intersection_points(worked_region.fan, worked_region.delta):
             assert region_contains(worked_region, ip.log, band=1e-7) != "outside"
 
 
@@ -921,10 +919,11 @@ class TestLoopChecks:
         # Every loop of a size shares them, so a write would corrupt the
         # next loop's check.
         for pieces in (1, 2, 7):
-            nxt, a, b = _loop_index(pieces)
+            nxt, a, b, index, u = _loop_index(pieces)
             assert nxt.tolist() == np.roll(np.arange(pieces), -1).tolist()
             assert [a.tolist(), b.tolist()] == [x.tolist() for x in np.triu_indices(pieces, 1)]
-            index, u = _chain_where(pieces, _LOOP_CHORDS)
+            assert index.tolist() == [k for k in range(pieces) for _ in range(_LOOP_CHORDS + 1)]
+            assert u.tolist() == [i / _LOOP_CHORDS for i in range(_LOOP_CHORDS + 1)] * pieces
             for array in (nxt, a, b, index, u):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -998,11 +997,12 @@ class TestWitnesses:
     def test_suc_names_the_first_outside_point(self):
         b = construct_region(Fan([(-2, 1), (2, 3), (3, 1), (0, 1), (-3, 2)]), 3.0,
                              validate=False)
-        outside = [(ip.log.X, ip.log.Y) for ip in b.points_uc
+        points = intersection_points(b.fan, b.delta)
+        outside = [(ip.log.X, ip.log.Y) for ip in points
                    if region_contains(b, ip.log, band=1e-7) == "outside"]
-        res = _suc_check(b, region_contains_batch(b, [ip.log.X for ip in b.points_uc],
-                                                  [ip.log.Y for ip in b.points_uc],
-                                                  np.full(len(b.points_uc), 1e-7)))
+        res = _suc_check(b, region_contains_batch(b, [ip.log.X for ip in points],
+                                                  [ip.log.Y for ip in points],
+                                                  np.full(len(points), 1e-7)))
         assert len(outside) > 1 and res["worst"] == float(len(outside))
         assert res["witness"] == outside[0]
 
@@ -1050,7 +1050,7 @@ class TestArraySampler:
         normals = [_normal_at_reference(b.pieces[k], pt) for pt, k in ref]
         assert _bits(n0) == _bits(n[0] for n in normals)
         assert _bits(n1) == _bits(n[1] for n in normals)
-        chain_x, chain_y = _chains(b.table, 32)
+        chain_x, chain_y = _chains(b.table)
         ref_chains = _loop_chains_reference(b.pieces)
         assert _bits(chain_x.ravel()) == _bits(pt.X for c in ref_chains for pt in c)
         assert _bits(chain_y.ravel()) == _bits(pt.Y for c in ref_chains for pt in c)
@@ -1107,7 +1107,8 @@ def _containment_probes(b, seed: int):
     level with each piece end, 0.5 to either side (their rays pass through
     a vertex)."""
     rng = np.random.default_rng(seed)
-    pts = [ip.log for ip in b.points_uc] + region_construction._chord_points(b)
+    pts = [ip.log for ip in intersection_points(b.fan, b.delta)]
+    pts += region_construction._chord_points(b)
     X, Y, _ = sample_boundary(b, _VALIDATION_SAMPLES)
     jitter = rng.uniform(-1e-7, 1e-7, size=(2, len(X)))
     ends = np.array([(pc.start.X, pc.start.Y) for pc in b.pieces])
@@ -1197,7 +1198,7 @@ class TestRegionContainsBatch:
         # The band is one pair's scalar distance, so that pair is a tie.
         b = worked_region
         X, Y = _containment_probes(b, 3)
-        j = len(b.points_uc) + 12  # (1,1), inside
+        j = len(intersection_points(b.fan, b.delta)) + 12  # (1,1), inside
         pt = LogPoint(X[j].item(), Y[j].item())
         dist = [pc.band_distance(pt) for pc in b.pieces]
         k = int(np.argmin(dist))

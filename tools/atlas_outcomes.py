@@ -79,7 +79,7 @@ def contains_probes(boundary, package):
     points in the box of the piece ends widened by 1, at 1e-9."""
     rc = package.region_construction
     rng = np.random.default_rng(PROBE_SEED)
-    pts = [(ip.log.X, ip.log.Y) for ip in boundary.points_uc]
+    pts = [(ip.log.X, ip.log.Y) for ip in rc.intersection_points(boundary.fan, boundary.delta)]
     pts += [(pt.X, pt.Y) for pt in rc._chord_points(boundary)]
     pts.append((0.0, 0.0))
     X, Y, _ = rc.sample_boundary(boundary, PROBE_SAMPLES)
