@@ -776,7 +776,7 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
         legs.append(_logline_leg(cur, dst, "full-plane straight run"))
         worst = _validate_leg(legs[1:], fan, delta)
     else:
-        route, worst = _route_via_boundary(cur, dst, r_dst, fan, delta, region, arrive_tol)
+        route, worst = _route_via_boundary(cur, dst, r_dst, region, arrive_tol)
         legs += route
 
     # The source, at rest, then every leg's samples, one column at a time.
@@ -805,7 +805,7 @@ def _hop_and_walk(cur: LogPoint, chain: str, k: int,
     return legs
 
 
-def _route_prefix(cur: LogPoint, chain: str, k: int, fan: Fan, delta: float,
+def _route_prefix(cur: LogPoint, chain: str, k: int,
                   region: RegionBoundary) -> tuple[list[WitnessLeg], float | WitnessFailed]:
     """The legs of _hop_and_walk(cur, chain, k, region) and their
     _validate_leg worst (or the WitnessFailed it raised), built and checked
@@ -820,7 +820,7 @@ def _route_prefix(cur: LogPoint, chain: str, k: int, fan: Fan, delta: float,
     if (chain, k) not in prefixes:
         legs = _hop_and_walk(cur, chain, k, region)
         try:
-            worst = _validate_leg(legs, fan, delta)
+            worst = _validate_leg(legs, region.fan, region.delta)
         except WitnessFailed as exc:
             worst = exc.with_traceback(None)
         for leg in legs:
@@ -829,10 +829,10 @@ def _route_prefix(cur: LogPoint, chain: str, k: int, fan: Fan, delta: float,
     return prefixes[chain, k]
 
 
-def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
-                        delta: float, region: RegionBoundary, arrive_tol: float):
-    """Validated legs from (1,1) to a strip (r=1) or gap (r=0) target, and
-    their worst cone violation.
+def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, region: RegionBoundary,
+                        arrive_tol: float):
+    """Validated legs from (1,1) to a strip (r=1) or gap (r=0) target in
+    the region, and their worst cone violation.
 
     Candidates are the crossing segments of the boundary chains: for a
     strip target, the target strip's segments on the target's arm, then on
@@ -849,10 +849,10 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     """
     if r_dst == 1:
         # The target's strip: the one row of fan.regions(delta) that r_dst counted.
-        i, q, p, _, _, _ = next(row for row in fan.regions(delta)
+        i, q, p, _, _, _ = next(row for row in region.fan.regions(region.delta)
                                 if _in_strip(row, dst.X, dst.Y))
         sigma = q * dst.Y - p * dst.X
-        gen = fan.generators[i]
+        gen = region.fan.generators[i]
         arm = _sign(along_coordinate(dst, gen))
         arm_sets = ({(i, arm)}, {(i, -arm)})
 
@@ -861,7 +861,7 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
             into = _xline_leg(c, _segment_direction(seg), match, "walk into the strip")
             return [into, _logline_leg(into.end, dst, "slide along the strip")]
     else:
-        arms = _fan_table(fan).arms
+        arms = _fan_table(region.fan).arms
         k = _flanking_arms(dst.X, dst.Y, arms)
         arm_sets = ({arms[k][1:], arms[(k + 1) % len(arms)][1:]},)
 
@@ -885,12 +885,12 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, fan: Fan,
     tried = []  # "chain[k]: error" of every candidate
     for chain, k in candidates:
         try:
-            prefix, worst = _route_prefix(cur, chain, k, fan, delta, region)
+            prefix, worst = _route_prefix(cur, chain, k, region)
             legs = finish(prefix[-1].end, region.polylines[chain][k])
             end = (legs or prefix)[-1].end
             if max(abs(end.X - dst.X), abs(end.Y - dst.Y)) > arrive_tol:
                 raise WitnessFailed("arrival", "route drifted from the target")
-            finish_worst = _validate_leg(legs, fan, delta) if legs else 0.0
+            finish_worst = _validate_leg(legs, region.fan, region.delta) if legs else 0.0
             if isinstance(worst, WitnessFailed):
                 raise WitnessFailed(worst.leg, worst.detail)
             return prefix + legs, max(worst, finish_worst)

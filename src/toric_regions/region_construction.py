@@ -8,6 +8,7 @@ the large-delta asymptotics.
 """
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -1436,25 +1437,27 @@ def phi_level(point, fan: Fan, delta_lo: float, delta_hi: float) -> float:
 
 
 _LOOP_CHORDS = 32  # chords per piece in the simple-loop test
+_LoopIndex = collections.namedtuple("_LoopIndex", "nxt a b index u")  # see _loop_index
 
 
 @functools.lru_cache(maxsize=64)
-def _loop_index(pieces: int):
-    """The loop checks' index arrays for a loop of that many pieces: each
-    piece's successor, the piece pairs a < b (np.triu_indices' order), and
-    (index, u) of the chain points at u = i / _LOOP_CHORDS, i = 0.._LOOP_CHORDS,
-    piece by piece; read-only, and shared by every loop of that size."""
+def _loop_index(pieces: int) -> _LoopIndex:
+    """The _LoopIndex of a loop of that many pieces: each piece's successor
+    nxt, the piece pairs a < b (np.triu_indices' order), and (index, u) of
+    the chain points at u = i / _LOOP_CHORDS, i = 0.._LOOP_CHORDS, piece by
+    piece; read-only, and shared by every loop of that size."""
     n = _LOOP_CHORDS
-    return _read_only(np.roll(np.arange(pieces), -1), *np.triu_indices(pieces, 1),
-                      np.repeat(np.arange(pieces), n + 1), np.tile(np.arange(n + 1) / n, pieces))
+    return _LoopIndex(*_read_only(np.roll(np.arange(pieces), -1), *np.triu_indices(pieces, 1),
+                                  np.repeat(np.arange(pieces), n + 1),
+                                  np.tile(np.arange(n + 1) / n, pieces)))
 
 
 def _loop_checks(boundary: RegionBoundary, chains) -> tuple[dict, dict]:
     """Closed and simple loop checks; chains: the arrays (X, Y) of every
     piece's points at u = i / _LOOP_CHORDS, one row per piece."""
     t = boundary.table
-    nxt, a, b, _, _ = _loop_index(len(t.sX))
-    gaps = np.maximum(np.abs(t.eX - t.sX[nxt]), np.abs(t.eY - t.sY[nxt]))
+    loop = _loop_index(len(t.sX))
+    gaps = np.maximum(np.abs(t.eX - t.sX[loop.nxt]), np.abs(t.eY - t.sY[loop.nxt]))
     worst = gaps.max(initial=0.0).item()
     closed = {"passed": worst <= 1e-9, "worst": worst, "detail": "max endpoint gap"}
 
@@ -1468,8 +1471,8 @@ def _loop_checks(boundary: RegionBoundary, chains) -> tuple[dict, dict]:
     lo, hi = chains.min(axis=1), chains.max(axis=1)
     clo = np.minimum(chains[:, :-1], chains[:, 1:])
     chi = np.maximum(chains[:, :-1], chains[:, 1:])
-    near = ((hi[b] >= lo[a] - 1e-9) & (lo[b] <= hi[a] + 1e-9)).all(axis=1)
-    a, b = a[near], b[near]
+    near = ((hi[loop.b] >= lo[loop.a] - 1e-9) & (lo[loop.b] <= hi[loop.a] + 1e-9)).all(axis=1)
+    a, b = loop.a[near], loop.b[near]
     in_a = ((chi[a] >= lo[b, None] - 1e-9) & (clo[a] <= hi[b, None] + 1e-9)).all(axis=-1)
     in_b = ((chi[b] >= lo[a, None] - 1e-9) & (clo[b] <= hi[a, None] + 1e-9)).all(axis=-1)
     # Chord i of piece a[k] against chord j of piece b[k], flat.
@@ -1641,9 +1644,9 @@ def _validation_points(t: _PieceTable):
     has the bits of its own pass.
     """
     n = len(t.sX)
-    loop, samples = _loop_index(n)[3:], _sample_where(t, _VALIDATION_SAMPLES)
-    X, Y = _points_at(t, *(np.concatenate(parts) for parts in zip(loop, samples)))
-    cut = len(loop[0])
+    loop, samples = _loop_index(n), _sample_where(t, _VALIDATION_SAMPLES)
+    X, Y = _points_at(t, *(np.concatenate(parts) for parts in zip((loop.index, loop.u), samples)))
+    cut = len(loop.index)
     chains = (X[:cut].reshape(n, _LOOP_CHORDS + 1), Y[:cut].reshape(n, _LOOP_CHORDS + 1))
     return chains, (X[cut:], Y[cut:], samples[0])
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import json
 import math
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from toric_regions import dynamics
+from toric_regions import dynamics, tdi_rhs
 from toric_regions.dynamics import (
     AlternatingStrategy,
     ExtremeRayStrategy,
@@ -116,6 +117,17 @@ def on_a_strip_boundary(X: float, Y: float, table: tuple) -> bool:
     table, a Fan.regions table, where the strip count cannot choose?"""
     return any(abs(abs(q * Y - p * X) - half_width) <= STRIP_TOL
                for _, q, p, half_width, _, _ in table)
+
+
+@contextlib.contextmanager
+def fallbacks():
+    """The points at which _rhs_fast falls back to rhs_bruteforce while the
+    block runs, in call order."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tdi_rhs, "rhs_bruteforce",
+                   lambda pt, *args: seen.append(pt) or rhs_bruteforce(pt, *args))
+        yield seen
 
 
 def complex_balance_residual(system: MassActionSystem, point) -> float:
@@ -812,7 +824,8 @@ class TestRhsFast:
         # On a seeded grid, and at points on, within and just past STRIP_TOL
         # of every strip boundary, _rhs_fast gives the definition's value:
         # by the strip count, or, within STRIP_TOL of a boundary, where the
-        # count cannot choose, by rhs_bruteforce.
+        # count cannot choose, by rhs_bruteforce.  It falls back there and
+        # nowhere else: never on the grid, once at each boundary probe.
         fan = Fan(gens)
         table = fan.regions(DELTA)
         rng = np.random.default_rng(17)
@@ -823,12 +836,15 @@ class TestRhsFast:
                 for e in (0.0, 0.5e-9, -0.5e-9, 5e-9, -5e-9):
                     a = float(rng.uniform(-6.0, 6.0))
                     points.append((-p * (s + e) / n2 + q * a, q * (s + e) / n2 + p * a))
-        ambiguous = 0
-        for X, Y in points:
-            ambiguous += on_a_strip_boundary(X, Y, table)
-            truth = rhs_bruteforce(LogPoint(X, Y), fan, DELTA)
-            assert dynamics._rhs_fast(X, Y, fan, DELTA, table) == truth
-        assert ambiguous >= 2 * len(table)
+        ambiguous = []
+        with fallbacks() as seen:
+            for X, Y in points:
+                if on_a_strip_boundary(X, Y, table):
+                    ambiguous.append(LogPoint(X, Y))
+                truth = rhs_bruteforce(LogPoint(X, Y), fan, DELTA)
+                assert dynamics._rhs_fast(X, Y, fan, DELTA, table) == truth
+        assert seen == ambiguous and len(ambiguous) >= 2 * len(table)
+        assert not any(on_a_strip_boundary(X, Y, table) for X, Y in points[:400])
 
     @pytest.mark.parametrize("X, Y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
     def test_non_finite_points_raise(self, X, Y):
@@ -843,10 +859,17 @@ class TestRhsFast:
         pt = LogPoint(-7.0, (delta_i(LineGenerator(1, 2), DELTA) - 7.0) / 2.0)
         table = WORKED_FAN.regions(DELTA)
         assert on_a_strip_boundary(pt.X, pt.Y, table)
-        assert dynamics._rhs_fast(pt.X, pt.Y, WORKED_FAN, DELTA, table) == \
-            rhs_bruteforce(pt, WORKED_FAN, DELTA)
-        traj = integrate(ExtremeRayStrategy("left"), pt, WORKED_FAN, DELTA, t_end=1.0)
+        with fallbacks() as seen:
+            assert dynamics._rhs_fast(pt.X, pt.Y, WORKED_FAN, DELTA, table) == \
+                rhs_bruteforce(pt, WORKED_FAN, DELTA)
+        assert seen == [pt]
+        # The run steps off the boundary: only its points within STRIP_TOL
+        # of one fall back, the start among them.
+        with fallbacks() as seen:
+            traj = integrate(ExtremeRayStrategy("left"), pt, WORKED_FAN, DELTA, t_end=1.0)
         assert traj.termination == "t_end" and traj.worst_violation <= 1e-9
+        assert seen and seen[0] == pt
+        assert all(on_a_strip_boundary(p.X, p.Y, table) for p in seen)
 
 
 class TestStrategies:

@@ -139,7 +139,8 @@ def _chains(t):
     piece of t, in a _points_at pass of their own: arrays (X, Y) with one
     row per piece."""
     pieces = len(t.sX)
-    X, Y = _points_at(t, *_loop_index(pieces)[3:])
+    loop = _loop_index(pieces)
+    X, Y = _points_at(t, loop.index, loop.u)
     return X.reshape(pieces, _LOOP_CHORDS + 1), Y.reshape(pieces, _LOOP_CHORDS + 1)
 
 
@@ -919,7 +920,8 @@ class TestLoopChecks:
         # Every loop of a size shares them, so a write would corrupt the
         # next loop's check.
         for pieces in (1, 2, 7):
-            nxt, a, b, index, u = _loop_index(pieces)
+            loop = _loop_index(pieces)
+            nxt, a, b, index, u = loop.nxt, loop.a, loop.b, loop.index, loop.u
             assert nxt.tolist() == np.roll(np.arange(pieces), -1).tolist()
             assert [a.tolist(), b.tolist()] == [x.tolist() for x in np.triu_indices(pieces, 1)]
             assert index.tolist() == [k for k in range(pieces) for _ in range(_LOOP_CHORDS + 1)]

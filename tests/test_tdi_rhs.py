@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toric_regions import fan_geometry
+from toric_regions import fan_geometry, tdi_rhs
 from toric_regions.errors import (
     NonFinitePoint,
     NonPositiveDelta,
@@ -44,10 +45,35 @@ def rhs_equal(a: Cone, b: Cone, tol: float) -> bool:
     return abs(a.width - b.width) <= tol and min(gap, period - gap) <= tol
 
 
+def on_a_strip_boundary(X: float, Y: float, table: tuple) -> bool:
+    """Is the log point (X, Y) within STRIP_TOL of a boundary of a strip of
+    table, a Fan.regions table, where the strip count cannot choose?"""
+    return any(abs(abs(q * Y - p * X) - half_width) <= STRIP_TOL
+               for _, q, p, half_width, _, _ in table)
+
+
+@contextlib.contextmanager
+def fallbacks():
+    """The points at which _rhs_fast falls back to rhs_bruteforce while the
+    block runs, in call order."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tdi_rhs, "rhs_bruteforce",
+                   lambda pt, *args: seen.append(pt) or rhs_bruteforce(pt, *args))
+        yield seen
+
+
 def rhs_fast(point, fan: Fan, delta: float) -> Cone:
-    """_rhs_fast, the classifier the integrator steps on, at a point."""
+    """_rhs_fast, the classifier the integrator steps on, at a point.  It
+    must fall back to rhs_bruteforce exactly where the point lies within
+    STRIP_TOL of a strip boundary: a band test that fires too often would
+    still return the definition's value, so the fallback is counted too."""
     pt = as_log(point)
-    return _rhs_fast(pt.X, pt.Y, fan, delta, fan.regions(delta))
+    table = fan.regions(delta)
+    with fallbacks() as seen:
+        value = _rhs_fast(pt.X, pt.Y, fan, delta, table)
+    assert len(seen) == on_a_strip_boundary(pt.X, pt.Y, table), (pt, fan, delta, seen)
+    return value
 
 
 class TestBruteforce:
@@ -142,11 +168,15 @@ class TestClassified:
 
     def test_boundary_point_is_ambiguous(self):
         # Outer boundary of the strip of (1,1) at delta = 1: sigma = sqrt(2).
-        # The strip count cannot choose within STRIP_TOL of it, so the value
-        # is the definition's, the gap side's, on the boundary, within
-        # STRIP_TOL of it, and just past STRIP_TOL outside.
-        for e in (0.0, 0.5 * STRIP_TOL, -0.5 * STRIP_TOL, 2.0 * STRIP_TOL):
+        # The strip count cannot choose within STRIP_TOL of it, so there, and
+        # only there, _rhs_fast falls back to the definition (rhs_fast counts
+        # it); the value is the definition's on the boundary (the gap
+        # side's), within STRIP_TOL of it, and just past STRIP_TOL on each side.
+        table = CROSS_FAN.regions(1.0)
+        for e, near in ((0.0, True), (0.5 * STRIP_TOL, True), (-0.5 * STRIP_TOL, True),
+                        (2.0 * STRIP_TOL, False), (-2.0 * STRIP_TOL, False)):
             pt = LogPoint(0.0, SQRT2 + e)
+            assert on_a_strip_boundary(pt.X, pt.Y, table) == near
             assert rhs_fast(pt, CROSS_FAN, 1.0) == rhs_bruteforce(pt, CROSS_FAN, 1.0)
         assert rhs_fast(LogPoint(0.0, SQRT2), CROSS_FAN, 1.0).kind == "sector"
 
@@ -235,7 +265,8 @@ def random_fans(rng, count, min_b=2, max_b=6):
 
 
 def agreement_run(fan, delta, n_points, rng, tol=1e-9):
-    """Count disagreements between the two evaluation paths at random log points."""
+    """Count disagreements between the two evaluation paths at random log
+    points; rhs_fast also fails on a fallback off the strip boundaries."""
     span = 5.0 * delta
     pts = rng.uniform(-span, span, size=(n_points, 2))
     mismatches = 0

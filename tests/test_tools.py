@@ -234,7 +234,8 @@ def test_reach_outcomes_records():
 
 # Names the benchmark's tracer still wraps that the package no longer
 # defines: nothing but the tracer read them, so they were deleted, and the
-# tracer lists them as absent until its lists drop them.
+# tracer lists them as absent until its lists drop them.  The first three
+# ran in no workload; _line_x_log's calls are now _line_y_log's.
 RETIRED_TRACED = {"tdi_rhs.rhs_classified", "dynamics.mass_action_field",
                   "dynamics.field_stiffness", "region_construction._line_x_log"}
 
@@ -242,7 +243,8 @@ RETIRED_TRACED = {"tdi_rhs.rhs_classified", "dynamics.mass_action_field",
 def test_traced_names_resolve():
     # The benchmark's tracer wraps these names; a deleted or renamed one
     # would silently drop out of its per-layer metrics.  Exactly the retired
-    # ones do not resolve, so a name the tracer drops must leave that set.
+    # ones do not resolve, so a name the tracer drops must leave that set,
+    # and the tracer skips them and lists their metrics as absent.
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -255,6 +257,14 @@ def test_traced_names_resolve():
             missing.add(f"{module}.{attr}")
     assert missing == RETIRED_TRACED
     assert ("fan_geometry", "Fan.regions", "fan_geometry.Fan.regions") in tracer.TRACED
+    retired = [metric for module, attr, metric in tracer.TRACED + tracer.COUNTED
+               if f"{module}.{attr}" in RETIRED_TRACED]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert traced.absent == retired
+    finally:
+        traced.uninstall()
 
 
 def test_bench_judge_accepts_the_reach_results():
