@@ -77,12 +77,6 @@ class LineGenerator:
     def is_axis(self) -> bool:
         return self.p == 0 or self.q == 0
 
-    def slope(self) -> Fraction | None:
-        """Slope p/q of the line; None means infinite (vertical)."""
-        if self.q == 0:
-            return None
-        return Fraction(self.p, self.q)
-
     def attracting_slope(self) -> Fraction | None:
         """Slope -q/p of the attracting directions; None means vertical."""
         if self.p == 0:

@@ -224,7 +224,10 @@ class Segment:
 
         Beyond the piece's span on its dominant log axis, the distance to the
         nearer endpoint; within it, the distance to the tangent of the line's
-        log-space image at the line point level with pt on that axis.
+        log-space image at the line point level with pt on that axis.  The
+        tangent can pass near a point far beyond the piece's span on the
+        other axis, so the value means something only inside the log-space
+        box of the piece's ends, where region_contains asks for it.
         """
         a, b = self.start, self.end
         mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
@@ -557,7 +560,8 @@ class RegionBoundary:
 
     @functools.cached_property
     def table(self) -> "_PieceTable":
-        """The pieces as one _PieceTable, which every array pass reads."""
+        """The pieces as one _PieceTable, which every array pass and
+        region_contains read."""
         return _PieceTable(self.pieces)
 
     @functools.cached_property
@@ -681,28 +685,31 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
 # Containment and sampling
 
 
-def _ray_hit(piece, pt: LogPoint) -> bool:
-    """Does the horizontal +X ray from pt cross the piece?
-
-    Half-open convention: the lower Y endpoint is inclusive.
-    """
-    y0, y1 = piece.start.Y, piece.end.Y
-    lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
-    return lo <= pt.Y < hi and piece.at(pt.Y, True).X > pt.X
-
-
 def region_contains(boundary: RegionBoundary, point,
                     band: float = 1e-9) -> str:
     """Classify a point as 'inside', 'boundary' or 'outside'.
 
     Boundary means within the given log-space band of some piece; otherwise
-    ray casting along +X in log space decides.  NonFinitePoint unless the
-    point is finite.
+    the parity of the pieces that the +X ray from the point crosses in log
+    space decides.  Each piece lies in the log-space box of its ends (the
+    table's boxes), so a piece is asked for its band_distance only where
+    that box, widened by band, holds the point.  The ray crosses a piece
+    whose half-open Y span (lower end inclusive) holds the point's Y when
+    the box lies right of the point; only where the box straddles it is
+    the piece's X at that Y evaluated.  NonFinitePoint unless the point is
+    finite.
     """
     pt = _finite_log(point, "point")
-    if any(piece.band_distance(pt) <= band for piece in boundary.pieces):
-        return "boundary"
-    crossings = sum(_ray_hit(piece, pt) for piece in boundary.pieces)
+    X, Y = pt.X, pt.Y
+    pieces, boxes = boundary.pieces, boundary.table.boxes
+    for piece, (x0, x1, y0, y1) in zip(pieces, boxes):
+        if (x0 - band <= X <= x1 + band and y0 - band <= Y <= y1 + band
+                and piece.band_distance(pt) <= band):
+            return "boundary"
+    crossings = 0
+    for piece, (x0, x1, y0, y1) in zip(pieces, boxes):
+        if y0 <= Y < y1 and (X < x0 or (X < x1 and piece.at(Y, True).X > X)):
+            crossings += 1
     return "inside" if crossings % 2 == 1 else "outside"
 
 
@@ -718,12 +725,15 @@ class _PieceTable:
     Arc; p, q: the generator; lp, lq: log|p|, log|q| (-inf at 0); dydx,
     dxdy: the x-space slopes -q/p, p/-q (nan where infinite); sign: h_sign
     or arm_sign; (n0, n1): a segment's outward unit normal sign*(q, p)/|g|.
+    boxes: a list of the log-space boxes (X lo, X hi, Y lo, Y hi) of the
+    ends, as Python floats; region_contains reads them.
     """
 
     def __init__(self, pieces):
-        rows = []
+        rows, self.boxes = [], []
         for pc in pieces:
             g, a, b, arc = pc.gen, pc.start, pc.end, isinstance(pc, Arc)
+            self.boxes.append((min(a.X, b.X), max(a.X, b.X), min(a.Y, b.Y), max(a.Y, b.Y)))
             sign = pc.h_sign if arc else pc.arm_sign
             rows.append((a.X, a.Y, b.X, b.Y, arc, g.p, g.q,
                          math.log(abs(g.p)) if g.p else -math.inf,
@@ -781,120 +791,6 @@ def _normals_at(t: _PieceTable, index, X, Y):
     n = _math_map(math.hypot, nx, ny)
     n0[arc], n1[arc] = t.sign[k] * nx / n, t.sign[k] * ny / n
     return n0, n1
-
-
-def _band_distances(t: _PieceTable, index, X, Y):
-    """band_distance of each piece t[index[j]] at (X[j], Y[j]), in numpy.
-
-    Only numpy's hypot differs from math's, by at most an ulp, so the gap
-    to the scalar value is below _TIE_MARGIN·d.  A segment's line point
-    and its tangent's exps are at's and math's, bit for bit; of the
-    tangent's two exps one is exp(0), so one math.exp per point is taken.
-    """
-    d = np.empty(len(index))
-    arc = t.arc[index]
-    k, x, y = index[arc], X[arc], Y[arc]
-    sX, sY = t.sX[k], t.sY[k]
-    with np.errstate(all="ignore"):  # as floats do at huge delta; u = 0 where l2 = 0
-        dx, dy = t.eX[k] - sX, t.eY[k] - sY
-        l2 = dx * dx + dy * dy
-        u = np.clip(((x - sX) * dx + (y - sY) * dy) / l2, 0.0, 1.0)
-        u[l2 == 0.0] = 0.0
-        d[arc] = np.hypot(x - (sX + u * dx), y - (sY + u * dy))
-
-        k, x, y = index[~arc], X[~arc], Y[~arc]
-        A0, A1, C0, C1, slope, m = _frame(t, k)
-        along, across = np.where(m, y, x), np.where(m, x, y)
-        ds = np.minimum(np.hypot(along - A0, across - C0), np.hypot(along - A1, across - C1))
-        lo, hi = np.minimum(A0, A1), np.maximum(A0, A1)
-        j = np.flatnonzero((lo - 1e-12 <= along) & (along <= hi + 1e-12))
-        c = np.minimum(np.maximum(along[j], lo[j]), hi[j])
-        far = np.abs(c - A1[j]) < np.abs(c - A0[j])
-        on = _line_y_log_batch(np.where(far, A1[j], A0[j]), np.where(far, C1[j], C0[j]),
-                               slope[j], c)
-        onX, onY = np.where(m[j], on, c), np.where(m[j], c, on)
-        # _scaled_reciprocals' exps of the direction (p, -q): exp(0) = 1 for
-        # the larger log, which top - top + 1 keeps nan where that log is
-        # infinite, as the scalar's exp(inf - inf) does, and exp(-|la - lb|)
-        # for the other.
-        la, lb = t.lp[k[j]] - onX, t.lq[k[j]] - onY
-        top = np.maximum(la, lb)
-        one, other = top - top + 1.0, _math_map(math.exp, -np.abs(la - lb))
-        tx = np.copysign(np.where(la >= lb, one, other), t.p[k[j]])
-        ty = np.copysign(np.where(la >= lb, other, one), -t.q[k[j]])
-        ds[j] = np.abs((x[j] - onX) * ty - (y[j] - onY) * tx) / np.hypot(tx, ty)
-        d[~arc] = ds
-    return d
-
-
-def _ray_crossings(t: _PieceTable, index, X, Y):
-    """(cx, spans): spans is True where Y lies in the half-open log-y span
-    of the piece t[index[j]], as _ray_hit tests it, and there cx is the log
-    x of the piece at Y, as _ray_hit evaluates it bit for bit: on an arc by
-    at's mirrored closed form, on a segment from the end nearer in log y,
-    by the kernel."""
-    sX, sY, eX, eY = t.sX[index], t.sY[index], t.eX[index], t.eY[index]
-    spans = (np.minimum(sY, eY) <= Y) & (Y < np.maximum(sY, eY))
-    cx = np.zeros(len(Y))
-    arc = t.arc[index]
-    a = spans & arc
-    p, q = t.p[index[a]], t.q[index[a]]
-    cx[a] = (q * Y[a] - (q * sY[a] - p * sX[a])) / p
-    s = np.flatnonzero(spans & ~arc)
-    far = np.abs(Y[s] - eY[s]) < np.abs(Y[s] - sY[s])
-    cx[s] = _line_y_log_batch(np.where(far, eY[s], sY[s]), np.where(far, eX[s], sX[s]),
-                              t.dxdy[index[s]], Y[s])
-    return cx, spans
-
-
-# A numpy band distance d differs from the scalar one only by np.hypot's
-# rounding, at most an ulp on numpy 2.4 (4 allowed, below 9e-16·d), so it is
-# trusted only farther than _TIE_MARGIN·d from the band.
-_TIE_MARGIN = 1e-13
-
-
-def region_contains_batch(boundary: RegionBoundary, X, Y, band) -> list[str]:
-    """region_contains' label for every point (X[j], Y[j]) at band[j].
-
-    The band distances of every (point, piece) pair come from one
-    broadcast through _band_distances, whose one bound on the gap to the
-    scalar band_distance is _TIE_MARGIN·d.  A pair whose distance d lies
-    within that bound of its band, or is nan, is decided by the scalar
-    band_distance, unless another piece already claims its point: the
-    filtered-predicate pattern of Shewchuk (Discrete Comput. Geom. 18,
-    1997).  The +X rays are cast only from points that no piece claims,
-    through _ray_crossings, bit for bit as _ray_hit casts them, so the
-    crossing parity is the scalar's.  NonFinitePoint names the first
-    non-finite point; empty arrays give [] without evaluating a piece.
-    """
-    X, Y, band = (np.asarray(a, dtype=float) for a in (X, Y, band))
-    bad = ~(np.isfinite(X) & np.isfinite(Y))
-    if bad.any():
-        j = int(np.argmax(bad))
-        _finite_log(LogPoint(X[j].item(), Y[j].item()), "point")
-    n, pieces = len(X), boundary.pieces
-    if n == 0:
-        return []
-    m = len(pieces)
-    pair = np.arange(n * m)  # pair k is point k // m with piece k % m
-    pt, pc = pair // m, pair % m
-    d = _band_distances(boundary.table, pc, X[pt], Y[pt])
-    b = band[pt]
-    tie = ~(np.abs(d - b) > _TIE_MARGIN * d)  # also where d is nan
-    claimed = ((d <= b) & ~tie).reshape(n, m).any(axis=1)
-    for k in np.flatnonzero(tie & ~claimed[pt]).tolist():
-        j = k // m
-        if not claimed[j]:
-            point = LogPoint(X[j].item(), Y[j].item())
-            claimed[j] = pieces[k % m].band_distance(point) <= band[j]
-    labels = ["boundary"] * n
-    rest = np.flatnonzero(~claimed)
-    pt = rest[pair[:len(rest) * m] // m]
-    cx, spans = _ray_crossings(boundary.table, pc[:len(pt)], X[pt], Y[pt])
-    odd = (spans & (cx > X[pt])).reshape(-1, m).sum(axis=1) % 2 == 1
-    for j, o in zip(rest.tolist(), odd.tolist()):
-        labels[j] = "inside" if o else "outside"
-    return labels
 
 
 def _read_only(*arrays) -> tuple:
@@ -1658,33 +1554,31 @@ def validate_region(boundary: RegionBoundary) -> dict:
     in array passes over the boundary's one piece table: one _points_at
     pass (_validation_points) gives the loop checks their point chains and
     the r <= 1 and Nagumo checks sample_boundary's samples.
-    The S^uc points (the exponents of the fan's _fan_table record times
-    delta, as IntersectionPoint.log forms them), the chord points (both at
-    band 1e-7) and (1,1) (at region_contains' default 1e-9) are classified
-    in one region_contains_batch call.  A failed check names a witness point
-    where it has one.
+    Each S^uc point (the exponents of the fan's _fan_table record times
+    delta, as IntersectionPoint.log forms them) and each chord point is
+    labelled by one region_contains call at band 1e-7; (1,1) is the
+    boundary's origin_label.  A failed check names a witness point where
+    it has one.
     """
     report = {}
     loop, pts = _validation_points(boundary.table)
     closed, simple = _loop_checks(boundary, loop)
     report["closed_loop"] = closed
     report["simple_loop"] = simple
-    (uc_x, uc_y), chords, d = _fan_table(boundary.fan).uc, _chord_points(boundary), boundary.delta
-    X = np.array([cx * d for cx in uc_x] + [pt.X for pt in chords] + [0.0])
-    Y = np.array([cy * d for cy in uc_y] + [pt.Y for pt in chords] + [0.0])
-    labels = region_contains_batch(boundary, X, Y, np.append(np.full(len(X) - 1, 1e-7), 1e-9))
-    n_uc = len(uc_x)
-    report["suc_in_region"] = _suc_check(boundary, labels[:n_uc])
+    (uc_x, uc_y), d = _fan_table(boundary.fan).uc, boundary.delta
+    uc = [region_contains(boundary, LogPoint(cx * d, cy * d), 1e-7) for cx, cy in zip(uc_x, uc_y)]
+    chords = [region_contains(boundary, pt, 1e-7) for pt in _chord_points(boundary)]
+    report["suc_in_region"] = _suc_check(boundary, uc)
     report["r_le_1"] = _r_le_1_check(boundary, pts)
     report["slope_chains"] = _slope_chain_check(boundary)
     report["nagumo"] = _nagumo_check(boundary, pts)
-    origin = labels[-1]
+    origin = boundary.origin_label
     report["origin_interior"] = {
         "passed": origin == "inside", "worst": 0.0 if origin == "inside" else 1.0,
         "detail": f"(1,1) classified {origin}",
     }
     if boundary.mode == "standard":
         report["cone_containment"] = _cone_containment_check(boundary)
-    report["chords_inside"] = _chords_inside_check(boundary, labels[n_uc:-1])
+    report["chords_inside"] = _chords_inside_check(boundary, chords)
     report["arc_tangent_monotonicity"] = _arc_monotonicity_check(boundary)
     return report

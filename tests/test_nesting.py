@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from toric_regions.errors import ToricRegionsError
-from toric_regions.fan_geometry import Fan
+from toric_regions.fan_geometry import Fan, LogPoint
 from toric_regions.region_construction import (
     construct_region,
-    region_contains_batch,
+    region_contains,
     sample_boundary,
     validate_region,
 )
@@ -53,6 +53,11 @@ def _region(gens, delta: float):
         return None
 
 
+def _labels(region, X, Y, band: float) -> list[str]:
+    """region_contains' label of each point (X[j], Y[j]) at band."""
+    return [region_contains(region, LogPoint(x, y), band) for x, y in zip(X.tolist(), Y.tolist())]
+
+
 def _validates(region) -> bool:
     return all(res["passed"] for res in validate_region(region).values())
 
@@ -62,9 +67,9 @@ def _sticks_out(small, big, rng) -> bool:
     X, Y, _ = sample_boundary(small, SAMPLES)
     ends = np.array([(e.X, e.Y) for pc in small.pieces for e in (pc.start, pc.end)])
     PX, PY = rng.uniform(ends.min(axis=0), ends.max(axis=0), size=(DRAWS, 2)).T
-    inside = np.array(region_contains_batch(small, PX, PY, np.full(DRAWS, 1e-9))) == "inside"
+    inside = np.array(_labels(small, PX, PY, 1e-9)) == "inside"
     X, Y = np.concatenate([X, PX[inside]]), np.concatenate([Y, PY[inside]])
-    return "outside" in region_contains_batch(big, X, Y, np.full(len(X), 1e-7))
+    return "outside" in _labels(big, X, Y, 1e-7)
 
 
 def delta_breaks() -> tuple[int, list[dict]]:

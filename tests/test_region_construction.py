@@ -41,7 +41,6 @@ from toric_regions.region_construction import (
     Segment,
     _PieceTable,
     _arc_monotonicity_check,
-    _band_distances,
     _curve_cross_on_line,
     _falls,
     _fan_plan,
@@ -69,7 +68,6 @@ from toric_regions.region_construction import (
     intersection_points,
     phi_level,
     region_contains,
-    region_contains_batch,
     sample_boundary,
 )
 from toric_regions.tdi_rhs import rhs_bruteforce
@@ -508,6 +506,12 @@ class TestLineKernel:
         seg = Segment(LogPoint(0.0, 790.0), LogPoint(0.0, 810.0), LineGenerator(0, 1), 0, 1, 0)
         assert seg.band_distance(LogPoint(1.0, 800.0)) == pytest.approx(1.0, rel=1e-12)
 
+    def test_zero_length_arc(self):
+        # The distance to a one-point arc is the distance to that point.
+        arc = Arc(LineGenerator(1, 2), 1, LogPoint(0.5, -1.0), LogPoint(0.5, -1.0))
+        points = [LogPoint(0.5, -1.0), LogPoint(3.5, 3.0), LogPoint(-1.0, -1.0)]
+        assert [arc.band_distance(pt) for pt in points] == [0.0, 5.0, 1.5]
+
     def test_segments_evaluate_on_their_lines(self, worked_region):
         for segs in worked_region.polylines.values():
             for seg in segs:
@@ -733,9 +737,17 @@ class TestRegionContains:
     def test_start_anchor_on_boundary(self, worked_region):
         assert region_contains(worked_region, worked_region.anchors["NM"]) == "boundary"
 
-    def test_far_point_outside(self, worked_region):
+    def test_far_point_outside(self, worked_region, monkeypatch):
         assert region_contains(worked_region, LogPoint(1e6, 1e6)) == "outside"
         assert region_contains(worked_region, LogPoint(13.8, 13.8)) == "outside"
+        # No piece's box holds a point that far, so no piece is evaluated.
+        def evaluated(*args):
+            raise AssertionError("a piece was evaluated")
+        for cls in (Segment, Arc):
+            monkeypatch.setattr(cls, "band_distance", evaluated)
+            monkeypatch.setattr(cls, "at", evaluated)
+        assert region_contains(worked_region, LogPoint(1e6, 1e6)) == "outside"
+        assert region_contains(worked_region, LogPoint(-1e6, 0.0)) == "outside"
 
     @pytest.mark.parametrize("pt", [LogPoint(math.nan, 0.0), LogPoint(math.inf, 0.0),
                                     LogPoint(0.0, -math.inf)])
@@ -746,6 +758,57 @@ class TestRegionContains:
     def test_all_intersection_points_contained(self, worked_region):
         for ip in intersection_points(worked_region.fan, worked_region.delta):
             assert region_contains(worked_region, ip.log, band=1e-7) != "outside"
+        # An S^uc point at least 430 log units from both ends of the (1,1)
+        # segment from (-235.446, -193.019) to (-193.019, -235.446), whose
+        # log-space tangent at the level point is vertical and passes
+        # within 1e-15 of it: outside the segment's box, it is no boundary.
+        b = construct_region(Fan([(1, 3), (1, 2), (1, 1), (3, 2), (-3, 2), (-1, 1)]), 30.0,
+                             validate=False)
+        pt = LogPoint(-193.01935200630538, 235.44575887749826)
+        assert region_contains(b, pt, band=1e-7) == region_contains(b, pt) == "inside"
+
+    @pytest.mark.parametrize("gens, delta", [(WORKED_GENS, 3.0), ([(-2, 1), (2, 3), (1, 1)], 100.0)],
+                             ids=["worked-3", "off_branch-100"])
+    def test_box_tests_keep_every_label(self, gens, delta):
+        # Against every piece evaluated: a boundary point is within band of
+        # some piece, and any other point's label is the parity of the +X
+        # ray's crossings, each piece's X at the point's Y evaluated.  The
+        # probes are boundary samples, seeded points in the box of the
+        # piece ends and points level with each end, 0.5 to either side
+        # (their rays pass through a vertex).
+        b = construct_region(Fan(gens), delta, validate=False)
+        X, Y, _ = sample_boundary(b, 64)
+        ends = [(pc.start.X, pc.start.Y) for pc in b.pieces]
+        box = np.random.default_rng(0).uniform(np.min(ends, axis=0) - 1.0,
+                                               np.max(ends, axis=0) + 1.0, size=(200, 2))
+        probes = [*zip(X.tolist(), Y.tolist()), *box.tolist(),
+                  *((x + s, y) for x, y in ends for s in (-0.5, 0.5))]
+        seen = set()
+        for x, y in probes:
+            pt, label = LogPoint(x, y), region_contains(b, LogPoint(x, y))
+            seen.add(label)
+            if label == "boundary":
+                assert min(pc.band_distance(pt) for pc in b.pieces) <= 1e-9
+            else:
+                hits = sum(min(pc.start.Y, pc.end.Y) <= y < max(pc.start.Y, pc.end.Y)
+                           and pc.at(y, True).X > x for pc in b.pieces)
+                assert label == ("inside" if hits % 2 else "outside")
+        assert seen == {"inside", "outside", "boundary"}
+
+    def test_one_call_per_validation_probe(self, monkeypatch):
+        # validate_region labels each S^uc and chord point with one call at
+        # band 1e-7, and reads (1,1) off the boundary's origin_label.
+        calls = []
+        monkeypatch.setattr(region_construction, "region_contains",
+                            lambda *args: calls.append(args) or region_contains(*args))
+        b = construct_region(Fan(WORKED_GENS), 3.0, validate=False)
+        b.__dict__["origin_label"] = "outside"
+        report = region_construction.validate_region(b)
+        probes = ([ip.log for ip in intersection_points(b.fan, b.delta)]
+                  + region_construction._chord_points(b))
+        assert calls == [(b, pt, 1e-7) for pt in probes]
+        assert report["origin_interior"] == {"passed": False, "worst": 1.0,
+                                             "detail": "(1,1) classified outside"}
 
 
 class TestSpecialCases:
@@ -1000,11 +1063,9 @@ class TestWitnesses:
         b = construct_region(Fan([(-2, 1), (2, 3), (3, 1), (0, 1), (-3, 2)]), 3.0,
                              validate=False)
         points = intersection_points(b.fan, b.delta)
-        outside = [(ip.log.X, ip.log.Y) for ip in points
-                   if region_contains(b, ip.log, band=1e-7) == "outside"]
-        res = _suc_check(b, region_contains_batch(b, [ip.log.X for ip in points],
-                                                  [ip.log.Y for ip in points],
-                                                  np.full(len(points), 1e-7)))
+        labels = [region_contains(b, ip.log, band=1e-7) for ip in points]
+        outside = [(ip.log.X, ip.log.Y) for ip, label in zip(points, labels) if label == "outside"]
+        res = _suc_check(b, labels)
         assert len(outside) > 1 and res["worst"] == float(len(outside))
         assert res["witness"] == outside[0]
 
@@ -1100,154 +1161,6 @@ class TestArraySampler:
             _point_at_reference(seg, 0.3)
         with pytest.raises(NoCrossing):
             _points_of(seg, [0.1, 0.3])
-
-
-def _containment_probes(b, seed: int):
-    """Arrays (X, Y) of the S^uc points, the chord points, (1,1), the
-    sample_boundary points, the same jittered by up to 1e-7 in each
-    coordinate, seeded points in the box of the piece ends, and points
-    level with each piece end, 0.5 to either side (their rays pass through
-    a vertex)."""
-    rng = np.random.default_rng(seed)
-    pts = [ip.log for ip in intersection_points(b.fan, b.delta)]
-    pts += region_construction._chord_points(b)
-    X, Y, _ = sample_boundary(b, _VALIDATION_SAMPLES)
-    jitter = rng.uniform(-1e-7, 1e-7, size=(2, len(X)))
-    ends = np.array([(pc.start.X, pc.start.Y) for pc in b.pieces])
-    box = rng.uniform(ends.min(axis=0) - 1.0, ends.max(axis=0) + 1.0, size=(64, 2))
-    return (np.concatenate([[pt.X for pt in pts], [0.0], X, X + jitter[0], box[:, 0],
-                            ends[:, 0] - 0.5, ends[:, 0] + 0.5]),
-            np.concatenate([[pt.Y for pt in pts], [0.0], Y, Y + jitter[1], box[:, 1],
-                            ends[:, 1], ends[:, 1]]))
-
-
-def _scalar_labels(b, X, Y, band: float) -> list[str]:
-    return [region_contains(b, LogPoint(x, y), band) for x, y in zip(X.tolist(), Y.tolist())]
-
-
-@pytest.fixture
-def scalar_distances(monkeypatch):
-    """(piece, point) of every scalar band_distance call."""
-    calls = []
-    for cls in (Segment, Arc):
-        def counted(piece, pt, original=cls.band_distance):
-            calls.append((piece, pt))
-            return original(piece, pt)
-        monkeypatch.setattr(cls, "band_distance", counted)
-    return calls
-
-
-def _first_atlas_regions(count: int, delta: float) -> list:
-    """The first count catalog regions that build at delta."""
-    regions = []
-    for gens in CATALOG_GENS:
-        try:
-            regions.append(construct_region(Fan(gens), delta, validate=False))
-        except ToricRegionsError:
-            continue
-        if len(regions) == count:
-            return regions
-    raise AssertionError(f"fewer than {count} catalog regions build at delta = {delta}")
-
-
-OFF_BRANCH_GENS = [(-2, 1), (2, 3), (1, 1)]  # at delta = 100 some kernel calls leave the direct branch
-
-
-class TestRegionContainsBatch:
-    """region_contains_batch against the scalar region_contains, label for label."""
-
-    @pytest.mark.parametrize("band", [1e-7, 1e-9])
-    def test_labels_match_the_scalar(self, band, worked_region):
-        regions = [worked_region, *_first_atlas_regions(14, 3.0),
-                   construct_region(Fan(OFF_BRANCH_GENS), 100.0, validate=False)]
-        seen = set()
-        for seed, b in enumerate(regions):
-            X, Y = _containment_probes(b, seed)
-            got = region_contains_batch(b, X, Y, np.full(len(X), band))
-            assert got == _scalar_labels(b, X, Y, band)
-            seen.update(got)
-        assert seen == {"inside", "outside", "boundary"}
-
-    @pytest.mark.parametrize("gens, delta", [(WORKED_GENS, 3.0), (OFF_BRANCH_GENS, 100.0),
-                                             (OFF_BRANCH_GENS, 300.0)],
-                             ids=["worked-3", "off_branch-100", "off_branch-300"])
-    def test_every_pair_within_4_ulp_of_the_scalar(self, gens, delta, scalar_distances):
-        # Off the kernel's direct branch too: the broadcast takes at's line
-        # point, so it needs the scalar on no pair.
-        b = construct_region(Fan(gens), delta, validate=False)
-        X, Y = _containment_probes(b, 0)
-        n, m = len(X), len(b.pieces)
-        pair = np.arange(n * m)
-        d = _band_distances(b.table, pair % m, X[pair // m], Y[pair // m])
-        scalar = np.array([b.pieces[k % m].band_distance(LogPoint(X[k // m].item(), Y[k // m].item()))
-                           for k in pair.tolist()])
-        assert (np.abs(d - scalar) <= 4 * np.spacing(scalar)).all()
-        scalar_distances.clear()
-        got = region_contains_batch(b, X, Y, np.full(n, 1e-7))
-        assert scalar_distances == []
-        assert got == _scalar_labels(b, X, Y, 1e-7)
-
-    def test_zero_length_arc(self):
-        # The scalar and the array distance to a one-point arc agree: both
-        # are the distance to that point.
-        arc = Arc(LineGenerator(1, 2), 1, LogPoint(0.5, -1.0), LogPoint(0.5, -1.0))
-        X, Y = np.array([0.5, 3.5, -1.0]), np.array([-1.0, 3.0, -1.0])
-        d = _band_distances(_PieceTable([arc]), np.zeros(3, dtype=int), X, Y)
-        assert d.tolist() == [arc.band_distance(LogPoint(x, y)) for x, y in zip(X, Y)]
-        assert d.tolist() == [0.0, 5.0, 1.5]
-
-    def test_ties_go_to_band_distance(self, worked_region, scalar_distances):
-        # The band is one pair's scalar distance, so that pair is a tie.
-        b = worked_region
-        X, Y = _containment_probes(b, 3)
-        j = len(intersection_points(b.fan, b.delta)) + 12  # (1,1), inside
-        pt = LogPoint(X[j].item(), Y[j].item())
-        dist = [pc.band_distance(pt) for pc in b.pieces]
-        k = int(np.argmin(dist))
-        band = np.full(len(X), 1e-7)
-        band[j] = dist[k]
-        scalar_distances.clear()
-        got = region_contains_batch(b, X, Y, band)
-        assert (b.pieces[k], pt) in scalar_distances
-        assert got[j] == "boundary" == region_contains(b, pt, dist[k])
-        # Just below the band's scalar distance the pair is still a tie, and
-        # the scalar decides it the other way.
-        band[j] = math.nextafter(dist[k], 0.0)
-        scalar_distances.clear()
-        got = region_contains_batch(b, X, Y, band)
-        assert (b.pieces[k], pt) in scalar_distances
-        assert got[j] == region_contains(b, pt, band[j]) != "boundary"
-        # Far from every distance no pair is a tie.
-        scalar_distances.clear()
-        region_contains_batch(b, X, Y, np.full(len(X), 1e-7))
-        assert scalar_distances == []
-
-    def test_one_broadcast_per_validation(self, worked_region, monkeypatch):
-        batch, scalar = [], []
-        monkeypatch.setattr(region_construction, "region_contains_batch",
-                            lambda *args: batch.append(args) or region_contains_batch(*args))
-        monkeypatch.setattr(region_construction, "region_contains",
-                            lambda *args: scalar.append(args) or region_contains(*args))
-        report = region_construction.validate_region(worked_region)
-        assert len(batch) == 1 and scalar == []
-        assert report == worked_region.report
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_point_rejected(self, worked_region, bad):
-        X, Y = np.array([0.0, 1.0, bad]), np.array([0.0, bad, 0.0])
-        with pytest.raises(NonFinitePoint, match=r"point \(1\.0, "):
-            region_contains_batch(worked_region, X, Y, np.full(3, 1e-9))
-        with pytest.raises(NonFinitePoint):
-            region_contains(worked_region, LogPoint(1.0, bad))
-
-    def test_empty_arrays(self, worked_region, monkeypatch):
-        def evaluated(*args):
-            raise AssertionError("a piece was evaluated")
-        for cls in (Segment, Arc):
-            monkeypatch.setattr(cls, "band_distance", evaluated)
-        for name in ("_band_distances", "_ray_crossings"):
-            monkeypatch.setattr(region_construction, name, evaluated)
-        assert region_contains_batch(worked_region, np.empty(0), np.empty(0), np.empty(0)) == []
 
 
 _ORACLE_ARC_SAMPLES = 4096

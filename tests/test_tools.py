@@ -116,13 +116,16 @@ def test_atlas_outcomes_contains_digest_sees_a_moved_label():
                                              + tool.PROBE_SAMPLES)
     assert sorted(set(band.tolist())) == [1e-9, 1e-7]
     digest = tool.contains_digest(region, toric_regions)
-    labels = rc.region_contains_batch(region, X, Y, band)
+    labels = [rc.region_contains(region, toric_regions.LogPoint(x, y), b)
+              for x, y, b in zip(X.tolist(), Y.tolist(), band.tolist())]
     assert {"inside", "outside", "boundary"} <= set(labels)
     # One label moved changes the digest.
     moved = SimpleNamespace(**vars(rc))
     flipped = "outside" if labels[0] == "inside" else "inside"
-    moved.region_contains_batch = lambda *args: [flipped] + labels[1:]
-    fake = SimpleNamespace(region_construction=moved, errors=toric_regions.errors)
+    answers = iter([flipped] + labels[1:])
+    moved.region_contains = lambda *args: next(answers)
+    fake = SimpleNamespace(region_construction=moved, fan_geometry=toric_regions.fan_geometry,
+                           errors=toric_regions.errors)
     assert tool.contains_digest(region, fake) != digest
 
 

@@ -17,8 +17,8 @@ name of any other package error, or "bare:<class>" for an exception that
 is not a package error.  "site" names the function in which such a bare
 exception was raised.  "samples" digests every X and Y of
 ``sample_boundary(boundary, 512)``.  "contains" digests the containment
-labels of a seeded probe set (see ``contains_probes``), computed by
-``region_contains_batch``; a package error while labelling reads
+labels of a seeded probe set (see ``contains_probes``), each computed by
+one ``region_contains`` call; a package error while labelling reads
 "raised:<class>".  "checks", "pieces", "samples" and
 "contains" are null when no region was built or its validation raised.
 The catalog holds no seed outcome for delta = 300.  The catalog is only
@@ -95,10 +95,12 @@ def contains_probes(boundary, package):
 
 def contains_digest(boundary, package) -> str:
     """Short hash of the containment label of every probe of
-    ``contains_probes``, by ``region_contains_batch``."""
+    ``contains_probes``, each by one ``region_contains`` call."""
+    rc, LogPoint = package.region_construction, package.fan_geometry.LogPoint
     try:
         X, Y, band = contains_probes(boundary, package)
-        labels = package.region_construction.region_contains_batch(boundary, X, Y, band)
+        labels = [rc.region_contains(boundary, LogPoint(x, y), b)
+                  for x, y, b in zip(X.tolist(), Y.tolist(), band.tolist())]
     except package.errors.ToricRegionsError as exc:
         return f"raised:{type(exc).__name__}"
     return hashlib.sha256(",".join(labels).encode()).hexdigest()[:16]
