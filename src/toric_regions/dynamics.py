@@ -10,8 +10,8 @@ The integrator works on floats: a selection gives its velocities at the
 log point (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
 one that reads the cone gets it from _rhs_fast and fan.regions(delta).
 Trajectories and witness legs hold their samples as float arrays (X, Y,
-vx, vy), make LogPoints only when read, and have their velocities checked
-from the arrays by _violations, bit for bit as Cone.violation.
+vx, vy), a trajectory makes LogPoints only when read, and velocities are
+checked from the arrays by _violations, bit for bit as Cone.violation.
 """
 
 import functools
@@ -33,7 +33,6 @@ from .errors import (
 from .fan_geometry import (
     LINE_WIDTH,
     TWO_PI,
-    ZERO_WIDTH,
     Cone,
     Fan,
     LogPoint,
@@ -64,39 +63,20 @@ _CONE_TOL = 1e-9  # cone-violation tolerance of every velocity check
 _INCLUSIVE_TOL = -1e-9
 
 
-def _cone_row(c: Cone) -> tuple[float, ...]:
-    """Cone._excess of a cone as three rays u, e and b: the excess of v
-    is max(0, -(u x v), e x v, -(b . v)), except that the zero cone's
-    (flagged by the row's first entry) is |v|.
-
-    u and e are the start and end rays.  A line takes e = u, so that the
-    two cross products give |u x v|; a ray takes e = u too, and b = u for
-    its opposite direction.  Rays that a cone does not read are zero:
-    their terms are 0 or NaN, and max passes over both.
-    """
-    w, rays = c.width, c.extreme_rays()
-    if not rays:
-        return (float(w == ZERO_WIDTH), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    u = rays[0]
-    e = u if w in (0.0, LINE_WIDTH) else rays[1]
-    b = u if w == 0.0 else (0.0, 0.0)
-    return (0.0, *u, *e, *b)
-
-
 def _violations(X: np.ndarray, Y: np.ndarray, vx: np.ndarray, vy: np.ndarray, fan: Fan,
                 delta: float) -> np.ndarray:
     """Cone violation of each velocity (vx[k], vy[k]) at its log point
     (X[k], Y[k]), against the inclusive value of the inclusion, from one
     batched evaluation: Cone.violation's value, bit for bit.
 
-    Cone._excess runs on all points at once, from one _cone_row per
+    Cone._excess runs on all points at once, from the _row of each
     distinct value.  Products and differences round in numpy as in Python
     floats, and fmax passes over a NaN term as Python's max does.  The
     norm |v| comes from math.hypot (numpy's hypot differs in the last
     place on some inputs), and only where the excess is positive.
     """
     values, index = rhs_bruteforce_batch(X, Y, fan, delta, _INCLUSIVE_TOL)
-    zero, u0, u1, e0, e1, b0, b1 = np.array([_cone_row(c) for c in values]).T[:, index]
+    zero, u0, u1, e0, e1, b0, b1 = np.array([c._row for c in values]).T[:, index]
     zero = zero == 1.0
     with np.errstate(all="ignore"):  # inf and NaN arise silently, as in Python floats
         worst = np.fmax(np.fmax(-(u0 * vy - u1 * vx), e0 * vy - e1 * vx),
@@ -398,14 +378,6 @@ _MAX_LOG_STEP = 0.25  # largest log-space move of one integrator step
 _STEP_TOL = 1e-9  # largest error estimate, in log space, of an error-controlled step
 
 
-def _points(samples) -> list[LogPoint]:
-    return list(map(LogPoint, samples.X.tolist(), samples.Y.tolist()))
-
-
-def _velocities(samples) -> list[tuple[float, float]]:
-    return list(zip(samples.vx.tolist(), samples.vy.tolist()))
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Time-stamped log-space samples with the velocities that produced
@@ -430,8 +402,10 @@ class Trajectory:
             raise ValueError("trajectory times must strictly increase")
 
     times = functools.cached_property(lambda self: self.t.tolist())
-    points = functools.cached_property(_points)
-    velocities = functools.cached_property(_velocities)
+    points = functools.cached_property(
+        lambda self: list(map(LogPoint, self.X.tolist(), self.Y.tolist())))
+    velocities = functools.cached_property(
+        lambda self: list(zip(self.vx.tolist(), self.vy.tolist())))
 
 
 def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
@@ -457,7 +431,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     moves more than 0.25 in log space (the fields are exponentially stiff
     far from equilibrium), and at 1.5 over the stiffness of the step
     start.  It is halved, down to dt/1024, while a stage fails or the
-    increment is not finite or moves more than 1.0.
+    increment is not finite or moves more than 1.0.  A step that passes
+    but no longer advances t (t + h == t) raises StepCollapse.
 
     An error-controlled step's end is evaluated with its stiffness at
     once, and that evaluation f5 starts the next step when the step is
@@ -571,6 +546,8 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                     h *= max(0.2, scale)
                 if h < floor:
                     raise StepCollapse(f"step below {floor} without passing at t={t:.4g}")
+            if t + h == t:  # the clock has stalled: the samples' times would repeat
+                raise StepCollapse(f"step {h:.3g} no longer advances t={t:.4g}")
             X += dX
             Y += dY
             t += h
@@ -616,8 +593,7 @@ _CHAINS = ("I1", "I4", "I2", "I3")  # route search order; I1 and I4 start at (N,
 class WitnessLeg(NamedTuple):
     """A witness leg as it is built, checked and returned: its kind ('flow',
     'xline' or 'logline'), its description, and its samples' log points
-    (X, Y) and x-space velocities (vx, vy) as float arrays.  points and
-    velocities build new lists on every read, so loops read the arrays."""
+    (X, Y) and x-space velocities (vx, vy) as float arrays."""
 
     kind: str
     description: str
@@ -630,9 +606,6 @@ class WitnessLeg(NamedTuple):
     def end(self) -> LogPoint:
         """The last sample."""
         return LogPoint(float(self.X[-1]), float(self.Y[-1]))
-
-    points = property(_points)
-    velocities = property(_velocities)
 
 
 def _validate_leg(legs: list[WitnessLeg], fan: Fan, delta: float) -> float:
@@ -673,10 +646,13 @@ def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,
     dominates), all by one _line_y_log_batch call: sample k of n is
     _line_y_log's point at c on the line through a if 2k <= n, else through
     x_end (x and y swapped on the mirror), bit for bit.  Raises NoCrossing
-    if that line leaves the quadrant.
+    if that line leaves the quadrant, or if the direction has no component
+    along the dominant axis (its slope there would divide by zero).
     """
     dx, dy = direction
     mirrored = abs(x_end.X - a.X) < abs(x_end.Y - a.Y)
+    if (dy if mirrored else dx) == 0.0:
+        raise NoCrossing("the direction has no component along the walk's dominant axis")
     # The kernel's (X0, Y0, slope), near end first; the mirror swaps x and y.
     (A0, A1), (B0, B1), s = (((a.Y, x_end.Y), (a.X, x_end.X), dx / dy) if mirrored
                              else ((a.X, x_end.X), (a.Y, x_end.Y), dy / dx))
@@ -734,8 +710,8 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     its lifetime, for one flow end at a time (from (1,1) the end is always
     (1,1)); another end replaces them, so the region keeps at most one per
     chain segment.  Witnesses share the prefix legs, whose arrays are
-    read-only.  The legs and the returned trajectory hold float arrays,
-    and make their LogPoints only when read.
+    read-only.  The legs and the returned trajectory hold float arrays;
+    the trajectory makes its LogPoints only when read.
 
     The region must be built for this fan and delta, and both endpoints
     must lie in it (``region_contains`` says "inside" or "boundary"): the

@@ -26,12 +26,8 @@ class NoCrossing(ToricRegionsError):
 
 
 class ConstructionFailed(ToricRegionsError):
-    """A polyline step could not be completed (delta too small for this fan)."""
-
-    def __init__(self, step: str, reason: str):
-        super().__init__(f"{step}: {reason}")
-        self.step = step
-        self.reason = reason
+    """A polyline step could not be completed (delta too small for this fan);
+    the message is "<step>: <reason>"."""
 
 
 class ArcsDontMeet(ToricRegionsError):

@@ -241,9 +241,6 @@ def r_count(point, fan: Fan, delta: float) -> int:
 ZERO_WIDTH = -1.0  # the zero cone {0}
 LINE_WIDTH = -2.0  # the line through direction lo; only one-generator fans give it
 
-_KINDS = {ZERO_WIDTH: "zero", LINE_WIDTH: "line", 0.0: "ray", math.pi: "halfplane",
-          TWO_PI: "full"}
-
 
 def _unit_rays(lo: float, w: float) -> tuple[tuple[float, float], ...]:
     """Cone.extreme_rays of the cone of start angle lo and width w."""
@@ -270,12 +267,21 @@ class Cone:
     intervals and carry ZERO_WIDTH and LINE_WIDTH instead.  Construction
     wraps lo into [0, 2*pi) (0 for the zero cone and the full plane) and
     snaps widths within ANGLE_TOL of 0 or pi onto them.
+
+    _row holds the constraints as (zero, u0, u1, e0, e1, b0, b1), three
+    rays u, e and b: the excess of v is max(0, -(u x v), e x v, -(b . v)),
+    or |v| for the zero cone (zero = 1.0).  u and e are the start and end
+    rays; a line takes e = u, so that the cross products give |u x v|, and
+    a ray takes e = u and b = u, for its opposite direction.  Rays a cone
+    does not read are zero: their terms are 0 or NaN, and max passes over
+    both.  _excess and dynamics._violations read it.
     """
 
     lo: float
     width: float
-    # extreme_rays, formed on construction; slots, as the fan records hold many cones
+    # extreme_rays and _row, formed on construction; slots, as the fan records hold many cones
     _rays: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    _row: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.width
@@ -288,12 +294,12 @@ class Cone:
         lo = 0.0 if w in (ZERO_WIDTH, TWO_PI) else _wrap(self.lo)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "width", w)
-        object.__setattr__(self, "_rays", _unit_rays(lo, w))
-
-    @property
-    def kind(self) -> str:
-        """'zero', 'ray', 'sector', 'halfplane', 'full' or 'line', read off the width."""
-        return _KINDS.get(self.width, "sector")
+        rays = _unit_rays(lo, w)
+        object.__setattr__(self, "_rays", rays)
+        u = rays[0] if rays else (0.0, 0.0)
+        e = u if w in (0.0, LINE_WIDTH) or not rays else rays[1]
+        b = u if w == 0.0 else (0.0, 0.0)
+        object.__setattr__(self, "_row", (float(w == ZERO_WIDTH), *u, *e, *b))
 
     def extreme_rays(self) -> tuple[tuple[float, float], ...]:
         """Unit extreme directions, counter-clockwise from lo.
@@ -304,22 +310,11 @@ class Cone:
         return self._rays
 
     def _excess(self, vx: float, vy: float) -> float:
-        """Worst constraint excess of (vx, vy), not normalized (0 if inside)."""
-        w = self.width
-        rays = self._rays
-        if not rays:
-            return 0.0 if w == TWO_PI else math.hypot(vx, vy)
-        u = rays[0]
-        ccw = u[0] * vy - u[1] * vx  # >= 0 when v is CCW of the start ray
-        if w == LINE_WIDTH:
-            return abs(ccw)
-        e = rays[1] if len(rays) > 1 else u
-        cw = e[0] * vy - e[1] * vx  # <= 0 when v is CW of the end ray
-        worst = max(0.0, -ccw, cw)
-        if w == 0.0:
-            # The opposite ray meets both side constraints too.
-            worst = max(worst, -(u[0] * vx + u[1] * vy))
-        return worst
+        """Worst constraint excess of (vx, vy) by _row, not normalized (0 if inside)."""
+        zero, u0, u1, e0, e1, b0, b1 = self._row
+        if zero:
+            return math.hypot(vx, vy)
+        return max(0.0, -(u0 * vy - u1 * vx), e0 * vy - e1 * vx, -(b0 * vx + b1 * vy))
 
     def violation(self, v) -> float:
         """Worst constraint excess of v, normalized by |v| (0 if inside)."""

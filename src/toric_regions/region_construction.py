@@ -418,7 +418,7 @@ def _crossing_segment(cur: LogPoint, row: tuple, gen: LineGenerator,
     row, ending on the strip's far boundary curve."""
     i, q, p, half_width, _, _ = row
     if _in_strip(row, cur.X, cur.Y):
-        raise ConstructionFailed("crossing", f"start point lies inside strip {i}")
+        raise ConstructionFailed(f"crossing: start point lies inside strip {i}")
     target = -_sign(q * cur.Y - p * cur.X)
     end = _strip_point(cur, gen, target * half_width)
     return Segment(cur, end, gen, i, arm_sign, target)
@@ -499,15 +499,15 @@ def _close_side(seg_a: Segment, seg_b: Segment, rows, gens, delta: float):
     axis-parallel join when that point falls inside an axis strip: of the
     rows of Fan.regions(delta), those whose generator in gens is an axis.
 
-    Returns the pieces, the meeting point of the arcs (None for a join)
-    and the joined axis strip's index (None for arcs).
+    Returns the pieces and the meeting point of the arcs (None for a
+    join).  A join is the Segment with end_sign 0.
     """
     lo, hi = sorted((seg_a, seg_b), key=lambda seg: seg.region_index)
     cx, cy = _meet_exponents(lo.gen, lo.end_sign, hi.gen, hi.end_sign)
     meet = LogPoint(cx * delta, cy * delta)
     axis_hits = [row for row in rows if gens[row[0]].is_axis and _in_strip(row, meet.X, meet.Y)]
     if not axis_hits:
-        return connect_arcs(seg_a, seg_b, meet), meet, None
+        return connect_arcs(seg_a, seg_b, meet), meet
     if len(axis_hits) > 1:
         raise UnsupportedFan("closure point inside two axis strips")
     row = axis_hits[0]
@@ -528,11 +528,9 @@ def _close_side(seg_a: Segment, seg_b: Segment, rows, gens, delta: float):
     # The join must span the axis strip completely.
     for endpoint in (term_a, term_b):
         if _in_strip(row, endpoint.X, endpoint.Y):
-            raise ConstructionFailed(
-                "closure", "axis-parallel join does not span the axis strip"
-            )
+            raise ConstructionFailed("closure: axis-parallel join does not span the axis strip")
     join = Segment(term_a, term_b, gens[i], i, arm, 0)
-    return head + [join] + tail, None, i
+    return head + [join] + tail, None
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +549,6 @@ class RegionBoundary:
     polylines: dict
     start_max: IntersectionPoint
     start_min: IntersectionPoint
-    axis_joins: tuple
     report: dict | None = None
 
     @property
@@ -630,8 +627,8 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
         i2_segs = build_polyline(start_min.log, i2_walk, rows, gens)
         i3_segs = build_polyline(start_min.log, i3_walk, rows, gens)
 
-        side1, p12, join1 = _close_side(i1_segs[-1], i2_segs[-1], rows, gens, delta)
-        side2, p34, join2 = _close_side(i3_segs[-1], i4_segs[-1], rows, gens, delta)
+        side1, p12 = _close_side(i1_segs[-1], i2_segs[-1], rows, gens, delta)
+        side2, p34 = _close_side(i3_segs[-1], i4_segs[-1], rows, gens, delta)
     except (ConstructionFailed, ArcsDontMeet, NoCrossing) as exc:
         raise DeltaTooSmall(type(exc).__name__, str(exc)) from exc
 
@@ -668,7 +665,6 @@ def construct_region(fan: Fan, delta: float, validate: bool = True) -> RegionBou
         polylines={"I1": i1_segs, "I2": i2_segs, "I3": i3_segs, "I4": i4_segs},
         start_max=start_max,
         start_min=start_min,
-        axis_joins=tuple(j for j in (join1, join2) if j is not None),
     )
     if validate:
         report = validate_region(boundary)
@@ -886,21 +882,15 @@ class Hull(list):
 
     caps maps k to (p, q, L) when the edge from vertex k to the next is not
     straight but a piece of the curve q*Y - p*X = L, signed so that the hull
-    lies on the side q*Y - p*X <= L.  Two hulls are equal when their
-    vertices and caps are; a hull without caps also equals its plain vertex
-    list.  A slice or list() copy is a plain list and drops the caps, so
-    hull_contains reads every edge of it as straight.
+    lies on the side q*Y - p*X <= L.  Equality is the list's: it compares
+    the vertices alone, so compare caps separately.  A slice or list() copy
+    is a plain list and drops the caps, so hull_contains reads every edge
+    of it as straight.
     """
 
     def __init__(self, vertices, caps: dict):
         super().__init__(vertices)
         self.caps = caps
-
-    def __eq__(self, other):
-        return list.__eq__(self, other) is True and getattr(other, "caps", {}) == self.caps
-
-    def __ne__(self, other):
-        return not self == other
 
 
 _CAP_TOL = 1e-12  # relative margin by which an arc must clear a hull vertex's line

@@ -84,6 +84,16 @@ def array_leg(desc, points, velocities):
                                *np.array(velocities, dtype=float).T)
 
 
+def leg_points(leg) -> list[LogPoint]:
+    """The leg's log points, from its X and Y arrays."""
+    return list(map(LogPoint, leg.X.tolist(), leg.Y.tolist()))
+
+
+def leg_velocities(leg) -> list[tuple[float, float]]:
+    """The leg's x-space velocities, from its vx and vy arrays."""
+    return list(zip(leg.vx.tolist(), leg.vy.tolist()))
+
+
 def simple_exchange():
     # Y <-> X with both rates 1: vertices (0,1) and (1,0).
     return MassActionSystem(tuple(_reversible((0.0, 1.0), (1.0, 0.0), 1.0, 1.0)),
@@ -499,6 +509,16 @@ class TestIntegrate:
             integrate(self.Walled(), LogPoint(0.0, 0.0), WORKED_FAN, DELTA,
                       t_end=1.0, dt=1.0 / 64.0)
 
+    def test_stalled_clock_collapses(self):
+        # From this anchor the stiffness bound is 6.2e36, so the step cap is
+        # tiny; after 1,836 steps a step of 1.65e-52 no longer changes
+        # t = 1.856e-36, and the samples' times would repeat.
+        fan = Fan([(-2, 3), (1, 2), (1, 1), (1, 3)])
+        start = construct_region(fan, 3.0, validate=False).anchors["A2"]
+        field = FieldStrategy(embedded_system_for_target(fan, 3.0, "origin_11"))
+        with pytest.raises(StepCollapse, match="no longer advances t="):
+            integrate(field, start, fan, 3.0, t_end=5.0)
+
     class Past(XVelocity):
         """Walled's unit log speed along +X, but past X = 0.025 the velocity
         is scaled by factor: NaN, or a thousandfold speed."""
@@ -880,7 +900,7 @@ class TestStrategies:
         pt = LogPoint(-12.0, -12.0)
         rhs = rhs_bruteforce(pt, WORKED_FAN, DELTA)
         full = rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, DELTA)
-        assert (rhs.kind, full.kind) == ("sector", "full")
+        assert 0.0 < rhs.width < math.pi and full.width == TWO_PI
         reg = builtin_strategies(WORKED_FAN, DELTA, seed=7)
         for name in ("extreme_left", "extreme_right", "alternating", "random_in_cone"):
             for t in (0.1, 0.6):
@@ -995,6 +1015,20 @@ class TestTrajectory:
 
 
 class TestReachWitness:
+    def test_gap_run_along_no_dominant_component_moves_on(self):
+        # At delta 100 the Cr anchor lies at X = -1411: the difference of
+        # exponentials in _xspace_unit rounds the first candidate's straight
+        # gap run to dx = 0.0, whose walk along log x raises NoCrossing; the
+        # next candidate walks its segment to the target.
+        fan = Fan([(-1, 1), (1, 3), (1, 1), (1, 0), (-3, 1), (2, 1)])
+        region = construct_region(fan, 100.0, validate=False)
+        target = region.anchors["Cr"]
+        traj = reach_witness(PosPoint(1.0, 1.0), target, fan, 100.0, region)
+        assert traj.termination == "arrived" and traj.worst_violation <= 1e-9
+        assert traj.legs[-1].description == "walk to the target"
+        end = traj.points[-1]
+        assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
+
     def test_target_is_unit_point(self, region):
         traj = reach_witness(LogPoint(2.0, 1.0), PosPoint(1.0, 1.0), WORKED_FAN,
                              DELTA, region)
@@ -1246,7 +1280,7 @@ class TestReachWitness:
         # then each route's finish legs in one batch of their own.
         region = construct_region(WORKED_FAN, DELTA)
         cold = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA, region)
-        assert len(cold.legs[0].points) == 1
+        assert len(cold.legs[0].X) == 1
         assert batches.routes == routes
         assert len(batches.batches) == max(1, 2 * len(routes))
         # The winning route's prefix is its first k + 1 legs after the flow.
@@ -1360,10 +1394,10 @@ class TestValidateLeg:
                                  region)
             for leg in traj.legs:
                 ref = 0.0
-                for p, v in zip(leg.points, leg.velocities):
+                for p, v in zip(leg_points(leg), leg_velocities(leg)):
                     ref = max(ref, rhs_bruteforce(p, WORKED_FAN, DELTA, tol=-1e-9).violation(v))
-                worst.append(_validate_leg([array_leg(leg.description, leg.points,
-                                                      leg.velocities)], WORKED_FAN, DELTA))
+                worst.append(_validate_leg([array_leg(leg.description, leg_points(leg),
+                                                      leg_velocities(leg))], WORKED_FAN, DELTA))
                 assert worst[-1] == ref, (target, leg.description)
         assert len(worst) > 6 and max(worst) > 0.0
 
@@ -1405,13 +1439,14 @@ class TestXlineLeg:
         direction = ((bx - ax) / n, (by - ay) / n)
         leg = _xline_leg(a, direction, b, "test walk")
         assert leg.kind == "xline"
-        assert leg.velocities == [direction] * len(leg.points)
-        assert (leg.points[0].X, leg.points[0].Y) == pytest.approx((a.X, a.Y), abs=1e-12)
-        assert (leg.points[-1].X, leg.points[-1].Y) == pytest.approx((b.X, b.Y), abs=1e-12)
+        points = leg_points(leg)
+        assert leg_velocities(leg) == [direction] * len(points)
+        assert (points[0].X, points[0].Y) == pytest.approx((a.X, a.Y), abs=1e-12)
+        assert (points[-1].X, points[-1].Y) == pytest.approx((b.X, b.Y), abs=1e-12)
         # Even in log y, the dominant axis, and on the x-space line a -> b.
-        steps = [q.Y - p.Y for p, q in zip(leg.points, leg.points[1:])]
+        steps = [q.Y - p.Y for p, q in zip(points, points[1:])]
         assert steps == pytest.approx([steps[0]] * len(steps), abs=1e-12)
-        for p in leg.points:
+        for p in points:
             x, y = math.exp(p.X), math.exp(p.Y)
             assert abs((x - ax) * direction[1] - (y - ay) * direction[0]) <= 1e-12 * n
 
@@ -1424,8 +1459,8 @@ class TestViolations:
     """_violations is Cone.violation, bit for bit."""
 
     @pytest.mark.parametrize("fan, kinds", [
-        (WORKED_FAN, {"full", "halfplane", "sector"}),
-        (Fan([(1, 2)]), {"ray", "line"}),
+        (WORKED_FAN, {TWO_PI, math.pi, None}),
+        (Fan([(1, 2)]), {0.0, LINE_WIDTH}),
     ])
     def test_matches_the_bruteforce_value(self, fan, kinds):
         rng = np.random.default_rng(7)
@@ -1435,7 +1470,8 @@ class TestViolations:
         vx, vy = scale * np.cos(angles), scale * np.sin(angles)
         values = [rhs_bruteforce(LogPoint(x, y), fan, DELTA, tol=-1e-9)
                   for x, y in zip(X.tolist(), Y.tolist())]
-        assert {c.kind for c in values} == kinds
+        # The values' widths, None for any proper sector.
+        assert {None if 0.0 < c.width < math.pi else c.width for c in values} == kinds
         # Every tenth velocity lies on an extreme ray of its value, and one
         # in twenty is zero.
         for k in range(0, 3000, 10):
@@ -1480,14 +1516,14 @@ class TestArrayLegs:
     def test_xline_leg_is_the_scalar_walk(self, a, b):
         direction = _xspace_unit(a, b)
         leg = _xline_leg(a, direction, b, "walk")
-        assert leg.end == leg.points[-1]
+        assert leg.end == leg_points(leg)[-1]
         mirrored = abs(b.X - a.X) < abs(b.Y - a.Y)
         c0, c1 = (a.Y, b.Y) if mirrored else (a.X, b.X)
         n = max(2, int(math.ceil(abs(c1 - c0) / dynamics._LEG_STEP)))
         ref = [xline_at(a if 2 * k <= n else b, *direction, c0 + (c1 - c0) * k / n, mirrored)
                for k in range(n + 1)]
-        assert leg.points == ref
-        assert leg.velocities == [direction] * (n + 1)
+        assert leg_points(leg) == ref
+        assert leg_velocities(leg) == [direction] * (n + 1)
 
     @pytest.mark.parametrize("a, b", [
         (LogPoint(0.0, 0.0), LogPoint(-1.5, -1.0)),
@@ -1500,8 +1536,8 @@ class TestArrayLegs:
         dX, dY = b.X - a.X, b.Y - a.Y
         n = max(2, int(math.ceil(math.hypot(dX, dY) / dynamics._LEG_STEP)))
         ref = [LogPoint(a.X + k / n * dX, a.Y + k / n * dY) for k in range(n + 1)]
-        assert leg.points == ref
-        assert leg.velocities == [(dX * math.exp(p.X), dY * math.exp(p.Y)) for p in ref]
+        assert leg_points(leg) == ref
+        assert leg_velocities(leg) == [(dX * math.exp(p.X), dY * math.exp(p.Y)) for p in ref]
 
     def test_walk_that_leaves_the_quadrant(self):
         # From (1,1) along (1,-1) the line y = 2 - x ends at x = 2 < e.
@@ -1512,6 +1548,11 @@ class TestArrayLegs:
         with pytest.raises(NoCrossing) as err:
             _xline_leg(a, direction, b, "walk")
         assert str(err.value) == str(scalar.value) == "the line leaves the positive quadrant"
+
+    def test_walk_along_no_component_of_its_direction(self):
+        # Log x dominates the walk, but the direction has no x component.
+        with pytest.raises(NoCrossing, match="no component along the walk's dominant axis"):
+            _xline_leg(LogPoint(0.0, 0.0), (0.0, 1.0), LogPoint(2.0, 1.0), "walk")
 
 
 class TestLazyLogPoints:
@@ -1550,8 +1591,8 @@ class TestLazyLogPoints:
         points = traj.points
         assert len(made) == before + n and made[before:] == points
         self.assert_lists_of_arrays(traj)
-        assert points[1:] == [p for leg in traj.legs for p in leg.points]
-        assert traj.velocities[1:] == [v for leg in traj.legs for v in leg.velocities]
+        assert points[1:] == [p for leg in traj.legs for p in leg_points(leg)]
+        assert traj.velocities[1:] == [v for leg in traj.legs for v in leg_velocities(leg)]
 
     def test_ray_run_makes_its_points_on_read(self, made):
         traj = integrate(ExtremeRayStrategy("left"), LogPoint(0.5, -0.3), WORKED_FAN, DELTA,

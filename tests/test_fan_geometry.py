@@ -215,16 +215,16 @@ class TestStripTable:
 class TestPolar:
     def test_ray_gives_halfplane(self):
         c = Cone(0.0, 0.0).polar()
-        assert c.kind == "halfplane"
+        assert c.width == math.pi
         assert c.violation((-1.0, 0.5)) <= 1e-9 and c.violation((-1.0, -0.5)) <= 1e-9
         assert c.violation((1.0, 0.0)) > 1e-9
 
     def test_full_plane_gives_origin(self):
-        assert Cone(0.0, TWO_PI).polar().kind == "zero"
+        assert Cone(0.0, TWO_PI).polar().width == ZERO_WIDTH
 
     def test_first_quadrant(self):
         c = Cone(0.0, math.pi / 2).polar()
-        assert c.kind == "sector"
+        assert 0.0 < c.width < math.pi
         assert c.lo == pytest.approx(math.pi)
         assert c.lo + c.width == pytest.approx(3 * math.pi / 2)
 
@@ -280,7 +280,7 @@ class TestConeAlgebra:
     def test_opposite_half_planes_give_the_line(self, lo):
         # Two parts arise only here, as two antipodal rays.
         line = Cone(lo, math.pi).intersect(Cone(lo + math.pi, math.pi))
-        assert line.kind == "line"
+        assert line.width == LINE_WIDTH
         assert line.violation(_dir(lo)) <= 1e-9 and line.violation(_dir(lo + math.pi)) <= 1e-9
         assert line.violation(_dir(lo + 0.5 * math.pi)) > 1e-9
 
@@ -302,12 +302,12 @@ class TestFanSectors:
     def test_single_generator_two_halfplanes(self):
         sectors = _fan_table(Fan([(1, 0)])).sectors
         assert len(sectors) == 2
-        assert all(s.kind == "halfplane" for s in sectors)
+        assert all(s.width == math.pi for s in sectors)
 
     def test_two_generators_four_sectors(self):
         sectors = _fan_table(Fan([(1, 1), (-1, 1)])).sectors
         assert len(sectors) == 4
-        assert all(s.kind == "sector" for s in sectors)
+        assert all(0.0 < s.width < math.pi for s in sectors)
 
     @pytest.mark.parametrize("gens", [
         [(1, 1), (-1, 1)],

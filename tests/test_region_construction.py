@@ -811,6 +811,11 @@ class TestRegionContains:
                                              "detail": "(1,1) classified outside"}
 
 
+def _join_strips(boundary) -> list[int]:
+    """The strip index of each axis-parallel join: the segments with end_sign 0."""
+    return [p.region_index for p in boundary.pieces if isinstance(p, Segment) and p.end_sign == 0]
+
+
 class TestSpecialCases:
     def test_all_positive(self):
         b = construct_region(Fan([(1, 2), (2, 1)]), 3.0)
@@ -827,7 +832,7 @@ class TestSpecialCases:
         b = construct_region(Fan([(1, 2), (2, 1), (-1, 1), (0, 1)]), 3.0)
         assert all(v["passed"] for v in b.report.values())
         horiz = next(i for i, g in enumerate(b.fan.generators) if g.is_horizontal)
-        assert horiz in b.axis_joins
+        assert horiz in _join_strips(b)
         # The join is the horizontal strip's piece that no polyline crosses.
         crossings = {s for segs in b.polylines.values() for s in segs}
         joins = [p for p in b.pieces if isinstance(p, Segment)
@@ -840,7 +845,7 @@ class TestSpecialCases:
         b = construct_region(Fan([(1, 2), (2, 1), (-1, 1), (1, 0)]), 3.0)
         assert all(v["passed"] for v in b.report.values())
         vert = next(i for i, g in enumerate(b.fan.generators) if g.q == 0)  # X = 0
-        assert vert in b.axis_joins
+        assert vert in _join_strips(b)
 
     def test_unsupported_fan(self):
         with pytest.raises(UnsupportedFan):
@@ -1316,12 +1321,13 @@ class TestHullAndPhi:
         for k, (p, q, L) in hull.caps.items():
             for x, y in (hull[k], hull[(k + 1) % len(hull)]):
                 assert abs(q * math.log(y) - p * math.log(x) - L) <= 1e-12 * (1.0 + abs(L))
-        # A hull without caps is its plain vertex list; one with caps is
-        # not, nor is a hull on the same vertices with other caps.
+        # A hull is its vertices and its caps; a list() copy or a slice
+        # keeps the vertices and drops the caps.
         assert hull_contains(list(hull), LogPoint(0.0, 0.0))
-        assert Hull([(1.0, 2.0), (3.0, 1.0)], {}) == [(1.0, 2.0), (3.0, 1.0)]
-        assert hull != list(hull) and list(hull) != hull
-        assert hull != Hull(hull, {}) and hull == Hull(hull, dict(hull.caps))
+        copy = Hull(hull, dict(hull.caps))
+        assert list(copy) == list(hull) and copy.caps == hull.caps
+        assert Hull(hull, {}).caps != hull.caps
+        assert type(list(hull)) is list and type(hull[:]) is list
 
     def test_endpoint_chain_is_exact(self):
         # At delta = 100 this region's coordinates reach down to 1e-281,

@@ -78,12 +78,12 @@ def rhs_fast(point, fan: Fan, delta: float) -> Cone:
 
 class TestBruteforce:
     def test_origin_is_full_plane(self):
-        assert rhs_bruteforce(PosPoint(1.0, 1.0), CROSS_FAN, 1.0).kind == "full"
-        assert rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0).kind == "full"
+        assert rhs_bruteforce(PosPoint(1.0, 1.0), CROSS_FAN, 1.0).width == TWO_PI
+        assert rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0).width == TWO_PI
 
     def test_far_diagonal_is_halfplane(self):
         rhs = rhs_bruteforce(LogPoint(10.0, 10.0), CROSS_FAN, 1.0)
-        assert rhs.kind == "halfplane"
+        assert rhs.width == math.pi
         # The outward normal spans the polar ray.
         assert rhs.polar().extreme_rays()[0] == pytest.approx((1 / SQRT2, 1 / SQRT2), abs=1e-12)
         assert rhs.violation((-1.0, 0.3)) <= 1e-9
@@ -91,7 +91,7 @@ class TestBruteforce:
 
     def test_far_right_is_proper_cone(self):
         rhs = rhs_bruteforce(LogPoint(10.0, 0.0), CROSS_FAN, 1.0)
-        assert rhs.kind == "sector"
+        assert 0.0 < rhs.width < math.pi
         # Polar of the sector spanned by (1,-1) and (1,1).
         rays = rhs.extreme_rays()
         expect = [(-1 / SQRT2, 1 / SQRT2), (-1 / SQRT2, -1 / SQRT2)]
@@ -104,13 +104,13 @@ class TestBruteforce:
         fan = Fan([(1, 1)])
         rhs = rhs_bruteforce(LogPoint(10.0, 0.0), fan, 1.0)
         # Only one half-plane sector within delta: polar is a single ray.
-        assert rhs.kind == "ray"
+        assert rhs.width == 0.0
         assert rhs.extreme_rays()[0] == pytest.approx((-1 / SQRT2, 1 / SQRT2), abs=1e-9)
 
     def test_single_generator_inside_strip(self):
         fan = Fan([(1, 1)])
         rhs = rhs_bruteforce(LogPoint(5.0, 5.0), fan, 1.0)
-        assert rhs.kind == "line"
+        assert rhs.width == LINE_WIDTH
         assert rhs.violation((1.0, -1.0)) <= 1e-9 and rhs.violation((-1.0, 1.0)) <= 1e-9
         assert rhs.violation((1.0, 1.0)) > 1e-9
 
@@ -156,7 +156,7 @@ class TestClassified:
     def test_single_generator_r1_is_line(self):
         fan = Fan([(1, 1)])
         rhs = rhs_fast(PosPoint(1.0, 1.0), fan, 2.0)
-        assert rhs.kind == "line"
+        assert rhs.width == LINE_WIDTH
         for pt in (LogPoint(0.0, 0.0), LogPoint(5.0, 5.0), LogPoint(5.0, 4.5)):
             assert rhs_equal(rhs_fast(pt, fan, 1.0), rhs_bruteforce(pt, fan, 1.0), tol=1e-9)
 
@@ -178,7 +178,7 @@ class TestClassified:
             pt = LogPoint(0.0, SQRT2 + e)
             assert on_a_strip_boundary(pt.X, pt.Y, table) == near
             assert rhs_fast(pt, CROSS_FAN, 1.0) == rhs_bruteforce(pt, CROSS_FAN, 1.0)
-        assert rhs_fast(LogPoint(0.0, SQRT2), CROSS_FAN, 1.0).kind == "sector"
+        assert 0.0 < rhs_fast(LogPoint(0.0, SQRT2), CROSS_FAN, 1.0).width < math.pi
 
     def test_one_fan_at_two_deltas_in_turn(self):
         # The strip table is read per (fan, delta): classifying one fan at
@@ -242,7 +242,7 @@ class TestClassified:
         pt = LogPoint(8.0, 4.2)
         assert r_count(pt, WORKED_FAN, 3.0) == 1
         rhs = rhs_fast(pt, WORKED_FAN, 3.0)
-        assert rhs.kind == "halfplane"
+        assert rhs.width == math.pi
         n = rhs.polar().extreme_rays()[0]
         assert n == pytest.approx((2 / math.sqrt(5), 1 / math.sqrt(5)), abs=1e-12)
 
@@ -300,7 +300,7 @@ class TestOracleEquivalence:
         for X, Y in rng.uniform(-15, 15, size=(500, 2)):
             pt = LogPoint(float(X), float(Y))
             rhs = rhs_fast(pt, fan, 3.0)
-            assert (rhs.kind == "full") == (r_count(pt, fan, 3.0) >= 2)
+            assert (rhs.width == TWO_PI) == (r_count(pt, fan, 3.0) >= 2)
 
 
 class TestSwapSymmetry:
@@ -350,7 +350,7 @@ class TestClassifiedIsDefinition:
         a = rhs_fast(LogPoint(0.0, 0.0), WORKED_FAN, 3.0)
         b = rhs_fast(LogPoint(1.0, -0.5), WORKED_FAN, 3.0)
         c = rhs_fast(PosPoint(1.0, 1.0), CROSS_FAN, 1.0)
-        assert a.kind == "full"
+        assert a.width == TWO_PI
         assert a is b and a is c
 
 
@@ -501,7 +501,7 @@ class TestBatchBruteforce:
         values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), CROSS_FAN, 1.0,
                                              STRIP_TOL)
         assert len(values) == 2 and list(index[:2]) == list(index[2:])
-        assert (values[index[0]].kind, values[index[1]].kind) == ("full", "halfplane")
+        assert (values[index[0]].width, values[index[1]].width) == (TWO_PI, math.pi)
 
     def test_atlas_boundary_samples(self):
         regions = 0

@@ -233,6 +233,14 @@ def test_reach_outcomes_records():
     rec = tool.accuracy_record("worked", (2.0, -1.5), False, toric_regions, workloads)
     assert rec["group"] == "accuracy" and rec["rescale"] is False and 100 < rec["steps"] < 1000
     assert float(rec["deviation"]) <= 1e-9 and rec["deviation"] == f"{float(rec['deviation']):.0e}"
+    # One anchor record per anchor of the region: the anchor's witness.
+    anchors = list(tool.anchor_records("worked", toric_regions, workloads))
+    assert [rec["anchor"] for rec in anchors] == list(region.anchors)
+    assert {rec["group"] for rec in anchors} == {"anchor"}
+    cr = region.anchors["Cr"]
+    assert anchors[list(region.anchors).index("Cr")] == {
+        **tool.witness_record("worked", cr.X, cr.Y, toric_regions, workloads),
+        "group": "anchor", "anchor": "Cr"}
 
 
 # Names the benchmark's tracer still wraps that the package no longer
@@ -331,6 +339,48 @@ def test_unrun_lines_enumerates_statements_and_records_hits(tmp_path):
     assert tool.unrun(src, {}) == [f"src/pkg/mod.py:{n}: {line}" for n, line in (
         (2, "import functools"), (6, "def f(x):"), (8, "if x:"), (9, "y = (x +"),
         (11, "return y"), (12, "return 0"))]
+
+
+def test_prod_lines_reports_the_defs_none_of_whose_statements_ran(tmp_path):
+    # The production path's run is too long for tier-1; its def-level
+    # report is checked on a hand-made hit set.
+    tool = _load_tool("prod_lines")
+    src = tmp_path.resolve() / "src"
+    (src / "pkg").mkdir(parents=True)
+    mod = src / "pkg" / "mod.py"
+    mod.write_text("class C:\n"
+                   "    def ran(self):\n"
+                   '        """Docstring."""\n'
+                   "        return 1\n"
+                   "\n"
+                   "    def half(self, x):\n"
+                   "        if x:\n"
+                   "            return 2\n"
+                   "        return 3\n"
+                   "\n"
+                   "    def never(self):\n"
+                   "        def inner():\n"
+                   "            return 4\n"
+                   "        return inner\n"
+                   "\n"
+                   "\n"
+                   "def doc_only():\n"
+                   '    """No statements: never listed."""\n'
+                   "\n"
+                   "\n"
+                   "def f():\n"
+                   "    return 5\n")
+    # Module-level lines ran, on import; of the bodies, ran's and half's.
+    hits = {str(mod): {1, 2, 4, 6, 7, 9, 11, 17, 21}}
+    assert tool.unrun_defs(src, hits) == ["src/pkg/mod.py:11: def C.never",
+                                          "src/pkg/mod.py:12: def C.never.inner",
+                                          "src/pkg/mod.py:21: def f"]
+    # A def whose own line never ran is listed too; one statement of the
+    # body that ran keeps a def off the list.
+    assert tool.unrun_defs(src, {}) == [f"src/pkg/mod.py:{n}: def {name}" for n, name in (
+        (2, "C.ran"), (6, "C.half"), (11, "C.never"), (12, "C.never.inner"), (21, "f"))]
+    assert tool.unrun_defs(src, {str(mod): {8, 13}}) == [
+        "src/pkg/mod.py:2: def C.ran", "src/pkg/mod.py:21: def f"]
 
 
 def test_bench_pairs_compare_applies_the_gain_rule():

@@ -1,6 +1,6 @@
 """Trajectory figures of the benchmark's reach fans.
 
-It prints one JSON line per record, in six groups:
+It prints one JSON line per record, in seven groups:
 
     {"group": "witness", "fan": name, "X": x, "Y": y, "outcome": o,
      "message": m, "worst": <float.hex of worst_violation> or null,
@@ -42,7 +42,14 @@ step; the others run to ``HALVING_T_END``; and
 for each convergence fan, start of ``CONVERGE_STARTS`` and rescale: the
 flow of the convergence group stopped at t = 1 instead (rel_tol 0), its
 step count, and the largest log-coordinate gap at t = 1 to a fixed-step
-RK4 reference of step ``REFERENCE_DT``, printed as "%.0e".  The digest is
+RK4 reference of step ``REFERENCE_DT``, printed as "%.0e"; and
+
+    {"group": "anchor", "fan": name, "anchor": a, "X": x, "Y": y,
+     "outcome": o, "message": m, "worst": ..., "points": n, "digest": d}
+
+for every anchor of every reach fan's region: its witness as in the
+witness group.  Some of their routes end at a segment's end or slide
+along a closure arc, which no catalog target's route does.  The digest is
 a sha256 of
 the trajectory's points and velocities, bit for bit.  An outcome is the
 trajectory's termination ("arrived" for a witness), the class name of a
@@ -121,16 +128,27 @@ def _region(fan, delta: float, package):
     return package.region_construction.construct_region(fan, delta)
 
 
-def witness_record(name: str, X: float, Y: float, package, workloads) -> dict:
+def _witness(name: str, X: float, Y: float, package, workloads) -> dict:
+    """Outcome fields of the witness from (1, 1) to (X, Y) on a reach fan."""
     fg, dy = package.fan_geometry, package.dynamics
     fan = fg.Fan(workloads.REACH_FANS[name])
     delta = workloads.REACH_DELTA
     region = _region(fan, delta, package)
-    rec = {"group": "witness", "fan": name, "X": X, "Y": Y}
-    rec.update(_run(lambda: dy.reach_witness(
+    return _run(lambda: dy.reach_witness(
         fg.PosPoint(1.0, 1.0), fg.LogPoint(X, Y), fan, delta, region,
-        arrive_tol=workloads.Reach.ARRIVE_TOL), package))
-    return rec
+        arrive_tol=workloads.Reach.ARRIVE_TOL), package)
+
+
+def witness_record(name: str, X: float, Y: float, package, workloads) -> dict:
+    return {"group": "witness", "fan": name, "X": X, "Y": Y,
+            **_witness(name, X, Y, package, workloads)}
+
+
+def anchor_records(name: str, package, workloads):
+    fan = package.fan_geometry.Fan(workloads.REACH_FANS[name])
+    for anchor, pt in _region(fan, workloads.REACH_DELTA, package).anchors.items():
+        yield {"group": "anchor", "fan": name, "anchor": anchor, "X": pt.X, "Y": pt.Y,
+               **_witness(name, pt.X, pt.Y, package, workloads)}
 
 
 def strategy_record(name: str, strategy: str, start, package, workloads) -> dict:
@@ -278,6 +296,8 @@ def records(package, workloads):
         for start in CONVERGE_STARTS:
             for rescale in (False, True):
                 yield accuracy_record(name, start, rescale, package, workloads)
+    for name in workloads.REACH_FANS:
+        yield from anchor_records(name, package, workloads)
 
 
 def main(argv: list[str]) -> int:
