@@ -76,16 +76,13 @@ def _violations(X: np.ndarray, Y: np.ndarray, vx: np.ndarray, vy: np.ndarray, fa
     place on some inputs), and only where the excess is positive.
     """
     values, index = rhs_bruteforce_batch(X, Y, fan, delta, _INCLUSIVE_TOL)
-    zero, u0, u1, e0, e1, b0, b1 = np.array([c._row for c in values]).T[:, index]
-    zero = zero == 1.0
+    u0, u1, e0, e1, b0, b1 = np.array([c._row for c in values]).T[:, index]
     with np.errstate(all="ignore"):  # inf and NaN arise silently, as in Python floats
         worst = np.fmax(np.fmax(-(u0 * vy - u1 * vx), e0 * vy - e1 * vx),
                         np.fmax(-(b0 * vx + b1 * vy), 0.0))
-        hit = zero | (worst > 0.0)
-        norm = _math_map(math.hypot, vx[hit], vy[hit])
-        excess = np.where(zero[hit], norm, worst[hit])
+        hit = worst > 0.0
         out = np.zeros(len(X))
-        out[hit] = np.where(excess > 0.0, excess / norm, 0.0)
+        out[hit] = worst[hit] / _math_map(math.hypot, vx[hit], vy[hit])
     return out
 
 
@@ -586,6 +583,7 @@ def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
 # Reachability witnesses
 
 _LEG_STEP = 0.05  # log-space sample spacing of the straight witness legs
+_EXP_ROOM = 700.0  # largest log coordinate a straight leg's velocity exponentiates
 _FLOW_T_END = 400.0  # time horizon of the witnesses' embedded flow to (1,1)
 _CHAINS = ("I1", "I4", "I2", "I3")  # route search order; I1 and I4 start at (N,M)
 
@@ -626,13 +624,16 @@ def _validate_leg(legs: list[WitnessLeg], fan: Fan, delta: float) -> float:
 
 
 def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> WitnessLeg:
-    """Straight path in log space; x-space velocity is (dX*x, dY*y)."""
+    """Straight path in log space; x-space velocity is (dX*x, dY*y) times
+    e^-s, s = max(0, max(X, Y) - _EXP_ROOM), finite at any delta.  No cone
+    check sees a positive factor, and where s = 0.0 X - s is X, bit for bit."""
     dX, dY = b.X - a.X, b.Y - a.Y
     n = max(2, int(math.ceil(math.hypot(dX, dY) / _LEG_STEP)))
     u = np.arange(n + 1) / n
     X, Y = a.X + u * dX, a.Y + u * dY
-    return WitnessLeg("logline", desc, X, Y, dX * _math_map(math.exp, X),
-                      dY * _math_map(math.exp, Y))
+    s = np.maximum(np.maximum(X, Y) - _EXP_ROOM, 0.0)
+    return WitnessLeg("logline", desc, X, Y, dX * _math_map(math.exp, X - s),
+                      dY * _math_map(math.exp, Y - s))
 
 
 def _xline_leg(a: LogPoint, direction: tuple[float, float], x_end: LogPoint,

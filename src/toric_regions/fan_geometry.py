@@ -237,14 +237,13 @@ def r_count(point, fan: Fan, delta: float) -> int:
 # ---------------------------------------------------------------------------
 # Cones
 
-# Marker widths of the two cones that are not angular intervals.
-ZERO_WIDTH = -1.0  # the zero cone {0}
+# Marker width of the one cone that is not an angular interval.
 LINE_WIDTH = -2.0  # the line through direction lo; only one-generator fans give it
 
 
 def _unit_rays(lo: float, w: float) -> tuple[tuple[float, float], ...]:
     """Cone.extreme_rays of the cone of start angle lo and width w."""
-    if w in (ZERO_WIDTH, TWO_PI):
+    if w == TWO_PI:
         return ()
     u = (math.cos(lo), math.sin(lo))
     if w == 0.0:
@@ -263,18 +262,17 @@ class Cone:
     angular interval [lo, lo + width].
 
     width 0 is a ray, (0, pi) a sector, pi a half plane and 2*pi the full
-    plane.  The zero cone and the line through direction lo are not
-    intervals and carry ZERO_WIDTH and LINE_WIDTH instead.  Construction
-    wraps lo into [0, 2*pi) (0 for the zero cone and the full plane) and
-    snaps widths within ANGLE_TOL of 0 or pi onto them.
+    plane.  The line through direction lo is not an interval and carries
+    LINE_WIDTH instead.  Construction wraps lo into [0, 2*pi) (0 for the
+    full plane) and snaps widths within ANGLE_TOL of 0 or pi onto them.
 
-    _row holds the constraints as (zero, u0, u1, e0, e1, b0, b1), three
-    rays u, e and b: the excess of v is max(0, -(u x v), e x v, -(b . v)),
-    or |v| for the zero cone (zero = 1.0).  u and e are the start and end
-    rays; a line takes e = u, so that the cross products give |u x v|, and
-    a ray takes e = u and b = u, for its opposite direction.  Rays a cone
-    does not read are zero: their terms are 0 or NaN, and max passes over
-    both.  _excess and dynamics._violations read it.
+    _row holds the constraints as (u0, u1, e0, e1, b0, b1), three rays u,
+    e and b: the excess of v is max(0, -(u x v), e x v, -(b . v)).  u and
+    e are the start and end rays; a line takes e = u, so that the cross
+    products give |u x v|, and a ray takes e = u and b = u, for its
+    opposite direction.  Rays a cone does not read are zero: their terms
+    are 0 or NaN, and max passes over both.  _excess and
+    dynamics._violations read it.
     """
 
     lo: float
@@ -289,9 +287,9 @@ class Cone:
             w = 0.0
         elif abs(w - math.pi) <= ANGLE_TOL:
             w = math.pi
-        elif not (0.0 < w < math.pi or w in (ZERO_WIDTH, LINE_WIDTH, TWO_PI)):
-            raise ValueError(f"cone width {w} is not in [0, pi], 2*pi or a marker width")
-        lo = 0.0 if w in (ZERO_WIDTH, TWO_PI) else _wrap(self.lo)
+        elif not (0.0 < w < math.pi or w in (LINE_WIDTH, TWO_PI)):
+            raise ValueError(f"cone width {w} is not in [0, pi], 2*pi or LINE_WIDTH")
+        lo = 0.0 if w == TWO_PI else _wrap(self.lo)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "width", w)
         rays = _unit_rays(lo, w)
@@ -299,21 +297,19 @@ class Cone:
         u = rays[0] if rays else (0.0, 0.0)
         e = u if w in (0.0, LINE_WIDTH) or not rays else rays[1]
         b = u if w == 0.0 else (0.0, 0.0)
-        object.__setattr__(self, "_row", (float(w == ZERO_WIDTH), *u, *e, *b))
+        object.__setattr__(self, "_row", (*u, *e, *b))
 
     def extreme_rays(self) -> tuple[tuple[float, float], ...]:
         """Unit extreme directions, counter-clockwise from lo.
 
         A sector gives (start, end); a half plane (start, end, inward
-        normal); the line (u, -u); the zero cone and the full plane none.
+        normal); the line (u, -u); the full plane none.
         """
         return self._rays
 
     def _excess(self, vx: float, vy: float) -> float:
         """Worst constraint excess of (vx, vy) by _row, not normalized (0 if inside)."""
-        zero, u0, u1, e0, e1, b0, b1 = self._row
-        if zero:
-            return math.hypot(vx, vy)
+        u0, u1, e0, e1, b0, b1 = self._row
         return max(0.0, -(u0 * vy - u1 * vx), e0 * vy - e1 * vx, -(b0 * vx + b1 * vy))
 
     def violation(self, v) -> float:
@@ -321,47 +317,17 @@ class Cone:
         worst = self._excess(v[0], v[1])
         return worst / math.hypot(v[0], v[1]) if worst > 0.0 else 0.0
 
-    def polar(self) -> "Cone":
-        """Polar cone {w : w.v <= 0 for all v in the cone}."""
-        w = self.width
-        if w == TWO_PI:
-            return Cone(0.0, ZERO_WIDTH)
-        if w == ZERO_WIDTH:
-            return Cone(0.0, TWO_PI)
-        if w == LINE_WIDTH:
-            return Cone(self.lo + math.pi / 2.0, LINE_WIDTH)
-        return Cone(self.lo + w + math.pi / 2.0, math.pi - w)
 
-    def intersect(self, other: "Cone") -> "Cone":
-        """Intersection with another cone.
-
-        Two half planes meeting only in their boundary give the line; a
-        line itself cannot be intersected further.
-        """
-        if self.width == ZERO_WIDTH or other.width == TWO_PI:
-            return self
-        if other.width == ZERO_WIDTH or self.width == TWO_PI:
-            return other
-        if LINE_WIDTH in (self.width, other.width):
-            raise ValueError("a line cannot be intersected further")
-        d = _wrap(other.lo - self.lo)
-        parts = []
-        for dd in (d, d - TWO_PI):
-            s, e = max(0.0, dd), min(self.width, dd + other.width)
-            if e >= s - ANGLE_TOL:
-                parts.append((_wrap(self.lo + s), max(0.0, e - s)))
-        if not parts:
-            return Cone(0.0, ZERO_WIDTH)
-        if len(parts) == 1:
-            return Cone(*parts[0])
-        # Two parts need widths summing to 2*pi: two half planes meeting in
-        # two antipodal rays, the line through them.
-        return Cone(parts[0][0], LINE_WIDTH)
+# The value wherever the near sectors share no ray; Cone is frozen, so every caller shares it.
+_FULL_PLANE = Cone(0.0, TWO_PI)
 
 
 class _NearValues(dict):
     """The inclusion's value by near-set bit code, built on its first read:
-    the polar of the intersection of the sectors whose bits the code sets."""
+    the polar of the intersection of the sectors whose bits the code sets.
+    Sectors meet only in the arm two adjacent ones share, so it is the one
+    sector's polar, the half plane normal to the shared arm (the line, for
+    a one-generator fan's two half planes) or the full plane."""
 
     __slots__ = ("sectors",)
 
@@ -369,8 +335,21 @@ class _NearValues(dict):
         self.sectors = sectors
 
     def __missing__(self, near: int) -> Cone:
-        value = self[near] = functools.reduce(
-            Cone.intersect, [s for k, s in enumerate(self.sectors) if near >> k & 1]).polar()
+        sectors = self.sectors
+        low = near & -near  # the bit of the first near sector, s
+        s = sectors[low.bit_length() - 1]
+        if near == low:
+            value = Cone(s.lo + s.width + math.pi / 2.0, math.pi - s.width)
+        elif len(sectors) == 2:
+            a, b = sectors
+            value = Cone(_wrap(a.lo + _wrap(b.lo - a.lo)) + math.pi / 2.0, LINE_WIDTH)
+        elif near == 1 | 1 << len(sectors) - 1:  # the wrap pair shares sector 0's start arm
+            value = Cone(s.lo + math.pi / 2.0, math.pi)
+        elif near == 3 * low:
+            value = Cone(_wrap(s.lo + s.width) + math.pi / 2.0, math.pi)
+        else:
+            value = _FULL_PLANE
+        self[near] = value
         return value
 
 
@@ -440,15 +419,12 @@ def _ray_distance(pt: LogPoint, u: tuple[float, float]) -> float:
 
 
 def dist_to_cone(point, cone: Cone) -> float:
-    """Euclidean distance from a log point to a cone."""
+    """Euclidean distance from a log point to a cone: 0 inside, else to the
+    nearest extreme ray (the full plane, which has none, holds every point)."""
     pt = as_log(point)
     if cone._excess(pt.X, pt.Y) == 0.0:
         return 0.0
-    rays = cone._rays
-    if not rays:  # the zero cone
-        return math.hypot(pt.X, pt.Y)
-    # Outside the cone the nearest point lies on an extreme ray.
-    return min([_ray_distance(pt, u) for u in rays])
+    return min([_ray_distance(pt, u) for u in cone._rays])
 
 
 # Points per pass of near_sectors: bounds its (arms x points) temporaries

@@ -3,10 +3,11 @@
 At a log point the value is the polar of the intersection of every
 full-dimensional fan sector within distance delta of the point, built
 once per (fan, near set) by the values memo of the fan's ``_fan_table``
-record.  Every value is a ``Cone``: the full plane where r(x) >= 2
-strips contain the point, a half plane where r(x) = 1, and where r(x) = 0
-the polar of the containing sector (a ray for a one-generator fan).
-Inside the strip of a one-generator fan the value is a line.
+record.  Sectors meet only in the arm two adjacent ones share, so every
+value is one of three ``Cone``s: the full plane where r(x) >= 2 strips
+contain the point, the half plane normal to the shared arm where
+r(x) = 1, and where r(x) = 0 the polar of the containing sector (a ray
+for a one-generator fan, and inside its strip the line).
 
 There are two evaluators, the definition and the classifier, and each
 only chooses the near set.  ``rhs_bruteforce`` does it by the definition,
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import NonFinitePoint, NonPositiveDelta
 from .fan_geometry import (
     STRIP_TOL,
-    TWO_PI,
+    _FULL_PLANE,
     Cone,
     Fan,
     LogPoint,
@@ -42,10 +43,6 @@ from .fan_geometry import (
     dist_to_cone,
     near_sectors,
 )
-
-# The value wherever r(x) >= 2; Cone is frozen, so every caller shares it.
-_FULL_PLANE = Cone(0.0, TWO_PI)
-
 
 def _near_limit(delta: float, tol: float) -> float:
     """Distance delta - tol within which a sector is near, at least 0.

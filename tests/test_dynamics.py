@@ -43,7 +43,6 @@ from toric_regions.fan_geometry import (
     LINE_WIDTH,
     STRIP_TOL,
     TWO_PI,
-    ZERO_WIDTH,
     Cone,
     Fan,
     LineGenerator,
@@ -1029,6 +1028,22 @@ class TestReachWitness:
         end = traj.points[-1]
         assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
 
+    @pytest.mark.parametrize("gens, delta", [([(2, 3), (1, 1)], 100.0),
+                                             ([(-2, 3), (2, 3), (3, 2)], 300.0)])
+    def test_straight_legs_past_exp_range(self, gens, delta):
+        # (N,M) lies past log x = 709, where e^X overflows: the straight
+        # legs' velocities are scaled down there, and the witness arrives.
+        fan = Fan(gens)
+        region = construct_region(fan, delta)
+        target = region.anchors["NM"]
+        assert max(target.X, target.Y) > 750.0
+        traj = reach_witness(PosPoint(1.0, 1.0), target, fan, delta, region)
+        assert traj.termination == "arrived" and traj.worst_violation <= 1e-9
+        assert "logline" in [leg.kind for leg in traj.legs]
+        assert np.isfinite(traj.vx).all() and np.isfinite(traj.vy).all()
+        end = traj.points[-1]
+        assert max(abs(end.X - target.X), abs(end.Y - target.Y)) <= 1e-6
+
     def test_target_is_unit_point(self, region):
         traj = reach_witness(LogPoint(2.0, 1.0), PosPoint(1.0, 1.0), WORKED_FAN,
                              DELTA, region)
@@ -1483,15 +1498,15 @@ class TestViolations:
         assert max(ref) > 0.0 and ref.count(0.0) > 100
         assert _hex(_violations(X, Y, vx, vy, fan, DELTA)) == _hex(ref)
 
-    CONES = [Cone(0.0, ZERO_WIDTH), Cone(0.0, TWO_PI), Cone(0.4, LINE_WIDTH), Cone(2.0, 0.0),
-             Cone(1.0, math.pi), Cone(5.0, 1.3)]
+    CONES = [Cone(0.0, TWO_PI), Cone(0.4, LINE_WIDTH), Cone(2.0, 0.0), Cone(1.0, math.pi),
+             Cone(5.0, 1.3)]
     VELOCITIES = [(0, 0), (0.0, -0.0), (3, 4), (-7, 2), (2**60 + 1, -1), (math.nan, 1.0),
                   (math.nan, math.nan), (math.inf, 0.0), (math.inf, math.nan),
                   (-math.inf, math.inf), (1e308, 1e308), (5e-324, -5e-324), (0.3, -0.9)]
 
     def test_hand_built_cones(self, monkeypatch):
-        # Every cone kind, the zero cone first, against zero, integer, NaN,
-        # infinite, overflowing and subnormal velocities.
+        # Every cone kind against zero, integer, NaN, infinite, overflowing
+        # and subnormal velocities.
         pairs = [(c, v) for c in self.CONES for v in self.VELOCITIES]
         index = np.repeat(np.arange(len(self.CONES)), len(self.VELOCITIES))
         monkeypatch.setattr(dynamics, "rhs_bruteforce_batch",
@@ -1500,8 +1515,6 @@ class TestViolations:
         got = _violations(np.zeros(len(pairs)), np.zeros(len(pairs)), vx, vy, WORKED_FAN, DELTA)
         ref = [c.violation(v) for c, v in pairs]
         assert _hex(got) == _hex(ref)
-        zero = ref[:len(self.VELOCITIES)]
-        assert zero[:4] == [0.0, 0.0, 1.0, 1.0] and math.isnan(zero[8])
 
 
 class TestArrayLegs:

@@ -19,7 +19,6 @@ from toric_regions.errors import (
 from toric_regions.fan_geometry import (
     LINE_WIDTH,
     TWO_PI,
-    ZERO_WIDTH,
     Cone,
     Fan,
     LineGenerator,
@@ -31,6 +30,8 @@ from toric_regions.fan_geometry import (
     r_count,
 )
 from toric_regions.region_construction import construct_region
+
+from cone_algebra import intersect, polar
 
 SQRT2 = math.sqrt(2.0)
 
@@ -213,17 +214,21 @@ class TestStripTable:
 
 
 class TestPolar:
+    """The tests' interval algebra (cone_algebra), the definition that the
+    values memo is held to: its polar, with None for the zero cone."""
+
     def test_ray_gives_halfplane(self):
-        c = Cone(0.0, 0.0).polar()
+        c = polar(Cone(0.0, 0.0))
         assert c.width == math.pi
         assert c.violation((-1.0, 0.5)) <= 1e-9 and c.violation((-1.0, -0.5)) <= 1e-9
         assert c.violation((1.0, 0.0)) > 1e-9
 
     def test_full_plane_gives_origin(self):
-        assert Cone(0.0, TWO_PI).polar().width == ZERO_WIDTH
+        assert polar(Cone(0.0, TWO_PI)) is None
+        assert polar(None) == Cone(0.0, TWO_PI)
 
     def test_first_quadrant(self):
-        c = Cone(0.0, math.pi / 2).polar()
+        c = polar(Cone(0.0, math.pi / 2))
         assert 0.0 < c.width < math.pi
         assert c.lo == pytest.approx(math.pi)
         assert c.lo + c.width == pytest.approx(3 * math.pi / 2)
@@ -231,13 +236,14 @@ class TestPolar:
     @given(st.floats(0.0, 2 * math.pi - 1e-6), st.floats(0.0, math.pi))
     def test_polar_involution_sectors(self, start, opening):
         c = Cone(start, opening)
-        assert rhs_equal(c.polar().polar(), c, tol=1e-9)
+        assert rhs_equal(polar(polar(c)), c, tol=1e-9)
 
     @given(st.floats(0.0, 2 * math.pi - 1e-6))
     def test_polar_involution_rays_and_halfplanes(self, start):
-        for width in (0.0, math.pi, LINE_WIDTH, TWO_PI, ZERO_WIDTH):
+        for width in (0.0, math.pi, LINE_WIDTH, TWO_PI):
             c = Cone(start, width)
-            assert rhs_equal(c.polar().polar(), c, tol=1e-9)
+            assert rhs_equal(polar(polar(c)), c, tol=1e-9)
+        assert polar(polar(None)) is None
 
 
 def _arc():
@@ -258,28 +264,30 @@ def _near_boundary(theta, cones, band=1e-9):
 class TestConeAlgebra:
     @given(_arc(), _arc(), st.floats(0.0, 2 * math.pi))
     def test_intersection_is_conjunction(self, a, b, theta):
+        # The tests' intersection; the zero cone (None) holds no direction.
         if _near_boundary(theta, (a, b)):
             return
         v = _dir(theta)
         both = a.violation(v) <= 0.0 and b.violation(v) <= 0.0
-        assert (a.intersect(b).violation(v) <= 0.0) == both
+        both_cone = intersect(a, b)
+        assert (both_cone is not None and both_cone.violation(v) <= 0.0) == both
 
     def test_zero_and_full_operands(self):
-        sector, zero, full = Cone(0.3, 1.0), Cone(0.0, ZERO_WIDTH), Cone(0.0, TWO_PI)
-        assert sector.intersect(zero) == zero == zero.intersect(sector)
-        assert sector.intersect(full) == sector == full.intersect(sector)
-        assert zero.intersect(full) == zero == full.intersect(zero)
+        sector, full = Cone(0.3, 1.0), Cone(0.0, TWO_PI)
+        assert intersect(sector, None) is None is intersect(None, sector)
+        assert intersect(sector, full) == sector == intersect(full, sector)
+        assert intersect(None, full) is None is intersect(full, None)
 
     def test_line_operand_rejected(self):
         line, sector = Cone(0.3, LINE_WIDTH), Cone(0.3, 1.0)
         for a, b in ((line, sector), (sector, line)):
             with pytest.raises(ValueError, match="line cannot be intersected"):
-                a.intersect(b)
+                intersect(a, b)
 
     @pytest.mark.parametrize("lo", [0.3, 0.3 + math.pi, 6.0])
     def test_opposite_half_planes_give_the_line(self, lo):
         # Two parts arise only here, as two antipodal rays.
-        line = Cone(lo, math.pi).intersect(Cone(lo + math.pi, math.pi))
+        line = intersect(Cone(lo, math.pi), Cone(lo + math.pi, math.pi))
         assert line.width == LINE_WIDTH
         assert line.violation(_dir(lo)) <= 1e-9 and line.violation(_dir(lo + math.pi)) <= 1e-9
         assert line.violation(_dir(lo + 0.5 * math.pi)) > 1e-9
@@ -397,11 +405,6 @@ class TestDistToCone:
     def test_nearest_point_is_origin(self):
         c = Cone(0.0, math.pi / 2)
         assert dist_to_cone(LogPoint(-1.0, -1.0), c) == pytest.approx(SQRT2)
-
-    def test_zero_cone(self):
-        zero = Cone(0.0, ZERO_WIDTH)
-        assert dist_to_cone(LogPoint(3.0, -4.0), zero) == 5.0
-        assert dist_to_cone(LogPoint(0.0, 0.0), zero) == 0.0
 
     @given(st.floats(0.0, 2 * math.pi), st.floats(0.1, math.pi - 0.1),
            st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import json
 import math
 from pathlib import Path
@@ -30,6 +29,8 @@ from toric_regions.fan_geometry import (
 )
 from toric_regions.region_construction import construct_region, sample_boundary
 from toric_regions.tdi_rhs import _rhs_fast, rhs_bruteforce, rhs_bruteforce_batch
+
+from cone_algebra import polar, value_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -85,7 +86,7 @@ class TestBruteforce:
         rhs = rhs_bruteforce(LogPoint(10.0, 10.0), CROSS_FAN, 1.0)
         assert rhs.width == math.pi
         # The outward normal spans the polar ray.
-        assert rhs.polar().extreme_rays()[0] == pytest.approx((1 / SQRT2, 1 / SQRT2), abs=1e-12)
+        assert polar(rhs).extreme_rays()[0] == pytest.approx((1 / SQRT2, 1 / SQRT2), abs=1e-12)
         assert rhs.violation((-1.0, 0.3)) <= 1e-9
         assert rhs.violation((1.0, 1.0)) > 1e-9
 
@@ -126,7 +127,7 @@ class TestBruteforce:
         for pt in (LogPoint(10.0, 0.0), LogPoint(0.3, 2.0), LogPoint(-4.0, -1.0), on_arm):
             value = rhs_bruteforce(pt, WORKED_FAN, delta)
             if pt is on_arm:
-                assert value in (sectors[0].polar(), sectors[-1].polar())
+                assert value in (polar(sectors[0]), polar(sectors[-1]))
             else:
                 assert value == rhs_fast(pt, WORKED_FAN, delta)
             values, index = rhs_bruteforce_batch(np.array([pt.X]), np.array([pt.Y]),
@@ -220,8 +221,9 @@ class TestClassified:
         # included, builds each value once, and a second pass builds none.
         fans = [Fan([tuple(g) for g in entry["gens"]]) for entry in ATLAS["fans"][:6]]
         built = []
-        polar = Cone.polar
-        monkeypatch.setattr(Cone, "polar", lambda c: built.append(c) or polar(c))
+        missing = fan_geometry._NearValues.__missing__
+        monkeypatch.setattr(fan_geometry._NearValues, "__missing__",
+                            lambda memo, near: built.append(near) or missing(memo, near))
 
         def construct_all() -> int:
             built.clear()
@@ -243,7 +245,7 @@ class TestClassified:
         assert r_count(pt, WORKED_FAN, 3.0) == 1
         rhs = rhs_fast(pt, WORKED_FAN, 3.0)
         assert rhs.width == math.pi
-        n = rhs.polar().extreme_rays()[0]
+        n = polar(rhs).extreme_rays()[0]
         assert n == pytest.approx((2 / math.sqrt(5), 1 / math.sqrt(5)), abs=1e-12)
 
 
@@ -350,8 +352,9 @@ class TestClassifiedIsDefinition:
         a = rhs_fast(LogPoint(0.0, 0.0), WORKED_FAN, 3.0)
         b = rhs_fast(LogPoint(1.0, -0.5), WORKED_FAN, 3.0)
         c = rhs_fast(PosPoint(1.0, 1.0), CROSS_FAN, 1.0)
+        d = rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0)
         assert a.width == TWO_PI
-        assert a is b and a is c
+        assert a is b and a is c and a is d
 
 
 def subfan_value_inside(point, fan: Fan, subfan: Fan, delta: float) -> bool:
@@ -393,8 +396,7 @@ TOLS = (STRIP_TOL, -1e-9)
 
 def _definition(pt, fan, delta, tol):
     """The inclusion's value as the definition reads, with no cache."""
-    near = [s for s in _fan_table(fan).sectors if dist_to_cone(pt, s) <= delta - tol]
-    return functools.reduce(Cone.intersect, near).polar()
+    return value_of([s for s in _fan_table(fan).sectors if dist_to_cone(pt, s) <= delta - tol])
 
 
 def _near_reference(X, Y, fan, limit):
@@ -437,6 +439,30 @@ def _strip_boundary_points(fan, delta):
 
 ATLAS = json.loads((Path(__file__).resolve().parent.parent
                     / "bench" / "data" / "atlas_catalog.json").read_text())
+
+
+class TestNearValues:
+    def test_memo_is_the_definition(self):
+        # The memo's three cases are the interval algebra's value, bit for
+        # bit, on every near-set code of the atlas fans (300 seeded codes of
+        # a fan past 10 sectors) and of the one-generator fans.
+        rng = np.random.default_rng(10)
+        fans = [Fan([tuple(g) for g in entry["gens"]]) for entry in ATLAS["fans"]]
+        fans += [Fan([gen]) for gen in POOL]
+        checked = set()
+        for fan in fans:
+            sectors = _fan_table(fan).sectors
+            n = len(sectors)
+            memo = fan_geometry._NearValues(sectors)
+            codes = range(1, 1 << n) if n <= 10 else rng.integers(1, 1 << n, 300).tolist()
+            for code in codes:
+                got = memo[code]
+                want = value_of([s for k, s in enumerate(sectors) if code >> k & 1])
+                assert (got.lo.hex(), got.width.hex()) == (want.lo.hex(), want.width.hex()), (
+                    fan, code)
+                checked.add(got.width if got.width in (0.0, math.pi, LINE_WIDTH, TWO_PI)
+                            else None)
+        assert checked == {0.0, math.pi, LINE_WIDTH, TWO_PI, None}
 
 
 class TestBatchBruteforce:

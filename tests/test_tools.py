@@ -241,6 +241,31 @@ def test_reach_outcomes_records():
     assert anchors[list(region.anchors).index("Cr")] == {
         **tool.witness_record("worked", cr.X, cr.Y, toric_regions, workloads),
         "group": "anchor", "anchor": "Cr"}
+    # Far out in a sector the random strategy's values are proper cones.
+    run = tool.strategy_record("all_negative", "random_in_cone", (12.0, -4.0), toric_regions,
+                               workloads)
+    assert run["outcome"] == "t_end" and run["points"] > 100
+    # Inside the one-generator fan's strip the value is a line.
+    line = tool.strategy_record("line", "random_in_cone", tool.LINE_START, toric_regions,
+                                workloads, t_end=tool.LINE_T_END)
+    assert line["fan"] == "line" and line["outcome"] == "t_end" and line["points"] == 101
+    # One far_anchor record per anchor of the region at that delta.
+    far = list(tool.far_anchor_records("all_positive", 100.0, toric_regions, workloads))
+    far_fan = fg.Fan(workloads.REACH_FANS["all_positive"])
+    assert [rec["anchor"] for rec in far] == list(toric_regions.construct_region(far_fan, 100.0)
+                                                  .anchors)
+    assert {(rec["group"], rec["delta"], rec["outcome"]) for rec in far} == {
+        ("far_anchor", 100.0, "arrived")}
+    # A fan whose region does not build there records the construction's error.
+    bad_gens = ((-2, 1), (2, 3), (1, 1))
+    with pytest.raises(toric_regions.errors.DeltaTooSmall) as exc:
+        toric_regions.construct_region(fg.Fan(bad_gens), 100.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(workloads.REACH_FANS, "bad", bad_gens)
+        bad = list(tool.far_anchor_records("bad", 100.0, toric_regions, workloads))
+    assert bad == [{"group": "far_anchor", "fan": "bad", "delta": 100.0, "anchor": None,
+                    "X": None, "Y": None, "outcome": "DeltaTooSmall",
+                    "message": str(exc.value), "worst": None, "points": None, "digest": None}]
 
 
 # Names the benchmark's tracer still wraps that the package no longer

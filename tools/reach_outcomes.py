@@ -1,6 +1,6 @@
 """Trajectory figures of the benchmark's reach fans.
 
-It prints one JSON line per record, in seven groups:
+It prints one JSON line per record, in eight groups:
 
     {"group": "witness", "fan": name, "X": x, "Y": y, "outcome": o,
      "message": m, "worst": <float.hex of worst_violation> or null,
@@ -49,13 +49,26 @@ RK4 reference of step ``REFERENCE_DT``, printed as "%.0e"; and
 
 for every anchor of every reach fan's region: its witness as in the
 witness group.  Some of their routes end at a segment's end or slide
-along a closure arc, which no catalog target's route does.  The digest is
-a sha256 of
-the trajectory's points and velocities, bit for bit.  An outcome is the
-trajectory's termination ("arrived" for a witness), the class name of a
-package error (with the failing leg of a ``WitnessFailed``), or
-"bare:<class>" for an exception that is not one; the message is the
-exception's text, null when none was raised.  ``bench/`` is only read.
+along a closure arc, which no catalog target's route does.  Then come
+more strategy records: every reach fan and built-in strategy from each
+of ``PROPER_STARTS``, where many steps meet proper cones, and one
+``random_in_cone`` run on the one-generator fan ``LINE_FAN`` from
+``LINE_START`` to t = ``LINE_T_END``, inside its strip, where the value
+is a line; and last
+
+    {"group": "far_anchor", "fan": name, "delta": d, "anchor": a, "X": x,
+     "Y": y, "outcome": o, "message": m, "worst": ..., "points": n,
+     "digest": d}
+
+for every anchor of every reach fan's region at each of ``FAR_DELTAS``,
+as in the anchor group; a fan whose region does not build there gives
+one record with null anchor, X and Y and the construction's error.  The
+digest is a sha256 of the trajectory's points and velocities, bit for
+bit.  An outcome is the trajectory's termination ("arrived" for a
+witness), the class name of a package error (with the failing leg of a
+``WitnessFailed``), or "bare:<class>" for an exception that is not one;
+the message is the exception's text, null when none was raised.
+``bench/`` is only read.
 
 Run from anywhere, against the package under SRC_DIR (default: the
 ``src`` directory next to this file's parent):
@@ -86,6 +99,14 @@ HALVING_DT = 1.0 / 64.0
 # t_end it has reached X = 3, still where the inclusion is the full plane.
 HALVING_T_END = 0.028
 REFERENCE_DT = 1e-4
+# Starts of the later strategy records, far out in the sectors and strips.
+PROPER_STARTS = ((12.0, -4.0), (-10.0, -10.0))
+# One generator: inside its strip the inclusion's value is a line.
+LINE_FAN = {"line": ((1, 2),)}
+LINE_START = (4.0, 2.0)
+LINE_T_END = 1.0
+# Deltas of the far_anchor group, where (N,M) lies past log x = 709.
+FAR_DELTAS = (100.0, 300.0)
 
 
 def _workloads():
@@ -128,11 +149,12 @@ def _region(fan, delta: float, package):
     return package.region_construction.construct_region(fan, delta)
 
 
-def _witness(name: str, X: float, Y: float, package, workloads) -> dict:
-    """Outcome fields of the witness from (1, 1) to (X, Y) on a reach fan."""
+def _witness(name: str, X: float, Y: float, package, workloads, delta=None) -> dict:
+    """Outcome fields of the witness from (1, 1) to (X, Y) on a reach fan,
+    at delta (default: the benchmark's)."""
     fg, dy = package.fan_geometry, package.dynamics
     fan = fg.Fan(workloads.REACH_FANS[name])
-    delta = workloads.REACH_DELTA
+    delta = workloads.REACH_DELTA if delta is None else delta
     region = _region(fan, delta, package)
     return _run(lambda: dy.reach_witness(
         fg.PosPoint(1.0, 1.0), fg.LogPoint(X, Y), fan, delta, region,
@@ -151,14 +173,32 @@ def anchor_records(name: str, package, workloads):
                **_witness(name, pt.X, pt.Y, package, workloads)}
 
 
-def strategy_record(name: str, strategy: str, start, package, workloads) -> dict:
+def far_anchor_records(name: str, delta: float, package, workloads):
+    fan = package.fan_geometry.Fan(workloads.REACH_FANS[name])
+    head = {"group": "far_anchor", "fan": name, "delta": delta}
+    try:
+        anchors = _region(fan, delta, package).anchors
+    except Exception as exc:
+        yield {**head, "anchor": None, "X": None, "Y": None, "outcome": _error(exc, package),
+               "message": str(exc), "worst": None, "points": None, "digest": None}
+        return
+    for anchor, pt in anchors.items():
+        yield {**head, "anchor": anchor, "X": pt.X, "Y": pt.Y,
+               **_witness(name, pt.X, pt.Y, package, workloads, delta)}
+
+
+def strategy_record(name: str, strategy: str, start, package, workloads,
+                    t_end=None) -> dict:
+    """The strategy's run on a reach fan or LINE_FAN at the benchmark's
+    delta, to t_end (default: the benchmark's)."""
     fg, dy = package.fan_geometry, package.dynamics
-    fan = fg.Fan(workloads.REACH_FANS[name])
+    fan = fg.Fan({**workloads.REACH_FANS, **LINE_FAN}[name])
     delta = workloads.REACH_DELTA
+    t_end = workloads.Reach.T_END if t_end is None else t_end
     strat = dy.builtin_strategies(fan, delta, seed=STRATEGY_SEED)[strategy]
     rec = {"group": "strategy", "fan": name, "strategy": strategy, "start": list(start)}
     rec.update(_run(lambda: dy.integrate(strat, fg.LogPoint(*start), fan, delta,
-                                         t_end=workloads.Reach.T_END), package))
+                                         t_end=t_end), package))
     return rec
 
 
@@ -298,6 +338,15 @@ def records(package, workloads):
                 yield accuracy_record(name, start, rescale, package, workloads)
     for name in workloads.REACH_FANS:
         yield from anchor_records(name, package, workloads)
+    for name in workloads.REACH_FANS:
+        for strategy in workloads.Reach.STRATEGIES:
+            for start in PROPER_STARTS:
+                yield strategy_record(name, strategy, start, package, workloads)
+    yield strategy_record("line", "random_in_cone", LINE_START, package, workloads,
+                          t_end=LINE_T_END)
+    for name in workloads.REACH_FANS:
+        for delta in FAR_DELTAS:
+            yield from far_anchor_records(name, delta, package, workloads)
 
 
 def main(argv: list[str]) -> int:
