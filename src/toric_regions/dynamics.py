@@ -71,9 +71,9 @@ def _violations(X: np.ndarray, Y: np.ndarray, vx: np.ndarray, vy: np.ndarray, fa
 
     Cone._excess runs on all points at once, from the _row of each
     distinct value.  Products and differences round in numpy as in Python
-    floats, and fmax passes over a NaN term as Python's max does.  The
-    norm |v| comes from math.hypot (numpy's hypot differs in the last
-    place on some inputs), and only where the excess is positive.
+    floats, and fmax passes over a NaN term as Python's max does.  Where
+    the excess is positive it is divided by |v| from math.hypot (numpy's
+    hypot differs in the last place on some inputs); elsewhere it is 0.
     """
     values, index = rhs_bruteforce_batch(X, Y, fan, delta, _INCLUSIVE_TOL)
     u0, u1, e0, e1, b0, b1 = np.array([c._row for c in values]).T[:, index]
