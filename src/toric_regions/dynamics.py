@@ -4,7 +4,10 @@ witnesses.
 
 Velocities are x-space vectors constrained by the inclusion cone; the
 integrator steps the log coordinates (X' = x'/x componentwise) so positivity
-is automatic and points of order e^(c*delta) stay representable.
+is automatic and points of order e^(c*delta) stay representable.  A
+selection that reads the cone takes classical RK4 steps at fixed caps; an
+embedded field, which reads none, takes Dormand and Prince's 5(4) steps
+under their error control, with dt its first trial step only.
 
 The integrator works on floats: a selection gives its velocities at the
 log point (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
@@ -373,6 +376,20 @@ def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:
 
 _MAX_LOG_STEP = 0.25  # largest log-space move of one integrator step
 _STEP_TOL = 1e-9  # largest error estimate, in log space, of an error-controlled step
+# Dormand and Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980): stage k
+# is evaluated at t + c_k h, from the stages before it weighted by a_kj;
+# b weighs stages 1 and 3 to 6 into the 5th-order step, and e weighs
+# stages 1 and 3 to 7 into its gap to the embedded 4th-order one.  Stage 7
+# is the step's end (first same as last).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
 
 
 @dataclass(eq=False)
@@ -407,7 +424,7 @@ class Trajectory:
 
 def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
               dt: float = 1e-2, stop_when=None) -> Trajectory:
-    """Explicit 4th-order stepping of the selection in log coordinates.
+    """Explicit stepping of the selection in log coordinates.
 
     A selection has a class attribute reads_cone and a method
     velocity(X, Y, rhs, t, stiff), which gives at the log point (X, Y) and
@@ -419,29 +436,32 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     reads_cone decides the rest.  A selection that reads the cone (the
     ray, alternating and random ones, which jump at sector boundaries) is
     passed its cone rhs from _rhs_fast, with the strip table
-    fan.regions(delta) built once per run, and steps at the caps
-    alone.  Any other (a smooth embedded field) is passed rhs=None, is
-    asked for the stiffness of its step starts and ends, and gets
-    error-controlled steps.
+    fan.regions(delta) built once per run, and takes classical RK4 steps
+    at its caps alone.  Any other (a smooth embedded field) is passed
+    rhs=None, is asked for the stiffness of its step starts and ends, and
+    takes Dormand and Prince's 5(4) steps under their error control.
 
-    The step is capped at dt and at t_end - t, so that no single update
-    moves more than 0.25 in log space (the fields are exponentially stiff
-    far from equilibrium), and at 1.5 over the stiffness of the step
-    start.  It is halved, down to dt/1024, while a stage fails or the
-    increment is not finite or moves more than 1.0.  A step that passes
-    but no longer advances t (t + h == t) raises StepCollapse.
+    Every step is capped at t_end - t and so that no single update moves
+    more than 0.25 in log space; a cone reader's also at dt, and a
+    field's at 1.5 over the stiffness of the step start (the fields are
+    exponentially stiff far from equilibrium).  dt is only a field's first
+    trial step.  A step is halved while a stage fails or the increment is
+    not finite or moves more than 1.0.  Its floor is dt/1024 for a cone
+    reader, and 1/1024 of the smaller of dt and the capped step for a
+    field (at stiff starts the cap lies far below dt, and on long runs far
+    above it); a retry below it raises StepCollapse, and so does a step
+    that passes but no longer advances t (t + h == t).  At most
+    64 * ceil(t_end / dt) + 16 steps are taken, whatever their size.
 
-    An error-controlled step's end is evaluated with its stiffness at
-    once, and that evaluation f5 starts the next step when the step is
-    accepted (first same as last), so an attempt costs four evaluations.
-    The weights (1/6, 1/3, 1/3, 1/6) on f1, f2, f3, f5 make a 3rd-order
-    step, and err = h/6 * max|f4 - f5| (log space) is its gap to the RK4
-    step.  A step is accepted when err <= _STEP_TOL; the next then tries
-    h * min(5, 0.9 * (tol/err)^(1/4)), within the caps.  A rejected step
-    retries at h * max(0.2, 0.9 * (tol/err)^(1/4)).  For these selections
-    the floor of every retry is 1/1024 of the capped step, not dt/1024,
-    since at stiff starts the cap itself lies far below dt; a failing
-    evaluation at the end fails the step as a stage's does.
+    A field step's end is evaluated with its stiffness at once, and that
+    evaluation starts the next step when the step is accepted (first same
+    as last), so an attempt costs six evaluations; stage k is evaluated at
+    t + c_k h.  err = h * max|sum_k e_k f_k| over the two log coordinates
+    is the gap between the 5th- and the embedded 4th-order step.  A step
+    is accepted when err <= _STEP_TOL; the next then tries
+    h * min(5, 0.9 * (tol/err)^(1/5)), within the caps.  A rejected step
+    retries at h * max(0.2, 0.9 * (tol/err)^(1/5)); a failing evaluation
+    at the end fails the step as a stage's does.
 
     stop_when(X, Y, t) gets the log coordinates and time of every sample
     and the start; the run ends "stopped" at the first true one, even with
@@ -472,10 +492,11 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 
     controlled = not strategy.reads_cone
     table = None if controlled else fan.regions(delta)
+    velocity = strategy.velocity
 
     def evaluate(px: float, py: float, tt: float, stiff: bool):
         rhs = None if controlled else _rhs_fast(px, py, fan, delta, table)
-        return strategy.velocity(px, py, rhs, tt, stiff)
+        return velocity(px, py, rhs, tt, stiff)
 
     def check_starts() -> float:
         """Worst cone violation of the recorded step starts, in one batch."""
@@ -493,7 +514,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
         return float(np.fmax.reduce(violations, initial=0.0))  # NaN passed over, as by max
 
     max_steps = int(math.ceil(t_end / dt)) * 64 + 16
-    h_next = dt  # the error control's proposal for the next step
+    h_next = dt  # a field's next trial step; a cone reader's cap
     end = None  # the evaluation of the last accepted step's end, if controlled
     try:
         while stop_when is None or not stop_when(X, Y, t):
@@ -506,28 +527,56 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
             if speed == 0.0:
                 termination = "stalled"
                 break
-            h_cap = min(dt, t_end - t, _MAX_LOG_STEP / speed)
+            h_cap = min(t_end - t, _MAX_LOG_STEP / speed)
             if stiffness > 0.0:
                 h_cap = min(h_cap, 1.5 / stiffness)
             h = min(h_next, h_cap)
-            floor = (h_cap if controlled else dt) / 1024.0
+            floor = (min(dt, h_cap) if controlled else dt) / 1024.0
             while True:
                 try:
-                    _, _, f2x, f2y, _ = evaluate(X + 0.5 * h * f1x, Y + 0.5 * h * f1y,
-                                                 t + 0.5 * h, False)
-                    _, _, f3x, f3y, _ = evaluate(X + 0.5 * h * f2x, Y + 0.5 * h * f2y,
-                                                 t + 0.5 * h, False)
-                    _, _, f4x, f4y, _ = evaluate(X + h * f3x, Y + h * f3y, t + h, False)
-                    dX = h / 6.0 * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
-                    dY = h / 6.0 * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
+                    if controlled:
+                        # Dormand-Prince stages 2 to 6 and the 5th-order step.
+                        _, _, k2x, k2y, _ = velocity(X + h * _A21 * f1x, Y + h * _A21 * f1y,
+                                                     None, t + _C2 * h, False)
+                        _, _, k3x, k3y, _ = velocity(X + h * (_A31 * f1x + _A32 * k2x),
+                                                     Y + h * (_A31 * f1y + _A32 * k2y),
+                                                     None, t + _C3 * h, False)
+                        _, _, k4x, k4y, _ = velocity(
+                            X + h * (_A41 * f1x + _A42 * k2x + _A43 * k3x),
+                            Y + h * (_A41 * f1y + _A42 * k2y + _A43 * k3y),
+                            None, t + _C4 * h, False)
+                        _, _, k5x, k5y, _ = velocity(
+                            X + h * (_A51 * f1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+                            Y + h * (_A51 * f1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+                            None, t + _C5 * h, False)
+                        _, _, k6x, k6y, _ = velocity(
+                            X + h * (_A61 * f1x + _A62 * k2x + _A63 * k3x + _A64 * k4x
+                                     + _A65 * k5x),
+                            Y + h * (_A61 * f1y + _A62 * k2y + _A63 * k3y + _A64 * k4y
+                                     + _A65 * k5y),
+                            None, t + h, False)
+                        dX = h * (_B1 * f1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+                        dY = h * (_B1 * f1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+                    else:
+                        _, _, f2x, f2y, _ = evaluate(X + 0.5 * h * f1x, Y + 0.5 * h * f1y,
+                                                     t + 0.5 * h, False)
+                        _, _, f3x, f3y, _ = evaluate(X + 0.5 * h * f2x, Y + 0.5 * h * f2y,
+                                                     t + 0.5 * h, False)
+                        _, _, f4x, f4y, _ = evaluate(X + h * f3x, Y + h * f3y, t + h, False)
+                        dX = h / 6.0 * (f1x + 2.0 * f2x + 2.0 * f3x + f4x)
+                        dY = h / 6.0 * (f1y + 2.0 * f2y + 2.0 * f3y + f4y)
                     # isfinite, not a bound alone: a NaN increment must halve too.
                     ok = (math.isfinite(dX) and math.isfinite(dY)
                           and max(abs(dX), abs(dY)) <= 4.0 * _MAX_LOG_STEP)
                     if ok and controlled:
-                        # The end's evaluation starts the next step if this
-                        # one is accepted; err is the 3rd-order step's gap.
-                        end = evaluate(X + dX, Y + dY, t + h, True)
-                        err = h / 6.0 * max(abs(f4x - end[2]), abs(f4y - end[3]))
+                        # The end's evaluation is stage 7, and starts the
+                        # next step if this one is accepted.
+                        end = velocity(X + dX, Y + dY, None, t + h, True)
+                        err = h * max(
+                            abs(_E1 * f1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
+                                + _E7 * end[2]),
+                            abs(_E1 * f1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
+                                + _E7 * end[3]))
                         ok = math.isfinite(err)
                 except (MonomialOverflow, NonFinitePoint, OverflowError):
                     ok = False
@@ -536,7 +585,7 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
                 elif not controlled:
                     break
                 else:
-                    scale = 0.9 * (_STEP_TOL / err) ** 0.25 if err else 5.0
+                    scale = 0.9 * (_STEP_TOL / err) ** 0.2 if err else 5.0
                     if err <= _STEP_TOL:
                         h_next = h * min(5.0, scale)
                         break
@@ -569,8 +618,9 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 def integrate_to_point(system: MassActionSystem, start, fan: Fan, delta: float,
                        target: LogPoint, t_end: float = 200.0, rel_tol: float = 1e-6,
                        rescale: bool = False) -> Trajectory:
-    """Integrate an embedded field, in error-controlled steps of at most
-    integrate's default dt, until within rel_tol (log space) of target."""
+    """Integrate an embedded field, in integrate's error-controlled steps
+    from a first trial step of its default dt, until within rel_tol (log
+    space) of target."""
     strat = TimeRescaledField(system) if rescale else FieldStrategy(system)
 
     def close(X: float, Y: float, t: float) -> bool:
