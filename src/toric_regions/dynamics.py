@@ -11,7 +11,8 @@ under their error control, with dt its first trial step only.
 
 The integrator works on floats: a selection gives its velocities at the
 log point (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
-one that reads the cone gets it from _rhs_fast and fan.regions(delta).
+one that reads the cone gets it from _rhs_fast and fan.regions(delta),
+once per cell of the run and side of the cell's near strip boundary.
 Trajectories and witness legs hold their samples as float arrays (X, Y,
 vx, vy), a trajectory makes LogPoints only when read, and velocities are
 checked from the arrays by _violations, bit for bit as Cone.violation.
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .fan_geometry import (
     LINE_WIDTH,
+    STRIP_TOL,
     TWO_PI,
     Cone,
     Fan,
@@ -227,25 +229,6 @@ _ALTERNATION_PERIOD = 0.5  # time between AlternatingStrategy's switches
 _MIN_SPEED = 1e-3
 
 
-def _log_unit(X: float, Y: float, u: tuple[float, float], rhs: Cone):
-    """The x-space direction u at the log point (X, Y), rescaled to unit
-    log-space speed and then, unless rhs is the full plane, up to x-space
-    speed _MIN_SPEED (cones allow both), as a selection's velocity
-    (vx, vy, x'/x, y'/y, 0.0).  e^-X and e^-Y are each taken once, and
-    serve the speed and the log velocity."""
-    gx, gy = math.exp(-X), math.exp(-Y)
-    n = math.hypot(u[0] * gx, u[1] * gy)
-    if n == 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    vx, vy = u[0] / n, u[1] / n
-    if rhs.width != TWO_PI:
-        n = math.hypot(vx, vy)
-        if 0.0 < n < _MIN_SPEED:
-            scale = _MIN_SPEED / n
-            vx, vy = vx * scale, vy * scale
-    return vx, vy, vx * gx, vy * gy, 0.0
-
-
 class FieldStrategy:
     """Follow a fixed embedded mass-action field.
 
@@ -290,13 +273,25 @@ class TimeRescaledField(FieldStrategy):
 
 class _DirectionSelection:
     """A selection of one x-space direction of the cone, _direction(rhs, t),
-    at unit log speed, floored by _log_unit.  It jumps at sector
-    boundaries, so integrate steps it at the caps alone."""
+    at unit log speed and, unless rhs is the full plane, at least x-space
+    speed _MIN_SPEED (cones allow both).  It jumps at sector boundaries, so
+    integrate steps it at the caps alone."""
 
     reads_cone = True
 
     def velocity(self, X: float, Y: float, rhs: Cone, t: float, stiff: bool):
-        return _log_unit(X, Y, self._direction(rhs, t), rhs)
+        u = self._direction(rhs, t)
+        gx, gy = math.exp(-X), math.exp(-Y)  # for the speed and the log velocity
+        n = math.hypot(u[0] * gx, u[1] * gy)
+        if n == 0.0:
+            return 0.0, 0.0, 0.0, 0.0, 0.0
+        vx, vy = u[0] / n, u[1] / n
+        if rhs.width != TWO_PI:
+            n = math.hypot(vx, vy)
+            if 0.0 < n < _MIN_SPEED:
+                scale = _MIN_SPEED / n
+                vx, vy = vx * scale, vy * scale
+        return vx, vy, vx * gx, vy * gy, 0.0
 
 
 class ExtremeRayStrategy(_DirectionSelection):
@@ -435,11 +430,16 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
 
     reads_cone decides the rest.  A selection that reads the cone (the
     ray, alternating and random ones, which jump at sector boundaries) is
-    passed its cone rhs from _rhs_fast, with the strip table
-    fan.regions(delta) built once per run, and takes classical RK4 steps
-    at its caps alone.  Any other (a smooth embedded field) is passed
-    rhs=None, is asked for the stiffness of its step starts and ends, and
-    takes Dormand and Prince's 5(4) steps under their error control.
+    passed its cone rhs, the very value _rhs_fast gives at the point, with
+    the strip table fan.regions(delta) built once per run, and takes
+    classical RK4 steps at its caps alone.  The run keeps one cell, the
+    last point _rhs_fast classified: a point within its radius and off its
+    near boundary's STRIP_TOL band gets its value for that side of the
+    boundary (filled on first visit); any other (NaN and inf too) calls
+    _rhs_fast and restarts the cell.  Any other selection (a smooth
+    embedded field) is passed rhs=None, is asked for the stiffness of its
+    step starts and ends, and takes Dormand and Prince's 5(4) steps under
+    their error control.
 
     Every step is capped at t_end - t and so that no single update moves
     more than 0.25 in log space; a cone reader's also at dt, and a
@@ -493,9 +493,24 @@ def integrate(strategy, start, fan: Fan, delta: float, t_end: float,
     controlled = not strategy.reads_cone
     table = None if controlled else fan.regions(delta)
     velocity = strategy.velocity
+    # A cone reader's cell: its centre, radius and near row, and its value
+    # on each side of the near row's boundary, [outside, inside], once seen.
+    cx, cy, radius, near, sides = 0.0, 0.0, 0.0, None, None
 
     def evaluate(px: float, py: float, tt: float, stiff: bool):
-        rhs = None if controlled else _rhs_fast(px, py, fan, delta, table)
+        nonlocal cx, cy, radius, near, sides
+        if controlled:
+            return velocity(px, py, None, tt, stiff)
+        if abs(px - cx) < radius and abs(py - cy) < radius:  # never true of NaN or inf
+            _, q, p, half_width, _, _ = near
+            s = abs(q * py - p * px)
+            if abs(s - half_width) > STRIP_TOL:
+                inside = s < half_width
+                sides[inside] = sides[inside] or _rhs_fast(px, py, fan, delta, table)[0]
+                return velocity(px, py, sides[inside], tt, stiff)
+        rhs, radius, near = _rhs_fast(px, py, fan, delta, table)
+        cx, cy, sides = px, py, [None, None]
+        sides[abs(near[1] * py - near[2] * px) < near[3]] = rhs
         return velocity(px, py, rhs, tt, stiff)
 
     def check_starts() -> float:

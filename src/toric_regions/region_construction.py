@@ -294,17 +294,17 @@ def _line_y_log(X0: float, Y0: float, s: float, X: float) -> float:
     same call on the x<->y mirror, _line_y_log(Y0, X0, dx/dy, Y).
 
     y = y0 * (1 + z) with z = s * e^(X0 - Y0) * expm1(X - X0).  The product
-    is formed directly while its exponents stay below _EXP_SAFE, and from
-    the sum of the logs of its factors beyond that.  Raises NoCrossing where
-    the line has left the positive quadrant (1 + z <= 0).
+    is formed directly while its exponents stay below _EXP_SAFE and it is
+    finite, and from the sum of the logs of its factors otherwise.  Raises
+    NoCrossing where the line has left the positive quadrant (1 + z <= 0).
     """
     e = X0 - Y0
     t = X - X0
-    if -_EXP_SAFE < e < _EXP_SAFE and t < _EXP_SAFE and e + t < _EXP_SAFE:
-        z = s * math.exp(e) * math.expm1(t)
-    elif s == 0.0 or t == 0.0:
-        return Y0
-    else:
+    direct = -_EXP_SAFE < e < _EXP_SAFE and t < _EXP_SAFE and e + t < _EXP_SAFE
+    z = s * math.exp(e) * math.expm1(t) if direct else math.nan
+    if not math.isfinite(z):
+        if s == 0.0 or t == 0.0:
+            return Y0
         # log|z|, with log|expm1(t)| = max(t, 0) + log(1 - e^-|t|).
         lz = math.log(abs(s)) + e + max(t, 0.0) + math.log(-math.expm1(-abs(t)))
         if lz > _EXP_SAFE and s * t > 0.0:
@@ -322,22 +322,33 @@ def _math_map(fn, *arrays) -> np.ndarray:
 
 
 def _line_y_log_batch(X0, Y0, s, X) -> np.ndarray:
-    """_line_y_log elementwise over arrays, bit for bit.
-
-    Elements on its direct branch are computed here; the rest go one by one
-    through _line_y_log itself.  Raises NoCrossing if any element has left
-    the positive quadrant.
+    """_line_y_log elementwise over arrays, bit for bit: each branch in the
+    same math functions and order of operations.  A direct element of slope
+    below 1e4 has |z| < 1e4 * e^700, finite, so where all are such the log
+    form is skipped.  NoCrossing if any element has left the quadrant.
     """
     e, t = X0 - Y0, X - X0
     direct = (-_EXP_SAFE < e) & (e < _EXP_SAFE) & (t < _EXP_SAFE) & (e + t < _EXP_SAFE)
-    z = s[direct] * _math_map(math.exp, e[direct]) * _math_map(math.expm1, t[direct])
+    out, keep = np.empty_like(X), slice(None)  # keep: the elements whose value is Y0 + log1p(z)
+    if direct.all() and (np.abs(s) < 1e4).all():
+        z = s * _math_map(math.exp, e) * _math_map(math.expm1, t)
+    else:
+        with np.errstate(all="ignore"):  # inf and NaN arise silently, as in Python floats
+            z = np.full_like(X, np.nan)
+            z[direct] = s[direct] * _math_map(math.exp, e[direct]) * _math_map(math.expm1, t[direct])
+            out[:], keep = Y0, np.isfinite(z)  # the log form's value where s = 0 or t = 0
+            k = np.flatnonzero(~keep & (s != 0.0) & (t != 0.0))
+            sk, tk = s[k], t[k]
+            lz = (_math_map(math.log, np.abs(sk)) + e[k] + np.maximum(tk, 0.0)
+                  + _math_map(math.log, -_math_map(math.expm1, -np.abs(tk))))
+            far = (lz > _EXP_SAFE) & (sk * tk > 0.0)
+            out[k[far]] += lz[far]
+            z[k] = np.copysign(_math_map(math.exp, np.minimum(lz, _EXP_SAFE)), sk * tk)
+            keep[k[~far]] = True
+        z = z[keep]
     if not (z > -1.0).all():
         raise NoCrossing("the line leaves the positive quadrant")
-    out = np.empty_like(X)
-    out[direct] = Y0[direct] + _math_map(math.log1p, z)
-    rest = ~direct
-    out[rest] = [_line_y_log(*args) for args in zip(X0[rest].tolist(), Y0[rest].tolist(),
-                                                     s[rest].tolist(), X[rest].tolist())]
+    out[keep] = Y0[keep] + _math_map(math.log1p, z)
     return out
 
 

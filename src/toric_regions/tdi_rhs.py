@@ -20,8 +20,9 @@ battery's check, and, with the inclusive tol, the integrator's check of
 every step start and the check of every candidate witness route.
 ``_rhs_fast``, the value the integrator steps on, reads the near set off
 r(x) and the active strip's arm, from the floats (X, Y) and the rows of
-``Fan.regions``, the strip table of a (fan, delta); within STRIP_TOL of
-a strip boundary it returns ``rhs_bruteforce``'s value instead.
+``Fan.regions``, the strip table of a (fan, delta); it gives
+``rhs_bruteforce``'s value within STRIP_TOL of a strip boundary, and a
+radius within which the value is one per side of the nearest boundary.
 Velocities are checked against a value c by ``c.violation(v)``: 0
 inside, else the worst excess over |v|.
 """
@@ -97,33 +98,46 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
     return [record.values[c] for c in codes.tolist()], np.searchsorted(codes, near)
 
 
-def _rhs_fast(X: float, Y: float, fan: Fan, delta: float, table: tuple) -> Cone:
-    """The value at the log point (X, Y), with the near set chosen by the
-    strip-interior count r(x) from the rows of table, the strip table
-    fan.regions(delta), and read from the values memo of _fan_table(fan).
+def _rhs_fast(X: float, Y: float, fan: Fan, delta: float, table: tuple):
+    """The value at the log point (X, Y) and its cell, (value, radius,
+    near_row): the near set is chosen by the strip-interior count r(x) from
+    the rows of table, the strip table fan.regions(delta), and the value
+    read from the values memo of _fan_table(fan).
 
     r >= 2 gives the shared full plane; r = 1 the two sectors on either side
     of the active strip's arm on the point's side (both half planes of a
     one-generator fan); r = 0 the containing sector alone.  Within
-    STRIP_TOL of any strip boundary the count cannot choose, and the value
-    is rhs_bruteforce's.  NonFinitePoint unless X and Y are finite.
+    STRIP_TOL of any strip boundary the count cannot choose: the value is
+    rhs_bruteforce's and the radius 0.  Elsewhere near_row is the row of
+    the nearest boundary, and within the radius (infinity norm) lies no
+    STRIP_TOL band of another boundary (near_row's far one included) and
+    no zero of an along-coordinate q*X + p*Y, each margin over |q| + |p|
+    less 2 * STRIP_TOL and a rounding slack: one value on each side of
+    near_row's boundary.  NonFinitePoint unless X and Y are finite.
     """
     if not (math.isfinite(X) and math.isfinite(Y)):
         raise NonFinitePoint(f"point ({X}, {Y}) is not finite")
-    active = -1
-    r = 0
+    active, r, near_row = -1, 0, None
+    size, radius, nearest = max(abs(X), abs(Y)), math.inf, math.inf
     for i, q, p, half_width, _, _ in table:
         s = abs(q * Y - p * X)
-        if abs(s - half_width) <= STRIP_TOL:
-            return rhs_bruteforce(LogPoint(X, Y), fan, delta)
+        gap = abs(s - half_width)
+        if gap <= STRIP_TOL:
+            return rhs_bruteforce(LogPoint(X, Y), fan, delta), 0.0, table[i]
         if s < half_width:
             r += 1
             active = i
+        w = abs(q) + abs(p)
+        slack = 2.0 * STRIP_TOL + 1e-12 * w * size + 1e-12 * half_width  # finite, so no NaN
+        margin = (gap - slack) / w
+        if margin <= nearest:  # the old nearest boundary bounds the radius now
+            margin, nearest, near_row = nearest, margin, table[i]
+        radius = min(radius, margin, (min(s + half_width, abs(q * X + p * Y)) - slack) / w)
     if r >= 2:
-        return _FULL_PLANE
+        return _FULL_PLANE, radius, near_row
     record = _fan_table(fan)
     if r == 0:
-        return record.values[1 << _flanking_arms(X, Y, record.arms)]
+        return record.values[1 << _flanking_arms(X, Y, record.arms)], radius, near_row
     _, q, p, _, plus, minus = table[active]
     # The sign of the along-coordinate q*X + p*Y picks the arm.
-    return record.values[plus if q * X + p * Y >= 0.0 else minus]
+    return record.values[plus if q * X + p * Y >= 0.0 else minus], radius, near_row

@@ -81,7 +81,7 @@ def test_anchor_witnesses_match_the_record():
 
 @pytest.mark.parametrize("delta, anchors, sample", [(100.0, 1854, 120), (300.0, 1798, 40)])
 def test_anchor_witnesses_arrive_at_large_delta(delta, anchors, sample):
-    # A seeded sample: a witness takes about 20 ms at delta = 100 and 65
+    # A seeded sample: a witness takes about 13 ms at delta = 100 and 33
     # ms at 300, where its legs are long, so all of them take minutes.
     targets = [(gens, fan, region, name, anchor)
                for gens, fan, region in validated_regions(delta)

@@ -61,6 +61,9 @@ from toric_regions.region_construction import (
 from toric_regions.tdi_rhs import rhs_bruteforce
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
+# The reach workload's fans: worked, axis, all_positive and all_negative.
+REACH_GENS = ([(-1, 1), (1, 2), (2, 1)], [(-1, 1), (1, 2), (2, 1), (1, 0)], [(1, 2), (2, 1)],
+              [(-1, 2), (-2, 1)])
 CROSS_FAN = Fan([(1, 1), (-1, 1)])
 DELTA = 3.0
 
@@ -459,27 +462,73 @@ class TestIntegrate:
                       t_end=0.0)
 
     def test_ray_and_custom_selections_get_the_cone(self):
-        # Step starts and stages alike get the classified value, or the
-        # brute-force one at a strip boundary.
+        # Step starts and stages alike get the very value _rhs_fast gives at
+        # their point (the brute-force one at a strip boundary), whether the
+        # run's cell keeps it or calls _rhs_fast.  Short runs of the worked
+        # fan, then long runs of the four built-in cone readers on the four
+        # reach fans, from far starts that slide along a boundary and from
+        # seeded starts in [-3, 3]^2 that cross the r >= 2 zone.
         seen = []
-        table = WORKED_FAN.regions(DELTA)
 
-        class Recording(ExtremeRayStrategy):
-            def velocity(self, X, Y, rhs, t, stiff):
-                seen.append((LogPoint(X, Y), rhs))
-                return super().velocity(X, Y, rhs, t, stiff)
+        def recorded(strategy):
+            velocity = strategy.velocity
+
+            def wrapper(X, Y, rhs, t, stiff):
+                seen.append((X, Y, rhs))
+                return velocity(X, Y, rhs, t, stiff)
+
+            strategy.velocity = wrapper
+            return strategy
 
         class Custom(XVelocity):
             def x_velocity(self, point, rhs, t):
-                seen.append((point, rhs))
+                seen.append((point.X, point.Y, rhs))
                 return (rhs.extreme_rays() or [(-1.0, -1.0)])[0]
 
-        for strategy in (Recording("left"), Custom()):
+        def check(strategy, start, fan, t_end):
             seen.clear()
-            integrate(strategy, LogPoint(-2.0, 1.5), WORKED_FAN, DELTA, t_end=0.1)
-            assert len(seen) > 10
-            for point, rhs in seen:
-                assert rhs == dynamics._rhs_fast(point.X, point.Y, WORKED_FAN, DELTA, table)
+            integrate(strategy, start, fan, DELTA, t_end=t_end)
+            table = fan.regions(DELTA)
+            for X, Y, rhs in seen:
+                assert rhs is dynamics._rhs_fast(X, Y, fan, DELTA, table)[0]
+            return [rhs for _, _, rhs in seen]
+
+        for strategy in (recorded(ExtremeRayStrategy("left")), Custom()):
+            assert len(check(strategy, LogPoint(-2.0, 1.5), WORKED_FAN, 0.1)) > 10
+        rng = np.random.default_rng(45)
+        starts = [(12.0, -4.0), (-10.0, -10.0), *rng.uniform(-3.0, 3.0, (3, 2)).tolist()]
+        switches = full = 0
+        for gens in REACH_GENS:
+            fan = Fan(gens)
+            for k, start in enumerate(starts):
+                for name, strategy in builtin_strategies(fan, DELTA, seed=k).items():
+                    if strategy.reads_cone:
+                        values = check(recorded(strategy), LogPoint(*start), fan, 5.0)
+                        assert len(values) > 2000
+                        switches += sum(a is not b for a, b in zip(values, values[1:]))
+                        full += sum(c.width == TWO_PI for c in values)
+        assert switches > 10000 and full > 10000
+
+    def test_a_sliding_run_keeps_its_cell(self, monkeypatch):
+        # extreme_left from (12, -4) runs down to the boundary X + Y = 3*sqrt(2)
+        # of the strip of (-1, 1) and slides along it, switching between the
+        # values on either side hundreds of times: its cell keeps both, and
+        # _rhs_fast runs on under 5 % of the evaluations.
+        calls, seen = [], []
+        fast = dynamics._rhs_fast
+        monkeypatch.setattr(dynamics, "_rhs_fast", lambda *a: calls.append(a) or fast(*a))
+
+        class Recording(ExtremeRayStrategy):
+            def velocity(self, X, Y, rhs, t, stiff):
+                seen.append(rhs)
+                return super().velocity(X, Y, rhs, t, stiff)
+
+        traj = integrate(Recording("left"), LogPoint(12.0, -4.0), WORKED_FAN, DELTA, t_end=5.0)
+        assert traj.termination == "t_end" and traj.worst_violation <= 1e-9
+        assert np.all(np.abs(traj.X[-100:] + traj.Y[-100:] - 3.0 * math.sqrt(2.0)) < 0.01)
+        assert len({id(c) for c in seen}) == 2
+        assert sum(a is not b for a, b in zip(seen, seen[1:])) > 300
+        assert len(calls) < 0.05 * len(seen)
 
     class Walled(XVelocity):
         """Unit log speed along +X; the velocity overflows past X = 0.025."""
@@ -923,7 +972,7 @@ class TestRhsFast:
                 if on_a_strip_boundary(X, Y, table):
                     ambiguous.append(LogPoint(X, Y))
                 truth = rhs_bruteforce(LogPoint(X, Y), fan, DELTA)
-                assert dynamics._rhs_fast(X, Y, fan, DELTA, table) == truth
+                assert dynamics._rhs_fast(X, Y, fan, DELTA, table)[0] is truth
         assert seen == ambiguous and len(ambiguous) >= 2 * len(table)
         assert not any(on_a_strip_boundary(X, Y, table) for X, Y in points[:400])
 
@@ -933,6 +982,19 @@ class TestRhsFast:
         with pytest.raises(NonFinitePoint, match="^point"):
             dynamics._rhs_fast(X, Y, WORKED_FAN, DELTA, table)
 
+    def test_overflowing_strip_coordinates_keep_a_cell(self):
+        # Near the float limit q*Y - p*X and q*X + p*Y overflow to inf: the
+        # cell still names a row, its radius is no NaN, and a ray run from
+        # there stalls at once, its velocity 0.
+        fan = Fan([(1, 2), (2, 1)])
+        table = fan.regions(DELTA)
+        for X, Y in ((1e308, 1e308), (1e308, -1e308), (-1e308, 1e308)):
+            _, radius, near_row = dynamics._rhs_fast(X, Y, fan, DELTA, table)
+            assert near_row in table and not math.isnan(radius)
+        traj = integrate(ExtremeRayStrategy("left"), LogPoint(1e308, 1e308), fan, DELTA,
+                         t_end=1.0)
+        assert traj.termination == "stalled" and len(traj.times) == 1
+
     def test_strip_boundary_takes_the_bruteforce_value(self):
         # On the boundary of strip (1,2), 2Y - X = delta_i, with the gap
         # outside: the strip count cannot choose, and _rhs_fast gives the
@@ -941,8 +1003,8 @@ class TestRhsFast:
         table = WORKED_FAN.regions(DELTA)
         assert on_a_strip_boundary(pt.X, pt.Y, table)
         with fallbacks() as seen:
-            assert dynamics._rhs_fast(pt.X, pt.Y, WORKED_FAN, DELTA, table) == \
-                rhs_bruteforce(pt, WORKED_FAN, DELTA)
+            value, radius, _ = dynamics._rhs_fast(pt.X, pt.Y, WORKED_FAN, DELTA, table)
+        assert value is rhs_bruteforce(pt, WORKED_FAN, DELTA) and radius == 0.0
         assert seen == [pt]
         # The run steps off the boundary: only its points within STRIP_TOL
         # of one fall back, the start among them.

@@ -439,19 +439,31 @@ class TestLineKernel:
         # The exit itself is the mirror's value at log y -> -inf.
         assert _line_y_log(0.0, 0.0, -1.0, -math.inf) == pytest.approx(math.log(2.0), abs=1e-15)
 
+    # X0 - Y0 = 699.5 and s = 1e10: the direct product overflows (inf * 0 is
+    # NaN at the line's start) although y is finite.
+    OVERFLOWS = ((0.0, -699.5, 1e10, 0.0), (0.0, -699.5, 1e10, 0.2))
+
     def test_batch_kernel_is_the_scalar_kernel_bit_for_bit(self):
         # Seeded inputs across the direct branch, the log branch (|X0 - Y0|
-        # or the exponents past _EXP_SAFE), t = 0 and s = 0.
+        # or the exponents past _EXP_SAFE) and its lz > _EXP_SAFE shortcut,
+        # t = 0, s = 0, the quadrant exit and direct products that overflow
+        # (X0 - Y0 near 700 and a large slope), the two OVERFLOWS among them.
         rng = np.random.default_rng(14)
         n = 6000
         X0 = rng.uniform(-1000.0, 1000.0, n)
-        Y0 = X0 - np.where(rng.random(n) < 0.7, rng.uniform(-40.0, 40.0, n),
-                           rng.uniform(-1000.0, 1000.0, n))
+        gap = np.where(rng.random(n) < 0.7, rng.uniform(-40.0, 40.0, n),
+                       rng.uniform(-1000.0, 1000.0, n))
+        gap[:300] = rng.uniform(690.0, 699.9, 300)
+        Y0 = X0 - gap
         t = np.where(rng.random(n) < 0.7, rng.uniform(-60.0, 60.0, n),
                      rng.uniform(-900.0, 900.0, n))
+        t[:300] = rng.uniform(-2.0, 2.0, 300)
         t[rng.random(n) < 0.05] = 0.0
         s = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-3.0, 3.0, n))
+        s[:300] *= np.exp(rng.uniform(0.0, 30.0, 300))
         s[rng.random(n) < 0.05] = 0.0
+        X0, Y0, s, t = (np.append(a, b) for a, b in zip((X0, Y0, s, t), zip(*(
+            (x0, y0, sl, x - x0) for x0, y0, sl, x in self.OVERFLOWS))))
         X = X0 + t
         want, exits = [], []
         for k, args in enumerate(zip(X0.tolist(), Y0.tolist(), s.tolist(), X.tolist())):
@@ -459,20 +471,40 @@ class TestLineKernel:
                 want.append(_line_y_log(*args))
             except NoCrossing:
                 exits.append(k)
-        keep = np.setdiff1d(np.arange(n), exits)
-        got = _line_y_log_batch(X0[keep], Y0[keep], s[keep], X[keep])
+        keep = np.setdiff1d(np.arange(len(X)), exits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in the batch either
+            got = _line_y_log_batch(X0[keep], Y0[keep], s[keep], X[keep])
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-        e, tk = (X0 - Y0)[keep], (X - X0)[keep]
+        assert all(math.isfinite(v) for v in want) and len(X) - 2 in keep and len(X) - 1 in keep
+        e, tk, sk = (X0 - Y0)[keep], (X - X0)[keep], s[keep]
         direct = (np.abs(e) < _EXP_SAFE) & (tk < _EXP_SAFE) & (e + tk < _EXP_SAFE)
         assert direct.sum() > 1000 and (~direct).sum() > 300
-        assert (tk == 0.0).any() and (s[keep] == 0.0).any()
-        assert ((tk == 0.0) & ~direct).any() and ((s[keep] == 0.0) & ~direct).any()
+        assert (tk == 0.0).any() and (sk == 0.0).any()
+        assert ((tk == 0.0) & ~direct).any() and ((sk == 0.0) & ~direct).any()
+        with np.errstate(all="ignore"):
+            product = sk * np.exp(e) * np.expm1(tk)
+            lz = np.log(np.abs(sk)) + e + np.log(np.abs(np.expm1(tk)))
+        overflow = direct & ~np.isfinite(product)
+        assert overflow.sum() > 20 and (overflow & (tk == 0.0)).any()
+        assert ((~direct | overflow) & (lz > _EXP_SAFE) & (sk * tk > 0.0)).sum() > 50
         # Each element the scalar kernel rejects makes the batch raise too.
         e = (X0 - Y0)[exits]
         assert (np.abs(e) < _EXP_SAFE).any() and (np.abs(e) >= _EXP_SAFE).any()
         for k in exits:
             with pytest.raises(NoCrossing):
                 _line_y_log_batch(X0[[0, k]], Y0[[0, k]], s[[0, k]], X[[0, k]])
+
+    def test_overflowing_direct_products_take_the_log_form(self):
+        # Each y is finite: y0 at the line's start, and past it log y is
+        # Y0 + log|s| + (X0 - Y0) + log(expm1(t)), as the log form gives it.
+        (X0, Y0, s, X), moved = self.OVERFLOWS
+        assert _line_y_log(X0, Y0, s, X) == Y0
+        Y = _line_y_log(*moved)
+        t = moved[3] - moved[0]
+        assert math.isfinite(Y)
+        assert Y == pytest.approx(Y0 + math.log(s) + (X0 - Y0) + math.log(math.expm1(t)),
+                                  abs=1e-12)
 
     def test_falls_reads_signs(self):
         o = LogPoint(0.0, 0.0)
@@ -1132,16 +1164,25 @@ class TestArraySampler:
 
     @pytest.mark.parametrize("delta", [3.0, 100.0])
     def test_catalog_fans(self, delta, monkeypatch):
-        scalar_calls = []
+        scalar_calls, log_form = [], []
+
+        def counting_batch(X0, Y0, s, X):
+            # Elements off the batch kernel's direct branch.
+            e, t = X0 - Y0, X - X0
+            log_form.append(int((~((np.abs(e) < _EXP_SAFE) & (t < _EXP_SAFE)
+                                   & (e + t < _EXP_SAFE))).sum()))
+            return _line_y_log_batch(X0, Y0, s, X)
 
         def counting_sampler(b, total):
             # Scalar kernel calls made by the array sampler alone.
             monkeypatch.setattr(region_construction, "_line_y_log",
                                 lambda *args: scalar_calls.append(args) or _line_y_log(*args))
+            monkeypatch.setattr(region_construction, "_line_y_log_batch", counting_batch)
             try:
                 return sample_boundary(b, total)
             finally:
                 monkeypatch.setattr(region_construction, "_line_y_log", _line_y_log)
+                monkeypatch.setattr(region_construction, "_line_y_log_batch", _line_y_log_batch)
 
         built = 0
         for gens in CATALOG_GENS:
@@ -1152,9 +1193,10 @@ class TestArraySampler:
             built += 1
             self.assert_matches_references(b, counting_sampler)
         assert built > 100
-        # At delta = 100 some samples leave the direct branch and go through
-        # the scalar kernel one by one; at delta = 3 none do.
-        assert bool(scalar_calls) is (delta == 100.0)
+        # At delta = 100 some samples leave the direct branch, and the batch
+        # kernel takes them in its log form; at delta = 3 none do.  Neither
+        # calls the scalar kernel.
+        assert scalar_calls == [] and (sum(log_form) > 0) is (delta == 100.0)
 
     def test_scalar_raise_is_kept(self):
         # The sampled point past the quadrant exit raises NoCrossing in the

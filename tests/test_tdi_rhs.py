@@ -65,15 +65,19 @@ def fallbacks():
 
 
 def rhs_fast(point, fan: Fan, delta: float) -> Cone:
-    """_rhs_fast, the classifier the integrator steps on, at a point.  It
-    must fall back to rhs_bruteforce exactly where the point lies within
-    STRIP_TOL of a strip boundary: a band test that fires too often would
-    still return the definition's value, so the fallback is counted too."""
+    """_rhs_fast's value, the classifier's the integrator steps on, at a
+    point.  It must fall back to rhs_bruteforce exactly where the point lies
+    within STRIP_TOL of a strip boundary: a band test that fires too often
+    would still return the definition's value, so the fallback is counted
+    too.  There, and only there, the point's cell has radius 0; its near
+    row is a row of the strip table."""
     pt = as_log(point)
     table = fan.regions(delta)
     with fallbacks() as seen:
-        value = _rhs_fast(pt.X, pt.Y, fan, delta, table)
-    assert len(seen) == on_a_strip_boundary(pt.X, pt.Y, table), (pt, fan, delta, seen)
+        value, radius, near_row = _rhs_fast(pt.X, pt.Y, fan, delta, table)
+    on = on_a_strip_boundary(pt.X, pt.Y, table)
+    assert len(seen) == on, (pt, fan, delta, seen)
+    assert (radius == 0.0) == on and near_row in table, (pt, fan, delta, radius)
     return value
 
 
@@ -347,6 +351,41 @@ class TestClassifiedIsDefinition:
                 assert (fast.lo, fast.width) == (slow.lo, slow.width), (fan, delta, pt)
                 seen.add(min(r_count(pt, fan, delta), 2))
         assert seen == ({0, 1} if max_b == 1 else {0, 1, 2})
+
+    @pytest.mark.parametrize("min_b, max_b", [(1, 1), (2, 6)])
+    def test_one_value_per_side_within_the_radius(self, min_b, max_b):
+        # Within the radius of a point (infinity norm), off the STRIP_TOL
+        # band of its near row, _rhs_fast gives one value on each side of
+        # that row's boundary: at seeded points of the box, at its corners
+        # scaled by 0.999, and where the boundary is in reach, at points
+        # 2 * STRIP_TOL to 1e-6 across it on both sides.
+        rng = np.random.default_rng(21 + min_b)
+        both = cells = 0
+        for fan in random_fans(rng, 40, min_b, max_b):
+            delta = float(rng.uniform(0.5, 6.0))
+            table = fan.regions(delta)
+            for X, Y in rng.uniform(-5.0 * delta, 5.0 * delta, size=(20, 2)).tolist():
+                value, radius, (_, q, p, half_width, _, _) = _rhs_fast(X, Y, fan, delta, table)
+                if radius <= 0.0:
+                    continue
+                cells += 1
+                box = [*(rng.uniform(-1.0, 1.0, size=(20, 2)) * radius).tolist(),
+                       *(0.999 * radius * np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])).tolist()]
+                a = q * Y - p * X
+                step = (math.copysign(half_width, a) - a) / (q * q + p * p)
+                foot = (-p * step, q * step)  # the nearest point of the near boundary
+                if max(map(abs, foot)) < 0.9 * radius:
+                    for e in (2.0 * STRIP_TOL, 1e-8, 1e-6, -2.0 * STRIP_TOL, -1e-8, -1e-6):
+                        box.append((foot[0] * (1.0 + e), foot[1] * (1.0 + e)))
+                sides = {abs(q * Y - p * X) < half_width: value}
+                for dX, dY in box:
+                    PX, PY = X + dX, Y + dY
+                    s = abs(q * PY - p * PX)
+                    if abs(s - half_width) > STRIP_TOL:
+                        got = _rhs_fast(PX, PY, fan, delta, table)[0]
+                        assert got is sides.setdefault(s < half_width, got), (fan, delta, X, Y)
+                both += len(sides) == 2
+        assert cells > 600 and both > 50
 
     def test_full_plane_is_one_shared_object(self):
         a = rhs_fast(LogPoint(0.0, 0.0), WORKED_FAN, 3.0)

@@ -343,11 +343,24 @@ def test_unrun_lines_enumerates_statements_and_records_hits(tmp_path):
                    "        y = (x +\n"
                    "             1)\n"
                    "        return y\n"
-                   "    return 0\n")
-    # Docstrings are no statements; a def owns its decorators, a compound
+                   "    return 0\n"
+                   "\n"
+                   "\n"
+                   "def g():\n"
+                   "    n = 0\n"
+                   "\n"
+                   "    def inc():\n"
+                   "        nonlocal n\n"
+                   "        n += 1\n"
+                   "    inc()\n"
+                   "    return n\n")
+    # Docstrings and declarations (nonlocal, which compiles to no code and
+    # never fires) are no statements; a def owns its decorators, a compound
     # statement its header, a simple one all its lines.
     assert tool.statements(mod) == {2: range(2, 3), 6: range(5, 7), 8: range(8, 9),
-                                    9: range(9, 11), 11: range(11, 12), 12: range(12, 13)}
+                                    9: range(9, 11), 11: range(11, 12), 12: range(12, 13),
+                                    15: range(15, 16), 16: range(16, 17), 18: range(18, 19),
+                                    20: range(20, 21), 21: range(21, 22), 22: range(22, 23)}
     spec = importlib.util.spec_from_file_location("pkg_mod", mod)
     module = importlib.util.module_from_spec(spec)
     recorder = tool.LineRecorder(src)
@@ -355,7 +368,7 @@ def test_unrun_lines_enumerates_statements_and_records_hits(tmp_path):
     recorder.start()
     try:
         spec.loader.exec_module(module)
-        assert module.f(1) == 2
+        assert module.f(1) == 2 and module.g() == 1
     finally:
         recorder.stop()
     assert sys.gettrace() is outer
@@ -363,7 +376,8 @@ def test_unrun_lines_enumerates_statements_and_records_hits(tmp_path):
     assert tool.unrun(src, recorder.hits) == ["src/pkg/mod.py:12: return 0"]
     assert tool.unrun(src, {}) == [f"src/pkg/mod.py:{n}: {line}" for n, line in (
         (2, "import functools"), (6, "def f(x):"), (8, "if x:"), (9, "y = (x +"),
-        (11, "return y"), (12, "return 0"))]
+        (11, "return y"), (12, "return 0"), (15, "def g():"), (16, "n = 0"),
+        (18, "def inc():"), (20, "n += 1"), (21, "inc()"), (22, "return n"))]
 
 
 def test_prod_lines_reports_the_defs_none_of_whose_statements_ran(tmp_path):

@@ -10,7 +10,8 @@ line, as
 followed on standard error by the count.  A statement counts as run when
 any line it owns fires a line event: every line of a simple statement, the
 header lines (decorators included) of a compound one.  Docstrings are no
-statements here.  Only the standard library's tracer and ``ast`` are used,
+statements here, nor are global and nonlocal declarations, which compile
+to no code and so never fire.  Only the standard library's tracer and ``ast`` are used,
 and the trace slows the suite about fivefold.
 
 Run from anywhere:
@@ -39,8 +40,9 @@ def _first_line(node: ast.stmt) -> int:
 
 
 def statements(path: Path) -> dict[int, range]:
-    """Every statement of the module at path but docstrings: the line of
-    its keyword mapped to the lines it owns."""
+    """Every statement of the module at path but docstrings and global or
+    nonlocal declarations: the line of its keyword mapped to the lines it
+    owns."""
     tree = ast.parse(path.read_text(), filename=str(path))
     docstrings = {id(scope.body[0]) for scope in ast.walk(tree)
                   if isinstance(scope, _SCOPES) and scope.body
@@ -49,7 +51,8 @@ def statements(path: Path) -> dict[int, range]:
                   and isinstance(scope.body[0].value.value, str)}
     out = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.stmt) and id(node) not in docstrings:
+        if (isinstance(node, ast.stmt) and id(node) not in docstrings
+                and not isinstance(node, (ast.Global, ast.Nonlocal))):
             body = getattr(node, "body", None)
             last = max(node.lineno, _first_line(body[0]) - 1) if body else node.end_lineno
             out[node.lineno] = range(_first_line(node), last + 1)
