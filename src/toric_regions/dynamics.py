@@ -35,9 +35,7 @@ from .errors import (
     WitnessFailed,
 )
 from .fan_geometry import (
-    LINE_WIDTH,
     STRIP_TOL,
-    TWO_PI,
     Cone,
     Fan,
     LogPoint,
@@ -224,9 +222,6 @@ def embedded_system_for_target(fan: Fan, delta: float, target: str,
 
 _FALLBACK_ANGLE = 2.5  # full-plane direction of the left extreme ray; right mirrors it
 _ALTERNATION_PERIOD = 0.5  # time between AlternatingStrategy's switches
-# x-space speed floor of the ray selections in a proper cone: where x or y
-# is small a unit log speed is a tiny x-space velocity.
-_MIN_SPEED = 1e-3
 
 
 class FieldStrategy:
@@ -273,8 +268,7 @@ class TimeRescaledField(FieldStrategy):
 
 class _DirectionSelection:
     """A selection of one x-space direction of the cone, _direction(rhs, t),
-    at unit log speed and, unless rhs is the full plane, at least x-space
-    speed _MIN_SPEED (cones allow both).  It jumps at sector boundaries, so
+    at unit log speed (cones allow any).  It jumps at sector boundaries, so
     integrate steps it at the caps alone."""
 
     reads_cone = True
@@ -286,16 +280,11 @@ class _DirectionSelection:
         if n == 0.0:
             return 0.0, 0.0, 0.0, 0.0, 0.0
         vx, vy = u[0] / n, u[1] / n
-        if rhs.width != TWO_PI:
-            n = math.hypot(vx, vy)
-            if 0.0 < n < _MIN_SPEED:
-                scale = _MIN_SPEED / n
-                vx, vy = vx * scale, vy * scale
         return vx, vy, vx * gx, vy * gy, 0.0
 
 
 class ExtremeRayStrategy(_DirectionSelection):
-    """Always pick one extreme ray of the cone (unit log speed, floored).
+    """Always pick one extreme ray of the cone (unit log speed).
 
     In full-plane zones there is no constraint; a fixed fallback direction
     keeps the trajectory moving deterministically.
@@ -328,8 +317,11 @@ class AlternatingStrategy(_DirectionSelection):
 
 
 class RandomInConeStrategy(_DirectionSelection):
-    """Seeded random direction strictly inside the cone (unit log speed,
-    floored)."""
+    """Seeded random direction inside the cone (unit log speed): in the full
+    plane uniform in angle, on a line or a ray one of its rays, in a half
+    plane cos(pi*u) * start + sin(pi*u) * inward normal, uniform in angle,
+    and in a sector the normalized (1 - u) * start + u * end, which is not
+    uniform in angle; u is uniform in [0.05, 0.95]."""
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
@@ -346,13 +338,19 @@ class RandomInConeStrategy(_DirectionSelection):
 
     def _direction(self, rhs: Cone, t: float) -> tuple[float, float]:
         u = self._uniform(0.05, 0.95)
-        if rhs.width == TWO_PI:
+        rays = rhs.extreme_rays()
+        if not rays:
             a = self._uniform(0.0, 2.0 * math.pi)
-        elif rhs.width == LINE_WIDTH:
-            a = rhs.lo + (0.0 if u < 0.5 else math.pi)
-        else:
-            a = rhs.lo + u * rhs.width
-        return (math.cos(a), math.sin(a))
+            return (math.cos(a), math.sin(a))
+        (sx, sy), (ex, ey) = rays[0], rays[-1]
+        if len(rays) == 3:
+            c, s = math.cos(math.pi * u), math.sin(math.pi * u)
+            return (c * sx + s * ex, c * sy + s * ey)
+        if sx * ey - sy * ex <= 0.0:  # the line (a, -a) or the ray (a,)
+            return rays[0] if u < 0.5 else rays[-1]
+        x, y = (1.0 - u) * sx + u * ex, (1.0 - u) * sy + u * ey
+        n = math.hypot(x, y)
+        return (x / n, y / n)
 
 
 def builtin_strategies(fan: Fan, delta: float, seed: int = 0) -> dict:

@@ -2,10 +2,13 @@
 
 All combinatorial decisions (angular order, slope classes, pairwise
 determinants) use integer arithmetic; point geometry lives in log space so
-coordinates of order e^(c*delta) never have to be materialized.
+coordinates of order e^(c*delta) never have to be materialized.  A cone is
+held as its integer extreme rays, from the fan's arms +-(q, p) and their
+perpendiculars, and its kind (sector, half plane, line, ray or full plane)
+follows from them; no angle is stored.  A point's sector is found by the
+signs of cross products of the integer arms with the point.
 """
 
-import bisect
 import functools
 import math
 import operator
@@ -26,16 +29,6 @@ from .errors import (
 
 # Absolute tolerance on strip coordinates separating interior from boundary.
 STRIP_TOL = 1e-9
-# Angular tolerance for ray coincidence in cone arithmetic.
-ANGLE_TOL = 1e-12
-
-TWO_PI = 2.0 * math.pi
-
-
-def _wrap(angle: float) -> float:
-    """Wrap an angle into [0, 2*pi)."""
-    a = math.fmod(angle, TWO_PI)
-    return a + TWO_PI if a < 0.0 else a
 
 
 @dataclass(frozen=True, order=False)
@@ -237,75 +230,60 @@ def r_count(point, fan: Fan, delta: float) -> int:
 # ---------------------------------------------------------------------------
 # Cones
 
-# Marker width of the one cone that is not an angular interval.
-LINE_WIDTH = -2.0  # the line through direction lo; only one-generator fans give it
-
-
-def _unit_rays(lo: float, w: float) -> tuple[tuple[float, float], ...]:
-    """Cone.extreme_rays of the cone of start angle lo and width w."""
-    if w == TWO_PI:
-        return ()
-    u = (math.cos(lo), math.sin(lo))
-    if w == 0.0:
-        return (u,)
-    if w == LINE_WIDTH:
-        return (u, (-u[0], -u[1]))
-    if w == math.pi:
-        return (u, (-u[0], -u[1]), (-u[1], u[0]))
-    end = lo + w
-    return (u, (math.cos(end), math.sin(end)))
-
 
 @dataclass(frozen=True, slots=True)
 class Cone:
-    """Closed convex cone in R^2: the directions of the counter-clockwise
-    angular interval [lo, lo + width].
+    """Closed convex cone in R^2, held as its extreme rays: integer pairs,
+    gcd-reduced on construction, counter-clockwise.
 
-    width 0 is a ray, (0, pi) a sector, pi a half plane and 2*pi the full
-    plane.  The line through direction lo is not an interval and carries
-    LINE_WIDTH instead.  Construction wraps lo into [0, 2*pi) (0 for the
-    full plane) and snaps widths within ANGLE_TOL of 0 or pi onto them.
+    The rays give the kind: a sector (start, end) with start x end > 0, a
+    half plane (start, -start, inward normal), the line (a, -a), a ray
+    (a,) and the full plane ().  Every fan sector and every value of the
+    inclusion is spanned by the fan's arms +-(q, p) and their
+    perpendiculars, so it is one of these; any other rays raise ValueError.
 
-    _row holds the constraints as (u0, u1, e0, e1, b0, b1), three rays u,
-    e and b: the excess of v is max(0, -(u x v), e x v, -(b . v)).  u and
-    e are the start and end rays; a line takes e = u, so that the cross
-    products give |u x v|, and a ray takes e = u and b = u, for its
-    opposite direction.  Rays a cone does not read are zero: their terms
-    are 0 or NaN, and max passes over both.  _excess and
-    dynamics._violations read it.
+    _units holds the unit rays, extreme_rays(), and _row the constraints as
+    (u0, u1, e0, e1, b0, b1), three unit rays u, e and b: the excess of v is
+    max(0, -(u x v), e x v, -(b . v)).  u and e are the first two rays; a
+    line takes e = u, so that the cross products give |u x v|, and a ray
+    takes e = u and b = u, for its opposite direction.  Rays a cone does not
+    read are zero: their terms are 0 or NaN, and max passes over both.
+    _excess and dynamics._violations read it.
     """
 
-    lo: float
-    width: float
+    rays: tuple[tuple[int, int], ...]
     # extreme_rays and _row, formed on construction; slots, as the fan records hold many cones
-    _rays: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    _units: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _row: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = self.width
-        if abs(w) <= ANGLE_TOL:
-            w = 0.0
-        elif abs(w - math.pi) <= ANGLE_TOL:
-            w = math.pi
-        elif not (0.0 < w < math.pi or w in (LINE_WIDTH, TWO_PI)):
-            raise ValueError(f"cone width {w} is not in [0, pi], 2*pi or LINE_WIDTH")
-        lo = 0.0 if w == TWO_PI else _wrap(self.lo)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "width", w)
-        rays = _unit_rays(lo, w)
-        object.__setattr__(self, "_rays", rays)
-        u = rays[0] if rays else (0.0, 0.0)
-        e = u if w in (0.0, LINE_WIDTH) or not rays else rays[1]
-        b = u if w == 0.0 else (0.0, 0.0)
+        rays = []
+        for ray in self.rays:
+            try:
+                x, y = map(operator.index, ray)
+            except (TypeError, ValueError):
+                raise ValueError(f"cone ray {ray!r} is not a pair of integers") from None
+            g = math.gcd(x, y)
+            if g == 0:
+                raise ValueError("cone ray (0, 0) has no direction")
+            rays.append((x // g, y // g))
+        n = len(rays)
+        x, y = rays[0] if rays else (0, 0)
+        line = n == 2 and rays[1] == (-x, -y)
+        if not (n < 2 or line or n == 2 and x * rays[1][1] - y * rays[1][0] > 0
+                or n == 3 and rays[1:] == [(-x, -y), (-y, x)]):
+            raise ValueError(f"cone rays {self.rays!r} are no sector, half plane, line or ray")
+        units = tuple((rx / h, ry / h) for rx, ry in rays for h in (math.hypot(rx, ry),))
+        object.__setattr__(self, "rays", tuple(rays))
+        object.__setattr__(self, "_units", units)
+        u = units[0] if units else (0.0, 0.0)
+        e = units[1] if n == 3 or n == 2 and not line else u
+        b = u if n == 1 else (0.0, 0.0)
         object.__setattr__(self, "_row", (*u, *e, *b))
 
     def extreme_rays(self) -> tuple[tuple[float, float], ...]:
-        """Unit extreme directions, counter-clockwise from lo.
-
-        A sector gives (start, end); a half plane (start, end, inward
-        normal); the line (u, -u); the full plane none.
-        """
-        return self._rays
+        """The rays as unit float directions, in their order."""
+        return self._units
 
     def _excess(self, vx: float, vy: float) -> float:
         """Worst constraint excess of (vx, vy) by _row, not normalized (0 if inside)."""
@@ -319,7 +297,7 @@ class Cone:
 
 
 # The value wherever the near sectors share no ray; Cone is frozen, so every caller shares it.
-_FULL_PLANE = Cone(0.0, TWO_PI)
+_FULL_PLANE = Cone(())
 
 
 class _NearValues(dict):
@@ -327,7 +305,9 @@ class _NearValues(dict):
     the polar of the intersection of the sectors whose bits the code sets.
     Sectors meet only in the arm two adjacent ones share, so it is the one
     sector's polar, the half plane normal to the shared arm (the line, for
-    a one-generator fan's two half planes) or the full plane."""
+    a one-generator fan's two half planes) or the full plane.  Each is
+    spanned by perpendiculars of the sectors' integer arms: the polar of
+    the sector from arm a to arm b runs from rot+90(b) to rot-90(a)."""
 
     __slots__ = ("sectors",)
 
@@ -336,17 +316,17 @@ class _NearValues(dict):
 
     def __missing__(self, near: int) -> Cone:
         sectors = self.sectors
-        low = near & -near  # the bit of the first near sector, s
-        s = sectors[low.bit_length() - 1]
-        if near == low:
-            value = Cone(s.lo + s.width + math.pi / 2.0, math.pi - s.width)
-        elif len(sectors) == 2:
-            a, b = sectors
-            value = Cone(_wrap(a.lo + _wrap(b.lo - a.lo)) + math.pi / 2.0, LINE_WIDTH)
-        elif near == 1 | 1 << len(sectors) - 1:  # the wrap pair shares sector 0's start arm
-            value = Cone(s.lo + math.pi / 2.0, math.pi)
-        elif near == 3 * low:
-            value = Cone(_wrap(s.lo + s.width) + math.pi / 2.0, math.pi)
+        n = len(sectors)
+        low = near & -near  # the bit of the first near sector, from arm a to arm b
+        (ax, ay), (bx, by) = sectors[low.bit_length() - 1].rays[:2]
+        if near == low:  # a half plane's polar is the ray rot+90(b) = rot-90(a)
+            value = Cone(((-by, bx),) if n == 2 else ((-by, bx), (ay, -ax)))
+        elif n == 2:  # both half planes of a one-generator fan: the line normal to its arms
+            value = Cone(((-by, bx), (by, -bx)))
+        elif near == 3 * low or near == 1 | 1 << n - 1:
+            # Two adjacent sectors share the arm b; the wrap pair, sector 0's arm a.
+            cx, cy = (bx, by) if near == 3 * low else (ax, ay)
+            value = Cone(((-cy, cx), (cy, -cx), (-cx, -cy)))
         else:
             value = _FULL_PLANE
         self[near] = value
@@ -356,9 +336,10 @@ class _NearValues(dict):
 class _FanTable(NamedTuple):
     """Everything the construction and the inclusion read off a fan at no
     delta.  An arm's sign is that of q*X + p*Y on it, so sign +1 is the arm
-    +(q, p); no two generators are parallel, so its angles strictly increase."""
+    +(q, p); no two generators are parallel, so the arms' angles strictly
+    increase."""
 
-    arms: tuple  # the 2b arms (angle in [0, 2*pi), generator index, sign), by angle
+    arms: tuple  # the 2b arms ((x, y) = sign * (q, p), generator index, sign), ccw from angle 0
     sectors: tuple  # the 2b sectors, k from arm k to arm k + 1: two half planes for b = 1
     rays: tuple  # the sectors' unit start rays, sector 0's again last: two read-only columns
     strips: tuple  # the delta-free columns (i, q, p, plus, minus) of the rows of Fan.regions
@@ -386,14 +367,20 @@ def _meet_exponents(gi: LineGenerator, si: int, gj: LineGenerator, sj: int) -> t
 
 @lru_cache(maxsize=256)
 def _fan_table(fan: Fan) -> _FanTable:
-    """The fan's _FanTable record, the one cache of this module."""
+    """The fan's _FanTable record, the one cache of this module.  The fan
+    order is _angular_cmp's, over (0, pi]: each generator's arm in that half
+    circle, then their opposites, run counter-clockwise, and the horizontal
+    line's arm (1, 0), last of all, is the one at angle 0."""
     gens = fan.generators
-    angles = [_wrap(math.atan2(g.p, g.q)) for g in gens]
-    arms = sorted([(a, i, 1) for i, a in enumerate(angles)]
-                  + [(_wrap(a + math.pi), i, -1) for i, a in enumerate(angles)])
+    upper = [(i, 1 if g.p > 0 else -1) for i, g in enumerate(gens)]  # each line's arm in (0, pi]
+    arms = [((s * gens[i].q, s * gens[i].p), i, s) for i, s in upper + [(i, -s) for i, s in upper]]
+    if gens[-1].p == 0:
+        arms.insert(0, arms.pop())
     n = len(arms)
-    sectors = tuple(Cone(a, _wrap(arms[(k + 1) % n][0] - a)) for k, (a, _, _) in enumerate(arms))
-    rays = np.array([s._rays[0] for s in sectors + sectors[:1]])
+    sectors = tuple(Cone((a, arms[(k + 1) % n][0]) if n > 2
+                         else (a, (-a[0], -a[1]), (-a[1], a[0])))  # the half planes
+                    for k, (a, _, _) in enumerate(arms))
+    rays = np.array([s._units[0] for s in sectors + sectors[:1]])
     rays.setflags(write=False)
     codes = {(i, sign): (1 << k) | (1 << (k - 1) % n) for k, (_, i, sign) in enumerate(arms)}
     strips = tuple((i, float(g.q), float(g.p), codes[i, 1], codes[i, -1])
@@ -403,11 +390,16 @@ def _fan_table(fan: Fan) -> _FanTable:
                      (tuple(cx for cx, _ in uc), tuple(cy for _, cy in uc)), _NearValues(sectors))
 
 
-def _flanking_arms(X: float, Y: float, arms: tuple[tuple[float, int, int], ...]) -> int:
+def _flanking_arms(X: float, Y: float, arms: tuple) -> int:
     """Index k of the sector containing the log point (X, Y), given the
-    arms of the fan's record: from arm k (inclusive) to arm k + 1 (mod 2b)."""
-    phi = _wrap(math.atan2(Y, X))
-    return (bisect.bisect_right(arms, phi, key=operator.itemgetter(0)) - 1) % len(arms)
+    arms of the fan's record: from arm k (inclusive) to arm k + 1 (mod 2b).
+    As _angular_cmp compares lines, it compares half circles first: the
+    first b arms lie in [0, pi) and the last b in [pi, 2*pi).  Within the
+    point's half an arm is at or before it where arm x (X, Y) >= 0."""
+    b = len(arms) // 2
+    lower = Y < 0.0 or (Y == 0.0 and X < 0.0)
+    k = b * lower + sum(x * Y - y * X >= 0.0 for (x, y), _, _ in (arms[b:] if lower else arms[:b]))
+    return (k - 1) % len(arms)
 
 
 def _ray_distance(pt: LogPoint, u: tuple[float, float]) -> float:
@@ -424,7 +416,7 @@ def dist_to_cone(point, cone: Cone) -> float:
     pt = as_log(point)
     if cone._excess(pt.X, pt.Y) == 0.0:
         return 0.0
-    return min([_ray_distance(pt, u) for u in cone._rays])
+    return min([_ray_distance(pt, u) for u in cone._units])
 
 
 # Points per pass of near_sectors: bounds its (arms x points) temporaries

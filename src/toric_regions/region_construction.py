@@ -7,14 +7,12 @@ their delta-independent exponents so start-point selection stays exact in
 the large-delta asymptotics.
 """
 
-import bisect
 import collections
 import functools
 import itertools
 import math
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -34,10 +32,10 @@ from .fan_geometry import (
     LogPoint,
     _fan_table,
     _finite_log,
+    _flanking_arms,
     _in_strip,
     _meet_exponents,
     _uc_pairs,
-    _wrap,
     along_coordinate,
     as_log,
 )
@@ -439,20 +437,19 @@ def _crossing_segment(cur: LogPoint, row: tuple, gen: LineGenerator,
 # Steps 3-4: polygonal lines
 
 
-def _arm_walk(fan: Fan, phi: float, ccw: bool, stop_index: int) -> tuple[tuple[int, int], ...]:
-    """The arms (generator index, arm sign) that a polyline from position
-    angle phi crosses, in order, up to and including the stop generator's.
+def _arm_walk(fan: Fan, X: float, Y: float, ccw: bool,
+              stop_index: int) -> tuple[tuple[int, int], ...]:
+    """The arms (generator index, arm sign) that a polyline from the point
+    (X, Y), on no arm, crosses, in order, up to and including the stop
+    generator's.
 
     The traversal follows the angular order of the 2b arm rays, counter-
-    clockwise or clockwise from phi: the first arm more than 1e-12 past it
-    either way.
+    clockwise or clockwise from the point: the first arm past it either
+    way, the ends of the sector that _flanking_arms finds it in.
     """
     arms = _fan_table(fan).arms
     n = len(arms)
-    if ccw:
-        k = bisect.bisect_right(arms, phi + 1e-12, key=itemgetter(0)) % n
-    else:
-        k = (bisect.bisect_left(arms, phi - 1e-12, key=itemgetter(0)) - 1) % n
+    k = (_flanking_arms(X, Y, arms) + ccw) % n
     walk = []
     while True:  # the stop generator has an arm among any n consecutive arms
         _, gi, arm_sign = arms[k]
@@ -609,15 +606,14 @@ class _FanPlan:
 def _fan_plan(fan: Fan) -> _FanPlan:
     """The fan's construction plan.  choose_start_points reads only the
     delta-free exponents and provenance of S^uc, and each walk starts at
-    its start point's position angle atan2(cy, cx).  UnsupportedFan, as
+    its start point's exponents (cx, cy).  UnsupportedFan, as
     compute_slope_classes raises it, is never cached."""
     classes = compute_slope_classes(fan)
     points = intersection_points(fan, 1.0)
     start_max, start_min = choose_start_points(points, classes.mode)
-    phi_max = _wrap(math.atan2(start_max.cy, start_max.cx))
-    phi_min = _wrap(math.atan2(start_min.cy, start_min.cx))
-    walks = (_arm_walk(fan, phi_max, True, classes.i1), _arm_walk(fan, phi_max, False, classes.i4),
-             _arm_walk(fan, phi_min, False, classes.i2), _arm_walk(fan, phi_min, True, classes.i3))
+    big, small = (start_max.cx, start_max.cy), (start_min.cx, start_min.cy)
+    walks = (_arm_walk(fan, *big, True, classes.i1), _arm_walk(fan, *big, False, classes.i4),
+             _arm_walk(fan, *small, False, classes.i2), _arm_walk(fan, *small, True, classes.i3))
     return _FanPlan(classes, (astuple(start_max)[:-1], astuple(start_min)[:-1]), walks)
 
 

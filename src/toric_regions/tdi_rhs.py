@@ -7,7 +7,10 @@ record.  Sectors meet only in the arm two adjacent ones share, so every
 value is one of three ``Cone``s: the full plane where r(x) >= 2 strips
 contain the point, the half plane normal to the shared arm where
 r(x) = 1, and where r(x) = 0 the polar of the containing sector (a ray
-for a one-generator fan, and inside its strip the line).
+for a one-generator fan, and inside its strip the line).  Each is built
+from the integer arms: the sector from arm a to arm b has the polar from
+rot+90(b) to rot-90(a), and the half plane normal to arm c runs from
+rot+90(c) to rot-90(c) with inward normal -c, so its edges are exact.
 
 There are two evaluators, the definition and the classifier, and each
 only chooses the near set.  ``rhs_bruteforce`` does it by the definition,

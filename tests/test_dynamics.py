@@ -40,9 +40,7 @@ from toric_regions.errors import (
     WitnessFailed,
 )
 from toric_regions.fan_geometry import (
-    LINE_WIDTH,
     STRIP_TOL,
-    TWO_PI,
     Cone,
     Fan,
     LineGenerator,
@@ -59,6 +57,8 @@ from toric_regions.region_construction import (
     region_contains,
 )
 from toric_regions.tdi_rhs import rhs_bruteforce
+
+from cone_algebra import kind
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
 # The reach workload's fans: worked, axis, all_positive and all_negative.
@@ -435,11 +435,14 @@ class TestIntegrate:
         assert batches == []
 
     def test_worst_violation_is_the_per_step_maximum(self):
-        traj = integrate(ExtremeRayStrategy("right"), LogPoint(-2.0, 1.5), WORKED_FAN, DELTA,
-                         t_end=5.0)
+        # An extreme ray scaled to unit log speed can leave its cone by
+        # rounding, some 1e-16, where its components differ, as on the arms
+        # of this fan; on the worked fan's (-1, -1) they are equal.
+        fan = Fan([(-1, 3), (2, 3), (2, 1)])
+        traj = integrate(ExtremeRayStrategy("right"), LogPoint(1.5, 3.0), fan, DELTA, t_end=5.0)
         ref = 0.0
         for p, v in zip(traj.points[:-1], traj.velocities[:-1]):
-            ref = max(ref, rhs_bruteforce(p, WORKED_FAN, DELTA, tol=-1e-9).violation(v))
+            ref = max(ref, rhs_bruteforce(p, fan, DELTA, tol=-1e-9).violation(v))
         assert len(traj.times) > 3 * 64 and ref > 0.0
         assert traj.worst_violation == ref
 
@@ -506,7 +509,7 @@ class TestIntegrate:
                         values = check(recorded(strategy), LogPoint(*start), fan, 5.0)
                         assert len(values) > 2000
                         switches += sum(a is not b for a, b in zip(values, values[1:]))
-                        full += sum(c.width == TWO_PI for c in values)
+                        full += sum(not c.rays for c in values)
         assert switches > 10000 and full > 10000
 
     def test_a_sliding_run_keeps_its_cell(self, monkeypatch):
@@ -856,10 +859,10 @@ class TestIntegrate:
             digests[f"flow_rescale_{rescale}"] = (tool.trajectory_digest(traj), len(traj.points))
         assert digests == {
             "origin_11": ("a89a73d81ede36a8", 167),
-            "extreme_left": ("737429720a0adb10", 502),
-            "extreme_right": ("de3918a1becaf97d", 502),
-            "alternating": ("199613f0db95c391", 502),
-            "random_in_cone": ("50d16400fb0b7236", 502),
+            "extreme_left": ("98f76d7b7f009dfa", 502),
+            "extreme_right": ("636348ee71ca0aea", 502),
+            "alternating": ("a1d025d45750dc99", 502),
+            "random_in_cone": ("b2866197ce3c5cf3", 502),
             "flow_rescale_False": ("eace7e348576569f", 136),
             "flow_rescale_True": ("d2788cbd4f1d0458", 90),
         }
@@ -1016,23 +1019,35 @@ class TestRhsFast:
 
 
 class TestStrategies:
-    def test_ray_selections_floor(self):
+    def test_ray_selections_keep_unit_log_speed(self):
         # At x = y = e^-12 a unit log speed is an x-space speed of about
-        # 6e-6; in a proper cone each ray selection is raised to 1e-3, still
-        # in the cone, and in the full plane the unit log speed stands.
+        # 6e-6, in a proper cone as in the full plane: no selection raises
+        # it, and each stays in its cone.
         pt = LogPoint(-12.0, -12.0)
         rhs = rhs_bruteforce(pt, WORKED_FAN, DELTA)
         full = rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, DELTA)
-        assert 0.0 < rhs.width < math.pi and full.width == TWO_PI
+        assert kind(rhs) == "sector" and kind(full) == "full plane"
         reg = builtin_strategies(WORKED_FAN, DELTA, seed=7)
         for name in ("extreme_left", "extreme_right", "alternating", "random_in_cone"):
             for t in (0.1, 0.6):
-                v = reg[name].velocity(pt.X, pt.Y, rhs, t, False)[:2]
-                assert math.hypot(*v) == pytest.approx(1e-3, rel=1e-12), name
-                assert rhs.violation(v) <= 1e-9, name
-                v = reg[name].velocity(pt.X, pt.Y, full, t, False)[:2]
-                assert math.hypot(v[0] * math.exp(12.0), v[1] * math.exp(12.0)) == \
-                    pytest.approx(1.0, rel=1e-12), name
+                for cone in (rhs, full):
+                    v = reg[name].velocity(pt.X, pt.Y, cone, t, False)[:2]
+                    assert math.hypot(v[0] * math.exp(12.0), v[1] * math.exp(12.0)) == \
+                        pytest.approx(1.0, rel=1e-12), name
+                    assert cone.violation(v) <= 1e-9, name
+
+    @pytest.mark.parametrize("gens", [REACH_GENS[0], [(1, 2), (2, 1), (1, 3)]])
+    def test_ray_selections_run_to_t_end_from_the_far_corner(self, gens):
+        # From (-10, -10) every cone reader, extreme_right among them, runs
+        # at unit log speed to t = 5 in 502 points.  An x-space speed floor
+        # of 1e-3 once drove y to 0 in finite time there: extreme_right then
+        # spent its whole step budget and ended max_steps at t = 0.102.
+        fan = Fan(gens)
+        for name, strategy in builtin_strategies(fan, DELTA, seed=0).items():
+            if strategy.reads_cone:
+                traj = integrate(strategy, LogPoint(-10.0, -10.0), fan, DELTA, t_end=5.0)
+                assert (traj.termination, len(traj.points)) == ("t_end", 502), name
+                assert traj.worst_violation <= 1e-9, name
 
     def test_extreme_rays_stay_in_cone(self):
         rng = np.random.default_rng(3)
@@ -1067,10 +1082,10 @@ class TestStrategies:
 
     def test_random_in_cone_on_a_line(self):
         # On a line cone each draw is one of its two directions.
-        line = Cone(0.4, LINE_WIDTH)
+        line = Cone(((3, 1), (-3, -1)))
         strat = RandomInConeStrategy(seed=2)
         picks = {strat.velocity(0.0, 0.0, line, 0.0, False)[:2] for _ in range(32)}
-        u = (math.cos(0.4), math.sin(0.4))
+        u = (3 / math.sqrt(10), 1 / math.sqrt(10))
         assert len(picks) == 2
         for v in picks:
             assert line.violation(v) <= 1e-12
@@ -1080,7 +1095,7 @@ class TestStrategies:
         # At x = y = e^800 a unit x-space direction has log speed 0.0 in
         # floats, and the ray selection rests instead of dividing by it.
         strat = ExtremeRayStrategy("left")
-        assert strat.velocity(800.0, 800.0, Cone(0.0, 1.0), 0.0, False) == (0.0,) * 5
+        assert strat.velocity(800.0, 800.0, Cone(((1, 0), (1, 2))), 0.0, False) == (0.0,) * 5
 
     def test_velocity_gives_the_stiffness_on_request(self):
         # Asked for the stiffness or not, a field gives the same velocity
@@ -1111,7 +1126,7 @@ class TestStrategies:
         reg = builtin_strategies(WORKED_FAN, DELTA)
         assert set(reg) == {"origin_11", "extreme_left", "extreme_right",
                             "alternating", "random_in_cone"}
-        # The ray selections carry their own floor: no wrapper renames them.
+        # No wrapper renames the ray selections.
         assert [reg[n].name for n in ("extreme_left", "extreme_right", "alternating")] == \
             ["extreme_left", "extreme_right", "alternating"]
         assert reg["random_in_cone"].name == "random_in_cone_0"
@@ -1525,20 +1540,29 @@ class TestReachWitness:
 
 class TestValidateLeg:
     def test_worst_is_the_scalar_loops(self, region):
-        # Two strip targets and a gap target; the second strip route rounds
-        # to a positive worst.
-        worst = []
+        # Two strip targets and a gap target, whose routes' worst is 0 on
+        # the integer edges, and, on another fan, a leg in the gap sector
+        # from arm (3, 2) to (1, 2) whose velocities are the value's extreme
+        # rays (-2, 1) and (2, -3) over scales: rounding puts some outside.
+        legs, other = [], Fan([(-1, 3), (2, 3), (2, 1)])
         for target in ((4.0, 7.0), (3.677344, -3.26284), (5.5, -1.0)):
             traj = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA,
                                  region)
-            for leg in traj.legs:
-                ref = 0.0
-                for p, v in zip(leg_points(leg), leg_velocities(leg)):
-                    ref = max(ref, rhs_bruteforce(p, WORKED_FAN, DELTA, tol=-1e-9).violation(v))
-                worst.append(_validate_leg([array_leg(leg.description, leg_points(leg),
-                                                      leg_velocities(leg))], WORKED_FAN, DELTA))
-                assert worst[-1] == ref, (target, leg.description)
-        assert len(worst) > 6 and max(worst) > 0.0
+            legs += [(leg.description, leg_points(leg), leg_velocities(leg)) for leg in traj.legs]
+        points = [LogPoint(20.0 + 0.05 * k, 20.0) for k in range(64)]
+        assert {rhs_bruteforce(p, other, DELTA).rays for p in points} == {((-2, 1), (2, -3))}
+        rays = rhs_bruteforce(points[0], other, DELTA).extreme_rays()
+        scales = [math.exp(0.3 * k - 9.0) for k in range(64)]
+        legs.append(("rays", points, [(u / s, w / s) for s, (u, w) in zip(scales, rays * 32)]))
+        fans = [WORKED_FAN] * (len(legs) - 1) + [other]
+        worst = []
+        for fan, (desc, points, velocities) in zip(fans, legs):
+            ref = 0.0
+            for p, v in zip(points, velocities):
+                ref = max(ref, rhs_bruteforce(p, fan, DELTA, tol=-1e-9).violation(v))
+            worst.append(_validate_leg([array_leg(desc, points, velocities)], fan, DELTA))
+            assert worst[-1] == ref, desc
+        assert len(worst) > 7 and max(worst[:-1]) == 0.0 < worst[-1]
 
     def test_bad_velocity_names_the_leg(self):
         # Up the diagonal strip of CROSS_FAN the cone is {v . (1,1) <= 0}.
@@ -1598,8 +1622,8 @@ class TestViolations:
     """_violations is Cone.violation, bit for bit."""
 
     @pytest.mark.parametrize("fan, kinds", [
-        (WORKED_FAN, {TWO_PI, math.pi, None}),
-        (Fan([(1, 2)]), {0.0, LINE_WIDTH}),
+        (WORKED_FAN, {"full plane", "half plane", "sector"}),
+        (Fan([(1, 2)]), {"ray", "line"}),
     ])
     def test_matches_the_bruteforce_value(self, fan, kinds):
         rng = np.random.default_rng(7)
@@ -1609,8 +1633,7 @@ class TestViolations:
         vx, vy = scale * np.cos(angles), scale * np.sin(angles)
         values = [rhs_bruteforce(LogPoint(x, y), fan, DELTA, tol=-1e-9)
                   for x, y in zip(X.tolist(), Y.tolist())]
-        # The values' widths, None for any proper sector.
-        assert {None if 0.0 < c.width < math.pi else c.width for c in values} == kinds
+        assert {kind(c) for c in values} == kinds
         # Every tenth velocity lies on an extreme ray of its value, and one
         # in twenty is zero.
         for k in range(0, 3000, 10):
@@ -1622,8 +1645,8 @@ class TestViolations:
         assert max(ref) > 0.0 and ref.count(0.0) > 100
         assert _hex(_violations(X, Y, vx, vy, fan, DELTA)) == _hex(ref)
 
-    CONES = [Cone(0.0, TWO_PI), Cone(0.4, LINE_WIDTH), Cone(2.0, 0.0), Cone(1.0, math.pi),
-             Cone(5.0, 1.3)]
+    CONES = [Cone(()), Cone(((3, 1), (-3, -1))), Cone(((-2, 5),)),
+             Cone(((1, 2), (-1, -2), (-2, 1))), Cone(((1, -3), (4, 1)))]
     VELOCITIES = [(0, 0), (0.0, -0.0), (3, 4), (-7, 2), (2**60 + 1, -1), (math.nan, 1.0),
                   (math.nan, math.nan), (math.inf, 0.0), (math.inf, math.nan),
                   (-math.inf, math.inf), (1e308, 1e308), (5e-324, -5e-324), (0.3, -0.9)]

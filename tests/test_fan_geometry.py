@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,31 +19,33 @@ from toric_regions.errors import (
     ZeroGenerator,
 )
 from toric_regions.fan_geometry import (
-    LINE_WIDTH,
-    TWO_PI,
     Cone,
     Fan,
     LineGenerator,
     LogPoint,
     PosPoint,
     _fan_table,
+    _flanking_arms,
     delta_i,
     dist_to_cone,
     r_count,
 )
 from toric_regions.region_construction import construct_region
 
-from cone_algebra import intersect, polar
+from cone_algebra import (
+    LINE,
+    TWO_PI,
+    arc,
+    arc_of,
+    arcs_equal,
+    contains,
+    intersect,
+    polar,
+    same_rays,
+    unit_rays,
+)
 
 SQRT2 = math.sqrt(2.0)
-
-
-def rhs_equal(a: Cone, b: Cone, tol: float) -> bool:
-    """Widths and start angles within tol; a line's start angle counts
-    modulo pi."""
-    period = math.pi if a.width == LINE_WIDTH else TWO_PI
-    gap = (a.lo - b.lo) % period
-    return abs(a.width - b.width) <= tol and min(gap, period - gap) <= tol
 
 
 def coordinate(pt: LogPoint, p: int, q: int) -> float:
@@ -218,47 +222,54 @@ class TestPolar:
     values memo is held to: its polar, with None for the zero cone."""
 
     def test_ray_gives_halfplane(self):
-        c = polar(Cone(0.0, 0.0))
+        c = polar(arc(0.0, 0.0))
         assert c.width == math.pi
-        assert c.violation((-1.0, 0.5)) <= 1e-9 and c.violation((-1.0, -0.5)) <= 1e-9
-        assert c.violation((1.0, 0.0)) > 1e-9
+        assert contains(c, math.atan2(0.5, -1.0)) and contains(c, math.atan2(-0.5, -1.0))
+        assert not contains(c, 0.0, 1e-9)
 
     def test_full_plane_gives_origin(self):
-        assert polar(Cone(0.0, TWO_PI)) is None
-        assert polar(None) == Cone(0.0, TWO_PI)
+        assert polar(arc(0.0, TWO_PI)) is None
+        assert polar(None) == arc(0.0, TWO_PI)
 
     def test_first_quadrant(self):
-        c = polar(Cone(0.0, math.pi / 2))
+        c = polar(arc(0.0, math.pi / 2))
         assert 0.0 < c.width < math.pi
         assert c.lo == pytest.approx(math.pi)
         assert c.lo + c.width == pytest.approx(3 * math.pi / 2)
 
     @given(st.floats(0.0, 2 * math.pi - 1e-6), st.floats(0.0, math.pi))
     def test_polar_involution_sectors(self, start, opening):
-        c = Cone(start, opening)
-        assert rhs_equal(polar(polar(c)), c, tol=1e-9)
+        c = arc(start, opening)
+        assert arcs_equal(polar(polar(c)), c, tol=1e-9)
 
     @given(st.floats(0.0, 2 * math.pi - 1e-6))
     def test_polar_involution_rays_and_halfplanes(self, start):
-        for width in (0.0, math.pi, LINE_WIDTH, TWO_PI):
-            c = Cone(start, width)
-            assert rhs_equal(polar(polar(c)), c, tol=1e-9)
+        for width in (0.0, math.pi, LINE, TWO_PI):
+            c = arc(start, width)
+            assert arcs_equal(polar(polar(c)), c, tol=1e-9)
         assert polar(polar(None)) is None
 
 
 def _arc():
     """Arcs of width 0 to pi, the end points drawn on purpose."""
     width = st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi))
-    return st.builds(Cone, st.floats(0.0, 2 * math.pi - 1e-6), width)
+    return st.builds(arc, st.floats(0.0, 2 * math.pi - 1e-6), width)
 
 
-def _near_boundary(theta, cones, band=1e-9):
-    for c in cones:
+def _near_boundary(theta, arcs, band=1e-9):
+    for c in arcs:
         for edge in (c.lo, c.lo + c.width):
             gap = (theta - edge) % TWO_PI
             if min(gap, TWO_PI - gap) <= band:
                 return True
     return False
+
+
+# Cones of every kind, by their integer rays: sectors, half planes, lines, rays, the full plane.
+CONES = [Cone(((3, 1), (-2, 5))), Cone(((1, 0), (0, 1))), Cone(((-1, 2), (-1, -2))),
+         Cone(((2, -1), (-2, 1), (1, 2))), Cone(((0, -1), (0, 1), (1, 0))),
+         Cone(((1, 3), (-1, -3))), Cone(((0, 1), (0, -1))), Cone(((-3, 2),)), Cone(((0, -1),)),
+         Cone(())]
 
 
 class TestConeAlgebra:
@@ -267,19 +278,18 @@ class TestConeAlgebra:
         # The tests' intersection; the zero cone (None) holds no direction.
         if _near_boundary(theta, (a, b)):
             return
-        v = _dir(theta)
-        both = a.violation(v) <= 0.0 and b.violation(v) <= 0.0
-        both_cone = intersect(a, b)
-        assert (both_cone is not None and both_cone.violation(v) <= 0.0) == both
+        both = contains(a, theta) and contains(b, theta)
+        both_arc = intersect(a, b)
+        assert (both_arc is not None and contains(both_arc, theta)) == both
 
     def test_zero_and_full_operands(self):
-        sector, full = Cone(0.3, 1.0), Cone(0.0, TWO_PI)
+        sector, full = arc(0.3, 1.0), arc(0.0, TWO_PI)
         assert intersect(sector, None) is None is intersect(None, sector)
         assert intersect(sector, full) == sector == intersect(full, sector)
         assert intersect(None, full) is None is intersect(full, None)
 
     def test_line_operand_rejected(self):
-        line, sector = Cone(0.3, LINE_WIDTH), Cone(0.3, 1.0)
+        line, sector = arc(0.3, LINE), arc(0.3, 1.0)
         for a, b in ((line, sector), (sector, line)):
             with pytest.raises(ValueError, match="line cannot be intersected"):
                 intersect(a, b)
@@ -287,35 +297,59 @@ class TestConeAlgebra:
     @pytest.mark.parametrize("lo", [0.3, 0.3 + math.pi, 6.0])
     def test_opposite_half_planes_give_the_line(self, lo):
         # Two parts arise only here, as two antipodal rays.
-        line = intersect(Cone(lo, math.pi), Cone(lo + math.pi, math.pi))
-        assert line.width == LINE_WIDTH
-        assert line.violation(_dir(lo)) <= 1e-9 and line.violation(_dir(lo + math.pi)) <= 1e-9
-        assert line.violation(_dir(lo + 0.5 * math.pi)) > 1e-9
+        line = intersect(arc(lo, math.pi), arc(lo + math.pi, math.pi))
+        assert line.width == LINE
+        assert contains(line, lo, 1e-9) and contains(line, lo + math.pi, 1e-9)
+        assert not contains(line, lo + 0.5 * math.pi, 1e-9)
 
     @pytest.mark.parametrize("width", [-0.5, 3.5, 7.0, math.nan])
     def test_invalid_width_rejected(self, width):
-        with pytest.raises(ValueError, match="cone width"):
-            Cone(0.0, width)
+        with pytest.raises(ValueError, match="arc width"):
+            arc(0.0, width)
+
+    @pytest.mark.parametrize("rays", [
+        ((0, 0),), ((1, 0), (1, 0)), ((1, 0), (0, -1)), ((1, 0), (2, 0)),
+        ((1, 0), (-1, 0), (0, -1)), ((1, 0), (0, 1), (-1, 0)),
+        ((1, 0), (0, 1), (-1, 0), (0, -1)), ((0.5, 1),), ((1,),), ((1, 2, 3),), (None,),
+    ])
+    def test_malformed_rays_rejected(self, rays):
+        # Clockwise or degenerate pairs, a half plane's wrong normal, too
+        # many rays, and anything but integer pairs.
+        with pytest.raises(ValueError, match="cone ray"):
+            Cone(rays)
+
+    def test_rays_are_gcd_reduced_and_give_the_kind(self):
+        # Equal cones by their reduced rays; the unit rays of every kind are
+        # the arc's that the tests read off them, and a ray along an axis
+        # is exact.
+        assert Cone(((6, 2), (-4, 10))) == Cone(((3, 1), (-2, 5)))
+        assert Cone(((np.int64(2), 4),)).rays == ((1, 2),)
+        assert [len(c.rays) for c in CONES] == [2, 2, 2, 3, 3, 2, 2, 1, 1, 0]
+        for cone in CONES:
+            assert same_rays(cone, arc_of(cone)), cone
+            assert all(type(v) is int for ray in cone.rays for v in ray)
+        assert Cone(((0, -3), (0, 1), (5, 0))).extreme_rays() == ((0.0, -1.0), (0.0, 1.0),
+                                                                   (1.0, 0.0))
 
     def test_cones_keep_their_rays_in_slots_and_copy(self):
-        # A cone holds lo, width and its extreme rays in slots, no instance
-        # dict; copies and pickles are equal cones with the same rays.
-        for cone in (Cone(0.3, 1.1), Cone(2.0, math.pi), Cone(0.0, TWO_PI), Cone(1.0, LINE_WIDTH)):
+        # A cone holds its integer rays, unit rays and row in slots, no
+        # instance dict; copies and pickles are equal cones with the same rays.
+        for cone in CONES:
             assert not hasattr(cone, "__dict__")
             for twin in (pickle.loads(pickle.dumps(cone)), copy.deepcopy(cone)):
                 assert twin == cone and twin.extreme_rays() == cone.extreme_rays()
+                assert twin._row == cone._row
 
 
 class TestFanSectors:
     def test_single_generator_two_halfplanes(self):
         sectors = _fan_table(Fan([(1, 0)])).sectors
-        assert len(sectors) == 2
-        assert all(s.width == math.pi for s in sectors)
+        assert [s.rays for s in sectors] == [((0, 1), (0, -1), (-1, 0)), ((0, -1), (0, 1), (1, 0))]
 
     def test_two_generators_four_sectors(self):
         sectors = _fan_table(Fan([(1, 1), (-1, 1)])).sectors
-        assert len(sectors) == 4
-        assert all(0.0 < s.width < math.pi for s in sectors)
+        assert [s.rays for s in sectors] == [((1, 1), (-1, 1)), ((-1, 1), (-1, -1)),
+                                             ((-1, -1), (1, -1)), ((1, -1), (1, 1))]
 
     @pytest.mark.parametrize("gens", [
         [(1, 1), (-1, 1)],
@@ -327,14 +361,15 @@ class TestFanSectors:
         fan = Fan(gens)
         sectors = _fan_table(fan).sectors
         assert len(sectors) == 2 * fan.b
-        total = sum(s.width for s in sectors)
+        arcs = [arc_of(s) for s in sectors]
+        total = sum(a.width for a in arcs)
         assert total == pytest.approx(2 * math.pi, abs=1e-12)
+        assert arcs[0].lo < math.pi / 2  # the first sector starts at the first arm from angle 0
         for k, s in enumerate(sectors):
             nxt = sectors[(k + 1) % len(sectors)]
-            a_end = s.lo + s.width
-            b_start = nxt.lo
-            assert math.isclose(math.cos(a_end), math.cos(b_start), abs_tol=1e-12)
-            assert math.isclose(math.sin(a_end), math.sin(b_start), abs_tol=1e-12)
+            assert s.rays[1] == nxt.rays[0]
+            end = unit_rays(arcs[k])[1]
+            assert end == pytest.approx(nxt.extreme_rays()[0], abs=1e-12)
 
     def test_angular_order_matches_slopes(self):
         fan = Fan([(2, 1), (-1, 1), (1, 2)])
@@ -393,33 +428,65 @@ class TestFanSectors:
         assert all(type(v) is int for g in fan.generators for v in (g.p, g.q))
 
 
+ATLAS = json.loads((Path(__file__).resolve().parent.parent
+                    / "bench" / "data" / "atlas_catalog.json").read_text())
+
+
+class TestFlankingArms:
+    """_flanking_arms picks the sector by signs of arm x point, with no angle."""
+
+    def test_seeded_points_lie_in_their_sector_alone(self):
+        # At seeded points of every atlas fan the sector found is the one
+        # sector at distance 0, by dist_to_cone.
+        rng = np.random.default_rng(31)
+        for entry in ATLAS["fans"]:
+            table = _fan_table(Fan([tuple(g) for g in entry["gens"]]))
+            for X, Y in rng.uniform(-50.0, 50.0, size=(40, 2)).tolist():
+                k = _flanking_arms(X, Y, table.arms)
+                pt = LogPoint(X, Y)
+                at = [j for j, s in enumerate(table.sectors) if dist_to_cone(pt, s) == 0.0]
+                assert at == [k], (entry["gens"], X, Y)
+
+    def test_an_arm_starts_its_sector(self):
+        # At integer multiples of every arm of every atlas fan (and of the
+        # one-generator fans') the sector starting at the arm wins.  By
+        # dist_to_cone, which reads the arm through its one unit float ray,
+        # the point lies in that sector or the one before it, and within
+        # rounding of both.
+        fans = [Fan([tuple(g) for g in entry["gens"]]) for entry in ATLAS["fans"]]
+        fans += [Fan([(1, 0)]), Fan([(0, 1)]), Fan([(-2, 3)])]
+        for fan in fans:
+            table = _fan_table(fan)
+            for j, ((x, y), i, sign) in enumerate(table.arms):
+                assert (x, y) == (sign * fan.generators[i].q, sign * fan.generators[i].p)
+                for m in (1, 2, 7, 1000, 10**6):
+                    pt = LogPoint(float(m * x), float(m * y))
+                    assert _flanking_arms(pt.X, pt.Y, table.arms) == j, (fan, x, y, m)
+                    dist = [dist_to_cone(pt, table.sectors[k]) for k in (j, j - 1)]
+                    assert min(dist) == 0.0 and max(dist) <= 1e-15 * math.hypot(pt.X, pt.Y)
+
+
 class TestDistToCone:
     def test_interior_point(self):
-        c = Cone(0.0, math.pi / 2)
+        c = Cone(((1, 0), (0, 1)))
         assert dist_to_cone(LogPoint(1.0, 1.0), c) == 0.0
 
     def test_nearest_point_on_ray(self):
-        c = Cone(0.0, math.pi / 2)
+        c = Cone(((1, 0), (0, 1)))
         assert dist_to_cone(LogPoint(-3.0, 4.0), c) == pytest.approx(3.0)
 
     def test_nearest_point_is_origin(self):
-        c = Cone(0.0, math.pi / 2)
+        c = Cone(((1, 0), (0, 1)))
         assert dist_to_cone(LogPoint(-1.0, -1.0), c) == pytest.approx(SQRT2)
 
-    @given(st.floats(0.0, 2 * math.pi), st.floats(0.1, math.pi - 0.1),
-           st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-    def test_zero_iff_member(self, start, opening, x, y):
-        c = Cone(start, opening)
+    @given(st.sampled_from(CONES[:5]), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    def test_zero_iff_member(self, c, x, y):
         pt = LogPoint(x, y)
         d = dist_to_cone(pt, c)
         if c.violation((x, y)) <= 1e-12:
             assert d <= 1e-9 * (1.0 + math.hypot(x, y))
         elif d == 0.0:
             assert c.violation((x, y)) <= 1e-9
-
-
-def _dir(a):
-    return (math.cos(a), math.sin(a))
 
 
 class TestPoints:

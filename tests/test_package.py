@@ -112,6 +112,18 @@ def test_every_function_and_method_is_read():
     assert unread == []
 
 
+def test_cones_hold_no_angles():
+    # Cones and the fan's sectors are held as integer rays, compared by
+    # the signs of cross products: no module under src/ reads or wraps an
+    # angle of them.
+    banned = ("atan2", "_wrap", "TWO_PI", "ANGLE_TOL", "LINE_WIDTH")
+    found = [f"{path.relative_to(ROOT).as_posix()}:{k}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for k, line in enumerate(path.read_text().splitlines(), start=1)
+             for name in banned if name in line]
+    assert found == []
+
+
 def test_console_scripts_resolve():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})

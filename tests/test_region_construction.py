@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -27,7 +28,6 @@ from toric_regions.fan_geometry import (
     LogPoint,
     PosPoint,
     _fan_table,
-    _wrap,
     delta_i,
     r_count,
 )
@@ -660,21 +660,30 @@ class TestWorkedConstruction:
         assert (p34.X, p34.Y) == pytest.approx((p12.Y, p12.X), abs=1e-9)
 
 
+ATLAS_CATALOG = json.loads((Path(__file__).resolve().parent.parent
+                           / "bench" / "data" / "atlas_catalog.json").read_text())
 ATLAS_GENS = [tuple(map(tuple, json.loads(line)["gens"])) for line in
               (Path(__file__).resolve().parent / "atlas_outcomes.jsonl").read_text().splitlines()]
 
 
+def _angle(x: float, y: float) -> float:
+    """The position angle of (x, y) in [0, 2*pi)."""
+    return math.atan2(y, x) % (2.0 * math.pi)
+
+
 def _walk_reference(fan: Fan, start, ccw: bool, stop_index: int) -> list[tuple[int, int]]:
     """The arms (generator index, arm sign) that the per-delta walk of
-    build_polyline crossed from a start point: a bisect into the arm table
-    at the point's position angle, then a step per arm to the stop one."""
+    build_polyline crossed from a start point: the first arm whose angle
+    lies more than 1e-12 past the point's position angle either way, then
+    a step per arm to the stop one."""
     arms = _fan_table(fan).arms
     n = len(arms)
-    phi = _wrap(math.atan2(start.cy, start.cx))
+    phi = _angle(start.cx, start.cy)
+    angles = [_angle(*arm) for arm, _, _ in arms]
     if ccw:
-        k = next((j for j, arm in enumerate(arms) if arm[0] > phi + 1e-12), 0)
+        k = next((j for j, a in enumerate(angles) if a > phi + 1e-12), 0)
     else:
-        k = next((j for j in reversed(range(n)) if arms[j][0] < phi - 1e-12), n - 1)
+        k = next((j for j in reversed(range(n)) if angles[j] < phi - 1e-12), n - 1)
     walk = []
     while True:
         _, gi, sign = arms[k]
@@ -720,6 +729,24 @@ class TestFanPlan:
             assert crossed == walks
             assert (b.start_max, b.start_min) == (top, low)
         assert planned > 150 and built > 100
+
+    def test_walks_are_the_recorded_ones(self):
+        # The four walks of every atlas fan, in catalog order, hash to the
+        # digest recorded when the walks started from bisected atan2 angles
+        # with a 1e-12 tolerance.  No start point comes near an arm: the
+        # sine of its angle to every arm is at least 0.06, so the exact
+        # sign test and the tolerant angle test choose the same arms.
+        h, closest = hashlib.sha256(), 1.0
+        for entry in ATLAS_CATALOG["fans"]:
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            plan = _fan_plan(fan)
+            h.update(repr(plan.walks).encode())
+            for cx, cy in (row[-2:] for row in plan.starts):
+                r = math.hypot(cx, cy)
+                closest = min(closest, *(abs(x * cy - y * cx) / math.hypot(x, y) / r
+                                         for (x, y), _, _ in _fan_table(fan).arms))
+        assert len(ATLAS_CATALOG["fans"]) == 206 and h.hexdigest()[:16] == "20f89c33a54df546"
+        assert 0.06 < closest < 0.07
 
     def test_phi_level_misses_the_plan_once_per_fan(self, hull_requests):
         _fan_plan.cache_clear()

@@ -13,9 +13,7 @@ from toric_regions.errors import (
     ToricRegionsError,
 )
 from toric_regions.fan_geometry import (
-    LINE_WIDTH,
     STRIP_TOL,
-    TWO_PI,
     Cone,
     Fan,
     LogPoint,
@@ -30,20 +28,12 @@ from toric_regions.fan_geometry import (
 from toric_regions.region_construction import construct_region, sample_boundary
 from toric_regions.tdi_rhs import _rhs_fast, rhs_bruteforce, rhs_bruteforce_batch
 
-from cone_algebra import polar, value_of
+from cone_algebra import arc_of, kind, polar, same_rays, value_of
 
 SQRT2 = math.sqrt(2.0)
 
 CROSS_FAN = Fan([(1, 1), (-1, 1)])
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
-
-
-def rhs_equal(a: Cone, b: Cone, tol: float) -> bool:
-    """Widths and start angles within tol; a line's start angle counts
-    modulo pi."""
-    period = math.pi if a.width == LINE_WIDTH else TWO_PI
-    gap = (a.lo - b.lo) % period
-    return abs(a.width - b.width) <= tol and min(gap, period - gap) <= tol
 
 
 def on_a_strip_boundary(X: float, Y: float, table: tuple) -> bool:
@@ -83,21 +73,20 @@ def rhs_fast(point, fan: Fan, delta: float) -> Cone:
 
 class TestBruteforce:
     def test_origin_is_full_plane(self):
-        assert rhs_bruteforce(PosPoint(1.0, 1.0), CROSS_FAN, 1.0).width == TWO_PI
-        assert rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0).width == TWO_PI
+        assert rhs_bruteforce(PosPoint(1.0, 1.0), CROSS_FAN, 1.0).rays == ()
+        assert rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0).rays == ()
 
     def test_far_diagonal_is_halfplane(self):
         rhs = rhs_bruteforce(LogPoint(10.0, 10.0), CROSS_FAN, 1.0)
-        assert rhs.width == math.pi
-        # The outward normal spans the polar ray.
-        assert polar(rhs).extreme_rays()[0] == pytest.approx((1 / SQRT2, 1 / SQRT2), abs=1e-12)
+        # The half plane normal to the arm (1, 1): its inward normal is -(1, 1).
+        assert rhs == Cone(((-1, 1), (1, -1), (-1, -1)))
         assert rhs.violation((-1.0, 0.3)) <= 1e-9
         assert rhs.violation((1.0, 1.0)) > 1e-9
 
     def test_far_right_is_proper_cone(self):
         rhs = rhs_bruteforce(LogPoint(10.0, 0.0), CROSS_FAN, 1.0)
-        assert 0.0 < rhs.width < math.pi
         # Polar of the sector spanned by (1,-1) and (1,1).
+        assert rhs.rays == ((-1, 1), (-1, -1))
         rays = rhs.extreme_rays()
         expect = [(-1 / SQRT2, 1 / SQRT2), (-1 / SQRT2, -1 / SQRT2)]
         for u, e in zip(rays, expect):
@@ -109,13 +98,13 @@ class TestBruteforce:
         fan = Fan([(1, 1)])
         rhs = rhs_bruteforce(LogPoint(10.0, 0.0), fan, 1.0)
         # Only one half-plane sector within delta: polar is a single ray.
-        assert rhs.width == 0.0
+        assert rhs.rays == ((-1, 1),)
         assert rhs.extreme_rays()[0] == pytest.approx((-1 / SQRT2, 1 / SQRT2), abs=1e-9)
 
     def test_single_generator_inside_strip(self):
         fan = Fan([(1, 1)])
         rhs = rhs_bruteforce(LogPoint(5.0, 5.0), fan, 1.0)
-        assert rhs.width == LINE_WIDTH
+        assert kind(rhs) == "line"
         assert rhs.violation((1.0, -1.0)) <= 1e-9 and rhs.violation((-1.0, 1.0)) <= 1e-9
         assert rhs.violation((1.0, 1.0)) > 1e-9
 
@@ -123,15 +112,16 @@ class TestBruteforce:
     def test_delta_below_strip_tol(self, delta):
         # delta - STRIP_TOL < 0: only the sector that contains the point is
         # near, which gives the gap value.  The last point lies on the arm
-        # (2, 1), between the last sector and the first, but by rounding just
-        # outside both; it takes the value of one of them.
+        # (2, 1), between the last sector and the first; both read the
+        # arm's one unit ray, so rounding puts it in one of them, never
+        # outside both, and it takes the value of one of them.
         sectors = _fan_table(WORKED_FAN).sectors
         on_arm = LogPoint(2.683281572999748e-300, 1.3416407864998737e-300)
-        assert min(dist_to_cone(on_arm, s) for s in sectors) > 0.0
+        assert min(dist_to_cone(on_arm, s) for s in (sectors[0], sectors[-1])) == 0.0
         for pt in (LogPoint(10.0, 0.0), LogPoint(0.3, 2.0), LogPoint(-4.0, -1.0), on_arm):
             value = rhs_bruteforce(pt, WORKED_FAN, delta)
             if pt is on_arm:
-                assert value in (polar(sectors[0]), polar(sectors[-1]))
+                assert any(same_rays(value, polar(arc_of(s))) for s in (sectors[0], sectors[-1]))
             else:
                 assert value == rhs_fast(pt, WORKED_FAN, delta)
             values, index = rhs_bruteforce_batch(np.array([pt.X]), np.array([pt.Y]),
@@ -151,19 +141,53 @@ class TestBruteforce:
             rhs_bruteforce(pt, WORKED_FAN, 3.0)
 
 
+# The reach workload's fans: worked, axis, all_positive and all_negative.
+REACH_FANS = [WORKED_FAN, Fan([(-1, 1), (1, 2), (2, 1), (1, 0)]), Fan([(1, 2), (2, 1)]),
+              Fan([(-1, 2), (-2, 1)])]
+AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+class TestExactEdges:
+    """Values built from integer rays have exact edges: a direction on an
+    edge along an axis reads violation 0.0, and one just past it more."""
+
+    def test_half_plane_edge_of_the_axis_fan(self):
+        # At (0, 10) the axis fan's value is the half plane {vy <= 0}: its
+        # boundary direction (1, 0) lies in it, (-1, 1e-20) does not.
+        value = rhs_bruteforce(LogPoint(0.0, 10.0), REACH_FANS[1], 3.0)
+        assert value.extreme_rays() == ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0))
+        assert value.violation((1.0, 0.0)) == 0.0 == value.violation((-1.0, -0.0))
+        assert value.violation((-1.0, 1e-20)) > 0.0 and value.violation((1.0, 1e-300)) > 0.0
+
+    def test_axis_rays_of_every_value_are_exact(self):
+        # Every near-set value of the reach fans: a unit extreme ray within
+        # 1e-12 of an axis is the axis direction itself, with an exact 0
+        # component, and reads violation 0.0 in its value.
+        axis_rays = 0
+        for fan in REACH_FANS:
+            values = _fan_table(fan).values
+            for code in range(1, 1 << 2 * fan.b):
+                value = values[code]
+                for u in value.extreme_rays():
+                    if min(abs(u[0]), abs(u[1])) <= 1e-12:
+                        assert u in AXES and value.violation(u) == 0.0, (fan, code, u)
+                        axis_rays += 1
+        assert axis_rays >= 10
+
+
 class TestClassified:
     def test_matches_bruteforce_on_examples(self):
         for pt in (LogPoint(0.0, 0.0), LogPoint(10.0, 10.0), LogPoint(10.0, 0.0)):
             a = rhs_bruteforce(pt, CROSS_FAN, 1.0)
             b = rhs_fast(pt, CROSS_FAN, 1.0)
-            assert rhs_equal(a, b, tol=1e-9), (pt, a, b)
+            assert a == b, (pt, a, b)
 
     def test_single_generator_r1_is_line(self):
         fan = Fan([(1, 1)])
         rhs = rhs_fast(PosPoint(1.0, 1.0), fan, 2.0)
-        assert rhs.width == LINE_WIDTH
+        assert kind(rhs) == "line"
         for pt in (LogPoint(0.0, 0.0), LogPoint(5.0, 5.0), LogPoint(5.0, 4.5)):
-            assert rhs_equal(rhs_fast(pt, fan, 1.0), rhs_bruteforce(pt, fan, 1.0), tol=1e-9)
+            assert rhs_fast(pt, fan, 1.0) == rhs_bruteforce(pt, fan, 1.0)
 
     @pytest.mark.parametrize("pt", [LogPoint(math.nan, 0.0), LogPoint(math.inf, 0.0),
                                     LogPoint(0.0, -math.inf)])
@@ -183,7 +207,7 @@ class TestClassified:
             pt = LogPoint(0.0, SQRT2 + e)
             assert on_a_strip_boundary(pt.X, pt.Y, table) == near
             assert rhs_fast(pt, CROSS_FAN, 1.0) == rhs_bruteforce(pt, CROSS_FAN, 1.0)
-        assert 0.0 < rhs_fast(LogPoint(0.0, SQRT2), CROSS_FAN, 1.0).width < math.pi
+        assert kind(rhs_fast(LogPoint(0.0, SQRT2), CROSS_FAN, 1.0)) == "sector"
 
     def test_one_fan_at_two_deltas_in_turn(self):
         # The strip table is read per (fan, delta): classifying one fan at
@@ -198,7 +222,7 @@ class TestClassified:
                     continue
                 fast = rhs_fast(pt, WORKED_FAN, delta)
                 slow = rhs_bruteforce(pt, WORKED_FAN, delta)
-                assert (fast.lo, fast.width) == (slow.lo, slow.width), (delta, pt)
+                assert fast == slow, (delta, pt)
                 r = r_count(pt, WORKED_FAN, delta)
                 assert r == sum(s < h for s, h in zip(sigma, halves))
                 counts.setdefault(pt, {})[delta] = r
@@ -248,9 +272,7 @@ class TestClassified:
         pt = LogPoint(8.0, 4.2)
         assert r_count(pt, WORKED_FAN, 3.0) == 1
         rhs = rhs_fast(pt, WORKED_FAN, 3.0)
-        assert rhs.width == math.pi
-        n = polar(rhs).extreme_rays()[0]
-        assert n == pytest.approx((2 / math.sqrt(5), 1 / math.sqrt(5)), abs=1e-12)
+        assert kind(rhs) == "half plane" and rhs.rays[2] == (-2, -1)
 
 
 # Canonical generators of the oracle fans.
@@ -270,7 +292,7 @@ def random_fans(rng, count, min_b=2, max_b=6):
     return fans
 
 
-def agreement_run(fan, delta, n_points, rng, tol=1e-9):
+def agreement_run(fan, delta, n_points, rng):
     """Count disagreements between the two evaluation paths at random log
     points; rhs_fast also fails on a fallback off the strip boundaries."""
     span = 5.0 * delta
@@ -278,7 +300,7 @@ def agreement_run(fan, delta, n_points, rng, tol=1e-9):
     mismatches = 0
     for X, Y in pts:
         pt = LogPoint(float(X), float(Y))
-        if not rhs_equal(rhs_bruteforce(pt, fan, delta), rhs_fast(pt, fan, delta), tol=tol):
+        if rhs_bruteforce(pt, fan, delta) != rhs_fast(pt, fan, delta):
             mismatches += 1
     return mismatches
 
@@ -306,7 +328,7 @@ class TestOracleEquivalence:
         for X, Y in rng.uniform(-15, 15, size=(500, 2)):
             pt = LogPoint(float(X), float(Y))
             rhs = rhs_fast(pt, fan, 3.0)
-            assert (rhs.width == TWO_PI) == (r_count(pt, fan, 3.0) >= 2)
+            assert (rhs.rays == ()) == (r_count(pt, fan, 3.0) >= 2)
 
 
 class TestSwapSymmetry:
@@ -348,7 +370,7 @@ class TestClassifiedIsDefinition:
                     continue
                 fast = rhs_fast(pt, fan, delta)
                 slow = rhs_bruteforce(pt, fan, delta)
-                assert (fast.lo, fast.width) == (slow.lo, slow.width), (fan, delta, pt)
+                assert fast == slow, (fan, delta, pt)
                 seen.add(min(r_count(pt, fan, delta), 2))
         assert seen == ({0, 1} if max_b == 1 else {0, 1, 2})
 
@@ -392,7 +414,7 @@ class TestClassifiedIsDefinition:
         b = rhs_fast(LogPoint(1.0, -0.5), WORKED_FAN, 3.0)
         c = rhs_fast(PosPoint(1.0, 1.0), CROSS_FAN, 1.0)
         d = rhs_bruteforce(LogPoint(0.0, 0.0), WORKED_FAN, 3.0)
-        assert a.width == TWO_PI
+        assert a.rays == ()
         assert a is b and a is c and a is d
 
 
@@ -401,8 +423,8 @@ def subfan_value_inside(point, fan: Fan, subfan: Fan, delta: float) -> bool:
     a full plane, every other cone by its extreme rays, to 1e-9."""
     inner = rhs_bruteforce(point, subfan, delta)
     outer = rhs_bruteforce(point, fan, delta)
-    if inner.width == TWO_PI:
-        return outer.width == TWO_PI
+    if not inner.rays:
+        return not outer.rays
     return all(outer.violation(u) <= 1e-9 for u in inner.extreme_rays())
 
 
@@ -456,9 +478,8 @@ def _assert_batch_matches(X, Y, fan, delta):
         for x, y, k in zip(X, Y, index):
             pt = LogPoint(float(x), float(y))
             want = rhs_bruteforce(pt, fan, delta, tol)
-            assert (values[k].lo, values[k].width) == (want.lo, want.width), (fan, delta, tol, pt)
-            ref = _definition(pt, fan, delta, tol)
-            assert (ref.lo, ref.width) == (want.lo, want.width), (fan, delta, tol, pt)
+            assert values[k] == want, (fan, delta, tol, pt)
+            assert same_rays(want, _definition(pt, fan, delta, tol)), (fan, delta, tol, pt)
 
 
 def _strip_boundary_points(fan, delta):
@@ -482,9 +503,10 @@ ATLAS = json.loads((Path(__file__).resolve().parent.parent
 
 class TestNearValues:
     def test_memo_is_the_definition(self):
-        # The memo's three cases are the interval algebra's value, bit for
-        # bit, on every near-set code of the atlas fans (300 seeded codes of
-        # a fan past 10 sectors) and of the one-generator fans.
+        # The memo's three cases are the interval algebra's value, their
+        # unit rays within RAY_TOL, on every near-set code of the atlas fans
+        # (300 seeded codes of a fan past 10 sectors) and of the
+        # one-generator fans.
         rng = np.random.default_rng(10)
         fans = [Fan([tuple(g) for g in entry["gens"]]) for entry in ATLAS["fans"]]
         fans += [Fan([gen]) for gen in POOL]
@@ -497,11 +519,9 @@ class TestNearValues:
             for code in codes:
                 got = memo[code]
                 want = value_of([s for k, s in enumerate(sectors) if code >> k & 1])
-                assert (got.lo.hex(), got.width.hex()) == (want.lo.hex(), want.width.hex()), (
-                    fan, code)
-                checked.add(got.width if got.width in (0.0, math.pi, LINE_WIDTH, TWO_PI)
-                            else None)
-        assert checked == {0.0, math.pi, LINE_WIDTH, TWO_PI, None}
+                assert same_rays(got, want), (fan, code)
+                checked.add(kind(got))
+        assert checked == {"ray", "sector", "half plane", "line", "full plane"}
 
 
 class TestBatchBruteforce:
@@ -566,7 +586,7 @@ class TestBatchBruteforce:
         values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), CROSS_FAN, 1.0,
                                              STRIP_TOL)
         assert len(values) == 2 and list(index[:2]) == list(index[2:])
-        assert (values[index[0]].width, values[index[1]].width) == (TWO_PI, math.pi)
+        assert (kind(values[index[0]]), kind(values[index[1]])) == ("full plane", "half plane")
 
     def test_atlas_boundary_samples(self):
         regions = 0
@@ -678,7 +698,7 @@ class TestNearSectors:
             values, index = rhs_bruteforce_batch(X, Y, fan, STRIP_TOL, STRIP_TOL)
             for (x, y), k in zip(pts, index):
                 want = rhs_bruteforce(LogPoint(x, y), fan, STRIP_TOL, STRIP_TOL)
-                assert (values[k].lo, values[k].width) == (want.lo, want.width), (fan, x, y)
+                assert values[k] == want, (fan, x, y)
 
     def test_blocks_match_the_scalar_value(self):
         # 2,500 points span three blocks; strip boundary points sit in each.
@@ -693,4 +713,4 @@ class TestNearSectors:
             assert len(index) == len(X)
             for x, y, k in zip(X, Y, index):
                 want = rhs_bruteforce(LogPoint(float(x), float(y)), WORKED_FAN, 3.0, tol)
-                assert (values[k].lo, values[k].width) == (want.lo, want.width), (x, y, tol)
+                assert values[k] == want, (x, y, tol)
