@@ -24,7 +24,6 @@ from .fan_geometry import (
     LogPoint,
     PosPoint,
     delta_i,
-    dist_to_cone,
     r_count,
 )
 from .region_construction import (
@@ -51,7 +50,7 @@ __all__ = [
     "ParallelGenerators", "PosPoint", "RegionBoundary", "SlopeClasses",
     "StepCollapse", "ToricRegionsError", "UnsupportedFan", "WitnessFailed",
     "ZeroGenerator", "choose_start_points", "compute_slope_classes",
-    "construct_region", "conv_hull", "delta_i", "dist_to_cone",
-    "hull_contains", "intersection_points", "phi_level", "r_count",
-    "region_contains", "rhs_bruteforce",
+    "construct_region", "conv_hull", "delta_i", "hull_contains",
+    "intersection_points", "phi_level", "r_count", "region_contains",
+    "rhs_bruteforce",
 ]

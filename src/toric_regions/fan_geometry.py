@@ -6,7 +6,8 @@ coordinates of order e^(c*delta) never have to be materialized.  A cone is
 held as its integer extreme rays, from the fan's arms +-(q, p) and their
 perpendiculars, and its kind (sector, half plane, line, ray or full plane)
 follows from them; no angle is stored.  A point's sector is found by the
-signs of cross products of the integer arms with the point.
+signs of cross products of the integer arms with the point, and the
+sectors near it from the same products (near_sectors).
 """
 
 import functools
@@ -337,11 +338,12 @@ class _FanTable(NamedTuple):
     """Everything the construction and the inclusion read off a fan at no
     delta.  An arm's sign is that of q*X + p*Y on it, so sign +1 is the arm
     +(q, p); no two generators are parallel, so the arms' angles strictly
-    increase."""
+    increase.  The near-set rule reads the arms: as integers in
+    tdi_rhs._near_set, as the equal float columns in near_sectors."""
 
     arms: tuple  # the 2b arms ((x, y) = sign * (q, p), generator index, sign), ccw from angle 0
     sectors: tuple  # the 2b sectors, k from arm k to arm k + 1: two half planes for b = 1
-    rays: tuple  # the sectors' unit start rays, sector 0's again last: two read-only columns
+    columns: tuple  # the arms' x, y and |(q, p)|, arm 0 again last: three read-only columns
     strips: tuple  # the delta-free columns (i, q, p, plus, minus) of the rows of Fan.regions
     uc: tuple  # the columns cx, cy of S^uc's unit-delta exponents, in _uc_pairs order
     values: _NearValues  # the inclusion's value by near-set code, for the record's lifetime
@@ -380,14 +382,15 @@ def _fan_table(fan: Fan) -> _FanTable:
     sectors = tuple(Cone((a, arms[(k + 1) % n][0]) if n > 2
                          else (a, (-a[0], -a[1]), (-a[1], a[0])))  # the half planes
                     for k, (a, _, _) in enumerate(arms))
-    rays = np.array([s._units[0] for s in sectors + sectors[:1]])
-    rays.setflags(write=False)
+    columns = np.array([(x, y, gens[i].norm) for (x, y), i, _ in arms + arms[:1]])
+    columns.setflags(write=False)
     codes = {(i, sign): (1 << k) | (1 << (k - 1) % n) for k, (_, i, sign) in enumerate(arms)}
     strips = tuple((i, float(g.q), float(g.p), codes[i, 1], codes[i, -1])
                    for i, g in enumerate(gens))
     uc = [_meet_exponents(gens[i], si, gens[j], sj) for i, j, si, sj in _uc_pairs(len(gens))]
-    return _FanTable(tuple(arms), sectors, (rays[:, :1], rays[:, 1:]), strips,
-                     (tuple(cx for cx, _ in uc), tuple(cy for _, cy in uc)), _NearValues(sectors))
+    return _FanTable(tuple(arms), sectors, (columns[:, :1], columns[:, 1:2], columns[:, 2:]),
+                     strips, (tuple(cx for cx, _ in uc), tuple(cy for _, cy in uc)),
+                     _NearValues(sectors))
 
 
 def _flanking_arms(X: float, Y: float, arms: tuple) -> int:
@@ -402,56 +405,35 @@ def _flanking_arms(X: float, Y: float, arms: tuple) -> int:
     return (k - 1) % len(arms)
 
 
-def _ray_distance(pt: LogPoint, u: tuple[float, float]) -> float:
-    """Distance from a log point to the ray {t*u : t >= 0}."""
-    t = pt.X * u[0] + pt.Y * u[1]
-    if t <= 0.0:
-        return math.hypot(pt.X, pt.Y)
-    return math.hypot(pt.X - t * u[0], pt.Y - t * u[1])
-
-
-def dist_to_cone(point, cone: Cone) -> float:
-    """Euclidean distance from a log point to a cone: 0 inside, else to the
-    nearest extreme ray (the full plane, which has none, holds every point)."""
-    pt = as_log(point)
-    if cone._excess(pt.X, pt.Y) == 0.0:
-        return 0.0
-    return min([_ray_distance(pt, u) for u in cone._units])
-
-
 # Points per pass of near_sectors: bounds its (arms x points) temporaries
 # on the integrator's long batches of step starts.
 _NEAR_BLOCK = 1024
 
 
 def near_sectors(X: np.ndarray, Y: np.ndarray, fan: Fan, limit: float) -> np.ndarray:
-    """dist_to_cone(pt, sector) <= limit for every sector of the fan's
-    _fan_table record (rows) and every log point (X[j], Y[j]) (columns).
+    """Is sector k of the fan's _fan_table record (rows) within limit >= 0
+    of the log point (X[j], Y[j]) (columns)?  tdi_rhs._near_set applies
+    this rule to one point, in the same IEEE operations, bit for bit.
 
-    Sector k runs from arm k to arm k + 1.  Per (arm, point) one cross
-    product c = arm x p and one dot product d = arm . p give the ray
-    distance: |c| where d > 0, else |p|.  A sector's distance is the
-    smaller of its two arms', and 0 where c_k >= 0 and c_k+1 <= 0, which
-    also bounds a one-generator fan's half planes.  Rounding moves both
-    |c| and an arm (from the sector's end ray) by ulps of |p|, so
-    dist_to_cone decides the pairs within 1e-12 * limit + 1e-14 * |p| of
-    the limit, found by one 2-D nonzero only in a block that has such a
-    tie.  Points go in blocks of _NEAR_BLOCK.
+    Distance is homogeneous, so each point and the limit are first scaled
+    by the power of two that brings max(|X|, |Y|, limit) into [0.5, 1):
+    exact in the normal range, and no product below can overflow.  Then
+    per (arm, point), for the arm (x, y) = +-(q, p) and c = x*Y - y*X: the
+    point lies in sector k, from arm k to arm k + 1, where c_k >= 0 >=
+    c_k+1 (a one-generator fan's half planes too); an arm is within the
+    limit L where x*X + y*Y > 0 and |c| <= L*|(q, p)|, or where X^2 + Y^2
+    <= L^2; and a sector is near where it holds the point or either of its
+    arms is within L.  The arms come in +- pairs and c(-a) = -c(a)
+    exactly, so some sector holds every finite point.  Points go in
+    blocks of _NEAR_BLOCK.
     """
-    table = _fan_table(fan)
-    ax, ay = table.rays
+    ax, ay, norm = _fan_table(fan).columns
     near = np.empty((len(ax) - 1, len(X)), dtype=bool)
     for lo in range(0, len(X), _NEAR_BLOCK):
         x, y = X[lo:lo + _NEAR_BLOCK], Y[lo:lo + _NEAR_BLOCK]
-        c, r = ax * y - ay * x, np.hypot(x, y)
-        ray = np.where(ax * x + ay * y > 0.0, np.abs(c), r)
-        dist = np.minimum(ray[:-1], ray[1:])
-        dist[(c[:-1] >= 0.0) & (c[1:] <= 0.0)] = 0.0
-        block = near[:, lo:lo + _NEAR_BLOCK]
-        block[...] = dist <= limit
-        tie = np.abs(dist - limit) <= 1e-12 * abs(limit) + 1e-14 * r
-        if tie.any():
-            for k, j in zip(*tie.nonzero()):
-                block[k, j] = dist_to_cone(LogPoint(float(x[j]), float(y[j])),
-                                           table.sectors[k]) <= limit
+        e = -np.frexp(np.maximum(np.maximum(np.abs(x), np.abs(y)), limit))[1]
+        x, y, L = np.ldexp(x, e), np.ldexp(y, e), np.ldexp(limit, e)
+        c = ax * y - ay * x
+        arm = (ax * x + ay * y > 0.0) & (np.abs(c) <= L * norm) | (x * x + y * y <= L * L)
+        near[:, lo:lo + _NEAR_BLOCK] = arm[:-1] | arm[1:] | (c[:-1] >= 0.0) & (c[1:] <= 0.0)
     return near

@@ -13,14 +13,13 @@ rot+90(b) to rot-90(a), and the half plane normal to arm c runs from
 rot+90(c) to rot-90(c) with inward normal -c, so its edges are exact.
 
 There are two evaluators, the definition and the classifier, and each
-only chooses the near set.  ``rhs_bruteforce`` does it by the definition,
-point by point: the ground truth.  ``rhs_bruteforce_batch`` does the
-same for an array of points at once: ``near_sectors`` takes one cross
-and one dot product of every arm of the fan with every point, in blocks
-of 1,024 points, and reads each sector's distance off its two arms; one
-matmul turns the near sectors into bit sets.  It is the validation
-battery's check, and, with the inclusive tol, the integrator's check of
-every step start and the check of every candidate witness route.
+only chooses the near set.  The definition is one rule on the fan's
+integer arms +-(q, p), stated at ``near_sectors``: ``rhs_bruteforce``
+applies it point by point, the ground truth, and ``rhs_bruteforce_batch``
+to arrays of points in the same IEEE operations, so the two agree bit
+for bit, and no finite point has an empty near set.  The batch is the
+validation battery's check, and, with the inclusive tol, the
+integrator's check of every step start and of every witness route.
 ``_rhs_fast``, the value the integrator steps on, reads the near set off
 r(x) and the active strip's arm, from the floats (X, Y) and the rows of
 ``Fan.regions``, the strip table of a (fan, delta); it gives
@@ -44,7 +43,6 @@ from .fan_geometry import (
     _fan_table,
     _finite_log,
     _flanking_arms,
-    dist_to_cone,
     near_sectors,
 )
 
@@ -57,12 +55,21 @@ def _near_limit(delta: float, tol: float) -> float:
 
 
 def _near_set(pt: LogPoint, fan: Fan, limit: float) -> int:
-    """Bit set of the sectors within limit of pt, never empty.  The fan is
-    complete, so some sector contains pt, but with limit near 0 rounding can
-    leave a point on an arm just outside both sectors there: then the
-    nearest sector is taken."""
-    dist = [dist_to_cone(pt, s) for s in _fan_table(fan).sectors]
-    return sum(1 << k for k, d in enumerate(dist) if d <= limit) or 1 << dist.index(min(dist))
+    """Bit set of the fan's sectors within limit >= 0 of the finite log
+    point pt, never empty: near_sectors' rule, read off the integer arms
+    of the fan's _fan_table record in near_sectors' IEEE operations,
+    scaling included, so the two agree bit for bit."""
+    arms = _fan_table(fan).arms
+    e = -math.frexp(max(abs(pt.X), abs(pt.Y), limit))[1]
+    X, Y, L = math.ldexp(pt.X, e), math.ldexp(pt.Y, e), math.ldexp(limit, e)
+    n = len(arms)
+    if X * X + Y * Y <= L * L:  # every arm is within L
+        return (1 << n) - 1
+    c = [x * Y - y * X for (x, y), _, _ in arms]
+    near = [x * X + y * Y > 0.0 and abs(ck) <= L * fan.generators[i].norm
+            for ((x, y), i, _), ck in zip(arms, c)]
+    return sum(1 << k for k in range(n)
+               if near[k] or near[(k + 1) % n] or c[k] >= 0.0 >= c[(k + 1) % n])
 
 
 def rhs_bruteforce(point, fan: Fan, delta: float, tol: float = STRIP_TOL) -> Cone:
@@ -83,19 +90,21 @@ def rhs_bruteforce_batch(X: np.ndarray, Y: np.ndarray, fan: Fan, delta: float,
     """rhs_bruteforce(pt, fan, delta, tol) at each log point (X[k], Y[k]) of
     float arrays: the distinct values, and each point's index into them.
 
-    near_sectors marks every (sector, point) pair within the limit from
-    the arm table, one cross and one dot product per (arm, point), and one
-    int64 matmul turns each point's column into its near set's bit code.
-    The values come in ascending code order, as np.unique orders them:
-    the distinct codes are read off one sort, and np.searchsorted gives
-    each point's index, in memory linear in the points for any fan.
+    near_sectors marks every (sector, point) pair within the limit by
+    _near_set's rule, and one int64 matmul turns each point's column into
+    its near set's bit code, never 0.  The values come in ascending code
+    order, as np.unique orders them: the distinct codes are read off one
+    sort, and np.searchsorted gives each point's index, in memory linear
+    in the points for any fan.  NonPositiveDelta as rhs_bruteforce, and
+    NonFinitePoint naming the first point that is not finite.
     """
     limit = _near_limit(delta, tol)
+    bad = np.flatnonzero(~(np.isfinite(X) & np.isfinite(Y)))
+    if len(bad):
+        raise NonFinitePoint(f"point ({float(X[bad[0]])}, {float(Y[bad[0]])}) is not finite")
     record = _fan_table(fan)
     bits = 1 << np.arange(len(record.sectors), dtype=np.int64)
     near = bits @ near_sectors(X, Y, fan, limit)
-    for k in np.flatnonzero(near == 0).tolist():
-        near[k] = _near_set(LogPoint(float(X[k]), float(Y[k])), fan, limit)
     s = np.sort(near)
     codes = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
     return [record.values[c] for c in codes.tolist()], np.searchsorted(codes, near)

@@ -7,13 +7,17 @@ Here a cone is an angular interval, an Arc read off the rays by atan2,
 with its own ANGLE_TOL slack; the package's values are held to this
 algebra's unit extreme rays within RAY_TOL.  The zero cone {0}, which no
 value of the inclusion is, is None here.
+
+dist_to_cone is the tests' distance from a log point to a cone, read off
+its unit float rays: an oracle independent of the package's near-set
+rule, which decides on the integer arms (fan_geometry.near_sectors).
 """
 
 import functools
 import math
 from typing import NamedTuple
 
-from toric_regions.fan_geometry import Cone
+from toric_regions.fan_geometry import Cone, LogPoint
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12  # widths within it of 0 or pi snap onto them
@@ -164,3 +168,20 @@ def intersect(a: Arc | None, b: Arc | None) -> Arc | None:
 def value_of(sectors) -> Arc:
     """The inclusion's value on a non-empty near set of package sectors."""
     return polar(functools.reduce(intersect, map(arc_of, sectors)))
+
+
+def _ray_distance(pt: LogPoint, u: tuple[float, float]) -> float:
+    """Distance from a log point to the ray {t*u : t >= 0}."""
+    t = pt.X * u[0] + pt.Y * u[1]
+    if t <= 0.0:
+        return math.hypot(pt.X, pt.Y)
+    return math.hypot(pt.X - t * u[0], pt.Y - t * u[1])
+
+
+def dist_to_cone(pt: LogPoint, cone: Cone) -> float:
+    """Euclidean distance from a log point to a package cone: 0 inside,
+    else to the nearest of its unit extreme rays (the full plane, which has
+    none, holds every point)."""
+    if cone._excess(pt.X, pt.Y) == 0.0:
+        return 0.0
+    return min([_ray_distance(pt, u) for u in cone.extreme_rays()])

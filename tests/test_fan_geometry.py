@@ -27,10 +27,10 @@ from toric_regions.fan_geometry import (
     _fan_table,
     _flanking_arms,
     delta_i,
-    dist_to_cone,
     r_count,
 )
 from toric_regions.region_construction import construct_region
+from toric_regions.tdi_rhs import _near_set
 
 from cone_algebra import (
     LINE,
@@ -39,6 +39,7 @@ from cone_algebra import (
     arc_of,
     arcs_equal,
     contains,
+    dist_to_cone,
     intersect,
     polar,
     same_rays,
@@ -437,33 +438,33 @@ class TestFlankingArms:
 
     def test_seeded_points_lie_in_their_sector_alone(self):
         # At seeded points of every atlas fan the sector found is the one
-        # sector at distance 0, by dist_to_cone.
+        # sector the near-set rule finds holding the point: its near set at
+        # limit 0.
         rng = np.random.default_rng(31)
         for entry in ATLAS["fans"]:
-            table = _fan_table(Fan([tuple(g) for g in entry["gens"]]))
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            table = _fan_table(fan)
             for X, Y in rng.uniform(-50.0, 50.0, size=(40, 2)).tolist():
                 k = _flanking_arms(X, Y, table.arms)
-                pt = LogPoint(X, Y)
-                at = [j for j, s in enumerate(table.sectors) if dist_to_cone(pt, s) == 0.0]
-                assert at == [k], (entry["gens"], X, Y)
+                assert _near_set(LogPoint(X, Y), fan, 0.0) == 1 << k, (entry["gens"], X, Y)
 
     def test_an_arm_starts_its_sector(self):
         # At integer multiples of every arm of every atlas fan (and of the
-        # one-generator fans') the sector starting at the arm wins.  By
-        # dist_to_cone, which reads the arm through its one unit float ray,
-        # the point lies in that sector or the one before it, and within
-        # rounding of both.
+        # one-generator fans') the sector starting at the arm wins.  The
+        # arm's cross product with the point is exactly 0 there, so by the
+        # near-set rule the point lies in that sector and in the one before
+        # it: its near set at limit 0 is those two.
         fans = [Fan([tuple(g) for g in entry["gens"]]) for entry in ATLAS["fans"]]
         fans += [Fan([(1, 0)]), Fan([(0, 1)]), Fan([(-2, 3)])]
         for fan in fans:
             table = _fan_table(fan)
+            n = len(table.arms)
             for j, ((x, y), i, sign) in enumerate(table.arms):
                 assert (x, y) == (sign * fan.generators[i].q, sign * fan.generators[i].p)
                 for m in (1, 2, 7, 1000, 10**6):
                     pt = LogPoint(float(m * x), float(m * y))
                     assert _flanking_arms(pt.X, pt.Y, table.arms) == j, (fan, x, y, m)
-                    dist = [dist_to_cone(pt, table.sectors[k]) for k in (j, j - 1)]
-                    assert min(dist) == 0.0 and max(dist) <= 1e-15 * math.hypot(pt.X, pt.Y)
+                    assert _near_set(pt, fan, 0.0) == 1 << j | 1 << (j - 1) % n, (fan, x, y, m)
 
 
 class TestDistToCone:

@@ -124,6 +124,28 @@ def test_cones_hold_no_angles():
     assert found == []
 
 
+def _code_names(code) -> set[str]:
+    """The global and attribute names a code object and the code objects
+    nested in it (comprehensions, lambdas) read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def test_batch_evaluator_reads_no_scalar_one():
+    # The batch inclusion applies the near-set rule to its arrays itself:
+    # it names no scalar evaluator to decide a point, and no hypot, whose
+    # numpy and math forms round apart.
+    from toric_regions.fan_geometry import near_sectors
+    from toric_regions.tdi_rhs import rhs_bruteforce_batch
+
+    banned = {"dist_to_cone", "_near_set", "rhs_bruteforce", "hypot"}
+    for fn in (near_sectors, rhs_bruteforce_batch):
+        assert sorted(_code_names(fn.__code__) & banned) == [], fn.__name__
+
+
 def test_console_scripts_resolve():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})

@@ -21,14 +21,13 @@ from toric_regions.fan_geometry import (
     _fan_table,
     as_log,
     delta_i,
-    dist_to_cone,
     near_sectors,
     r_count,
 )
 from toric_regions.region_construction import construct_region, sample_boundary
-from toric_regions.tdi_rhs import _rhs_fast, rhs_bruteforce, rhs_bruteforce_batch
+from toric_regions.tdi_rhs import _near_set, _rhs_fast, rhs_bruteforce, rhs_bruteforce_batch
 
-from cone_algebra import arc_of, kind, polar, same_rays, value_of
+from cone_algebra import arc_of, dist_to_cone, kind, polar, same_rays, value_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -111,10 +110,10 @@ class TestBruteforce:
     @pytest.mark.parametrize("delta", [5e-10, 1e-300])
     def test_delta_below_strip_tol(self, delta):
         # delta - STRIP_TOL < 0: only the sector that contains the point is
-        # near, which gives the gap value.  The last point lies on the arm
-        # (2, 1), between the last sector and the first; both read the
-        # arm's one unit ray, so rounding puts it in one of them, never
-        # outside both, and it takes the value of one of them.
+        # near, which gives the gap value.  The last point lies on the unit
+        # ray of the arm (2, 1), between the last sector and the first;
+        # rounded, arm x p is not 0 there, so the rule puts it in one of
+        # them, never outside both, and it takes the value of one of them.
         sectors = _fan_table(WORKED_FAN).sectors
         on_arm = LogPoint(2.683281572999748e-300, 1.3416407864998737e-300)
         assert min(dist_to_cone(on_arm, s) for s in (sectors[0], sectors[-1])) == 0.0
@@ -139,6 +138,16 @@ class TestBruteforce:
     def test_non_finite_point_rejected(self, pt):
         with pytest.raises(NonFinitePoint, match="^point"):
             rhs_bruteforce(pt, WORKED_FAN, 3.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+                                      (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+    def test_non_finite_point_rejected_by_the_batch(self, x, y):
+        # As rhs_bruteforce does, at any place in the arrays and at both
+        # tols: such a point has no near set to read a value from.
+        for tol in TOLS:
+            with pytest.raises(NonFinitePoint, match="^point"):
+                rhs_bruteforce_batch(np.array([1.0, x, 2.0]), np.array([1.0, y, -2.0]),
+                                     WORKED_FAN, 3.0, tol)
 
 
 # The reach workload's fans: worked, axis, all_positive and all_negative.
@@ -461,25 +470,45 @@ def _definition(pt, fan, delta, tol):
 
 
 def _near_reference(X, Y, fan, limit):
-    """dist_to_cone(pt, sector) <= limit for every (sector, point) pair."""
-    return np.array([[dist_to_cone(LogPoint(float(x), float(y)), s) <= limit
-                      for x, y in zip(X, Y)] for s in _fan_table(fan).sectors], dtype=bool)
+    """For every (sector, point) pair: is the oracle's unit-ray distance
+    dist_to_cone within limit, and is it clear of the rounding band
+    1e-12 * limit + 1e-14 * |p| about the limit, the band in which the
+    oracle and the package's rule on the integer arms may round apart?"""
+    dist = np.array([[dist_to_cone(LogPoint(float(x), float(y)), s) for x, y in zip(X, Y)]
+                     for s in _fan_table(fan).sectors]).reshape(-1, len(X))
+    band = 1e-12 * abs(limit) + 1e-14 * np.hypot(np.array(X, dtype=float), np.array(Y, dtype=float))
+    return dist <= limit, np.abs(dist - limit) > band
+
+
+def _assert_near_sets(X, Y, fan, limit):
+    """near_sectors' column of every point is its scalar near set, bit for
+    bit, and never empty; both are the oracle's on every pair clear of its
+    rounding band.  The pairs clear of it, (sectors, points)."""
+    near = near_sectors(np.array(X, dtype=float), np.array(Y, dtype=float), fan, limit)
+    assert near.shape == (2 * fan.b, len(X))
+    codes = (1 << np.arange(2 * fan.b)) @ near
+    scalar = [_near_set(LogPoint(float(x), float(y)), fan, limit) for x, y in zip(X, Y)]
+    assert codes.tolist() == scalar and all(scalar), (fan, limit)
+    want, clear = _near_reference(X, Y, fan, limit)
+    assert (near == want)[clear].all(), (fan, limit)
+    return clear
 
 
 def _assert_batch_matches(X, Y, fan, delta):
-    """The batch value of every point is the scalar one, float for float, and
-    near_sectors is the definition pair by pair, at both tols."""
+    """The batch value of every point is the scalar one, float for float,
+    and its near set the scalar one, bit for bit, at both tols.  Pair by
+    pair both are the oracle's clear of its rounding band; a point with
+    every pair clear takes the interval algebra's value."""
     for tol in TOLS:
-        near = near_sectors(np.array(X), np.array(Y), fan, delta - tol)
-        assert near.shape == (2 * fan.b, len(X))
-        assert (near == _near_reference(X, Y, fan, delta - tol)).all(), (fan, delta, tol)
+        clear = _assert_near_sets(X, Y, fan, delta - tol)
         values, index = rhs_bruteforce_batch(np.array(X), np.array(Y), fan, delta, tol)
         assert len(index) == len(X)
-        for x, y, k in zip(X, Y, index):
+        for x, y, k, all_clear in zip(X, Y, index, clear.all(axis=0)):
             pt = LogPoint(float(x), float(y))
             want = rhs_bruteforce(pt, fan, delta, tol)
             assert values[k] == want, (fan, delta, tol, pt)
-            assert same_rays(want, _definition(pt, fan, delta, tol)), (fan, delta, tol, pt)
+            if all_clear:
+                assert same_rays(want, _definition(pt, fan, delta, tol)), (fan, delta, tol, pt)
 
 
 def _strip_boundary_points(fan, delta):
@@ -605,9 +634,9 @@ class TestBatchBruteforce:
 
     @pytest.mark.parametrize("delta", [100.0, 300.0])
     def test_far_atlas_boundary_samples(self, delta):
-        # Far from the origin an arm's |arm x p| and the definition's
-        # hypot(p - t*arm) round differently; so do points exactly on an
-        # arm, t*(q, p), where arm x p is rounding noise around 0.
+        # Far from the origin the rule's |arm x p| and the oracle's
+        # hypot(p - t*u) round differently; so do points exactly on an
+        # arm, t*(q, p), where the rule's arm x p is exactly 0.
         regions = 0
         for entry in ATLAS["fans"]:
             fan = Fan([tuple(g) for g in entry["gens"]])
@@ -627,38 +656,13 @@ class TestBatchBruteforce:
 
 
 class TestNearSectors:
-    """The arm table: one cross and one dot product per (arm, point);
-    TestBatchBruteforce compares it with the definition pair by pair."""
-
-    def test_ties_go_to_dist_to_cone(self, monkeypatch):
-        # The limit is one point's distance to a sector away from it, so that
-        # pair is a tie; only pairs within 1e-12 (relative) of the limit are
-        # handed to dist_to_cone.
-        rng = np.random.default_rng(19)
-        X, Y = rng.uniform(-10.0, 10.0, size=(2, 50))
-        sectors = _fan_table(WORKED_FAN).sectors
-        pt = LogPoint(float(X[7]), float(Y[7]))
-        k = max(range(len(sectors)), key=lambda k: dist_to_cone(pt, sectors[k]))
-        limit = dist_to_cone(pt, sectors[k])
-        calls = []
-
-        def counted(point, cone):
-            calls.append((point, cone))
-            return dist_to_cone(point, cone)
-
-        monkeypatch.setattr(fan_geometry, "dist_to_cone", counted)
-        near = near_sectors(X, Y, WORKED_FAN, limit)
-        assert (pt, sectors[k]) in calls
-        assert all(abs(dist_to_cone(p, c) - limit) <= 1e-11 * limit for p, c in calls)
-        assert near[k, 7]
-        assert (near == _near_reference(X, Y, WORKED_FAN, limit)).all()
-        calls.clear()
-        near_sectors(X, Y, WORKED_FAN, limit * (1.0 + 1e-9))
-        assert calls == []
+    """The rule on the integer arms: one cross and one dot product per
+    (arm, point), scalar and batch alike; TestBatchBruteforce compares it
+    with the oracle pair by pair."""
 
     def test_far_points_at_the_limit(self):
         # Points at distance 0.5 (to rounding) from a sector's extreme ray,
-        # up to 1e6 from the origin, where |arm x p| and the definition's
+        # up to 1e6 from the origin, where |arm x p| and the oracle's
         # distance differ by ulps of |p|: far more than 1e-12 * limit.
         for entry in ATLAS["fans"][::17]:
             fan = Fan([tuple(g) for g in entry["gens"]])
@@ -669,36 +673,96 @@ class TestNearSectors:
                         for off in (0.5, 0.5 * (1.0 + 1e-13), 0.5 * (1.0 - 1e-15), -0.5):
                             X.append(t * ux - off * uy)
                             Y.append(t * uy + off * ux)
-            X, Y = np.array(X), np.array(Y)
-            assert (near_sectors(X, Y, fan, 0.5) == _near_reference(X, Y, fan, 0.5)).all(), fan
+            _assert_near_sets(X, Y, fan, 0.5)
 
-    def test_battery_samples_make_no_ties(self, monkeypatch):
+    def test_battery_samples_make_no_ties(self):
         # Arc samples lie on a strip boundary, STRIP_TOL from the battery's
         # limit; at delta = 300 they sit thousands of log units out, and the
-        # tie band must stay far inside STRIP_TOL there.
+        # oracle's rounding band must stay far inside STRIP_TOL there: every
+        # pair is clear of it.
         region = construct_region(WORKED_FAN, 300.0, validate=False)
         X, Y, _ = sample_boundary(region, 512)
         assert np.hypot(X, Y).max() > 1e3
-        calls = []
-        monkeypatch.setattr(fan_geometry, "dist_to_cone", lambda *args: calls.append(args) or 0.0)
-        near_sectors(X, Y, WORKED_FAN, 300.0 - STRIP_TOL)
-        assert calls == []
+        assert _assert_near_sets(X.tolist(), Y.tolist(), WORKED_FAN, 300.0 - STRIP_TOL).all()
 
     def test_points_on_the_rays_at_a_zero_limit(self):
-        # delta = STRIP_TOL makes the limit 0: a point on an arm or a sector's
-        # ray is near exactly when the definition's distance is 0, which
-        # |arm x p| misses by rounding.
+        # delta = STRIP_TOL makes the limit 0: a point on a sector's unit
+        # ray or on an arm is near where the rule's arm x p is exactly 0,
+        # which the oracle's distance misses by rounding; scalar and batch
+        # read the same bits.
         for entry in ATLAS["fans"][::9]:
             fan = Fan([tuple(g) for g in entry["gens"]])
             pts = [(t * ux, t * uy) for s in _fan_table(fan).sectors for ux, uy in s.extreme_rays()
                    for t in (0.5, 3.0, 100.0, 1e4)]
             pts += [(t * g.q, t * g.p) for g in fan.generators for t in (-7.0, -1e-3, 0.7, 1e3)]
             X, Y = (np.array(v) for v in zip(*pts))
-            assert (near_sectors(X, Y, fan, 0.0) == _near_reference(X, Y, fan, 0.0)).all(), fan
+            _assert_near_sets(X, Y, fan, 0.0)
             values, index = rhs_bruteforce_batch(X, Y, fan, STRIP_TOL, STRIP_TOL)
             for (x, y), k in zip(pts, index):
                 want = rhs_bruteforce(LogPoint(x, y), fan, STRIP_TOL, STRIP_TOL)
                 assert values[k] == want, (fan, x, y)
+
+    def test_arm_points_take_the_half_plane_at_a_zero_limit(self):
+        # On the arm t*(q, p), t > 0, with products exact, arm x p is
+        # exactly 0: at limit 0 both sectors sharing the arm are near, and
+        # the value is the half plane normal to it, from the scalar and the
+        # batch alike.
+        for entry in ATLAS["fans"]:
+            fan = Fan([tuple(g) for g in entry["gens"]])
+            pts, want = [], []
+            for (x, y), _, _ in _fan_table(fan).arms:
+                for t in (0.5, 3.0, 1000.0):
+                    pts.append(LogPoint(t * x, t * y))
+                    want.append(Cone(((-y, x), (y, -x), (-x, -y))))
+            got = [rhs_bruteforce(pt, fan, STRIP_TOL, STRIP_TOL) for pt in pts]
+            assert got == want, fan
+            values, index = rhs_bruteforce_batch(np.array([pt.X for pt in pts]),
+                                                 np.array([pt.Y for pt in pts]),
+                                                 fan, STRIP_TOL, STRIP_TOL)
+            assert [values[k] for k in index] == want, fan
+
+    @pytest.mark.parametrize("delta", [STRIP_TOL, 0.5, 3.0, 300.0, 1e300])
+    def test_every_finite_point_is_near_a_sector(self, delta):
+        # Seeded points, points on the arms and on the sectors' unit rays,
+        # and those moved by one ulp either way, at scales from 1e-300 to
+        # 1e300 and next to the largest float: no finite point has an
+        # empty near set, and scalar and batch agree bit for bit at both
+        # tols, for a limit of 0, of delta and past every point.
+        rng = np.random.default_rng(23)
+        for fan in (WORKED_FAN, REACH_FANS[1], Fan([(-2, 3)]), *random_fans(rng, 4)):
+            base = rng.uniform(-2.0, 2.0, size=(40, 2)).tolist()
+            base += [(x, y) for (x, y), _, _ in _fan_table(fan).arms]
+            base += [u for s in _fan_table(fan).sectors for u in s.extreme_rays()]
+            X, Y = [], []
+            for x, y in base:
+                for scale in (1e-300, 1e-150, 1e-5, 1.0, 7.0, 1e150, 1e300):
+                    for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                        sx, sy = scale * x, scale * y
+                        X.append(float(np.nextafter(sx, math.copysign(math.inf, dx))) if dx else sx)
+                        Y.append(float(np.nextafter(sy, math.copysign(math.inf, dy))) if dy else sy)
+            X += [1.7e308, -1.7e308, 1.7e308, 0.0, 5e-324, -5e-324]
+            Y += [1.7e308, 1.7e308, -1e-300, -1.7e308, 0.0, 5e-324]
+            for tol in TOLS:
+                limit = max(delta - tol, 0.0)
+                near = near_sectors(np.array(X), np.array(Y), fan, limit)
+                codes = ((1 << np.arange(2 * fan.b)) @ near).tolist()
+                assert all(codes), (fan, delta, tol)
+                assert codes == [_near_set(LogPoint(x, y), fan, limit) for x, y in zip(X, Y)]
+
+    def test_near_sets_scale_with_the_point(self):
+        # Distance is homogeneous: at 2^k * P and 2^k * L the near set is
+        # the one at P and L, for k from -1000 to 1021, where the products
+        # and squares of unscaled coordinates would underflow or overflow.
+        rng = np.random.default_rng(29)
+        for fan in (WORKED_FAN, Fan([(3, 4), (-4, 1)]), *random_fans(rng, 3)):
+            pts = rng.uniform(-2.0, 2.0, size=(60, 2)).tolist()
+            pts += [(t * x, t * y) for (x, y), _, _ in _fan_table(fan).arms for t in (0.25, 0.5)]
+            X, Y = (np.array(v) for v in zip(*pts))
+            for limit in (0.0, 0.3, 1.0, 3.0):
+                want = near_sectors(X, Y, fan, limit)
+                for k in (-1000, -300, 300, 600, 1021):
+                    got = near_sectors(np.ldexp(X, k), np.ldexp(Y, k), fan, math.ldexp(limit, k))
+                    assert (got == want).all(), (fan, limit, k)
 
     def test_blocks_match_the_scalar_value(self):
         # 2,500 points span three blocks; strip boundary points sit in each.

@@ -271,9 +271,12 @@ def test_reach_outcomes_records():
 # Names the benchmark's tracer still wraps that the package no longer
 # defines: nothing but the tracer read them, so they were deleted, and the
 # tracer lists them as absent until its lists drop them.  The first three
-# ran in no workload; _line_x_log's calls are now _line_y_log's.
+# ran in no workload; _line_x_log's calls are now _line_y_log's; the
+# inclusion decides near sectors on the integer arms, and dist_to_cone's
+# unit-ray distance is now the tests' oracle (tests/cone_algebra.py).
 RETIRED_TRACED = {"tdi_rhs.rhs_classified", "dynamics.mass_action_field",
-                  "dynamics.field_stiffness", "region_construction._line_x_log"}
+                  "dynamics.field_stiffness", "region_construction._line_x_log",
+                  "fan_geometry.dist_to_cone"}
 
 
 def test_traced_names_resolve():
