@@ -475,7 +475,7 @@ def _near_reference(X, Y, fan, limit):
     1e-12 * limit + 1e-14 * |p| about the limit, the band in which the
     oracle and the package's rule on the integer arms may round apart?"""
     dist = np.array([[dist_to_cone(LogPoint(float(x), float(y)), s) for x, y in zip(X, Y)]
-                     for s in _fan_table(fan).sectors]).reshape(-1, len(X))
+                     for s in _fan_table(fan).sectors])
     band = 1e-12 * abs(limit) + 1e-14 * np.hypot(np.array(X, dtype=float), np.array(Y, dtype=float))
     return dist <= limit, np.abs(dist - limit) > band
 
