@@ -14,12 +14,13 @@ log point (X, Y) through one method, velocity(X, Y, rhs, t, stiff), and
 one that reads the cone gets it from _rhs_fast and fan.regions(delta),
 once per cell of the run and side of the cell's near strip boundary.
 Trajectories and witness legs hold their samples as float arrays (X, Y,
-vx, vy), a trajectory makes LogPoints only when read, and velocities are
-checked from the arrays by _violations, bit for bit as Cone.violation.
+vx, vy), and a trajectory makes LogPoints only when read.  integrate
+checks its step starts from the arrays by _violations, bit for bit as
+Cone.violation; _validate_leg checks a witness leg exactly, once per
+strip cell it crosses, from its geometry and not its samples.
 """
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -51,14 +52,16 @@ from .region_construction import (
     IntersectionPoint,
     RegionBoundary,
     Segment,
+    _line_y_log,
     _line_y_log_batch,
     _math_map,
     _read_only,
+    _root,
     _sign,
     _strip_point,
     region_contains,
 )
-from .tdi_rhs import _rhs_fast, rhs_bruteforce_batch
+from .tdi_rhs import _rhs_fast, rhs_bruteforce, rhs_bruteforce_batch
 
 _CONE_TOL = 1e-9  # cone-violation tolerance of every velocity check
 # Strip tolerance of the checks' cone: sectors within delta + 1e-9 count, so
@@ -670,20 +673,155 @@ class WitnessLeg(NamedTuple):
 
 
 def _validate_leg(legs: list[WitnessLeg], fan: Fan, delta: float) -> float:
-    """Worst cone violation of the legs' velocities, each against the
-    inclusive value at its point, from one _violations batch over the
-    legs' concatenated float arrays (bit for bit as Cone.violation);
-    WitnessFailed naming the description of the last leg whose worst
-    exceeds _CONE_TOL."""
-    _, _, *arrays = zip(*legs)  # the legs' X, Y, vx and vy
-    violations = _violations(*map(np.concatenate, arrays), fan, delta)
-    starts = list(itertools.accumulate([len(leg.X) for leg in legs[:-1]], initial=0))
-    # Each leg's max([0.0, *violations]): fmax passes over a NaN as max does.
-    worst = np.fmax(np.fmax.reduceat(violations, starts), 0.0).tolist()
-    for leg, w in zip(reversed(legs), reversed(worst)):
+    """Worst cone violation of the legs' velocities along their whole
+    paths, each against the inclusive value, exactly, from the legs'
+    geometry: a log line's ends (_logline_cuts) or an x-line's ends and
+    constant velocity (_xline_cuts), not their samples.
+
+    A leg is cut wherever a strip coordinate q*Y - p*X crosses an
+    inclusive edge +-(delta - _INCLUSIVE_TOL)*|(q, p)|; between two cuts
+    the value is one cone (arm lines and the disk |P| <= delta + 1e-9
+    never change it), read once by rhs_bruteforce(..., _INCLUSIVE_TOL) at the
+    piece's middle.  A log line's velocity (dX*x, dY*y) turns monotonically
+    within one quadrant, so a cone holds it along the piece when it holds
+    it at both ends; an x-line's is constant, so each distinct value is
+    tested once.  WitnessFailed naming the description of the last leg
+    whose worst exceeds _CONE_TOL, and the first point of that leg whose
+    velocity does."""
+    edges = [(g.q, g.p, (delta - _INCLUSIVE_TOL) * g.norm) for g in fan.generators]
+    worst = []
+    for leg in legs:
+        cuts, point, velocity = (_xline_cuts if leg.kind == "xline" else _logline_cuts)(leg, edges)
+        worst.append(_pieces_worst(cuts, point, velocity, leg.kind == "xline", fan, delta))
+    for leg, (w, first) in zip(reversed(legs), reversed(worst)):
         if w > _CONE_TOL:
-            raise WitnessFailed(leg.description, f"worst violation {w:.3e}")
-    return max(worst)
+            raise WitnessFailed(leg.description,
+                                f"worst violation {w:.3e} at ({first[0]:.9g}, {first[1]:.9g})")
+    return max(w for w, _ in worst)
+
+
+def _pieces_worst(cuts: list[float], point, velocity, constant: bool, fan: Fan, delta: float):
+    """(worst, first) over the pieces between consecutive cuts, given in
+    leg order, of a leg whose log point and x-space velocity at a cut
+    parameter are point(c) and velocity(c): worst is the largest violation
+    of a piece's velocity at its ends against the piece's value (once per
+    distinct value if the velocity is constant), and first the log point
+    (X, Y) where the leg first violates by more than _CONE_TOL (None if it
+    never does).  Within a piece the violating parameters lie next to its
+    ends, so a piece that violates only at its far end is bisected for the
+    first."""
+    worst, first, seen = 0.0, None, set()
+    ends = [velocity(c) for c in cuts]
+    for k in range(len(cuts) - 1):
+        a, b = cuts[k], cuts[k + 1]
+        value = rhs_bruteforce(LogPoint(*point(0.5 * (a + b))), fan, delta, _INCLUSIVE_TOL)
+        if constant:
+            if value in seen:
+                continue
+            seen.add(value)
+        wa = value.violation(ends[k])
+        wb = wa if constant else value.violation(ends[k + 1])
+        worst = max(worst, wa, wb)
+        if first is None and wa > _CONE_TOL:
+            first = point(a)
+        elif first is None and wb > _CONE_TOL:
+            while a != 0.5 * (a + b) != b:  # value holds the velocity at a, not at b
+                m = 0.5 * (a + b)
+                a, b = (a, m) if value.violation(velocity(m)) > _CONE_TOL else (m, b)
+            first = point(b)
+    return worst, first
+
+
+def _logline_cuts(leg: WitnessLeg, edges: list):
+    """The cuts of a straight log-space leg (see _validate_leg), as
+    fractions s of the way from its first sample to its last, where each
+    strip coordinate is linear in s; with its point and velocity at s, the
+    latter as _logline_leg forms it."""
+    X0, Y0, X1, Y1 = float(leg.X[0]), float(leg.Y[0]), float(leg.X[-1]), float(leg.Y[-1])
+    dX, dY = X1 - X0, Y1 - Y0
+    cuts = {0.0, 1.0}
+    for q, p, h in edges:
+        s0, s1 = q * Y0 - p * X0, q * Y1 - p * X1
+        cuts.update((level - s0) / (s1 - s0) for level in (h, -h) if (s0 < level) != (s1 < level))
+
+    def point(s: float) -> tuple[float, float]:
+        return X0 + s * dX, Y0 + s * dY
+
+    def velocity(s: float) -> tuple[float, float]:
+        X, Y = point(s)
+        room = max(0.0, X - _EXP_ROOM, Y - _EXP_ROOM)
+        return dX * math.exp(X - room), dY * math.exp(Y - room)
+
+    return sorted(cuts), point, velocity
+
+
+def _xline_cuts(leg: WitnessLeg, edges: list):
+    """The cuts of a straight x-space leg (see _validate_leg), as values of
+    its dominant log coordinate c in leg order, with its point at c and its
+    constant velocity.  As _xline_leg samples it, the leg is the line of
+    its velocity through its first sample up to the middle value of c,
+    and through its last beyond it; far from its anchor a line's log
+    coordinates round away from the other's, so the two need not meet,
+    and an edge whose side changes at the middle is cut there.
+
+    Along the line (x0 + t*dx, y0 + t*dy) the numerator q*dy*x - p*dx*y of
+    d(q*Y - p*X)/dt is linear in t, so each strip coordinate turns at most
+    once, where x/y = p*dx / (q*dy): at x = p*k / (dy*(p - q)) and y =
+    q*k / (dx*(p - q)), k = x0*dy - y0*dx, when both are positive.  On
+    each monotone branch an edge is crossed where its coordinate changes
+    side, and _root finds the crossing."""
+    X0, Y0, X1, Y1 = float(leg.X[0]), float(leg.Y[0]), float(leg.X[-1]), float(leg.Y[-1])
+    dx, dy = float(leg.vx[0]), float(leg.vy[0])
+    # _xline_leg's frame: the ends tell it, unless the direction has no
+    # component along one axis (the last sample comes from the far anchor,
+    # so a walk a few ulps long may end off its axis).
+    mirrored = dx == 0.0 or dy != 0.0 and abs(X1 - X0) < abs(Y1 - Y0)
+    # The kernel's frame: c runs from A0 to A1, the other coordinate from B0 to B1.
+    A0, B0, A1, B1, slope = (Y0, X0, Y1, X1, dx / dy) if mirrored else (X0, Y0, X1, Y1, dy / dx)
+    Am = 0.5 * (A0 + A1)
+
+    def on(P: float, Q: float, c: float) -> tuple[float, float]:
+        """The log point at c of the line through the kernel-frame point (P, Q)."""
+        o = _line_y_log(P, Q, slope, c)
+        return (o, c) if mirrored else (c, o)
+
+    # Per half: its anchor, its span of c, its log points at the span's ends,
+    # and M and k / e^M of its anchor, scaled so that nothing overflows.
+    halves = []
+    for P, Q, lo, hi, a, b in ((A0, B0, A0, Am, (X0, Y0), on(A0, B0, Am)),
+                               (A1, B1, Am, A1, on(A1, B1, Am), (X1, Y1))):
+        X, Y = (Q, P) if mirrored else (P, Q)
+        M = max(X, Y)
+        halves.append((P, Q, lo, hi, a, b, M, dy * math.exp(X - M) - dx * math.exp(Y - M)))
+
+    cuts = [A0, A1]
+    for q, p, h in edges:
+        nodes = []  # (c, strip coordinate, the half's anchor) along the leg
+        for P, Q, lo, hi, (Xa, Ya), (Xb, Yb), M, k in halves:
+            nodes.append((lo, q * Ya - p * Xa, P, Q))
+            if k and dx and dy and p != q:
+                rx, ry = p * k / (dy * (p - q)), q * k / (dx * (p - q))
+                if rx > 0.0 and ry > 0.0:
+                    X, Y = M + math.log(rx), M + math.log(ry)
+                    if min(lo, hi) < (Y if mirrored else X) < max(lo, hi):
+                        nodes.append((Y if mirrored else X, q * Y - p * X, P, Q))
+            nodes.append((hi, q * Yb - p * Xb, P, Q))
+        for (ca, sa, P, Q), (cb, sb, _, _) in zip(nodes, nodes[1:]):
+            for level in (h, -h):
+                if (sa < level) != (sb < level):
+                    sign = 1.0 if sa >= level else -1.0
+
+                    def excess(c: float) -> float:
+                        """The strip coordinate's excess over the level at c, >= 0 at ca."""
+                        X, Y = on(P, Q, c)
+                        return sign * (q * Y - p * X - level)
+
+                    cuts.append(ca if ca == cb else _root(excess, ca, cb))
+
+    def point(c: float) -> tuple[float, float]:
+        return on(A1, B1, c) if 2.0 * abs(c - A0) > abs(A1 - A0) else on(A0, B0, c)
+
+    return sorted(set(cuts), reverse=A1 < A0), point, lambda c: (dx, dy)
 
 
 def _logline_leg(a: LogPoint, b: LogPoint, desc: str) -> WitnessLeg:
@@ -745,11 +883,15 @@ def _segment_direction(seg: Segment) -> tuple[float, float]:
 
 def _xspace_unit(a: LogPoint, b: LogPoint) -> tuple[float, float]:
     """Unit x-space direction from a to b, formed after scaling both points
-    by e^-max of their log coordinates so that nothing overflows."""
+    by e^-max of their log coordinates so that nothing overflows.  Raises
+    NoCrossing where both scaled displacements round to 0.0, which leaves
+    no direction."""
     m = max(a.X, a.Y, b.X, b.Y)
     dx = math.exp(b.X - m) - math.exp(a.X - m)
     dy = math.exp(b.Y - m) - math.exp(a.Y - m)
     n = math.hypot(dx, dy)
+    if n == 0.0:
+        raise NoCrossing("the x-space displacement rounds to zero")
     return (dx / n, dy / n)
 
 
@@ -768,8 +910,8 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     on r(target): full-plane targets get a straight log-space run; strip
     (r = 1) and gap (r = 0) targets are routed along the region boundary
     (see ``_route_via_boundary``).  Every leg is velocity-validated: the
-    integrator checks the flow, and the straight run or a candidate route's
-    finish legs are checked in one batch.  A route's prefix (the hop and
+    integrator checks the flow, and _validate_leg checks the straight run
+    or a candidate route's finish legs, exactly.  A route's prefix (the hop and
     the chain walk) is built and checked once and kept on the region for
     its lifetime, for one flow end at a time (from (1,1) the end is always
     (1,1)); another end replaces them, so the region keeps at most one per
@@ -786,8 +928,9 @@ def reach_witness(from_point, to_point, fan: Fan, delta: float,
     "full-plane straight run" when that run fails validation, and "route"
     when no boundary route to a strip or gap target arrives and validates.
     The route's detail names the last candidate's error (the last leg of
-    it that failed validation, an "arrival" drift or a walk whose line left
-    the quadrant), then lists every candidate tried as "chain[k]: error".
+    it that failed validation, with its worst violation and first
+    violating point, an "arrival" drift or a walk whose line left the
+    quadrant), then lists every candidate tried as "chain[k]: error".
     A non-finite endpoint raises NonFinitePoint.
     """
     if region.fan != fan or region.delta != delta:
@@ -847,11 +990,12 @@ def _hop_and_walk(cur: LogPoint, chain: str, k: int,
 
 def _route_prefix(cur: LogPoint, chain: str, k: int,
                   region: RegionBoundary) -> tuple[list[WitnessLeg], float | WitnessFailed]:
-    """The legs of _hop_and_walk(cur, chain, k, region) and their
-    _validate_leg worst (or the WitnessFailed it raised), built and checked
-    once per region and flow end: region.witness_prefixes keeps one end's,
-    at most one per chain segment.  The legs' arrays are read-only, since
-    witnesses share them.  A walk that raises NoCrossing is not kept."""
+    """The legs of _hop_and_walk(cur, chain, k, region) and their exact
+    _validate_leg worst (or the WitnessFailed it raised, which names the
+    first violating point), built and checked once per region and flow
+    end: region.witness_prefixes keeps one end's, at most one per chain
+    segment.  The legs' arrays are read-only, since witnesses share them.
+    A walk that raises NoCrossing is not kept."""
     at = (cur.X.hex(), cur.Y.hex())  # the bits: -0.0 starts other legs than 0.0
     memo = region.witness_prefixes
     if at not in memo:
@@ -883,9 +1027,13 @@ def _route_via_boundary(cur: LogPoint, dst: LogPoint, r_dst: int, region: Region
     the strip.  At a gap target it ends at the corner when that is the
     target; else it walks the segment when its end is the target, or when
     a closure arc starting at that end holds the target, and then slides
-    along the arc; else it makes one straight x-space run.  After the
-    arrival check the finish legs' check runs, then the prefix's.  The
-    first route whose legs arrive and all validate wins.
+    along the arc; else it makes one straight x-space run (a run whose
+    x-space displacement rounds to zero raises NoCrossing, as a walk that
+    leaves the quadrant does, and the next candidate is tried).  After the
+    arrival check the finish legs' exact check runs, then the prefix's.
+    A slide lies on or inside a strip's edge, within rounding of it, and
+    is checked against the inclusive value.  The first route whose legs
+    arrive and all validate wins.
     """
     if r_dst == 1:
         # The target's strip: the one row of fan.regions(delta) that r_dst counted.

@@ -19,7 +19,8 @@ applies it point by point, the ground truth, and ``rhs_bruteforce_batch``
 to arrays of points in the same IEEE operations, so the two agree bit
 for bit, and no finite point has an empty near set.  The batch is the
 validation battery's check, and, with the inclusive tol, the
-integrator's check of every step start and of every witness route.
+integrator's check of every step start; a witness leg's exact check
+reads ``rhs_bruteforce`` once per strip cell it crosses.
 ``_rhs_fast``, the value the integrator steps on, reads the near set off
 r(x) and the active strip's arm, from the floats (X, Y) and the rows of
 ``Fan.regions``, the strip table of a (fan, delta); it gives

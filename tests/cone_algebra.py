@@ -11,12 +11,26 @@ value of the inclusion is, is None here.
 dist_to_cone is the tests' distance from a log point to a cone, read off
 its unit float rays: an oracle independent of the package's near-set
 rule, which decides on the integer arms (fan_geometry.near_sectors).
+
+sampled_leg_check is the tests' check of witness legs: every sample's
+velocity against the inclusive value at its point, as dynamics checked
+legs before it checked them exactly, once per strip cell
+(dynamics._validate_leg).  It sees only the samples, so it misses a
+violation between two of them; the exact check must give its verdict on
+every real leg, which compared_checks compares call by call.
 """
 
+import contextlib
 import functools
+import itertools
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
+import numpy as np
+
+from toric_regions import dynamics
+from toric_regions.errors import WitnessFailed
 from toric_regions.fan_geometry import Cone, LogPoint
 
 TWO_PI = 2.0 * math.pi
@@ -185,3 +199,53 @@ def dist_to_cone(pt: LogPoint, cone: Cone) -> float:
     if cone._excess(pt.X, pt.Y) == 0.0:
         return 0.0
     return min([_ray_distance(pt, u) for u in cone.extreme_rays()])
+
+
+def sampled_leg_check(legs, fan, delta: float) -> float:
+    """Worst cone violation of the witness legs' sampled velocities, each
+    against the inclusive value at its sample, from one dynamics._violations
+    batch over the legs' concatenated arrays (bit for bit as
+    Cone.violation); WitnessFailed naming the description of the last leg
+    whose worst exceeds the package's cone tolerance."""
+    _, _, *arrays = zip(*legs)  # the legs' X, Y, vx and vy
+    violations = dynamics._violations(*map(np.concatenate, arrays), fan, delta)
+    starts = list(itertools.accumulate([len(leg.X) for leg in legs[:-1]], initial=0))
+    # Each leg's max([0.0, *violations]): fmax passes over a NaN as max does.
+    worst = np.fmax(np.fmax.reduceat(violations, starts), 0.0).tolist()
+    for leg, w in zip(reversed(legs), reversed(worst)):
+        if w > dynamics._CONE_TOL:
+            raise WitnessFailed(leg.description, f"worst violation {w:.3e}")
+    return max(worst)
+
+
+@contextlib.contextmanager
+def compared_checks():
+    """While the block runs, every dynamics._validate_leg call is also
+    given to sampled_leg_check.  Yields a record of the number of calls
+    and of those whose verdicts differ, as (legs, exact verdict, sampled
+    verdict): None for a pass, else the leg the WitnessFailed names."""
+    record = SimpleNamespace(calls=0, differ=[])
+    exact = dynamics._validate_leg
+
+    def both(legs, fan, delta):
+        record.calls += 1
+        failed = sampled = None
+        try:
+            worst = exact(legs, fan, delta)
+        except WitnessFailed as exc:
+            failed = exc
+        try:
+            sampled_leg_check(legs, fan, delta)
+        except WitnessFailed as exc:
+            sampled = exc.leg
+        if (failed and failed.leg) != sampled:
+            record.differ.append((legs, failed and failed.leg, sampled))
+        if failed:
+            raise failed
+        return worst
+
+    dynamics._validate_leg = both
+    try:
+        yield record
+    finally:
+        dynamics._validate_leg = exact

@@ -11,7 +11,9 @@ until the record is rewritten:
     PYTHONPATH=src python tests/test_anchors.py > tests/anchor_outcomes.jsonl
 
 Outcomes are "arrived" or "WitnessFailed:<leg>".  The record holds 2,422
-arrivals and no failed route over 158 fans.
+arrivals and no failed route over 158 fans.  Every check of a witness's
+legs on the way, passed or failed, must give the verdict of the tests'
+sampled check (cone_algebra.sampled_leg_check).
 
 At delta = 100 and 300, where (N,M) lies past log x = 709, every anchor
 of every region that validates there must arrive.  And the all-rates-one
@@ -35,6 +37,8 @@ from toric_regions.dynamics import (
 from toric_regions.errors import ToricRegionsError, WitnessFailed
 from toric_regions.fan_geometry import Fan, PosPoint
 from toric_regions.region_construction import construct_region
+
+from cone_algebra import compared_checks
 
 HERE = Path(__file__).resolve().parent
 CATALOG = json.loads((HERE.parent / "bench" / "data" / "atlas_catalog.json").read_text())
@@ -68,10 +72,18 @@ def anchor_outcomes() -> list[dict]:
     return records
 
 
-def test_anchor_witnesses_match_the_record():
+@pytest.fixture(scope="module")
+def checked_outcomes():
+    """anchor_outcomes(), with every leg check compared against the
+    sampled one: (the records, the comparison's record)."""
+    with compared_checks() as checks:
+        return anchor_outcomes(), checks
+
+
+def test_anchor_witnesses_match_the_record(checked_outcomes):
     recorded = [json.loads(line) for line in
                 (HERE / "anchor_outcomes.jsonl").read_text().splitlines()]
-    now = anchor_outcomes()
+    now, _ = checked_outcomes
     assert [r["gens"] for r in now] == [r["gens"] for r in recorded]
     moved = [(r["gens"], name, outcome, n["outcomes"].get(name))
              for r, n in zip(recorded, now) for name, outcome in r["outcomes"].items()
@@ -79,10 +91,18 @@ def test_anchor_witnesses_match_the_record():
     assert now == recorded, f"(gens, anchor, recorded, now): {moved}"
 
 
-@pytest.mark.parametrize("delta, anchors, sample", [(100.0, 1854, 120), (300.0, 1798, 40)])
+def test_anchor_witness_checks_match_the_sampled_check(checked_outcomes):
+    # The exact check of each leg, once per strip cell, against every
+    # sample's: on thousands of checks, hundreds of them failed routes.
+    _, checks = checked_outcomes
+    assert checks.calls > 3000 and checks.differ == []
+
+
+@pytest.mark.parametrize("delta, anchors, sample", [(100.0, 1854, 190), (300.0, 1798, 70)])
 def test_anchor_witnesses_arrive_at_large_delta(delta, anchors, sample):
-    # A seeded sample: a witness takes about 13 ms at delta = 100 and 33
-    # ms at 300, where its legs are long, so all of them take minutes.
+    # A seeded sample: a witness takes about 17 ms at delta = 100 and 44
+    # ms at 300 (2 cores), where its legs are long, so all of them take
+    # over a minute.
     targets = [(gens, fan, region, name, anchor)
                for gens, fan, region in validated_regions(delta)
                for name, anchor in region.anchors.items()]

@@ -58,7 +58,7 @@ from toric_regions.region_construction import (
 )
 from toric_regions.tdi_rhs import rhs_bruteforce
 
-from cone_algebra import kind
+from cone_algebra import compared_checks, kind, sampled_leg_check
 
 WORKED_FAN = Fan([(-1, 1), (1, 2), (2, 1)])
 # The reach workload's fans: worked, axis, all_positive and all_negative.
@@ -1338,9 +1338,10 @@ class TestReachWitness:
             reach_witness(PosPoint(1.0, 1.0), target, fan, data["delta"], region)
         assert err.value.leg == "route"
         assert err.value.detail.startswith("no valid route: straight gap run: worst violation")
-        # The one candidate tried is listed after the last error.
-        assert re.fullmatch(r"no valid route: (straight gap run: worst violation \S+); I4\[2\]: \1",
-                            err.value.detail)
+        # The one candidate tried is listed after the last error, which
+        # names the first point of the run that leaves the cone.
+        assert re.fullmatch(r"no valid route: (straight gap run: worst violation \S+ "
+                            r"at \(\S+, \S+\)); I4\[2\]: \1", err.value.detail)
 
     def test_gap_target_on_a_route_corner(self, region):
         # (N,M) is a gap point and the corner of the I1[0] route, which ends
@@ -1406,20 +1407,20 @@ class TestReachWitness:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """Lengths of the _violations batches and the (chain, k) of every
-        candidate route built, in call order."""
+        """The samples of the legs of every _validate_leg call and the
+        (chain, k) of every candidate route built, in call order."""
         record = SimpleNamespace(batches=[], routes=[])
-        violations, hop_and_walk = dynamics._violations, dynamics._hop_and_walk
+        validate, hop_and_walk = dynamics._validate_leg, dynamics._hop_and_walk
 
-        def counted(X, Y, vx, vy, *args):
-            record.batches.append(len(vx))
-            return violations(X, Y, vx, vy, *args)
+        def counted(legs, *args):
+            record.batches.append(sum(len(leg.X) for leg in legs))
+            return validate(legs, *args)
 
         def hop(cur, chain, k, region):
             record.routes.append((chain, k))
             return hop_and_walk(cur, chain, k, region)
 
-        monkeypatch.setattr(dynamics, "_violations", counted)
+        monkeypatch.setattr(dynamics, "_validate_leg", counted)
         monkeypatch.setattr(dynamics, "_hop_and_walk", hop)
         return record
 
@@ -1429,9 +1430,9 @@ class TestReachWitness:
         ((-1.5, -1.0), []),                                  # full plane
     ])
     def test_one_batch_per_route(self, batches, target, routes):
-        # From (1,1) the flow makes no step, so every batch checks route
-        # legs: a route's prefix (the hop and its walk) once per region,
-        # then each route's finish legs in one batch of their own.
+        # Every check is of route legs: a route's prefix (the hop and its
+        # walk) once per region, then each route's finish legs in one check
+        # of their own.
         region = construct_region(WORKED_FAN, DELTA)
         cold = reach_witness(PosPoint(1.0, 1.0), LogPoint(*target), WORKED_FAN, DELTA, region)
         assert len(cold.legs[0].X) == 1
@@ -1465,22 +1466,26 @@ class TestReachWitness:
         assert len(batches.batches) == 4 + 2
         assert details[0] == details[1]
         head, *tried = details[0].split("; ")
-        assert head == "no valid route: straight gap run: worst violation 0.000e+00"
+        # Each failure names its leg's first point, where the check starts.
+        start = dynamics._hop_and_walk(LogPoint(0.0, 0.0), "I4", 1, region)[-1].end
+        last = f"straight gap run: worst violation 0.000e+00 at ({start.X:.9g}, {start.Y:.9g})"
+        assert head == f"no valid route: {last}"
         assert [t.split(": ", 1)[0] for t in tried] == ["I4[0]", "I4[1]"]
         assert tried[0].startswith("I4[0]: straight gap run: worst violation ")
-        assert tried[1] == "I4[1]: straight gap run: worst violation 0.000e+00"
+        assert tried[1] == f"I4[1]: {last}"
 
     def test_failed_prefix_is_named_after_the_finish_checks(self, batches, monkeypatch):
-        # Walk velocities turned a quarter clockwise fail the prefix of
-        # I4[1], whose finish arrives and validates: the route fails naming
-        # the walk, on every call, from the one check of that prefix.
-        hop_and_walk = dynamics._hop_and_walk
+        # Walks along directions turned 0.1 counter-clockwise off their segments'
+        # fail the prefix of I4[1], whose finish arrives and validates: the
+        # route fails naming the walk, on every call, from the one check of
+        # that prefix.  A walk still ends on its segment's end.
+        direction = dynamics._segment_direction
 
-        def turned_walk(cur, chain, k, region):
-            legs = hop_and_walk(cur, chain, k, region)
-            return legs[:1] + [leg._replace(vx=-leg.vy, vy=leg.vx) for leg in legs[1:]]
+        def turned(seg):
+            (dx, dy), c, s = direction(seg), math.cos(0.1), math.sin(0.1)
+            return (c * dx - s * dy, c * dy + s * dx)
 
-        monkeypatch.setattr(dynamics, "_hop_and_walk", turned_walk)
+        monkeypatch.setattr(dynamics, "_segment_direction", turned)
         region = construct_region(WORKED_FAN, DELTA)
         details = []
         for _ in range(2):
@@ -1489,9 +1494,9 @@ class TestReachWitness:
                               DELTA, region)
             details.append(err.value.detail)
         assert details[0] == details[1]
-        assert re.fullmatch(r"no valid route: (walk I4 segment: worst violation \S+); "
-                            r"I4\[0\]: straight gap run: worst violation \S+; I4\[1\]: \1",
-                            details[0])
+        failure = r"worst violation \S+ at \(\S+, \S+\)"
+        assert re.fullmatch(rf"no valid route: (walk I4 segment: {failure}); "
+                            rf"I4\[0\]: straight gap run: {failure}; I4\[1\]: \1", details[0])
         assert len(batches.batches) == 4 + 2
 
     def test_memoized_prefix_legs_are_read_only(self, region):
@@ -1539,6 +1544,10 @@ class TestReachWitness:
 
 
 class TestValidateLeg:
+    """The witness legs' checks: the tests' sampled oracle on array legs,
+    whose per-sample velocities no straight leg has, and the exact check
+    _validate_leg on straight legs."""
+
     def test_worst_is_the_scalar_loops(self, region):
         # Two strip targets and a gap target, whose routes' worst is 0 on
         # the integer edges, and, on another fan, a leg in the gap sector
@@ -1560,7 +1569,7 @@ class TestValidateLeg:
             ref = 0.0
             for p, v in zip(points, velocities):
                 ref = max(ref, rhs_bruteforce(p, fan, DELTA, tol=-1e-9).violation(v))
-            worst.append(_validate_leg([array_leg(desc, points, velocities)], fan, DELTA))
+            worst.append(sampled_leg_check([array_leg(desc, points, velocities)], fan, DELTA))
             assert worst[-1] == ref, desc
         assert len(worst) > 7 and max(worst[:-1]) == 0.0 < worst[-1]
 
@@ -1570,11 +1579,11 @@ class TestValidateLeg:
         velocities = [(-1.0, -1.0)] * 9
         velocities[4] = (1.0, 1.0)
         with pytest.raises(WitnessFailed) as err:
-            _validate_leg([array_leg("test run", points, velocities)], CROSS_FAN, 1.0)
+            sampled_leg_check([array_leg("test run", points, velocities)], CROSS_FAN, 1.0)
         assert err.value.leg == "test run"
         assert str(err.value) == "test run: worst violation 1.000e+00"
         velocities[4] = (-1.0, 1.0)
-        assert _validate_leg([array_leg("test run", points, velocities)], CROSS_FAN, 1.0) == 0.0
+        assert sampled_leg_check([array_leg("test run", points, velocities)], CROSS_FAN, 1.0) == 0.0
 
     def test_route_names_its_last_bad_leg(self):
         # The bad velocities sit at the end of the first bad leg and the start
@@ -1585,13 +1594,135 @@ class TestValidateLeg:
         first = array_leg("first bad", points, inward[1:] + [(1.0, 1.0)])
         second = array_leg("second bad", points, [(0.0, 1.0)] + inward[1:])
         with pytest.raises(WitnessFailed) as err:
-            _validate_leg([good, first, good, second, good], CROSS_FAN, 1.0)
+            sampled_leg_check([good, first, good, second, good], CROSS_FAN, 1.0)
         assert err.value.leg == "second bad"
         assert str(err.value) == "second bad: worst violation 7.071e-01"
         with pytest.raises(WitnessFailed) as err:
-            _validate_leg([good, first, good], CROSS_FAN, 1.0)
+            sampled_leg_check([good, first, good], CROSS_FAN, 1.0)
         assert str(err.value) == "first bad: worst violation 1.000e+00"
-        assert _validate_leg([good, good], CROSS_FAN, 1.0) == 0.0
+        assert sampled_leg_check([good, good], CROSS_FAN, 1.0) == 0.0
+
+    @pytest.mark.parametrize("leg", [
+        _logline_leg(LogPoint(-0.8, 0.7), LogPoint(-0.3, 1.2), "run"),
+        _xline_leg(LogPoint(1.0, -0.6), (math.sqrt(0.5), math.sqrt(0.5)),
+                   LogPoint(1.4, _line_y_log(1.0, -0.6, 1.0, 1.4)), "walk"),
+    ], ids=["logline", "xline"])
+    def test_violation_between_samples(self, leg):
+        # On the worked fan at delta 1 every sample of each leg, at most 0.05
+        # apart in either log coordinate, lies where two strips overlap, in
+        # the full plane, but between two samples the leg
+        # crosses a sliver of one strip alone, whose half plane its velocity
+        # leaves: the sampled check passes it, the exact one names the sliver.
+        samples = list(zip(leg.X.tolist(), leg.Y.tolist()))
+        assert max(max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+                   for a, b in zip(samples, samples[1:])) <= dynamics._LEG_STEP
+        assert {rhs_bruteforce(LogPoint(*p), WORKED_FAN, 1.0, tol=-1e-9).rays
+                for p in samples} == {()}
+        assert sampled_leg_check([leg], WORKED_FAN, 1.0) == 0.0
+        with pytest.raises(WitnessFailed) as err:
+            _validate_leg([leg], WORKED_FAN, 1.0)
+        head, X, Y = re.fullmatch(r"worst violation \S+ at \((\S+), (\S+)\)",
+                                  err.value.detail).group(0, 1, 2)
+        first = (float(X), float(Y))
+        # The named point, where the sliver starts, lies strictly between two
+        # consecutive samples, in the half plane of the strip of (-1, 1).
+        between = [j for j, (a, b) in enumerate(zip(samples, samples[1:]))
+                   if all(min(u, v) < w < max(u, v) for u, v, w in zip(a, b, first))]
+        assert len(between) == 1
+        assert kind(rhs_bruteforce(LogPoint(*first), WORKED_FAN, 1.0)) == "half plane"
+        assert float(head.split()[2]) > 0.5
+
+    def test_first_violating_point_inside_a_piece(self):
+        # In the gap sector of CROSS_FAN about +x the value is {v_x <= -|v_y|}.
+        # The run's velocity (-0.9*x, 7.5*y) turns out of it where X - Y =
+        # log(7.5/0.9), inside its one piece: the failure names that point.
+        run = _logline_leg(LogPoint(10.0, 0.0), LogPoint(9.1, 7.5), "run")
+        with pytest.raises(WitnessFailed) as err:
+            _validate_leg([run], CROSS_FAN, 1.0)
+        X, Y = map(float, re.fullmatch(r"worst violation \S+ at \((\S+), (\S+)\)",
+                                       err.value.detail).groups())
+        s = (10.0 - math.log(7.5 / 0.9)) / 8.4
+        assert (X, Y) == pytest.approx((10.0 - 0.9 * s, 7.5 * s), abs=1e-8)
+
+    @pytest.mark.parametrize("gens, delta, name", [([(2, 3), (1, 2)], DELTA, "P_i1i2"),
+                                                   ([(-1, 2), (-2, 1)], DELTA, "P_i3i4")])
+    def test_slide_along_an_arc_is_one_piece(self, gens, delta, name):
+        # A closure arc lies on a strip's boundary curve: its strip coordinate
+        # stays within rounding of the edge, inside the inclusive one, so that
+        # strip cuts the slide nowhere, and the slide is checked against the
+        # strip's (inclusive) value, not the gap's beyond it.  (Its end, where
+        # two arcs meet, lies on a second strip's edge too.)
+        fan = Fan(gens)
+        region = construct_region(fan, delta)
+        traj = reach_witness(PosPoint(1.0, 1.0), region.anchors[name], fan, delta, region)
+        slide = traj.legs[-1]
+        assert slide.description == "slide along the arc"
+        self.assert_one_edge_piece(slide, fan, delta)
+        assert _validate_leg([slide], fan, delta) <= 1e-9
+
+    def test_slide_along_a_strip_boundary_is_one_piece(self):
+        # Down the boundary y = e^sqrt(2) x of the diagonal strip of CROSS_FAN.
+        h = math.sqrt(2.0)
+        slide = _logline_leg(LogPoint(8.0, 8.0 + h), LogPoint(5.0, 5.0 + h), "slide")
+        self.assert_one_edge_piece(slide, CROSS_FAN, 1.0)
+        assert _validate_leg([slide], CROSS_FAN, 1.0) == 0.0
+
+    @staticmethod
+    def assert_one_edge_piece(leg, fan, delta):
+        # The strip on whose boundary both ends lie cuts the leg nowhere.
+        ends = [(leg.X[0], leg.Y[0]), (leg.X[-1], leg.Y[-1])]
+        (g,) = [g for g in fan.generators
+                if all(abs(abs(g.q * Y - g.p * X) - delta * g.norm) <= 1e-9 for X, Y in ends)]
+        cuts, point, _ = dynamics._logline_cuts(leg, [(g.q, g.p, (delta + 1e-9) * g.norm)])
+        assert cuts == [0.0, 1.0]
+        middle = LogPoint(*point(0.5))
+        inclusive = rhs_bruteforce(middle, fan, delta, tol=-1e-9)
+        assert kind(inclusive) == "half plane" != kind(rhs_bruteforce(middle, fan, delta))
+
+    def test_value_is_constant_between_inclusive_edges(self):
+        # The fact the exact check rests on: along a log segment whose strip
+        # coordinates cross no inclusive edge +-(delta + 1e-9)*|(q, p)|, the
+        # value does not change.  Values are compared by their rays, not by
+        # near-set codes: distinct codes can give equal full planes.
+        catalog = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data"
+                              / "atlas_catalog.json").read_text())
+        rng = np.random.default_rng(49)
+        fans = [Fan([tuple(g) for g in catalog["fans"][k]["gens"]])
+                for k in rng.choice(len(catalog["fans"]), 40, replace=False)]
+        tested = kinds = 0
+        seen = set()
+        for fan in fans:
+            for delta in (0.5, 3.0, 30.0):
+                edges = [(g.q, g.p, (delta + 1e-9) * g.norm) for g in fan.generators]
+                for _ in range(20):
+                    # Ends within 3*delta of the origin, some within delta of it.
+                    scale = delta * rng.choice([0.5, 1.0], 2)[:, None]
+                    a, b = rng.uniform(-3.0, 3.0, (2, 2)) * scale
+                    if any((q * a[1] - p * a[0] < h) != (q * b[1] - p * b[0] < h)
+                           for q, p, h0 in edges for h in (h0, -h0)):
+                        continue
+                    values = {rhs_bruteforce(LogPoint(*(a + u * (b - a))), fan, delta,
+                                             tol=-1e-9).rays for u in np.linspace(0.0, 1.0, 17)}
+                    assert len(values) == 1, (fan, delta, a, b, values)
+                    tested += 1
+                    seen.add(kind(rhs_bruteforce(LogPoint(*a), fan, delta, tol=-1e-9)))
+        assert tested > 300 and seen == {"full plane", "half plane", "sector"}
+
+    def test_reach_target_checks_match_the_sampled_oracle(self):
+        # Every check of every route to every benchmark target, passed or
+        # failed, gives the sampled check's verdict and names its leg.
+        data = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data"
+                           / "reach_targets.json").read_text())
+        delta = data["delta"]
+        with compared_checks() as checks:
+            for entry in data["fans"].values():
+                fan = Fan([tuple(g) for g in entry["gens"]])
+                region = construct_region(fan, delta)
+                for t in entry["targets"]:
+                    with contextlib.suppress(WitnessFailed):
+                        reach_witness(PosPoint(1.0, 1.0), LogPoint(t["X"], t["Y"]), fan, delta,
+                                      region)
+        assert checks.calls > 150 and checks.differ == []
 
 
 class TestXlineLeg:
@@ -1708,6 +1839,12 @@ class TestArrayLegs:
         with pytest.raises(NoCrossing) as err:
             _xline_leg(a, direction, b, "walk")
         assert str(err.value) == str(scalar.value) == "the line leaves the positive quadrant"
+
+    def test_direction_whose_displacement_underflows(self):
+        # Both scaled x-space displacements round to 0.0: there is no
+        # direction, and a route would take the next candidate.
+        with pytest.raises(NoCrossing, match="displacement rounds to zero"):
+            _xspace_unit(LogPoint(-800.0, 5.0), LogPoint(-790.0, 5.0))
 
     def test_walk_along_no_component_of_its_direction(self):
         # Log x dominates the walk, but the direction has no x component.
