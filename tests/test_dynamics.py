@@ -1610,9 +1610,9 @@ class TestValidateLeg:
     def test_violation_between_samples(self, leg):
         # On the worked fan at delta 1 every sample of each leg, at most 0.05
         # apart in either log coordinate, lies where two strips overlap, in
-        # the full plane, but between two samples the leg
-        # crosses a sliver of one strip alone, whose half plane its velocity
-        # leaves: the sampled check passes it, the exact one names the sliver.
+        # the full plane, but between two samples the leg crosses a sliver of
+        # one strip alone, whose half plane its velocity leaves: the sampled
+        # check passes it, the exact one names the sliver.
         samples = list(zip(leg.X.tolist(), leg.Y.tolist()))
         assert max(max(abs(a[0] - b[0]), abs(a[1] - b[1]))
                    for a, b in zip(samples, samples[1:])) <= dynamics._LEG_STEP
@@ -1689,8 +1689,7 @@ class TestValidateLeg:
         rng = np.random.default_rng(49)
         fans = [Fan([tuple(g) for g in catalog["fans"][k]["gens"]])
                 for k in rng.choice(len(catalog["fans"]), 40, replace=False)]
-        tested = kinds = 0
-        seen = set()
+        tested, seen = 0, set()
         for fan in fans:
             for delta in (0.5, 3.0, 30.0):
                 edges = [(g.q, g.p, (delta + 1e-9) * g.norm) for g in fan.generators]
