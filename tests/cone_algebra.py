@@ -12,12 +12,12 @@ dist_to_cone is the tests' distance from a log point to a cone, read off
 its unit float rays: an oracle independent of the package's near-set
 rule, which decides on the integer arms (fan_geometry.near_sectors).
 
-sampled_leg_check is the tests' check of witness legs: every sample's
-velocity against the inclusive value at its point, as dynamics checked
-legs before it checked them exactly, once per strip cell
-(dynamics._validate_leg).  It sees only the samples, so it misses a
-violation between two of them; the exact check must give its verdict on
-every real leg, which compared_checks compares call by call.
+sampled_leg_check is the tests' check of witness legs at their samples:
+every sample's velocity against the inclusive value at its point.  It
+sees only the samples, so it misses a violation between two of them; the
+package's exact check (dynamics._validate_leg, once per strip cell) must
+give its verdict on every real leg, which compared_checks compares call
+by call.
 """
 
 import contextlib
